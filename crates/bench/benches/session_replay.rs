@@ -499,6 +499,63 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
+    // `publish_512x64` is the fleet's steady state on decorrelated
+    // traffic: a full 512-entry generation (the default `generation_cap`)
+    // plus one batch of 64 unit shards of 9 fresh 4×17 windows each, cut
+    // back to 512.
+    let row_window = |w: u64| {
+        let items: Vec<ScheduleItem> = (0..4u64)
+            .map(|i| ScheduleItem {
+                release_us: 0,
+                deadline_us: (i + 1) * 150_000 + w * 37,
+                options: (0..17)
+                    .map(|j| ScheduleOption {
+                        choice: j,
+                        duration_us: 140_000 - j as u64 * 5_000,
+                        cost: 1.0 + 0.3 * (j as f64).powf(1.5),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let shape = window_shape(items.iter().map(|_| (w, 17)), items.iter());
+        (items, shape)
+    };
+    let record_shard = |scratch: &mut SolveScratch, windows: std::ops::Range<u64>| {
+        let mut memo = SolveMemo::new();
+        let mut shard = SolveShard::new();
+        for w in windows {
+            let (items, shape) = row_window(w);
+            memo.solve_shared(
+                &items,
+                None,
+                shape,
+                200_000,
+                0.0,
+                scratch,
+                &SolveGeneration::empty(),
+                &mut shard,
+            )
+            .unwrap();
+        }
+        shard
+    };
+    let full_shards: Vec<SolveShard> = (0..16u64)
+        .map(|s| record_shard(&mut scratch, s * 32..(s + 1) * 32))
+        .collect();
+    let full_generation = SolveGeneration::publish(&SolveGeneration::empty(), &full_shards, 512);
+    assert_eq!(full_generation.len(), 512, "the generation must start full");
+    let unit_shards: Vec<SolveShard> = (0..64u64)
+        .map(|u| record_shard(&mut scratch, 512 + u * 9..512 + (u + 1) * 9))
+        .collect();
+    group.bench_function("shared_memo/publish_512x64", |b| {
+        b.iter(|| {
+            black_box(
+                SolveGeneration::publish(black_box(&full_generation), black_box(&unit_shards), 512)
+                    .len(),
+            )
+        })
+    });
+
     // ------------------------------------------------------------------
     // Engine-floor kernels (PR 10): the execute → vsync → meter → outcome
     // chain that every one of the five policies pays identically per

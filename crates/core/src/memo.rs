@@ -41,7 +41,9 @@
 //!   deterministic merge ([`SolveGeneration::publish`]) folds the previous
 //!   generation and the batch's shards — **in unit order**, so the result
 //!   is independent of thread scheduling — into a new shape-sorted
-//!   generation.
+//!   generation. A recorded solve is cloned out of the ring once; shards
+//!   and generations then share it by [`Arc`], so a publish copies
+//!   pointers, not windows.
 //! * [`SolveMemo::solve_shared`] — the ring probe, then the generation
 //!   probe, then a cold solve. A generation hit **mirrors the cold-solve
 //!   path exactly**: it installs the entry into the ring's recycled slot,
@@ -52,6 +54,8 @@
 //!   ladder) therefore observes a bit-identical replay whether the shared
 //!   cache is plugged in or not; only wall-clock time and the shard's own
 //!   [`SolveShard::shared_hits`] counter differ.
+
+use std::sync::Arc;
 
 use pes_ilp::{
     IlpError, OptionOrder, ScheduleItem, ScheduleProblem, ScheduleSolution, SolveScratch, SolveTier,
@@ -87,9 +91,11 @@ impl MemoStats {
     }
 }
 
-/// One ring slot: the window's shape fingerprint, the posed problem (whose
-/// normalised items are the revalidation key and whose tables are recycled
-/// on eviction) and its solution.
+/// One solved window, whole: the window's shape fingerprint, the posed
+/// problem (whose normalised items, node limit and incumbent gap are the
+/// revalidation key, and whose tables a ring slot recycles on eviction) and
+/// its solution. Ring slots own one each; the shared cache holds frozen
+/// copies behind an [`Arc`].
 #[derive(Debug, Clone)]
 struct MemoSlot {
     shape: u64,
@@ -99,6 +105,38 @@ struct MemoSlot {
     /// solution *and* the tier it was originally solved at, so the
     /// degradation ladder stays truthful across memoised rounds.
     tier: SolveTier,
+}
+
+impl MemoSlot {
+    /// The one revalidation predicate every cache layer uses: this solve
+    /// answers the posed window only when shape, solve parameters and
+    /// normalised items all match. A slot solved under a different node
+    /// budget or incumbent gap may hold a different-quality incumbent for
+    /// the same window, so the parameters are part of the key.
+    fn answers(
+        &self,
+        shape: u64,
+        items: &[ScheduleItem],
+        node_limit: usize,
+        incumbent_gap: f64,
+    ) -> bool {
+        self.shape == shape
+            && self.problem.node_limit() == node_limit.max(1)
+            && self.problem.incumbent_gap() == incumbent_gap.max(0.0)
+            && self.problem.items() == items
+    }
+
+    /// Whether `other` would revalidate to the same answer. Duplicates by
+    /// this key hold bit-identical solutions (solves are deterministic), so
+    /// a merge may keep either copy.
+    fn same_key(&self, other: &MemoSlot) -> bool {
+        self.answers(
+            other.shape,
+            other.problem.items(),
+            other.problem.node_limit(),
+            other.problem.incumbent_gap(),
+        )
+    }
 }
 
 /// The shape-keyed solve-memoisation ring. See the module docs.
@@ -115,31 +153,6 @@ pub struct SolveMemo {
 /// Default number of cold solves one [`SolveShard`] retains per replay.
 pub const SHARD_CAP: usize = 32;
 
-/// One entry of the shared cross-replay cache: a solved window, whole. The
-/// posed problem carries the revalidation key (normalised items, node
-/// limit, incumbent gap) exactly as a ring slot does, so a generation hit
-/// revalidates under the identical predicate.
-#[derive(Debug, Clone)]
-struct SharedEntry {
-    shape: u64,
-    problem: ScheduleProblem,
-    solution: ScheduleSolution,
-    tier: SolveTier,
-}
-
-impl SharedEntry {
-    /// Whether `other` would revalidate to the same answer: identical
-    /// shape, solve parameters and normalised items. Duplicates by this key
-    /// hold bit-identical solutions (solves are deterministic), so the
-    /// merge may keep either copy.
-    fn same_key(&self, other: &SharedEntry) -> bool {
-        self.shape == other.shape
-            && self.problem.node_limit() == other.problem.node_limit()
-            && self.problem.incumbent_gap() == other.problem.incumbent_gap()
-            && self.problem.items() == other.problem.items()
-    }
-}
-
 /// A fleet worker's private write shard for one batch: cold solves are
 /// recorded here (bounded by a cap, deduplicated by revalidation key) and
 /// folded into the next [`SolveGeneration`] by the publish phase. The shard
@@ -148,7 +161,9 @@ impl SharedEntry {
 /// the shared cache plugged in.
 #[derive(Debug, Clone)]
 pub struct SolveShard {
-    entries: Vec<SharedEntry>,
+    /// Frozen copies of the recorded ring slots; publishing shares them
+    /// with the generation by pointer.
+    entries: Vec<Arc<MemoSlot>>,
     cap: usize,
     shared_hits: usize,
     shared_lookups: usize,
@@ -197,27 +212,15 @@ impl SolveShard {
         self.shared_lookups
     }
 
-    /// Records a cold solve, cloning the slot. Full shards and re-solves of
-    /// an already-recorded window (the ring evicts, the shard remembers)
-    /// are dropped.
+    /// Records a cold solve. The ring recycles its slots, so the slot is
+    /// cloned once here; from then on the entry travels by pointer. Full
+    /// shards and re-solves of an already-recorded window (the ring evicts,
+    /// the shard remembers) are dropped.
     fn record(&mut self, slot: &MemoSlot) {
-        if self.entries.len() >= self.cap {
+        if self.entries.len() >= self.cap || self.entries.iter().any(|e| e.same_key(slot)) {
             return;
         }
-        let candidate = SharedEntry {
-            shape: slot.shape,
-            problem: slot.problem.clone(),
-            solution: slot.solution.clone(),
-            tier: slot.tier,
-        };
-        if self
-            .entries
-            .iter()
-            .any(|e| e.shape == candidate.shape && e.same_key(&candidate))
-        {
-            return;
-        }
-        self.entries.push(candidate);
+        self.entries.push(Arc::new(slot.clone()));
     }
 }
 
@@ -226,16 +229,21 @@ impl SolveShard {
 /// following batch. See the module docs for the lifecycle.
 #[derive(Debug, Clone, Default)]
 pub struct SolveGeneration {
+    /// `entries[i].shape`, kept inline so binary-search probes never chase
+    /// an entry pointer.
+    shapes: Vec<u64>,
     /// Sorted by `shape`; ties keep fold order (previous generation first,
     /// then shards in unit order), so the first revalidated match is
-    /// deterministic.
-    entries: Vec<SharedEntry>,
+    /// deterministic. Shared with the shards and generations they came
+    /// from, never copied.
+    entries: Vec<Arc<MemoSlot>>,
 }
 
 impl SolveGeneration {
     /// The empty generation (every probe misses).
     pub const fn empty() -> Self {
         SolveGeneration {
+            shapes: Vec::new(),
             entries: Vec::new(),
         }
     }
@@ -252,53 +260,80 @@ impl SolveGeneration {
 
     /// Folds the previous generation and a batch's shards into the next
     /// generation. Deterministic by construction: entries are taken in
-    /// fold order (previous generation, then `shards` in the order given —
-    /// callers pass unit order, never thread-completion order),
-    /// deduplicated by revalidation key (first occurrence wins; duplicates
-    /// hold identical solutions anyway), capped to the `cap` **newest**
-    /// entries so stale windows rotate out, and stably sorted by shape.
+    /// fold order (the previous generation in its shape-sorted order, then
+    /// `shards` in the order given — callers pass unit order, never
+    /// thread-completion order), deduplicated by revalidation key (first
+    /// occurrence wins; duplicates hold identical solutions anyway), cut to
+    /// the **last** `cap` entries of that fold order, and stably sorted by
+    /// shape. The cut therefore evicts survivors of the previous generation
+    /// first, lowest shape first (they enter the fold shape-sorted, not by
+    /// age), and only then the earliest shards' entries.
+    ///
+    /// The entries themselves are shared by pointer, never copied, and the
+    /// fold runs in `O(n log n)`: duplicates share a shape, so they only
+    /// need comparing within the equal-shape runs of a stable sort.
     pub fn publish(prev: &SolveGeneration, shards: &[SolveShard], cap: usize) -> SolveGeneration {
-        let mut merged: Vec<SharedEntry> = Vec::new();
-        let candidates = prev
+        let candidates: Vec<&Arc<MemoSlot>> = prev
             .entries
             .iter()
-            .chain(shards.iter().flat_map(|s| s.entries.iter()));
-        for candidate in candidates {
-            if merged
-                .iter()
-                .any(|e| e.shape == candidate.shape && e.same_key(candidate))
+            .chain(shards.iter().flat_map(|s| s.entries.iter()))
+            .collect();
+        // Stable, so each equal-shape run stays in fold order and the first
+        // kept copy of a key is its first occurrence.
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by_key(|&i| candidates[i].shape);
+        let mut kept: Vec<usize> = Vec::with_capacity(order.len());
+        let mut run_start = 0;
+        for i in order {
+            let candidate = candidates[i];
+            if kept
+                .last()
+                .is_some_and(|&k| candidates[k].shape != candidate.shape)
             {
-                continue;
+                run_start = kept.len();
             }
-            merged.push(candidate.clone());
+            if !kept[run_start..]
+                .iter()
+                .any(|&k| candidates[k].same_key(candidate))
+            {
+                kept.push(i);
+            }
         }
-        if merged.len() > cap {
-            merged.drain(..merged.len() - cap);
+        // `kept` is already shape-sorted with ties in fold order; the cap
+        // keeps the fold-order suffix, i.e. every index at or past the
+        // `cap`-th largest.
+        let mut by_fold = kept.clone();
+        by_fold.sort_unstable();
+        let first_kept = by_fold
+            .get(by_fold.len().saturating_sub(cap))
+            .map_or(usize::MAX, |&i| i);
+        kept.retain(|&i| i >= first_kept);
+        SolveGeneration {
+            shapes: kept.iter().map(|&i| candidates[i].shape).collect(),
+            entries: kept.iter().map(|&i| Arc::clone(candidates[i])).collect(),
         }
-        merged.sort_by_key(|e| e.shape);
-        SolveGeneration { entries: merged }
     }
 
-    /// The entry answering the posed window, if any: binary search to the
-    /// shape's run, then full revalidation — the same predicate as the
-    /// ring's, so a generation hit is bit-identical to the cold solve it
-    /// replaces.
+    /// The entry answering the posed window, if any: binary search over
+    /// the inline shapes to the shape's run, then full revalidation — the
+    /// same predicate as the ring's, so a generation hit is bit-identical
+    /// to the cold solve it replaces.
     fn lookup(
         &self,
         items: &[ScheduleItem],
         shape: u64,
         node_limit: usize,
         incumbent_gap: f64,
-    ) -> Option<&SharedEntry> {
-        let start = self.entries.partition_point(|e| e.shape < shape);
-        self.entries[start..]
+    ) -> Option<&MemoSlot> {
+        let start = self.shapes.partition_point(|&s| s < shape);
+        let run = self.shapes[start..]
             .iter()
-            .take_while(|e| e.shape == shape)
-            .find(|e| {
-                e.problem.node_limit() == node_limit.max(1)
-                    && e.problem.incumbent_gap() == incumbent_gap.max(0.0)
-                    && e.problem.items() == items
-            })
+            .take_while(|&&s| s == shape)
+            .count();
+        self.entries[start..start + run]
+            .iter()
+            .map(|e| &**e)
+            .find(|e| e.answers(shape, items, node_limit, incumbent_gap))
     }
 }
 
@@ -487,11 +522,7 @@ impl SolveMemo {
     }
 
     /// The slot index answering `items`, if any: shape probe first, full
-    /// revalidation on candidates. Revalidation covers the solve
-    /// parameters too — a slot solved under a different node budget or
-    /// incumbent gap may hold a different-quality incumbent for the same
-    /// window, and serving it would break the hit-equals-cold-solve
-    /// contract.
+    /// revalidation ([`MemoSlot::answers`]) on candidates.
     fn lookup(
         &mut self,
         items: &[ScheduleItem],
@@ -504,10 +535,7 @@ impl SolveMemo {
                 continue;
             }
             self.stats.revalidations += 1;
-            if slot.problem.node_limit() == node_limit.max(1)
-                && slot.problem.incumbent_gap() == incumbent_gap.max(0.0)
-                && slot.problem.items() == items
-            {
+            if slot.answers(shape, items, node_limit, incumbent_gap) {
                 return Some(idx);
             }
         }
@@ -786,7 +814,8 @@ mod tests {
         assert_eq!(shard.len(), 3);
         let capped = SolveGeneration::publish(&empty, &[shard], 2);
         assert_eq!(capped.len(), 2, "cap bounds the generation");
-        // The newest two survive; the oldest window misses.
+        // With no previous generation, fold order is record order: the
+        // newest two survive and the oldest window misses.
         let oldest = &windows[0];
         assert!(capped
             .lookup(oldest, shape_of(oldest), 200_000, 0.0)
@@ -858,5 +887,182 @@ mod tests {
         memo.solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert_eq!(memo.tier(), SolveTier::Exact);
+    }
+
+    /// The quadratic fold `publish` replaced, kept as its oracle: scan
+    /// every kept entry per candidate, deep-copy the survivors, cut to the
+    /// fold-order suffix, sort.
+    fn publish_reference(
+        prev: &SolveGeneration,
+        shards: &[SolveShard],
+        cap: usize,
+    ) -> SolveGeneration {
+        let mut merged: Vec<Arc<MemoSlot>> = Vec::new();
+        let candidates = prev
+            .entries
+            .iter()
+            .chain(shards.iter().flat_map(|s| s.entries.iter()));
+        for candidate in candidates {
+            if merged.iter().any(|e| e.same_key(candidate)) {
+                continue;
+            }
+            merged.push(Arc::new(MemoSlot::clone(candidate)));
+        }
+        if merged.len() > cap {
+            merged.drain(..merged.len() - cap);
+        }
+        merged.sort_by_key(|e| e.shape);
+        SolveGeneration {
+            shapes: merged.iter().map(|e| e.shape).collect(),
+            entries: merged,
+        }
+    }
+
+    /// `(shape class, item row, node limit, gap, tier)` of a synthetic
+    /// entry; four shape classes and three rows force shape collisions
+    /// between different keys as well as duplicate keys.
+    type Spec = (u64, u64, usize, usize, usize);
+
+    /// A synthetic solved window for `spec`. `tag` lands in
+    /// `nodes_explored`, so equal keys carry distinguishable solutions and
+    /// the differential can tell which occurrence a fold kept.
+    fn synthetic(spec: Spec, tag: usize) -> Arc<MemoSlot> {
+        let (shape, row, limit, gap, tier) = spec;
+        let items = vec![ScheduleItem {
+            release_us: 0,
+            deadline_us: 100_000 + row * 1_000,
+            options: (0..3)
+                .map(|j| ScheduleOption {
+                    choice: j,
+                    duration_us: 60_000 - j as u64 * 10_000,
+                    cost: 1.0 + j as f64,
+                })
+                .collect(),
+        }];
+        let mut problem = ScheduleProblem::new(0, items);
+        problem.set_node_limit([1_000, 200_000][limit]);
+        problem.set_incumbent_gap([0.0, 0.01][gap]);
+        Arc::new(MemoSlot {
+            shape: shape * 0x9e37_79b9,
+            problem,
+            solution: ScheduleSolution {
+                nodes_explored: tag,
+                ..ScheduleSolution::default()
+            },
+            tier: [SolveTier::Exact, SolveTier::Incumbent][tier],
+        })
+    }
+
+    /// A shard holding exactly `specs`, bypassing `record`'s own dedup and
+    /// cap so the fold sees in-shard duplicates too.
+    fn shard_of(specs: &[Spec], next_tag: &mut usize) -> SolveShard {
+        let mut shard = SolveShard::new();
+        for &spec in specs {
+            shard.entries.push(synthetic(spec, *next_tag));
+            *next_tag += 1;
+        }
+        shard
+    }
+
+    /// Everything a probe can observe about a generation, in order.
+    fn observable(
+        generation: &SolveGeneration,
+    ) -> Vec<(
+        u64,
+        usize,
+        f64,
+        Vec<ScheduleItem>,
+        ScheduleSolution,
+        SolveTier,
+    )> {
+        generation
+            .entries
+            .iter()
+            .map(|e| {
+                (
+                    e.shape,
+                    e.problem.node_limit(),
+                    e.problem.incumbent_gap(),
+                    e.problem.items().to_vec(),
+                    e.solution.clone(),
+                    e.tier,
+                )
+            })
+            .collect()
+    }
+
+    mod publish_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn publish_matches_the_quadratic_fold_and_shares_entries(
+                prev_specs in collection::vec((0u64..4, 0u64..3, 0usize..2, 0usize..2, 0usize..2), 0..12),
+                prev_cap in 1usize..16,
+                shard_specs in collection::vec(
+                    collection::vec((0u64..4, 0u64..3, 0usize..2, 0usize..2, 0usize..2), 0..6),
+                    0..5,
+                ),
+                cap_pick in 0usize..64,
+            ) {
+                let mut tag = 0;
+                let prev = publish_reference(
+                    &SolveGeneration::empty(),
+                    &[shard_of(&prev_specs, &mut tag)],
+                    prev_cap,
+                );
+                let shards: Vec<SolveShard> = shard_specs
+                    .iter()
+                    .map(|specs| shard_of(specs, &mut tag))
+                    .collect();
+                let n = prev.len() + shards.iter().map(SolveShard::len).sum::<usize>();
+                let cap = 1 + cap_pick % (n + 2);
+
+                let fast = SolveGeneration::publish(&prev, &shards, cap);
+                let reference = publish_reference(&prev, &shards, cap);
+                prop_assert_eq!(observable(&fast), observable(&reference));
+                prop_assert_eq!(&fast.shapes, &reference.shapes);
+
+                // Nothing is copied: every published entry is an input's.
+                let inputs: Vec<&Arc<MemoSlot>> = prev
+                    .entries
+                    .iter()
+                    .chain(shards.iter().flat_map(|s| s.entries.iter()))
+                    .collect();
+                for entry in &fast.entries {
+                    prop_assert!(inputs.iter().any(|input| Arc::ptr_eq(input, entry)));
+                }
+                // A surviving previous-generation key is that very entry:
+                // it comes first in the fold, so no shard copy displaces it.
+                for old in &prev.entries {
+                    if let Some(kept) = fast.entries.iter().find(|e| e.same_key(old)) {
+                        prop_assert!(Arc::ptr_eq(kept, old));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cap_evicts_the_previous_generation_lowest_shape_first() {
+        // The previous generation enters the fold shape-sorted, not by
+        // age: the cut takes its lowest shapes, then the earliest shards.
+        let mut tag = 0;
+        let newer_low = (0, 0, 0, 0, 0);
+        let older_high = (3, 0, 0, 0, 0);
+        let prev = SolveGeneration::publish(
+            &SolveGeneration::empty(),
+            &[
+                shard_of(&[older_high], &mut tag),
+                shard_of(&[newer_low], &mut tag),
+            ],
+            8,
+        );
+        assert_eq!(prev.len(), 2);
+        let fresh = shard_of(&[(1, 0, 0, 0, 0)], &mut tag);
+        let next = SolveGeneration::publish(&prev, &[fresh], 2);
+        let shapes: Vec<u64> = next.entries.iter().map(|e| e.shape / 0x9e37_79b9).collect();
+        assert_eq!(shapes, [1, 3], "the lowest shape goes, though it is newer");
     }
 }

@@ -294,10 +294,17 @@ pub struct FleetConfig {
     /// deterministic inter-batch merge folds in unit order. Aggregates are
     /// bit-identical with this on or off (a generation hit mirrors the
     /// cold solve it dodges); only wall-clock and the shared-hit counters
-    /// change.
+    /// change. On by default because repeated-config sweeps win about 26%
+    /// wall clock with it. On unique sessions it costs throughput:
+    /// `perfbench` on `fleet-decorrelated` (seed 1, 2-vCPU Intel Xeon)
+    /// measured about 10,100 sessions/s with it against 12,500 without
+    /// (EXPERIMENTS.md, "Publish cost").
     pub shared_memo: bool,
-    /// Entry cap of the published solve generation; the merge keeps the
-    /// newest entries when the fold exceeds it.
+    /// Entry cap of the published solve generation. When the fold exceeds
+    /// it, the merge keeps the last `generation_cap` entries in fold order
+    /// (previous generation, shape-sorted, then the batch's shards in unit
+    /// order): survivors of the previous generation go first, lowest shape
+    /// first rather than oldest first, then the batch's earliest shards.
     pub generation_cap: usize,
     /// Predicted-cost routing of full-tier units across [`SolveEntry`]
     /// tiers (off by default; see [`CostRouteConfig`]).

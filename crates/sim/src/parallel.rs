@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use pes_core::DegradationLevel;
 
@@ -308,14 +309,57 @@ where
     assemble(n, tagged)
 }
 
+/// Admission control of [`par_map_supervised_streaming`]: a worker starts
+/// unit `index` only once `index < emitted + window`, where `emitted` is
+/// the number of outcomes the sink has seen. Without it, one stalled unit
+/// (a descheduled worker) lets the others run on toward `n` while their
+/// outcomes pile up in the reorder buffer.
+#[derive(Debug)]
+struct ClaimGate {
+    emitted: Mutex<usize>,
+    advanced: Condvar,
+    window: usize,
+}
+
+impl ClaimGate {
+    fn wait_for(&self, index: usize) {
+        let mut emitted = self.emitted.lock().unwrap_or_else(PoisonError::into_inner);
+        while index >= emitted.saturating_add(self.window) {
+            emitted = self
+                .advanced
+                .wait(emitted)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn advance(&self, emitted: usize) {
+        *self.emitted.lock().unwrap_or_else(PoisonError::into_inner) = emitted;
+        self.advanced.notify_all();
+    }
+}
+
+/// Opens a [`ClaimGate`] for good if its thread unwinds, so no worker
+/// waits forever on a consumer or a fellow worker that is gone.
+#[derive(Debug)]
+struct OpenOnUnwind<'a>(&'a ClaimGate);
+
+impl Drop for OpenOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.advance(usize::MAX);
+        }
+    }
+}
+
 /// Streaming supervised fan-out with **bounded in-flight results**: maps
 /// `f` over `0..n`, pushing every outcome through a bounded channel of
 /// `capacity` slots, and hands them to `sink` **in index order** —
 /// `Ok(value)` for completed units, `Err(failure)` for quarantined ones.
 /// Workers block once `capacity` outcomes are waiting (real backpressure:
-/// a slow sink throttles the fleet instead of buffering it), so peak
-/// memory stays a small multiple of `threads + capacity` results
-/// regardless of `n`. With
+/// a slow sink throttles the fleet instead of buffering it), and no unit
+/// starts more than `threads + capacity` indices ahead of the sink, so
+/// peak memory stays within `threads + capacity` results regardless of
+/// `n`, however the workers are scheduled. With
 /// `threads <= 1` the fan-out degenerates to the serial loop and the sink
 /// sees exactly what the serial driver produces — the same byte-identity
 /// contract as [`par_map_supervised`].
@@ -353,22 +397,33 @@ pub fn par_map_supervised_streaming<T, F, S>(
     let (tx, rx) = std::sync::mpsc::sync_channel::<TaggedOutcome<T>>(capacity.max(1));
     let next = AtomicUsize::new(0);
     let next = &next;
+    let gate = ClaimGate {
+        emitted: Mutex::new(0),
+        advanced: Condvar::new(),
+        window: threads + capacity.max(1),
+    };
+    let gate = &gate;
     let f = &f;
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
-                    break;
-                }
-                let (made, outcome) = run_supervised(f, index, retries);
-                if tx.send((index, made, outcome)).is_err() {
-                    break;
+            scope.spawn(move || {
+                let _open = OpenOnUnwind(gate);
+                loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= n {
+                        break;
+                    }
+                    gate.wait_for(index);
+                    let (made, outcome) = run_supervised(f, index, retries);
+                    if tx.send((index, made, outcome)).is_err() {
+                        break;
+                    }
                 }
             });
         }
         drop(tx);
+        let _open = OpenOnUnwind(gate);
         // The consumer runs on the caller's thread: outcomes arrive in
         // completion order and are re-sequenced through a small reorder
         // buffer (bounded by the in-flight window, not by `n`).
@@ -393,6 +448,7 @@ pub fn par_map_supervised_streaming<T, F, S>(
                 emit(expect, made, outcome, &mut sink);
                 expect += 1;
             }
+            gate.advance(expect);
         }
         // Channel closed with holes: a worker died to a non-unwinding abort
         // after claiming an index. Flush what arrived, synthesize the rest.
@@ -606,9 +662,8 @@ mod tests {
             },
         );
         assert_eq!(consumed, 512);
-        // In-flight window: channel capacity + one per worker (in hand) +
-        // the reorder buffer's transient, measured racily. A small multiple
-        // of (threads + capacity), far below n — which is the point.
-        assert!(max_gap <= 64, "max in-flight gap {max_gap} of 512");
+        // The claim gate lets no unit start `threads + capacity` or more
+        // indices past the sink, however the workers are scheduled.
+        assert!(max_gap <= 4 + 4, "max in-flight gap {max_gap} of 512");
     }
 }
