@@ -49,9 +49,10 @@ kernels=(
   pr8:predict_kernel/single_masked_packed
   pr8:predict_kernel/batch_64_f64_reference
   pr8:predict_kernel/predict_many_64
-  pr9:shared_memo/generation_hit_cycle16
+  pr13:shared_memo/generation_hit_cycle16
   pr9:shared_memo/publish_4x4
   pr12:shared_memo/publish_512x64
+  pr13:shared_memo/record_publish_cycle
   pr10:engine_floor/execute_commit_31_ledger
   pr10:engine_floor/execute_commit_31_reference
 )

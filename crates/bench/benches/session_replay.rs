@@ -556,6 +556,61 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
+    // `record_publish_cycle` is one batch's whole record lifecycle at the
+    // same shape: 64 unit shards record 9 cold solves each (freezing every
+    // one), the fleet publishes them over the previous full generation,
+    // and the previous generation is dropped, freeing what the cut
+    // evicted. `publish_512x64` keeps its inputs alive, so it never pays
+    // those frees. Iterations alternate between two disjoint halves of a
+    // pre-built window pool, so each publish evicts the whole previous
+    // generation, as decorrelated traffic does. The solves run on a
+    // 1-node budget from pre-sorted orders (the greedy incumbent, no
+    // search), so the freeze, fold and frees are not lost in search time.
+    let cycle_pool: Vec<(Vec<ScheduleItem>, Vec<OptionOrder>, u64)> = (0..2 * 64 * 9u64)
+        .map(|w| {
+            let (items, shape) = row_window(1_024 + w);
+            let orders = items
+                .iter()
+                .map(|item| OptionOrder::from_options(&item.options))
+                .collect();
+            (items, orders, shape)
+        })
+        .collect();
+    let mut cycle_memos: Vec<SolveMemo> = (0..64).map(|_| SolveMemo::new()).collect();
+    let mut cycle_generation = full_generation.clone();
+    let mut cycle_half = 0;
+    group.bench_function("shared_memo/record_publish_cycle", |b| {
+        b.iter(|| {
+            let half = &cycle_pool[cycle_half * 64 * 9..(cycle_half + 1) * 64 * 9];
+            cycle_half ^= 1;
+            let shards: Vec<SolveShard> = cycle_memos
+                .iter_mut()
+                .zip(half.chunks(9))
+                .map(|(memo, windows)| {
+                    let mut shard = SolveShard::new();
+                    for (items, orders, shape) in windows {
+                        memo.solve_shared(
+                            items,
+                            Some(orders),
+                            *shape,
+                            1,
+                            0.0,
+                            &mut scratch,
+                            &SolveGeneration::empty(),
+                            &mut shard,
+                        )
+                        .unwrap();
+                    }
+                    shard
+                })
+                .collect();
+            let next = SolveGeneration::publish(&cycle_generation, &shards, 512);
+            drop(shards);
+            drop(std::mem::replace(&mut cycle_generation, next));
+            black_box(cycle_generation.len())
+        })
+    });
+
     // ------------------------------------------------------------------
     // Engine-floor kernels (PR 10): the execute → vsync → meter → outcome
     // chain that every one of the five policies pays identically per

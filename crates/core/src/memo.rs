@@ -36,29 +36,34 @@
 //!
 //! * [`SolveShard`] — a private write shard one fleet worker owns for one
 //!   batch. Cold solves are recorded into it; nothing reads it during the
-//!   batch, so workers never contend.
+//!   batch, so workers never contend. Recording freezes the ring slot into
+//!   a compact entry holding only the revalidation key (shape, solve
+//!   parameters, flat item rows) and the answer (solution and tier) — not
+//!   the solver tables the ring keeps for re-posing.
 //! * [`SolveGeneration`] — the read-only published cache. Between batches a
 //!   deterministic merge ([`SolveGeneration::publish`]) folds the previous
 //!   generation and the batch's shards — **in unit order**, so the result
 //!   is independent of thread scheduling — into a new shape-sorted
-//!   generation. A recorded solve is cloned out of the ring once; shards
-//!   and generations then share it by [`Arc`], so a publish copies
-//!   pointers, not windows.
+//!   generation. Shards and generations share the frozen entries by
+//!   [`Arc`], so a publish copies pointers, not windows.
 //! * [`SolveMemo::solve_shared`] — the ring probe, then the generation
 //!   probe, then a cold solve. A generation hit **mirrors the cold-solve
-//!   path exactly**: it installs the entry into the ring's recycled slot,
-//!   counts a ring *miss*, and returns the cached solve's
-//!   `nodes_explored` — solves are deterministic, so that count equals
-//!   what the dodged solve would have explored. Every downstream consumer
-//!   (watchdog node charging, `RunReport` counters, the degradation
-//!   ladder) therefore observes a bit-identical replay whether the shared
-//!   cache is plugged in or not; only wall-clock time and the shard's own
-//!   [`SolveShard::shared_hits`] counter differ.
+//!   path exactly**: it points the ring's recycled slot at the entry
+//!   (copying nothing), counts a ring *miss*, and returns the cached
+//!   solve's `nodes_explored` — solves are deterministic, so that count
+//!   equals what the dodged solve would have explored. Later ring lookups,
+//!   [`SolveMemo::solution`] and [`SolveMemo::tier`] read through the
+//!   pointer until a cold solve recycles the slot into its own buffers.
+//!   Every downstream consumer (watchdog node charging, `RunReport`
+//!   counters, the degradation ladder) therefore observes a bit-identical
+//!   replay whether the shared cache is plugged in or not; only wall-clock
+//!   time and the shard's own [`SolveShard::shared_hits`] counter differ.
 
 use std::sync::Arc;
 
 use pes_ilp::{
-    IlpError, OptionOrder, ScheduleItem, ScheduleProblem, ScheduleSolution, SolveScratch, SolveTier,
+    IlpError, OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution,
+    SolveScratch, SolveTier,
 };
 
 /// Number of recent windows the per-replay solve memoisation retains.
@@ -74,8 +79,10 @@ pub struct MemoStats {
     /// Lookups that fell through to a solve.
     pub misses: usize,
     /// Candidate slots whose shape fingerprint matched and were therefore
-    /// revalidated item-for-item (counts both outcomes; `revalidations -
-    /// hits` is the fingerprint-collision count).
+    /// revalidated (counts both outcomes). `revalidations - hits` counts
+    /// every rejected candidate: fingerprint collisions between different
+    /// windows, and also the same window cached under a different node
+    /// limit or incumbent gap.
     pub revalidations: usize,
 }
 
@@ -91,11 +98,148 @@ impl MemoStats {
     }
 }
 
-/// One solved window, whole: the window's shape fingerprint, the posed
-/// problem (whose normalised items, node limit and incumbent gap are the
-/// revalidation key, and whose tables a ring slot recycles on eviction) and
-/// its solution. Ring slots own one each; the shared cache holds frozen
-/// copies behind an [`Arc`].
+/// One item of a frozen window: its release and deadline, and how many of
+/// the entry's flat options belong to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FrozenRow {
+    release_us: u64,
+    deadline_us: u64,
+    options: usize,
+}
+
+/// A window's items as `(release, deadline, options)` rows: either as
+/// posed (a caller's window, or a ring slot's own problem) or frozen flat
+/// in a [`SharedSolve`].
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    Items(&'a [ScheduleItem]),
+    Flat(&'a [FrozenRow], &'a [ScheduleOption]),
+}
+
+impl<'a> Rows<'a> {
+    fn len(self) -> usize {
+        match self {
+            Rows::Items(items) => items.len(),
+            Rows::Flat(rows, _) => rows.len(),
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = (u64, u64, &'a [ScheduleOption])> {
+        let (items, rows, mut options): (&[ScheduleItem], &[FrozenRow], &[ScheduleOption]) =
+            match self {
+                Rows::Items(items) => (items, &[], &[]),
+                Rows::Flat(rows, options) => (&[], rows, options),
+            };
+        items
+            .iter()
+            .map(|item| (item.release_us, item.deadline_us, item.options.as_slice()))
+            .chain(rows.iter().map(move |row| {
+                let (own, rest) = options.split_at(row.options);
+                options = rest;
+                (row.release_us, row.deadline_us, own)
+            }))
+    }
+}
+
+/// The revalidation key of a window: shape, solve parameters (normalised
+/// the way [`ScheduleProblem`] stores them) and item rows.
+#[derive(Debug, Clone, Copy)]
+struct WindowKey<'a> {
+    shape: u64,
+    node_limit: usize,
+    incumbent_gap: f64,
+    rows: Rows<'a>,
+}
+
+impl<'a> WindowKey<'a> {
+    /// The key of a window posed with these solve parameters.
+    fn posed(shape: u64, items: &'a [ScheduleItem], node_limit: usize, incumbent_gap: f64) -> Self {
+        WindowKey {
+            shape,
+            node_limit: node_limit.max(1),
+            incumbent_gap: incumbent_gap.max(0.0),
+            rows: Rows::Items(items),
+        }
+    }
+
+    /// The one revalidation predicate every cache layer uses — the ring
+    /// lookup, the generation lookup, record's dedup and the publish fold:
+    /// a solve answers a window only when shape, solve parameters and
+    /// normalised items all match. A solve under a different node budget or
+    /// incumbent gap may hold a different-quality incumbent for the same
+    /// window, so the parameters are part of the key. Equal keys hold
+    /// bit-identical solutions (solves are deterministic).
+    fn matches(&self, other: &WindowKey<'_>) -> bool {
+        self.shape == other.shape
+            && self.node_limit == other.node_limit
+            && self.incumbent_gap == other.incumbent_gap
+            && match (self.rows, other.rows) {
+                // Equal flat layouts are equal rows: two slice compares.
+                (Rows::Flat(rows, options), Rows::Flat(other_rows, other_options)) => {
+                    rows == other_rows && options == other_options
+                }
+                (rows, other_rows) => {
+                    rows.len() == other_rows.len() && rows.iter().eq(other_rows.iter())
+                }
+            }
+    }
+}
+
+/// A recorded solve frozen for the shared cache: the revalidation key and
+/// the answer, without the solver tables a ring slot keeps for re-posing.
+/// Shards, generations and pointer-served ring slots share it by [`Arc`].
+#[derive(Debug, Clone, PartialEq)]
+struct SharedSolve {
+    shape: u64,
+    node_limit: usize,
+    incumbent_gap: f64,
+    tier: SolveTier,
+    rows: Vec<FrozenRow>,
+    /// Every item's options, concatenated in item order.
+    options: Vec<ScheduleOption>,
+    solution: ScheduleSolution,
+}
+
+impl SharedSolve {
+    /// Freezes what `slot` answers with.
+    fn freeze(slot: &MemoSlot) -> Self {
+        let key = slot.key();
+        let mut rows = Vec::with_capacity(key.rows.len());
+        let mut options = Vec::with_capacity(key.rows.iter().map(|(_, _, o)| o.len()).sum());
+        for (release_us, deadline_us, own) in key.rows.iter() {
+            rows.push(FrozenRow {
+                release_us,
+                deadline_us,
+                options: own.len(),
+            });
+            options.extend_from_slice(own);
+        }
+        SharedSolve {
+            shape: key.shape,
+            node_limit: key.node_limit,
+            incumbent_gap: key.incumbent_gap,
+            tier: slot.tier(),
+            rows,
+            options,
+            solution: slot.solution().clone(),
+        }
+    }
+
+    fn key(&self) -> WindowKey<'_> {
+        WindowKey {
+            shape: self.shape,
+            node_limit: self.node_limit,
+            incumbent_gap: self.incumbent_gap,
+            rows: Rows::Flat(&self.rows, &self.options),
+        }
+    }
+}
+
+/// One ring slot: the window's shape fingerprint, the posed problem (whose
+/// normalised items, node limit and incumbent gap are the revalidation
+/// key, and whose tables the slot recycles on eviction) and its solution —
+/// or, after a generation hit, a pointer to the shared entry that answers
+/// in their place.
 #[derive(Debug, Clone)]
 struct MemoSlot {
     shape: u64,
@@ -105,37 +249,30 @@ struct MemoSlot {
     /// solution *and* the tier it was originally solved at, so the
     /// degradation ladder stays truthful across memoised rounds.
     tier: SolveTier,
+    /// Set by a generation hit: the entry answers for this slot, and
+    /// `problem`/`solution` are stale buffers the next cold solve reuses.
+    shared: Option<Arc<SharedSolve>>,
 }
 
 impl MemoSlot {
-    /// The one revalidation predicate every cache layer uses: this solve
-    /// answers the posed window only when shape, solve parameters and
-    /// normalised items all match. A slot solved under a different node
-    /// budget or incumbent gap may hold a different-quality incumbent for
-    /// the same window, so the parameters are part of the key.
-    fn answers(
-        &self,
-        shape: u64,
-        items: &[ScheduleItem],
-        node_limit: usize,
-        incumbent_gap: f64,
-    ) -> bool {
-        self.shape == shape
-            && self.problem.node_limit() == node_limit.max(1)
-            && self.problem.incumbent_gap() == incumbent_gap.max(0.0)
-            && self.problem.items() == items
+    fn key(&self) -> WindowKey<'_> {
+        match &self.shared {
+            Some(entry) => entry.key(),
+            None => WindowKey {
+                shape: self.shape,
+                node_limit: self.problem.node_limit(),
+                incumbent_gap: self.problem.incumbent_gap(),
+                rows: Rows::Items(self.problem.items()),
+            },
+        }
     }
 
-    /// Whether `other` would revalidate to the same answer. Duplicates by
-    /// this key hold bit-identical solutions (solves are deterministic), so
-    /// a merge may keep either copy.
-    fn same_key(&self, other: &MemoSlot) -> bool {
-        self.answers(
-            other.shape,
-            other.problem.items(),
-            other.problem.node_limit(),
-            other.problem.incumbent_gap(),
-        )
+    fn solution(&self) -> &ScheduleSolution {
+        self.shared.as_ref().map_or(&self.solution, |e| &e.solution)
+    }
+
+    fn tier(&self) -> SolveTier {
+        self.shared.as_ref().map_or(self.tier, |e| e.tier)
     }
 }
 
@@ -161,9 +298,9 @@ pub const SHARD_CAP: usize = 32;
 /// the shared cache plugged in.
 #[derive(Debug, Clone)]
 pub struct SolveShard {
-    /// Frozen copies of the recorded ring slots; publishing shares them
-    /// with the generation by pointer.
-    entries: Vec<Arc<MemoSlot>>,
+    /// The recorded solves, frozen; publishing shares them with the
+    /// generation by pointer.
+    entries: Vec<Arc<SharedSolve>>,
     cap: usize,
     shared_hits: usize,
     shared_lookups: usize,
@@ -213,14 +350,15 @@ impl SolveShard {
     }
 
     /// Records a cold solve. The ring recycles its slots, so the slot is
-    /// cloned once here; from then on the entry travels by pointer. Full
-    /// shards and re-solves of an already-recorded window (the ring evicts,
-    /// the shard remembers) are dropped.
+    /// frozen once here (key and answer only); from then on the entry
+    /// travels by pointer. Full shards and re-solves of an already-recorded
+    /// window (the ring evicts, the shard remembers) are dropped.
     fn record(&mut self, slot: &MemoSlot) {
-        if self.entries.len() >= self.cap || self.entries.iter().any(|e| e.same_key(slot)) {
+        let key = slot.key();
+        if self.entries.len() >= self.cap || self.entries.iter().any(|e| e.key().matches(&key)) {
             return;
         }
-        self.entries.push(Arc::new(slot.clone()));
+        self.entries.push(Arc::new(SharedSolve::freeze(slot)));
     }
 }
 
@@ -235,8 +373,8 @@ pub struct SolveGeneration {
     /// Sorted by `shape`; ties keep fold order (previous generation first,
     /// then shards in unit order), so the first revalidated match is
     /// deterministic. Shared with the shards and generations they came
-    /// from, never copied.
-    entries: Vec<Arc<MemoSlot>>,
+    /// from (and with the ring slots they answer for), never copied.
+    entries: Vec<Arc<SharedSolve>>,
 }
 
 impl SolveGeneration {
@@ -273,7 +411,7 @@ impl SolveGeneration {
     /// fold runs in `O(n log n)`: duplicates share a shape, so they only
     /// need comparing within the equal-shape runs of a stable sort.
     pub fn publish(prev: &SolveGeneration, shards: &[SolveShard], cap: usize) -> SolveGeneration {
-        let candidates: Vec<&Arc<MemoSlot>> = prev
+        let candidates: Vec<&Arc<SharedSolve>> = prev
             .entries
             .iter()
             .chain(shards.iter().flat_map(|s| s.entries.iter()))
@@ -294,7 +432,7 @@ impl SolveGeneration {
             }
             if !kept[run_start..]
                 .iter()
-                .any(|&k| candidates[k].same_key(candidate))
+                .any(|&k| candidates[k].key().matches(&candidate.key()))
             {
                 kept.push(i);
             }
@@ -318,22 +456,15 @@ impl SolveGeneration {
     /// the inline shapes to the shape's run, then full revalidation — the
     /// same predicate as the ring's, so a generation hit is bit-identical
     /// to the cold solve it replaces.
-    fn lookup(
-        &self,
-        items: &[ScheduleItem],
-        shape: u64,
-        node_limit: usize,
-        incumbent_gap: f64,
-    ) -> Option<&MemoSlot> {
-        let start = self.shapes.partition_point(|&s| s < shape);
+    fn lookup(&self, posed: &WindowKey<'_>) -> Option<&Arc<SharedSolve>> {
+        let start = self.shapes.partition_point(|&s| s < posed.shape);
         let run = self.shapes[start..]
             .iter()
-            .take_while(|&&s| s == shape)
+            .take_while(|&&s| s == posed.shape)
             .count();
         self.entries[start..start + run]
             .iter()
-            .map(|e| &**e)
-            .find(|e| e.answers(shape, items, node_limit, incumbent_gap))
+            .find(|e| e.key().matches(posed))
     }
 }
 
@@ -377,14 +508,14 @@ impl SolveMemo {
     /// The solution of the most recent [`SolveMemo::solve`] — either the
     /// revalidated cached solution or the fresh solve's result.
     pub fn solution(&self) -> &ScheduleSolution {
-        &self.slots[self.current].solution
+        self.slots[self.current].solution()
     }
 
     /// The [`SolveTier`] the most recent [`SolveMemo::solve`] completed at.
     /// A hit reports the tier of the cached solve it served (hits are
     /// bit-identical to that solve, quality tier included).
     pub fn tier(&self) -> SolveTier {
-        self.slots[self.current].tier
+        self.slots[self.current].tier()
     }
 
     /// Answers the posed window `items` (already normalised to start at
@@ -412,7 +543,8 @@ impl SolveMemo {
         incumbent_gap: f64,
         scratch: &mut SolveScratch,
     ) -> Result<usize, IlpError> {
-        if let Some(slot) = self.lookup(items, shape, node_limit, incumbent_gap) {
+        if let Some(slot) = self.lookup(&WindowKey::posed(shape, items, node_limit, incumbent_gap))
+        {
             self.stats.hits += 1;
             self.current = slot;
             return Ok(0);
@@ -422,8 +554,8 @@ impl SolveMemo {
 
     /// [`SolveMemo::solve`] with the shared cross-replay cache plugged in
     /// between the ring probe and the cold solve. A `shared` generation hit
-    /// mirrors the cold path — the entry lands in the recycled ring slot, a
-    /// ring miss is counted, the cached `nodes_explored` is returned — so
+    /// mirrors the cold path — the recycled ring slot points at the entry,
+    /// a ring miss is counted, the cached `nodes_explored` is returned — so
     /// the replay is bit-identical to one without the shared cache (see
     /// the module docs). Cold solves are recorded into `shard` for the
     /// next publish.
@@ -444,25 +576,24 @@ impl SolveMemo {
         shared: &SolveGeneration,
         shard: &mut SolveShard,
     ) -> Result<usize, IlpError> {
-        if let Some(slot) = self.lookup(items, shape, node_limit, incumbent_gap) {
+        let posed = WindowKey::posed(shape, items, node_limit, incumbent_gap);
+        if let Some(slot) = self.lookup(&posed) {
             self.stats.hits += 1;
             self.current = slot;
             return Ok(0);
         }
         shard.shared_lookups += 1;
-        if let Some(entry) = shared.lookup(items, shape, node_limit, incumbent_gap) {
+        if let Some(entry) = shared.lookup(&posed) {
             shard.shared_hits += 1;
             // Mirror the cold-solve path: same miss count, same ring slot
             // rotation, same returned node count. The ring evolves exactly
-            // as if the solve had run.
+            // as if the solve had run; the slot answers through the pointer.
             self.stats.misses += 1;
             self.ensure_slots();
+            let nodes = entry.solution.nodes_explored;
             let slot = &mut self.slots[self.cursor];
-            slot.problem.clone_from(&entry.problem);
-            slot.solution.clone_from(&entry.solution);
-            slot.shape = entry.shape;
-            slot.tier = entry.tier;
-            let nodes = slot.solution.nodes_explored;
+            slot.shape = shape;
+            slot.shared = Some(Arc::clone(entry));
             self.current = self.cursor;
             self.cursor = (self.cursor + 1) % SOLVE_CACHE_SIZE;
             return Ok(nodes);
@@ -481,6 +612,7 @@ impl SolveMemo {
                 problem: ScheduleProblem::new(0, Vec::new()),
                 solution: ScheduleSolution::default(),
                 tier: SolveTier::Exact,
+                shared: None,
             });
         }
     }
@@ -499,6 +631,7 @@ impl SolveMemo {
         self.stats.misses += 1;
         self.ensure_slots();
         let slot = &mut self.slots[self.cursor];
+        slot.shared = None;
         match orders {
             Some(orders) => slot.problem.rebuild_sorted(0, items, orders),
             None => slot.problem.rebuild(0, items),
@@ -521,21 +654,20 @@ impl SolveMemo {
         Ok(nodes)
     }
 
-    /// The slot index answering `items`, if any: shape probe first, full
-    /// revalidation ([`MemoSlot::answers`]) on candidates.
-    fn lookup(
-        &mut self,
-        items: &[ScheduleItem],
-        shape: u64,
-        node_limit: usize,
-        incumbent_gap: f64,
-    ) -> Option<usize> {
+    /// The slot index answering the posed window, if any: shape probe
+    /// first, full revalidation ([`WindowKey::matches`]) on non-empty
+    /// candidates, pointer-served slots included.
+    fn lookup(&mut self, posed: &WindowKey<'_>) -> Option<usize> {
         for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.shape != shape || slot.problem.items().is_empty() {
+            if slot.shape != posed.shape {
+                continue;
+            }
+            let key = slot.key();
+            if key.rows.len() == 0 {
                 continue;
             }
             self.stats.revalidations += 1;
-            if slot.answers(shape, items, node_limit, incumbent_gap) {
+            if key.matches(posed) {
                 return Some(idx);
             }
         }
@@ -546,7 +678,6 @@ impl SolveMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pes_ilp::ScheduleOption;
 
     fn window(slack: u64) -> Vec<ScheduleItem> {
         (0..4u64)
@@ -818,11 +949,11 @@ mod tests {
         // newest two survive and the oldest window misses.
         let oldest = &windows[0];
         assert!(capped
-            .lookup(oldest, shape_of(oldest), 200_000, 0.0)
+            .lookup(&WindowKey::posed(shape_of(oldest), oldest, 200_000, 0.0))
             .is_none());
         let newest = &windows[2];
         assert!(capped
-            .lookup(newest, shape_of(newest), 200_000, 0.0)
+            .lookup(&WindowKey::posed(shape_of(newest), newest, 200_000, 0.0))
             .is_some());
     }
 
@@ -897,16 +1028,16 @@ mod tests {
         shards: &[SolveShard],
         cap: usize,
     ) -> SolveGeneration {
-        let mut merged: Vec<Arc<MemoSlot>> = Vec::new();
+        let mut merged: Vec<Arc<SharedSolve>> = Vec::new();
         let candidates = prev
             .entries
             .iter()
             .chain(shards.iter().flat_map(|s| s.entries.iter()));
         for candidate in candidates {
-            if merged.iter().any(|e| e.same_key(candidate)) {
+            if merged.iter().any(|e| e.key().matches(&candidate.key())) {
                 continue;
             }
-            merged.push(Arc::new(MemoSlot::clone(candidate)));
+            merged.push(Arc::new(SharedSolve::clone(candidate)));
         }
         if merged.len() > cap {
             merged.drain(..merged.len() - cap);
@@ -926,11 +1057,18 @@ mod tests {
     /// A synthetic solved window for `spec`. `tag` lands in
     /// `nodes_explored`, so equal keys carry distinguishable solutions and
     /// the differential can tell which occurrence a fold kept.
-    fn synthetic(spec: Spec, tag: usize) -> Arc<MemoSlot> {
+    fn synthetic(spec: Spec, tag: usize) -> Arc<SharedSolve> {
         let (shape, row, limit, gap, tier) = spec;
-        let items = vec![ScheduleItem {
-            release_us: 0,
-            deadline_us: 100_000 + row * 1_000,
+        Arc::new(SharedSolve {
+            shape: shape * 0x9e37_79b9,
+            node_limit: [1_000, 200_000][limit],
+            incumbent_gap: [0.0, 0.01][gap],
+            tier: [SolveTier::Exact, SolveTier::Incumbent][tier],
+            rows: vec![FrozenRow {
+                release_us: 0,
+                deadline_us: 100_000 + row * 1_000,
+                options: 3,
+            }],
             options: (0..3)
                 .map(|j| ScheduleOption {
                     choice: j,
@@ -938,18 +1076,10 @@ mod tests {
                     cost: 1.0 + j as f64,
                 })
                 .collect(),
-        }];
-        let mut problem = ScheduleProblem::new(0, items);
-        problem.set_node_limit([1_000, 200_000][limit]);
-        problem.set_incumbent_gap([0.0, 0.01][gap]);
-        Arc::new(MemoSlot {
-            shape: shape * 0x9e37_79b9,
-            problem,
             solution: ScheduleSolution {
                 nodes_explored: tag,
                 ..ScheduleSolution::default()
             },
-            tier: [SolveTier::Exact, SolveTier::Incumbent][tier],
         })
     }
 
@@ -965,30 +1095,8 @@ mod tests {
     }
 
     /// Everything a probe can observe about a generation, in order.
-    fn observable(
-        generation: &SolveGeneration,
-    ) -> Vec<(
-        u64,
-        usize,
-        f64,
-        Vec<ScheduleItem>,
-        ScheduleSolution,
-        SolveTier,
-    )> {
-        generation
-            .entries
-            .iter()
-            .map(|e| {
-                (
-                    e.shape,
-                    e.problem.node_limit(),
-                    e.problem.incumbent_gap(),
-                    e.problem.items().to_vec(),
-                    e.solution.clone(),
-                    e.tier,
-                )
-            })
-            .collect()
+    fn observable(generation: &SolveGeneration) -> Vec<SharedSolve> {
+        generation.entries.iter().map(|e| (**e).clone()).collect()
     }
 
     mod publish_differential {
@@ -1025,7 +1133,7 @@ mod tests {
                 prop_assert_eq!(&fast.shapes, &reference.shapes);
 
                 // Nothing is copied: every published entry is an input's.
-                let inputs: Vec<&Arc<MemoSlot>> = prev
+                let inputs: Vec<&Arc<SharedSolve>> = prev
                     .entries
                     .iter()
                     .chain(shards.iter().flat_map(|s| s.entries.iter()))
@@ -1036,7 +1144,7 @@ mod tests {
                 // A surviving previous-generation key is that very entry:
                 // it comes first in the fold, so no shard copy displaces it.
                 for old in &prev.entries {
-                    if let Some(kept) = fast.entries.iter().find(|e| e.same_key(old)) {
+                    if let Some(kept) = fast.entries.iter().find(|e| e.key().matches(&old.key())) {
                         prop_assert!(Arc::ptr_eq(kept, old));
                     }
                 }
@@ -1064,5 +1172,105 @@ mod tests {
         let next = SolveGeneration::publish(&prev, &[fresh], 2);
         let shapes: Vec<u64> = next.entries.iter().map(|e| e.shape / 0x9e37_79b9).collect();
         assert_eq!(shapes, [1, 3], "the lowest shape goes, though it is newer");
+    }
+
+    mod pointer_served_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(pool window, node limit, gap)` of one posed call.
+        type Call = (u64, usize, usize);
+
+        const LIMITS: [usize; 3] = [1, 40, 200_000];
+        const GAPS: [f64; 2] = [0.0, 0.05];
+
+        /// Window `id` of a 12-window pool. Window 0 is empty (its solve
+        /// errors); the others hold 1–3 items of 4 options. Shapes are
+        /// forced into three classes, so different windows collide.
+        fn pool_window(id: u64) -> (Vec<ScheduleItem>, u64) {
+            let len = if id == 0 { 0 } else { 1 + id % 3 };
+            let items = (0..len)
+                .map(|i| ScheduleItem {
+                    release_us: i * 20_000,
+                    deadline_us: (i + 1) * 90_000 + id * 4_000,
+                    options: (0..4)
+                        .map(|j| ScheduleOption {
+                            choice: j,
+                            duration_us: 80_000 - j as u64 * 15_000 - id * 500,
+                            cost: 1.0 + 0.7 * j as f64 + 0.01 * id as f64,
+                        })
+                        .collect(),
+                })
+                .collect();
+            (items, 0x51 * (1 + id % 3))
+        }
+
+        /// Poses `call` to `memo` through `solve_shared` and to `plain`
+        /// through `solve`, asserting both observe the same replay; a
+        /// generation hit must leave the current ring slot pointing at the
+        /// generation's own entry.
+        fn pose_both(
+            call: Call,
+            memo: &mut SolveMemo,
+            plain: &mut SolveMemo,
+            generation: &SolveGeneration,
+            shard: &mut SolveShard,
+            scratch: &mut SolveScratch,
+        ) {
+            let (id, limit, gap) = call;
+            let (items, shape) = pool_window(id);
+            let orders = orders_for(&items);
+            let (limit, gap) = (LIMITS[limit], GAPS[gap]);
+            let hits_before = shard.shared_hits();
+            let shared = memo.solve_shared(
+                &items,
+                Some(&orders),
+                shape,
+                limit,
+                gap,
+                scratch,
+                generation,
+                shard,
+            );
+            let cold = plain.solve(&items, Some(&orders), shape, limit, gap, scratch);
+            assert_eq!(shared, cold);
+            assert_eq!(memo.stats(), plain.stats());
+            if shared.is_ok() {
+                assert_eq!(memo.solution(), plain.solution());
+                assert_eq!(memo.tier(), plain.tier());
+            }
+            if shard.shared_hits() > hits_before {
+                let entry = generation.lookup(&WindowKey::posed(shape, &items, limit, gap));
+                let served = memo.slots[memo.current].shared.as_ref();
+                assert!(
+                    matches!((served, entry), (Some(s), Some(e)) if Arc::ptr_eq(s, e)),
+                    "a generation hit must point the ring slot at the entry"
+                );
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn pointer_served_hits_replay_like_plain_solves(
+                first in collection::vec((0u64..12, 0usize..3, 0usize..2), 0..40),
+                second in collection::vec((0u64..12, 0usize..3, 0usize..2), 1..40),
+                shard_cap in 1usize..33,
+                generation_cap in 1usize..40,
+            ) {
+                let mut scratch = SolveScratch::new();
+                let empty = SolveGeneration::empty();
+                let mut shard = SolveShard::with_capacity(shard_cap);
+                let (mut memo, mut plain) = (SolveMemo::new(), SolveMemo::new());
+                for &call in &first {
+                    pose_both(call, &mut memo, &mut plain, &empty, &mut shard, &mut scratch);
+                }
+                let generation = SolveGeneration::publish(&empty, &[shard], generation_cap);
+                let mut probe = SolveShard::new();
+                let (mut memo, mut plain) = (SolveMemo::new(), SolveMemo::new());
+                for &call in &second {
+                    pose_both(call, &mut memo, &mut plain, &generation, &mut probe, &mut scratch);
+                }
+            }
+        }
     }
 }

@@ -296,9 +296,10 @@ pub struct FleetConfig {
     /// cold solve it dodges); only wall-clock and the shared-hit counters
     /// change. On by default because repeated-config sweeps win about 26%
     /// wall clock with it. On unique sessions it costs throughput:
-    /// `perfbench` on `fleet-decorrelated` (seed 1, 2-vCPU Intel Xeon)
-    /// measured about 10,100 sessions/s with it against 12,500 without
-    /// (EXPERIMENTS.md, "Publish cost").
+    /// `perfbench` on `fleet-decorrelated` (seed 1, 2-vCPU Intel Xeon,
+    /// alternating runs) measured 8,360 and 9,320 sessions/s with it
+    /// against 9,910 and 10,060 without (EXPERIMENTS.md, "Pointer-served
+    /// shared hits").
     pub shared_memo: bool,
     /// Entry cap of the published solve generation. When the fold exceeds
     /// it, the merge keeps the last `generation_cap` entries in fold order
@@ -2084,14 +2085,15 @@ mod tests {
         assert!(p0 < 4);
     }
 
-    #[test]
-    fn journal_record_round_trips_through_encode_and_parse() {
+    /// A record with every field populated, including failures and
+    /// several breakers.
+    fn sample_record() -> JournalRecord {
         let mut breaker = CircuitBreaker::new(&breaker_config());
         for _ in 0..3 {
             breaker.record(true);
         }
         breaker.end_batch();
-        let record = JournalRecord {
+        JournalRecord {
             batches: 7,
             step: 9,
             next_unit: 112,
@@ -2132,7 +2134,12 @@ mod tests {
                 message: "quarantined before resume (journaled)".to_string(),
             }],
             breakers: vec![breaker, CircuitBreaker::new(&breaker_config())],
-        };
+        }
+    }
+
+    #[test]
+    fn journal_record_round_trips_through_encode_and_parse() {
+        let record = sample_record();
         let line = encode_record(&record);
         let parsed = parse_record(&line, &breaker_config()).expect("round trip");
         assert_eq!(parsed, record);
@@ -2393,5 +2400,82 @@ mod tests {
         assert_eq!(cost_sample(&outcome), 10_000);
         outcome.watchdog_trips = 2;
         assert_eq!(cost_sample(&outcome), 10_000 + 2 * WATCHDOG_TRIP_COST_NODES);
+    }
+
+    mod journal_robustness {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes a substitution or insertion draws from half the time: the
+        /// record grammar's separators and digits, so edits hit structure
+        /// rather than only scrambling values.
+        const GRAMMAR: &[u8] = b" =,:;|#-\n0123456789abcdefPESFLEETJ";
+
+        /// Applies `(kind, position, byte)` edits: 0 truncates, 1
+        /// substitutes, 2 inserts, 3 deletes. Positions wrap to the
+        /// current length.
+        fn mutate(original: &[u8], edits: &[(usize, usize, u8)]) -> Vec<u8> {
+            let mut bytes = original.to_vec();
+            for &(kind, pos, raw) in edits {
+                let byte = if raw & 1 == 0 {
+                    GRAMMAR[usize::from(raw >> 1) % GRAMMAR.len()]
+                } else {
+                    raw
+                };
+                let len = bytes.len();
+                match kind {
+                    0 => bytes.truncate(pos % (len + 1)),
+                    1 if len > 0 => bytes[pos % len] = byte,
+                    2 => bytes.insert(pos % (len + 1), byte),
+                    3 if len > 0 => {
+                        bytes.remove(pos % len);
+                    }
+                    _ => {}
+                }
+            }
+            bytes
+        }
+
+        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<Checkpoint>, FleetError> {
+            std::fs::write(path, journal).expect("write journal");
+            read_checkpoint(path, &breaker_config())
+        }
+
+        proptest! {
+            /// A mutated record parses back to the very record or fails
+            /// with a typed error, and the resume reader over a mutated
+            /// two-record journal restores one of its records, none, or
+            /// errors — never panics, never invents a checkpoint.
+            #[test]
+            fn mutated_journals_parse_equal_or_error(
+                edits in collection::vec((0usize..4, 0usize..1 << 16, 0u8..=255), 1..6),
+            ) {
+                let first = sample_record();
+                let mut second = sample_record();
+                second.batches += 1;
+                second.next_unit += 64;
+                second.energy_bits = 2.5e9f64.to_bits();
+                let line = encode_record(&second);
+                let journal = format!("{}\n{line}\n", encode_record(&first));
+                let path = std::env::temp_dir()
+                    .join(format!("pes_fleet_fuzz_{}.journal", std::process::id()));
+                let cp_first = checkpoint_of(&path, encode_record(&first).as_bytes())
+                    .expect("intact journal reads");
+                let cp_second = checkpoint_of(&path, journal.as_bytes()).expect("intact journal reads");
+                // Every prefix of the edit list is a case of its own.
+                for applied in 1..=edits.len() {
+                    let mutated = mutate(line.as_bytes(), &edits[..applied]);
+                    let parsed = parse_record(&String::from_utf8_lossy(&mutated), &breaker_config());
+                    if let Ok(parsed) = parsed {
+                        prop_assert_eq!(parsed, second.clone());
+                    }
+                    let restored = checkpoint_of(&path, &mutate(journal.as_bytes(), &edits[..applied]));
+                    if let Ok(Some(cp)) = restored {
+                        prop_assert!(Some(&cp) == cp_first.as_ref() || Some(&cp) == cp_second.as_ref());
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
     }
 }

@@ -1785,3 +1785,79 @@ mod frame_ledger {
         assert_eq!(fast.frame_scheduler().cold_predictions(), cold_before + 1);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Parser robustness: mutated trace JSON never panics the reader.
+// ---------------------------------------------------------------------------
+
+mod trace_json_robustness {
+    use super::*;
+    use std::sync::OnceLock;
+
+    use pes::workload::{AppCatalog, Trace, TraceGenerator};
+
+    /// A generated trace and its JSON, built once for every case.
+    fn original() -> &'static (Trace, String) {
+        static ORIGINAL: OnceLock<(Trace, String)> = OnceLock::new();
+        ORIGINAL.get_or_init(|| {
+            let catalog = AppCatalog::paper_suite();
+            let app = catalog.find("google").expect("google is in the suite");
+            let trace = TraceGenerator::new().generate(app, &app.build_page(), 5);
+            let json = trace.to_json().expect("a trace serialises");
+            (trace, json)
+        })
+    }
+
+    /// Bytes a substitution or insertion draws from half the time: JSON
+    /// punctuation, digits and literal letters, so edits hit structure
+    /// rather than only scrambling values.
+    const GRAMMAR: &[u8] = b"{}[]\":,.-+eE0123456789\\ntrufals ";
+
+    /// Applies `(kind, position, byte)` edits: 0 truncates, 1 substitutes,
+    /// 2 inserts, 3 deletes. Positions wrap to the current length.
+    fn mutate(original: &[u8], edits: &[(usize, usize, u8)]) -> Vec<u8> {
+        let mut bytes = original.to_vec();
+        for &(kind, pos, raw) in edits {
+            let byte = if raw & 1 == 0 {
+                GRAMMAR[usize::from(raw >> 1) % GRAMMAR.len()]
+            } else {
+                raw
+            };
+            let len = bytes.len();
+            match kind {
+                0 => bytes.truncate(pos % (len + 1)),
+                1 if len > 0 => bytes[pos % len] = byte,
+                2 => bytes.insert(pos % (len + 1), byte),
+                3 if len > 0 => {
+                    bytes.remove(pos % len);
+                }
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        /// `Trace::from_json` over a mutated trace returns a typed error or
+        /// a trace that round-trips — the original one when the text came
+        /// out unchanged — and never panics.
+        #[test]
+        fn mutated_trace_json_parses_or_errors(
+            edits in collection::vec((0usize..4, 0usize..1 << 20, 0u8..=255), 1..6),
+        ) {
+            let (trace, json) = original();
+            // Every prefix of the edit list is a case of its own.
+            for applied in 1..=edits.len() {
+                let mutated = mutate(json.as_bytes(), &edits[..applied]);
+                let text = String::from_utf8_lossy(&mutated);
+                if let Ok(parsed) = Trace::from_json(&text) {
+                    if text == json.as_str() {
+                        prop_assert_eq!(&parsed, trace);
+                    }
+                    let json_again = parsed.to_json().expect("a parsed trace serialises");
+                    prop_assert_eq!(Trace::from_json(&json_again), Ok(parsed));
+                }
+            }
+        }
+    }
+}
