@@ -53,8 +53,7 @@ kernels=(
   pr9:shared_memo/publish_4x4
   pr12:shared_memo/publish_512x64
   pr13:shared_memo/record_publish_cycle
-  pr10:engine_floor/execute_commit_31_ledger
-  pr10:engine_floor/execute_commit_31_reference
+  pr14:engine_floor/execute_commit_31
 )
 
 fail=0

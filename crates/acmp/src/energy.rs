@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::config::{AcmpConfig, CoreKind};
-use crate::dvfs::DvfsLadder;
+use crate::dvfs::{DvfsLadder, LadderRung};
 use crate::platform::Platform;
 use crate::units::{EnergyUj, PowerMw, TimeUs};
 
@@ -138,102 +138,42 @@ impl<'p> EnergyMeter<'p> {
 
     /// The plane rung holding `cfg`, through the one-entry memo. Caches
     /// only plane hits: off-plane configurations (and plane-less meters)
-    /// take the reference fallback below, which never consults a rung.
-    fn rung_of(&mut self, cfg: &AcmpConfig) -> Option<usize> {
-        if let Some((cached, i)) = self.cached_rung {
-            if cached == *cfg {
-                return Some(i);
+    /// take the platform-table fallback, which never consults a rung.
+    fn rung(&mut self, cfg: &AcmpConfig) -> Option<LadderRung> {
+        let plane = self.plane.as_ref()?;
+        let i = match self.cached_rung {
+            Some((cached, i)) if cached == *cfg => i,
+            _ => {
+                let i = plane.rung_index(cfg)?;
+                self.cached_rung = Some((*cfg, i));
+                i
             }
-        }
-        let i = self.plane.as_ref()?.rung_index(cfg)?;
-        self.cached_rung = Some((*cfg, i));
-        Some(i)
+        };
+        Some(plane.rungs()[i])
     }
 
     /// `(active, background)` powers of `cfg`, from the frozen plane when
     /// available (rung memoised across consecutive samples).
     fn busy_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        if let Some(i) = self.rung_of(cfg) {
-            // `rung_of` only answers when a plane is present.
-            if let Some(plane) = &self.plane {
-                let rung = &plane.rungs()[i];
-                return (rung.active_power, rung.background_power);
-            }
+        match self.rung(cfg) {
+            Some(rung) => (rung.active_power, rung.background_power),
+            None => (
+                self.platform.active_power(cfg),
+                self.platform.background_idle_power(cfg),
+            ),
         }
-        self.busy_powers_uncached(cfg)
-    }
-
-    /// [`EnergyMeter::busy_powers`] without touching the rung memo; used by
-    /// the non-mutating sample previews. Same plane probe, same fallback —
-    /// the returned powers are the identical frozen values either way.
-    fn busy_powers_uncached(&self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        if let Some(plane) = &self.plane {
-            if let Some(i) = plane.rung_index(cfg) {
-                let rung = &plane.rungs()[i];
-                return (rung.active_power, rung.background_power);
-            }
-        }
-        (
-            self.platform.active_power(cfg),
-            self.platform.background_idle_power(cfg),
-        )
     }
 
     /// `(idle, background)` powers of `cfg`, from the frozen plane when
     /// available (rung memoised across consecutive samples).
     fn idle_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        if let Some(i) = self.rung_of(cfg) {
-            if let Some(plane) = &self.plane {
-                let rung = &plane.rungs()[i];
-                return (rung.idle_power, rung.background_power);
-            }
+        match self.rung(cfg) {
+            Some(rung) => (rung.idle_power, rung.background_power),
+            None => (
+                self.platform.idle_power(cfg),
+                self.platform.background_idle_power(cfg),
+            ),
         }
-        self.idle_powers_uncached(cfg)
-    }
-
-    /// [`EnergyMeter::idle_powers`] without touching the rung memo.
-    fn idle_powers_uncached(&self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        if let Some(plane) = &self.plane {
-            if let Some(i) = plane.rung_index(cfg) {
-                let rung = &plane.rungs()[i];
-                return (rung.idle_power, rung.background_power);
-            }
-        }
-        (
-            self.platform.idle_power(cfg),
-            self.platform.background_idle_power(cfg),
-        )
-    }
-
-    /// The `(own, background)` energies one busy sample would record,
-    /// without recording it. The per-frame ledger uses these previews to
-    /// answer energy queries while samples are still deferred: the
-    /// expressions are the ones [`EnergyMeter::record_busy`] evaluates, so
-    /// folding previews over a meter snapshot is bit-identical to flushing
-    /// the samples and reading the meter.
-    pub fn peek_busy(&self, cfg: &AcmpConfig, duration: TimeUs) -> (EnergyUj, EnergyUj) {
-        let (active, background_power) = self.busy_powers_uncached(cfg);
-        (
-            active.energy_over(duration),
-            background_power.energy_over(duration),
-        )
-    }
-
-    /// The `(own, background)` energies one idle sample would record,
-    /// without recording it (see [`EnergyMeter::peek_busy`]).
-    pub fn peek_idle(&self, cfg: &AcmpConfig, duration: TimeUs) -> (EnergyUj, EnergyUj) {
-        let (idle, background_power) = self.idle_powers_uncached(cfg);
-        (
-            idle.energy_over(duration),
-            background_power.energy_over(duration),
-        )
-    }
-
-    /// The energy one transition sample would record, without recording it
-    /// (see [`EnergyMeter::peek_busy`]).
-    pub fn peek_transition(&self, to: &AcmpConfig, duration: TimeUs) -> EnergyUj {
-        let (active, _) = self.busy_powers_uncached(to);
-        active.energy_over(duration)
     }
 
     /// Records a busy interval at configuration `cfg` attributed to

@@ -612,33 +612,18 @@ fn session_replay(c: &mut Criterion) {
     });
 
     // ------------------------------------------------------------------
-    // Engine-floor kernels (PR 10): the execute → vsync → meter → outcome
-    // chain that every one of the five policies pays identically per
-    // replay, isolated from scheduling decisions. The `ledger` unit runs
-    // the default engine (presentation-feedback frame scheduler +
-    // per-frame ledger); the `reference` unit replays the identical event
-    // stream through the retained pre-PR-10 per-event accounting path.
-    // The configuration alternates so the chain includes transitions, and
-    // commits go through the full QoS/outcome bookkeeping.
+    // Engine-floor kernel: the execute → vsync → meter → outcome chain
+    // that every one of the five policies pays identically per replay,
+    // isolated from scheduling decisions. The configuration alternates so
+    // the chain includes transitions, and commits go through the full
+    // QoS/outcome bookkeeping.
     // ------------------------------------------------------------------
     let floor_trace = scenarios.trace(app_idx, 0);
     let cfg_fast = platform.max_performance_config();
     let cfg_slow = platform.min_power_config();
-    group.bench_function("engine_floor/execute_commit_31_ledger", |b| {
+    group.bench_function("engine_floor/execute_commit_31", |b| {
         b.iter(|| {
             let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane));
-            for (i, ev) in floor_trace.events().iter().enumerate() {
-                let cfg = if i % 4 == 0 { cfg_slow } else { cfg_fast };
-                let record = engine.execute_event(ev, &cfg, false);
-                engine.commit(ev, record.frame_ready_at);
-            }
-            black_box((engine.violations(), engine.total_energy()))
-        })
-    });
-    group.bench_function("engine_floor/execute_commit_31_reference", |b| {
-        b.iter(|| {
-            let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane))
-                .with_reference_accounting();
             for (i, ev) in floor_trace.events().iter().enumerate() {
                 let cfg = if i % 4 == 0 { cfg_slow } else { cfg_fast };
                 let record = engine.execute_event(ev, &cfg, false);

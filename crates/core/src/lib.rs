@@ -46,8 +46,6 @@ pub mod pfb;
 pub mod runtime;
 pub mod watchdog;
 
-pub use pes_ilp::SolveEntry;
-
 pub use fault::{
     splitmix, DegradationLevel, DegradationTrace, FaultConfig, FaultCounts, FaultPlane,
     FaultSession,

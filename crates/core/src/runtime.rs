@@ -15,7 +15,7 @@ use std::sync::Arc;
 use pes_acmp::units::{EnergyUj, TimeUs};
 use pes_acmp::{AcmpConfig, ActivityKind, CpuDemand, DvfsLadder, LadderCache, Platform};
 use pes_dom::{BuiltPage, EventType};
-use pes_ilp::{IlpError, OptionOrder, ScheduleItem, SolveEntry, SolveScratch, SolveTier};
+use pes_ilp::{IlpError, OptionOrder, ScheduleItem, SolveScratch, SolveTier};
 use pes_predictor::{EventSequenceLearner, LearnerConfig, PredictScratch, SessionState};
 use pes_schedulers::DemandProfiler;
 use pes_webrt::{EventId, ExecutionEngine, QosOutcome, QosPolicy, WebEvent};
@@ -908,7 +908,7 @@ impl ProactiveRuntime {
             session.observe(ev);
         }
 
-        // The engine's ledger counts violations at commit time; every commit
+        // The engine counts violations at commit time; every commit
         // on this path also lands in `report.outcomes`, so the counter and
         // the scan agree (the differential suites pin this).
         report.violations = engine.violations();
@@ -1075,14 +1075,12 @@ impl ProactiveRuntime {
         // The serving tier caps the budget before fault starvation: a
         // demoted replay refines a small incumbent (`Anytime`) or takes the
         // greedy seed (`Greedy`); tiers at `Reactive` or worse never reach
-        // a solve at all. The tier→budget mapping lives in
-        // [`SolveEntry::cap_node_limit`] so routing layers cap identically.
-        let entry = match tier {
-            DegradationLevel::Exact => SolveEntry::Exact,
-            DegradationLevel::Anytime => SolveEntry::Anytime,
-            _ => SolveEntry::Greedy,
+        // a solve at all.
+        let node_limit = match tier {
+            DegradationLevel::Exact => node_limit,
+            DegradationLevel::Anytime => node_limit.min(ANYTIME_TIER_NODE_CAP),
+            _ => 1,
         };
-        let node_limit = entry.cap_node_limit(node_limit, ANYTIME_TIER_NODE_CAP);
         // Budget starvation injects here, between the tier choice and the
         // solve: a starved budget re-keys the memo lookup (parameters are
         // revalidated), so a starved round never serves a full-budget slot.

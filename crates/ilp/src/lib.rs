@@ -57,8 +57,8 @@ pub mod solver;
 pub use error::IlpError;
 pub use linear::{Comparison, Constraint, LinearExpr};
 pub use schedule::{
-    OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveEntry,
-    SolveScratch, SolveTier,
+    OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
+    SolveTier,
 };
 pub use solver::{exactly_one, IlpProblem, IlpSolution};
 

@@ -94,47 +94,6 @@ pub enum SolveTier {
     Incumbent,
 }
 
-/// The entry tier a caller selects *before* a bounded solve starts: how much
-/// of the node budget the search is allowed to spend. Where [`SolveTier`]
-/// reports the quality a solve *achieved*, `SolveEntry` is the knob routing
-/// layers (the fleet's predicted-cost router, the degradation ladder) turn
-/// to pick how hard the solver should even try. The mapping to a concrete
-/// node budget lives here so every caller caps identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolveEntry {
-    /// Spend the full node budget: depth-first to the proven optimum when
-    /// the budget allows it.
-    Exact,
-    /// Cap the budget at the anytime ceiling: best incumbent under the cap.
-    Anytime,
-    /// A single node: the greedy root schedule, no search.
-    Greedy,
-}
-
-impl SolveEntry {
-    /// Caps `node_limit` for this entry tier. `anytime_cap` is the ceiling
-    /// the anytime tier may spend (callers pass their ladder's constant so
-    /// the cap stays in one place per policy).
-    #[must_use]
-    pub fn cap_node_limit(self, node_limit: usize, anytime_cap: usize) -> usize {
-        match self {
-            SolveEntry::Exact => node_limit,
-            SolveEntry::Anytime => node_limit.min(anytime_cap),
-            SolveEntry::Greedy => 1,
-        }
-    }
-
-    /// Short lowercase label used in reports and journals.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveEntry::Exact => "exact",
-            SolveEntry::Anytime => "anytime",
-            SolveEntry::Greedy => "greedy",
-        }
-    }
-}
-
 /// One open node of the best-first incumbent search: a partial assignment of
 /// items `0..index`, reached at `cursor_us` with the accumulated `cost` and
 /// `violations`, whose admissible lower bound is `bound`. The path is stored

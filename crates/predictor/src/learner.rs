@@ -130,7 +130,7 @@ impl PredictScratch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventSequenceLearner {
     classifier: OneVsRestClassifier,
-    /// The classifier's weights re-laid for the batch/SIMD plane; built
+    /// The classifier's weights re-laid for the packed batch plane; built
     /// eagerly (seven padded f32 rows — a few hundred bytes) so every
     /// learner can serve both paths.
     packed: PackedModel,
@@ -164,7 +164,7 @@ impl EventSequenceLearner {
     }
 
     /// The packed class-major f32 twin of the classifier — the model the
-    /// batch (`predict_many`) and SIMD paths run on.
+    /// batch (`predict_many`) paths run on.
     pub fn packed(&self) -> &PackedModel {
         &self.packed
     }

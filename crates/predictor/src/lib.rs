@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod features;
 pub mod learner;
@@ -47,7 +46,7 @@ pub mod trainer;
 pub use features::{FeatureVector, HistoryWindow, SessionState, FEATURE_DIM, HISTORY_WINDOW};
 pub use learner::{EventSequenceLearner, LearnerConfig, PredictScratch, PredictedEvent};
 pub use logistic::{LogisticModel, OneVsRestClassifier};
-pub use packed::{sigmoid_f32, PackedModel, QuantizedModel, CLASSES, LANES};
+pub use packed::{sigmoid_f32, PackedModel, CLASSES, LANES};
 pub use trainer::{
     build_dataset, evaluate_accuracy, evaluate_accuracy_batched, TrainError, Trainer,
     TrainingConfig,

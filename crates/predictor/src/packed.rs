@@ -1,4 +1,4 @@
-//! The batched + SIMD prediction plane: class-major packed weights.
+//! The batched prediction plane: class-major packed weights.
 //!
 //! [`crate::OneVsRestClassifier`] stores one `Vec<f64>` per class — fine for
 //! training, but every prediction round then chases seven separate
@@ -9,17 +9,12 @@
 //! across a batch.
 //!
 //! The dot-product kernel is written once as four explicit lane
-//! accumulators combined in a fixed order. The default build uses the
-//! hand-unrolled scalar form; the `portable-simd` cargo feature (nightly
-//! only) swaps in a `core::simd` variant that performs the *same* IEEE
-//! operations in the *same* order — the two are bit-identical by
-//! construction, which is what the differential proptests pin.
+//! accumulators combined in a fixed order, so every path that scores a row
+//! performs the same IEEE operations in the same order.
 //!
 //! [`PackedModel::predict_many`] runs one matrix pass over a whole batch of
-//! feature rows (a fleet shard's pending sessions, or every trace of an
-//! app in a figure sweep), turning per-event scalar cost into amortised
-//! batch cost. [`QuantizedModel`] is the stretch tier: i8 weight rows with
-//! a per-class scale, differentially tested against the f32 decisions.
+//! feature rows (every trace of an app in a figure sweep), turning
+//! per-event scalar cost into amortised batch cost.
 
 use pes_dom::{EventType, EventTypeSet};
 
@@ -45,12 +40,8 @@ pub fn sigmoid_f32(z: f32) -> f32 {
     }
 }
 
-/// Four-lane fused accumulate over equal-length, lane-padded slices.
-///
-/// Scalar fallback: four independent accumulators, combined in a fixed
-/// tree. The `portable-simd` variant below performs the identical
-/// operations, so both builds produce bit-identical sums.
-#[cfg(not(feature = "portable-simd"))]
+/// Four-lane fused accumulate over equal-length, lane-padded slices: four
+/// independent accumulators, combined in a fixed tree.
 #[inline(always)]
 fn dot_lanes(row: &[f32], x: &[f32]) -> f32 {
     debug_assert_eq!(row.len(), x.len());
@@ -58,8 +49,7 @@ fn dot_lanes(row: &[f32], x: &[f32]) -> f32 {
     // Fast path for the serving shape (FEATURE_DIM = 14 padded to 16):
     // sixteen independent products folded by a balanced lane tree — no
     // serial accumulation chain at all, so the four adds per lane can
-    // retire in parallel. The `portable-simd` build performs the identical
-    // elementwise operations, so both remain bit-identical.
+    // retire in parallel.
     if let (Ok(r), Ok(c)) = (<&[f32; 16]>::try_from(row), <&[f32; 16]>::try_from(x)) {
         return dot_lanes16(r, c);
     }
@@ -75,9 +65,7 @@ fn dot_lanes(row: &[f32], x: &[f32]) -> f32 {
 
 /// The 16-length serving kernel: per lane `l`, the reduction is the fixed
 /// balanced tree `(p[l] + p[4+l]) + (p[8+l] + p[12+l])`, then the lane sums
-/// fold as `(s[0] + s[1]) + (s[2] + s[3])`. The SIMD variant performs the
-/// same elementwise tree, so the two builds never differ by a bit.
-#[cfg(not(feature = "portable-simd"))]
+/// fold as `(s[0] + s[1]) + (s[2] + s[3])`.
 #[inline(always)]
 fn dot_lanes16(row: &[f32; 16], x: &[f32; 16]) -> f32 {
     let mut p = [0.0f32; 16];
@@ -89,33 +77,6 @@ fn dot_lanes16(row: &[f32; 16], x: &[f32; 16]) -> f32 {
         s[l] = (p[l] + p[LANES + l]) + (p[2 * LANES + l] + p[3 * LANES + l]);
     }
     (s[0] + s[1]) + (s[2] + s[3])
-}
-
-/// `core::simd` variant: same lane shape, same reduction order, therefore
-/// bit-identical to the scalar fallback. Selected at build time by the
-/// `portable-simd` feature (requires a nightly toolchain).
-#[cfg(feature = "portable-simd")]
-#[inline(always)]
-fn dot_lanes(row: &[f32], x: &[f32]) -> f32 {
-    use core::simd::Simd;
-    debug_assert_eq!(row.len(), x.len());
-    debug_assert!(row.len().is_multiple_of(LANES));
-    // 16-length serving shape: four independent product vectors folded by
-    // the same balanced elementwise tree as the scalar `dot_lanes16`.
-    if row.len() == 16 {
-        let p0 = Simd::<f32, LANES>::from_slice(&row[0..4]) * Simd::from_slice(&x[0..4]);
-        let p1 = Simd::<f32, LANES>::from_slice(&row[4..8]) * Simd::from_slice(&x[4..8]);
-        let p2 = Simd::<f32, LANES>::from_slice(&row[8..12]) * Simd::from_slice(&x[8..12]);
-        let p3 = Simd::<f32, LANES>::from_slice(&row[12..16]) * Simd::from_slice(&x[12..16]);
-        let s = ((p0 + p1) + (p2 + p3)).to_array();
-        return (s[0] + s[1]) + (s[2] + s[3]);
-    }
-    let mut acc = Simd::<f32, LANES>::splat(0.0);
-    for (r, c) in row.chunks_exact(LANES).zip(x.chunks_exact(LANES)) {
-        acc = acc + Simd::<f32, LANES>::from_slice(r) * Simd::<f32, LANES>::from_slice(c);
-    }
-    let a = acc.to_array();
-    (a[0] + a[1]) + (a[2] + a[3])
 }
 
 /// Masked argmax over the class scores, replicating the f64 reference's
@@ -158,7 +119,7 @@ fn argmax_masked(scores: &[f32; CLASSES], allowed: EventTypeSet) -> (EventType, 
 /// The trained one-vs-rest weights re-laid as one contiguous class-major
 /// `f32` matrix: row `c` holds class `c`'s weights, zero-padded to a
 /// multiple of [`LANES`]. The f64 per-class layout stays the reference
-/// path; this is the serving layout the batch and SIMD kernels run on.
+/// path; this is the serving layout the single and batch kernels run on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedModel {
     /// `CLASSES * padded_dim` weights, class-major.
@@ -263,8 +224,8 @@ impl PackedModel {
     /// One matrix pass over a whole batch: `padded_rows` holds
     /// `masks.len()` lane-padded rows back to back, `out` receives one
     /// `(event, raw winning logit)` per row (cleared first) — the logit
-    /// rather than the sigmoid, because batch consumers (the fleet drain,
-    /// the figure sweeps) only use the class decision and the sigmoid is
+    /// rather than the sigmoid, because batch consumers (the figure
+    /// sweeps) only use the class decision and the sigmoid is
     /// strictly monotonic, so squashing cannot change it. Each row goes
     /// through the same kernel and argmax as
     /// [`PackedModel::predict_masked_raw`], so the batch path is
@@ -288,155 +249,6 @@ impl PackedModel {
             self.scores_into(row, &mut scores);
             out.push(argmax_masked(&scores, mask));
         }
-    }
-}
-
-/// The quantised serving tier: i8 weight rows with one symmetric scale per
-/// class (`w ≈ scale · q`, `q ∈ [-127, 127]`). Scores are reconstructed in
-/// f32 with the same lane shape as [`PackedModel`], so the only difference
-/// from the f32 tier is the quantisation error itself — which the catalog
-/// differential test bounds at zero decision flips.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedModel {
-    /// `CLASSES * padded_dim` quantised weights, class-major.
-    weights: Vec<i8>,
-    scales: [f32; CLASSES],
-    biases: [f32; CLASSES],
-    /// The f32 rows the quantised ones were derived from, retained for
-    /// near-tie arbitration: when the i8 top-two margin falls inside the
-    /// analytic rounding bound, the decision is re-scored exactly with the
-    /// same lane kernel as [`PackedModel`], which is what makes the
-    /// zero-decision-flip contract provable rather than empirical.
-    exact: Vec<f32>,
-    dim: usize,
-    padded_dim: usize,
-}
-
-/// The lane kernel over an i8 row: dequantises per lane (`q as f32`) and
-/// accumulates in f32 with the exact shape of [`dot_lanes`]; the caller
-/// applies the per-class scale once to the reduced sum.
-#[inline]
-fn dot_lanes_i8(row: &[i8], x: &[f32]) -> f32 {
-    debug_assert_eq!(row.len(), x.len());
-    debug_assert!(row.len().is_multiple_of(LANES));
-    let mut acc = [0.0f32; LANES];
-    for (r, c) in row.chunks_exact(LANES).zip(x.chunks_exact(LANES)) {
-        acc[0] += f32::from(r[0]) * c[0];
-        acc[1] += f32::from(r[1]) * c[1];
-        acc[2] += f32::from(r[2]) * c[2];
-        acc[3] += f32::from(r[3]) * c[3];
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-impl QuantizedModel {
-    /// Quantises a packed f32 model: per class, `scale = max|w| / 127` and
-    /// `q = round(w / scale)`. An all-zero row keeps scale 1 (and all-zero
-    /// quantised weights).
-    pub fn from_packed(packed: &PackedModel) -> Self {
-        let padded_dim = packed.padded_dim;
-        let mut weights = vec![0i8; CLASSES * padded_dim];
-        let mut scales = [1.0f32; CLASSES];
-        for c in 0..CLASSES {
-            let row = packed.row(c);
-            let max_abs = row.iter().fold(0.0f32, |m, w| m.max(w.abs()));
-            if max_abs > 0.0 {
-                let scale = max_abs / 127.0;
-                scales[c] = scale;
-                for (slot, w) in weights[c * padded_dim..(c + 1) * padded_dim]
-                    .iter_mut()
-                    .zip(row.iter())
-                {
-                    *slot = (w / scale).round().clamp(-127.0, 127.0) as i8;
-                }
-            }
-        }
-        QuantizedModel {
-            weights,
-            scales,
-            biases: packed.biases,
-            exact: packed.weights.clone(),
-            dim: packed.dim,
-            padded_dim,
-        }
-    }
-
-    /// Quantises straight from a trained classifier.
-    pub fn from_classifier(classifier: &OneVsRestClassifier) -> Self {
-        QuantizedModel::from_packed(&PackedModel::from_classifier(classifier))
-    }
-
-    /// The unpadded feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The lane-padded row stride.
-    pub fn padded_dim(&self) -> usize {
-        self.padded_dim
-    }
-
-    /// The per-class dequantisation scales.
-    pub fn scales(&self) -> &[f32; CLASSES] {
-        &self.scales
-    }
-
-    /// Writes all [`CLASSES`] reconstructed logit scores
-    /// `scale_c · (q_c · x) + b_c` for one lane-padded row.
-    pub fn scores_into(&self, padded: &[f32], out: &mut [f32; CLASSES]) {
-        debug_assert_eq!(padded.len(), self.padded_dim);
-        for (c, slot) in out.iter_mut().enumerate() {
-            let row = &self.weights[c * self.padded_dim..(c + 1) * self.padded_dim];
-            *slot = self.scales[c] * dot_lanes_i8(row, padded) + self.biases[c];
-        }
-    }
-
-    /// Convenience form of [`QuantizedModel::scores_into`].
-    pub fn scores(&self, padded: &[f32]) -> [f32; CLASSES] {
-        let mut out = [0.0f32; CLASSES];
-        self.scores_into(padded, &mut out);
-        out
-    }
-
-    /// Masked prediction over the quantised tier, with the same argmax,
-    /// tie-breaking and empty-mask fallback as the f32 paths.
-    ///
-    /// Fast path: argmax over the reconstructed i8 scores. Whenever the
-    /// winning margin over any other allowed class falls inside the
-    /// analytic rounding bound `0.5 · (scale_w + scale_c) · Σ|x|` (plus a
-    /// small f32 accumulation slack), the decision is re-scored with the
-    /// retained f32 rows through the identical lane kernel — so the class
-    /// decision always equals [`PackedModel::predict_masked`]: clear
-    /// margins cannot flip under a bounded perturbation, and near-ties are
-    /// arbitrated by the exact scores themselves.
-    pub fn predict_masked(&self, padded: &[f32], allowed: EventTypeSet) -> (EventType, f32) {
-        let mut scores = [0.0f32; CLASSES];
-        self.scores_into(padded, &mut scores);
-        let effective = if allowed.is_empty() {
-            EventTypeSet::ALL
-        } else {
-            allowed
-        };
-        let (winner, z) = argmax_masked(&scores, allowed);
-        let abs_sum: f32 = padded.iter().map(|x| x.abs()).sum();
-        let w = winner.class_index();
-        let near_tie = EventType::ALL.iter().enumerate().any(|(c, event)| {
-            if c == w || !effective.contains(*event) {
-                return false;
-            }
-            let bound = 0.5 * abs_sum * (self.scales[w] + self.scales[c]) * 1.001 + 1e-4;
-            z - scores[c] <= bound
-        });
-        if near_tie {
-            let mut exact = [0.0f32; CLASSES];
-            for (c, slot) in exact.iter_mut().enumerate() {
-                let row = &self.exact[c * self.padded_dim..(c + 1) * self.padded_dim];
-                *slot = dot_lanes(row, padded) + self.biases[c];
-            }
-            let (event, ze) = argmax_masked(&exact, allowed);
-            return (event, sigmoid_f32(ze));
-        }
-        (winner, sigmoid_f32(z))
     }
 }
 
@@ -577,38 +389,5 @@ mod tests {
         let (with_empty, b) = packed.predict_masked(&padded, EventTypeSet::EMPTY);
         assert_eq!(with_all, with_empty);
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn quantised_scores_stay_within_the_per_class_error_bound() {
-        let packed = PackedModel::from_classifier(&toy_classifier());
-        let quantised = QuantizedModel::from_packed(&packed);
-        let mut padded = Vec::new();
-        packed.pad_features(&toy_features(), &mut padded);
-        let f32_scores = packed.scores(&padded);
-        let q_scores = quantised.scores(&padded);
-        let abs_sum: f32 = padded.iter().map(|x| x.abs()).sum();
-        for c in 0..CLASSES {
-            // Quantisation error is at most scale/2 per weight.
-            let bound = quantised.scales()[c] * 0.5 * abs_sum + 1e-4;
-            assert!(
-                (f32_scores[c] - q_scores[c]).abs() <= bound,
-                "class {c}: {} vs {} (bound {bound})",
-                f32_scores[c],
-                q_scores[c]
-            );
-        }
-    }
-
-    #[test]
-    fn quantising_a_zero_model_is_exact() {
-        let clf = OneVsRestClassifier::zeros(FEATURE_DIM);
-        let quantised = QuantizedModel::from_classifier(&clf);
-        let mut padded = Vec::new();
-        PackedModel::from_classifier(&clf).pad_features(&toy_features(), &mut padded);
-        for s in quantised.scores(&padded) {
-            assert_eq!(s.to_bits(), 0.0f32.to_bits());
-        }
-        assert_eq!(quantised.scales(), &[1.0f32; CLASSES]);
     }
 }

@@ -31,10 +31,7 @@
 //! across the fleet: every replay probes a read-only [`SolveGeneration`]
 //! of window solves published by previous batches (each worker records its
 //! own fresh solves into a private [`SolveShard`]; a deterministic merge
-//! folds the shards in unit order between batches), and an optional
-//! predicted-cost router ([`CostRouteConfig`]) keeps an integer EMA of
-//! per-shard solve cost and routes hot shards to cheaper [`SolveEntry`]
-//! tiers before their breakers ever trip.
+//! folds the shards in unit order between batches).
 //!
 //! Everything is a deterministic function of ([`FleetSpec`],
 //! [`FleetConfig`], context): session parameters derive statelessly from
@@ -43,48 +40,43 @@
 //! index order, so reruns — and resumed runs — are byte-identical
 //! regardless of worker count.
 //!
-//! # Journal record format (`PESFLEETJ1` → `PESFLEETJ3`)
+//! # Journal record format (`PESFLEETJ4`)
 //!
 //! The journal is line-oriented ASCII: one cumulative record per batch,
 //! each a space-separated `key=value` token list ending in an FNV-1a-64
-//! checksum of everything before it. New records always encode as the
-//! current `PESFLEETJ3` format; the reader also accepts `J2` and `J1`
-//! records (fields those versions lack restore as zeros), treats a
-//! malformed *final* line as a torn tail, and returns a typed
-//! [`FleetError::JournalVersion`] for an intact record whose
-//! `PESFLEETJ*` magic this build does not read.
+//! checksum of everything before it. The reader treats a malformed
+//! *final* line as a torn tail and returns a typed
+//! [`FleetError::JournalVersion`] for an intact record with any other
+//! `PESFLEETJ*` magic, older formats included.
 //!
 //! ```text
-//! PESFLEETJ3 batch=.. step=.. next_unit=.. shed=.. completed=.. retries=..
+//! PESFLEETJ4 batch=.. step=.. next_unit=.. shed=.. completed=.. retries=..
 //!   violations=.. events=.. energy=<16-hex> wd=.. deg=E,A,G,R,F
-//!   inj=c1,..,c8 pred=p0,..,p6 nodes=.. mh=.. mm=.. ent=g,a,e ema=h0,h1,..
+//!   inj=c1,..,c8 nodes=.. mh=.. mm=..
 //!   fail=idx:att:L;.. brk=S:bits:len:cd:ps:hist|.. #<16-hex checksum>
 //! ```
 //!
 //! Field by field (all counters are *cumulative* since the run started):
 //!
-//! | Token | Since | Meaning |
-//! |---|---|---|
-//! | `batch=` | J1 | Batches executed (== records written so far). |
-//! | `step=` | J1 | Admission steps consumed by the arrival process. |
-//! | `next_unit=` | J1 | Next unit index to admit (the resume cursor). |
-//! | `shed=` | J1 | Sessions shed by the [`ShedPolicy`]. |
-//! | `completed=` | J1 | Replays completed (including retried units). |
-//! | `retries=` | J1 | Supervised re-executions after a worker panic. |
-//! | `violations=` | J1 | QoS violations across all completed replays. |
-//! | `events=` | J1 | Events executed across all completed replays. |
-//! | `energy=` | J1 | Total energy as big-endian hex of `f64::to_bits` — bit-exact, no decimal round-trip. |
-//! | `wd=` | J1 | Watchdog deadline trips. |
-//! | `deg=` | J1 | Five comma-separated [`DegradationLevel`] counts: Exact, Anytime, Greedy, Reactive, OndemandFloor. |
-//! | `inj=` | J1 | Eight comma-separated [`FaultCounts`] fields: prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events. |
-//! | `pred=` | J2 | Per-event-class histogram of batched opening predictions (one count per [`EventType`] class). |
-//! | `nodes=` | J3 | Solver nodes explored fleet-wide. |
-//! | `mh=` / `mm=` | J3 | Per-replay solve-memo ring hits / misses. (Shared-generation hit counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one non-resume-stable aggregate.) |
-//! | `ent=` | J3 | Routed-entry histogram: units forced to Greedy, Anytime, Exact by predicted-cost routing. |
-//! | `ema=` | J3 | Per-shard cost-routing EMA accumulators as hex (`-` when routing is off). |
-//! | `fail=` | J1 | Quarantine roster, `index:attempts:level-letter` triples joined by `;` (`-` when empty). |
-//! | `brk=` | J1 | One breaker snapshot per shard joined by `\|`: `state-letter:window-bits-hex:window-len:cooldown-left:probe-successes:transition-history` (history `-` when empty). |
-//! | `#` | J1 | FNV-1a-64 checksum (hex) of the full payload before ` #`. |
+//! | Token | Meaning |
+//! |---|---|
+//! | `batch=` | Batches executed (== records written so far). |
+//! | `step=` | Admission steps consumed by the arrival process. |
+//! | `next_unit=` | Next unit index to admit (the resume cursor). |
+//! | `shed=` | Sessions shed by the [`ShedPolicy`]. |
+//! | `completed=` | Replays completed (including retried units). |
+//! | `retries=` | Supervised re-executions after a worker panic. |
+//! | `violations=` | QoS violations across all completed replays. |
+//! | `events=` | Events executed across all completed replays. |
+//! | `energy=` | Total energy as big-endian hex of `f64::to_bits` — bit-exact, no decimal round-trip. |
+//! | `wd=` | Watchdog deadline trips. |
+//! | `deg=` | Five comma-separated [`DegradationLevel`] counts: Exact, Anytime, Greedy, Reactive, OndemandFloor. |
+//! | `inj=` | Eight comma-separated [`FaultCounts`] fields: prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events. |
+//! | `nodes=` | Solver nodes explored fleet-wide. |
+//! | `mh=` / `mm=` | Per-replay solve-memo ring hits / misses. (Shared-generation hit counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one non-resume-stable aggregate.) |
+//! | `fail=` | Quarantine roster, `index:attempts:level-letter` triples joined by `;` (`-` when empty). |
+//! | `brk=` | One breaker snapshot per shard joined by `\|`: `state-letter:window-bits-hex:window-len:cooldown-left:probe-successes:transition-history` (history `-` when empty). |
+//! | `#` | FNV-1a-64 checksum (hex) of the full payload before ` #`. |
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -95,19 +87,13 @@ use std::sync::Arc;
 
 use pes_core::{
     splitmix, DegradationLevel, DegradationTrace, FaultCounts, PesConfig, PesScheduler, RunReport,
-    SolveEntry, SolveGeneration, SolveShard, WatchdogConfig,
+    SolveGeneration, SolveShard, WatchdogConfig,
 };
-use pes_dom::{EventType, EventTypeSet};
-use pes_predictor::SessionState;
 use pes_schedulers::RoutedTier;
 use pes_workload::TraceGenerator;
 
 use crate::experiments::ExperimentContext;
 use crate::parallel::{par_map_supervised_with, parallelism, FleetReport, UnitFailure};
-
-/// Number of event classes in the predicted-opening histogram (one slot
-/// per [`EventType`]).
-pub const EVENT_CLASSES: usize = EventType::ALL.len();
 
 // ---------------------------------------------------------------------------
 // Specs and configuration
@@ -208,52 +194,6 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Predicted-cost routing thresholds: a per-shard integer EMA of observed
-/// solve cost classifies shards hot/normal/cold, and each admitted
-/// full-tier unit enters the optimizer at the matching [`SolveEntry`] tier
-/// (hot → `Greedy`, normal → `Anytime`, cold → `Exact`). All-integer so
-/// the state journals exactly and [`FleetConfig`] stays `Eq`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostRouteConfig {
-    /// Route by predicted cost (`false` serves every full-tier unit at the
-    /// exact entry, exactly the pre-routing behaviour).
-    pub enabled: bool,
-    /// EMA smoothing as a right shift: `ema += (sample - ema) >> shift`
-    /// per observed outcome. Larger shifts react slower.
-    pub ema_shift: u32,
-    /// EMA at or above this many nodes classifies the shard hot (greedy
-    /// entry).
-    pub hot_nodes: u64,
-    /// EMA at or below this many nodes classifies the shard cold (exact
-    /// entry). Fresh shards start at 0, i.e. cold.
-    pub cold_nodes: u64,
-}
-
-impl Default for CostRouteConfig {
-    fn default() -> Self {
-        CostRouteConfig {
-            enabled: false,
-            ema_shift: 2,
-            hot_nodes: 20_000,
-            cold_nodes: 2_000,
-        }
-    }
-}
-
-impl CostRouteConfig {
-    /// The [`SolveEntry`] tier a shard with the given cost EMA is served
-    /// at. Disabled routing — and a fresh (zero) EMA — both yield `Exact`.
-    pub fn classify(&self, ema: u64) -> SolveEntry {
-        if !self.enabled || ema <= self.cold_nodes {
-            SolveEntry::Exact
-        } else if ema >= self.hot_nodes {
-            SolveEntry::Greedy
-        } else {
-            SolveEntry::Anytime
-        }
-    }
-}
-
 /// How the driver runs the stream: batching, queueing, shedding, retry and
 /// resilience thresholds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,12 +221,9 @@ pub struct FleetConfig {
     /// A completed unit with at least this many QoS violations counts as a
     /// bad breaker outcome (`0` disables the spike signal).
     pub violation_spike: usize,
-    /// Serve the fleet on the batched + packed prediction plane: every
-    /// tier's replays run their prediction rounds on the class-major f32
-    /// matrix (`PesConfig::with_packed_prediction`), and each batch drain
-    /// runs **one** `predict_many` matrix pass over the admitted sessions'
-    /// opening states, aggregated into
-    /// [`FleetRunReport::predicted_openings`].
+    /// Serve every tier's prediction rounds on the packed class-major f32
+    /// plane (`PesConfig::with_packed_prediction`). Decisions are identical
+    /// either way; only the replay's prediction kernel changes.
     pub packed_prediction: bool,
     /// Share window solves across the fleet: each replay probes the
     /// read-only solve generation published by previous batches and
@@ -307,9 +244,6 @@ pub struct FleetConfig {
     /// order): survivors of the previous generation go first, lowest shape
     /// first rather than oldest first, then the batch's earliest shards.
     pub generation_cap: usize,
-    /// Predicted-cost routing of full-tier units across [`SolveEntry`]
-    /// tiers (off by default; see [`CostRouteConfig`]).
-    pub cost_routing: CostRouteConfig,
 }
 
 impl Default for FleetConfig {
@@ -327,7 +261,6 @@ impl Default for FleetConfig {
             packed_prediction: false,
             shared_memo: true,
             generation_cap: 512,
-            cost_routing: CostRouteConfig::default(),
         }
     }
 }
@@ -552,15 +485,6 @@ pub struct FleetRunReport {
     pub breaker_histories: Vec<String>,
     /// Per-shard final breaker states.
     pub breaker_finals: Vec<BreakerState>,
-    /// Histogram (by [`EventType::class_index`]) of the opening events the
-    /// packed plane predicted for completed units — one batched
-    /// `predict_many` pass per drain when
-    /// [`FleetConfig::packed_prediction`] is on; all zeros otherwise.
-    pub predicted_openings: [usize; EVENT_CLASSES],
-    /// Units admitted to the full proactive tier, by the [`SolveEntry`]
-    /// they entered the optimizer at (`[exact, anytime, greedy]`). Probes
-    /// count as exact; with routing off every full-tier unit is exact.
-    pub routed_entries: [usize; 3],
     /// Branch-and-bound nodes expanded over completed replays.
     pub solver_nodes: usize,
     /// Per-replay memo-ring hits summed over completed replays.
@@ -694,12 +618,9 @@ impl From<std::io::Error> for FleetError {
 /// How an admitted unit was routed for its batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UnitRoute {
-    /// Full proactive tier at the given optimizer entry (exact unless the
-    /// cost router classified the shard hotter); outcome feeds the shard
-    /// window.
-    Full(SolveEntry),
-    /// Full tier (exact entry) as a half-open probe; outcome feeds the
-    /// probe counter.
+    /// Full proactive tier; outcome feeds the shard window.
+    Full,
+    /// Full tier as a half-open probe; outcome feeds the probe counter.
     Probe,
     /// Forced to a reactive tier by an open breaker; outcome is ignored by
     /// the breaker.
@@ -732,9 +653,6 @@ struct UnitOutcome {
     shared_hits: usize,
     /// Ring misses that probed the shared generation.
     shared_lookups: usize,
-    /// The opening event the batch drain's `predict_many` pass predicted
-    /// for this unit (`None` when the packed plane is off).
-    predicted_opening: Option<EventType>,
 }
 
 impl UnitOutcome {
@@ -752,7 +670,6 @@ impl UnitOutcome {
             memo_misses: report.solver_cache_misses,
             shared_hits: 0,
             shared_lookups: 0,
-            predicted_opening: None,
         }
     }
 
@@ -770,37 +687,8 @@ impl UnitOutcome {
             memo_misses: 0,
             shared_hits: 0,
             shared_lookups: 0,
-            predicted_opening: None,
         }
     }
-}
-
-/// The flat node cost a watchdog trip adds to a unit's routing sample: a
-/// trip means the replay blew its deadline budget, so the router treats it
-/// like an extra anytime-cap's worth of expansion even when the demoted
-/// tiers kept the raw node count low.
-const WATCHDOG_TRIP_COST_NODES: u64 = 4_096;
-
-/// The cost sample one completed full-tier outcome feeds the shard's EMA:
-/// nodes expanded plus a flat penalty per watchdog trip, discounted by the
-/// replay's memo hit rate in x256 fixed point (a well-cached shard is
-/// cheaper to serve exactly than its raw node count suggests).
-fn cost_sample(outcome: &UnitOutcome) -> u64 {
-    let base =
-        outcome.solver_nodes as u64 + WATCHDOG_TRIP_COST_NODES * outcome.watchdog_trips as u64;
-    let probes = (outcome.memo_hits + outcome.memo_misses) as u64;
-    if probes == 0 {
-        return base;
-    }
-    let hit_fp = 256 * outcome.memo_hits as u64 / probes;
-    base * (256 - hit_fp) / 256
-}
-
-/// One EMA step: `ema += (sample - ema) >> shift`, in the
-/// subtraction-free integer form that never underflows.
-fn ema_update(ema: u64, sample: u64, shift: u32) -> u64 {
-    let shift = shift.min(63);
-    ema - (ema >> shift) + (sample >> shift)
 }
 
 /// The [`DegradationLevel`] an open breaker's routed tier maps to.
@@ -815,19 +703,8 @@ fn forced_level(tier: RoutedTier) -> DegradationLevel {
 /// so failures say how degraded the unit already was when it still failed.
 fn route_level(route: UnitRoute) -> DegradationLevel {
     match route {
-        UnitRoute::Full(SolveEntry::Exact) | UnitRoute::Probe => DegradationLevel::Exact,
-        UnitRoute::Full(SolveEntry::Anytime) => DegradationLevel::Anytime,
-        UnitRoute::Full(SolveEntry::Greedy) => DegradationLevel::Greedy,
+        UnitRoute::Full | UnitRoute::Probe => DegradationLevel::Exact,
         UnitRoute::Routed(tier) => forced_level(tier),
-    }
-}
-
-/// Slot of a [`SolveEntry`] in the `[exact, anytime, greedy]` histograms.
-fn entry_index(entry: SolveEntry) -> usize {
-    match entry {
-        SolveEntry::Exact => 0,
-        SolveEntry::Anytime => 1,
-        SolveEntry::Greedy => 2,
     }
 }
 
@@ -887,14 +764,9 @@ struct Checkpoint {
     watchdog_trips: usize,
     degradation: DegradationTrace,
     injections: FaultCounts,
-    predicted_openings: [usize; EVENT_CLASSES],
-    routed_entries: [usize; 3],
     solver_nodes: usize,
     memo_hits: usize,
     memo_misses: usize,
-    /// Per-shard cost-routing EMAs at the checkpoint (empty when the
-    /// journal predates routing; the driver then starts them at zero).
-    ema: Vec<u64>,
     failures: Vec<UnitFailure>,
     breakers: Vec<CircuitBreaker>,
 }
@@ -923,7 +795,6 @@ where
     let mut breakers: Vec<CircuitBreaker> = (0..shards)
         .map(|_| CircuitBreaker::new(&config.breaker))
         .collect();
-    let mut cost_ema: Vec<u64> = vec![0; shards];
     let mut queue: VecDeque<(usize, u8)> = VecDeque::new();
     let mut next_unit = 0usize;
     let mut step = 0u64;
@@ -946,8 +817,6 @@ where
         watchdog_trips: 0,
         breaker_histories: Vec::new(),
         breaker_finals: Vec::new(),
-        predicted_openings: [0; EVENT_CLASSES],
-        routed_entries: [0; 3],
         solver_nodes: 0,
         memo_hits: 0,
         memo_misses: 0,
@@ -959,7 +828,6 @@ where
     // the journaled batches (arrivals, storms, shedding and admission
     // depend only on the step index and queue contents, never on unit
     // outcomes), then restore the outcome-dependent cumulative state.
-    let resuming = checkpoint.is_some();
     if let Some(cp) = checkpoint {
         while batches < cp.batches && (next_unit < spec.sessions || !queue.is_empty()) {
             step += 1;
@@ -1013,22 +881,11 @@ where
         report.watchdog_trips = cp.watchdog_trips;
         report.degradation = cp.degradation;
         report.injections = cp.injections;
-        report.predicted_openings = cp.predicted_openings;
-        report.routed_entries = cp.routed_entries;
         report.solver_nodes = cp.solver_nodes;
         report.memo_hits = cp.memo_hits;
         report.memo_misses = cp.memo_misses;
         report.failures = cp.failures;
         breakers = cp.breakers;
-        if !cp.ema.is_empty() {
-            if cp.ema.len() != shards {
-                return Err(FleetError::SpecMismatch(format!(
-                    "journal has {} routing EMAs, config has {shards} shards",
-                    cp.ema.len()
-                )));
-            }
-            cost_ema = cp.ema;
-        }
     }
 
     while next_unit < spec.sessions || !queue.is_empty() {
@@ -1059,9 +916,7 @@ where
         report.peak_queue = report.peak_queue.max(queue.len());
 
         // 3. Admission + breaker routing (half-open shards admit `probes`
-        //    full-tier probe units per batch, the rest stay routed). A
-        //    closed shard's units enter the optimizer at the entry tier
-        //    the cost router classifies the shard at.
+        //    full-tier probe units per batch, the rest stay routed).
         let take = batch_size.min(queue.len());
         let mut probes_used = vec![0usize; shards];
         let tickets: Vec<Ticket> = queue
@@ -1069,9 +924,7 @@ where
             .map(|(unit, _priority)| {
                 let shard = unit % shards;
                 let route = match breakers[shard].state() {
-                    BreakerState::Closed => {
-                        UnitRoute::Full(config.cost_routing.classify(cost_ema[shard]))
-                    }
+                    BreakerState::Closed => UnitRoute::Full,
                     BreakerState::Open => UnitRoute::Routed(config.breaker.open_tier),
                     BreakerState::HalfOpen => {
                         if probes_used[shard] < config.breaker.probes.max(1) {
@@ -1092,34 +945,16 @@ where
         // 4. Supervised fan-out of the batch.
         let batch = exec(&tickets);
 
-        // 5. Outcome classification feeds the shard breakers — and the
-        //    cost router's EMAs — in unit index order (full-tier and probe
-        //    outcomes only), then the batch boundary ticks every cooldown.
+        // 5. Outcome classification feeds the shard breakers in unit index
+        //    order (full-tier and probe outcomes only), then the batch
+        //    boundary ticks every cooldown.
         for (i, ticket) in tickets.iter().enumerate() {
             let bad = is_bad(batch.results[i].as_ref(), config.violation_spike);
-            let shard = ticket.unit % shards;
-            let breaker = &mut breakers[shard];
+            let breaker = &mut breakers[ticket.unit % shards];
             match ticket.route {
-                UnitRoute::Full(entry) => {
-                    breaker.record(bad);
-                    report.routed_entries[entry_index(entry)] += 1;
-                }
-                UnitRoute::Probe => {
-                    breaker.record_probe(bad);
-                    report.routed_entries[entry_index(SolveEntry::Exact)] += 1;
-                }
+                UnitRoute::Full => breaker.record(bad),
+                UnitRoute::Probe => breaker.record_probe(bad),
                 UnitRoute::Routed(_) => {}
-            }
-            if config.cost_routing.enabled
-                && matches!(ticket.route, UnitRoute::Full(_) | UnitRoute::Probe)
-            {
-                if let Some(outcome) = batch.results[i].as_ref() {
-                    cost_ema[shard] = ema_update(
-                        cost_ema[shard],
-                        cost_sample(outcome),
-                        config.cost_routing.ema_shift,
-                    );
-                }
             }
         }
         for breaker in &mut breakers {
@@ -1140,9 +975,6 @@ where
             report.memo_misses += outcome.memo_misses;
             report.shared_hits += outcome.shared_hits;
             report.shared_lookups += outcome.shared_lookups;
-            if let Some(opening) = outcome.predicted_opening {
-                report.predicted_openings[opening.class_index()] += 1;
-            }
         }
         report.retries += batch.total_retries();
         for failure in &batch.failures {
@@ -1171,12 +1003,9 @@ where
                 watchdog_trips: report.watchdog_trips,
                 degradation: report.degradation,
                 injections: report.injections,
-                predicted_openings: report.predicted_openings,
-                routed_entries: report.routed_entries,
                 solver_nodes: report.solver_nodes,
                 memo_hits: report.memo_hits,
                 memo_misses: report.memo_misses,
-                ema: cost_ema.clone(),
                 failures: report.failures.clone(),
                 breakers: breakers.clone(),
             };
@@ -1189,9 +1018,6 @@ where
     report.peak_queue = report.peak_queue.min(capacity);
     report.breaker_histories = breakers.iter().map(|b| b.history_letters()).collect();
     report.breaker_finals = breakers.iter().map(|b| b.state()).collect();
-    // A resumed empty tail (journal already covered every batch) must still
-    // report the full-run step count; the fast-forward left `step` correct.
-    let _ = resuming;
     Ok(report)
 }
 
@@ -1205,9 +1031,6 @@ struct BatchRunner<'a> {
     spec: &'a FleetSpec,
     threads: usize,
     retries: usize,
-    /// Run the batched opening-prediction pass per drain and serve every
-    /// tier's prediction rounds on the packed f32 plane.
-    packed: bool,
     /// Probe the shared solve generation per replay and publish the
     /// workers' shards between batches.
     shared_memo: bool,
@@ -1217,8 +1040,6 @@ struct BatchRunner<'a> {
     /// batch's deterministic shard merge.
     generation: Arc<SolveGeneration>,
     full: PesScheduler,
-    full_anytime: PesScheduler,
-    full_greedy: PesScheduler,
     reactive: PesScheduler,
     floor: PesScheduler,
 }
@@ -1239,19 +1060,10 @@ impl<'a> BatchRunner<'a> {
                 config.threads
             },
             retries: config.retries,
-            packed: config.packed_prediction,
             shared_memo: config.shared_memo,
             generation_cap: config.generation_cap.max(1),
             generation: Arc::new(SolveGeneration::empty()),
             full: PesScheduler::new(ctx.learner.clone(), base()),
-            full_anytime: PesScheduler::new(
-                ctx.learner.clone(),
-                base().with_forced_tier(DegradationLevel::Anytime),
-            ),
-            full_greedy: PesScheduler::new(
-                ctx.learner.clone(),
-                base().with_forced_tier(DegradationLevel::Greedy),
-            ),
             reactive: PesScheduler::new(
                 ctx.learner.clone(),
                 base().with_forced_tier(DegradationLevel::Reactive),
@@ -1263,43 +1075,12 @@ impl<'a> BatchRunner<'a> {
         }
     }
 
-    /// One `predict_many` matrix pass over the whole batch's opening
-    /// session states: each admitted unit contributes one lane-padded
-    /// feature row and its LNES mask, and the packed plane scores them
-    /// all against the resident class-major weight matrix. Deterministic
-    /// and outcome-independent (it depends only on the tickets), which is
-    /// what lets the journal restore the aggregate on resume.
-    fn predict_openings(&self, tickets: &[Ticket]) -> Vec<Option<EventType>> {
-        let packed = self.ctx.learner.packed();
-        let apps = self.ctx.catalog.apps().len();
-        let mut features = Vec::new();
-        let mut rows: Vec<f32> = Vec::with_capacity(tickets.len() * packed.padded_dim());
-        let mut masks: Vec<EventTypeSet> = Vec::with_capacity(tickets.len());
-        for ticket in tickets {
-            let (_, app_idx, _, _) =
-                unit_scenario(self.spec.seed, apps, self.spec.scenario_unit(ticket.unit));
-            let page = self.ctx.scenarios.page_ref(app_idx);
-            let mut state = SessionState::new(page.tree.clone());
-            state.features_into(&mut features);
-            packed.pad_features_append(&features, &mut rows);
-            masks.push(state.allowed_types());
-        }
-        let mut decisions = Vec::with_capacity(tickets.len());
-        packed.predict_many(&rows, &masks, &mut decisions);
-        decisions.into_iter().map(|(e, _)| Some(e)).collect()
-    }
-
     /// Runs one admitted batch. `&mut self` only for the generation
     /// handoff: the fan-out itself borrows the runner immutably, and the
     /// merged generation is republished after the workers have joined —
     /// the batch in flight always reads the one frozen at its start.
     fn run(&mut self, tickets: &[Ticket]) -> FleetReport<UnitOutcome> {
         let apps = self.ctx.catalog.apps().len();
-        let openings = if self.packed {
-            self.predict_openings(tickets)
-        } else {
-            vec![None; tickets.len()]
-        };
         let generation = Arc::clone(&self.generation);
         let raw = par_map_supervised_with(self.threads, tickets.len(), self.retries, |i| {
             let ticket = tickets[i];
@@ -1317,9 +1098,7 @@ impl<'a> BatchRunner<'a> {
                 );
             }
             let scheduler = match ticket.route {
-                UnitRoute::Full(SolveEntry::Exact) | UnitRoute::Probe => &self.full,
-                UnitRoute::Full(SolveEntry::Anytime) => &self.full_anytime,
-                UnitRoute::Full(SolveEntry::Greedy) => &self.full_greedy,
+                UnitRoute::Full | UnitRoute::Probe => &self.full,
                 UnitRoute::Routed(RoutedTier::Reactive) => &self.reactive,
                 UnitRoute::Routed(RoutedTier::OndemandFloor) => &self.floor,
             };
@@ -1378,11 +1157,6 @@ impl<'a> BatchRunner<'a> {
                 &shards,
                 self.generation_cap,
             ));
-        }
-        for (slot, opening) in batch.results.iter_mut().zip(openings) {
-            if let Some(outcome) = slot {
-                outcome.predicted_opening = opening;
-            }
         }
         batch
     }
@@ -1465,27 +1239,12 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
 // Journal encoding
 // ---------------------------------------------------------------------------
 
-/// The current journal format. `J3` added the solver aggregates
-/// (`nodes=`/`mh=`/`mm=`), the routed-entry histogram (`ent=`) and the
-/// per-shard cost-routing EMAs (`ema=`); `J2` added the `pred=` histogram
-/// of batched opening predictions. New records always encode as `J3`; the
-/// parser still reads `J2` and `J1` records (their missing fields restore
-/// as zeros). The shared-memo hit counters are deliberately **not**
-/// journaled: a resumed run rebuilds the generation cold, so they are the
-/// one aggregate that is not resume-stable.
-const JOURNAL_MAGIC: &str = "PESFLEETJ3";
-/// Previous format: `pred=` histogram, no solver/routing fields.
-const JOURNAL_MAGIC_V2: &str = "PESFLEETJ2";
-/// Original format: no `pred=` histogram either.
-const JOURNAL_MAGIC_V1: &str = "PESFLEETJ1";
-
-/// The journal-format version a record's magic announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum JournalVersion {
-    V1,
-    V2,
-    V3,
-}
+/// The journal format this build writes and reads. Any other `PESFLEETJ*`
+/// magic is a [`FleetError::JournalVersion`]. The shared-memo hit counters
+/// are deliberately **not** journaled: a resumed run rebuilds the
+/// generation cold, so they are the one aggregate that is not
+/// resume-stable.
+const JOURNAL_MAGIC: &str = "PESFLEETJ4";
 
 #[derive(Debug, Clone, PartialEq)]
 struct JournalRecord {
@@ -1501,12 +1260,9 @@ struct JournalRecord {
     watchdog_trips: usize,
     degradation: DegradationTrace,
     injections: FaultCounts,
-    predicted_openings: [usize; EVENT_CLASSES],
-    routed_entries: [usize; 3],
     solver_nodes: usize,
     memo_hits: usize,
     memo_misses: usize,
-    ema: Vec<u64>,
     failures: Vec<UnitFailure>,
     breakers: Vec<CircuitBreaker>,
 }
@@ -1584,33 +1340,10 @@ fn encode_record(record: &JournalRecord) -> String {
         })
         .collect::<Vec<_>>()
         .join("|");
-    let pred = record
-        .predicted_openings
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let ent = record
-        .routed_entries
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let ema = if record.ema.is_empty() {
-        "-".to_string()
-    } else {
-        record
-            .ema
-            .iter()
-            .map(|e| format!("{e:x}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     let payload = format!(
         "{JOURNAL_MAGIC} batch={} step={} next_unit={} shed={} completed={} retries={} \
          violations={} events={} energy={:016x} wd={} deg={},{},{},{},{} \
-         inj={},{},{},{},{},{},{},{} pred={pred} nodes={} mh={} mm={} ent={ent} ema={ema} \
-         fail={fail} brk={brk}",
+         inj={},{},{},{},{},{},{},{} nodes={} mh={} mm={} fail={fail} brk={brk}",
         record.batches,
         record.step,
         record.next_unit,
@@ -1676,8 +1409,7 @@ fn parse_counts<const N: usize>(value: &str, key: &str) -> Result<[usize; N], Fl
 /// Parses one journal line. Returns `Corrupt` for anything malformed —
 /// the reader treats a corrupt *final* line as a torn tail and ignores it
 /// — and `JournalVersion` (never swallowed as a torn tail) for an intact
-/// record whose magic this build does not read. `J2`/`J1` records parse
-/// with their missing fields restored as zeros.
+/// record whose magic this build does not read.
 fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRecord, FleetError> {
     let (payload, checksum) = line
         .rsplit_once(" #")
@@ -1688,18 +1420,16 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRec
         return Err(FleetError::Corrupt("checksum mismatch".into()));
     }
     let mut tokens = payload.split_whitespace();
-    let version = match tokens.next() {
-        Some(JOURNAL_MAGIC) => JournalVersion::V3,
-        Some(JOURNAL_MAGIC_V2) => JournalVersion::V2,
-        Some(JOURNAL_MAGIC_V1) => JournalVersion::V1,
+    match tokens.next() {
+        Some(JOURNAL_MAGIC) => {}
         Some(other) if other.starts_with("PESFLEETJ") => {
             return Err(FleetError::JournalVersion {
                 found: other.to_string(),
-                supported: format!("{JOURNAL_MAGIC}/{JOURNAL_MAGIC_V2}/{JOURNAL_MAGIC_V1}"),
+                supported: JOURNAL_MAGIC.to_string(),
             })
         }
         other => return Err(FleetError::Corrupt(format!("bad magic {other:?}"))),
-    };
+    }
     let batches = parse_usize(kv(tokens.next(), "batch")?, "batch")?;
     let step = kv(tokens.next(), "step")?
         .parse::<u64>()
@@ -1734,31 +1464,9 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRec
         duplicated_events: dups,
         dropped_events: drops,
     };
-    let predicted_openings = if version >= JournalVersion::V2 {
-        parse_counts::<EVENT_CLASSES>(kv(tokens.next(), "pred")?, "pred")?
-    } else {
-        [0; EVENT_CLASSES]
-    };
-    let (routed_entries, solver_nodes, memo_hits, memo_misses, ema) =
-        if version >= JournalVersion::V3 {
-            let solver_nodes = parse_usize(kv(tokens.next(), "nodes")?, "nodes")?;
-            let memo_hits = parse_usize(kv(tokens.next(), "mh")?, "mh")?;
-            let memo_misses = parse_usize(kv(tokens.next(), "mm")?, "mm")?;
-            let routed_entries = parse_counts::<3>(kv(tokens.next(), "ent")?, "ent")?;
-            let ema_field = kv(tokens.next(), "ema")?;
-            let mut ema = Vec::new();
-            if ema_field != "-" {
-                for part in ema_field.split(',') {
-                    ema.push(
-                        u64::from_str_radix(part, 16)
-                            .map_err(|_| FleetError::Corrupt(format!("bad ema value {part:?}")))?,
-                    );
-                }
-            }
-            (routed_entries, solver_nodes, memo_hits, memo_misses, ema)
-        } else {
-            ([0; 3], 0, 0, 0, Vec::new())
-        };
+    let solver_nodes = parse_usize(kv(tokens.next(), "nodes")?, "nodes")?;
+    let memo_hits = parse_usize(kv(tokens.next(), "mh")?, "mh")?;
+    let memo_misses = parse_usize(kv(tokens.next(), "mm")?, "mm")?;
     let fail_field = kv(tokens.next(), "fail")?;
     let mut failures = Vec::new();
     if fail_field != "-" {
@@ -1854,12 +1562,9 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRec
         watchdog_trips,
         degradation,
         injections,
-        predicted_openings,
-        routed_entries,
         solver_nodes,
         memo_hits,
         memo_misses,
-        ema,
         failures,
         breakers,
     })
@@ -1968,12 +1673,9 @@ fn read_checkpoint(
         watchdog_trips: r.watchdog_trips,
         degradation: r.degradation,
         injections: r.injections,
-        predicted_openings: r.predicted_openings,
-        routed_entries: r.routed_entries,
         solver_nodes: r.solver_nodes,
         memo_hits: r.memo_hits,
         memo_misses: r.memo_misses,
-        ema: r.ema,
         failures: r.failures,
         breakers: r.breakers,
     }))
@@ -2121,12 +1823,9 @@ mod tests {
                 duplicated_events: 7,
                 dropped_events: 8,
             },
-            predicted_openings: [9, 8, 7, 6, 5, 4, 3],
-            routed_entries: [70, 20, 9],
             solver_nodes: 123_456,
             memo_hits: 321,
             memo_misses: 654,
-            ema: vec![0x1234, 0, 0xdead_beef],
             failures: vec![UnitFailure {
                 index: 17,
                 attempts: 2,
@@ -2160,12 +1859,9 @@ mod tests {
             watchdog_trips: 0,
             degradation: DegradationTrace::default(),
             injections: FaultCounts::default(),
-            predicted_openings: [0; EVENT_CLASSES],
-            routed_entries: [8, 0, 0],
             solver_nodes: 999,
             memo_hits: 10,
             memo_misses: 20,
-            ema: vec![0; 4],
             failures: Vec::new(),
             breakers: vec![CircuitBreaker::new(&breaker_config())],
         };
@@ -2256,12 +1952,9 @@ mod tests {
             watchdog_trips: 0,
             degradation: DegradationTrace::default(),
             injections: FaultCounts::default(),
-            predicted_openings: [0; EVENT_CLASSES],
-            routed_entries: [batches * 8, 0, 0],
             solver_nodes: batches * 1_000,
             memo_hits: batches * 5,
             memo_misses: batches * 7,
-            ema: vec![batches as u64; 4],
             failures: Vec::new(),
             breakers: vec![CircuitBreaker::new(&breaker_config())],
         };
@@ -2286,33 +1979,33 @@ mod tests {
     }
 
     #[test]
-    fn old_journal_versions_parse_with_zeroed_new_fields() {
+    fn older_journal_versions_are_version_errors() {
         let energy = 7.5f64.to_bits();
+        let j3 = checksummed(&format!(
+            "PESFLEETJ3 batch=3 step=4 next_unit=24 shed=1 completed=23 retries=2 \
+             violations=5 events=400 energy={energy:016x} wd=1 deg=20,1,1,1,0 \
+             inj=0,0,0,0,0,0,0,0 pred=9,8,7,6,5,4,3 nodes=10 mh=1 mm=2 ent=23,0,0 ema=- \
+             fail=- brk=C:0:0:0:0:-"
+        ));
         let j2 = checksummed(&format!(
             "PESFLEETJ2 batch=3 step=4 next_unit=24 shed=1 completed=23 retries=2 \
              violations=5 events=400 energy={energy:016x} wd=1 deg=20,1,1,1,0 \
              inj=0,0,0,0,0,0,0,0 pred=9,8,7,6,5,4,3 fail=- brk=C:0:0:0:0:-"
         ));
-        let parsed = parse_record(&j2, &breaker_config()).expect("J2 record still parses");
-        assert_eq!(parsed.batches, 3);
-        assert_eq!(parsed.predicted_openings, [9, 8, 7, 6, 5, 4, 3]);
-        assert_eq!(parsed.routed_entries, [0; 3]);
-        assert_eq!(
-            (parsed.solver_nodes, parsed.memo_hits, parsed.memo_misses),
-            (0, 0, 0)
-        );
-        assert!(parsed.ema.is_empty(), "J2 has no routing EMAs");
-
         let j1 = checksummed(&format!(
             "PESFLEETJ1 batch=2 step=2 next_unit=16 shed=0 completed=16 retries=0 \
              violations=3 events=200 energy={energy:016x} wd=0 deg=16,0,0,0,0 \
              inj=0,0,0,0,0,0,0,0 fail=- brk=C:0:0:0:0:-"
         ));
-        let parsed = parse_record(&j1, &breaker_config()).expect("J1 record still parses");
-        assert_eq!(parsed.batches, 2);
-        assert_eq!(parsed.predicted_openings, [0; EVENT_CLASSES]);
-        assert_eq!(parsed.routed_entries, [0; 3]);
-        assert!(parsed.ema.is_empty());
+        for (line, magic) in [(j3, "PESFLEETJ3"), (j2, "PESFLEETJ2"), (j1, "PESFLEETJ1")] {
+            match parse_record(&line, &breaker_config()) {
+                Err(FleetError::JournalVersion { found, supported }) => {
+                    assert_eq!(found, magic);
+                    assert_eq!(supported, JOURNAL_MAGIC);
+                }
+                other => panic!("expected a version error for {magic}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -2330,23 +2023,19 @@ mod tests {
             watchdog_trips: 0,
             degradation: DegradationTrace::default(),
             injections: FaultCounts::default(),
-            predicted_openings: [0; EVENT_CLASSES],
-            routed_entries: [8, 0, 0],
             solver_nodes: 100,
             memo_hits: 1,
             memo_misses: 2,
-            ema: vec![0; 4],
             failures: Vec::new(),
             breakers: vec![CircuitBreaker::new(&breaker_config())],
         };
         let line = encode_record(&record);
         let (payload, _) = line.rsplit_once(" #").expect("checksummed");
-        let future = checksummed(&payload.replace("PESFLEETJ3", "PESFLEETJ9"));
+        let future = checksummed(&payload.replace(JOURNAL_MAGIC, "PESFLEETJ9"));
         match parse_record(&future, &breaker_config()) {
             Err(FleetError::JournalVersion { found, supported }) => {
                 assert_eq!(found, "PESFLEETJ9");
-                assert!(supported.contains("PESFLEETJ3"));
-                assert!(supported.contains("PESFLEETJ1"));
+                assert_eq!(supported, JOURNAL_MAGIC);
             }
             other => panic!("expected JournalVersion error, got {other:?}"),
         }
@@ -2361,45 +2050,6 @@ mod tests {
             Err(FleetError::JournalVersion { .. })
         ));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn cost_router_classifies_by_thresholds_and_ema_converges() {
-        let routing = CostRouteConfig {
-            enabled: true,
-            ema_shift: 2,
-            hot_nodes: 20_000,
-            cold_nodes: 2_000,
-        };
-        assert_eq!(routing.classify(0), SolveEntry::Exact);
-        assert_eq!(routing.classify(2_000), SolveEntry::Exact);
-        assert_eq!(routing.classify(2_001), SolveEntry::Anytime);
-        assert_eq!(routing.classify(19_999), SolveEntry::Anytime);
-        assert_eq!(routing.classify(20_000), SolveEntry::Greedy);
-        let disabled = CostRouteConfig::default();
-        assert_eq!(disabled.classify(u64::MAX), SolveEntry::Exact);
-
-        // A constant sample stream converges the EMA onto the sample.
-        let mut ema = 0u64;
-        for _ in 0..64 {
-            ema = ema_update(ema, 40_000, 2);
-        }
-        assert!(
-            (39_000..=40_000).contains(&ema),
-            "EMA should converge near the sample: {ema}"
-        );
-
-        // The memo discount: a fully-cached replay costs nothing.
-        let mut outcome = UnitOutcome::clean();
-        outcome.solver_nodes = 10_000;
-        outcome.memo_hits = 50;
-        outcome.memo_misses = 0;
-        assert_eq!(cost_sample(&outcome), 0);
-        outcome.memo_hits = 0;
-        outcome.memo_misses = 50;
-        assert_eq!(cost_sample(&outcome), 10_000);
-        outcome.watchdog_trips = 2;
-        assert_eq!(cost_sample(&outcome), 10_000 + 2 * WATCHDOG_TRIP_COST_NODES);
     }
 
     mod journal_robustness {

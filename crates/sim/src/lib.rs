@@ -48,8 +48,8 @@ pub use experiments::{
 };
 pub use fleet::{
     fleet_admission_dry_run, resume_fleet, run_fleet, run_fleet_journaled, unit_scenario,
-    BreakerConfig, BreakerState, CircuitBreaker, CostRouteConfig, FleetConfig, FleetError,
-    FleetRunReport, FleetSpec, ShedPolicy, EVENT_CLASSES,
+    BreakerConfig, BreakerState, CircuitBreaker, FleetConfig, FleetError, FleetRunReport,
+    FleetSpec, ShedPolicy,
 };
 pub use parallel::{
     par_map, par_map_supervised, par_map_supervised_streaming, par_map_supervised_with,

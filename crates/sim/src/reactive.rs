@@ -40,8 +40,7 @@ pub struct ReactiveReport {
     /// [`Scheduler::unprofiled_fallbacks`]); mirrors the proactive
     /// `RunReport::unprofiled_fallbacks`.
     pub unprofiled_fallbacks: usize,
-    /// QoS violations, counted at commit time by the engine's frame ledger
-    /// (identical to scanning `records` — the reactive differential test
+    /// QoS violations, counted at commit time by the engine (identical to scanning `records` — the reactive differential test
     /// pins the two against each other).
     pub violations: usize,
 }
@@ -52,13 +51,13 @@ impl ReactiveReport {
         self.records.len()
     }
 
-    /// Number of QoS violations (the ledger counter; O(1)).
+    /// Number of QoS violations (the engine's commit-time counter; O(1)).
     pub fn violations(&self) -> usize {
         self.violations
     }
 
-    /// Number of QoS violations by scanning the per-event records — the
-    /// pre-ledger derivation, retained for differential checks.
+    /// Number of QoS violations by scanning the per-event records, for
+    /// differential checks against the counter.
     pub fn violations_scanned(&self) -> usize {
         self.records.iter().filter(|r| r.outcome.violated()).count()
     }
@@ -160,7 +159,7 @@ mod tests {
         assert_eq!(report.events(), trace.len());
         assert_eq!(report.policy, "EBS");
         assert!(report.total_energy.as_millijoules() > 0.0);
-        // The ledger's commit-time counter and the record scan must agree.
+        // The engine's commit-time counter and the record scan must agree.
         assert_eq!(report.violations(), report.violations_scanned());
         // Finish times never precede arrivals under a reactive policy.
         for r in &report.records {

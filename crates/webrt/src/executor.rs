@@ -17,10 +17,9 @@ use pes_acmp::{
 use pes_dom::Interaction;
 
 use crate::event::{EventId, WebEvent};
-use crate::ledger::FrameLedger;
 use crate::pipeline::RenderPipeline;
 use crate::qos::{QosOutcome, QosPolicy};
-use crate::vsync::{FrameScheduler, VsyncClock};
+use crate::vsync::VsyncClock;
 
 /// The record of one event execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,22 +68,13 @@ pub struct ExecutionEngine<'p> {
     platform: &'p Platform,
     dvfs: DvfsModel<'p>,
     pipeline: RenderPipeline,
-    /// Presentation scheduling: predicts each commit's display instant from
-    /// the last presentation's feedback instead of re-deriving the VSync
-    /// grid per event (the reference arithmetic stays available through
-    /// [`FrameScheduler::clock`]).
-    frames: FrameScheduler,
+    vsync: VsyncClock,
     qos: QosPolicy,
     transitions: TransitionModel,
     meter: EnergyMeter<'p>,
-    /// Deferred energy samples plus frame/violation counters, flushed into
-    /// the meter once per frame commit (see [`FrameLedger`]).
-    ledger: FrameLedger,
-    /// When set, the engine keeps the pre-ledger behaviour: every sample is
-    /// metered the moment it happens and every commit runs the per-event
-    /// `div_ceil`. The differential suites replay both engines over the
-    /// same inputs and require bit-identical energy and outcomes.
-    reference_accounting: bool,
+    /// QoS violations among the committed outcomes, counted at commit so
+    /// [`ExecutionEngine::violations`] never rescans the outcome log.
+    violations: usize,
     current_config: AcmpConfig,
     cpu_free_at: TimeUs,
     outcomes: Vec<(EventId, QosOutcome)>,
@@ -109,12 +99,11 @@ impl<'p> ExecutionEngine<'p> {
             platform,
             dvfs: DvfsModel::with_ladder(platform, Arc::clone(&plane)),
             pipeline: RenderPipeline::new(),
-            frames: FrameScheduler::new(VsyncClock::sixty_hz()),
+            vsync: VsyncClock::sixty_hz(),
             qos,
             transitions: TransitionModel::exynos_defaults(),
             meter: EnergyMeter::with_plane(platform, plane),
-            ledger: FrameLedger::with_capacity(8),
-            reference_accounting: false,
+            violations: 0,
             current_config: platform.min_power_config(),
             cpu_free_at: TimeUs::ZERO,
             // One paper-suite session is ~31 events; seeding the logs
@@ -127,15 +116,6 @@ impl<'p> ExecutionEngine<'p> {
     /// Replaces the transition model (ablation: free transitions).
     pub fn with_transitions(mut self, transitions: TransitionModel) -> Self {
         self.transitions = transitions;
-        self
-    }
-
-    /// Switches the engine to the retained pre-ledger accounting path:
-    /// per-event metering and the per-commit `div_ceil` vsync scan. Kept so
-    /// the differential suites can pin the ledger/scheduler engine against
-    /// the original math bit for bit.
-    pub fn with_reference_accounting(mut self) -> Self {
-        self.reference_accounting = true;
         self
     }
 
@@ -156,25 +136,12 @@ impl<'p> ExecutionEngine<'p> {
 
     /// The VSync clock.
     pub fn vsync(&self) -> &VsyncClock {
-        self.frames.clock()
+        &self.vsync
     }
 
     /// Replaces the VSync clock mid-replay (e.g. a refresh-rate change).
-    /// The frame scheduler drops its feedback when the grid moves, so
-    /// presentation prediction stays exact across the switch.
     pub fn set_vsync(&mut self, clock: VsyncClock) {
-        self.frames.set_clock(clock);
-    }
-
-    /// The presentation-feedback frame scheduler (telemetry: feedback hits
-    /// vs. cold predictions).
-    pub fn frame_scheduler(&self) -> &FrameScheduler {
-        &self.frames
-    }
-
-    /// The per-frame ledger (telemetry: frames committed, pending samples).
-    pub fn ledger(&self) -> &FrameLedger {
-        &self.ledger
+        self.vsync = clock;
     }
 
     /// The configuration the hardware is currently set to.
@@ -187,24 +154,14 @@ impl<'p> ExecutionEngine<'p> {
         self.cpu_free_at
     }
 
-    /// Total processor energy so far. Samples still deferred in the ledger
-    /// are folded over the meter snapshot bit-identically to a flush.
+    /// Total processor energy so far.
     pub fn total_energy(&self) -> EnergyUj {
-        if self.ledger.is_empty() {
-            self.meter.total()
-        } else {
-            self.ledger.fold_total(&self.meter)
-        }
+        self.meter.total()
     }
 
-    /// Energy attributed to a specific activity kind (pending ledger
-    /// samples folded in, as in [`ExecutionEngine::total_energy`]).
+    /// Energy attributed to a specific activity kind.
     pub fn energy_for(&self, activity: ActivityKind) -> EnergyUj {
-        if self.ledger.is_empty() {
-            self.meter.for_activity(activity)
-        } else {
-            self.ledger.fold_activity(&self.meter, activity)
-        }
+        self.meter.for_activity(activity)
     }
 
     /// The per-event QoS outcomes recorded so far.
@@ -232,11 +189,7 @@ impl<'p> ExecutionEngine<'p> {
     pub fn idle_until(&mut self, until: TimeUs) {
         if until > self.cpu_free_at {
             let duration = until - self.cpu_free_at;
-            if self.reference_accounting {
-                self.meter.record_idle(&self.current_config, duration);
-            } else {
-                self.ledger.push_idle(self.current_config, duration);
-            }
+            self.meter.record_idle(&self.current_config, duration);
             self.cpu_free_at = until;
         }
     }
@@ -249,11 +202,7 @@ impl<'p> ExecutionEngine<'p> {
         }
         let cost = self.transitions.cost(&self.current_config, config);
         if !cost.is_zero() {
-            if self.reference_accounting {
-                self.meter.record_transition(config, cost);
-            } else {
-                self.ledger.push_transition(*config, cost);
-            }
+            self.meter.record_transition(config, cost);
             self.cpu_free_at += cost;
         }
         self.current_config = *config;
@@ -288,14 +237,8 @@ impl<'p> ExecutionEngine<'p> {
         // Speculative work is attributed as useful for now; it is
         // re-attributed to waste if the frame is later squashed
         // (see `account_squashed_frame`).
-        if self.reference_accounting {
-            self.meter
-                .record_busy(config, busy, ActivityKind::UsefulWork);
-        } else {
-            self.ledger
-                .push_busy(*config, busy, ActivityKind::UsefulWork);
-        }
-        self.frames.frame_produced();
+        self.meter
+            .record_busy(config, busy, ActivityKind::UsefulWork);
         self.cpu_free_at = frame_ready_at;
         let record = ExecutionRecord {
             event: event.id(),
@@ -313,26 +256,14 @@ impl<'p> ExecutionEngine<'p> {
     /// Commits a frame produced for `event` at `frame_ready_at`: the frame is
     /// displayed at the next VSync no earlier than both the frame readiness
     /// and the event arrival, and the QoS outcome is recorded and returned.
-    ///
-    /// On the ledger path this is the once-per-frame settlement point: the
-    /// deferred energy samples are flushed into the meter and the display
-    /// instant comes from the feedback scheduler (bit-identical to the
-    /// reference `div_ceil` by the scheduler's invariant).
     pub fn commit(&mut self, event: &WebEvent, frame_ready_at: TimeUs) -> QosOutcome {
         let visible_from = frame_ready_at.max(event.arrival());
-        let displayed = if self.reference_accounting {
-            self.frames.clock().next_refresh_at_or_after(visible_from)
-        } else {
-            self.ledger.flush_into(&mut self.meter);
-            self.frames.presentation_at(visible_from)
-        };
-        self.frames.frame_retired();
         let outcome = QosOutcome {
             triggered_at: event.arrival(),
-            displayed_at: displayed,
+            displayed_at: self.vsync.next_refresh_at_or_after(visible_from),
             target: self.qos.target_for_event(event.event_type()),
         };
-        self.ledger.note_commit(outcome.violated());
+        self.violations += usize::from(outcome.violated());
         self.outcomes.push((event.id(), outcome));
         outcome
     }
@@ -340,10 +271,6 @@ impl<'p> ExecutionEngine<'p> {
     /// Re-attributes the energy of a squashed speculative execution from
     /// useful work to speculative waste.
     pub fn account_squashed_frame(&mut self, record: &ExecutionRecord) {
-        // Re-attribution clamps against the useful-work bucket, so any
-        // deferred samples must land in the meter first.
-        self.ledger.flush_into(&mut self.meter);
-        self.frames.frame_retired();
         let energy = self
             .dvfs
             .execution_power(&record.config)
@@ -354,30 +281,12 @@ impl<'p> ExecutionEngine<'p> {
 
     /// Fraction of total energy wasted on squashed speculative work.
     pub fn waste_fraction(&self) -> f64 {
-        if self.ledger.is_empty() {
-            return self.meter.speculative_waste_fraction();
-        }
-        // Same expression as `EnergyMeter::speculative_waste_fraction`, with
-        // the pending ledger samples folded into the denominator. The engine
-        // only defers useful-work/idle/transition samples (waste exists only
-        // after a squash, which flushes first), so the numerator is always
-        // the meter's own bucket.
-        let total = self.ledger.fold_total(&self.meter);
-        if total.as_microjoules() == 0.0 {
-            return 0.0;
-        }
-        self.meter.for_activity(ActivityKind::SpeculativeWaste) / total
+        self.meter.speculative_waste_fraction()
     }
 
-    /// Number of QoS violations recorded so far. Served by the ledger's
-    /// commit counter; the reference path keeps the original outcome-log
-    /// scan so the differential suites compare both.
+    /// Number of QoS violations recorded so far.
     pub fn violations(&self) -> usize {
-        if self.reference_accounting {
-            self.outcomes.iter().filter(|(_, o)| o.violated()).count()
-        } else {
-            self.ledger.violations()
-        }
+        self.violations
     }
 }
 

@@ -8,23 +8,6 @@ use pes_acmp::units::TimeUs;
 
 use crate::event::EventId;
 
-/// Feedback from the last committed presentation, in the style of a Wayland
-/// `presented` event: the instant the frame was shown and the refresh
-/// interval the display reported at that moment.
-///
-/// The [`FrameScheduler`](crate::FrameScheduler) predicts the next
-/// presentation from this feedback instead of re-deriving the VSync grid
-/// from absolute time on every commit. Both fields are integer microseconds
-/// — the scheduler never consults a wall clock, so replays stay
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PresentationFeedback {
-    /// When the last frame was actually shown (a VSync instant).
-    pub presented_at: TimeUs,
-    /// The refresh interval the display reported with that presentation.
-    pub refresh: TimeUs,
-}
-
 /// The lifecycle state of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameState {

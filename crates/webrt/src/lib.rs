@@ -57,7 +57,6 @@
 pub mod event;
 pub mod executor;
 pub mod frame;
-pub mod ledger;
 pub mod pipeline;
 pub mod qos;
 pub mod queue;
@@ -65,12 +64,11 @@ pub mod vsync;
 
 pub use event::{EventId, WebEvent};
 pub use executor::{ExecutionEngine, ExecutionRecord};
-pub use frame::{Frame, FrameState, PresentationFeedback};
-pub use ledger::FrameLedger;
+pub use frame::{Frame, FrameState};
 pub use pipeline::{PipelineExecution, RenderPipeline, RenderStage, StageProfile, StageTiming};
 pub use qos::{QosOutcome, QosPolicy};
 pub use queue::EventQueue;
-pub use vsync::{FrameScheduler, VsyncClock};
+pub use vsync::VsyncClock;
 
 #[cfg(test)]
 mod tests {

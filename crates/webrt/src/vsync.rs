@@ -1,26 +1,13 @@
-//! The display refresh (VSync) clock and the presentation-feedback frame
-//! scheduler.
+//! The display refresh (VSync) clock.
 //!
 //! Frames produced by the rendering engine are only shown at the next display
 //! refresh, which arrives at 60 Hz on the mobile devices the paper targets
 //! (Sec. 2, Fig. 1). The event latency therefore includes an idle period
-//! between frame readiness and the next VSync.
-//!
-//! Two ways of finding that refresh instant live here:
-//!
-//! * [`VsyncClock::next_refresh_at_or_after`] — the *reference* path: a
-//!   `div_ceil` against absolute time, re-derived per event. Retained
-//!   verbatim so the differential tests can pin the feedback path against
-//!   it bit for bit.
-//! * [`FrameScheduler`] — the fast path: predicts the next presentation
-//!   from the last presentation's [`PresentationFeedback`] plus the refresh
-//!   interval and a pending-commit latency hint, stepping along the VSync
-//!   grid instead of dividing. Exact by construction (see the invariant on
-//!   [`FrameScheduler::presentation_at`]).
+//! between frame readiness and the next VSync. Time zero is a VSync, so the
+//! refresh a frame is shown at is one `div_ceil` against absolute time
+//! ([`VsyncClock::next_refresh_at_or_after`]).
 
 use pes_acmp::units::TimeUs;
-
-use crate::frame::PresentationFeedback;
 
 /// A fixed-rate VSync clock.
 ///
@@ -89,194 +76,6 @@ impl Default for VsyncClock {
     }
 }
 
-/// How many grid steps the feedback path walks before conceding to the
-/// reference `div_ceil`. Consecutive commits land within a few refreshes of
-/// each other, so the walk almost always terminates in 0–2 steps; a long
-/// idle gap (or a commit far in the past) costs one bounded walk attempt
-/// plus the division it would have paid anyway.
-const MAX_FEEDBACK_STEPS: u64 = 8;
-
-/// A feedback-driven frame scheduler: predicts the presentation instant of
-/// the next committed frame from the last presentation, the refresh
-/// interval, and the number of produced-but-uncommitted frames, in the style
-/// of a Wayland compositor's frame scheduler.
-///
-/// The per-event reference path re-derives the VSync grid from absolute
-/// time with a 64-bit division per commit. This scheduler instead keeps the
-/// last [`PresentationFeedback`] and *steps* along the grid from it —
-/// integer adds and compares, no division, no wall clock, fully
-/// deterministic. When the target lies further than `MAX_FEEDBACK_STEPS`
-/// refreshes from the seeded guess (cold start, long idle gaps, a fault
-/// that pushed a commit far ahead), it falls back to the reference
-/// arithmetic, so the answer is **always** bit-identical to
-/// [`VsyncClock::next_refresh_at_or_after`].
-///
-/// # Examples
-///
-/// ```
-/// use pes_webrt::{FrameScheduler, VsyncClock};
-/// use pes_acmp::units::TimeUs;
-///
-/// let clock = VsyncClock::sixty_hz();
-/// let mut frames = FrameScheduler::new(clock);
-/// // First frame: no feedback yet, resolved by the reference arithmetic.
-/// let first = frames.presentation_at(TimeUs::from_millis(20));
-/// assert_eq!(first, clock.next_refresh_at_or_after(TimeUs::from_millis(20)));
-/// // Subsequent frames step from the recorded feedback — same answers.
-/// let second = frames.presentation_at(TimeUs::from_millis(40));
-/// assert_eq!(second, clock.next_refresh_at_or_after(TimeUs::from_millis(40)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameScheduler {
-    clock: VsyncClock,
-    /// Feedback from the last presentation, `None` until the first commit
-    /// (and again after a refresh-interval change, which moves the grid).
-    feedback: Option<PresentationFeedback>,
-    /// Frames produced by the engine but not yet committed or squashed —
-    /// the Pending Frame Buffer depth, as the scheduler sees it. Used only
-    /// to seed the grid walk; correctness never depends on it.
-    pending_commits: u32,
-    /// Presentations answered by the feedback walk (telemetry).
-    feedback_hits: u64,
-    /// Presentations that fell back to the reference arithmetic (cold
-    /// start, long gaps, backlog beyond the walk bound; telemetry).
-    cold_predictions: u64,
-}
-
-impl FrameScheduler {
-    /// Creates a scheduler with no presentation feedback yet.
-    pub fn new(clock: VsyncClock) -> Self {
-        FrameScheduler {
-            clock,
-            feedback: None,
-            pending_commits: 0,
-            feedback_hits: 0,
-            cold_predictions: 0,
-        }
-    }
-
-    /// The underlying VSync clock.
-    pub fn clock(&self) -> &VsyncClock {
-        &self.clock
-    }
-
-    /// Replaces the VSync clock. A different refresh period moves the
-    /// whole presentation grid, so any recorded feedback is discarded and
-    /// the next prediction resolves cold (mid-replay refresh-rate changes
-    /// stay exact).
-    pub fn set_clock(&mut self, clock: VsyncClock) {
-        if clock.period() != self.clock.period() {
-            self.feedback = None;
-        }
-        self.clock = clock;
-    }
-
-    /// The last presentation feedback, if any frame has been presented.
-    pub fn feedback(&self) -> Option<PresentationFeedback> {
-        self.feedback
-    }
-
-    /// Frames produced but not yet committed or squashed.
-    pub fn pending_commits(&self) -> u32 {
-        self.pending_commits
-    }
-
-    /// Predictions served by the feedback walk.
-    pub fn feedback_hits(&self) -> u64 {
-        self.feedback_hits
-    }
-
-    /// Predictions that resolved through the reference arithmetic.
-    pub fn cold_predictions(&self) -> u64 {
-        self.cold_predictions
-    }
-
-    /// Notes that the engine produced a frame whose commit is still
-    /// outstanding (it entered the Pending Frame Buffer).
-    pub fn frame_produced(&mut self) {
-        self.pending_commits = self.pending_commits.saturating_add(1);
-    }
-
-    /// Notes that an outstanding frame left the buffer (committed or
-    /// squashed).
-    pub fn frame_retired(&mut self) {
-        self.pending_commits = self.pending_commits.saturating_sub(1);
-    }
-
-    /// The presentation instant for a frame visible from `visible_from`,
-    /// recording the result as the next prediction's feedback.
-    ///
-    /// # Invariant
-    ///
-    /// Always equals `self.clock().next_refresh_at_or_after(visible_from)`.
-    /// Every recorded presentation is an exact multiple of the period (time
-    /// zero is a VSync), so stepping whole periods from it stays on the
-    /// same absolute grid the reference division derives; when the bounded
-    /// walk cannot reach the target it *runs* the reference division. The
-    /// differential proptests and the frame-scheduler cold-path suite pin
-    /// this equality.
-    pub fn presentation_at(&mut self, visible_from: TimeUs) -> TimeUs {
-        let presented_at = match self.predict(visible_from) {
-            Some(stepped) => {
-                self.feedback_hits += 1;
-                stepped
-            }
-            None => {
-                self.cold_predictions += 1;
-                self.clock.next_refresh_at_or_after(visible_from)
-            }
-        };
-        self.feedback = Some(PresentationFeedback {
-            presented_at,
-            refresh: self.clock.period(),
-        });
-        presented_at
-    }
-
-    /// The bounded grid walk: seed at the last presentation plus one
-    /// refresh per pending commit, then correct towards the unique grid
-    /// point in `[visible_from, visible_from + period)`. `None` when there
-    /// is no feedback or the target is out of walking range.
-    fn predict(&self, visible_from: TimeUs) -> Option<TimeUs> {
-        let feedback = self.feedback?;
-        let period = self.clock.period().as_micros();
-        let target_floor = visible_from.as_micros();
-        let latency = u64::from(self.pending_commits).saturating_add(1);
-        let mut candidate = feedback
-            .presented_at
-            .as_micros()
-            .checked_add(period.checked_mul(latency)?)?;
-        // Out-of-range targets concede to the reference division up front:
-        // one multiply and one compare instead of a doomed full-length walk
-        // (long inter-event gaps would otherwise pay the walk *and* the
-        // division on every commit).
-        let reach = period.checked_mul(MAX_FEEDBACK_STEPS)?;
-        if candidate < target_floor {
-            // Walk up until the refresh is at or after frame visibility:
-            // `k = ceil(deficit / period)` steps, in range iff `k` is at
-            // most `MAX_FEEDBACK_STEPS` iff `deficit <= reach`.
-            if target_floor - candidate > reach {
-                return None;
-            }
-            while candidate < target_floor {
-                candidate += period;
-            }
-        } else {
-            // Walk down while a whole earlier refresh still covers the
-            // frame: `m = floor(excess / period)` steps, in range iff
-            // `excess < reach + period`.
-            let excess = candidate - target_floor;
-            if excess >= reach.checked_add(period)? {
-                return None;
-            }
-            while candidate - target_floor >= period {
-                candidate -= period;
-            }
-        }
-        Some(TimeUs::from_micros(candidate))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,112 +118,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_period_panics() {
         let _ = VsyncClock::with_period(TimeUs::ZERO);
-    }
-
-    /// Every `presentation_at` answer must equal the reference division —
-    /// the invariant the engine's commit path relies on.
-    fn assert_parity(frames: &mut FrameScheduler, visible_from: TimeUs) {
-        let reference = frames.clock().next_refresh_at_or_after(visible_from);
-        assert_eq!(
-            frames.presentation_at(visible_from),
-            reference,
-            "feedback prediction diverged from the reference at {visible_from}"
-        );
-    }
-
-    #[test]
-    fn first_frame_before_any_feedback_resolves_cold_and_exact() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        assert!(frames.feedback().is_none());
-        assert_parity(&mut frames, TimeUs::from_millis(20));
-        assert_eq!(frames.cold_predictions(), 1);
-        assert_eq!(frames.feedback_hits(), 0);
-        let fb = frames.feedback().expect("first commit records feedback");
-        assert_eq!(fb.presented_at, TimeUs::from_micros(33_334));
-        assert_eq!(fb.refresh, TimeUs::from_micros(16_667));
-        // The second, nearby frame is answered by the feedback walk.
-        assert_parity(&mut frames, TimeUs::from_millis(30));
-        assert_eq!(frames.feedback_hits(), 1);
-    }
-
-    #[test]
-    fn dense_commit_streams_stay_on_the_feedback_path() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        let mut t = 5_000u64;
-        for step in [3_000, 16_000, 16_667, 1, 40_000, 0, 33_334, 12_345] {
-            t += step;
-            assert_parity(&mut frames, TimeUs::from_micros(t));
-        }
-        // All but the cold first prediction walked from feedback.
-        assert_eq!(frames.cold_predictions(), 1);
-        assert_eq!(frames.feedback_hits(), 7);
-    }
-
-    #[test]
-    fn saturated_pending_backlog_keeps_predictions_exact() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        assert_parity(&mut frames, TimeUs::from_millis(10));
-        // A deep speculative backlog seeds the walk far ahead of the next
-        // commit; the walk must come back down without losing exactness.
-        for _ in 0..40 {
-            frames.frame_produced();
-        }
-        assert_eq!(frames.pending_commits(), 40);
-        assert_parity(&mut frames, TimeUs::from_millis(18));
-        for _ in 0..40 {
-            frames.frame_retired();
-        }
-        assert_eq!(frames.pending_commits(), 0);
-        // Retiring below zero saturates instead of wrapping.
-        frames.frame_retired();
-        assert_eq!(frames.pending_commits(), 0);
-        assert_parity(&mut frames, TimeUs::from_millis(35));
-    }
-
-    #[test]
-    fn commits_regressing_behind_the_last_presentation_stay_exact() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        // A late-vsync fault can push one commit several periods ahead; the
-        // next commit then lands *before* the recorded presentation.
-        assert_parity(&mut frames, TimeUs::from_millis(500));
-        // ~24 refreshes back: beyond the walk bound, resolved cold.
-        assert_parity(&mut frames, TimeUs::from_millis(110));
-        assert_eq!(frames.cold_predictions(), 2);
-        // ~7 refreshes back: within the bound, walked down exactly.
-        assert_parity(&mut frames, TimeUs::from_millis(1));
-        assert_eq!(frames.cold_predictions(), 2);
-        assert_eq!(frames.feedback_hits(), 1);
-    }
-
-    #[test]
-    fn long_idle_gaps_fall_back_to_the_reference_arithmetic() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        assert_parity(&mut frames, TimeUs::from_millis(5));
-        let cold_before = frames.cold_predictions();
-        // A two-second gap is ~120 refreshes — beyond the walk bound.
-        assert_parity(&mut frames, TimeUs::from_secs(2));
-        assert_eq!(frames.cold_predictions(), cold_before + 1);
-        // The fallback still re-seeds the feedback for the frames after it.
-        assert_parity(&mut frames, TimeUs::from_micros(2_005_000));
-        assert_eq!(frames.cold_predictions(), cold_before + 1);
-    }
-
-    #[test]
-    fn refresh_interval_change_mid_replay_resets_feedback_and_stays_exact() {
-        let mut frames = FrameScheduler::new(VsyncClock::sixty_hz());
-        assert_parity(&mut frames, TimeUs::from_millis(20));
-        assert!(frames.feedback().is_some());
-        // Switch to a 120 Hz panel mid-replay: the grid moves, so the
-        // feedback must be dropped and the next prediction resolved cold.
-        frames.set_clock(VsyncClock::with_period(TimeUs::from_micros(8_333)));
-        assert!(frames.feedback().is_none());
-        let cold_before = frames.cold_predictions();
-        assert_parity(&mut frames, TimeUs::from_millis(25));
-        assert_eq!(frames.cold_predictions(), cold_before + 1);
-        assert_parity(&mut frames, TimeUs::from_millis(26));
-        // Setting the same period keeps the feedback warm.
-        frames.set_clock(VsyncClock::with_period(TimeUs::from_micros(8_333)));
-        assert!(frames.feedback().is_some());
-        assert_parity(&mut frames, TimeUs::from_millis(27));
     }
 }

@@ -1,4 +1,4 @@
-//! Ignored micro-profiling harness for the PR-10 engine-floor work; run
+//! Ignored micro-profiling harness for the engine floor; run
 //! manually with `cargo test --release --test engine_floor_micro -- --ignored --nocapture`.
 
 use std::sync::Arc;
@@ -37,25 +37,20 @@ fn engine_floor_micro() {
     let cfg_slow = platform.min_power_config();
     const N: usize = 20_000;
 
-    for mode in ["ledger", "reference"] {
-        let t = Instant::now();
-        let mut sink = 0usize;
-        for _ in 0..N {
-            let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane));
-            if mode == "reference" {
-                engine = engine.with_reference_accounting();
-            }
-            for (i, ev) in evs.iter().enumerate() {
-                let cfg = if i % 4 == 0 { cfg_slow } else { cfg_fast };
-                let record = engine.execute_event(ev, &cfg, false);
-                engine.commit(ev, record.frame_ready_at);
-            }
-            sink += engine.violations();
+    let t = Instant::now();
+    let mut sink = 0usize;
+    for _ in 0..N {
+        let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane));
+        for (i, ev) in evs.iter().enumerate() {
+            let cfg = if i % 4 == 0 { cfg_slow } else { cfg_fast };
+            let record = engine.execute_event(ev, &cfg, false);
+            engine.commit(ev, record.frame_ready_at);
         }
-        let per = t.elapsed().as_nanos() as f64 / N as f64;
-        println!(
-            "{mode}: {per:.0} ns/replay ({:.1} ns/event)  sink={sink}",
-            per / 31.0
-        );
+        sink += engine.violations();
     }
+    let per = t.elapsed().as_nanos() as f64 / N as f64;
+    println!(
+        "{per:.0} ns/replay ({:.1} ns/event)  sink={sink}",
+        per / 31.0
+    );
 }

@@ -1243,9 +1243,8 @@ mod fleet_resilience {
     }
 }
 
-/// PR 8 — the batched + SIMD prediction plane. The packed f32 kernels (and
-/// their `core::simd` twins, when the `portable-simd` feature is on) are
-/// locked down differentially against the retained per-class scalar paths:
+/// PR 8 — the batched prediction plane. The packed f32 kernels are locked
+/// down differentially against the retained per-class scalar paths:
 /// one session at a time must equal the whole-batch matrix pass bit for bit,
 /// and the f32 re-layout must reproduce the f64 reference argmax whenever
 /// the decision margin is clear of rounding noise.
@@ -1253,9 +1252,7 @@ mod prediction_plane {
     use proptest::prelude::*;
 
     use pes::dom::{EventType, EventTypeSet};
-    use pes::predictor::{
-        LogisticModel, OneVsRestClassifier, PackedModel, QuantizedModel, FEATURE_DIM,
-    };
+    use pes::predictor::{LogisticModel, OneVsRestClassifier, PackedModel, FEATURE_DIM};
 
     const NUM_CLASSES: usize = EventType::ALL.len();
 
@@ -1389,37 +1386,6 @@ mod prediction_plane {
             let (packed_event, _) = packed.predict_masked(&padded, mask);
             prop_assert_eq!(ref_event, packed_event);
         }
-
-        /// Quantised i8 raw scores stay within the analytic rounding bound
-        /// of the f32 scores: per-class error ≤ 0.5 · scale · Σ|x| plus a
-        /// small accumulation slack.
-        #[test]
-        fn quantised_scores_within_rounding_bound(
-            weights in weights_strategy(),
-            biases in biases_strategy(),
-            features in proptest::collection::vec(-10.0f64..10.0, FEATURE_DIM..FEATURE_DIM + 1),
-        ) {
-            let packed = PackedModel::from_classifier(&classifier(&weights, &biases));
-            let quantised = QuantizedModel::from_packed(&packed);
-
-            let mut padded = Vec::new();
-            packed.pad_features(&features, &mut padded);
-            let exact = packed.scores(&padded);
-            let approx = quantised.scores(&padded);
-
-            let abs_sum: f32 = padded.iter().map(|x| x.abs()).sum();
-            for c in 0..NUM_CLASSES {
-                let bound = 0.5 * quantised.scales()[c] * abs_sum * 1.001 + 1e-4;
-                prop_assert!(
-                    (exact[c] - approx[c]).abs() <= bound,
-                    "class {}: |{} - {}| > {}",
-                    c,
-                    exact[c],
-                    approx[c],
-                    bound
-                );
-            }
-        }
     }
 }
 
@@ -1439,8 +1405,7 @@ mod shared_memo {
     use pes::core::{FaultPlane, WatchdogConfig};
     use pes::predictor::{LearnerConfig, Trainer, TrainingConfig};
     use pes::sim::{
-        run_fleet, CostRouteConfig, ExperimentContext, FleetConfig, FleetRunReport, FleetSpec,
-        ScenarioCache,
+        run_fleet, ExperimentContext, FleetConfig, FleetRunReport, FleetSpec, ScenarioCache,
     };
     use pes::webrt::QosPolicy;
     use pes::workload::AppCatalog;
@@ -1489,7 +1454,6 @@ mod shared_memo {
         assert_eq!(shared.peak_queue, solo.peak_queue);
         assert_eq!(shared.degradation, solo.degradation);
         assert_eq!(shared.injections, solo.injections);
-        assert_eq!(shared.predicted_openings, solo.predicted_openings);
         assert_eq!(shared.watchdog_trips, solo.watchdog_trips);
         assert_eq!(shared.breaker_histories, solo.breaker_histories);
         assert_eq!(shared.breaker_finals, solo.breaker_finals);
@@ -1499,7 +1463,6 @@ mod shared_memo {
         assert_eq!(shared.solver_nodes, solo.solver_nodes);
         assert_eq!(shared.memo_hits, solo.memo_hits);
         assert_eq!(shared.memo_misses, solo.memo_misses);
-        assert_eq!(shared.routed_entries, solo.routed_entries);
     }
 
     proptest! {
@@ -1511,7 +1474,6 @@ mod shared_memo {
             threads in 1usize..=3,
             shards in 1usize..=3,
             scenario_cycle in 0usize..=3,
-            route_flag in 0u8..2,
         ) {
             let spec = FleetSpec {
                 sessions,
@@ -1528,10 +1490,6 @@ mod shared_memo {
                 threads,
                 shards,
                 watchdog: WatchdogConfig::disabled(),
-                cost_routing: CostRouteConfig {
-                    enabled: route_flag == 1,
-                    ..CostRouteConfig::default()
-                },
                 ..FleetConfig::default()
             };
             let solo_cfg = FleetConfig {
@@ -1555,11 +1513,11 @@ mod shared_memo {
 }
 
 // ---------------------------------------------------------------------------
-// Frame-scheduler / frame-ledger tier: the PR-10 engine refactor must be
-// bit-identical to the retained reference accounting path.
+// Engine floor: the O(1) violation counter and the VSync presentation rule
+// hold over arbitrary engine operation sequences.
 // ---------------------------------------------------------------------------
 
-mod frame_ledger {
+mod engine_floor {
     use super::*;
 
     use pes::core::{FaultConfig, FaultPlane};
@@ -1573,7 +1531,10 @@ mod frame_ledger {
         EventType::Navigate,
     ];
 
-    fn event(id: u64, ty_idx: usize, arrival_us: u64, mcycles: u64) -> WebEvent {
+    /// Refresh periods `set_vsync` draws from: 60, 120, 90 and 30 Hz.
+    const PERIODS_US: [u64; 4] = [16_667, 8_333, 11_111, 33_333];
+
+    pub(super) fn event(id: u64, ty_idx: usize, arrival_us: u64, mcycles: u64) -> WebEvent {
         WebEvent::new(
             EventId::new(id),
             EVENT_TYPES[ty_idx % EVENT_TYPES.len()],
@@ -1586,42 +1547,269 @@ mod frame_ledger {
         )
     }
 
-    /// Drives `fast` (ledger + feedback scheduler, the default) and
-    /// `reference` (`with_reference_accounting`) through the same operation
-    /// sequence and asserts every observable agrees bit for bit — including
-    /// *mid-replay*, while samples are still deferred in the ledger.
-    fn assert_engines_agree(fast: &ExecutionEngine<'_>, reference: &ExecutionEngine<'_>) {
+    proptest! {
+        /// Over arbitrary interleavings of idle / switch / execute / commit
+        /// / speculate / squash / refresh-rate operations — with late-vsync
+        /// fault injections perturbing commit times through the real
+        /// `FaultPlane` — after every operation the engine's violation
+        /// counter equals a scan of its outcome log, and every committed
+        /// frame is displayed at the first VSync (of the clock in force at
+        /// its commit) at or after both its readiness and its input.
+        #[test]
+        fn violation_counter_and_vsync_presentation_hold_after_every_op(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..17, 0u64..200, 0usize..5, 1u64..400),
+                1..50
+            ),
+            fault_seed in 0u64..1_000_000_000,
+            vsync_rate in 0.0f64..0.6,
+        ) {
+            let platform = Platform::exynos_5410();
+            let plane = std::sync::Arc::new(DvfsLadder::for_platform(&platform));
+            let mut engine =
+                ExecutionEngine::with_plane(&platform, QosPolicy::paper_defaults(), plane);
+            let faults = FaultPlane::new(FaultConfig {
+                seed: fault_seed,
+                vsync_delay: vsync_rate,
+                ..FaultConfig::disabled()
+            });
+            let mut fault_session = faults.session();
+
+            // Per committed outcome: the instant its frame became visible
+            // (`max(frame_ready_at, arrival)`) and the period in force.
+            let mut visible: Vec<(TimeUs, u64)> = Vec::new();
+            let mut pending: Vec<(WebEvent, ExecutionRecord)> = Vec::new();
+            let mut next_id = 0u64;
+            for (op, cfg_idx, delta_ms, ty_idx, mcycles) in ops {
+                let cfg = platform.configs()[cfg_idx % platform.configs().len()];
+                let mut commit = |engine: &mut ExecutionEngine<'_>, ev: &WebEvent, ready: TimeUs| {
+                    let period = engine.vsync().period().as_micros();
+                    engine.commit(ev, ready);
+                    visible.push((ready.max(ev.arrival()), period));
+                };
+                match op {
+                    // Idle forward from the CPU-free horizon.
+                    0 => {
+                        let until = engine.cpu_free_at() + TimeUs::from_millis(delta_ms);
+                        engine.idle_until(until);
+                    }
+                    // DVFS / migration switch.
+                    1 => engine.switch_config(&cfg),
+                    // Execute + commit immediately (the reactive shape),
+                    // with the commit time possibly pushed by a late-vsync
+                    // fault exactly as the proactive runtime does it.
+                    2 | 3 => {
+                        let arrival = engine.cpu_free_at().as_micros() + delta_ms * 1_000;
+                        let ev = event(next_id, ty_idx, arrival, mcycles);
+                        next_id += 1;
+                        let record = engine.execute_event(&ev, &cfg, false);
+                        let period = engine.vsync().period();
+                        let ready = fault_session.delay_vsync(record.frame_ready_at, period);
+                        commit(&mut engine, &ev, ready);
+                    }
+                    // Speculative execution: the frame parks in the PFB.
+                    4 => {
+                        let arrival = engine.cpu_free_at().as_micros() + 50_000;
+                        let ev = event(next_id, ty_idx, arrival, mcycles);
+                        next_id += 1;
+                        let record = engine.execute_event(&ev, &cfg, true);
+                        pending.push((ev, record));
+                    }
+                    // Refresh-rate change mid-replay.
+                    5 => engine.set_vsync(VsyncClock::with_period(TimeUs::from_micros(
+                        PERIODS_US[cfg_idx % PERIODS_US.len()],
+                    ))),
+                    // Resolve one parked frame: commit it or squash it.
+                    _ => {
+                        if let Some((ev, record)) = pending.pop() {
+                            if delta_ms % 2 == 0 {
+                                commit(&mut engine, &ev, record.frame_ready_at);
+                            } else {
+                                engine.account_squashed_frame(&record);
+                            }
+                        }
+                    }
+                }
+                let outcomes = engine.outcomes();
+                prop_assert_eq!(
+                    engine.violations(),
+                    outcomes.iter().filter(|(_, o)| o.violated()).count()
+                );
+                prop_assert_eq!(outcomes.len(), visible.len());
+                for ((_, outcome), &(from, period)) in outcomes.iter().zip(&visible) {
+                    let shown = outcome.displayed_at.as_micros();
+                    prop_assert_eq!(shown % period, 0, "{} is off the {} us grid", shown, period);
+                    prop_assert!(shown >= from.as_micros(), "shown before it was visible");
+                    prop_assert!(
+                        shown < from.as_micros() + period,
+                        "an earlier VSync already covered the frame"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Frame ledger: the engine's eager accounting is bit-identical to a reference
+// accountant that re-derives every sample from the platform tables.
+// ---------------------------------------------------------------------------
+
+mod frame_ledger {
+    use super::*;
+
+    use super::engine_floor::event;
+    use pes::acmp::TransitionModel;
+    use pes::core::{FaultConfig, FaultPlane};
+    use pes::webrt::{
+        EventId, ExecutionEngine, ExecutionRecord, QosOutcome, QosPolicy, RenderPipeline, WebEvent,
+    };
+
+    /// An independent model of the engine's bookkeeping: the same time
+    /// rules, with energy metered through the table-derived `*_reference`
+    /// paths and VSync presentation computed from the clock directly.
+    struct Reference<'p> {
+        dvfs: DvfsModel<'p>,
+        pipeline: RenderPipeline,
+        transitions: TransitionModel,
+        vsync: VsyncClock,
+        qos: QosPolicy,
+        meter: EnergyMeter<'p>,
+        config: AcmpConfig,
+        free_at: TimeUs,
+        outcomes: Vec<(EventId, QosOutcome)>,
+    }
+
+    impl<'p> Reference<'p> {
+        fn new(platform: &'p Platform, qos: QosPolicy) -> Self {
+            Reference {
+                dvfs: DvfsModel::new(platform),
+                pipeline: RenderPipeline::new(),
+                transitions: TransitionModel::exynos_defaults(),
+                vsync: VsyncClock::sixty_hz(),
+                qos,
+                meter: EnergyMeter::new(platform),
+                config: platform.min_power_config(),
+                free_at: TimeUs::ZERO,
+                outcomes: Vec::new(),
+            }
+        }
+
+        fn idle_until(&mut self, until: TimeUs) {
+            if until > self.free_at {
+                self.meter
+                    .record_idle_reference(&self.config, until - self.free_at);
+                self.free_at = until;
+            }
+        }
+
+        fn switch_config(&mut self, cfg: &AcmpConfig) {
+            if *cfg == self.config {
+                return;
+            }
+            let cost = self.transitions.cost(&self.config, cfg);
+            self.meter.record_transition_reference(cfg, cost);
+            self.free_at += cost;
+            self.config = *cfg;
+        }
+
+        fn execute(
+            &mut self,
+            ev: &WebEvent,
+            cfg: &AcmpConfig,
+            speculative: bool,
+        ) -> ExecutionRecord {
+            let earliest = if speculative {
+                self.free_at
+            } else {
+                self.free_at.max(ev.arrival())
+            };
+            self.idle_until(earliest);
+            self.switch_config(cfg);
+            let start = self.free_at;
+            let interaction = ev.event_type().interaction();
+            let (busy, ready) =
+                self.pipeline
+                    .execute_timing(&ev.demand(), interaction, &self.dvfs, cfg, start);
+            self.meter
+                .record_busy_reference(cfg, busy, ActivityKind::UsefulWork);
+            self.free_at = ready;
+            ExecutionRecord {
+                event: ev.id(),
+                interaction,
+                config: *cfg,
+                started_at: start,
+                frame_ready_at: ready,
+                busy_time: busy,
+                speculative,
+            }
+        }
+
+        fn commit(&mut self, ev: &WebEvent, ready: TimeUs) -> QosOutcome {
+            let outcome = QosOutcome {
+                triggered_at: ev.arrival(),
+                displayed_at: self.vsync.next_refresh_at_or_after(ready.max(ev.arrival())),
+                target: self.qos.target_for_event(ev.event_type()),
+            };
+            self.outcomes.push((ev.id(), outcome));
+            outcome
+        }
+
+        fn squash(&mut self, record: &ExecutionRecord) {
+            let energy = self
+                .dvfs
+                .execution_power_reference(&record.config)
+                .energy_over(record.busy_time);
+            self.meter.reattribute_waste(record.config.core(), energy);
+        }
+    }
+
+    /// Asserts every observable of the engine agrees bit for bit with the
+    /// reference accountant.
+    fn assert_engine_matches(engine: &ExecutionEngine<'_>, reference: &Reference<'_>) {
         assert_eq!(
-            fast.total_energy().as_microjoules().to_bits(),
-            reference.total_energy().as_microjoules().to_bits(),
+            engine.total_energy().as_microjoules().to_bits(),
+            reference.meter.total().as_microjoules().to_bits(),
             "total energy drifted"
         );
         for kind in ActivityKind::ALL {
             assert_eq!(
-                fast.energy_for(kind).as_microjoules().to_bits(),
-                reference.energy_for(kind).as_microjoules().to_bits(),
+                engine.energy_for(kind).as_microjoules().to_bits(),
+                reference
+                    .meter
+                    .for_activity(kind)
+                    .as_microjoules()
+                    .to_bits(),
                 "activity {kind:?} drifted"
             );
         }
         assert_eq!(
-            fast.waste_fraction().to_bits(),
-            reference.waste_fraction().to_bits(),
+            engine.waste_fraction().to_bits(),
+            reference.meter.speculative_waste_fraction().to_bits(),
             "waste fraction drifted"
         );
-        assert_eq!(fast.violations(), reference.violations());
-        assert_eq!(fast.outcomes(), reference.outcomes());
-        assert_eq!(fast.cpu_free_at(), reference.cpu_free_at());
-        assert_eq!(fast.current_config(), reference.current_config());
+        assert_eq!(engine.outcomes(), &reference.outcomes[..]);
+        assert_eq!(
+            engine.violations(),
+            reference
+                .outcomes
+                .iter()
+                .filter(|(_, o)| o.violated())
+                .count()
+        );
+        assert_eq!(engine.cpu_free_at(), reference.free_at);
+        assert_eq!(engine.current_config(), reference.config);
+        assert_eq!(*engine.vsync(), reference.vsync);
     }
 
     proptest! {
-        /// The tentpole lockdown: over arbitrary interleavings of idle /
-        /// switch / execute / commit / speculate / squash operations —
-        /// with late-vsync fault injections perturbing commit times through
-        /// the real `FaultPlane` — the ledger engine and the reference
-        /// engine report bit-identical energy (total, per-activity, waste
-        /// fraction), identical QoS outcomes and identical violation
-        /// counts, at every step, not just at the end.
+        /// Over arbitrary interleavings of idle / switch / execute / commit
+        /// / speculate / squash operations — with late-vsync fault
+        /// injections perturbing commit times through the real
+        /// `FaultPlane` — the engine reports bit-identical energy (total,
+        /// per-activity, waste fraction), identical execution records, QoS
+        /// outcomes and violation counts to the reference accountant, at
+        /// every step, not just at the end.
         #[test]
         fn ledger_engine_is_bit_identical_to_reference_accounting(
             ops in proptest::collection::vec(
@@ -1634,20 +1822,14 @@ mod frame_ledger {
             let platform = Platform::exynos_5410();
             let plane = std::sync::Arc::new(DvfsLadder::for_platform(&platform));
             let qos = QosPolicy::paper_defaults();
-            let mut fast =
-                ExecutionEngine::with_plane(&platform, qos, std::sync::Arc::clone(&plane));
-            let mut reference =
-                ExecutionEngine::with_plane(&platform, qos, std::sync::Arc::clone(&plane))
-                    .with_reference_accounting();
+            let mut engine = ExecutionEngine::with_plane(&platform, qos, plane);
+            let mut reference = Reference::new(&platform, qos);
             let faults = FaultPlane::new(FaultConfig {
                 seed: fault_seed,
                 vsync_delay: vsync_rate,
                 ..FaultConfig::disabled()
             });
-            // One session per engine, seeded identically: both draw the
-            // same delay stream, so commits are perturbed in lockstep.
-            let mut fast_fs = faults.session();
-            let mut ref_fs = faults.session();
+            let mut fault_session = faults.session();
 
             let mut pending: Vec<(WebEvent, ExecutionRecord)> = Vec::new();
             let mut next_id = 0u64;
@@ -1656,40 +1838,38 @@ mod frame_ledger {
                 match op {
                     // Idle forward from the CPU-free horizon.
                     0 => {
-                        let until = fast.cpu_free_at() + TimeUs::from_millis(delta_ms);
-                        fast.idle_until(until);
+                        let until = engine.cpu_free_at() + TimeUs::from_millis(delta_ms);
+                        engine.idle_until(until);
                         reference.idle_until(until);
                     }
                     // DVFS / migration switch.
                     1 => {
-                        fast.switch_config(&cfg);
+                        engine.switch_config(&cfg);
                         reference.switch_config(&cfg);
                     }
                     // Execute + commit immediately (the reactive shape),
                     // with the commit time possibly pushed by a late-vsync
                     // fault exactly as the proactive runtime does it.
                     2 | 3 => {
-                        let arrival = fast.cpu_free_at().as_micros() + delta_ms * 1_000;
+                        let arrival = engine.cpu_free_at().as_micros() + delta_ms * 1_000;
                         let ev = event(next_id, ty_idx, arrival, mcycles);
                         next_id += 1;
-                        let a = fast.execute_event(&ev, &cfg, false);
-                        let b = reference.execute_event(&ev, &cfg, false);
+                        let a = engine.execute_event(&ev, &cfg, false);
+                        let b = reference.execute(&ev, &cfg, false);
                         prop_assert_eq!(a, b, "execution records diverged");
-                        let period = *fast.vsync();
-                        let ready_a = fast_fs.delay_vsync(a.frame_ready_at, period.period());
-                        let ready_b = ref_fs.delay_vsync(b.frame_ready_at, period.period());
-                        prop_assert_eq!(ready_a, ready_b, "fault streams diverged");
-                        let oa = fast.commit(&ev, ready_a);
-                        let ob = reference.commit(&ev, ready_b);
+                        let period = engine.vsync().period();
+                        let ready = fault_session.delay_vsync(a.frame_ready_at, period);
+                        let oa = engine.commit(&ev, ready);
+                        let ob = reference.commit(&ev, ready);
                         prop_assert_eq!(oa, ob, "outcomes diverged");
                     }
                     // Speculative execution: the frame parks in the PFB.
                     4 => {
-                        let arrival = fast.cpu_free_at().as_micros() + 50_000;
+                        let arrival = engine.cpu_free_at().as_micros() + 50_000;
                         let ev = event(next_id, ty_idx, arrival, mcycles);
                         next_id += 1;
-                        let a = fast.execute_event(&ev, &cfg, true);
-                        let b = reference.execute_event(&ev, &cfg, true);
+                        let a = engine.execute_event(&ev, &cfg, true);
+                        let b = reference.execute(&ev, &cfg, true);
                         prop_assert_eq!(a, b);
                         pending.push((ev, a));
                     }
@@ -1697,92 +1877,79 @@ mod frame_ledger {
                     _ => {
                         if let Some((ev, record)) = pending.pop() {
                             if delta_ms % 2 == 0 {
-                                let oa = fast.commit(&ev, record.frame_ready_at);
+                                let oa = engine.commit(&ev, record.frame_ready_at);
                                 let ob = reference.commit(&ev, record.frame_ready_at);
                                 prop_assert_eq!(oa, ob);
                             } else {
-                                fast.account_squashed_frame(&record);
-                                reference.account_squashed_frame(&record);
+                                engine.account_squashed_frame(&record);
+                                reference.squash(&record);
                             }
                         }
                     }
                 }
-                assert_engines_agree(&fast, &reference);
+                assert_engine_matches(&engine, &reference);
             }
-            // Telemetry sanity: every prediction the scheduler served was
-            // either a feedback walk or a cold fallback.
-            let frames = fast.frame_scheduler();
-            prop_assert_eq!(
-                frames.feedback_hits() + frames.cold_predictions(),
-                fast.outcomes().len() as u64
-            );
+            prop_assert_eq!(engine.records().len() as u64, next_id);
         }
     }
 
-    /// Engine-level cold-path coverage: warmup, deep speculative backlog,
-    /// and a refresh-interval change mid-replay all stay in lockstep with
-    /// the reference engine.
+    /// Engine-level cold-path coverage: the very first commit, a deep
+    /// speculative backlog, and a refresh-interval change mid-replay all
+    /// stay in lockstep with the reference accountant.
     #[test]
     fn engine_cold_paths_stay_in_lockstep_with_the_reference() {
         let platform = Platform::exynos_5410();
         let plane = std::sync::Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
-        let mut fast = ExecutionEngine::with_plane(&platform, qos, std::sync::Arc::clone(&plane));
-        let mut reference =
-            ExecutionEngine::with_plane(&platform, qos, plane).with_reference_accounting();
+        let mut engine = ExecutionEngine::with_plane(&platform, qos, plane);
+        let mut reference = Reference::new(&platform, qos);
+        let max = platform.max_performance_config();
 
-        // (1) Warmup: the very first commit has no presentation feedback.
+        // (1) Warmup: the very first commit, before any presentation.
         let ev = event(0, 1, 10_000, 80);
-        let a = fast.execute_event(&ev, &platform.max_performance_config(), false);
-        let b = reference.execute_event(&ev, &platform.max_performance_config(), false);
+        let a = engine.execute_event(&ev, &max, false);
+        let b = reference.execute(&ev, &max, false);
+        assert_eq!(a, b);
         assert_eq!(
-            fast.commit(&ev, a.frame_ready_at),
+            engine.commit(&ev, a.frame_ready_at),
             reference.commit(&ev, b.frame_ready_at)
         );
-        assert_engines_agree(&fast, &reference);
-        assert_eq!(fast.frame_scheduler().cold_predictions(), 1);
+        assert_engine_matches(&engine, &reference);
 
-        // (2) Saturated pending-commit backlog: many speculative frames
-        // before the next commit seed the walk far ahead.
+        // (2) Saturated pending-commit backlog: many speculative frames on
+        // changing configurations before the next commit.
         let mut parked = Vec::new();
         for i in 0..12 {
             let ev = event(100 + i, (i % 5) as usize, 0, 30 + i);
             let cfg = platform.configs()[(i as usize) % platform.configs().len()];
-            let ra = fast.execute_event(&ev, &cfg, true);
-            let rb = reference.execute_event(&ev, &cfg, true);
+            let ra = engine.execute_event(&ev, &cfg, true);
+            let rb = reference.execute(&ev, &cfg, true);
             assert_eq!(ra, rb);
             parked.push((ev, ra));
         }
-        assert_eq!(fast.frame_scheduler().pending_commits(), 12);
         for (ev, record) in parked {
             assert_eq!(
-                fast.commit(&ev, record.frame_ready_at),
+                engine.commit(&ev, record.frame_ready_at),
                 reference.commit(&ev, record.frame_ready_at)
             );
-            assert_engines_agree(&fast, &reference);
+            assert_engine_matches(&engine, &reference);
         }
 
-        // (3) Refresh-interval change mid-replay: move both engines to a
-        // 120 Hz panel; the scheduler must drop its feedback and re-seed.
-        use pes::webrt::VsyncClock;
-        fast.set_vsync(VsyncClock::with_period(TimeUs::from_micros(8_333)));
-        reference.set_vsync(VsyncClock::with_period(TimeUs::from_micros(8_333)));
-        assert!(fast.frame_scheduler().feedback().is_none());
-        let cold_before = fast.frame_scheduler().cold_predictions();
-        // Light, dense events: consecutive commits land within the walk
-        // bound, so only the first post-switch prediction resolves cold.
+        // (3) Refresh-interval change mid-replay: move both to a 120 Hz
+        // panel; presentation must follow the new grid from the next commit.
+        let fast_panel = VsyncClock::with_period(TimeUs::from_micros(8_333));
+        engine.set_vsync(fast_panel);
+        reference.vsync = fast_panel;
         for i in 0..4 {
-            let ev = event(200 + i, 2, fast.cpu_free_at().as_micros() + 1_000, 2);
-            let ra = fast.execute_event(&ev, &platform.max_performance_config(), false);
-            let rb = reference.execute_event(&ev, &platform.max_performance_config(), false);
+            let ev = event(200 + i, 2, engine.cpu_free_at().as_micros() + 1_000, 2);
+            let ra = engine.execute_event(&ev, &max, false);
+            let rb = reference.execute(&ev, &max, false);
             assert_eq!(ra, rb);
-            assert_eq!(
-                fast.commit(&ev, ra.frame_ready_at),
-                reference.commit(&ev, rb.frame_ready_at)
-            );
-            assert_engines_agree(&fast, &reference);
+            let outcome = engine.commit(&ev, ra.frame_ready_at);
+            assert_eq!(outcome, reference.commit(&ev, rb.frame_ready_at));
+            assert_eq!(outcome.displayed_at.as_micros() % 8_333, 0);
+            assert_engine_matches(&engine, &reference);
         }
-        assert_eq!(fast.frame_scheduler().cold_predictions(), cold_before + 1);
     }
 }
 
