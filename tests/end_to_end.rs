@@ -506,6 +506,99 @@ fn zero_fault_plane_replays_stay_pinned_to_the_goldens() {
     assert_eq!(legacy.solver_cache_hits, golden.solver_cache_hits);
 }
 
+/// Golden watchdogged PES sessions: the cnn replay (seed
+/// `EVAL_SEED_BASE + 2`) under a node-budget watchdog and under an
+/// event-budget watchdog. Each trip demotes the live serving tier one
+/// level, so the demotion points decide which events are solved, served
+/// reactively or served at the floor. Violations, trips, the final tier and
+/// the degradation histogram are pinned exactly, energy to 0.5 µJ,
+/// identical in debug and release. Refresh via `--nocapture` + the
+/// `WATCHDOG-GOLDEN-CAPTURE` lines only for an intentional behaviour change.
+#[test]
+fn golden_watchdogged_sessions_stay_pinned() {
+    use pes::core::{DegradationLevel, WatchdogConfig};
+
+    let catalog = AppCatalog::paper_suite();
+    let platform = Platform::exynos_5410();
+    let qos = QosPolicy::paper_defaults();
+    let app = catalog.find("cnn").unwrap();
+    let page = app.build_page();
+    let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 2);
+    let learner = quick_learner(&catalog);
+
+    let cases: [(&str, WatchdogConfig, WatchdogGolden); 2] = [
+        (
+            "nodes",
+            WatchdogConfig {
+                node_budget: 100,
+                event_budget: 0,
+            },
+            GOLDEN_WATCHDOG_NODES,
+        ),
+        (
+            "events",
+            WatchdogConfig {
+                node_budget: 0,
+                event_budget: 5,
+            },
+            GOLDEN_WATCHDOG_EVENTS,
+        ),
+    ];
+    for (name, watchdog, golden) in cases {
+        let pes = PesScheduler::new(
+            learner.clone(),
+            PesConfig::paper_defaults().with_watchdog(watchdog),
+        );
+        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let energy = report.total_energy.as_microjoules();
+        let d = report.degradation;
+        let histogram = [d.exact, d.anytime, d.greedy, d.reactive, d.ondemand_floor];
+        println!(
+            "WATCHDOG-GOLDEN-CAPTURE {name}: ({}, {energy:?}, {}, DegradationLevel::{:?}, {histogram:?})",
+            report.violations, report.watchdog_trips, report.final_tier
+        );
+        let (gold_violations, gold_energy, gold_trips, gold_tier, gold_histogram) = golden;
+        assert_eq!(
+            report.violations, gold_violations,
+            "{name}: frame-deadline misses drifted (energy {energy:.3} µJ)"
+        );
+        assert!(
+            (energy - gold_energy).abs() < 0.5,
+            "{name}: session energy drifted (got {energy:.3} µJ, golden {gold_energy:.3} µJ)"
+        );
+        assert_eq!(report.watchdog_trips, gold_trips, "{name}: trips drifted");
+        assert_eq!(report.final_tier, gold_tier, "{name}: final tier drifted");
+        assert_eq!(
+            histogram, gold_histogram,
+            "{name}: degradation histogram drifted"
+        );
+        assert!(report.watchdog_trips > 0, "{name}: the watchdog must trip");
+    }
+}
+
+/// `(violations, energy in µJ, watchdog trips, final tier, degradation
+/// histogram [exact, anytime, greedy, reactive, ondemand_floor])`.
+type WatchdogGolden = (usize, f64, usize, pes::core::DegradationLevel, [usize; 5]);
+
+/// Golden values for `golden_watchdogged_sessions_stay_pinned` under the
+/// 100-node budget. Identical in debug and release builds.
+const GOLDEN_WATCHDOG_NODES: WatchdogGolden = (
+    3,
+    21_070_715.77701241,
+    2,
+    pes::core::DegradationLevel::Greedy,
+    [9, 0, 1, 16, 0],
+);
+/// Golden values for `golden_watchdogged_sessions_stay_pinned` under the
+/// 5-event budget. Identical in debug and release builds.
+const GOLDEN_WATCHDOG_EVENTS: WatchdogGolden = (
+    5,
+    22_406_491.921483207,
+    7,
+    pes::core::DegradationLevel::OndemandFloor,
+    [0, 0, 1, 18, 16],
+);
+
 #[test]
 fn disabling_dom_analysis_never_helps_prediction() {
     let catalog = AppCatalog::paper_suite();
