@@ -90,7 +90,7 @@ fn pressured_window(n: u64) -> ScheduleProblem {
 /// Two tiers: `exact/*` solves 2–6-event windows to optimality with no node
 /// cap (the honest speedup — the 6×17 PES window is the paper-scale case);
 /// `capped/*` runs 7–12-event windows under the runtime's 200 k node budget
-/// (`PesConfig::optimizer_node_limit`), measuring the bounded worst-case
+/// (`pes_core::OPTIMIZER_NODE_LIMIT`), measuring the bounded worst-case
 /// per-decision latency after which the runtime falls back to greedy.
 /// Record a baseline with `BENCH_JSON=BENCH_solver.json cargo bench ...`.
 fn schedule_window_scaling(c: &mut Criterion) {

@@ -56,7 +56,7 @@ pub use memo::{
 pub use pfb::{PendingFrame, PendingFrameBuffer};
 pub use runtime::{
     OracleScheduler, PesConfig, PesScheduler, ProactiveRuntime, RunReport, ANYTIME_TIER_NODE_CAP,
-    WIDE_WINDOW_THRESHOLD,
+    FALLBACK_THRESHOLD, OPTIMIZER_NODE_LIMIT, WIDE_WINDOW_NODE_LIMIT, WIDE_WINDOW_THRESHOLD,
 };
 pub use watchdog::{WatchdogConfig, WatchdogState};
 

@@ -8,6 +8,15 @@
 //! commits or squashes them as the actual inputs arrive. The Oracle runs the
 //! same machinery with perfect knowledge of the future event sequence and of
 //! every event's true workload.
+//!
+//! Every `run_trace*` entry point builds an [`ExecutionEngine`] and hands it
+//! to one private `Replay` state machine, which serves each delivered event
+//! in the three phases of Sec. 5: *speculate* while the CPU is idle (a new
+//! prediction round starts only once the PFB is empty), *validate* the input
+//! against the PFB (commit the front frame or squash them all), and *serve*
+//! it now through the global optimizer or reactively. After more than
+//! [`FALLBACK_THRESHOLD`] consecutive mispredictions prediction turns off
+//! and the rest of the replay is served reactively.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -31,23 +40,6 @@ use crate::watchdog::{WatchdogConfig, WatchdogState};
 pub struct PesConfig {
     /// Sequence-learner configuration (confidence threshold, LNES masking).
     pub learner: LearnerConfig,
-    /// After strictly more than this many consecutive mispredictions the
-    /// runtime disables prediction and falls back to reactive EBS behaviour
-    /// (Sec. 5.4 uses 3).
-    pub fallback_threshold: u32,
-    /// Whether the fallback is enabled at all (ablation knob).
-    pub enable_fallback: bool,
-    /// Node budget for each optimizer invocation on windows of at most
-    /// [`WIDE_WINDOW_THRESHOLD`] events. The PES-scale 6×17 window solves
-    /// exactly under this budget.
-    pub optimizer_node_limit: usize,
-    /// Second budget tier: the node budget for windows wider than
-    /// [`WIDE_WINDOW_THRESHOLD`] events — the Oracle's 12-event windows.
-    /// Exact solves of such windows need millions of nodes, so the full
-    /// first-tier budget bought nothing but a longer burn before the greedy
-    /// fallback; with the anytime solver this tier instead bounds how long
-    /// the best-first search refines its incumbent.
-    pub wide_window_node_limit: usize,
     /// Relative incumbent-quality gap at which the wide-tier best-first
     /// search stops early: once the best open lower bound proves the
     /// incumbent within this fraction of the optimal cost *at its violation
@@ -83,9 +75,27 @@ pub struct PesConfig {
     pub watchdog: WatchdogConfig,
 }
 
-/// Windows with more events than this use
-/// [`PesConfig::wide_window_node_limit`] as their solver budget.
+/// After strictly more than this many consecutive mispredictions the
+/// runtime disables prediction and falls back to reactive EBS behaviour
+/// (Sec. 5.4 uses 3).
+pub const FALLBACK_THRESHOLD: u32 = 3;
+
+/// Node budget for each optimizer invocation on windows of at most
+/// [`WIDE_WINDOW_THRESHOLD`] events. The PES-scale 6×17 window solves
+/// exactly under this budget.
+pub const OPTIMIZER_NODE_LIMIT: usize = 200_000;
+
+/// Windows with more events than this use [`WIDE_WINDOW_NODE_LIMIT`] as
+/// their solver budget.
 pub const WIDE_WINDOW_THRESHOLD: usize = 8;
+
+/// Second budget tier: the node budget for windows wider than
+/// [`WIDE_WINDOW_THRESHOLD`] events — the Oracle's 12-event windows. Exact
+/// solves of such windows need millions of nodes, so the full first-tier
+/// budget bought nothing but a longer burn before the greedy fallback; with
+/// the anytime solver this tier instead bounds how long the best-first
+/// search refines its incumbent.
+pub const WIDE_WINDOW_NODE_LIMIT: usize = 60_000;
 
 /// Solver node cap of the [`DegradationLevel::Anytime`] serving tier: a
 /// demoted replay still refines a best-first incumbent, just on a budget two
@@ -96,10 +106,6 @@ impl Default for PesConfig {
     fn default() -> Self {
         PesConfig {
             learner: LearnerConfig::paper_defaults(),
-            fallback_threshold: 3,
-            enable_fallback: true,
-            optimizer_node_limit: 200_000,
-            wide_window_node_limit: 60_000,
             incumbent_gap_epsilon: 0.01,
             planning_hysteresis: 0.35,
             forced_tier: DegradationLevel::Exact,
@@ -135,12 +141,6 @@ impl PesConfig {
     /// fleet's batch tiers.
     pub fn with_packed_prediction(mut self, use_packed: bool) -> Self {
         self.learner = self.learner.with_packed(use_packed);
-        self
-    }
-
-    /// Returns a copy with the misprediction fallback enabled or disabled.
-    pub fn with_fallback(mut self, enable: bool) -> Self {
-        self.enable_fallback = enable;
         self
     }
 
@@ -494,18 +494,9 @@ impl PesScheduler {
         trace: &Trace,
         qos: &QosPolicy,
     ) -> RunReport {
-        let plane = Arc::new(DvfsLadder::for_platform(platform));
-        self.runtime.run(
-            platform,
-            &plane,
-            page,
-            trace,
-            qos,
-            "PES",
-            &FaultPlane::none(),
-            None,
-            None,
-        )
+        let engine = ExecutionEngine::new(platform, *qos);
+        self.runtime
+            .run(engine, page, trace, &FaultPlane::none(), None)
     }
 
     /// Replays one trace under PES on a shared DVFS power plane (one ladder
@@ -524,7 +515,6 @@ impl PesScheduler {
     /// Replays one trace under PES on a shared power plane with a
     /// fault-injection plane. [`FaultPlane::none`] makes this identical to
     /// [`PesScheduler::run_trace_with_plane`], bit for bit.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_trace_with_plane_and_faults(
         &self,
         platform: &Platform,
@@ -534,8 +524,8 @@ impl PesScheduler {
         qos: &QosPolicy,
         faults: &FaultPlane,
     ) -> RunReport {
-        self.runtime
-            .run(platform, plane, page, trace, qos, "PES", faults, None, None)
+        let engine = ExecutionEngine::with_plane(platform, *qos, Arc::clone(plane));
+        self.runtime.run(engine, page, trace, faults, None)
     }
 
     /// Replays one trace under PES with the shared cross-replay solve cache
@@ -558,17 +548,9 @@ impl PesScheduler {
         shared: &SolveGeneration,
         shard: &mut SolveShard,
     ) -> RunReport {
-        self.runtime.run(
-            platform,
-            plane,
-            page,
-            trace,
-            qos,
-            "PES",
-            faults,
-            Some(shared),
-            Some(shard),
-        )
+        let engine = ExecutionEngine::with_plane(platform, *qos, Arc::clone(plane));
+        self.runtime
+            .run(engine, page, trace, faults, Some((shared, shard)))
     }
 }
 
@@ -597,18 +579,9 @@ impl OracleScheduler {
         trace: &Trace,
         qos: &QosPolicy,
     ) -> RunReport {
-        let plane = Arc::new(DvfsLadder::for_platform(platform));
-        self.runtime.run(
-            platform,
-            &plane,
-            page,
-            trace,
-            qos,
-            "Oracle",
-            &FaultPlane::none(),
-            None,
-            None,
-        )
+        let engine = ExecutionEngine::new(platform, *qos);
+        self.runtime
+            .run(engine, page, trace, &FaultPlane::none(), None)
     }
 
     /// Replays one trace under the Oracle on a shared DVFS power plane.
@@ -620,25 +593,9 @@ impl OracleScheduler {
         trace: &Trace,
         qos: &QosPolicy,
     ) -> RunReport {
-        self.run_trace_with_plane_and_faults(platform, plane, page, trace, qos, &FaultPlane::none())
-    }
-
-    /// Replays one trace under the Oracle on a shared power plane with a
-    /// fault-injection plane. [`FaultPlane::none`] makes this identical to
-    /// [`OracleScheduler::run_trace_with_plane`], bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_trace_with_plane_and_faults(
-        &self,
-        platform: &Platform,
-        plane: &Arc<DvfsLadder>,
-        page: &BuiltPage,
-        trace: &Trace,
-        qos: &QosPolicy,
-        faults: &FaultPlane,
-    ) -> RunReport {
-        self.runtime.run(
-            platform, plane, page, trace, qos, "Oracle", faults, None, None,
-        )
+        let engine = ExecutionEngine::with_plane(platform, *qos, Arc::clone(plane));
+        self.runtime
+            .run(engine, page, trace, &FaultPlane::none(), None)
     }
 }
 
@@ -649,268 +606,300 @@ impl Default for OracleScheduler {
 }
 
 impl ProactiveRuntime {
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// Replays `trace` on `engine` (which carries the platform, the power
+    /// plane and the QoS policy): one [`Replay`] step per delivered event.
+    /// `shared` plugs in the cross-replay solve cache as a read-only
+    /// generation plus the caller's write shard.
     fn run(
         &self,
-        platform: &Platform,
-        plane: &Arc<DvfsLadder>,
+        engine: ExecutionEngine<'_>,
         page: &BuiltPage,
         trace: &Trace,
-        qos: &QosPolicy,
-        policy: &str,
         faults: &FaultPlane,
-        shared: Option<&SolveGeneration>,
-        mut shard: Option<&mut SolveShard>,
+        shared: Option<(&SolveGeneration, &mut SolveShard)>,
     ) -> RunReport {
-        let mut engine = ExecutionEngine::with_plane(platform, *qos, Arc::clone(plane));
-        let mut profiler = DemandProfiler::new(platform);
-        let mut session = SessionState::new(page.tree.clone());
-        let mut pfb = PendingFrameBuffer::new();
-        let mut plan: VecDeque<SpeculativeItem> = VecDeque::new();
-        let mut rs = RunScratch::default();
         let mut fs = faults.session();
-        let mut ladder = DegradationTrace::default();
-        // The live serving tier: starts at the (breaker-)forced tier and
-        // only descends — one watchdog trip, one demotion. Both the meters
-        // and the demotions are deterministic, so a watchdogged replay is as
-        // replayable as a plain one.
-        let mut tier = self.config.forced_tier;
-        let mut wd = WatchdogState::new(self.config.watchdog);
-
         // Queue faults perturb the delivered event sequence itself; with
         // both classes disabled the replay borrows the trace untouched.
         let mutated_events = fs.mutate_events(trace.events());
         let events: &[WebEvent] = mutated_events.as_deref().unwrap_or_else(|| trace.events());
-        let mut consecutive_mispredictions: u32 = 0;
-        let mut prediction_disabled = false;
-        let mut gap_ewma = TimeUs::from_secs(2);
-        let mut prev_arrival: Option<TimeUs> = None;
-
-        let mut report = RunReport {
-            policy: policy.to_string(),
-            app: trace.app().to_string(),
-            events: events.len(),
-            violations: 0,
-            total_energy: EnergyUj::ZERO,
-            waste_energy: EnergyUj::ZERO,
-            predictions: 0,
-            correct_predictions: 0,
-            mispredictions: 0,
-            misprediction_waste: Vec::new(),
-            pfb_trace: Vec::new(),
-            prediction_rounds: 0,
-            total_prediction_degree: 0,
-            outcomes: Vec::new(),
-            solver_nodes: 0,
-            solver_cache_hits: 0,
-            solver_cache_misses: 0,
-            solver_cache_revalidations: 0,
-            degradation: DegradationTrace::default(),
-            unprofiled_fallbacks: 0,
-            fault_injections: FaultCounts::default(),
-            energy_breakdown: Vec::new(),
-            watchdog_trips: 0,
-            final_tier: tier,
+        let policy = match self.knowledge {
+            Knowledge::Learned(_) => "PES",
+            Knowledge::Oracle { .. } => "Oracle",
         };
-
-        for (idx, ev) in events.iter().enumerate() {
-            // ---------------------------------------------------------------
-            // (A) Speculate while the runtime is idle, before this input
-            //     arrives. Each speculative execution produces a frame that
-            //     waits in the PFB.
-            // ---------------------------------------------------------------
-            // Tiers at Reactive or worse never speculate: the breaker (or a
-            // tripped watchdog) has taken the optimizer out of the loop.
-            while !prediction_disabled
-                && tier < DegradationLevel::Reactive
-                && engine.cpu_free_at() < ev.arrival()
-            {
-                if plan.is_empty() {
-                    if !pfb.is_empty() {
-                        // A new prediction round only starts once every
-                        // previously speculated frame has been consumed
-                        // (Sec. 5.4).
-                        break;
-                    }
-                    let (degree, nodes) = self.plan_round(
-                        &mut rs,
-                        &mut plan,
-                        &session,
-                        &profiler,
-                        &engine,
-                        qos,
-                        events,
-                        idx,
-                        gap_ewma,
-                        None,
-                        &mut fs,
-                        &mut ladder,
-                        tier,
-                        shared,
-                        shard.as_deref_mut(),
-                    );
-                    report.solver_nodes += nodes;
-                    for _ in 0..wd.charge_nodes(nodes) {
-                        tier = tier.demoted();
-                    }
-                    if plan.is_empty() {
-                        break;
-                    }
-                    report.prediction_rounds += 1;
-                    report.total_prediction_degree += degree;
-                }
-                let Some(item) = plan.pop_front() else {
-                    // Unreachable — the block above breaks when the plan
-                    // stays empty — but the ladder fallback beats a panic.
-                    break;
-                };
-                // If the prediction is about to come true, the work executed
-                // speculatively is the *actual* next event's work; otherwise
-                // the runtime renders a frame for a wrong event using its own
-                // estimate of that event type's workload.
-                let future_idx = idx + pfb.len();
-                let exec_demand = match events.get(future_idx) {
-                    Some(future) if future.event_type() == item.event_type => future.demand(),
-                    _ => item.demand,
-                };
-                let synthetic = WebEvent::new(
-                    EventId::new(1_000_000 + future_idx as u64),
-                    item.event_type,
-                    None,
-                    engine.cpu_free_at(),
-                    exec_demand,
-                );
-                // Thermal throttling: a masked rung clamps to the nearest
-                // valid one before the work runs.
-                let exec_config = fs.mask_config(engine.platform().configs(), item.config);
-                let record = engine.execute_event(&synthetic, &exec_config, true);
-                pfb.push(PendingFrame {
-                    predicted_type: item.event_type,
-                    record,
-                });
-                for _ in 0..wd.charge_event() {
-                    tier = tier.demoted();
-                }
-            }
-
-            // ---------------------------------------------------------------
-            // (B) The actual input arrives: validate it against the PFB.
-            // ---------------------------------------------------------------
-            pfb.record_occupancy(idx);
-            if let Some(prev) = prev_arrival {
-                let gap = ev.arrival().saturating_sub(prev);
-                gap_ewma = TimeUs::from_micros(
-                    (gap_ewma.as_micros() as f64 * 0.7 + gap.as_micros() as f64 * 0.3) as u64,
-                );
-            }
-            prev_arrival = Some(ev.arrival());
-
-            let mut committed_from_pfb = false;
-            if !pfb.is_empty() {
-                report.predictions += 1;
-                if let Some(frame) = pfb.commit_front(ev.event_type()) {
-                    report.correct_predictions += 1;
-                    consecutive_mispredictions = 0;
-                    let ready_at =
-                        fs.delay_vsync(frame.record.frame_ready_at, engine.vsync().period());
-                    let outcome = engine.commit(ev, ready_at);
-                    report.outcomes.push((ev.id(), outcome));
-                    profiler.observe(
-                        ev.event_type(),
-                        frame.record.config,
-                        frame.record.busy_time,
-                        engine.dvfs(),
-                    );
-                    committed_from_pfb = true;
-                } else {
-                    // Misprediction: squash everything, remember the waste,
-                    // and reboot prediction (Sec. 5.4).
-                    report.mispredictions += 1;
-                    consecutive_mispredictions += 1;
-                    let mut front_waste = None;
-                    pfb.squash_with(|frame| {
-                        if front_waste.is_none() {
-                            front_waste = Some(frame.record.busy_time);
-                        }
-                        engine.account_squashed_frame(&frame.record);
-                    });
-                    if let Some(waste) = front_waste {
-                        report.misprediction_waste.push(waste);
-                    }
-                    plan.clear();
-                    if self.config.enable_fallback
-                        && consecutive_mispredictions > self.config.fallback_threshold
-                    {
-                        prediction_disabled = true;
-                    }
-                }
-            }
-
-            // ---------------------------------------------------------------
-            // (C) No committed speculative frame: execute the event now,
-            //     choosing its configuration through the global optimizer
-            //     (or through reactive EBS behaviour when prediction is
-            //     disabled or the event type is still being profiled).
-            // ---------------------------------------------------------------
-            if !committed_from_pfb {
-                let start_time = engine.cpu_free_at().max(ev.arrival());
-                let config = if tier >= DegradationLevel::Reactive
-                    || prediction_disabled
-                    || profiler.needs_profiling(ev.event_type())
-                {
-                    self.reactive_config(
-                        &mut rs.ladder_cache,
-                        &profiler,
-                        &engine,
-                        qos,
-                        ev,
-                        start_time,
-                        &mut ladder,
-                        tier,
-                    )
-                } else {
-                    // `prediction_disabled` is false on this path, so the
-                    // freshly planned speculation always replaces `plan`.
-                    let (cfg, nodes) = self.plan_with_outstanding(
-                        &mut rs,
-                        &mut plan,
-                        &session,
-                        &profiler,
-                        &engine,
-                        qos,
-                        events,
-                        idx,
-                        gap_ewma,
-                        ev,
-                        &mut fs,
-                        &mut ladder,
-                        tier,
-                        shared,
-                        shard.as_deref_mut(),
-                    );
-                    report.solver_nodes += nodes;
-                    for _ in 0..wd.charge_nodes(nodes) {
-                        tier = tier.demoted();
-                    }
-                    cfg
-                };
-                let config = fs.mask_config(engine.platform().configs(), config);
-                let record = engine.execute_event(ev, &config, false);
-                let ready_at = fs.delay_vsync(record.frame_ready_at, engine.vsync().period());
-                let outcome = engine.commit(ev, ready_at);
-                report.outcomes.push((ev.id(), outcome));
-                profiler.observe(ev.event_type(), config, record.busy_time, engine.dvfs());
-                for _ in 0..wd.charge_event() {
-                    tier = tier.demoted();
-                }
-            }
-
-            session.observe(ev);
+        let tier = self.config.forced_tier;
+        let profiler = DemandProfiler::new(engine.platform());
+        let mut replay = Replay {
+            runtime: self,
+            events,
+            shared,
+            engine,
+            profiler,
+            session: SessionState::new(page.tree.clone()),
+            pfb: PendingFrameBuffer::new(),
+            plan: VecDeque::new(),
+            rs: RunScratch::default(),
+            fs,
+            wd: WatchdogState::new(self.config.watchdog),
+            tier,
+            consecutive_mispredictions: 0,
+            prediction_disabled: false,
+            gap_ewma: TimeUs::from_secs(2),
+            prev_arrival: None,
+            report: RunReport {
+                policy: policy.to_string(),
+                app: trace.app().to_string(),
+                events: events.len(),
+                violations: 0,
+                total_energy: EnergyUj::ZERO,
+                waste_energy: EnergyUj::ZERO,
+                predictions: 0,
+                correct_predictions: 0,
+                mispredictions: 0,
+                misprediction_waste: Vec::new(),
+                pfb_trace: Vec::new(),
+                prediction_rounds: 0,
+                total_prediction_degree: 0,
+                outcomes: Vec::new(),
+                solver_nodes: 0,
+                solver_cache_hits: 0,
+                solver_cache_misses: 0,
+                solver_cache_revalidations: 0,
+                degradation: DegradationTrace::default(),
+                unprofiled_fallbacks: 0,
+                fault_injections: FaultCounts::default(),
+                energy_breakdown: Vec::new(),
+                watchdog_trips: 0,
+                final_tier: tier,
+            },
+        };
+        for idx in 0..events.len() {
+            replay.step(idx);
         }
+        replay.finish()
+    }
 
-        // The engine counts violations at commit time; every commit
-        // on this path also lands in `report.outcomes`, so the counter and
-        // the scan agree (the differential suites pin this).
+    /// Whether the runtime plans from the learned predictor (quantised,
+    /// hysteresis-held demand classes) rather than from exact knowledge.
+    fn learned(&self) -> bool {
+        matches!(self.knowledge, Knowledge::Learned(_))
+    }
+}
+
+/// One trace replay as a state machine: [`Replay::step`] serves one
+/// delivered event in the three phases of Sec. 5 and [`Replay::finish`]
+/// seals the report.
+struct Replay<'a> {
+    runtime: &'a ProactiveRuntime,
+    /// The delivered events (the trace after queue faults).
+    events: &'a [WebEvent],
+    /// The shared solve generation and the caller's write shard.
+    shared: Option<(&'a SolveGeneration, &'a mut SolveShard)>,
+    engine: ExecutionEngine<'a>,
+    profiler: DemandProfiler,
+    session: SessionState,
+    pfb: PendingFrameBuffer,
+    /// The speculative schedule of the current prediction round.
+    plan: VecDeque<SpeculativeItem>,
+    rs: RunScratch,
+    fs: FaultSession,
+    wd: WatchdogState,
+    /// The live serving tier: starts at the (breaker-)forced tier and only
+    /// descends — one watchdog trip, one demotion. Both the meters and the
+    /// demotions are deterministic, so a watchdogged replay is as
+    /// replayable as a plain one.
+    tier: DegradationLevel,
+    consecutive_mispredictions: u32,
+    /// Set after more than [`FALLBACK_THRESHOLD`] consecutive
+    /// mispredictions: the rest of the replay is served reactively.
+    prediction_disabled: bool,
+    gap_ewma: TimeUs,
+    prev_arrival: Option<TimeUs>,
+    /// The report being filled in; its degradation histogram is the live
+    /// ladder.
+    report: RunReport,
+}
+
+impl Replay<'_> {
+    /// Serves event `idx`: speculate while idle, validate the input against
+    /// the PFB, and serve it now if no speculative frame did.
+    fn step(&mut self, idx: usize) {
+        let events = self.events;
+        let ev = &events[idx];
+        self.speculate(idx, ev.arrival());
+        if !self.validate(idx, ev) {
+            self.serve(idx, ev);
+        }
+        self.session.observe(ev);
+    }
+
+    /// (A) Speculate while the runtime is idle, before the input arriving
+    /// at `arrival`. Each speculative execution produces a frame that waits
+    /// in the PFB. Tiers at Reactive or worse never speculate: the breaker
+    /// (or a tripped watchdog) has taken the optimizer out of the loop.
+    fn speculate(&mut self, idx: usize, arrival: TimeUs) {
+        while !self.prediction_disabled
+            && self.tier < DegradationLevel::Reactive
+            && self.engine.cpu_free_at() < arrival
+        {
+            if self.plan.is_empty() {
+                if !self.pfb.is_empty() {
+                    // A new prediction round only starts once every
+                    // previously speculated frame has been consumed
+                    // (Sec. 5.4).
+                    break;
+                }
+                let (degree, nodes) = self.plan_round(idx, None);
+                self.charge_nodes(nodes);
+                if self.plan.is_empty() {
+                    break;
+                }
+                self.report.prediction_rounds += 1;
+                self.report.total_prediction_degree += degree;
+            }
+            let Some(item) = self.plan.pop_front() else {
+                // Unreachable — the block above breaks when the plan stays
+                // empty — but the ladder fallback beats a panic.
+                break;
+            };
+            // If the prediction is about to come true, the work executed
+            // speculatively is the *actual* next event's work; otherwise the
+            // runtime renders a frame for a wrong event using its own
+            // estimate of that event type's workload.
+            let future_idx = idx + self.pfb.len();
+            let exec_demand = match self.events.get(future_idx) {
+                Some(future) if future.event_type() == item.event_type => future.demand(),
+                _ => item.demand,
+            };
+            let synthetic = WebEvent::new(
+                EventId::new(1_000_000 + future_idx as u64),
+                item.event_type,
+                None,
+                self.engine.cpu_free_at(),
+                exec_demand,
+            );
+            // Thermal throttling: a masked rung clamps to the nearest valid
+            // one before the work runs.
+            let exec_config = self
+                .fs
+                .mask_config(self.engine.platform().configs(), item.config);
+            let record = self.engine.execute_event(&synthetic, &exec_config, true);
+            self.pfb.push(PendingFrame {
+                predicted_type: item.event_type,
+                record,
+            });
+            let trips = self.wd.charge_event();
+            self.demote(trips);
+        }
+    }
+
+    /// (B) The actual input `ev` arrives: validate it against the PFB.
+    /// Returns whether a speculative frame served it. A misprediction
+    /// squashes every pending frame and reboots prediction (Sec. 5.4).
+    fn validate(&mut self, idx: usize, ev: &WebEvent) -> bool {
+        self.pfb.record_occupancy(idx);
+        if let Some(prev) = self.prev_arrival {
+            let gap = ev.arrival().saturating_sub(prev);
+            self.gap_ewma = TimeUs::from_micros(
+                (self.gap_ewma.as_micros() as f64 * 0.7 + gap.as_micros() as f64 * 0.3) as u64,
+            );
+        }
+        self.prev_arrival = Some(ev.arrival());
+        if self.pfb.is_empty() {
+            return false;
+        }
+        self.report.predictions += 1;
+        if let Some(frame) = self.pfb.commit_front(ev.event_type()) {
+            self.report.correct_predictions += 1;
+            self.consecutive_mispredictions = 0;
+            let ready_at = self
+                .fs
+                .delay_vsync(frame.record.frame_ready_at, self.engine.vsync().period());
+            let outcome = self.engine.commit(ev, ready_at);
+            self.report.outcomes.push((ev.id(), outcome));
+            self.profiler.observe(
+                ev.event_type(),
+                frame.record.config,
+                frame.record.busy_time,
+                self.engine.dvfs(),
+            );
+            return true;
+        }
+        self.report.mispredictions += 1;
+        self.consecutive_mispredictions += 1;
+        let mut front_waste = None;
+        let engine = &mut self.engine;
+        self.pfb.squash_with(|frame| {
+            if front_waste.is_none() {
+                front_waste = Some(frame.record.busy_time);
+            }
+            engine.account_squashed_frame(&frame.record);
+        });
+        if let Some(waste) = front_waste {
+            self.report.misprediction_waste.push(waste);
+        }
+        self.plan.clear();
+        if self.consecutive_mispredictions > FALLBACK_THRESHOLD {
+            self.prediction_disabled = true;
+        }
+        false
+    }
+
+    /// (C) No committed speculative frame: execute `ev` now, choosing its
+    /// configuration through the global optimizer (or through reactive EBS
+    /// behaviour when prediction is disabled, the tier is Reactive or worse,
+    /// or the event type is still being profiled).
+    fn serve(&mut self, idx: usize, ev: &WebEvent) {
+        let config = if self.tier >= DegradationLevel::Reactive
+            || self.prediction_disabled
+            || self.profiler.needs_profiling(ev.event_type())
+        {
+            self.reactive_config(ev)
+        } else {
+            // Prediction is enabled on this path, so the freshly planned
+            // speculation always replaces `plan`; its head is `ev`'s slot.
+            let (_degree, nodes) = self.plan_round(idx, Some(ev));
+            let config = match self.plan.pop_front() {
+                Some(first) => first.config,
+                None => self.reactive_config(ev),
+            };
+            self.charge_nodes(nodes);
+            config
+        };
+        let config = self
+            .fs
+            .mask_config(self.engine.platform().configs(), config);
+        let record = self.engine.execute_event(ev, &config, false);
+        let ready_at = self
+            .fs
+            .delay_vsync(record.frame_ready_at, self.engine.vsync().period());
+        let outcome = self.engine.commit(ev, ready_at);
+        self.report.outcomes.push((ev.id(), outcome));
+        self.profiler.observe(
+            ev.event_type(),
+            config,
+            record.busy_time,
+            self.engine.dvfs(),
+        );
+        let trips = self.wd.charge_event();
+        self.demote(trips);
+    }
+
+    /// Seals the report from the engine's meters and the replay's counters.
+    fn finish(self) -> RunReport {
+        let Replay {
+            engine,
+            pfb,
+            rs,
+            fs,
+            wd,
+            tier,
+            mut report,
+            ..
+        } = self;
+        // The engine counts violations at commit time; every commit on this
+        // path also lands in `report.outcomes`, so the counter and the scan
+        // agree (the differential suites pin this).
         report.violations = engine.violations();
         report.total_energy = engine.total_energy();
         report.waste_energy = engine.energy_for(ActivityKind::SpeculativeWaste);
@@ -919,8 +908,7 @@ impl ProactiveRuntime {
         report.solver_cache_hits = memo_stats.hits;
         report.solver_cache_misses = memo_stats.misses;
         report.solver_cache_revalidations = memo_stats.revalidations;
-        report.degradation = ladder;
-        report.unprofiled_fallbacks = ladder.ondemand_floor;
+        report.unprofiled_fallbacks = report.degradation.ondemand_floor;
         report.fault_injections = fs.counts();
         report.energy_breakdown = ActivityKind::ALL
             .iter()
@@ -931,8 +919,23 @@ impl ProactiveRuntime {
         report
     }
 
-    /// Reactive (EBS-equivalent) configuration choice for one event, served
-    /// from the precomputed DVFS ladder through the replay's demand memo.
+    /// Charges `nodes` explored solver nodes to the report and the
+    /// watchdog.
+    fn charge_nodes(&mut self, nodes: usize) {
+        self.report.solver_nodes += nodes;
+        let trips = self.wd.charge_nodes(nodes);
+        self.demote(trips);
+    }
+
+    /// Demotes the live serving tier one level per watchdog trip.
+    fn demote(&mut self, trips: usize) {
+        for _ in 0..trips {
+            self.tier = self.tier.demoted();
+        }
+    }
+
+    /// Reactive (EBS-equivalent) configuration choice for `ev`, served from
+    /// the precomputed DVFS ladder through the replay's demand memo.
     /// Records the event on the degradation ladder: `Reactive` normally,
     /// `OndemandFloor` when the serving tier is pinned at the floor (a
     /// breaker routed the unit there, or the watchdog demoted it all the
@@ -940,78 +943,80 @@ impl ProactiveRuntime {
     /// possible when a fault (or a hostile trace) delivers a type the
     /// profiler never observed — in which case the conservative profiling
     /// configuration serves the event instead of panicking.
-    #[allow(clippy::too_many_arguments)]
-    fn reactive_config(
-        &self,
-        ladder_cache: &mut LadderCache,
-        profiler: &DemandProfiler,
-        engine: &ExecutionEngine<'_>,
-        qos: &QosPolicy,
-        ev: &WebEvent,
-        start_time: TimeUs,
-        ladder: &mut DegradationTrace,
-        tier: DegradationLevel,
-    ) -> AcmpConfig {
-        if tier == DegradationLevel::OndemandFloor {
+    fn reactive_config(&mut self, ev: &WebEvent) -> AcmpConfig {
+        let ladder = &mut self.report.degradation;
+        let dvfs = self.engine.dvfs();
+        if self.tier == DegradationLevel::OndemandFloor {
             ladder.observe(DegradationLevel::OndemandFloor);
-            return profiler.profiling_config(ev.event_type(), engine.dvfs());
+            return self.profiler.profiling_config(ev.event_type(), dvfs);
         }
-        if profiler.needs_profiling(ev.event_type()) {
+        if self.profiler.needs_profiling(ev.event_type()) {
             ladder.observe(DegradationLevel::Reactive);
-            return profiler.profiling_config(ev.event_type(), engine.dvfs());
+            return self.profiler.profiling_config(ev.event_type(), dvfs);
         }
-        let Some(estimate) = profiler.estimate(ev.event_type()) else {
+        let Some(estimate) = self.profiler.estimate(ev.event_type()) else {
             ladder.observe(DegradationLevel::OndemandFloor);
-            return profiler.profiling_config(ev.event_type(), engine.dvfs());
+            return self.profiler.profiling_config(ev.event_type(), dvfs);
         };
         ladder.observe(DegradationLevel::Reactive);
-        let deadline = ev.arrival() + qos.target_for_event(ev.event_type());
+        let start_time = self.engine.cpu_free_at().max(ev.arrival());
+        let deadline = ev.arrival() + self.engine.qos().target_for_event(ev.event_type());
         let budget = deadline.saturating_sub(start_time);
-        let points = ladder_cache.points(engine.dvfs().ladder(), &estimate);
+        let points = self.rs.ladder_cache.points(dvfs.ladder(), &estimate);
         DvfsLadder::cheapest_within(points, budget)
-            .unwrap_or_else(|| engine.platform().max_performance_config())
+            .unwrap_or_else(|| self.engine.platform().max_performance_config())
     }
 
-    /// Predicts the upcoming event sequence from the current state into
-    /// `out` (cleared first; both it and the learner's `predict_scratch`
-    /// buffers are reused across rounds, so a round is allocation-free).
+    /// Predicts the event sequence starting at event `next` into
+    /// `rs.predicted_buf` (cleared first; both it and the learner's
+    /// `predict_scratch` buffers are reused across rounds, so a round is
+    /// allocation-free). With an `outstanding` event the learner predicts
+    /// from the state in which it has already been observed: a scratch
+    /// session rebuilt in place from the live one (it shares the live
+    /// session's DOM, so this is allocation-free in the steady state).
     /// Learned predictions carry the hysteresis-held quantised demand
     /// classes the planner poses; Oracle predictions carry exact demands.
-    #[allow(clippy::too_many_arguments)]
-    fn predict_types(
-        &self,
-        out: &mut Vec<(EventType, CpuDemand)>,
-        predict_scratch: &mut PredictScratch,
-        planning_demands: &mut BTreeMap<EventType, CpuDemand>,
-        session: &SessionState,
-        profiler: &DemandProfiler,
-        events: &[WebEvent],
-        next_actual_idx: usize,
-    ) {
-        out.clear();
-        match &self.knowledge {
-            Knowledge::Learned(learner) => out.extend(
-                learner
-                    .predict_sequence_with(session, predict_scratch)
-                    .iter()
-                    .map_while(|p| {
-                        profiler.estimate(p.event_type).map(|d| {
-                            (
-                                p.event_type,
-                                held_demand(
-                                    planning_demands,
+    fn predict_types(&mut self, next: usize, outstanding: Option<&WebEvent>) {
+        let rs = &mut self.rs;
+        rs.predicted_buf.clear();
+        match &self.runtime.knowledge {
+            Knowledge::Learned(learner) => {
+                let session = match (outstanding, &mut rs.session_scratch) {
+                    (None, _) => &self.session,
+                    (Some(ev), slot) => {
+                        let scratch = match slot {
+                            Some(scratch) => {
+                                scratch.clone_from(&self.session);
+                                scratch
+                            }
+                            None => slot.insert(self.session.clone()),
+                        };
+                        scratch.observe(ev);
+                        &*scratch
+                    }
+                };
+                let hysteresis = self.runtime.config.planning_hysteresis;
+                let profiler = &self.profiler;
+                let planning_demands = &mut rs.planning_demands;
+                rs.predicted_buf.extend(
+                    learner
+                        .predict_sequence_with(session, &mut rs.predict_scratch)
+                        .iter()
+                        .map_while(|p| {
+                            profiler.estimate(p.event_type).map(|d| {
+                                let demand = quantize_demand(d);
+                                (
                                     p.event_type,
-                                    quantize_demand(d),
-                                    self.config.planning_hysteresis,
-                                ),
-                            )
-                        })
-                    }),
-            ),
-            Knowledge::Oracle { window } => out.extend(
-                events
+                                    held_demand(planning_demands, p.event_type, demand, hysteresis),
+                                )
+                            })
+                        }),
+                );
+            }
+            Knowledge::Oracle { window } => rs.predicted_buf.extend(
+                self.events
                     .iter()
-                    .skip(next_actual_idx)
+                    .skip(next)
                     .take(*window)
                     .map(|e| (e.event_type(), e.demand())),
             ),
@@ -1048,15 +1053,8 @@ impl ProactiveRuntime {
     /// floor (≤ 1 node — the incumbent is the greedy seed the best-first
     /// search starts from, so a starved solve is never worse than Greedy).
     /// A memo hit reports the tier of the cached solve it served.
-    fn solve_window(
-        &self,
-        rs: &mut RunScratch,
-        start_us: u64,
-        fs: &mut FaultSession,
-        tier: DegradationLevel,
-        shared: Option<&SolveGeneration>,
-        shard: Option<&mut SolveShard>,
-    ) -> Result<(usize, DegradationLevel), IlpError> {
+    fn solve_window(&mut self, start_us: u64) -> Result<(usize, DegradationLevel), IlpError> {
+        let rs = &mut self.rs;
         for item in &mut rs.items_buf {
             item.release_us = item.release_us.saturating_sub(start_us);
             item.deadline_us = item.deadline_us.saturating_sub(start_us);
@@ -1068,15 +1066,15 @@ impl ProactiveRuntime {
             rs.items_buf.iter(),
         );
         let node_limit = if rs.items_buf.len() > WIDE_WINDOW_THRESHOLD {
-            self.config.wide_window_node_limit
+            WIDE_WINDOW_NODE_LIMIT
         } else {
-            self.config.optimizer_node_limit
+            OPTIMIZER_NODE_LIMIT
         };
         // The serving tier caps the budget before fault starvation: a
         // demoted replay refines a small incumbent (`Anytime`) or takes the
         // greedy seed (`Greedy`); tiers at `Reactive` or worse never reach
         // a solve at all.
-        let node_limit = match tier {
+        let node_limit = match self.tier {
             DegradationLevel::Exact => node_limit,
             DegradationLevel::Anytime => node_limit.min(ANYTIME_TIER_NODE_CAP),
             _ => 1,
@@ -1084,31 +1082,34 @@ impl ProactiveRuntime {
         // Budget starvation injects here, between the tier choice and the
         // solve: a starved budget re-keys the memo lookup (parameters are
         // revalidated), so a starved round never serves a full-budget slot.
-        let node_limit = fs.starve_budget(node_limit);
+        let node_limit = self.fs.starve_budget(node_limit);
+        let epsilon = self.runtime.config.incumbent_gap_epsilon;
         // Learned windows are posed from memoised (quantised, held) ladder
         // rows whose sorted orders amortise across rounds, so their misses
         // re-pose sort-free; Oracle windows are posed from exact one-shot
         // demands, where pre-sorting rows nothing reuses would cost more
         // than the re-pose sort it saves.
-        let orders = matches!(self.knowledge, Knowledge::Learned(_))
+        let orders = self
+            .runtime
+            .learned()
             .then(|| &rs.orders_buf[..rs.items_buf.len()]);
-        let nodes = match (shared, shard) {
-            (Some(generation), Some(shard)) => rs.memo.solve_shared(
+        let nodes = match &mut self.shared {
+            Some((generation, shard)) => rs.memo.solve_shared(
                 &rs.items_buf,
                 orders,
                 shape,
                 node_limit,
-                self.config.incumbent_gap_epsilon,
+                epsilon,
                 &mut rs.solve_scratch,
                 generation,
                 shard,
             )?,
-            _ => rs.memo.solve(
+            None => rs.memo.solve(
                 &rs.items_buf,
                 orders,
                 shape,
                 node_limit,
-                self.config.incumbent_gap_epsilon,
+                epsilon,
                 &mut rs.solve_scratch,
             )?,
         };
@@ -1123,211 +1124,100 @@ impl ProactiveRuntime {
         Ok((nodes, level))
     }
 
-    /// Builds and solves the optimisation window for a fresh prediction round
-    /// (no outstanding event), filling `plan` with the speculative schedule.
-    /// Returns `(prediction degree, solver nodes explored)`.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_round(
-        &self,
-        rs: &mut RunScratch,
-        plan: &mut VecDeque<SpeculativeItem>,
-        session: &SessionState,
-        profiler: &DemandProfiler,
-        engine: &ExecutionEngine<'_>,
-        qos: &QosPolicy,
-        events: &[WebEvent],
-        next_actual_idx: usize,
-        gap_ewma: TimeUs,
-        outstanding: Option<&WebEvent>,
-        fs: &mut FaultSession,
-        ladder: &mut DegradationTrace,
-        tier: DegradationLevel,
-        shared: Option<&SolveGeneration>,
-        shard: Option<&mut SolveShard>,
-    ) -> (usize, usize) {
-        plan.clear();
-        let now = engine.cpu_free_at();
+    /// Builds and solves the optimisation window of one prediction round,
+    /// refilling `plan` with the speculative schedule. Without an
+    /// `outstanding` event the round predicts from event `idx` on; with one
+    /// (event `idx`, already triggered) the window starts with it, so
+    /// `plan`'s head is its configuration. Returns `(prediction degree,
+    /// solver nodes explored)`.
+    fn plan_round(&mut self, idx: usize, outstanding: Option<&WebEvent>) -> (usize, usize) {
+        self.plan.clear();
+        let now = self.engine.cpu_free_at();
         // The window cannot start before the outstanding event's arrival, so
         // anchoring it at `max(now, arrival)` is exact — and it makes the
         // normalised window independent of how early the CPU went idle,
         // which is what gives the solve memoisation its hits.
         let window_start = outstanding.map_or(now, |ev| now.max(ev.arrival()));
-        self.predict_types(
-            &mut rs.predicted_buf,
-            &mut rs.predict_scratch,
-            &mut rs.planning_demands,
-            session,
-            profiler,
-            events,
-            next_actual_idx + usize::from(outstanding.is_some()),
-        );
+        let next = idx + usize::from(outstanding.is_some());
+        self.predict_types(next, outstanding);
         // Predictor faults perturb the round after the real predictor ran:
         // confidence corruption truncates it, type flips mispredict items,
         // and demand drift pushes the posed estimates past the hysteresis
         // band the planner holds them with.
-        fs.corrupt_predictions(&mut rs.predicted_buf);
-        for slot in rs.predicted_buf.iter_mut() {
-            slot.1 = fs.drift_demand(slot.1);
+        self.fs.corrupt_predictions(&mut self.rs.predicted_buf);
+        for slot in self.rs.predicted_buf.iter_mut() {
+            slot.1 = self.fs.drift_demand(slot.1);
         }
-        if rs.predicted_buf.is_empty() && outstanding.is_none() {
+        if self.rs.predicted_buf.is_empty() && outstanding.is_none() {
             return (0, 0);
         }
+        let hysteresis = self.runtime.config.planning_hysteresis;
         // The hysteresis-held inter-arrival gap (Learned knowledge only):
         // the EWMA drifts every round, the held value only snaps when the
         // drift leaves the tolerance band, so consecutive rounds of one
         // burst pose identical predicted deadlines and the memo ring can
         // revalidate them.
         let held_gap = held_value(
-            &mut rs.planning_gap_us,
-            quantize(gap_ewma.as_micros()),
-            self.config.planning_hysteresis,
+            &mut self.rs.planning_gap_us,
+            quantize(self.gap_ewma.as_micros()),
+            hysteresis,
         );
-        let sorted_rows = matches!(self.knowledge, Knowledge::Learned(_));
-        rs.kinds_buf.clear();
+        let learned = self.runtime.learned();
+        self.rs.kinds_buf.clear();
         let mut used = 0usize;
         if let Some(ev) = outstanding {
-            let demand = match &self.knowledge {
-                Knowledge::Learned(_) => held_demand(
-                    &mut rs.planning_demands,
+            let estimate = self
+                .profiler
+                .estimate(ev.event_type())
+                .unwrap_or_else(|| ev.demand());
+            let demand = if learned {
+                let quantized = quantize_demand(estimate);
+                held_demand(
+                    &mut self.rs.planning_demands,
                     ev.event_type(),
-                    quantize_demand(
-                        profiler
-                            .estimate(ev.event_type())
-                            .unwrap_or_else(|| ev.demand()),
-                    ),
-                    self.config.planning_hysteresis,
-                ),
-                Knowledge::Oracle { .. } => profiler
-                    .estimate(ev.event_type())
-                    .unwrap_or_else(|| ev.demand()),
+                    quantized,
+                    hysteresis,
+                )
+            } else {
+                estimate
             };
-            let demand = fs.drift_demand(demand);
-            Self::fill_schedule_item(
-                rs,
-                used,
-                sorted_rows,
-                engine,
-                &demand,
-                ev.arrival(),
-                ev.arrival() + qos.target_for_event(ev.event_type()),
-            );
+            let demand = self.fs.drift_demand(demand);
+            let deadline = ev.arrival() + self.engine.qos().target_for_event(ev.event_type());
+            self.fill_schedule_item(used, &demand, ev.arrival(), deadline);
             used += 1;
-            rs.kinds_buf.push((ev.event_type(), demand));
+            self.rs.kinds_buf.push((ev.event_type(), demand));
         }
-        for k in 0..rs.predicted_buf.len() {
-            let (event_type, demand) = rs.predicted_buf[k];
-            let expected_trigger = match &self.knowledge {
-                Knowledge::Oracle { .. } => events
-                    .get(next_actual_idx + usize::from(outstanding.is_some()) + k)
-                    .map(|e| e.arrival())
-                    .unwrap_or(now),
-                Knowledge::Learned(_) => {
-                    window_start + TimeUs::from_micros(held_gap * (k as u64 + 1))
-                }
+        for k in 0..self.rs.predicted_buf.len() {
+            let (event_type, demand) = self.rs.predicted_buf[k];
+            let expected_trigger = if learned {
+                window_start + TimeUs::from_micros(held_gap * (k as u64 + 1))
+            } else {
+                self.events.get(next + k).map_or(now, |e| e.arrival())
             };
-            Self::fill_schedule_item(
-                rs,
-                used,
-                sorted_rows,
-                engine,
-                &demand,
-                window_start,
-                expected_trigger + qos.target_for_event(event_type),
-            );
+            let deadline = expected_trigger + self.engine.qos().target_for_event(event_type);
+            self.fill_schedule_item(used, &demand, window_start, deadline);
             used += 1;
-            rs.kinds_buf.push((event_type, demand));
+            self.rs.kinds_buf.push((event_type, demand));
         }
-        rs.items_buf.truncate(used);
-        let degree = rs.predicted_buf.len();
-        let Ok((nodes, level)) =
-            self.solve_window(rs, window_start.as_micros(), fs, tier, shared, shard)
-        else {
+        self.rs.items_buf.truncate(used);
+        let degree = self.rs.predicted_buf.len();
+        let Ok((nodes, level)) = self.solve_window(window_start.as_micros()) else {
             return (0, 0);
         };
-        ladder.observe(level);
-        plan.extend(
-            rs.kinds_buf
+        self.report.degradation.observe(level);
+        let configs = self.engine.platform().configs();
+        self.plan.extend(
+            self.rs
+                .kinds_buf
                 .iter()
-                .zip(rs.memo.solution().choices.iter())
+                .zip(self.rs.memo.solution().choices.iter())
                 .map(|(&(event_type, demand), &choice)| SpeculativeItem {
                     event_type,
                     demand,
-                    config: engine.platform().configs()[choice],
+                    config: configs[choice],
                 }),
         );
         (degree, nodes)
-    }
-
-    /// Plans the window that starts with an outstanding (already triggered)
-    /// event: fills `plan` with the speculative schedule for the predicted
-    /// events that follow it and returns the outstanding event's
-    /// configuration plus the solver nodes explored.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_with_outstanding(
-        &self,
-        rs: &mut RunScratch,
-        plan: &mut VecDeque<SpeculativeItem>,
-        session: &SessionState,
-        profiler: &DemandProfiler,
-        engine: &ExecutionEngine<'_>,
-        qos: &QosPolicy,
-        events: &[WebEvent],
-        idx: usize,
-        gap_ewma: TimeUs,
-        ev: &WebEvent,
-        fs: &mut FaultSession,
-        ladder: &mut DegradationTrace,
-        tier: DegradationLevel,
-        shared: Option<&SolveGeneration>,
-        shard: Option<&mut SolveShard>,
-    ) -> (AcmpConfig, usize) {
-        // Predict the events that follow `ev` from the state in which `ev`
-        // has already been observed. The scratch session is taken out of the
-        // run scratch (and put back below) so it can be rebuilt in place —
-        // it shares the live session's DOM, so this is allocation-free in
-        // the steady state.
-        let mut scratch_session = match rs.session_scratch.take() {
-            Some(mut scratch) => {
-                scratch.clone_from(session);
-                scratch
-            }
-            None => session.clone(),
-        };
-        scratch_session.observe(ev);
-        let (_degree, nodes) = self.plan_round(
-            rs,
-            plan,
-            &scratch_session,
-            profiler,
-            engine,
-            qos,
-            events,
-            idx,
-            gap_ewma,
-            Some(ev),
-            fs,
-            ladder,
-            tier,
-            shared,
-            shard,
-        );
-        rs.session_scratch = Some(scratch_session);
-        match plan.pop_front() {
-            Some(first) => (first.config, nodes),
-            None => (
-                self.reactive_config(
-                    &mut rs.ladder_cache,
-                    profiler,
-                    engine,
-                    qos,
-                    ev,
-                    engine.cpu_free_at().max(ev.arrival()),
-                    ladder,
-                    tier,
-                ),
-                nodes,
-            ),
-        }
     }
 
     /// Writes the schedule item for one event into slot `used` of the run
@@ -1335,27 +1225,26 @@ impl ProactiveRuntime {
     /// per-configuration `(latency, energy)` table is a precomputed ladder
     /// row served through the replay's demand memo (the pre-ladder code
     /// re-derived every power term per configuration per fill, which
-    /// dominated the Oracle's per-event cost). With `sorted_rows` set (the
-    /// Learned planner, whose quantised + held demand classes recur across
-    /// rounds) the row's cost- and duration-sorted orders are copied
-    /// alongside the item, so a memo-miss re-pose builds its solver tables
-    /// without sorting a single option; the Oracle's exact one-shot demands
-    /// skip the orders — sorting rows nothing reuses costs more than the
-    /// re-pose sort it would save.
+    /// dominated the Oracle's per-event cost). The Learned planner, whose
+    /// quantised + held demand classes recur across rounds, also copies the
+    /// row's cost- and duration-sorted orders alongside the item, so a
+    /// memo-miss re-pose builds its solver tables without sorting a single
+    /// option; the Oracle's exact one-shot demands skip the orders —
+    /// sorting rows nothing reuses costs more than the re-pose sort it
+    /// would save.
     fn fill_schedule_item(
-        rs: &mut RunScratch,
+        &mut self,
         used: usize,
-        sorted_rows: bool,
-        engine: &ExecutionEngine<'_>,
         demand: &CpuDemand,
         release: TimeUs,
         deadline: TimeUs,
     ) {
+        let rs = &mut self.rs;
         if used == rs.items_buf.len() {
             rs.items_buf.push(ScheduleItem {
                 release_us: 0,
                 deadline_us: 0,
-                options: Vec::with_capacity(engine.platform().configs().len()),
+                options: Vec::with_capacity(self.engine.platform().configs().len()),
             });
         }
         if used == rs.orders_buf.len() {
@@ -1364,8 +1253,9 @@ impl ProactiveRuntime {
         let item = &mut rs.items_buf[used];
         item.release_us = release.as_micros();
         item.deadline_us = deadline.as_micros();
-        if sorted_rows {
-            let row = rs.ladder_cache.row(engine.dvfs().ladder(), demand);
+        let ladder = self.engine.dvfs().ladder();
+        if self.runtime.learned() {
+            let row = rs.ladder_cache.row(ladder, demand);
             item.assign_options(
                 row.points()
                     .iter()
@@ -1377,7 +1267,7 @@ impl ProactiveRuntime {
             order.by_duration.clear();
             order.by_duration.extend_from_slice(row.by_duration());
         } else {
-            let points = rs.ladder_cache.points(engine.dvfs().ladder(), demand);
+            let points = rs.ladder_cache.points(ladder, demand);
             item.assign_options(points.iter().map(|p| (p.time.as_micros(), p.energy_uj)));
         }
     }
@@ -1607,12 +1497,13 @@ mod tests {
             panic!("oracle knowledge");
         };
         assert!(*window > WIDE_WINDOW_THRESHOLD);
-        let config = PesConfig::paper_defaults();
-        assert!(config.wide_window_node_limit < config.optimizer_node_limit);
-        assert!(
-            config.wide_window_node_limit >= 10_000,
-            "enough budget to beat greedy"
-        );
+        const {
+            assert!(WIDE_WINDOW_NODE_LIMIT < OPTIMIZER_NODE_LIMIT);
+            assert!(
+                WIDE_WINDOW_NODE_LIMIT >= 10_000,
+                "enough budget to beat greedy"
+            );
+        }
     }
 
     #[test]

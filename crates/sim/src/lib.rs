@@ -52,8 +52,8 @@ pub use fleet::{
     FleetSpec, ShedPolicy,
 };
 pub use parallel::{
-    par_map, par_map_supervised, par_map_supervised_streaming, par_map_supervised_with,
-    par_map_with, parallelism, FleetReport, UnitFailure,
+    par_map, par_map_supervised, par_map_supervised_with, par_map_with, parallelism, FleetReport,
+    UnitFailure,
 };
 pub use reactive::{run_reactive, run_reactive_with_plane, ReactiveEventRecord, ReactiveReport};
 pub use scenario::ScenarioCache;

@@ -14,17 +14,9 @@
 //! times and then **quarantined** — their index is reported in the returned
 //! [`FleetReport`] instead of aborting the whole fan-out. One poisoned
 //! session replay must cost the fleet one result, not the suite.
-//!
-//! [`par_map_supervised_streaming`] is the backpressure tier on top: workers
-//! push outcomes through a *bounded* channel and a sink consumes them in
-//! index order, so a million-unit fleet holds `O(threads + capacity)`
-//! results in memory instead of all of them — the hook the streaming fleet
-//! driver (`crate::fleet`) batches through.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 
 use pes_core::DegradationLevel;
 
@@ -309,159 +301,6 @@ where
     assemble(n, tagged)
 }
 
-/// Admission control of [`par_map_supervised_streaming`]: a worker starts
-/// unit `index` only once `index < emitted + window`, where `emitted` is
-/// the number of outcomes the sink has seen. Without it, one stalled unit
-/// (a descheduled worker) lets the others run on toward `n` while their
-/// outcomes pile up in the reorder buffer.
-#[derive(Debug)]
-struct ClaimGate {
-    emitted: Mutex<usize>,
-    advanced: Condvar,
-    window: usize,
-}
-
-impl ClaimGate {
-    fn wait_for(&self, index: usize) {
-        let mut emitted = self.emitted.lock().unwrap_or_else(PoisonError::into_inner);
-        while index >= emitted.saturating_add(self.window) {
-            emitted = self
-                .advanced
-                .wait(emitted)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn advance(&self, emitted: usize) {
-        *self.emitted.lock().unwrap_or_else(PoisonError::into_inner) = emitted;
-        self.advanced.notify_all();
-    }
-}
-
-/// Opens a [`ClaimGate`] for good if its thread unwinds, so no worker
-/// waits forever on a consumer or a fellow worker that is gone.
-#[derive(Debug)]
-struct OpenOnUnwind<'a>(&'a ClaimGate);
-
-impl Drop for OpenOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.advance(usize::MAX);
-        }
-    }
-}
-
-/// Streaming supervised fan-out with **bounded in-flight results**: maps
-/// `f` over `0..n`, pushing every outcome through a bounded channel of
-/// `capacity` slots, and hands them to `sink` **in index order** —
-/// `Ok(value)` for completed units, `Err(failure)` for quarantined ones.
-/// Workers block once `capacity` outcomes are waiting (real backpressure:
-/// a slow sink throttles the fleet instead of buffering it), and no unit
-/// starts more than `threads + capacity` indices ahead of the sink, so
-/// peak memory stays within `threads + capacity` results regardless of
-/// `n`, however the workers are scheduled. With
-/// `threads <= 1` the fan-out degenerates to the serial loop and the sink
-/// sees exactly what the serial driver produces — the same byte-identity
-/// contract as [`par_map_supervised`].
-pub fn par_map_supervised_streaming<T, F, S>(
-    threads: usize,
-    n: usize,
-    retries: usize,
-    capacity: usize,
-    f: F,
-    mut sink: S,
-) where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: FnMut(usize, Result<T, UnitFailure>),
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        for index in 0..n {
-            let (made, outcome) = run_supervised(&f, index, retries);
-            match outcome {
-                Ok(value) => sink(index, Ok(value)),
-                Err(message) => sink(
-                    index,
-                    Err(UnitFailure {
-                        index,
-                        attempts: made,
-                        last_level: None,
-                        message,
-                    }),
-                ),
-            }
-        }
-        return;
-    }
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TaggedOutcome<T>>(capacity.max(1));
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let gate = ClaimGate {
-        emitted: Mutex::new(0),
-        advanced: Condvar::new(),
-        window: threads + capacity.max(1),
-    };
-    let gate = &gate;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let _open = OpenOnUnwind(gate);
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    gate.wait_for(index);
-                    let (made, outcome) = run_supervised(f, index, retries);
-                    if tx.send((index, made, outcome)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let _open = OpenOnUnwind(gate);
-        // The consumer runs on the caller's thread: outcomes arrive in
-        // completion order and are re-sequenced through a small reorder
-        // buffer (bounded by the in-flight window, not by `n`).
-        let mut pending: BTreeMap<usize, (usize, Result<T, String>)> = BTreeMap::new();
-        let mut expect = 0usize;
-        let emit =
-            |index: usize, made: usize, outcome: Result<T, String>, sink: &mut S| match outcome {
-                Ok(value) => sink(index, Ok(value)),
-                Err(message) => sink(
-                    index,
-                    Err(UnitFailure {
-                        index,
-                        attempts: made,
-                        last_level: None,
-                        message,
-                    }),
-                ),
-            };
-        for (index, made, outcome) in rx {
-            pending.insert(index, (made, outcome));
-            while let Some((made, outcome)) = pending.remove(&expect) {
-                emit(expect, made, outcome, &mut sink);
-                expect += 1;
-            }
-            gate.advance(expect);
-        }
-        // Channel closed with holes: a worker died to a non-unwinding abort
-        // after claiming an index. Flush what arrived, synthesize the rest.
-        while expect < n {
-            match pending.remove(&expect) {
-                Some((made, outcome)) => emit(expect, made, outcome, &mut sink),
-                None => sink(expect, Err(worker_death(expect))),
-            }
-            expect += 1;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,67 +442,5 @@ mod tests {
         assert_eq!(report.quarantine_rate(), 0.0);
         assert!(report.is_clean());
         assert!(report.attempts.is_empty());
-    }
-
-    #[test]
-    fn streaming_sink_sees_index_order_and_matches_batch() {
-        let work = |i: usize| {
-            if i % 11 == 7 {
-                panic!("unit {i} fails");
-            }
-            i * i
-        };
-        let batch = par_map_supervised_with(6, 100, 1, work);
-        for threads in [1, 6] {
-            let mut seen = Vec::new();
-            par_map_supervised_streaming(threads, 100, 1, 4, work, |index, outcome| {
-                seen.push((index, outcome.map_err(|f| (f.attempts, f.message))));
-            });
-            assert_eq!(seen.len(), 100);
-            for (k, (index, outcome)) in seen.iter().enumerate() {
-                assert_eq!(*index, k, "sink consumes in index order");
-                match outcome {
-                    Ok(value) => assert_eq!(Some(*value), batch.results[k]),
-                    Err((attempts, message)) => {
-                        let failure = batch
-                            .failures
-                            .iter()
-                            .find(|f| f.index == k)
-                            .expect("batch quarantined the same unit");
-                        assert_eq!(*attempts, failure.attempts);
-                        assert_eq!(*message, failure.message);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_bounds_in_flight_results() {
-        use std::sync::atomic::AtomicUsize;
-        // A deliberately slow sink: with a capacity-4 channel the workers
-        // must block rather than buffering all 64 outcomes.
-        let produced = AtomicUsize::new(0);
-        let mut consumed = 0usize;
-        let mut max_gap = 0usize;
-        par_map_supervised_streaming(
-            4,
-            512,
-            0,
-            4,
-            |i| {
-                produced.fetch_add(1, Ordering::SeqCst);
-                i
-            },
-            |_, _| {
-                consumed += 1;
-                let gap = produced.load(Ordering::SeqCst).saturating_sub(consumed);
-                max_gap = max_gap.max(gap);
-            },
-        );
-        assert_eq!(consumed, 512);
-        // The claim gate lets no unit start `threads + capacity` or more
-        // indices past the sink, however the workers are scheduled.
-        assert!(max_gap <= 4 + 4, "max in-flight gap {max_gap} of 512");
     }
 }

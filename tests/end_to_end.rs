@@ -516,7 +516,7 @@ fn zero_fault_plane_replays_stay_pinned_to_the_goldens() {
 /// `WATCHDOG-GOLDEN-CAPTURE` lines only for an intentional behaviour change.
 #[test]
 fn golden_watchdogged_sessions_stay_pinned() {
-    use pes::core::{DegradationLevel, WatchdogConfig};
+    use pes::core::WatchdogConfig;
 
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
