@@ -4,17 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use pes_acmp::Platform;
+use pes_acmp::{DvfsLadder, Platform};
 use pes_core::{OracleScheduler, PesConfig, PesScheduler};
 use pes_predictor::{LearnerConfig, Trainer, TrainingConfig};
 use pes_schedulers::{Ebs, InteractiveGovernor};
-use pes_sim::run_reactive;
+use pes_sim::run_reactive_with_plane;
 use pes_webrt::QosPolicy;
 use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
 fn per_policy_replay(c: &mut Criterion) {
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let catalog = AppCatalog::paper_suite();
     let app = catalog.find("cnn").unwrap();
@@ -31,8 +33,9 @@ fn per_policy_replay(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("Interactive", |b| {
         b.iter(|| {
-            black_box(run_reactive(
+            black_box(run_reactive_with_plane(
                 &platform,
+                &plane,
                 &trace,
                 &mut InteractiveGovernor::new(),
                 &qos,
@@ -41,8 +44,9 @@ fn per_policy_replay(c: &mut Criterion) {
     });
     group.bench_function("EBS", |b| {
         b.iter(|| {
-            black_box(run_reactive(
+            black_box(run_reactive_with_plane(
                 &platform,
+                &plane,
                 &trace,
                 &mut Ebs::new(&platform),
                 &qos,

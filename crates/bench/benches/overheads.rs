@@ -91,7 +91,8 @@ fn pressured_window(n: u64) -> ScheduleProblem {
 /// cap (the honest speedup — the 6×17 PES window is the paper-scale case);
 /// `capped/*` runs 7–12-event windows under the runtime's 200 k node budget
 /// (`pes_core::OPTIMIZER_NODE_LIMIT`), measuring the bounded worst-case
-/// per-decision latency after which the runtime falls back to greedy.
+/// per-decision latency of the anytime search, which returns its best
+/// incumbent when the budget cannot finish the window.
 /// Record a baseline with `BENCH_JSON=BENCH_solver.json cargo bench ...`.
 fn schedule_window_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_window_scaling");
@@ -101,7 +102,13 @@ fn schedule_window_scaling(c: &mut Criterion) {
         let mut scratch = SolveScratch::new();
         let mut solution = ScheduleSolution::default();
         group.bench_function(&format!("exact/optimised/{n}x17"), |b| {
-            b.iter(|| black_box(problem.solve_with(&mut scratch, &mut solution).is_ok()))
+            b.iter(|| {
+                black_box(
+                    problem
+                        .solve_anytime_with(&mut scratch, &mut solution)
+                        .is_ok(),
+                )
+            })
         });
         group.bench_function(&format!("exact/reference/{n}x17"), |b| {
             b.iter(|| black_box(problem.solve_reference().is_ok()))
@@ -112,7 +119,13 @@ fn schedule_window_scaling(c: &mut Criterion) {
         let mut scratch = SolveScratch::new();
         let mut solution = ScheduleSolution::default();
         group.bench_function(&format!("capped/optimised/{n}x17"), |b| {
-            b.iter(|| black_box(problem.solve_with(&mut scratch, &mut solution).is_ok()))
+            b.iter(|| {
+                black_box(
+                    problem
+                        .solve_anytime_with(&mut scratch, &mut solution)
+                        .is_ok(),
+                )
+            })
         });
         group.bench_function(&format!("capped/reference/{n}x17"), |b| {
             b.iter(|| black_box(problem.solve_reference().is_ok()))

@@ -28,6 +28,7 @@ use pes_acmp::units::{CpuCycles, TimeUs};
 use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, LadderCache, Platform};
 use pes_core::{
     window_shape, OracleScheduler, PesConfig, PesScheduler, SolveGeneration, SolveMemo, SolveShard,
+    INCUMBENT_GAP_EPSILON,
 };
 use pes_ilp::{
     OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
@@ -364,7 +365,7 @@ fn session_replay(c: &mut Criterion) {
         .collect();
     let hostile_problem = ScheduleProblem::new(0, hostile_window)
         .with_node_limit(60_000)
-        .with_incumbent_gap(PesConfig::paper_defaults().incumbent_gap_epsilon);
+        .with_incumbent_gap(INCUMBENT_GAP_EPSILON);
     group.bench_function("solver_window/hostile_12x17_anytime", |b| {
         b.iter(|| {
             black_box(

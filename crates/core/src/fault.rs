@@ -11,7 +11,7 @@
 //!   corruption of the predicted sequence
 //!   ([`FaultSession::corrupt_predictions`]),
 //! * **core/memo** — demand-estimate drift pushed beyond the
-//!   [`crate::PesConfig::planning_hysteresis`] band
+//!   [`crate::PLANNING_HYSTERESIS`] band
 //!   ([`FaultSession::drift_demand`]),
 //! * **ilp** — solver budget starvation down to zero nodes
 //!   ([`FaultSession::starve_budget`]),

