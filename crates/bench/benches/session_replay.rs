@@ -298,8 +298,8 @@ fn session_replay(c: &mut Criterion) {
     // The 13x17 window mirrors the Oracle's 12 predicted events plus one
     // outstanding event; `exact` solves it to optimality under the
     // first-tier budget, `anytime` runs a greedy-hostile variant that the
-    // depth-first search provably cannot finish, so the best-first
-    // incumbent tier carries it under the wide-window budget.
+    // depth-first search provably cannot finish, so the coarse-time
+    // incumbent search carries it under the wide-window budget.
     // ------------------------------------------------------------------
     let exact_window: Vec<ScheduleItem> = (0..13)
         .map(|i| ScheduleItem {

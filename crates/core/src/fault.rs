@@ -46,7 +46,7 @@ pub enum DegradationLevel {
     /// The window solve completed exactly within its node budget.
     Exact,
     /// The budget ran out (or was starved, but not to the floor): the
-    /// best-first incumbent answered — never worse than greedy.
+    /// coarse-time incumbent answered — never worse than greedy.
     Anytime,
     /// The budget was starved to the floor (≤ 1 node): the schedule is the
     /// greedy seed the anytime search starts from.
@@ -101,7 +101,7 @@ impl DegradationLevel {
 pub struct DegradationTrace {
     /// Decisions served by an exact solve.
     pub exact: usize,
-    /// Decisions served by a best-first incumbent.
+    /// Decisions served by a coarse-time incumbent.
     pub anytime: usize,
     /// Decisions served by a budget-floor (greedy) schedule.
     pub greedy: usize,

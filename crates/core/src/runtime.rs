@@ -70,18 +70,17 @@ pub const WIDE_WINDOW_THRESHOLD: usize = 8;
 
 /// Second budget tier: the node budget for windows wider than
 /// [`WIDE_WINDOW_THRESHOLD`] events — the Oracle's 12-event windows. Exact
-/// solves of such windows need millions of nodes, so the full first-tier
-/// budget bought nothing but a longer burn before the greedy fallback; with
-/// the anytime solver this tier instead bounds how long the best-first
-/// search refines its incumbent.
+/// proofs of the hard ones need 10⁴–10⁶ nodes even under the coarse-time
+/// bound, so this tier bounds the coarse-time incumbent search. Most such
+/// searches end inside it with the [`INCUMBENT_GAP_EPSILON`] proof (313 of
+/// 346 hopeless windows on the seed-1 `policy-matrix` traces).
 pub const WIDE_WINDOW_NODE_LIMIT: usize = 60_000;
 
-/// Relative incumbent-quality gap at which the wide-tier best-first search
-/// stops early: once the best open lower bound proves the incumbent within
-/// this fraction of the optimal cost *at its violation count*, the remaining
-/// budget buys at most that sliver and the search returns. The
-/// never-worse-than-greedy contract is unaffected — the stop can only end
-/// the search, never degrade the incumbent.
+/// Relative incumbent-quality slack of the coarse-time incumbent search: a
+/// search that finishes proves its incumbent within this fraction of the
+/// optimal cost *at its violation count*. The slack never prunes a node
+/// that could reduce violations, and the incumbent only improves on its
+/// greedy seed, so the never-worse-than-greedy contract is unaffected.
 pub const INCUMBENT_GAP_EPSILON: f64 = 0.01;
 
 /// Relative tolerance of the planner's demand/gap hysteresis: the planner
@@ -97,7 +96,7 @@ pub const INCUMBENT_GAP_EPSILON: f64 = 0.01;
 pub const PLANNING_HYSTERESIS: f64 = 0.35;
 
 /// Solver node cap of the [`DegradationLevel::Anytime`] serving tier: a
-/// demoted replay still refines a best-first incumbent, just on a budget two
+/// demoted replay still refines a coarse-time incumbent, just on a budget two
 /// orders below the full tiers.
 pub const ANYTIME_TIER_NODE_CAP: usize = 4_096;
 
@@ -1009,7 +1008,7 @@ impl Replay<'_> {
     /// never achieved on realistic traces (0 hits on the cnn replay). On a
     /// miss the window is solved anytime with the run-wide
     /// scratch arena — exact when the budget suffices, otherwise the
-    /// best-first incumbent (never worse than the greedy schedule the
+    /// coarse-time incumbent (never worse than the greedy schedule the
     /// pre-anytime runtime cliff-dropped to) — into the recycled oldest
     /// slot, re-posed sort-free from the ladder cache's pre-sorted rows.
     /// Wide windows (more than [`WIDE_WINDOW_THRESHOLD`] events, the
@@ -1018,7 +1017,7 @@ impl Replay<'_> {
     /// explored (0 on a hit) plus where the answering solve landed on the
     /// degradation ladder: `Exact` for a completed search, `Anytime` for a
     /// budget-capped incumbent, `Greedy` when the budget was starved to the
-    /// floor (≤ 1 node — the incumbent is the greedy seed the best-first
+    /// floor (≤ 1 node — the incumbent is the greedy seed the coarse-time
     /// search starts from, so a starved solve is never worse than Greedy).
     /// A memo hit reports the tier of the cached solve it served.
     fn solve_window(&mut self, start_us: u64) -> Result<(usize, DegradationLevel), IlpError> {

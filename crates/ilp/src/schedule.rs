@@ -44,23 +44,25 @@
 //! [`ScheduleProblem::solve_anytime_with`] is the one search. A
 //! depth-first search that completes returns [`SolveTier::Exact`] with a
 //! schedule bit-identical to [`ScheduleProblem::solve_reference`]. When the
-//! adaptive probe concludes the budget is provably insufficient (or the
-//! budget runs out mid-search), it switches to a **best-first incumbent
-//! search**: a priority queue ordered by the admissible earliest-finish
-//! lower bound, seeded with the better of the greedy schedule and the
-//! depth-first phase's incumbent, that keeps improving the incumbent until
-//! the remaining node budget is spent. The returned schedule is therefore
-//! *never worse than greedy* (and usually much better), and the tier is
-//! reported via [`SolveTier`] so callers and tests can distinguish a proven
-//! optimum from a best incumbent. [`ScheduleProblem::solve`] is the
-//! exact-only wrapper: it reports [`IlpError::NodeLimit`] for anything but
-//! the exact tier.
+//! adaptive probe concludes the budget is provably insufficient, the search
+//! switches to a **coarse-time incumbent search**. It fills a dynamic
+//! programme over a grid of 2,048 time cells: `LB[k][c]` is the
+//! least penalised value of items `k..` from cell `c` when durations and
+//! releases round down to the grid, which is an admissible lower bound. One
+//! dive guided by that table improves the incumbent, then the depth-first
+//! search re-runs from the root on the remaining budget, pruning on the
+//! table in O(1) per node and with the ε incumbent-quality slack (see
+//! [`ScheduleProblem::with_incumbent_gap`]). When the budget runs out
+//! mid-search the incumbent found so far stands. The incumbent is seeded
+//! with the greedy schedule, so the returned schedule is *never worse than
+//! greedy* (and usually much better), and the tier is reported via
+//! [`SolveTier`] so callers and tests can distinguish a proven optimum from
+//! a best incumbent. [`ScheduleProblem::solve`] is the exact-only wrapper:
+//! it reports [`IlpError::NodeLimit`] for anything but the exact tier.
 //!
 //! The pre-optimisation solver is retained as
 //! [`ScheduleProblem::solve_reference`] so property tests can assert the
 //! optimised search returns identical schedules.
-
-use std::collections::BinaryHeap;
 
 use crate::error::IlpError;
 use crate::linear::{Comparison, Constraint, LinearExpr};
@@ -72,7 +74,8 @@ enum SearchStop {
     /// The node budget is spent.
     Budget,
     /// The adaptive probe concluded the budget is provably insufficient (the
-    /// depth-first search unwinds here and hands over to the best-first tier).
+    /// depth-first search unwinds here and hands over to the coarse-time
+    /// incumbent search).
     Hopeless,
 }
 
@@ -85,50 +88,12 @@ pub enum SolveTier {
     /// [`ScheduleProblem::solve_reference`].
     Exact,
     /// The node budget was (provably or actually) insufficient: the returned
-    /// schedule is the best incumbent the best-first tier found — never
-    /// worse than the greedy schedule, possibly (unproven) optimal.
+    /// schedule is the best incumbent the coarse-time search found (or the
+    /// depth-first incumbent when the budget ran out) — never worse than the
+    /// greedy schedule, within the configured ε of the optimum at its
+    /// violation count when the search finished its budget early, possibly
+    /// (unproven) optimal.
     Incumbent,
-}
-
-/// One open node of the best-first incumbent search: a partial assignment of
-/// items `0..index`, reached at `cursor_us` with the accumulated `cost` and
-/// `violations`, whose admissible lower bound is `bound`. The path is stored
-/// as an index into the scratch arena of `(parent, option)` links. Ordered
-/// so that [`BinaryHeap`] pops the *smallest* bound first, ties broken by
-/// insertion order (`seq`) for determinism.
-#[derive(Debug, Clone, Copy)]
-struct OpenNode {
-    bound: f64,
-    seq: u32,
-    arena: u32,
-    index: u32,
-    cursor_us: u64,
-    cost: f64,
-    violations: u32,
-}
-
-impl PartialEq for OpenNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for OpenNode {}
-
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OpenNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: the max-heap then yields the lowest bound, oldest first.
-        other
-            .bound
-            .total_cmp(&self.bound)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// One selectable execution option for an event: a configuration index, the
@@ -304,16 +269,62 @@ pub struct SolveScratch {
     /// dense the remaining space is.
     probe_baseline: Option<(usize, f64)>,
     /// Consecutive probes whose projection exceeded the node budget. The
-    /// depth-first search unwinds to the best-first tier once this reaches
-    /// two, so one noisy early estimate cannot end a search the bound would
-    /// finish.
+    /// depth-first search unwinds to the coarse-time search once this
+    /// reaches two, so one noisy early estimate cannot end a search the
+    /// bound would finish.
     hopeless_probes: u8,
-    /// Best-first open list (reused allocation).
-    heap: BinaryHeap<OpenNode>,
-    /// Best-first path arena: `(parent arena index, option index)` per
-    /// generated node (reused allocation). The option link is as wide as
-    /// the option order's indices, so no window size can truncate it.
-    arena: Vec<(u32, u32)>,
+    /// How far below the incumbent a node's bound must fall to survive:
+    /// `1e-9` in the first depth-first pass, the ε incumbent-quality slack
+    /// in the coarse-time pass (see [`ScheduleProblem::prune_slack`]).
+    prune_slack: f64,
+    /// The coarse-time lower-bound table (reused allocation).
+    coarse: CoarseBound,
+}
+
+/// The coarse-time relaxation of a window: time is cut into cells of
+/// `grid_us` from the window start, durations and releases round *down* to
+/// the grid and an item misses when its finish cell lies past its
+/// deadline's cell. Relaxed finishes are never later than true ones and
+/// relaxed misses imply true misses, so `LB[k][c]` — the least penalised
+/// value of items `k..` from cell `c` — never exceeds the true remaining
+/// value from any time in that cell.
+#[derive(Debug, Clone, Default)]
+struct CoarseBound {
+    /// Row-major `LB`: `n + 1` rows of `overflow + 1` cells; row `n` is zero.
+    lb: Vec<f64>,
+    /// The next item's row with this item's penalty added, padded to twice
+    /// the row width.
+    penalised_next: Vec<f64>,
+    /// The window start, the origin of cell 0.
+    start_us: u64,
+    /// Cell width in microseconds (at least 1).
+    grid_us: u64,
+    /// The overflow cell: every time past the latest deadline maps here.
+    overflow: usize,
+}
+
+/// `row[c] = min(row[c], cost + shifted[c])`. A function of its own so the
+/// two slices arrive as non-aliasing arguments, which lets the loop
+/// vectorise (it ran scalar, 1.7× slower, inlined into the table fill).
+fn relax_row(row: &mut [f64], shifted: &[f64], cost: f64) {
+    for (r, &p) in row.iter_mut().zip(shifted) {
+        let v = cost + p;
+        *r = if v < *r { v } else { *r };
+    }
+}
+
+impl CoarseBound {
+    /// The cell of time `t`, saturating into the overflow cell.
+    #[inline]
+    fn cell(&self, t: u64) -> usize {
+        (t.saturating_sub(self.start_us) / self.grid_us).min(self.overflow as u64) as usize
+    }
+
+    /// `LB[index][cell(cursor_us)]`.
+    #[inline]
+    fn at(&self, index: usize, cursor_us: u64) -> f64 {
+        self.lb[index * (self.overflow + 1) + self.cell(cursor_us)]
+    }
 }
 
 impl SolveScratch {
@@ -334,8 +345,7 @@ impl SolveScratch {
         self.progress = 0.0;
         self.probe_baseline = None;
         self.hopeless_probes = 0;
-        self.heap.clear();
-        self.arena.clear();
+        self.prune_slack = 1e-9;
     }
 }
 
@@ -403,9 +413,8 @@ pub struct ScheduleProblem {
     /// the weight a child subtree contributes to the adaptive probe's
     /// enumeration-space progress estimate.
     inv_breadth: Vec<f64>,
-    /// Relative incumbent-quality gap at which the best-first tier stops
-    /// early (see [`ScheduleProblem::with_incumbent_gap`]); `0.0` disables
-    /// the early stop.
+    /// Relative incumbent-quality slack of the coarse-time search (see
+    /// [`ScheduleProblem::with_incumbent_gap`]); `0.0` disables it.
     incumbent_gap: f64,
 }
 
@@ -424,7 +433,7 @@ const VIOLATION_PENALTY: f64 = 1.0e15;
 /// The adaptive probe interval ceiling: every `clamp(budget / 64, 512,
 /// 2048)` nodes the search projects its total size from the
 /// enumeration-space progress so far and, when the projection exceeds the
-/// node budget, hands the search over to the best-first tier (see
+/// node budget, hands the search over to the coarse-time search (see
 /// [`ScheduleProblem::solve_anytime_with`]). The interval scales with the budget
 /// because the three probes a hopeless verdict needs (baseline + two
 /// consecutive over-projections) bound the worst-case latency of a solve
@@ -441,7 +450,7 @@ const ADAPT_PROBE_INTERVAL_MAX: usize = 2048;
 const ADAPT_PROBE_INTERVAL_MIN: usize = 512;
 
 /// Safety margin on the adaptive probe's projection: the depth-first search
-/// only hands over to the best-first tier when the projected total exceeds
+/// only hands over to the coarse-time search when the projected total exceeds
 /// this multiple of the node budget. The residual extrapolation overestimates searches whose pruning
 /// density improves as incumbents tighten (a 10-event window observed to
 /// finish at ~3.7 M nodes under a 5 M budget projects past 5 M mid-search),
@@ -449,6 +458,14 @@ const ADAPT_PROBE_INTERVAL_MIN: usize = 512;
 /// hopeless capped windows this adaptation targets project at ≥ 4× their
 /// budget, so the margin costs them nothing.
 const ADAPT_PROJECTION_MARGIN: f64 = 2.0;
+
+/// Time cells of the coarse-time lower-bound table, spread over `[start,
+/// latest deadline]`. Filling the table costs `O(n · DP_CELLS · m)` per
+/// hopeless window, about 0.1 ms at 12×17. On the 346 hopeless Oracle
+/// windows of the seed-1 `policy-matrix` traces, 1,024 cells ran 15%
+/// faster but planned 0.9 J more energy; 4,096 cells planned 0.7 J less
+/// but ran 1.6× slower.
+const DP_CELLS: u64 = 2048;
 
 impl ScheduleProblem {
     /// Creates a problem whose first event may start at `start_us`.
@@ -676,13 +693,14 @@ impl ScheduleProblem {
         self.node_limit = limit.max(1);
     }
 
-    /// Sets the best-first tier's incumbent-quality early stop: the search
-    /// ends as soon as the best open lower bound proves the incumbent within
-    /// `gap` (relative) of the optimal cost *at the incumbent's violation
-    /// count* — nodes that could still reduce violations keep the search
-    /// alive, so the lexicographic contract is untouched. `0.0` (the
-    /// default) disables the stop. Only [`SolveTier::Incumbent`] results are
-    /// affected; exact-tier solves never see the gap.
+    /// Sets the coarse-time search's incumbent-quality slack: that search
+    /// prunes every node whose lower bound is not at least `gap` (relative)
+    /// of the incumbent's cost below it, so a search that finishes proves
+    /// the incumbent within `gap` of the optimal cost *at the incumbent's
+    /// violation count*. Nodes that could still reduce violations are never
+    /// pruned by the slack, so the lexicographic contract is untouched.
+    /// `0.0` (the default) disables the slack. Only [`SolveTier::Incumbent`]
+    /// results are affected; exact-tier solves never see the gap.
     pub fn with_incumbent_gap(mut self, gap: f64) -> Self {
         self.set_incumbent_gap(gap);
         self
@@ -704,38 +722,10 @@ impl ScheduleProblem {
         self.incumbent_gap
     }
 
-    /// Admissible lower bound on `(cost, violations)` of items `index..` when
-    /// execution resumes at `cursor_us`.
-    ///
-    /// The bound walks the earliest-finish chain: each remaining item starts
-    /// no earlier than `max(chain, release)` and the chain advances by the
-    /// item's *fastest* option, so every actual schedule starts each item at
-    /// or after the chain's start. The item then contributes the cheapest
-    /// option fast enough to meet its deadline from that earliest start (one
-    /// binary search in the duration-sorted prefix-minimum table); if even
-    /// the fastest option misses, the miss is unavoidable and the item
-    /// contributes a violation plus its global cheapest cost. Both
-    /// relaxations under-approximate the true remaining objective, so
-    /// pruning on this bound never changes the returned optimum.
-    fn suffix_lower_bound(&self, index: usize, cursor_us: u64) -> (f64, usize) {
-        let mut chain = cursor_us;
-        let mut cost = 0.0;
-        let mut violations = 0usize;
-        let scan_end = (index + BOUND_SCAN_LIMIT).min(self.items.len());
-        for (j, item) in self.items.iter().enumerate().take(scan_end).skip(index) {
-            let start = chain.max(item.release_us);
-            let budget = item.deadline_us.saturating_sub(start);
-            if budget < self.min_duration[j] {
-                violations += 1;
-                cost += self.min_cost[j];
-            } else {
-                cost += self.cheapest_fitting(j, budget);
-            }
-            chain = start + self.min_duration[j];
-        }
-        // Items beyond the scan horizon contribute their plain cost floor —
-        // still admissible, just cheaper to evaluate.
-        (cost + self.suffix_min_cost[scan_end], violations)
+    /// Item `k`'s non-dominated option indices in cost order.
+    #[inline]
+    fn cost_order(&self, k: usize) -> &[u32] {
+        &self.order[self.order_offsets[k] as usize..self.order_offsets[k + 1] as usize]
     }
 
     /// Cheapest cost of an option of item `j` no slower than `budget`.
@@ -754,18 +744,24 @@ impl ScheduleProblem {
         self.dur_cheapest[lo + fitting - 1]
     }
 
-    /// Whether the earliest-finish scan bound prunes a node whose penalised
-    /// prefix value is `penalised` against `threshold` — the boolean form of
-    /// [`ScheduleProblem::suffix_lower_bound`] the depth-first search uses.
+    /// Whether the earliest-finish scan bound prunes a node at item `index`,
+    /// reached at `cursor_us` with penalised prefix value `penalised`,
+    /// against `threshold`.
     ///
-    /// Identical decision, cheaper evaluation: after each scanned item the
-    /// partial bound (scanned items so far at their cheapest-fitting costs,
-    /// everything beyond at its plain cost floor) is itself an admissible
-    /// lower bound that the full scan's value can only raise, so the scan
-    /// stops as soon as the partial bound reaches the threshold — at the
-    /// first unavoidable violation, usually. The last iteration's test is
-    /// the exact expression the full bound would have compared, so a scan
-    /// that runs to the end decides identically to the two-step form.
+    /// The bound walks the earliest-finish chain: each remaining item starts
+    /// no earlier than `max(chain, release)` and the chain advances by the
+    /// item's *fastest* option, so every actual schedule starts each item at
+    /// or after the chain's start. The item then contributes the cheapest
+    /// option fast enough to meet its deadline from that earliest start (one
+    /// binary search in the duration-sorted prefix-minimum table); if even
+    /// the fastest option misses, the miss is unavoidable and the item
+    /// contributes a violation plus its global cheapest cost. Items past
+    /// [`BOUND_SCAN_LIMIT`] contribute their plain cost floor. Every
+    /// relaxation under-approximates the true remaining objective, so
+    /// pruning on this bound never changes the returned optimum. After each
+    /// scanned item the partial bound is itself admissible, so the scan
+    /// stops as soon as it reaches the threshold — at the first unavoidable
+    /// violation, usually.
     #[inline]
     fn scan_bound_prunes(
         &self,
@@ -790,7 +786,7 @@ impl ScheduleProblem {
             } else {
                 cost += self.cheapest_fitting(j, budget);
             }
-            chain = start + self.min_duration[j];
+            chain = start.saturating_add(self.min_duration[j]);
             if penalised
                 + (cost + self.suffix_min_cost[j + 1])
                 + violations as f64 * VIOLATION_PENALTY
@@ -831,16 +827,14 @@ impl ScheduleProblem {
     /// overwrites `solution`, reusing both buffers' capacity across calls —
     /// the PES runtime's per-decision hot path. A depth-first search that
     /// completes returns [`SolveTier::Exact`] with the reference-bit-identical
-    /// schedule. When the adaptive probe
-    /// concludes the node budget is provably insufficient, the search
-    /// switches to the best-first incumbent tier (priority queue ordered by
-    /// the admissible lower bound) and spends the remaining budget improving
-    /// the incumbent; when the budget runs out mid-search the incumbent
-    /// found so far stands. Either way the returned schedule's lexicographic
-    /// `(violations, cost)` objective is never worse than the greedy
-    /// schedule's — the incumbent is seeded with greedy before the
-    /// best-first tier runs, and a depth-first incumbent only survives if it
-    /// beats it.
+    /// schedule. When the adaptive probe concludes the node budget is
+    /// provably insufficient, the coarse-time search (see the module docs)
+    /// spends the remaining budget improving the incumbent; when the budget
+    /// runs out mid-search the incumbent found so far stands. Either way the
+    /// returned schedule's lexicographic `(violations, cost)` objective is
+    /// never worse than the greedy schedule's — the incumbent is seeded with
+    /// greedy before the coarse-time search runs, and a depth-first
+    /// incumbent only survives if it beats it.
     ///
     /// # Errors
     ///
@@ -863,7 +857,7 @@ impl ScheduleProblem {
         let greedy = self.greedy_value();
         let prune_cap = greedy + (greedy.abs() * 1e-12).max(1e-6);
         scratch.reset(self.items.len(), prune_cap);
-        let tier = match self.branch(scratch, 0, self.start_us, 0.0, 0, 1.0) {
+        let tier = match self.branch::<false>(scratch, 0, self.start_us, 0.0, 0, 1.0) {
             Ok(()) => SolveTier::Exact,
             Err(stop) => {
                 // Seed the incumbent with the greedy schedule unless the
@@ -877,7 +871,7 @@ impl ScheduleProblem {
                     scratch.has_best = true;
                 }
                 if stop == SearchStop::Hopeless {
-                    self.best_first(scratch);
+                    self.coarse_time_search(scratch);
                 }
                 SolveTier::Incumbent
             }
@@ -904,7 +898,7 @@ impl ScheduleProblem {
         for (item, &sel) in self.items.iter().zip(&scratch.best_selected) {
             let opt = item.options[sel];
             let start = cursor.max(item.release_us);
-            cursor = start + opt.duration_us;
+            cursor = start.saturating_add(opt.duration_us);
             solution.selected.push(sel);
             solution.choices.push(opt.choice);
             solution.finish_us.push(cursor);
@@ -957,7 +951,10 @@ impl ScheduleProblem {
         }
     }
 
-    fn branch(
+    /// The depth-first branch and bound. The first pass (`COARSE = false`)
+    /// runs the adaptive probe; the coarse-time pass (`COARSE = true`) runs
+    /// without it and prunes on the coarse-time table first.
+    fn branch<const COARSE: bool>(
         &self,
         scratch: &mut SolveScratch,
         index: usize,
@@ -966,26 +963,30 @@ impl ScheduleProblem {
         violations: usize,
         weight: f64,
     ) -> Result<(), SearchStop> {
-        if scratch.hopeless_probes >= 2 {
+        if !COARSE && scratch.hopeless_probes >= 2 {
             // The adaptive probe concluded the search cannot finish within
             // the node budget: unwind the whole stack and hand the remaining
-            // budget to the best-first tier. Siblings of the frames still on
-            // the stack land here immediately.
+            // budget to the coarse-time search. Siblings of the frames still
+            // on the stack land here immediately.
             return Err(SearchStop::Hopeless);
         }
         scratch.nodes += 1;
         if scratch.nodes > self.node_limit {
             return Err(SearchStop::Budget);
         }
-        if scratch.nodes.is_multiple_of(self.probe_interval()) {
+        if !COARSE && scratch.nodes.is_multiple_of(self.probe_interval()) {
             self.adapt_probe(scratch);
         }
         let penalised = cost + violations as f64 * VIOLATION_PENALTY;
         let threshold = if scratch.has_best {
-            (scratch.best_penalised - 1e-9).min(scratch.prune_cap)
+            (scratch.best_penalised - scratch.prune_slack).min(scratch.prune_cap)
         } else {
             scratch.prune_cap
         };
+        if COARSE && penalised + scratch.coarse.at(index, cursor_us) >= threshold {
+            scratch.progress += weight;
+            return Ok(());
+        }
         // Earliest-finish scan bound: taking the cheapest deadline-respecting
         // remaining options in the best case, and counting only the future
         // misses that are already unavoidable, can this branch still beat
@@ -1002,19 +1003,22 @@ impl ScheduleProblem {
                 scratch.best_selected.copy_from_slice(&scratch.selected);
                 scratch.best_penalised = penalised;
                 scratch.has_best = true;
+                if COARSE {
+                    scratch.prune_slack = self.prune_slack(penalised);
+                }
             }
             return Ok(());
         }
         let item = &self.items[index];
         let child_weight = weight * self.inv_breadth[index];
-        for k in self.order_offsets[index] as usize..self.order_offsets[index + 1] as usize {
-            let opt_idx = self.order[k] as usize;
+        for &o in self.cost_order(index) {
+            let opt_idx = o as usize;
             let opt = item.options[opt_idx];
             let start = cursor_us.max(item.release_us);
-            let finish = start + opt.duration_us;
+            let finish = start.saturating_add(opt.duration_us);
             let missed = finish > item.deadline_us;
             scratch.selected[index] = opt_idx;
-            self.branch(
+            self.branch::<COARSE>(
                 scratch,
                 index + 1,
                 finish,
@@ -1031,7 +1035,7 @@ impl ScheduleProblem {
     /// committed, falling back to the fastest option when none fits.
     /// Invokes `pick(item index, selected option index, option, finish_us)`
     /// per item and returns the penalised value. The depth-first pruning
-    /// cap, the best-first incumbent seeding and
+    /// cap, the incumbent seeding of the coarse-time search and
     /// [`ScheduleProblem::solve_greedy`] all build on this single routine so
     /// their tie-breaking can never drift apart.
     // The `expect`s restate constructor invariants: costs are finite (the
@@ -1047,7 +1051,7 @@ impl ScheduleProblem {
                 .options
                 .iter()
                 .enumerate()
-                .filter(|(_, o)| start + o.duration_us <= item.deadline_us)
+                .filter(|(_, o)| start.saturating_add(o.duration_us) <= item.deadline_us)
                 .min_by(|a, b| a.1.cost.partial_cmp(&b.1.cost).expect("finite"));
             let (sel, opt) = match feasible {
                 Some((j, o)) => (j, *o),
@@ -1061,7 +1065,7 @@ impl ScheduleProblem {
                     (j, *o)
                 }
             };
-            cursor = start + opt.duration_us;
+            cursor = start.saturating_add(opt.duration_us);
             if cursor > item.deadline_us {
                 violations += 1;
             }
@@ -1086,144 +1090,133 @@ impl ScheduleProblem {
         self.greedy_walk(|i, sel, _, _| out[i] = sel)
     }
 
-    /// The best-first incumbent tier of the anytime solver.
-    ///
-    /// Classic best-first branch and bound: an open list (binary heap)
-    /// ordered by the admissible earliest-finish lower bound, popping the
-    /// most promising partial assignment and expanding its children in the
-    /// cached cost order. Children whose bound cannot beat the incumbent are
-    /// dropped at generation; complete assignments tighten the incumbent
-    /// immediately (they never enter the heap). Paths are stored as
-    /// `(parent, option)` links in a flat arena, so a node costs 8 bytes of
-    /// arena plus one heap entry and the whole tier allocates nothing after
-    /// the first hard window of a given size.
-    ///
-    /// Every child generation counts against the same node budget the
-    /// depth-first tier metered, so a capped anytime solve does bounded
-    /// total work. The search ends when the budget is spent, the heap runs
-    /// dry, the best open bound can no longer beat the incumbent (at which
-    /// point the incumbent is in fact optimal — still reported as
-    /// [`SolveTier::Incumbent`], since tie-breaking may differ from the
-    /// reference search's), or — with
-    /// [`ScheduleProblem::with_incumbent_gap`] configured — the best open
-    /// bound proves the incumbent within ε of the optimal cost at its
-    /// violation count.
+    /// The coarse-time incumbent search, run when the adaptive probe finds
+    /// the depth-first search hopeless: fill the coarse-time table, take
+    /// one dive guided by it, then re-run the depth-first search from the
+    /// root on the remaining node budget with the table's O(1) prune and
+    /// the ε slack. Budget exhaustion just ends the search; the incumbent
+    /// found so far stands.
     ///
     /// Precondition: `scratch.has_best` (the caller seeds the incumbent with
-    /// the greedy schedule), and `scratch.selected`/`best_selected` are
-    /// sized to the window.
-    fn best_first(&self, scratch: &mut SolveScratch) {
+    /// the greedy schedule).
+    fn coarse_time_search(&self, scratch: &mut SolveScratch) {
+        self.fill_coarse_bound(&mut scratch.coarse);
+        self.coarse_dive(scratch);
+        scratch.prune_slack = self.prune_slack(scratch.best_penalised);
+        let _ = self.branch::<true>(scratch, 0, self.start_us, 0.0, 0, 1.0);
+    }
+
+    /// The prune slack at incumbent value `best_penalised`: the incumbent
+    /// gap times the incumbent's cost, or `1e-9` without a gap. A node
+    /// whose bound has fewer violations than the incumbent lies at least a
+    /// violation penalty below it, so the slack only prunes nodes at the
+    /// incumbent's violation count.
+    fn prune_slack(&self, best_penalised: f64) -> f64 {
+        let violations = (best_penalised / VIOLATION_PENALTY).round();
+        let cost = best_penalised - violations * VIOLATION_PENALTY;
+        (self.incumbent_gap * cost.abs().max(1.0)).max(1e-9)
+    }
+
+    /// Fills the coarse-time table (see [`CoarseBound`]) backwards, one
+    /// item at a time, as a shifted minimum over the next row with the
+    /// item's penalty already added: `row[c] = min_o(cost_o +
+    /// penalised_next[min(max(c, release) + shift_o, overflow)])`. Cell
+    /// offsets are clamped at the overflow cell and every cell is computed
+    /// with saturating arithmetic, so hostile times (durations or deadlines
+    /// near `u64::MAX`) cannot overflow or grow the table past
+    /// `(n + 1) × (DP_CELLS + 1)` entries.
+    fn fill_coarse_bound(&self, table: &mut CoarseBound) {
         let n = self.items.len();
-        scratch.heap.clear();
-        scratch.arena.clear();
-        scratch.arena.push((u32::MAX, 0));
-        let root_bound = {
-            let (cost, violations) = self.suffix_lower_bound(0, self.start_us);
-            cost + violations as f64 * VIOLATION_PENALTY
-        };
-        if root_bound >= scratch.best_penalised - 1e-9 {
-            return;
-        }
-        scratch.heap.push(OpenNode {
-            bound: root_bound,
-            seq: 0,
-            arena: 0,
-            index: 0,
-            cursor_us: self.start_us,
-            cost: 0.0,
-            violations: 0,
-        });
-        let mut seq = 1u32;
-        while let Some(node) = scratch.heap.pop() {
-            // The best open bound cannot beat the incumbent: every other
-            // open node is at least as bad, so the incumbent is optimal.
-            if node.bound >= scratch.best_penalised - 1e-9 {
-                break;
+        let latest = self.items.iter().map(|i| i.deadline_us).max().unwrap_or(0);
+        let horizon = latest.saturating_sub(self.start_us);
+        table.start_us = self.start_us;
+        table.grid_us = horizon / DP_CELLS + 1;
+        table.overflow = (horizon / table.grid_us + 1) as usize;
+        let width = table.overflow + 1;
+        table.lb.clear();
+        table.lb.resize((n + 1) * width, 0.0);
+        for k in (0..n).rev() {
+            let item = &self.items[k];
+            // The first cell whose finish misses: past the deadline's cell,
+            // or every cell when the deadline precedes the window.
+            let miss_from = (item.deadline_us.checked_sub(self.start_us))
+                .map_or(0, |d| (d / table.grid_us) as usize + 1);
+            let release = table.cell(item.release_us);
+            let (head, tail) = table.lb.split_at_mut((k + 1) * width);
+            let row = &mut head[k * width..];
+            // The next row, padded with `overflow` copies of its overflow
+            // cell so that every shifted read stays in bounds.
+            let next = &mut table.penalised_next;
+            next.clear();
+            next.extend_from_slice(&tail[..width]);
+            next.resize(2 * width, tail[width - 1]);
+            for p in &mut next[miss_from..] {
+                *p += VIOLATION_PENALTY;
             }
-            // ε incumbent-quality stop: when no open node can still reduce
-            // the violation count (the popped bound already carries at least
-            // the incumbent's violations — and every other open node is at
-            // least as bad) and the best open bound is within the configured
-            // relative cost gap of the incumbent, the incumbent is provably
-            // within ε of optimal; burning the rest of the budget buys at
-            // most that sliver. The incumbent only ever improves from its
-            // greedy seed, so stopping early can never violate the
-            // never-worse-than-greedy contract.
-            if self.incumbent_gap > 0.0 {
-                let inc_violations = (scratch.best_penalised / VIOLATION_PENALTY).round();
-                let bound_violations = (node.bound / VIOLATION_PENALTY).round();
-                if bound_violations >= inc_violations {
-                    let inc_cost = scratch.best_penalised - inc_violations * VIOLATION_PENALTY;
-                    let bound_cost = node.bound - bound_violations * VIOLATION_PENALTY;
-                    if inc_cost - bound_cost <= self.incumbent_gap * inc_cost.abs().max(1.0) {
-                        break;
-                    }
-                }
+            row[release..].fill(f64::INFINITY);
+            for &o in self.cost_order(k) {
+                let opt = item.options[o as usize];
+                let shift = (opt.duration_us / table.grid_us).min(table.overflow as u64) as usize;
+                relax_row(&mut row[release..], &next[release + shift..], opt.cost);
             }
-            let index = node.index as usize;
-            debug_assert!(index < n, "complete assignments never enter the heap");
-            let item = &self.items[index];
-            let start = node.cursor_us.max(item.release_us);
-            let child_is_leaf = index + 1 == n;
-            for k in self.order_offsets[index] as usize..self.order_offsets[index + 1] as usize {
-                scratch.nodes += 1;
-                if scratch.nodes > self.node_limit {
-                    return;
-                }
-                let opt_idx = self.order[k] as usize;
-                let opt = item.options[opt_idx];
-                let finish = start + opt.duration_us;
-                let child_cost = node.cost + opt.cost;
-                let child_violations = node.violations + u32::from(finish > item.deadline_us);
-                let penalised = child_cost + child_violations as f64 * VIOLATION_PENALTY;
-                if child_is_leaf {
-                    if penalised < scratch.best_penalised - 1e-9 {
-                        scratch.best_penalised = penalised;
-                        scratch.selected[index] = opt_idx;
-                        Self::reconstruct_path(
-                            &scratch.arena,
-                            node.arena,
-                            index,
-                            &mut scratch.selected,
-                        );
-                        scratch.best_selected.copy_from_slice(&scratch.selected);
-                    }
-                    continue;
-                }
-                let (suffix_cost, unavoidable) = self.suffix_lower_bound(index + 1, finish);
-                let bound = penalised + suffix_cost + unavoidable as f64 * VIOLATION_PENALTY;
-                if bound >= scratch.best_penalised - 1e-9 {
-                    continue;
-                }
-                scratch.arena.push((node.arena, opt_idx as u32));
-                scratch.heap.push(OpenNode {
-                    bound,
-                    seq,
-                    arena: (scratch.arena.len() - 1) as u32,
-                    index: (index + 1) as u32,
-                    cursor_us: finish,
-                    cost: child_cost,
-                    violations: child_violations,
-                });
-                seq = seq.wrapping_add(1);
-            }
+            let at_release = row[release];
+            row[..release].fill(at_release);
         }
     }
 
-    /// Fills `selected[0..depth]` from the arena chain ending at `arena_idx`
-    /// (the node standing at item `depth`).
-    fn reconstruct_path(
-        arena: &[(u32, u32)],
-        mut arena_idx: u32,
-        depth: usize,
-        selected: &mut [usize],
-    ) {
-        for i in (0..depth).rev() {
-            let (parent, opt_idx) = arena[arena_idx as usize];
-            selected[i] = opt_idx as usize;
-            arena_idx = parent;
+    /// One dive guided by the coarse-time table: each item takes the option
+    /// minimising `cost + penalty + LB[k + 1][cell(finish)]` (first in cost
+    /// order on ties), and the schedule replaces the incumbent if it beats
+    /// it.
+    fn coarse_dive(&self, scratch: &mut SolveScratch) {
+        let mut cursor = self.start_us;
+        let mut cost = 0.0;
+        let mut violations = 0usize;
+        for (k, item) in self.items.iter().enumerate() {
+            let start = cursor.max(item.release_us);
+            let mut best = (f64::INFINITY, 0, start);
+            for &o in self.cost_order(k) {
+                let opt = item.options[o as usize];
+                let finish = start.saturating_add(opt.duration_us);
+                let missed = f64::from(u8::from(finish > item.deadline_us));
+                let value =
+                    opt.cost + missed * VIOLATION_PENALTY + scratch.coarse.at(k + 1, finish);
+                if value < best.0 {
+                    best = (value, o as usize, finish);
+                }
+            }
+            let (_, sel, finish) = best;
+            scratch.selected[k] = sel;
+            cursor = finish;
+            cost += item.options[sel].cost;
+            violations += usize::from(finish > item.deadline_us);
         }
-        debug_assert_eq!(arena_idx, 0, "paths terminate at the root");
+        let penalised = cost + violations as f64 * VIOLATION_PENALTY;
+        if penalised < scratch.best_penalised - 1e-9 {
+            scratch.best_selected.copy_from_slice(&scratch.selected);
+            scratch.best_penalised = penalised;
+        }
+    }
+
+    /// The coarse-time lower bound along `solution`'s schedule: entry `k`
+    /// bounds the `(violations, cost)` of items `k..` when execution resumes
+    /// where `solution` finishes item `k - 1` (at the window start for
+    /// `k = 0`), and the last entry is `(0, 0.0)`. This is the table the
+    /// coarse-time search prunes with; it is exposed so tests can check it
+    /// never exceeds the true remaining value.
+    pub fn coarse_time_bounds(&self, solution: &ScheduleSolution) -> Vec<(usize, f64)> {
+        let mut table = CoarseBound::default();
+        self.fill_coarse_bound(&mut table);
+        let cursors = std::iter::once(self.start_us).chain(solution.finish_us.iter().copied());
+        cursors
+            .take(self.items.len() + 1)
+            .enumerate()
+            .map(|(k, cursor)| {
+                let bound = table.at(k, cursor);
+                let violations = (bound / VIOLATION_PENALTY).round();
+                (violations as usize, bound - violations * VIOLATION_PENALTY)
+            })
+            .collect()
     }
 
     /// The pre-optimisation branch-and-bound, retained verbatim as a
@@ -1288,7 +1281,7 @@ impl ScheduleProblem {
         for (item, &sel) in self.items.iter().zip(&selected) {
             let opt = item.options[sel];
             let start = cursor.max(item.release_us);
-            cursor = start + opt.duration_us;
+            cursor = start.saturating_add(opt.duration_us);
             finish_us.push(cursor);
             total_cost += opt.cost;
             choices.push(opt.choice);
@@ -1338,7 +1331,7 @@ impl ScheduleProblem {
         for &opt_idx in &order[index] {
             let opt = item.options[opt_idx];
             let start = cursor_us.max(item.release_us);
-            let finish = start + opt.duration_us;
+            let finish = start.saturating_add(opt.duration_us);
             let missed = finish > item.deadline_us;
             state.selected[index] = opt_idx;
             self.branch_reference(
@@ -1717,8 +1710,8 @@ mod tests {
     /// slowest options overlap the next pair: greedy lets every slack-rich
     /// event crawl and then misses every tight deadline, while a global
     /// schedule meets all of them. Exact search needs tens of millions of
-    /// nodes on this window; the best-first tier finds (and proves) the
-    /// 0-violation optimum within a few thousand.
+    /// nodes on this window; the coarse-time search finds the 0-violation
+    /// optimum within a few thousand.
     fn greedy_hostile_chain(pairs: u64) -> Vec<ScheduleItem> {
         let mut items = Vec::new();
         for k in 0..pairs {
@@ -1874,6 +1867,38 @@ mod tests {
             early.total_cost,
             burn.total_cost
         );
+    }
+
+    #[test]
+    fn coarse_time_table_survives_hostile_times() {
+        // Times near `u64::MAX`, as hostile trace JSON could pose them: a
+        // release and deadline at the top of the range and options whose
+        // durations alone overflow any sum. The hard-window shape in front
+        // makes the probe hand over to the coarse-time search.
+        let base = u64::MAX / 2;
+        let mut items = hard_window(12);
+        for item in &mut items {
+            item.release_us += base;
+            item.deadline_us += base;
+        }
+        items.push(ScheduleItem {
+            release_us: u64::MAX - 1,
+            deadline_us: u64::MAX,
+            options: vec![opt(0, u64::MAX, 1.0), opt(1, u64::MAX - 7, 2.0)],
+        });
+        let problem = ScheduleProblem::new(base, items).with_node_limit(60_000);
+        let mut table = CoarseBound::default();
+        problem.fill_coarse_bound(&mut table);
+        assert!(table.lb.len() <= 14 * (DP_CELLS as usize + 1));
+        assert!(table.lb.iter().all(|v| v.is_finite()));
+        let mut scratch = SolveScratch::new();
+        let mut solution = ScheduleSolution::default();
+        let tier = problem
+            .solve_anytime_with(&mut scratch, &mut solution)
+            .unwrap();
+        assert_eq!(tier, SolveTier::Incumbent);
+        assert_eq!(solution.finish_us[12], u64::MAX, "finishes saturate");
+        assert!(no_worse(&solution, &problem.solve_greedy().unwrap()));
     }
 
     #[test]

@@ -308,10 +308,10 @@ const GOLDEN_INTERACTIVE: (usize, f64) = (2, 20_044_502.467135124);
 /// Golden Oracle sessions for the anytime solver: two additional seeded
 /// replays whose every optimisation window is a 12-event Oracle window (13
 /// items with the outstanding event), so the wide-window budget tier and the
-/// best-first incumbent machinery sit on the replayed path. Violations are
-/// pinned exactly and energy to 0.5 µJ, identical in debug and release —
-/// any change to the anytime solver that shifts a single schedule moves
-/// these and fails loudly. Refresh via `--nocapture` + the
+/// coarse-time incumbent search sit on the replayed path. Violations and
+/// solver nodes are pinned exactly and energy to 0.5 µJ, identical in debug
+/// and release — any change to the anytime solver that shifts a single
+/// schedule moves these and fails loudly. Refresh via `--nocapture` + the
 /// `ORACLE-GOLDEN-CAPTURE` line only for an intentional behaviour change.
 #[test]
 fn golden_oracle_anytime_sessions_stay_pinned() {
@@ -320,24 +320,19 @@ fn golden_oracle_anytime_sessions_stay_pinned() {
     let qos = QosPolicy::paper_defaults();
     let oracle = OracleScheduler::new();
 
-    let golden: [(&str, u64, usize, f64); 2] = [
-        ("ebay", 13, GOLDEN_ORACLE_EBAY.0, GOLDEN_ORACLE_EBAY.1),
-        (
-            "youtube",
-            27,
-            GOLDEN_ORACLE_YOUTUBE.0,
-            GOLDEN_ORACLE_YOUTUBE.1,
-        ),
+    let golden = [
+        ("ebay", 13, GOLDEN_ORACLE_EBAY),
+        ("youtube", 27, GOLDEN_ORACLE_YOUTUBE),
     ];
-    for (app_name, seed_offset, gold_violations, gold_energy) in golden {
+    for (app_name, seed_offset, (gold_violations, gold_energy, gold_nodes)) in golden {
         let app = catalog.find(app_name).unwrap();
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + seed_offset);
         let report = oracle.run_trace(&platform, &page, &trace, &qos);
         let energy = report.total_energy.as_microjoules();
         println!(
-            "ORACLE-GOLDEN-CAPTURE {app_name}: ({}, {energy:?})",
-            report.violations
+            "ORACLE-GOLDEN-CAPTURE {app_name}: ({}, {energy:?}, {})",
+            report.violations, report.solver_nodes
         );
         assert_eq!(
             report.mispredictions, 0,
@@ -351,14 +346,27 @@ fn golden_oracle_anytime_sessions_stay_pinned() {
             (energy - gold_energy).abs() < 0.5,
             "{app_name}: session energy drifted (got {energy:.3} µJ, golden {gold_energy:.3} µJ)"
         );
+        assert_eq!(
+            report.solver_nodes, gold_nodes,
+            "{app_name}: solver nodes drifted"
+        );
     }
 }
 
 /// Golden values for `golden_oracle_anytime_sessions_stay_pinned`:
-/// `(frame-deadline misses, session energy in µJ)` for the seeded ebay and
-/// youtube Oracle replays. Identical in debug and release builds.
-const GOLDEN_ORACLE_EBAY: (usize, f64) = (0, 10_675_336.12207985);
-const GOLDEN_ORACLE_YOUTUBE: (usize, f64) = (0, 10_873_271.576855296);
+/// `(frame-deadline misses, session energy in µJ, solver nodes)` for the
+/// seeded ebay and youtube Oracle replays. Identical in debug and release
+/// builds.
+///
+/// The youtube replay misses one frame since its hopeless windows run the
+/// coarse-time search. The window posed at 1.005 s plans event 8 to finish
+/// 130 µs before its 3 s target. Execution then runs 703 µs behind that
+/// plan: six DVFS/migration switches charge 700 µs that option durations
+/// leave out. The frame is ready 573 µs late and shows at the next vsync,
+/// 9.04 ms past the target. Posed deadlines are not aligned to vsync; the
+/// last refresh before that target lies 7.6 ms earlier.
+const GOLDEN_ORACLE_EBAY: (usize, f64, usize) = (0, 10_675_336.12207985, 479);
+const GOLDEN_ORACLE_YOUTUBE: (usize, f64, usize) = (1, 10_551_634.125592278, 23_060);
 
 /// The shape-tolerant solve memoisation must score real hits on a
 /// realistic trace — the cnn replay scored exactly zero under the old

@@ -730,6 +730,97 @@ proptest! {
         }
     }
 
+    /// The coarse-time search's lower-bound table and its quality contract,
+    /// on windows of up to 8 events × 17 options with nonzero releases and
+    /// tight or infeasible deadlines:
+    ///
+    /// * along `solve_reference`'s optimal path, the table's bound on the
+    ///   remaining `(violations, cost)` never exceeds the true remaining
+    ///   value (lexicographically);
+    /// * a coarse-time search that finishes within its budget (tier
+    ///   `Incumbent` with budget to spare) has the optimal violation count
+    ///   and a cost within `INCUMBENT_GAP_EPSILON` of the optimum;
+    /// * the result is never worse than greedy.
+    ///
+    /// Costs are integers, so every penalised sum is exact.
+    #[test]
+    fn coarse_time_bound_is_admissible(
+        shape in proptest::collection::vec(
+            (1u64..150_000, 60_000u64..400_000, 0u64..25_000, 10u64..140),
+            4..9
+        ),
+        options in 8usize..=17,
+        curve in 1u64..9,
+        start in 0u64..40_000,
+    ) {
+        let mut release = start;
+        let items: Vec<ScheduleItem> = shape
+            .iter()
+            .map(|&(gap, base_dur, step, slack_pct)| {
+                release += gap;
+                ScheduleItem {
+                    release_us: release,
+                    deadline_us: release + base_dur * slack_pct / 100,
+                    options: (0..options)
+                        .map(|j| ScheduleOption {
+                            choice: j,
+                            duration_us: base_dur.saturating_sub(j as u64 * step).max(1),
+                            cost: (1 + curve * (j * j) as u64) as f64,
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        let n = items.len();
+        let budget = 4_096;
+        let problem = ScheduleProblem::new(start, items)
+            .with_node_limit(budget)
+            .with_incumbent_gap(pes::core::INCUMBENT_GAP_EPSILON);
+        let mut scratch = SolveScratch::new();
+        let mut anytime = ScheduleSolution::default();
+        let tier = problem.solve_anytime_with(&mut scratch, &mut anytime).unwrap();
+        // The reference search gives up on the densest windows; the exact
+        // solve, bit-identical to it wherever both finish, takes over there.
+        let reference = problem
+            .clone()
+            .with_node_limit(500_000)
+            .solve_reference()
+            .or_else(|_| problem.clone().with_node_limit(5_000_000).solve());
+        if let Ok(optimum) = reference {
+            let bounds = problem.coarse_time_bounds(&optimum);
+            prop_assert_eq!(bounds.len(), n + 1);
+            for (k, &(bound_violations, bound_cost)) in bounds.iter().enumerate() {
+                let violations = (k..n)
+                    .filter(|&i| optimum.finish_us[i] > problem.items()[i].deadline_us)
+                    .count();
+                let cost: f64 = (k..n)
+                    .map(|i| problem.items()[i].options[optimum.selected[i]].cost)
+                    .sum();
+                prop_assert!(
+                    bound_violations < violations
+                        || (bound_violations == violations && bound_cost <= cost),
+                    "item {}: bound ({}, {}) exceeds the remaining optimum ({}, {})",
+                    k, bound_violations, bound_cost, violations, cost
+                );
+            }
+            if tier == SolveTier::Incumbent && anytime.nodes_explored <= budget {
+                prop_assert_eq!(anytime.violations, optimum.violations);
+                prop_assert!(
+                    anytime.total_cost - optimum.total_cost
+                        <= pes::core::INCUMBENT_GAP_EPSILON * anytime.total_cost,
+                    "finished coarse-time search cost {} not within ε of the optimum {}",
+                    anytime.total_cost, optimum.total_cost
+                );
+            }
+        }
+        let greedy = problem.solve_greedy().unwrap();
+        prop_assert!(
+            lex_no_worse(&anytime, &greedy),
+            "coarse-time result ({}, {}) worse than greedy ({}, {})",
+            anytime.violations, anytime.total_cost, greedy.violations, greedy.total_cost
+        );
+    }
+
     /// Plane-routed energy metering is bit-identical to the retained
     /// reference path over random interleavings of busy/idle/transition
     /// samples: totals, activity-kind breakdowns and cluster breakdowns.
