@@ -26,7 +26,9 @@
 //! tables, and walking the caller's pre-sorted option orders instead of
 //! re-sorting them — and the evicted solution's buffers become the solve
 //! target. A steady replay's misses are therefore allocation-free *and*
-//! sort-free.
+//! sort-free. [`SolveMemo::reset`] carries the ring from one replay to the
+//! next: it forgets every cached window but keeps the slots' buffers, so a
+//! worker's later replays re-pose into warm slots too.
 //!
 //! # The shared cross-replay cache
 //!
@@ -252,6 +254,10 @@ struct MemoSlot {
     /// Set by a generation hit: the entry answers for this slot, and
     /// `problem`/`solution` are stale buffers the next cold solve reuses.
     shared: Option<Arc<SharedSolve>>,
+    /// Whether the slot answers lookups: set by a successful solve or a
+    /// generation hit, cleared by a failed solve and by
+    /// [`SolveMemo::reset`]. A dead slot is only buffers.
+    live: bool,
 }
 
 impl MemoSlot {
@@ -594,6 +600,7 @@ impl SolveMemo {
             let slot = &mut self.slots[self.cursor];
             slot.shape = shape;
             slot.shared = Some(Arc::clone(entry));
+            slot.live = true;
             self.current = self.cursor;
             self.cursor = (self.cursor + 1) % SOLVE_CACHE_SIZE;
             return Ok(nodes);
@@ -603,8 +610,23 @@ impl SolveMemo {
         Ok(nodes)
     }
 
-    /// Lazily sizes the ring. Empty slots never match a real window, so
-    /// pre-sizing once keeps the steady state allocation-free.
+    /// Forgets every cached window and counter while keeping every
+    /// allocation: the stats and cursors return to zero, no slot answers a
+    /// lookup until a later solve writes it, and pointer-served slots drop
+    /// their shared entries, so an idle ring never pins a retired
+    /// generation. A reset memo behaves exactly like [`SolveMemo::new`].
+    pub fn reset(&mut self) {
+        for slot in &mut self.slots {
+            slot.live = false;
+            slot.shared = None;
+        }
+        self.cursor = 0;
+        self.current = 0;
+        self.stats = MemoStats::default();
+    }
+
+    /// Lazily sizes the ring. Dead slots never answer, so pre-sizing once
+    /// keeps the steady state allocation-free.
     fn ensure_slots(&mut self) {
         if self.slots.is_empty() {
             self.slots.resize_with(SOLVE_CACHE_SIZE, || MemoSlot {
@@ -613,6 +635,7 @@ impl SolveMemo {
                 solution: ScheduleSolution::default(),
                 tier: SolveTier::Exact,
                 shared: None,
+                live: false,
             });
         }
     }
@@ -640,11 +663,13 @@ impl SolveMemo {
         slot.problem.set_incumbent_gap(incumbent_gap);
         slot.shape = shape;
         match slot.problem.solve_anytime_with(scratch, &mut slot.solution) {
-            Ok(tier) => slot.tier = tier,
+            Ok(tier) => {
+                slot.tier = tier;
+                slot.live = true;
+            }
             Err(e) => {
                 // Never let a half-filled slot answer a future lookup.
-                slot.problem.rebuild(0, &[]);
-                slot.shape = 0;
+                slot.live = false;
                 return Err(e);
             }
         }
@@ -655,18 +680,15 @@ impl SolveMemo {
     }
 
     /// The slot index answering the posed window, if any: shape probe
-    /// first, full revalidation ([`WindowKey::matches`]) on non-empty
+    /// first, full revalidation ([`WindowKey::matches`]) on live
     /// candidates, pointer-served slots included.
     fn lookup(&mut self, posed: &WindowKey<'_>) -> Option<usize> {
         for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.shape != posed.shape {
-                continue;
-            }
-            let key = slot.key();
-            if key.rows.len() == 0 {
+            if !slot.live || slot.shape != posed.shape {
                 continue;
             }
             self.stats.revalidations += 1;
+            let key = slot.key();
             if key.matches(posed) {
                 return Some(idx);
             }
@@ -823,6 +845,69 @@ mod tests {
             .solve(&items, Some(&orders), shape, 200_000, 0.01, &mut scratch)
             .unwrap();
         assert_eq!(hit_nodes, 0, "matching parameters hit");
+    }
+
+    #[test]
+    fn reset_forgets_every_window_and_releases_shared_entries() {
+        let items = window(50_000);
+        let orders = orders_for(&items);
+        let shape = shape_of(&items);
+        let mut scratch = SolveScratch::new();
+        let mut shard = SolveShard::new();
+        let mut memo = SolveMemo::new();
+        memo.solve_shared(
+            &items,
+            Some(&orders),
+            shape,
+            200_000,
+            0.0,
+            &mut scratch,
+            &SolveGeneration::empty(),
+            &mut shard,
+        )
+        .unwrap();
+        let generation = SolveGeneration::publish(&SolveGeneration::empty(), &[shard], 64);
+        // `other` solves cold; `items` is served through the generation's
+        // pointer.
+        let other = window(90_000);
+        let mut warm = SolveMemo::new();
+        for posed in [&other, &items] {
+            warm.solve_shared(
+                posed,
+                Some(&orders_for(posed)),
+                shape_of(posed),
+                200_000,
+                0.0,
+                &mut scratch,
+                &generation,
+                &mut SolveShard::new(),
+            )
+            .unwrap();
+        }
+        assert_eq!(Arc::strong_count(&generation.entries[0]), 2);
+        warm.reset();
+        assert_eq!(
+            Arc::strong_count(&generation.entries[0]),
+            1,
+            "a reset ring must not pin shared entries"
+        );
+        // After the reset the ring answers exactly like a fresh one: both
+        // windows miss, to the same solutions and counters.
+        let mut fresh = SolveMemo::new();
+        for posed in [&items, &other, &items] {
+            let o = orders_for(posed);
+            let warm_nodes = warm
+                .solve(posed, Some(&o), shape_of(posed), 200_000, 0.0, &mut scratch)
+                .unwrap();
+            let fresh_nodes = fresh
+                .solve(posed, Some(&o), shape_of(posed), 200_000, 0.0, &mut scratch)
+                .unwrap();
+            assert_eq!(warm_nodes, fresh_nodes);
+            assert_eq!(*warm.solution(), *fresh.solution());
+            assert_eq!(warm.tier(), fresh.tier());
+            assert_eq!(warm.stats(), fresh.stats());
+        }
+        assert_eq!(warm.stats().misses, 2, "a reset ring serves nothing old");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`FALLBACK_THRESHOLD`] consecutive mispredictions prediction turns off
 //! and the rest of the replay is served reactively.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -372,12 +373,15 @@ fn held_demand(
     }
 }
 
-/// Reusable per-replay state for the scheduling hot path: the solver's
-/// search arena, the window memoisation cache and the buffers the planner
-/// fills in place instead of allocating fresh `Vec`s every prediction round.
+/// Reusable state for the scheduling hot path: the solver's search arena,
+/// the window memoisation cache and the buffers the planner fills in place
+/// instead of allocating fresh `Vec`s every prediction round. Each thread
+/// keeps one in [`RUN_SCRATCH`] and carries it from one PES replay to the
+/// next; [`RunScratch::reset`] is the boundary between two replays.
 #[derive(Debug, Default)]
 struct RunScratch {
-    /// Branch-and-bound search arena, reused across every solve of the run.
+    /// Branch-and-bound search arena, reused across every solve the thread
+    /// runs.
     solve_scratch: SolveScratch,
     /// The shape-keyed solve-memoisation ring: a `u64` fingerprint per slot
     /// filters candidates, a full item compare revalidates them, and misses
@@ -409,6 +413,30 @@ struct RunScratch {
     planning_demands: BTreeMap<EventType, CpuDemand>,
     /// Hysteresis-held inter-arrival gap the planner poses.
     planning_gap_us: Option<u64>,
+}
+
+impl RunScratch {
+    /// Forgets all per-replay state and keeps every allocation, so the next
+    /// replay runs exactly as on a fresh scratch. The memo ring and the
+    /// hysteresis holds are per-replay state. Ladder rows are only valid
+    /// against the ladder that filled them, and the next replay may run on
+    /// another plane, so the ladder cache is cleared too. Everything else
+    /// is overwritten before each use (the window and prediction buffers,
+    /// the solver arena) or self-validates against the tree's `TreeStamp`
+    /// (the scratch sessions).
+    fn reset(&mut self) {
+        self.memo.reset();
+        self.ladder_cache.clear();
+        self.planning_demands.clear();
+        self.planning_gap_us = None;
+    }
+}
+
+thread_local! {
+    /// Each thread's [`RunScratch`], parked between PES replays. A replay
+    /// takes it (or starts a fresh one) and `Replay::finish` puts it back; a
+    /// replay that panics drops it with the rest of its state.
+    static RUN_SCRATCH: Cell<Option<RunScratch>> = const { Cell::new(None) };
 }
 
 /// How the runtime knows about the future.
@@ -597,6 +625,17 @@ impl ProactiveRuntime {
         };
         let tier = self.config.forced_tier;
         let profiler = DemandProfiler::new(engine.platform());
+        // The Oracle builds its own scratch: parking its wide-window
+        // buffers gained it nothing measurable and slowed the replays that
+        // followed it on the thread (EXPERIMENTS.md, "Replay scratch
+        // pooling").
+        let rs = if self.learned() {
+            let mut rs = RUN_SCRATCH.take().unwrap_or_default();
+            rs.reset();
+            rs
+        } else {
+            RunScratch::default()
+        };
         let mut replay = Replay {
             runtime: self,
             events,
@@ -606,7 +645,7 @@ impl ProactiveRuntime {
             session: SessionState::new(page.tree.clone()),
             pfb: PendingFrameBuffer::new(),
             plan: VecDeque::new(),
-            rs: RunScratch::default(),
+            rs,
             fs,
             wd: WatchdogState::new(self.config.watchdog),
             tier,
@@ -628,6 +667,7 @@ impl ProactiveRuntime {
                 pfb_trace: Vec::new(),
                 prediction_rounds: 0,
                 total_prediction_degree: 0,
+                // `finish` moves the engine's commit log in.
                 outcomes: Vec::new(),
                 solver_nodes: 0,
                 solver_cache_hits: 0,
@@ -783,8 +823,7 @@ impl Replay<'_> {
             let ready_at = self
                 .fs
                 .delay_vsync(frame.record.frame_ready_at, self.engine.vsync().period());
-            let outcome = self.engine.commit(ev, ready_at);
-            self.report.outcomes.push((ev.id(), outcome));
+            self.engine.commit(ev, ready_at);
             self.profiler.observe(
                 ev.event_type(),
                 frame.record.config,
@@ -841,8 +880,7 @@ impl Replay<'_> {
         let ready_at = self
             .fs
             .delay_vsync(record.frame_ready_at, self.engine.vsync().period());
-        let outcome = self.engine.commit(ev, ready_at);
-        self.report.outcomes.push((ev.id(), outcome));
+        self.engine.commit(ev, ready_at);
         self.profiler.observe(
             ev.event_type(),
             config,
@@ -853,9 +891,11 @@ impl Replay<'_> {
         self.demote(trips);
     }
 
-    /// Seals the report from the engine's meters and the replay's counters.
+    /// Seals the report from the engine's meters and the replay's counters,
+    /// and parks a PES replay's run scratch for the thread's next replay.
     fn finish(self) -> RunReport {
         let Replay {
+            runtime,
             engine,
             pfb,
             rs,
@@ -865,9 +905,9 @@ impl Replay<'_> {
             mut report,
             ..
         } = self;
-        // The engine counts violations at commit time; every commit on this
-        // path also lands in `report.outcomes`, so the counter and the scan
-        // agree (the differential suites pin this).
+        // The engine counts violations at commit time and logs every commit,
+        // so the counter and a scan of the log agree (the differential
+        // suites pin this).
         report.violations = engine.violations();
         report.total_energy = engine.total_energy();
         report.waste_energy = engine.energy_for(ActivityKind::SpeculativeWaste);
@@ -884,6 +924,10 @@ impl Replay<'_> {
             .collect();
         report.watchdog_trips = wd.trips();
         report.final_tier = tier;
+        report.outcomes = engine.into_outcomes();
+        if runtime.learned() {
+            RUN_SCRATCH.set(Some(rs));
+        }
         report
     }
 

@@ -125,16 +125,13 @@ impl HistoryWindow {
     /// Euclidean distance in pixels between the two most recent tap targets
     /// in the window, if at least two taps with known positions exist.
     pub fn click_distance(&self) -> Option<f64> {
-        let clicks: Vec<(i64, i64)> = self
+        let mut clicks = self
             .events
             .iter()
-            .filter_map(|(e, pos)| if e.is_tap() { *pos } else { None })
-            .collect();
-        if clicks.len() < 2 {
-            return None;
-        }
-        let a = clicks[clicks.len() - 2];
-        let b = clicks[clicks.len() - 1];
+            .rev()
+            .filter_map(|(e, pos)| if e.is_tap() { *pos } else { None });
+        let b = clicks.next()?;
+        let a = clicks.next()?;
         Some((((a.0 - b.0).pow(2) + (a.1 - b.1).pow(2)) as f64).sqrt())
     }
 }

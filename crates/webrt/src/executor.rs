@@ -169,6 +169,11 @@ impl<'p> ExecutionEngine<'p> {
         &self.outcomes
     }
 
+    /// Consumes the engine, returning its per-event QoS outcome log.
+    pub fn into_outcomes(self) -> Vec<(EventId, QosOutcome)> {
+        self.outcomes
+    }
+
     /// The per-event execution records so far.
     pub fn records(&self) -> &[ExecutionRecord] {
         &self.records

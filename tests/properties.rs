@@ -1638,6 +1638,221 @@ mod shared_memo {
 }
 
 // ---------------------------------------------------------------------------
+// Warm-thread determinism: each thread carries one run scratch from replay to
+// replay, so a replay on a thread that already served another session must
+// match the same replay on a fresh thread, bit for bit.
+// ---------------------------------------------------------------------------
+
+mod warm_scratch {
+    use std::sync::{Arc, OnceLock};
+
+    use proptest::prelude::*;
+
+    use pes::acmp::{DvfsLadder, Platform};
+    use pes::core::{
+        DegradationLevel, FaultConfig, FaultPlane, OracleScheduler, PesConfig, PesScheduler,
+        RunReport, SolveGeneration, SolveShard,
+    };
+    use pes::dom::BuiltPage;
+    use pes::predictor::{EventSequenceLearner, LearnerConfig, Trainer, TrainingConfig};
+    use pes::webrt::QosPolicy;
+    use pes::workload::{AppCatalog, Trace, TraceGenerator, EVAL_SEED_BASE};
+
+    struct Fixture {
+        catalog: AppCatalog,
+        platform: Platform,
+        plane: Arc<DvfsLadder>,
+        qos: QosPolicy,
+        learner: EventSequenceLearner,
+    }
+
+    /// Training dominates the cost of every case otherwise.
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let catalog = AppCatalog::paper_suite();
+            let platform = Platform::exynos_5410();
+            let plane = Arc::new(DvfsLadder::for_platform(&platform));
+            let learner = Trainer::with_config(TrainingConfig {
+                traces_per_app: 3,
+                epochs: 25,
+                ..Default::default()
+            })
+            .train_learner(&catalog, LearnerConfig::paper_defaults());
+            Fixture {
+                catalog,
+                platform,
+                plane,
+                qos: QosPolicy::paper_defaults(),
+                learner,
+            }
+        })
+    }
+
+    /// How a session is served.
+    enum Policy {
+        Oracle(OracleScheduler),
+        Pes {
+            pes: PesScheduler,
+            faults: FaultPlane,
+            /// A generation published from this session's own cold solves,
+            /// so the replay serves windows through shared pointers.
+            shared: Option<SolveGeneration>,
+        },
+    }
+
+    /// One replay, prepared up front so that every replay a thread runs is
+    /// a measured one (the shared generation's own replay runs elsewhere).
+    struct Session {
+        page: BuiltPage,
+        trace: Trace,
+        policy: Policy,
+    }
+
+    impl Session {
+        /// `policy` 0 is the Oracle; otherwise PES at tier `tier` (mostly
+        /// `Exact`), with a non-zero fault plane when bit 0 of `fault_seed`
+        /// is set and a shared generation when bit 1 is.
+        fn new(app: usize, seed: u64, policy: u8, tier: usize, fault_seed: u64) -> Self {
+            let f = fixture();
+            let app = &f.catalog.apps()[app % f.catalog.len()];
+            let page = app.build_page();
+            let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + seed);
+            let policy = if policy == 0 {
+                Policy::Oracle(OracleScheduler::new())
+            } else {
+                let tier = DegradationLevel::ALL[tier.saturating_sub(3)];
+                let config = PesConfig::paper_defaults().with_forced_tier(tier);
+                let pes = PesScheduler::new(f.learner.clone(), config);
+                let faults = if fault_seed & 1 == 1 {
+                    FaultPlane::new(FaultConfig {
+                        seed: fault_seed,
+                        prediction_flip: 0.1,
+                        confidence_corruption: 0.1,
+                        demand_drift: 0.2,
+                        drift_magnitude: 0.5,
+                        solver_starvation: 0.2,
+                        rung_mask: 0b101,
+                        vsync_delay: 0.1,
+                        queue_duplicate: 0.05,
+                        queue_drop: 0.05,
+                    })
+                } else {
+                    FaultPlane::none()
+                };
+                let shared = (fault_seed & 2 == 2).then(|| {
+                    let mut shard = SolveShard::new();
+                    pes.run_trace_with_shared_memo(
+                        &f.platform,
+                        &f.plane,
+                        &page,
+                        &trace,
+                        &f.qos,
+                        &faults,
+                        &SolveGeneration::empty(),
+                        &mut shard,
+                    );
+                    SolveGeneration::publish(&SolveGeneration::empty(), &[shard], 64)
+                });
+                Policy::Pes {
+                    pes,
+                    faults,
+                    shared,
+                }
+            };
+            Session {
+                page,
+                trace,
+                policy,
+            }
+        }
+
+        fn replay(&self) -> RunReport {
+            let f = fixture();
+            match &self.policy {
+                Policy::Oracle(oracle) => oracle.run_trace_with_plane(
+                    &f.platform,
+                    &f.plane,
+                    &self.page,
+                    &self.trace,
+                    &f.qos,
+                ),
+                Policy::Pes {
+                    pes,
+                    faults,
+                    shared: Some(generation),
+                } => pes.run_trace_with_shared_memo(
+                    &f.platform,
+                    &f.plane,
+                    &self.page,
+                    &self.trace,
+                    &f.qos,
+                    faults,
+                    generation,
+                    &mut SolveShard::new(),
+                ),
+                Policy::Pes {
+                    pes,
+                    faults,
+                    shared: None,
+                } => pes.run_trace_with_plane_and_faults(
+                    &f.platform,
+                    &f.plane,
+                    &self.page,
+                    &self.trace,
+                    &f.qos,
+                    faults,
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        /// Replaying a chain of sessions on one thread gives each session
+        /// the report it gets on a fresh thread. Consecutive sessions come
+        /// from different apps, under any mix of PES (forced tiers, fault
+        /// planes, shared generations) and the Oracle.
+        #[test]
+        fn warm_thread_replays_match_fresh_thread_replays(
+            chain in collection::vec(
+                (1usize..18, 0u64..64, 0u8..3, 0usize..8, 0u64..1_000_000),
+                2..5,
+            ),
+        ) {
+            let mut app = 0;
+            let sessions: Vec<Session> = chain
+                .iter()
+                .map(|&(app_offset, seed, policy, tier, fault_seed)| {
+                    app += app_offset;
+                    Session::new(app, seed, policy, tier, fault_seed)
+                })
+                .collect();
+            let warm: Vec<RunReport> = std::thread::scope(|s| {
+                s.spawn(|| sessions.iter().map(Session::replay).collect())
+                    .join()
+                    .expect("warm replays panicked")
+            });
+            for (k, (session, warm)) in sessions.iter().zip(&warm).enumerate() {
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| session.replay()).join().expect("fresh replay panicked")
+                });
+                if k > 0 {
+                    prop_assert!(sessions[k - 1].trace.app() != session.trace.app());
+                }
+                prop_assert_eq!(
+                    warm.total_energy.as_microjoules().to_bits(),
+                    fresh.total_energy.as_microjoules().to_bits(),
+                    "session {} of {:?}",
+                    k,
+                    chain
+                );
+                prop_assert_eq!(warm, &fresh, "session {} of {:?}", k, chain);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Engine floor: the O(1) violation counter and the VSync presentation rule
 // hold over arbitrary engine operation sequences.
 // ---------------------------------------------------------------------------
