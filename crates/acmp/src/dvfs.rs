@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::config::AcmpConfig;
 use crate::error::AcmpError;
 use crate::platform::Platform;
-use crate::units::{CpuCycles, EnergyUj, FreqMhz, PowerMw, TimeUs};
+use crate::units::{CpuCycles, EnergyUj, PowerMw, TimeUs};
 
 /// The compute demand of one event execution, expressed in
 /// microarchitecture-independent terms.
@@ -517,14 +517,14 @@ impl<'p> DvfsModel<'p> {
     pub fn execution_power(&self, cfg: &AcmpConfig) -> PowerMw {
         match self.rung_for(cfg) {
             Some(rung) => rung.exec_power,
-            None => self.execution_power_reference(cfg),
+            None => self.off_ladder_execution_power(cfg),
         }
     }
 
-    /// [`DvfsModel::execution_power`] computed from the platform tables on
-    /// every call — the pre-ladder implementation, retained as the reference
-    /// the differential tests compare the precomputed path against.
-    pub fn execution_power_reference(&self, cfg: &AcmpConfig) -> PowerMw {
+    /// The live fallback of [`DvfsModel::execution_power`] for a
+    /// configuration that is not a platform operating point: the same sum
+    /// the ladder freezes per rung, derived from the platform tables.
+    fn off_ladder_execution_power(&self, cfg: &AcmpConfig) -> PowerMw {
         self.platform.active_power(cfg) + self.platform.background_idle_power(cfg)
     }
 
@@ -551,14 +551,6 @@ impl<'p> DvfsModel<'p> {
         self.ladder.baseline
     }
 
-    /// [`DvfsModel::baseline_idle_power`] re-derived from the platform on
-    /// every call (the pre-ladder implementation, kept for the differential
-    /// tests).
-    pub fn baseline_idle_power_reference(&self) -> PowerMw {
-        let min_cfg = self.platform.min_power_config();
-        self.idle_power(&min_cfg)
-    }
-
     /// The *marginal* energy of executing `demand` on `cfg`: the energy above
     /// what the processor would have drawn idling for the same wall-clock
     /// time. Because the user session length is set by the user (not by how
@@ -570,16 +562,6 @@ impl<'p> DvfsModel<'p> {
         let time = self.execution_time(demand, cfg);
         let gross = self.execution_power(cfg).energy_over(time);
         let baseline = self.baseline_idle_power().energy_over(time);
-        gross - baseline
-    }
-
-    /// [`DvfsModel::marginal_energy`] with every power term re-derived from
-    /// the platform tables (the pre-ladder implementation, kept for the
-    /// differential tests).
-    pub fn marginal_energy_reference(&self, demand: &CpuDemand, cfg: &AcmpConfig) -> EnergyUj {
-        let time = self.execution_time(demand, cfg);
-        let gross = self.execution_power_reference(cfg).energy_over(time);
-        let baseline = self.baseline_idle_power_reference().energy_over(time);
         gross - baseline
     }
 
@@ -655,33 +637,6 @@ impl<'p> DvfsModel<'p> {
         )
     }
 
-    /// [`DvfsModel::cheapest_config_within`] driven entirely by the direct
-    /// per-call model (the pre-ladder implementation, kept so golden-trace
-    /// tests can replay decisions against the original math).
-    pub fn cheapest_config_within_reference(
-        &self,
-        demand: &CpuDemand,
-        budget: TimeUs,
-    ) -> Option<AcmpConfig> {
-        // One energy evaluation per candidate (a `min_by` on the lazily
-        // recomputed energy costs two per comparison; this sits on every
-        // reactive scheduling decision). Strictly-less keeps `min_by`'s
-        // first-minimum tie-breaking.
-        let mut best: Option<(AcmpConfig, f64)> = None;
-        for cfg in self.platform.configs() {
-            if self.execution_time(demand, cfg) > budget {
-                continue;
-            }
-            let energy = self.marginal_energy_reference(demand, cfg).as_microjoules();
-            assert!(energy.is_finite(), "energy is finite");
-            match best {
-                Some((_, cheapest)) if energy >= cheapest => {}
-                _ => best = Some((*cfg, energy)),
-            }
-        }
-        best.map(|(cfg, _)| cfg)
-    }
-
     /// Latency of `demand` under the fastest configuration of the platform.
     pub fn best_case_latency(&self, demand: &CpuDemand) -> TimeUs {
         self.platform
@@ -691,28 +646,17 @@ impl<'p> DvfsModel<'p> {
             .min()
             .unwrap_or(TimeUs::ZERO)
     }
-
-    /// Frequency of the config expressed for reporting, e.g. in Fig. 2 style
-    /// timelines.
-    pub fn describe(&self, cfg: &AcmpConfig) -> String {
-        format!("{} ({} active)", cfg, self.execution_power(cfg))
-    }
-}
-
-/// Convenience alias for a `(config, frequency)` observation pair used by
-/// demand recovery.
-pub type LatencyObservation = (AcmpConfig, TimeUs);
-
-/// Returns the frequency of an observation; small helper used by schedulers'
-/// profiling tables.
-pub fn observation_frequency(obs: &LatencyObservation) -> FreqMhz {
-    obs.0.frequency()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CoreKind;
+    use crate::oracle::{
+        baseline_idle_power_reference, cheapest_config_within_reference, execution_power_reference,
+        marginal_energy_reference,
+    };
+    use crate::units::FreqMhz;
 
     fn model_fixture() -> (Platform, CpuDemand) {
         let platform = Platform::exynos_5410();
@@ -839,7 +783,7 @@ mod tests {
             assert_eq!(ladder.len(), platform.configs().len());
             assert_eq!(
                 ladder.baseline_idle_power().as_milliwatts(),
-                model.baseline_idle_power_reference().as_milliwatts()
+                baseline_idle_power_reference(&model).as_milliwatts()
             );
             let demands = [
                 CpuDemand::ZERO,
@@ -854,8 +798,7 @@ mod tests {
                     assert_eq!(point.time, model.execution_time(demand, cfg));
                     assert_eq!(
                         point.energy_uj.to_bits(),
-                        model
-                            .marginal_energy_reference(demand, cfg)
+                        marginal_energy_reference(&model, demand, cfg)
                             .as_microjoules()
                             .to_bits(),
                         "rung {i} energy must be bit-identical"
@@ -995,12 +938,12 @@ mod tests {
             let budget = TimeUs::from_micros(budget_us);
             assert_eq!(
                 DvfsLadder::cheapest_within(&points, budget),
-                model.cheapest_config_within_reference(&demand, budget),
+                cheapest_config_within_reference(&model, &demand, budget),
                 "selection diverged at budget {budget_us}us"
             );
             assert_eq!(
                 model.cheapest_config_within(&demand, budget),
-                model.cheapest_config_within_reference(&demand, budget),
+                cheapest_config_within_reference(&model, &demand, budget),
             );
         }
     }
@@ -1014,7 +957,7 @@ mod tests {
         let off = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1234));
         assert_eq!(
             model.execution_power(&off).as_milliwatts(),
-            model.execution_power_reference(&off).as_milliwatts()
+            execution_power_reference(&model, &off).as_milliwatts()
         );
     }
 

@@ -71,7 +71,7 @@ pub struct EnergyMeter<'p> {
     /// instead of re-deriving every power term from the cluster tables per
     /// call (the re-derivation the ROADMAP flagged as the last per-event
     /// DVFS math on the replay hot path). Off-plane configurations — and
-    /// meters built without a plane — fall back to the reference
+    /// meters built without a plane — fall back to the platform-table
     /// derivation, which is bit-identical by construction.
     plane: Option<Arc<DvfsLadder>>,
     total: EnergyUj,
@@ -190,29 +190,6 @@ impl<'p> EnergyMeter<'p> {
         self.add_background(cfg.core(), background, activity);
     }
 
-    /// [`EnergyMeter::record_busy`] with every power term re-derived from
-    /// the platform tables (the pre-plane implementation, retained so the
-    /// energy-identity tests can replay the same samples against the
-    /// original math).
-    pub fn record_busy_reference(
-        &mut self,
-        cfg: &AcmpConfig,
-        duration: TimeUs,
-        activity: ActivityKind,
-    ) {
-        if duration.is_zero() {
-            return;
-        }
-        let own = self.platform.active_power(cfg).energy_over(duration);
-        let background = self
-            .platform
-            .background_idle_power(cfg)
-            .energy_over(duration);
-        self.busy_time += duration;
-        self.add(cfg.core(), own, activity);
-        self.add_background(cfg.core(), background, activity);
-    }
-
     /// Records an idle interval while the hardware is parked at `cfg`.
     pub fn record_idle(&mut self, cfg: &AcmpConfig, duration: TimeUs) {
         if duration.is_zero() {
@@ -221,22 +198,6 @@ impl<'p> EnergyMeter<'p> {
         let (idle, background_power) = self.idle_powers(cfg);
         let own = idle.energy_over(duration);
         let background = background_power.energy_over(duration);
-        self.idle_time += duration;
-        self.add(cfg.core(), own, ActivityKind::Idle);
-        self.add_background(cfg.core(), background, ActivityKind::Idle);
-    }
-
-    /// [`EnergyMeter::record_idle`] via the platform tables (pre-plane
-    /// reference, retained for the energy-identity tests).
-    pub fn record_idle_reference(&mut self, cfg: &AcmpConfig, duration: TimeUs) {
-        if duration.is_zero() {
-            return;
-        }
-        let own = self.platform.idle_power(cfg).energy_over(duration);
-        let background = self
-            .platform
-            .background_idle_power(cfg)
-            .energy_over(duration);
         self.idle_time += duration;
         self.add(cfg.core(), own, ActivityKind::Idle);
         self.add_background(cfg.core(), background, ActivityKind::Idle);
@@ -252,23 +213,6 @@ impl<'p> EnergyMeter<'p> {
         let e = active.energy_over(duration);
         self.busy_time += duration;
         self.add(to.core(), e, ActivityKind::Transition);
-    }
-
-    /// [`EnergyMeter::record_transition`] via the platform tables (pre-plane
-    /// reference, retained for the energy-identity tests).
-    pub fn record_transition_reference(&mut self, to: &AcmpConfig, duration: TimeUs) {
-        if duration.is_zero() {
-            return;
-        }
-        let e = self.platform.active_power(to).energy_over(duration);
-        self.busy_time += duration;
-        self.add(to.core(), e, ActivityKind::Transition);
-    }
-
-    /// Records an explicitly computed energy amount (used by tests and by
-    /// components that integrate power themselves).
-    pub fn record_raw(&mut self, cluster: CoreKind, energy: EnergyUj, activity: ActivityKind) {
-        self.add(cluster, energy, activity);
     }
 
     /// Moves `energy` from the useful-work bucket to the speculative-waste
@@ -470,10 +414,10 @@ mod tests {
                 routed.record_busy(cfg, busy, ActivityKind::SpeculativeWaste);
                 routed.record_idle(cfg, idle);
                 routed.record_transition(cfg, transition);
-                reference.record_busy_reference(cfg, busy, ActivityKind::UsefulWork);
-                reference.record_busy_reference(cfg, busy, ActivityKind::SpeculativeWaste);
-                reference.record_idle_reference(cfg, idle);
-                reference.record_transition_reference(cfg, transition);
+                reference.record_busy(cfg, busy, ActivityKind::UsefulWork);
+                reference.record_busy(cfg, busy, ActivityKind::SpeculativeWaste);
+                reference.record_idle(cfg, idle);
+                reference.record_transition(cfg, transition);
             }
             assert_eq!(
                 routed.total().as_microjoules().to_bits(),
@@ -514,7 +458,7 @@ mod tests {
         let mut routed = EnergyMeter::with_plane(&p, plane);
         let mut reference = EnergyMeter::new(&p);
         routed.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
-        reference.record_busy_reference(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
+        reference.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
         assert_eq!(
             routed.total().as_microjoules().to_bits(),
             reference.total().as_microjoules().to_bits()

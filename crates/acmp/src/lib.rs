@@ -60,6 +60,14 @@ pub use power::PowerTable;
 pub use transition::TransitionModel;
 pub use utilization::UtilizationTracker;
 
+// The unit tests compile the pre-ladder DVFS oracles from the workspace's
+// `tests/support/`, which name this crate `pes_acmp`.
+#[cfg(test)]
+extern crate self as pes_acmp;
+#[cfg(test)]
+#[path = "../../../tests/support/dvfs.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;

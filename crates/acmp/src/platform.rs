@@ -265,18 +265,6 @@ impl Platform {
         })
     }
 
-    /// Overrides the always-on SoC floor power (memory controller,
-    /// interconnect, rail losses) that is drawn whether the CPUs are busy or
-    /// idle. The 2013-era Exynos 5410 keeps both clusters powered (Sec. 4.1),
-    /// so this floor is a significant fraction of the session energy — which
-    /// is what keeps the end-to-end savings of QoS-aware schedulers in the
-    /// 10–30 % range the paper reports rather than the per-event busy-energy
-    /// ratio.
-    pub fn with_soc_floor(mut self, milliwatts: f64) -> Self {
-        self.soc_floor_mw = milliwatts.max(0.0);
-        self
-    }
-
     /// The always-on SoC floor power.
     pub fn soc_floor_power(&self) -> PowerMw {
         PowerMw::new(self.soc_floor_mw)

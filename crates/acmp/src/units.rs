@@ -279,11 +279,6 @@ impl PowerMw {
         self.0
     }
 
-    /// Returns the value in watts.
-    pub fn as_watts(self) -> f64 {
-        self.0 / 1_000.0
-    }
-
     /// Energy dissipated by this power level over `duration`.
     pub fn energy_over(self, duration: TimeUs) -> EnergyUj {
         // mW * us = nJ; divide by 1000 for microjoules.

@@ -9,6 +9,10 @@ use pes_ilp::{ScheduleItem, ScheduleOption, ScheduleProblem};
 use pes_predictor::{LearnerConfig, SessionState, Trainer, TrainingConfig};
 use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+use support::solver::to_generic_ilp;
+
 fn window() -> ScheduleProblem {
     let items: Vec<ScheduleItem> = (0..4)
         .map(|i| ScheduleItem {
@@ -36,7 +40,7 @@ fn specialised_vs_generic_ilp(c: &mut Criterion) {
     group.bench_function("greedy (EBS-like) reference", |b| {
         b.iter(|| black_box(problem.solve_greedy().unwrap()))
     });
-    let generic = problem.to_generic_ilp();
+    let generic = to_generic_ilp(&problem);
     group.bench_function("generic 0/1 ILP encoding", |b| {
         b.iter(|| black_box(generic.solve().unwrap()))
     });

@@ -13,6 +13,10 @@ use pes_schedulers::{Ebs, ScheduleContext, Scheduler};
 use pes_webrt::QosPolicy;
 use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+use support::reference::solve_reference;
+
 fn predictor_inference(c: &mut Criterion) {
     let catalog = AppCatalog::paper_suite();
     let learner = Trainer::with_config(TrainingConfig {
@@ -111,7 +115,7 @@ fn schedule_window_scaling(c: &mut Criterion) {
             })
         });
         group.bench_function(&format!("exact/reference/{n}x17"), |b| {
-            b.iter(|| black_box(problem.solve_reference().is_ok()))
+            b.iter(|| black_box(solve_reference(&problem).is_ok()))
         });
     }
     for n in [7u64, 8, 10, 12] {
@@ -128,7 +132,7 @@ fn schedule_window_scaling(c: &mut Criterion) {
             })
         });
         group.bench_function(&format!("capped/reference/{n}x17"), |b| {
-            b.iter(|| black_box(problem.solve_reference().is_ok()))
+            b.iter(|| black_box(solve_reference(&problem).is_ok()))
         });
     }
     group.finish();

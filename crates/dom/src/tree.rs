@@ -86,19 +86,6 @@ impl NodeKind {
     pub fn is_link(self) -> bool {
         matches!(self, NodeKind::Link)
     }
-
-    /// Whether elements of this kind are typically interactive targets.
-    pub fn is_interactive(self) -> bool {
-        matches!(
-            self,
-            NodeKind::Link
-                | NodeKind::Button
-                | NodeKind::MenuItem
-                | NodeKind::Input
-                | NodeKind::SubmitButton
-                | NodeKind::Video
-        )
-    }
 }
 
 /// The memoized semantic effect of an event callback (Sec. 5.2 / Fig. 7): what

@@ -8,6 +8,11 @@
 
 use pes_ilp::{ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch};
 use std::time::Instant;
+
+#[path = "../../../tests/support/reference.rs"]
+mod reference;
+use reference::solve_reference;
+
 fn window(n: u64, slack_frac: f64) -> ScheduleProblem {
     let items: Vec<ScheduleItem> = (0..n)
         .map(|i| {
@@ -38,7 +43,7 @@ fn main() {
                     continue;
                 }
             };
-            let b = match p.solve_reference() {
+            let b = match solve_reference(&p) {
                 Ok(b) => b,
                 Err(e) => {
                     println!(
@@ -61,7 +66,7 @@ fn main() {
             let opt_t = t0.elapsed().as_secs_f64() / reps as f64;
             let t0 = Instant::now();
             for _ in 0..reps {
-                std::hint::black_box(p.solve_reference().unwrap());
+                std::hint::black_box(solve_reference(&p).unwrap());
             }
             let ref_t = t0.elapsed().as_secs_f64() / reps as f64;
             println!("slack={slack} n={n:2} viol={} nodes {} -> {}  time {:.1}us -> {:.1}us  speedup {:.1}x",

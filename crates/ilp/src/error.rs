@@ -1,4 +1,4 @@
-//! Error type for the ILP solvers.
+//! Error type for the schedule solver.
 
 use std::error::Error;
 use std::fmt;
@@ -7,8 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IlpError {
-    /// No assignment satisfies all constraints.
-    Infeasible,
     /// The branch-and-bound search exceeded its node limit.
     NodeLimit(usize),
     /// The problem has no items / options to choose from.
@@ -18,7 +16,6 @@ pub enum IlpError {
 impl fmt::Display for IlpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IlpError::Infeasible => write!(f, "the problem has no feasible assignment"),
             IlpError::NodeLimit(limit) => {
                 write!(f, "search exceeded the node limit of {limit} nodes")
             }
@@ -35,7 +32,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(IlpError::Infeasible.to_string().contains("feasible"));
         assert!(IlpError::NodeLimit(7).to_string().contains('7'));
         assert!(IlpError::EmptyProblem
             .to_string()

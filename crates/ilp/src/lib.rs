@@ -5,14 +5,13 @@
 //! (Eqn. 2–5 of Feng & Zhu, ISCA 2019) and solves it with a solver customised
 //! to that formulation rather than a third-party package (Sec. 5.5).
 //!
-//! This crate provides both:
-//!
-//! * [`ScheduleProblem`] — the specialised solver PES uses at runtime: exact
-//!   branch and bound over per-event configuration choices with deadline
-//!   propagation and a lexicographic (violations, then cost) objective, plus
-//!   a greedy reference policy and an encoder into the generic ILP form,
-//! * [`IlpProblem`] — a generic 0/1 ILP branch-and-bound solver used as the
-//!   ablation baseline for the "specialised vs generic" design decision.
+//! [`ScheduleProblem`] is that solver: one anytime branch-and-bound search
+//! over per-event configuration choices with deadline propagation and a
+//! lexicographic (violations, then cost) objective, plus a greedy policy
+//! that seeds its incumbent. The generic 0/1 ILP baseline of the
+//! specialised-vs-generic ablation and the pre-optimisation reference search
+//! live in the workspace's `tests/support/` module, next to the tests and
+//! benches that use them.
 //!
 //! The crate is dependency-free: times are `u64` microseconds and costs are
 //! `f64` (microjoules in the PES use).
@@ -50,17 +49,25 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
-pub mod linear;
 pub mod schedule;
-pub mod solver;
 
 pub use error::IlpError;
-pub use linear::{Comparison, Constraint, LinearExpr};
 pub use schedule::{
     OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
     SolveTier,
 };
-pub use solver::{exactly_one, IlpProblem, IlpSolution};
+
+// The generic 0/1 ILP of the specialised-vs-generic ablation lives in the
+// workspace's `tests/support/`; its unit tests run with this crate's, which
+// is why the files name this crate `pes_ilp`.
+#[cfg(test)]
+extern crate self as pes_ilp;
+#[cfg(test)]
+#[path = "../../../tests/support/linear.rs"]
+mod linear;
+#[cfg(test)]
+#[path = "../../../tests/support/solver.rs"]
+mod solver;
 
 #[cfg(test)]
 mod tests {
@@ -69,7 +76,6 @@ mod tests {
     #[test]
     fn public_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<IlpProblem>();
         assert_send_sync::<ScheduleProblem>();
         assert_send_sync::<ScheduleSolution>();
         assert_send_sync::<IlpError>();

@@ -43,7 +43,7 @@
 //!
 //! [`ScheduleProblem::solve_anytime_with`] is the one search. A
 //! depth-first search that completes returns [`SolveTier::Exact`] with a
-//! schedule bit-identical to [`ScheduleProblem::solve_reference`]. When the
+//! schedule bit-identical to the pre-optimisation reference search. When the
 //! adaptive probe concludes the budget is provably insufficient, the search
 //! switches to a **coarse-time incumbent search**. It fills a dynamic
 //! programme over a grid of 2,048 time cells: `LB[k][c]` is the
@@ -60,13 +60,11 @@
 //! a best incumbent. [`ScheduleProblem::solve`] is the exact-only wrapper:
 //! it reports [`IlpError::NodeLimit`] for anything but the exact tier.
 //!
-//! The pre-optimisation solver is retained as
-//! [`ScheduleProblem::solve_reference`] so property tests can assert the
+//! The pre-optimisation solver lives in the workspace's test support module
+//! (`tests/support/reference.rs`), so property tests can assert the
 //! optimised search returns identical schedules.
 
 use crate::error::IlpError;
-use crate::linear::{Comparison, Constraint, LinearExpr};
-use crate::solver::{exactly_one, IlpProblem};
 
 /// Why a bounded search stopped before completing (internal control flow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +82,8 @@ enum SearchStop {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveTier {
     /// The depth-first search completed within the node budget: the returned
-    /// schedule is the exact optimum, bit-identical to
-    /// [`ScheduleProblem::solve_reference`].
+    /// schedule is the exact optimum, bit-identical to the pre-optimisation
+    /// reference search.
     Exact,
     /// The node budget was (provably or actually) insufficient: the returned
     /// schedule is the best incumbent the coarse-time search found (or the
@@ -1219,134 +1217,6 @@ impl ScheduleProblem {
             .collect()
     }
 
-    /// The pre-optimisation branch-and-bound, retained verbatim as a
-    /// validation reference: per-call option sorting, suffix-cost-only
-    /// pruning and an incumbent clone per improvement. Property tests assert
-    /// [`ScheduleProblem::solve`] returns identical schedules; benches
-    /// measure the speedup against it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScheduleProblem::solve`].
-    // The `expect`s restate solver invariants: finite costs make the
-    // comparator total, and branch_reference always explores at least one
-    // full assignment before returning.
-    #[allow(clippy::expect_used)]
-    pub fn solve_reference(&self) -> Result<ScheduleSolution, IlpError> {
-        if self.items.is_empty() || self.items.iter().any(|i| i.options.is_empty()) {
-            return Err(IlpError::EmptyProblem);
-        }
-        let mut order: Vec<Vec<usize>> = Vec::with_capacity(self.items.len());
-        for item in &self.items {
-            let mut idx: Vec<usize> = (0..item.options.len()).collect();
-            idx.sort_by(|&a, &b| {
-                item.options[a]
-                    .cost
-                    .partial_cmp(&item.options[b].cost)
-                    .expect("costs are finite")
-            });
-            order.push(idx);
-        }
-        let mut suffix_min_cost = vec![0.0; self.items.len() + 1];
-        for i in (0..self.items.len()).rev() {
-            let min_cost = self.items[i]
-                .options
-                .iter()
-                .map(|o| o.cost)
-                .fold(f64::INFINITY, f64::min);
-            suffix_min_cost[i] = suffix_min_cost[i + 1] + min_cost;
-        }
-        let mut state = ReferenceState {
-            selected: vec![0; self.items.len()],
-            best: None,
-            nodes: 0,
-        };
-        self.branch_reference(
-            &mut state,
-            0,
-            self.start_us,
-            0.0,
-            0,
-            &order,
-            &suffix_min_cost,
-        )?;
-        let (selected, penalised) = state
-            .best
-            .expect("at least one full assignment is explored");
-        let violations = (penalised / VIOLATION_PENALTY).round() as usize;
-        let mut finish_us = Vec::with_capacity(self.items.len());
-        let mut cursor = self.start_us;
-        let mut total_cost = 0.0;
-        let mut choices = Vec::with_capacity(self.items.len());
-        for (item, &sel) in self.items.iter().zip(&selected) {
-            let opt = item.options[sel];
-            let start = cursor.max(item.release_us);
-            cursor = start.saturating_add(opt.duration_us);
-            finish_us.push(cursor);
-            total_cost += opt.cost;
-            choices.push(opt.choice);
-        }
-        Ok(ScheduleSolution {
-            selected,
-            choices,
-            finish_us,
-            total_cost,
-            violations,
-            nodes_explored: state.nodes,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn branch_reference(
-        &self,
-        state: &mut ReferenceState,
-        index: usize,
-        cursor_us: u64,
-        cost: f64,
-        violations: usize,
-        order: &[Vec<usize>],
-        suffix_min_cost: &[f64],
-    ) -> Result<(), IlpError> {
-        state.nodes += 1;
-        if state.nodes > self.node_limit {
-            return Err(IlpError::NodeLimit(self.node_limit));
-        }
-        let penalised = cost + violations as f64 * VIOLATION_PENALTY;
-        if let Some((_, best)) = &state.best {
-            if penalised + suffix_min_cost[index] >= *best - 1e-9 {
-                return Ok(());
-            }
-        }
-        if index == self.items.len() {
-            let better = match &state.best {
-                Some((_, best)) => penalised < *best - 1e-9,
-                None => true,
-            };
-            if better {
-                state.best = Some((state.selected.clone(), penalised));
-            }
-            return Ok(());
-        }
-        let item = &self.items[index];
-        for &opt_idx in &order[index] {
-            let opt = item.options[opt_idx];
-            let start = cursor_us.max(item.release_us);
-            let finish = start.saturating_add(opt.duration_us);
-            let missed = finish > item.deadline_us;
-            state.selected[index] = opt_idx;
-            self.branch_reference(
-                state,
-                index + 1,
-                finish,
-                cost + opt.cost,
-                violations + usize::from(missed),
-                order,
-                suffix_min_cost,
-            )?;
-        }
-        Ok(())
-    }
-
     /// A greedy, EBS-like schedule: every event independently picks the
     /// cheapest option that meets its deadline given the time already
     /// committed to preceding events, falling back to the fastest option when
@@ -1374,48 +1244,6 @@ impl ScheduleProblem {
             nodes_explored: self.items.len(),
         })
     }
-
-    /// Encodes this problem as a generic 0/1 ILP (variables `τ(i, j)` with the
-    /// Eqn. 2 selection constraints and Eqn. 4 cumulative-deadline
-    /// constraints) for the specialised-vs-generic ablation.
-    ///
-    /// The encoding assumes back-to-back execution from `start_us` (release
-    /// times earlier than the running completion time, which holds for the
-    /// windows PES builds), matching the paper's formulation.
-    pub fn to_generic_ilp(&self) -> IlpProblem {
-        let var = |item: usize, opt: usize, items: &[ScheduleItem]| -> usize {
-            items[..item].iter().map(|i| i.options.len()).sum::<usize>() + opt
-        };
-        let mut objective = LinearExpr::new();
-        for (i, item) in self.items.iter().enumerate() {
-            for (j, opt) in item.options.iter().enumerate() {
-                objective.add_term(var(i, j, &self.items), opt.cost);
-            }
-        }
-        let mut problem = IlpProblem::minimize(objective);
-        for (i, item) in self.items.iter().enumerate() {
-            problem.add_constraint(exactly_one(
-                (0..item.options.len()).map(|j| var(i, j, &self.items)),
-            ));
-            // Cumulative deadline: sum of chosen durations of events 0..=i
-            // must not exceed deadline(i) - start.
-            let mut expr = LinearExpr::new();
-            for (k, prior) in self.items.iter().enumerate().take(i + 1) {
-                for (j, opt) in prior.options.iter().enumerate() {
-                    expr.add_term(var(k, j, &self.items), opt.duration_us as f64);
-                }
-            }
-            let budget = item.deadline_us.saturating_sub(self.start_us) as f64;
-            problem.add_constraint(Constraint::new(expr, Comparison::LessEq, budget));
-        }
-        problem
-    }
-}
-
-struct ReferenceState {
-    selected: Vec<usize>,
-    best: Option<(Vec<usize>, f64)>,
-    nodes: usize,
 }
 
 #[cfg(test)]
@@ -1555,45 +1383,6 @@ mod tests {
             .collect();
         let problem = ScheduleProblem::new(0, items).with_node_limit(5);
         assert!(matches!(problem.solve(), Err(IlpError::NodeLimit(5))));
-        assert!(matches!(
-            problem.solve_reference(),
-            Err(IlpError::NodeLimit(5))
-        ));
-    }
-
-    #[test]
-    fn specialised_and_generic_solvers_agree() {
-        let problem = ScheduleProblem::new(0, fig2_like_items());
-        let specialised = problem.solve().unwrap();
-        let generic = problem.to_generic_ilp().solve().unwrap();
-        // Decode the generic assignment back into per-event choices.
-        let mut offset = 0;
-        let mut generic_cost = 0.0;
-        for item in problem.items() {
-            let picked: Vec<usize> = (0..item.options.len())
-                .filter(|j| generic.assignment[offset + j])
-                .collect();
-            assert_eq!(picked.len(), 1, "exactly one option per event");
-            generic_cost += item.options[picked[0]].cost;
-            offset += item.options.len();
-        }
-        assert!((generic_cost - specialised.total_cost).abs() < 1e-6);
-    }
-
-    #[test]
-    fn optimised_solver_matches_the_reference_on_fig2() {
-        let problem = ScheduleProblem::new(0, fig2_like_items());
-        let optimised = problem.solve().unwrap();
-        let reference = problem.solve_reference().unwrap();
-        assert_eq!(optimised.selected, reference.selected);
-        assert_eq!(optimised.choices, reference.choices);
-        assert_eq!(optimised.finish_us, reference.finish_us);
-        assert_eq!(optimised.violations, reference.violations);
-        assert!((optimised.total_cost - reference.total_cost).abs() < 1e-12);
-        assert!(
-            optimised.nodes_explored <= reference.nodes_explored,
-            "the optimised search must not explore more nodes"
-        );
     }
 
     #[test]
@@ -1662,23 +1451,6 @@ mod tests {
     fn no_worse(a: &ScheduleSolution, b: &ScheduleSolution) -> bool {
         a.violations < b.violations
             || (a.violations == b.violations && a.total_cost <= b.total_cost + 1e-9)
-    }
-
-    #[test]
-    fn anytime_exact_tier_matches_the_depth_first_solver() {
-        let problem = ScheduleProblem::new(0, fig2_like_items());
-        let reference = problem.solve_reference().unwrap();
-        let mut scratch = SolveScratch::new();
-        let mut solution = ScheduleSolution::default();
-        let tier = problem
-            .solve_anytime_with(&mut scratch, &mut solution)
-            .unwrap();
-        assert_eq!(tier, SolveTier::Exact);
-        assert_eq!(solution.selected, reference.selected);
-        assert_eq!(solution.choices, reference.choices);
-        assert_eq!(solution.finish_us, reference.finish_us);
-        assert_eq!(solution.violations, reference.violations);
-        assert!((solution.total_cost - reference.total_cost).abs() < 1e-12);
     }
 
     #[test]

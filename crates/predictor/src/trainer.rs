@@ -221,15 +221,6 @@ impl Trainer {
     ) -> EventSequenceLearner {
         EventSequenceLearner::new(self.train(catalog), config)
     }
-
-    /// [`Trainer::train_learner`] with typed errors.
-    pub fn try_train_learner(
-        &self,
-        catalog: &AppCatalog,
-        config: LearnerConfig,
-    ) -> Result<EventSequenceLearner, TrainError> {
-        Ok(EventSequenceLearner::new(self.try_train(catalog)?, config))
-    }
 }
 
 fn app_offset(app: &AppProfile) -> u64 {

@@ -107,6 +107,7 @@ impl Scheduler for Ebs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::cheapest_config_within_reference;
     use pes_acmp::units::CpuCycles;
     use pes_acmp::{CpuDemand, DvfsModel, Platform};
     use pes_dom::EventType;
@@ -291,8 +292,7 @@ mod tests {
             let chosen = ebs.schedule_event(&ctx, &ev);
             let deadline = ev.arrival() + fixture.qos.target_for_event(EventType::Click);
             let budget = deadline.saturating_sub(ctx.start_time);
-            let reference = dvfs
-                .cheapest_config_within_reference(&estimate, budget)
+            let reference = cheapest_config_within_reference(&dvfs, &estimate, budget)
                 .unwrap_or_else(|| fixture.platform.max_performance_config());
             assert_eq!(chosen, reference, "decision diverged at delay {delay_ms}ms");
         }

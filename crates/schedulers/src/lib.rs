@@ -46,6 +46,12 @@ pub use governors::{InteractiveGovernor, OndemandGovernor};
 pub use profiler::DemandProfiler;
 pub use routing::{scheduler_for, FloorGovernor, RoutedTier};
 
+// The EBS unit tests pin ladder-cached decisions against the pre-ladder DVFS
+// oracle in the workspace's `tests/support/`.
+#[cfg(test)]
+#[path = "../../../tests/support/dvfs.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,9 +23,7 @@ use std::fmt;
 
 use pes_acmp::units::TimeUs;
 use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, Platform};
-use pes_core::{
-    DegradationTrace, FaultCounts, FaultPlane, OracleScheduler, PesConfig, PesScheduler,
-};
+use pes_core::{FaultPlane, OracleScheduler, PesConfig, PesScheduler};
 use pes_dom::EventType;
 use pes_predictor::{
     evaluate_accuracy, evaluate_accuracy_batched, EventSequenceLearner, LearnerConfig, Trainer,
@@ -35,7 +33,7 @@ use pes_webrt::{EventId, QosPolicy, WebEvent};
 use pes_workload::{AppCatalog, Trace};
 
 use crate::classify::{classify_events, distribution, ClassDistribution};
-use crate::parallel::{par_map, par_map_supervised, UnitFailure};
+use crate::parallel::par_map;
 use crate::reactive::run_reactive_with_plane;
 use crate::scenario::ScenarioCache;
 
@@ -700,80 +698,6 @@ pub fn pareto_entry<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Chaos tier — supervised fleet sweep under a fault plane
-// ---------------------------------------------------------------------------
-
-/// Aggregate outcome of a [`chaos_fleet`] sweep: fleet health plus the
-/// merged degradation ladder and injection counters of every completed
-/// replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosFleetReport {
-    /// Fleet units attempted (`apps × traces_per_app`).
-    pub units: usize,
-    /// Units that completed (possibly after retries).
-    pub completed: usize,
-    /// Quarantined units, in index order.
-    pub failures: Vec<UnitFailure>,
-    /// The degradation ladder summed over completed replays.
-    pub degradation: DegradationTrace,
-    /// Fault injections summed over completed replays.
-    pub injections: FaultCounts,
-    /// QoS violations summed over completed replays.
-    pub violations: usize,
-    /// Events replayed by completed units.
-    pub events: usize,
-}
-
-impl ChaosFleetReport {
-    /// Whether every unit completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Replays every `(application, trace)` scenario under PES on the context's
-/// fault plane, supervised: each unit gets a per-unit
-/// [`FaultPlane::reseeded`] stream (decorrelated but reproducible), runs
-/// inside `catch_unwind` with `retries` bounded retries, and persistent
-/// failures are quarantined into the report instead of aborting the sweep —
-/// the robustness substrate the fleet-scale replay service sits on.
-pub fn chaos_fleet(ctx: &ExperimentContext, retries: usize) -> ChaosFleetReport {
-    let pes = PesScheduler::new(ctx.learner.clone(), PesConfig::paper_defaults());
-    let traces = ctx.traces_per_app;
-    let units = ctx.catalog.apps().len() * traces;
-    let fleet = par_map_supervised(units, retries, |unit| {
-        let app_idx = unit / traces;
-        let trace_idx = unit % traces;
-        let unit_faults = ctx.faults.reseeded(unit as u64);
-        pes.run_trace_with_plane_and_faults(
-            &ctx.platform,
-            &ctx.power_plane,
-            ctx.scenarios.page_ref(app_idx),
-            ctx.scenarios.trace_ref(app_idx, trace_idx),
-            &ctx.qos,
-            &unit_faults,
-        )
-    });
-    let mut report = ChaosFleetReport {
-        units,
-        completed: fleet.completed(),
-        failures: Vec::new(),
-        degradation: DegradationTrace::default(),
-        injections: FaultCounts::default(),
-        violations: 0,
-        events: 0,
-    };
-    for run in fleet.results.iter().flatten() {
-        report.degradation.merge(&run.degradation);
-        report.injections.merge(&run.fault_injections);
-        report.violations += run.violations;
-        report.events += run.events;
-    }
-    report.failures = fleet.failures;
-    report
-}
-
-// ---------------------------------------------------------------------------
 // Fig. 14 — sensitivity to the confidence threshold
 // ---------------------------------------------------------------------------
 
@@ -1107,55 +1031,5 @@ mod tests {
             shown.contains("Oracle") && shown.contains("PES, EBS"),
             "{shown}"
         );
-    }
-
-    #[test]
-    fn chaos_fleet_survives_faults_and_stays_deterministic() {
-        use pes_core::fault::FaultConfig;
-        let ctx = tiny_ctx().with_faults(FaultPlane::new(FaultConfig {
-            seed: 99,
-            prediction_flip: 0.2,
-            confidence_corruption: 0.1,
-            demand_drift: 0.3,
-            drift_magnitude: 0.6,
-            solver_starvation: 0.4,
-            rung_mask: 0b0000_1100,
-            vsync_delay: 0.15,
-            queue_duplicate: 0.05,
-            queue_drop: 0.05,
-        }));
-        let a = chaos_fleet(&ctx, 1);
-        assert!(a.is_clean(), "faulted replays degrade, they don't panic");
-        assert_eq!(a.completed, a.units);
-        assert!(a.injections.total() > 0, "the schedule injected faults");
-        assert!(a.degradation.decisions() > 0);
-        assert!(a.events > 0);
-        // Reseeded per-unit streams are reproducible: the sweep is replayable.
-        let b = chaos_fleet(&ctx, 1);
-        assert_eq!(a, b, "chaos sweeps must be deterministic");
-    }
-
-    #[test]
-    fn zero_fault_chaos_fleet_matches_the_clean_replays() {
-        let ctx = tiny_ctx();
-        let fleet = chaos_fleet(&ctx, 0);
-        assert!(fleet.is_clean());
-        assert_eq!(fleet.injections, FaultCounts::default());
-        // The same scenarios replayed directly (the clean path) must agree
-        // on every aggregate: FaultPlane::none() reseeded is still none().
-        let mut violations = 0usize;
-        let mut events = 0usize;
-        for app_idx in 0..ctx.catalog.apps().len() {
-            let app_name = ctx.catalog.apps()[app_idx].name().to_string();
-            for trace_idx in 0..ctx.traces_per_app {
-                let run = ctx
-                    .pes_replay(&app_name, trace_idx, PesConfig::paper_defaults())
-                    .expect("scenario exists");
-                violations += run.violations;
-                events += run.events;
-            }
-        }
-        assert_eq!(fleet.violations, violations);
-        assert_eq!(fleet.events, events);
     }
 }

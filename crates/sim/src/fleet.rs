@@ -205,7 +205,7 @@ pub struct FleetConfig {
     /// Which sessions to shed on overflow.
     pub shed: ShedPolicy,
     /// Bounded retries per unit before quarantine (see
-    /// [`crate::parallel::par_map_supervised`]).
+    /// [`crate::parallel::par_map_supervised_with`]).
     pub retries: usize,
     /// Worker threads for the per-batch fan-out (`0` uses
     /// [`parallelism`]; the result is identical either way).
@@ -749,26 +749,58 @@ fn shed_to_capacity(
     }
 }
 
-/// Restored cumulative state parsed from the last intact journal record.
-#[derive(Debug, Clone, PartialEq)]
-struct Checkpoint {
-    batches: usize,
-    step: u64,
+/// The outcome-independent half of a fleet drive: the admission queue, the
+/// next unit to arrive and the step counter. Arrivals, storms, shedding and
+/// admission depend only on the step index and the queue contents, never on
+/// unit outcomes, so a resume replays them to reach the journaled batch.
+#[derive(Debug, Default)]
+struct Intake {
+    queue: VecDeque<(usize, u8)>,
     next_unit: usize,
-    shed: usize,
-    completed: usize,
-    retries: usize,
-    violations: usize,
-    events: usize,
-    energy_bits: u64,
-    watchdog_trips: usize,
-    degradation: DegradationTrace,
-    injections: FaultCounts,
-    solver_nodes: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-    failures: Vec<UnitFailure>,
-    breakers: Vec<CircuitBreaker>,
+    step: u64,
+}
+
+impl Intake {
+    /// Whether sessions remain to arrive or to be admitted.
+    fn pending(&self, spec: &FleetSpec) -> bool {
+        self.next_unit < spec.sessions || !self.queue.is_empty()
+    }
+
+    /// One driver step up to admission: arrivals (steady rate plus periodic
+    /// burst storms), load shedding down to the bounded queue capacity
+    /// (counted into `report`), then the next batch drained from the queue
+    /// head. The batch is never empty while [`Intake::pending`] held.
+    fn admit(
+        &mut self,
+        spec: &FleetSpec,
+        config: &FleetConfig,
+        report: &mut FleetRunReport,
+    ) -> std::collections::vec_deque::Drain<'_, (usize, u8)> {
+        self.step += 1;
+        let mut arrivals = spec.arrivals_per_step.max(1);
+        if spec.storm_every > 0 && self.step.is_multiple_of(spec.storm_every as u64) {
+            arrivals += spec.storm_arrivals;
+        }
+        for _ in 0..arrivals {
+            if self.next_unit >= spec.sessions {
+                break;
+            }
+            let (_, _, _, priority) =
+                unit_scenario(spec.seed, 1, spec.scenario_unit(self.next_unit));
+            self.queue.push_back((self.next_unit, priority));
+            self.next_unit += 1;
+        }
+        shed_to_capacity(
+            &mut self.queue,
+            config.queue_capacity.max(1),
+            config.shed,
+            &mut report.shed,
+            &mut report.shed_by_priority,
+        );
+        report.peak_queue = report.peak_queue.max(self.queue.len());
+        let take = config.batch_size.max(1).min(self.queue.len());
+        self.queue.drain(..take)
+    }
 }
 
 /// One streaming fleet drive. `exec` runs one admitted batch and returns
@@ -781,23 +813,17 @@ fn drive<E>(
     spec: &FleetSpec,
     config: &FleetConfig,
     mut journal: Option<&mut JournalWriter>,
-    checkpoint: Option<Checkpoint>,
+    checkpoint: Option<JournalRecord>,
     mut exec: E,
 ) -> Result<FleetRunReport, FleetError>
 where
     E: FnMut(&[Ticket]) -> FleetReport<UnitOutcome>,
 {
     let shards = config.shards.max(1);
-    let batch_size = config.batch_size.max(1);
-    let capacity = config.queue_capacity.max(1);
-    let arrivals_per_step = spec.arrivals_per_step.max(1);
-
     let mut breakers: Vec<CircuitBreaker> = (0..shards)
         .map(|_| CircuitBreaker::new(&config.breaker))
         .collect();
-    let mut queue: VecDeque<(usize, u8)> = VecDeque::new();
-    let mut next_unit = 0usize;
-    let mut step = 0u64;
+    let mut intake = Intake::default();
     let mut batches = 0usize;
     let mut report = FleetRunReport {
         sessions: spec.sessions,
@@ -824,47 +850,29 @@ where
         shared_lookups: 0,
     };
 
-    // Fast-forward: replay the outcome-independent admission arithmetic for
-    // the journaled batches (arrivals, storms, shedding and admission
-    // depend only on the step index and queue contents, never on unit
+    // Fast-forward: replay the admission steps of the journaled batches
+    // (their admitted units are dropped: the checkpoint already holds their
     // outcomes), then restore the outcome-dependent cumulative state.
     if let Some(cp) = checkpoint {
-        while batches < cp.batches && (next_unit < spec.sessions || !queue.is_empty()) {
-            step += 1;
-            let mut arrivals = arrivals_per_step;
-            if spec.storm_every > 0 && step.is_multiple_of(spec.storm_every as u64) {
-                arrivals += spec.storm_arrivals;
-            }
-            for _ in 0..arrivals {
-                if next_unit >= spec.sessions {
-                    break;
-                }
-                let (_, _, _, priority) =
-                    unit_scenario(spec.seed, 1, spec.scenario_unit(next_unit));
-                queue.push_back((next_unit, priority));
-                next_unit += 1;
-            }
-            shed_to_capacity(
-                &mut queue,
-                capacity,
-                config.shed,
-                &mut report.shed,
-                &mut report.shed_by_priority,
-            );
-            report.peak_queue = report.peak_queue.max(queue.len());
-            let take = batch_size.min(queue.len());
-            queue.drain(..take);
+        while batches < cp.batches && intake.pending(spec) {
+            drop(intake.admit(spec, config, &mut report));
             batches += 1;
         }
         if batches != cp.batches
-            || step != cp.step
-            || next_unit != cp.next_unit
+            || intake.step != cp.step
+            || intake.next_unit != cp.next_unit
             || report.shed != cp.shed
         {
             return Err(FleetError::SpecMismatch(format!(
-                "fast-forward reached batch {batches} step {step} unit {next_unit} shed {}, \
+                "fast-forward reached batch {batches} step {} unit {} shed {}, \
                  journal says batch {} step {} unit {} shed {}",
-                report.shed, cp.batches, cp.step, cp.next_unit, cp.shed
+                intake.step,
+                intake.next_unit,
+                report.shed,
+                cp.batches,
+                cp.step,
+                cp.next_unit,
+                cp.shed
             )));
         }
         if cp.breakers.len() != shards {
@@ -888,39 +896,13 @@ where
         breakers = cp.breakers;
     }
 
-    while next_unit < spec.sessions || !queue.is_empty() {
-        step += 1;
-
-        // 1. Arrivals (steady rate plus periodic burst storms).
-        let mut arrivals = arrivals_per_step;
-        if spec.storm_every > 0 && step.is_multiple_of(spec.storm_every as u64) {
-            arrivals += spec.storm_arrivals;
-        }
-        for _ in 0..arrivals {
-            if next_unit >= spec.sessions {
-                break;
-            }
-            let (_, _, _, priority) = unit_scenario(spec.seed, 1, spec.scenario_unit(next_unit));
-            queue.push_back((next_unit, priority));
-            next_unit += 1;
-        }
-
-        // 2. Load shedding down to the bounded queue capacity.
-        shed_to_capacity(
-            &mut queue,
-            capacity,
-            config.shed,
-            &mut report.shed,
-            &mut report.shed_by_priority,
-        );
-        report.peak_queue = report.peak_queue.max(queue.len());
-
-        // 3. Admission + breaker routing (half-open shards admit `probes`
-        //    full-tier probe units per batch, the rest stay routed).
-        let take = batch_size.min(queue.len());
+    while intake.pending(spec) {
+        // 1–3. Arrivals, load shedding and admission (`Intake::admit`),
+        //    then breaker routing: half-open shards admit `probes` full-tier
+        //    probe units per batch, the rest stay routed.
         let mut probes_used = vec![0usize; shards];
-        let tickets: Vec<Ticket> = queue
-            .drain(..take)
+        let tickets: Vec<Ticket> = intake
+            .admit(spec, config, &mut report)
             .map(|(unit, _priority)| {
                 let shard = unit % shards;
                 let route = match breakers[shard].state() {
@@ -938,9 +920,6 @@ where
                 Ticket { unit, route }
             })
             .collect();
-        if tickets.is_empty() {
-            continue;
-        }
 
         // 4. Supervised fan-out of the batch.
         let batch = exec(&tickets);
@@ -992,8 +971,8 @@ where
         if let Some(writer) = journal.as_deref_mut() {
             let record = JournalRecord {
                 batches,
-                step,
-                next_unit,
+                step: intake.step,
+                next_unit: intake.next_unit,
                 shed: report.shed,
                 completed: report.completed,
                 retries: report.retries,
@@ -1013,9 +992,9 @@ where
         }
     }
 
-    report.steps = step;
+    report.steps = intake.step;
     report.batches = batches;
-    report.peak_queue = report.peak_queue.min(capacity);
+    report.peak_queue = report.peak_queue.min(config.queue_capacity.max(1));
     report.breaker_histories = breakers.iter().map(|b| b.history_letters()).collect();
     report.breaker_finals = breakers.iter().map(|b| b.state()).collect();
     Ok(report)
@@ -1246,6 +1225,8 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
 /// resume-stable.
 const JOURNAL_MAGIC: &str = "PESFLEETJ4";
 
+/// One journal line: the cumulative driver state after a batch. The last
+/// intact record is what a resume restores.
 #[derive(Debug, Clone, PartialEq)]
 struct JournalRecord {
     batches: usize,
@@ -1630,14 +1611,13 @@ impl JournalWriter {
     }
 }
 
-/// Reads the journal at `path`, returning the checkpoint of the last
-/// intact record. A missing or empty journal yields `None` (run from the
+/// Reads the journal at `path`, returning its last intact record. A missing or empty journal yields `None` (run from the
 /// start). A torn or corrupt *final* line is tolerated and dropped; a
 /// corrupt line followed by intact ones means real corruption and errors.
 fn read_checkpoint(
     path: &Path,
     breaker_config: &BreakerConfig,
-) -> Result<Option<Checkpoint>, FleetError> {
+) -> Result<Option<JournalRecord>, FleetError> {
     if !path.exists() {
         return Ok(None);
     }
@@ -1660,25 +1640,7 @@ fn read_checkpoint(
             Err(e) => return Err(e),
         }
     }
-    Ok(last.map(|r| Checkpoint {
-        batches: r.batches,
-        step: r.step,
-        next_unit: r.next_unit,
-        shed: r.shed,
-        completed: r.completed,
-        retries: r.retries,
-        violations: r.violations,
-        events: r.events,
-        energy_bits: r.energy_bits,
-        watchdog_trips: r.watchdog_trips,
-        degradation: r.degradation,
-        injections: r.injections,
-        solver_nodes: r.solver_nodes,
-        memo_hits: r.memo_hits,
-        memo_misses: r.memo_misses,
-        failures: r.failures,
-        breakers: r.breakers,
-    }))
+    Ok(last)
 }
 
 #[cfg(test)]
@@ -2086,7 +2048,7 @@ mod tests {
             bytes
         }
 
-        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<Checkpoint>, FleetError> {
+        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<JournalRecord>, FleetError> {
             std::fs::write(path, journal).expect("write journal");
             read_checkpoint(path, &breaker_config())
         }

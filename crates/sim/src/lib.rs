@@ -45,10 +45,10 @@ pub mod training;
 
 pub use classify::{classify_events, distribution, ClassDistribution, EventClass};
 pub use experiments::{
-    chaos_fleet, fig10_waste, fig13_pareto, fig14_sensitivity, fig2_case_study, fig2_trace,
-    fig3_event_types, fig8_accuracy, fig8_accuracy_batched, fig9_pfb_trace, full_comparison,
-    full_comparison_with_config, pareto_entry, AppComparison, CaseStudy, ChaosFleetReport,
-    ExperimentContext, MissingPolicyError, SensitivityPoint, TimelineEntry,
+    fig10_waste, fig13_pareto, fig14_sensitivity, fig2_case_study, fig2_trace, fig3_event_types,
+    fig8_accuracy, fig8_accuracy_batched, fig9_pfb_trace, full_comparison,
+    full_comparison_with_config, pareto_entry, AppComparison, CaseStudy, ExperimentContext,
+    MissingPolicyError, SensitivityPoint, TimelineEntry,
 };
 pub use fleet::{
     fleet_admission_dry_run, resume_fleet, run_fleet, run_fleet_journaled, unit_scenario,
@@ -56,8 +56,7 @@ pub use fleet::{
     FleetSpec, ShedPolicy,
 };
 pub use parallel::{
-    par_map, par_map_supervised, par_map_supervised_with, par_map_with, parallelism, FleetReport,
-    UnitFailure,
+    par_map, par_map_supervised_with, par_map_with, parallelism, FleetReport, UnitFailure,
 };
 pub use reactive::{run_reactive_with_plane, ReactiveEventRecord, ReactiveReport};
 pub use scenario::ScenarioCache;

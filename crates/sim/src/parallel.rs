@@ -9,7 +9,7 @@
 //! runtime. Setting `PES_THREADS=1` (or running on a single-core host)
 //! degenerates to the plain serial path.
 //!
-//! [`par_map_supervised`] is the fleet-grade tier underneath: every unit runs
+//! [`par_map_supervised_with`] is the fleet-grade tier underneath: every unit runs
 //! inside `catch_unwind`, panicking units are retried a bounded number of
 //! times and then **quarantined** — their index is reported in the returned
 //! [`FleetReport`] instead of aborting the whole fan-out. One poisoned
@@ -51,7 +51,7 @@ pub struct UnitFailure {
     pub message: String,
 }
 
-/// The outcome of a [`par_map_supervised`] fan-out: per-unit results in
+/// The outcome of a [`par_map_supervised_with`] fan-out: per-unit results in
 /// index order (`None` where the unit was quarantined) plus the structured
 /// failure list and the per-unit attempt counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,7 +196,7 @@ fn assemble<T>(n: usize, tagged: Vec<TaggedOutcome<T>>) -> FleetReport<T> {
 /// # Panics
 ///
 /// Panics if any unit panics (the legacy all-or-nothing contract); fleets
-/// that must survive failing units use [`par_map_supervised`].
+/// that must survive failing units use [`par_map_supervised_with`].
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -228,22 +228,12 @@ where
     report.into_results()
 }
 
-/// Supervised fan-out: maps `f` over `0..n` with up to [`parallelism`]
-/// workers, catching per-unit panics, retrying each failing unit up to
-/// `retries` more times, and quarantining units that still fail. The
-/// returned [`FleetReport`] keeps results in index order (deterministic for
-/// deterministic units, exactly like [`par_map`]) with `None` holes for the
-/// quarantined indices.
-pub fn par_map_supervised<T, F>(n: usize, retries: usize, f: F) -> FleetReport<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_supervised_with(parallelism(), n, retries, f)
-}
-
-/// [`par_map_supervised`] with an explicit worker count (`1` forces the
-/// serial path).
+/// Supervised fan-out: maps `f` over `0..n` with up to `threads` workers
+/// (`1` forces the serial path), catching per-unit panics, retrying each
+/// failing unit up to `retries` more times, and quarantining units that
+/// still fail. The returned [`FleetReport`] keeps results in index order
+/// (deterministic for deterministic units, exactly like [`par_map`]) with
+/// `None` holes for the quarantined indices.
 pub fn par_map_supervised_with<T, F>(
     threads: usize,
     n: usize,

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use pes_acmp::units::{EnergyUj, TimeUs};
 use pes_acmp::{
-    AcmpConfig, ActivityKind, CpuDemand, DvfsLadder, DvfsModel, EnergyMeter, Platform,
-    TransitionModel,
+    AcmpConfig, ActivityKind, DvfsLadder, DvfsModel, EnergyMeter, Platform, TransitionModel,
 };
 use pes_dom::Interaction;
 
@@ -113,12 +112,6 @@ impl<'p> ExecutionEngine<'p> {
         }
     }
 
-    /// Replaces the transition model (ablation: free transitions).
-    pub fn with_transitions(mut self, transitions: TransitionModel) -> Self {
-        self.transitions = transitions;
-        self
-    }
-
     /// The platform the engine runs on.
     pub fn platform(&self) -> &Platform {
         self.platform
@@ -177,16 +170,6 @@ impl<'p> ExecutionEngine<'p> {
     /// The per-event execution records so far.
     pub fn records(&self) -> &[ExecutionRecord] {
         &self.records
-    }
-
-    /// Execution latency of a demand on a configuration (planning helper).
-    pub fn estimate_latency(&self, demand: &CpuDemand, config: &AcmpConfig) -> TimeUs {
-        self.dvfs.execution_time(demand, config)
-    }
-
-    /// Execution energy of a demand on a configuration (planning helper).
-    pub fn estimate_energy(&self, demand: &CpuDemand, config: &AcmpConfig) -> EnergyUj {
-        self.dvfs.execution_energy(demand, config)
     }
 
     /// Accounts idle time at the current configuration up to `until`, moving
@@ -299,6 +282,7 @@ impl<'p> ExecutionEngine<'p> {
 mod tests {
     use super::*;
     use pes_acmp::units::CpuCycles;
+    use pes_acmp::CpuDemand;
     use pes_dom::EventType;
 
     fn event(id: u64, ty: EventType, at_ms: u64, mcycles: u64) -> WebEvent {

@@ -13,7 +13,7 @@
 //! * [`webrt`] — the event-driven Web runtime (events, QoS targets,
 //!   rendering pipeline, VSync, execution engine),
 //! * [`workload`] — the 18-application suite and seeded user-session traces,
-//! * [`ilp`] — the constrained-optimisation solvers (Eqn. 2–5),
+//! * [`ilp`] — the constrained-optimisation solver (Eqn. 2–5),
 //! * [`predictor`] — the hybrid learning-analytical event predictor,
 //! * [`schedulers`] — the reactive baselines (Interactive, Ondemand, EBS),
 //! * [`core`] — PES itself plus the Oracle,

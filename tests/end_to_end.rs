@@ -14,6 +14,9 @@ use pes::sim::{
 use pes::webrt::{ExecutionEngine, QosPolicy};
 use pes::workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
+mod support;
+use support::dvfs::cheapest_config_within_reference;
+
 fn quick_learner(catalog: &AppCatalog) -> pes::predictor::EventSequenceLearner {
     Trainer::with_config(TrainingConfig {
         traces_per_app: 3,
@@ -183,7 +186,7 @@ fn ondemand_trades_qos_for_energy_relative_to_interactive() {
 
 /// Golden-trace differential: the ladder-backed EBS decisions must be
 /// byte-identical to the pre-refactor per-call DVFS math. The reference side
-/// replays the same seeded session with the retained
+/// replays the same seeded session with the test-support
 /// `cheapest_config_within_reference` selector (the exact pre-ladder code),
 /// mirroring `run_reactive_with_plane`'s engine loop step for step.
 #[test]
@@ -210,7 +213,7 @@ fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
             let estimate = profiler.estimate(ev.event_type()).unwrap();
             let deadline = ev.arrival() + qos.target_for_event(ev.event_type());
             let budget = deadline.saturating_sub(start_time);
-            dvfs.cheapest_config_within_reference(&estimate, budget)
+            cheapest_config_within_reference(&dvfs, &estimate, budget)
                 .unwrap_or_else(|| platform.max_performance_config())
         };
         let record = engine.execute_event(ev, &config, false);

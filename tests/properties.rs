@@ -16,6 +16,13 @@ use pes::ilp::{
 };
 use pes::webrt::VsyncClock;
 
+mod support;
+use support::dvfs::{
+    cheapest_config_within_reference, execution_power_reference, marginal_energy_reference,
+};
+use support::reference::solve_reference;
+use support::solver::to_generic_ilp;
+
 proptest! {
     /// Eqn. 1: latency is non-increasing in effective throughput for any demand.
     #[test]
@@ -240,13 +247,13 @@ proptest! {
             prop_assert_eq!(point.time, model.execution_time(&demand, cfg));
             prop_assert!(
                 point.energy_uj.to_bits()
-                    == model.marginal_energy_reference(&demand, cfg).as_microjoules().to_bits()
+                    == marginal_energy_reference(&model, &demand, cfg).as_microjoules().to_bits()
             );
         }
         let budget = TimeUs::from_micros(budget_us);
         prop_assert_eq!(
             DvfsLadder::cheapest_within(&points, budget),
-            model.cheapest_config_within_reference(&demand, budget)
+            cheapest_config_within_reference(&model, &demand, budget)
         );
     }
 }
@@ -286,8 +293,7 @@ fn ladder_is_exhaustively_bit_identical_to_the_direct_model() {
                     );
                     assert_eq!(
                         point.energy_uj.to_bits(),
-                        model
-                            .marginal_energy_reference(&demand, cfg)
+                        marginal_energy_reference(&model, &demand, cfg)
                             .as_microjoules()
                             .to_bits(),
                         "energy drift on {} at ({mem}us, {cycles} cycles)",
@@ -298,8 +304,7 @@ fn ladder_is_exhaustively_bit_identical_to_the_direct_model() {
                             .marginal_energy(&demand, cfg)
                             .as_microjoules()
                             .to_bits(),
-                        model
-                            .marginal_energy_reference(&demand, cfg)
+                        marginal_energy_reference(&model, &demand, cfg)
                             .as_microjoules()
                             .to_bits()
                     );
@@ -341,6 +346,22 @@ fn window_from_specs(specs: &[(u64, u64)], slack_ms: u64) -> ScheduleProblem {
     ScheduleProblem::new(0, items)
 }
 
+/// The schedule cost a generic 0/1 ILP assignment encodes, or `None` when
+/// some event does not have exactly one option selected.
+fn generic_schedule_cost(problem: &ScheduleProblem, assignment: &[bool]) -> Option<f64> {
+    let mut offset = 0;
+    let mut cost = 0.0;
+    for item in problem.items() {
+        let mut picked = (0..item.options.len()).filter(|j| assignment[offset + j]);
+        let (Some(j), None) = (picked.next(), picked.next()) else {
+            return None;
+        };
+        cost += item.options[j].cost;
+        offset += item.options.len();
+    }
+    Some(cost)
+}
+
 proptest! {
     /// The specialised branch-and-bound and the generic 0/1 ILP encoding
     /// (Eqn. 2/4) agree on the optimal cost of feasible random instances.
@@ -354,24 +375,17 @@ proptest! {
         if specialised.violations == 0 {
             // The generic encoding has hard deadline constraints, so it only
             // has a solution when the instance is feasible.
-            let generic = problem.to_generic_ilp().solve().unwrap();
-            let mut generic_cost = 0.0;
-            let mut offset = 0;
-            for item in problem.items() {
-                let picked: Vec<usize> = (0..item.options.len())
-                    .filter(|j| generic.assignment[offset + j])
-                    .collect();
-                prop_assert_eq!(picked.len(), 1, "exactly one option per event");
-                generic_cost += item.options[picked[0]].cost;
-                offset += item.options.len();
-            }
+            let generic = to_generic_ilp(&problem).solve().unwrap();
+            let generic_cost = generic_schedule_cost(&problem, &generic.assignment);
+            prop_assert!(generic_cost.is_some(), "exactly one option per event");
+            let generic_cost = generic_cost.unwrap();
             prop_assert!(
                 (generic_cost - specialised.total_cost).abs() < 1e-6,
                 "generic {generic_cost} vs specialised {}",
                 specialised.total_cost
             );
         } else {
-            prop_assert!(problem.to_generic_ilp().solve().is_err(),
+            prop_assert!(to_generic_ilp(&problem).solve().is_err(),
                 "infeasible windows must have no generic ILP solution");
         }
     }
@@ -387,7 +401,7 @@ proptest! {
     ) {
         let problem = window_from_specs(&specs, slack_ms);
         let optimised = problem.solve().unwrap();
-        let reference = problem.solve_reference().unwrap();
+        let reference = solve_reference(&problem).unwrap();
         prop_assert_eq!(&optimised.selected, &reference.selected);
         prop_assert_eq!(&optimised.choices, &reference.choices);
         prop_assert_eq!(&optimised.finish_us, &reference.finish_us);
@@ -427,8 +441,7 @@ proptest! {
         let mut scratch = SolveScratch::new();
         let mut optimised = ScheduleSolution::default();
         problem.solve_anytime_with(&mut scratch, &mut optimised).unwrap();
-        let reference = problem
-            .solve_reference()
+        let reference = solve_reference(&problem)
             .or_else(|_| problem.solve_greedy())
             .unwrap();
         prop_assert!(
@@ -672,8 +685,7 @@ proptest! {
 
         // The pre-anytime capped behaviour: exact when the depth-first
         // search finishes, greedy otherwise.
-        let depth_first = problem
-            .solve_reference()
+        let depth_first = solve_reference(&problem)
             .or_else(|_| problem.solve_greedy())
             .unwrap();
         prop_assert!(
@@ -686,7 +698,7 @@ proptest! {
             // Exact tier: bit-identical to the pre-optimisation reference
             // search (given a budget large enough for the reference to
             // finish too — it explores at least as many nodes).
-            let reference = problem.clone().with_node_limit(2_000_000).solve_reference();
+            let reference = solve_reference(&problem.clone().with_node_limit(2_000_000));
             if let Ok(reference) = reference {
                 prop_assert_eq!(&anytime.selected, &reference.selected);
                 prop_assert_eq!(&anytime.choices, &reference.choices);
@@ -781,10 +793,7 @@ proptest! {
         let tier = problem.solve_anytime_with(&mut scratch, &mut anytime).unwrap();
         // The reference search gives up on the densest windows; the exact
         // solve, bit-identical to it wherever both finish, takes over there.
-        let reference = problem
-            .clone()
-            .with_node_limit(500_000)
-            .solve_reference()
+        let reference = solve_reference(&problem.clone().with_node_limit(500_000))
             .or_else(|_| problem.clone().with_node_limit(5_000_000).solve());
         if let Ok(optimum) = reference {
             let bounds = problem.coarse_time_bounds(&optimum);
@@ -847,15 +856,15 @@ proptest! {
                         ActivityKind::SpeculativeWaste
                     };
                     routed.record_busy(&cfg, duration, activity);
-                    reference.record_busy_reference(&cfg, duration, activity);
+                    reference.record_busy(&cfg, duration, activity);
                 }
                 1 => {
                     routed.record_idle(&cfg, duration);
-                    reference.record_idle_reference(&cfg, duration);
+                    reference.record_idle(&cfg, duration);
                 }
                 _ => {
                     routed.record_transition(&cfg, duration);
-                    reference.record_transition_reference(&cfg, duration);
+                    reference.record_transition(&cfg, duration);
                 }
             }
         }
@@ -903,13 +912,13 @@ fn energy_meter_plane_is_exhaustively_bit_identical_to_the_reference() {
             for &us in &duration_grid_us {
                 let d = TimeUs::from_micros(us);
                 routed.record_busy(cfg, d, ActivityKind::UsefulWork);
-                reference.record_busy_reference(cfg, d, ActivityKind::UsefulWork);
+                reference.record_busy(cfg, d, ActivityKind::UsefulWork);
                 routed.record_busy(cfg, d, ActivityKind::SpeculativeWaste);
-                reference.record_busy_reference(cfg, d, ActivityKind::SpeculativeWaste);
+                reference.record_busy(cfg, d, ActivityKind::SpeculativeWaste);
                 routed.record_idle(cfg, d);
-                reference.record_idle_reference(cfg, d);
+                reference.record_idle(cfg, d);
                 routed.record_transition(cfg, d);
-                reference.record_transition_reference(cfg, d);
+                reference.record_transition(cfg, d);
                 assert_eq!(
                     routed.total().as_microjoules().to_bits(),
                     reference.total().as_microjoules().to_bits(),
@@ -939,9 +948,10 @@ fn energy_meter_plane_is_exhaustively_bit_identical_to_the_reference() {
 }
 
 /// The Fig. 2-like fixture of the solver's unit suite, checked end-to-end at
-/// the workspace level: the optimised solver must reproduce the reference
-/// schedule exactly (the `nodes_explored` diagnostic aside, every field of
-/// the two `ScheduleSolution`s is equal).
+/// the workspace level: the optimised solver's exact tier must reproduce the
+/// reference schedule exactly (the `nodes_explored` diagnostic aside, every
+/// field of the two `ScheduleSolution`s is equal), and the generic 0/1 ILP
+/// encoding must agree on its cost.
 #[test]
 fn optimised_solver_matches_reference_on_fig2_fixture() {
     let items = vec![
@@ -980,7 +990,7 @@ fn optimised_solver_matches_reference_on_fig2_fixture() {
     ];
     let problem = ScheduleProblem::new(0, items);
     let optimised = problem.solve().unwrap();
-    let reference = problem.solve_reference().unwrap();
+    let reference = solve_reference(&problem).unwrap();
     assert_eq!(optimised.selected, reference.selected);
     assert_eq!(optimised.choices, reference.choices);
     assert_eq!(optimised.finish_us, reference.finish_us);
@@ -996,6 +1006,33 @@ fn optimised_solver_matches_reference_on_fig2_fixture() {
         vec![1, 1],
         "both events need their fast option"
     );
+    // The feasible window has a generic 0/1 ILP solution of the same cost.
+    let generic = to_generic_ilp(&problem).solve().unwrap();
+    let generic_cost =
+        generic_schedule_cost(&problem, &generic.assignment).expect("exactly one option per event");
+    assert!((generic_cost - optimised.total_cost).abs() < 1e-6);
+}
+
+/// The reference search honours the window's node limit exactly as the
+/// optimised solver does.
+#[test]
+fn reference_search_honours_the_node_limit() {
+    let items: Vec<ScheduleItem> = (0..12)
+        .map(|i| ScheduleItem {
+            release_us: 0,
+            deadline_us: 1_000_000,
+            options: (0..8)
+                .map(|j| ScheduleOption {
+                    choice: j,
+                    duration_us: 100 + j as u64,
+                    cost: (i + j) as f64,
+                })
+                .collect(),
+        })
+        .collect();
+    let problem = ScheduleProblem::new(0, items).with_node_limit(5);
+    assert_eq!(problem.solve(), Err(IlpError::NodeLimit(5)));
+    assert_eq!(solve_reference(&problem), Err(IlpError::NodeLimit(5)));
 }
 
 // ---------------------------------------------------------------------------
@@ -2006,8 +2043,9 @@ mod frame_ledger {
     };
 
     /// An independent model of the engine's bookkeeping: the same time
-    /// rules, with energy metered through the table-derived `*_reference`
-    /// paths and VSync presentation computed from the clock directly.
+    /// rules, with energy metered through a plane-less meter (the
+    /// platform-table derivation) and VSync presentation computed from the
+    /// clock directly.
     struct Reference<'p> {
         dvfs: DvfsModel<'p>,
         pipeline: RenderPipeline,
@@ -2037,8 +2075,7 @@ mod frame_ledger {
 
         fn idle_until(&mut self, until: TimeUs) {
             if until > self.free_at {
-                self.meter
-                    .record_idle_reference(&self.config, until - self.free_at);
+                self.meter.record_idle(&self.config, until - self.free_at);
                 self.free_at = until;
             }
         }
@@ -2048,7 +2085,7 @@ mod frame_ledger {
                 return;
             }
             let cost = self.transitions.cost(&self.config, cfg);
-            self.meter.record_transition_reference(cfg, cost);
+            self.meter.record_transition(cfg, cost);
             self.free_at += cost;
             self.config = *cfg;
         }
@@ -2071,8 +2108,7 @@ mod frame_ledger {
             let (busy, ready) =
                 self.pipeline
                     .execute_timing(&ev.demand(), interaction, &self.dvfs, cfg, start);
-            self.meter
-                .record_busy_reference(cfg, busy, ActivityKind::UsefulWork);
+            self.meter.record_busy(cfg, busy, ActivityKind::UsefulWork);
             self.free_at = ready;
             ExecutionRecord {
                 event: ev.id(),
@@ -2096,10 +2132,8 @@ mod frame_ledger {
         }
 
         fn squash(&mut self, record: &ExecutionRecord) {
-            let energy = self
-                .dvfs
-                .execution_power_reference(&record.config)
-                .energy_over(record.busy_time);
+            let energy =
+                execution_power_reference(&self.dvfs, &record.config).energy_over(record.busy_time);
             self.meter.reattribute_waste(record.config.core(), energy);
         }
     }

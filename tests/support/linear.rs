@@ -1,4 +1,8 @@
-//! Linear expressions and constraints over 0/1 variables.
+//! Linear expressions and constraints over 0/1 variables, the building
+//! blocks of the generic ILP in [`super::solver`].
+
+// Each includer uses a subset of the support code.
+#![allow(dead_code)]
 
 use std::fmt;
 
@@ -156,6 +160,9 @@ impl Constraint {
 
 #[cfg(test)]
 mod tests {
+    // Bench targets without the test harness compile this module under
+    // `cfg(test)` with its `#[test]` functions stripped.
+    #[allow(unused_imports)]
     use super::*;
 
     #[test]

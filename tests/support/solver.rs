@@ -1,32 +1,31 @@
 //! A generic 0/1 integer-linear-programming solver based on depth-first
-//! branch and bound with constraint-propagation pruning.
+//! branch and bound with constraint-propagation pruning, and the encoding of
+//! a scheduling window into it.
 //!
 //! The paper implements its own solver customised to the PES formulation
-//! instead of using a third-party package (Sec. 5.5); this module is the
-//! *generic* counterpart used as the ablation baseline, while
-//! [`crate::schedule`] contains the specialised solver PES actually uses.
+//! instead of using a third-party package (Sec. 5.5). This module is the
+//! *generic* counterpart: the baseline of the specialised-vs-generic
+//! ablation bench and an independent oracle for the optimal cost of a
+//! feasible window. `pes_ilp::ScheduleProblem` is the specialised solver PES
+//! actually uses.
 
-use crate::error::IlpError;
-use crate::linear::{Comparison, Constraint, LinearExpr};
+// Each includer uses a subset of the support code.
+#![allow(dead_code)]
+
+use pes_ilp::ScheduleProblem;
+
+use super::linear::{Comparison, Constraint, LinearExpr};
+
+/// Why a generic solve returned no assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveError {
+    /// No assignment satisfies all constraints.
+    Infeasible,
+    /// The branch-and-bound search exceeded its node limit.
+    NodeLimit(usize),
+}
 
 /// A 0/1 ILP: minimise `objective` subject to `constraints`.
-///
-/// # Examples
-///
-/// ```
-/// use pes_ilp::{Comparison, Constraint, IlpProblem, LinearExpr};
-///
-/// // Pick exactly one of two options; the second is cheaper.
-/// let mut problem = IlpProblem::minimize(LinearExpr::from_terms([(0, 5.0), (1, 2.0)]));
-/// problem.add_constraint(Constraint::new(
-///     LinearExpr::from_terms([(0, 1.0), (1, 1.0)]),
-///     Comparison::Equal,
-///     1.0,
-/// ));
-/// let solution = problem.solve().unwrap();
-/// assert_eq!(solution.assignment, vec![false, true]);
-/// assert!((solution.objective - 2.0).abs() < 1e-9);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct IlpProblem {
     objective: LinearExpr,
@@ -87,11 +86,11 @@ impl IlpProblem {
     ///
     /// # Errors
     ///
-    /// * [`IlpError::Infeasible`] when no assignment satisfies all
+    /// * [`SolveError::Infeasible`] when no assignment satisfies all
     ///   constraints.
-    /// * [`IlpError::NodeLimit`] when the search exceeds the node limit
+    /// * [`SolveError::NodeLimit`] when the search exceeds the node limit
     ///   before proving optimality.
-    pub fn solve(&self) -> Result<IlpSolution, IlpError> {
+    pub fn solve(&self) -> Result<IlpSolution, SolveError> {
         let mut state = SearchState {
             partial: vec![None; self.num_vars],
             best: None,
@@ -104,7 +103,7 @@ impl IlpProblem {
                 objective,
                 nodes_explored: state.nodes,
             }),
-            None => Err(IlpError::Infeasible),
+            None => Err(SolveError::Infeasible),
         }
     }
 
@@ -113,10 +112,10 @@ impl IlpProblem {
         state: &mut SearchState,
         var: usize,
         partial_objective: f64,
-    ) -> Result<(), IlpError> {
+    ) -> Result<(), SolveError> {
         state.nodes += 1;
         if state.nodes > self.node_limit {
-            return Err(IlpError::NodeLimit(self.node_limit));
+            return Err(SolveError::NodeLimit(self.node_limit));
         }
         // Prune: any constraint already unsatisfiable?
         if self
@@ -188,8 +187,47 @@ pub fn exactly_one(vars: impl IntoIterator<Item = usize>) -> Constraint {
     )
 }
 
+/// Encodes a scheduling window as a generic 0/1 ILP: variables `τ(i, j)`
+/// with the Eqn. 2 selection constraints and the Eqn. 4 cumulative-deadline
+/// constraints.
+///
+/// The encoding assumes back-to-back execution from the window start
+/// (release times earlier than the running completion time, which holds for
+/// the windows PES builds), matching the paper's formulation. Deadlines are
+/// hard constraints, so only feasible windows have a solution.
+pub fn to_generic_ilp(problem: &ScheduleProblem) -> IlpProblem {
+    let items = problem.items();
+    let var = |item: usize, opt: usize| -> usize {
+        items[..item].iter().map(|i| i.options.len()).sum::<usize>() + opt
+    };
+    let mut objective = LinearExpr::new();
+    for (i, item) in items.iter().enumerate() {
+        for (j, opt) in item.options.iter().enumerate() {
+            objective.add_term(var(i, j), opt.cost);
+        }
+    }
+    let mut generic = IlpProblem::minimize(objective);
+    for (i, item) in items.iter().enumerate() {
+        generic.add_constraint(exactly_one((0..item.options.len()).map(|j| var(i, j))));
+        // Cumulative deadline: sum of chosen durations of events 0..=i
+        // must not exceed deadline(i) - start.
+        let mut expr = LinearExpr::new();
+        for (k, prior) in items.iter().enumerate().take(i + 1) {
+            for (j, opt) in prior.options.iter().enumerate() {
+                expr.add_term(var(k, j), opt.duration_us as f64);
+            }
+        }
+        let budget = item.deadline_us.saturating_sub(problem.start_us()) as f64;
+        generic.add_constraint(Constraint::new(expr, Comparison::LessEq, budget));
+    }
+    generic
+}
+
 #[cfg(test)]
 mod tests {
+    // Bench targets without the test harness compile this module under
+    // `cfg(test)` with its `#[test]` functions stripped.
+    #[allow(unused_imports)]
     use super::*;
 
     #[test]
@@ -239,7 +277,7 @@ mod tests {
             Comparison::GreaterEq,
             3.0,
         ));
-        assert_eq!(problem.solve().unwrap_err(), IlpError::Infeasible);
+        assert_eq!(problem.solve().unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -247,7 +285,7 @@ mod tests {
         // A 20-variable unconstrained problem explores more than 3 nodes.
         let objective = LinearExpr::from_terms((0..20).map(|v| (v, 1.0)));
         let problem = IlpProblem::minimize(objective).with_node_limit(3);
-        assert!(matches!(problem.solve(), Err(IlpError::NodeLimit(3))));
+        assert!(matches!(problem.solve(), Err(SolveError::NodeLimit(3))));
     }
 
     #[test]
