@@ -57,14 +57,18 @@ pub use schedule::{
     SolveTier,
 };
 
-// The generic 0/1 ILP of the specialised-vs-generic ablation lives in the
-// workspace's `tests/support/`; its unit tests run with this crate's, which
-// is why the files name this crate `pes_ilp`.
+// The generic 0/1 ILP of the specialised-vs-generic ablation and the
+// pre-optimisation reference search live in the workspace's
+// `tests/support/`; the unit tests use them and run their tests with this
+// crate's, which is why the files name this crate `pes_ilp`.
 #[cfg(test)]
 extern crate self as pes_ilp;
 #[cfg(test)]
 #[path = "../../../tests/support/linear.rs"]
 mod linear;
+#[cfg(test)]
+#[path = "../../../tests/support/reference.rs"]
+mod reference;
 #[cfg(test)]
 #[path = "../../../tests/support/solver.rs"]
 mod solver;

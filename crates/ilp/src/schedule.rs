@@ -1249,6 +1249,8 @@ impl ScheduleProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::solve_reference;
+    use crate::solver::to_generic_ilp;
 
     fn opt(choice: usize, duration_us: u64, cost: f64) -> ScheduleOption {
         ScheduleOption {
@@ -1383,6 +1385,45 @@ mod tests {
             .collect();
         let problem = ScheduleProblem::new(0, items).with_node_limit(5);
         assert!(matches!(problem.solve(), Err(IlpError::NodeLimit(5))));
+        assert!(matches!(
+            solve_reference(&problem),
+            Err(IlpError::NodeLimit(5))
+        ));
+    }
+
+    #[test]
+    fn specialised_and_generic_solvers_agree() {
+        let problem = ScheduleProblem::new(0, fig2_like_items());
+        let specialised = problem.solve().unwrap();
+        let generic = to_generic_ilp(&problem).solve().unwrap();
+        // Decode the generic assignment back into per-event choices.
+        let mut offset = 0;
+        let mut generic_cost = 0.0;
+        for item in problem.items() {
+            let picked: Vec<usize> = (0..item.options.len())
+                .filter(|j| generic.assignment[offset + j])
+                .collect();
+            assert_eq!(picked.len(), 1, "exactly one option per event");
+            generic_cost += item.options[picked[0]].cost;
+            offset += item.options.len();
+        }
+        assert!((generic_cost - specialised.total_cost).abs() < 1e-6);
+    }
+
+    #[test]
+    fn optimised_solver_matches_the_reference_on_fig2() {
+        let problem = ScheduleProblem::new(0, fig2_like_items());
+        let optimised = problem.solve().unwrap();
+        let reference = solve_reference(&problem).unwrap();
+        assert_eq!(optimised.selected, reference.selected);
+        assert_eq!(optimised.choices, reference.choices);
+        assert_eq!(optimised.finish_us, reference.finish_us);
+        assert_eq!(optimised.violations, reference.violations);
+        assert!((optimised.total_cost - reference.total_cost).abs() < 1e-12);
+        assert!(
+            optimised.nodes_explored <= reference.nodes_explored,
+            "the optimised search must not explore more nodes"
+        );
     }
 
     #[test]
@@ -1451,6 +1492,23 @@ mod tests {
     fn no_worse(a: &ScheduleSolution, b: &ScheduleSolution) -> bool {
         a.violations < b.violations
             || (a.violations == b.violations && a.total_cost <= b.total_cost + 1e-9)
+    }
+
+    #[test]
+    fn anytime_exact_tier_matches_the_depth_first_solver() {
+        let problem = ScheduleProblem::new(0, fig2_like_items());
+        let reference = solve_reference(&problem).unwrap();
+        let mut scratch = SolveScratch::new();
+        let mut solution = ScheduleSolution::default();
+        let tier = problem
+            .solve_anytime_with(&mut scratch, &mut solution)
+            .unwrap();
+        assert_eq!(tier, SolveTier::Exact);
+        assert_eq!(solution.selected, reference.selected);
+        assert_eq!(solution.choices, reference.choices);
+        assert_eq!(solution.finish_us, reference.finish_us);
+        assert_eq!(solution.violations, reference.violations);
+        assert!((solution.total_cost - reference.total_cost).abs() < 1e-12);
     }
 
     #[test]
