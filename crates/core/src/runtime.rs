@@ -986,8 +986,11 @@ impl Replay<'_> {
     /// from the state in which it has already been observed: a scratch
     /// session rebuilt in place from the live one (it shares the live
     /// session's DOM, so this is allocation-free in the steady state).
-    /// Learned predictions carry the hysteresis-held quantised demand
-    /// classes the planner poses; Oracle predictions carry exact demands.
+    /// A learned round stops at the first predicted type the profiler has
+    /// no demand estimate for, since PES cannot plan it; the learner runs
+    /// no step past it. Learned predictions carry the hysteresis-held
+    /// quantised demand classes the planner poses; Oracle predictions
+    /// carry exact demands.
     fn predict_types(&mut self, next: usize, outstanding: Option<&WebEvent>) {
         let rs = &mut self.rs;
         rs.predicted_buf.clear();
@@ -1011,7 +1014,9 @@ impl Replay<'_> {
                 let planning_demands = &mut rs.planning_demands;
                 rs.predicted_buf.extend(
                     learner
-                        .predict_sequence_with(session, &mut rs.predict_scratch)
+                        .predict_sequence_while(session, &mut rs.predict_scratch, |t| {
+                            profiler.estimate(t).is_some()
+                        })
                         .iter()
                         .map_while(|p| {
                             profiler.estimate(p.event_type).map(|d| {

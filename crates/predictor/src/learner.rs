@@ -85,12 +85,12 @@ impl LearnerConfig {
     }
 }
 
-/// Reusable buffers for [`EventSequenceLearner::predict_sequence_with`]: the
+/// Reusable buffers for [`EventSequenceLearner::predict_sequence_while`]: the
 /// scratch session the predictions are fed back into, the feature vector and
-/// the output sequence. Holding one of these per replay makes prediction
-/// rounds run without cloning the session state or allocating — the scratch
-/// session shares the live session's DOM through its `Arc` and only the
-/// small history window is copied per round.
+/// the output sequence. The PES runtime holds one per thread, in its parked
+/// replay scratch, so prediction rounds run without cloning the session state
+/// or allocating — the scratch session shares the live session's DOM through
+/// its `Arc` and only the small history window is copied per round.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     session: Option<SessionState>,
@@ -230,8 +230,8 @@ impl EventSequenceLearner {
     /// stays below the configured cap.
     ///
     /// Convenience form of [`EventSequenceLearner::predict_sequence_with`]
-    /// that allocates a fresh scratch; hot callers (the PES runtime) hold a
-    /// [`PredictScratch`] per replay instead.
+    /// that allocates a fresh scratch; hot callers (the PES runtime) reuse a
+    /// [`PredictScratch`] per thread instead.
     pub fn predict_sequence(&self, state: &SessionState) -> Vec<PredictedEvent> {
         let mut scratch = PredictScratch::new();
         self.predict_sequence_with(state, &mut scratch);
@@ -247,6 +247,21 @@ impl EventSequenceLearner {
         &self,
         state: &SessionState,
         scratch: &'a mut PredictScratch,
+    ) -> &'a [PredictedEvent] {
+        self.predict_sequence_while(state, scratch, |_| true)
+    }
+
+    /// [`EventSequenceLearner::predict_sequence_with`] that also stops before
+    /// the first predicted type `keep` rejects, so no step past it is
+    /// computed. Each step is fed only the steps before it, so the result is
+    /// the longest prefix of the unbounded sequence whose types `keep`
+    /// accepts. `keep` is called at most once per step, only for steps that
+    /// clear the confidence threshold.
+    pub fn predict_sequence_while<'a>(
+        &self,
+        state: &SessionState,
+        scratch: &'a mut PredictScratch,
+        mut keep: impl FnMut(EventType) -> bool,
     ) -> &'a [PredictedEvent] {
         scratch.out.clear();
         // Reuse the scratch session across rounds: `clone_from` bumps the
@@ -270,7 +285,7 @@ impl EventSequenceLearner {
                 self.predict_next_into(session, &mut scratch.features)
             };
             let next_cumulative = cumulative * confidence;
-            if next_cumulative < self.config.confidence_threshold {
+            if next_cumulative < self.config.confidence_threshold || !keep(event_type) {
                 break;
             }
             cumulative = next_cumulative;
@@ -426,6 +441,45 @@ mod tests {
             "LNES must exclude scrolling on a short page"
         );
         assert_eq!(unmasked, EventType::Scroll);
+    }
+
+    #[test]
+    fn keep_cuts_the_round_and_is_called_at_most_once_per_step() {
+        let learner = EventSequenceLearner::new(
+            confident_scroll_classifier(),
+            LearnerConfig::paper_defaults(),
+        );
+        let s = state();
+        let full = learner.predict_sequence(&s);
+        assert!(full.len() >= 2);
+        let mut scratch = PredictScratch::new();
+
+        // Rejecting the first type gives an empty round after one call.
+        let mut calls = 0;
+        let round = learner.predict_sequence_while(&s, &mut scratch, |_| {
+            calls += 1;
+            false
+        });
+        assert!(round.is_empty());
+        assert_eq!(calls, 1);
+
+        // Accepting everything is the unbounded round, one call per step.
+        let mut calls = 0;
+        let round = learner.predict_sequence_while(&s, &mut scratch, |_| {
+            calls += 1;
+            true
+        });
+        assert_eq!(round, &full[..]);
+        assert_eq!(calls, full.len());
+
+        // Rejecting the second call keeps exactly the first prediction.
+        let mut calls = 0;
+        let round = learner.predict_sequence_while(&s, &mut scratch, |_| {
+            calls += 1;
+            calls < 2
+        });
+        assert_eq!(round, &full[..1]);
+        assert_eq!(calls, 2);
     }
 
     #[test]

@@ -1409,12 +1409,19 @@ mod fleet_resilience {
 /// down differentially against the retained per-class scalar paths:
 /// one session at a time must equal the whole-batch matrix pass bit for bit,
 /// and the f32 re-layout must reproduce the f64 reference argmax whenever
-/// the decision margin is clear of rounding noise.
+/// the decision margin is clear of rounding noise. A prediction round cut
+/// at the first rejected type must be a prefix of the unbounded round.
 mod prediction_plane {
     use proptest::prelude::*;
 
-    use pes::dom::{EventType, EventTypeSet};
-    use pes::predictor::{LogisticModel, OneVsRestClassifier, PackedModel, FEATURE_DIM};
+    use pes::acmp::units::TimeUs;
+    use pes::acmp::CpuDemand;
+    use pes::dom::{EventType, EventTypeSet, PageBuilder};
+    use pes::predictor::{
+        EventSequenceLearner, LearnerConfig, LogisticModel, OneVsRestClassifier, PackedModel,
+        PredictScratch, SessionState, FEATURE_DIM,
+    };
+    use pes::webrt::{EventId, WebEvent};
 
     const NUM_CLASSES: usize = EventType::ALL.len();
 
@@ -1547,6 +1554,58 @@ mod prediction_plane {
             packed.pad_features(&features, &mut padded);
             let (packed_event, _) = packed.predict_masked(&padded, mask);
             prop_assert_eq!(ref_event, packed_event);
+        }
+
+        /// A round cut by `keep` is the unbounded round's longest prefix
+        /// whose types `keep` accepts, on both the f64 and packed planes,
+        /// and accepting everything is the unbounded round exactly. One
+        /// scratch serves every round, as in the runtime, so a shorter round
+        /// leaves the scratch session in a different state for the next.
+        #[test]
+        fn predict_sequence_while_is_the_kept_prefix_of_the_full_round(
+            weights in weights_strategy(),
+            biases in biases_strategy(),
+            warmup in proptest::collection::vec(0usize..NUM_CLASSES, 0..6),
+            threshold in 0.0f64..0.95,
+            use_packed in 0u8..2,
+            use_lnes in 0u8..2,
+            keep_bits in 0u8..128,
+        ) {
+            let config = LearnerConfig::paper_defaults()
+                .with_confidence_threshold(threshold)
+                .with_packed(use_packed == 1)
+                .with_lnes(use_lnes == 1);
+            let learner = EventSequenceLearner::new(classifier(&weights, &biases), config);
+            let page = PageBuilder::new(360)
+                .nav_bar(3)
+                .article_list(8, true)
+                .text_block(2_500)
+                .build();
+            let mut state = SessionState::new(page.tree.clone());
+            for (i, &class) in warmup.iter().enumerate() {
+                state.observe(&WebEvent::new(
+                    EventId::new(i as u64),
+                    EventType::ALL[class],
+                    None,
+                    TimeUs::ZERO,
+                    CpuDemand::ZERO,
+                ));
+            }
+            let keep_set = mask_from_bits(keep_bits);
+
+            let mut scratch = PredictScratch::new();
+            let full = learner.predict_sequence_with(&state, &mut scratch).to_vec();
+            let kept: Vec<_> = full
+                .iter()
+                .copied()
+                .take_while(|p| keep_set.contains(p.event_type))
+                .collect();
+            let cut = learner
+                .predict_sequence_while(&state, &mut scratch, |t| keep_set.contains(t))
+                .to_vec();
+            prop_assert_eq!(&cut, &kept);
+            let unbounded = learner.predict_sequence_while(&state, &mut scratch, |_| true);
+            prop_assert_eq!(unbounded, &full[..]);
         }
     }
 }
