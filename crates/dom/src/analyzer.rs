@@ -3,15 +3,13 @@
 //!
 //! The analyzer traverses the part of the DOM tree inside the current
 //! viewport and accumulates the set of events registered on visible nodes —
-//! the LNES that the event sequence learner predicts from (Sec. 5.2). It can
-//! also *project* the LNES past a sequence of hypothetical (predicted)
-//! events by statically applying their memoized effects through the
-//! [`SemanticTree`], which is what lets PES predict several events ahead.
+//! the LNES that the event sequence learner predicts from (Sec. 5.2). The
+//! LNES after a predicted event is the LNES of the tree with that listener's
+//! memoized [`CallbackEffect`] applied through [`DomTree::apply_effect`],
+//! which is what lets PES predict several events ahead.
 
-use crate::error::DomError;
 use crate::events::{EventType, EventTypeSet};
 use crate::geometry::Viewport;
-use crate::semantic::SemanticTree;
 use crate::tree::{CallbackEffect, DomTree, NodeId, TreeStamp};
 
 /// One candidate next event: an event type on a concrete (visible) node, or
@@ -94,7 +92,7 @@ pub struct ViewportFeatures {
 /// # Examples
 ///
 /// ```
-/// use pes_dom::{CallbackEffect, DomAnalyzer, DomTree, EventType, NodeKind, SemanticTree};
+/// use pes_dom::{CallbackEffect, DomAnalyzer, DomTree, EventType, NodeKind};
 /// use pes_dom::geometry::{Rect, Viewport};
 ///
 /// let mut tree = DomTree::new();
@@ -109,25 +107,13 @@ pub struct ViewportFeatures {
 /// assert!(!lnes.allows(EventType::Submit));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DomAnalyzer {
-    include_global_scroll: bool,
-}
+pub struct DomAnalyzer;
 
 impl DomAnalyzer {
-    /// Creates an analyzer with the default policy: document-level scrolling
-    /// is part of the LNES whenever the page is taller than the viewport.
+    /// Creates an analyzer. Document-level scrolling is part of the LNES
+    /// whenever the page is taller than the viewport.
     pub fn new() -> Self {
-        DomAnalyzer {
-            include_global_scroll: true,
-        }
-    }
-
-    /// Creates an analyzer that only reports events registered on concrete
-    /// DOM nodes (no implicit document-level scroll). Used by ablations.
-    pub fn without_global_scroll() -> Self {
-        DomAnalyzer {
-            include_global_scroll: false,
-        }
+        DomAnalyzer
     }
 
     /// Computes the LNES for the current DOM state: every event registered on
@@ -151,9 +137,7 @@ impl DomAnalyzer {
             }
         }
         let root = tree.root();
-        if self.include_global_scroll
-            && tree.document_height() > viewport.height() + viewport.scroll_y()
-        {
+        if tree.document_height() > viewport.height() + viewport.scroll_y() {
             for event in [EventType::Scroll, EventType::TouchMove] {
                 if !events.iter().any(|p| p.node == root && p.event == event) {
                     events.push(PossibleEvent { node: root, event });
@@ -195,9 +179,7 @@ impl DomAnalyzer {
                 }
             }
         }
-        if self.include_global_scroll
-            && tree.document_height() > viewport.height() + viewport.scroll_y()
-        {
+        if tree.document_height() > viewport.height() + viewport.scroll_y() {
             types.insert(EventType::Scroll);
             types.insert(EventType::TouchMove);
         }
@@ -239,38 +221,6 @@ impl DomAnalyzer {
             visible_link_count: link_count,
             scrollable: tree.document_height() > viewport.height() + viewport.scroll_y(),
         }
-    }
-
-    /// Computes the LNES *after* a sequence of hypothetical events, by
-    /// statically applying their memoized effects to scratch copies of the
-    /// DOM state (Sec. 5.2). The live `tree`/`viewport` are not modified.
-    ///
-    /// Predicted events with no memoized listener are skipped rather than
-    /// rejected: the sequence learner may legitimately predict an event whose
-    /// handler is a no-op as far as the DOM is concerned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DomError`] only for structural failures (stale node ids
-    /// inside memoized effects), which indicate a bug in DOM construction.
-    pub fn lnes_after(
-        &self,
-        tree: &DomTree,
-        viewport: &Viewport,
-        semantic: &SemanticTree,
-        hypothetical: &[PossibleEvent],
-    ) -> Result<Lnes, DomError> {
-        let mut scratch_tree = tree.clone();
-        let mut scratch_vp = *viewport;
-        for ev in hypothetical {
-            match semantic.apply_hypothetical(&mut scratch_tree, &mut scratch_vp, ev.node, ev.event)
-            {
-                Ok(_) => {}
-                Err(DomError::NoListener(..)) => {}
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(self.lnes(&scratch_tree, &scratch_vp))
     }
 }
 
@@ -393,11 +343,11 @@ struct IncrementalState {
 /// for scroll in [0, 480, 960, 0] {
 ///     vp.scroll_to(scroll);
 ///     assert_eq!(
-///         inc.viewport_features(&analyzer, &page.tree, &vp),
+///         inc.viewport_features(&page.tree, &vp),
 ///         analyzer.viewport_features(&page.tree, &vp),
 ///     );
 ///     assert_eq!(
-///         inc.lnes_types(&analyzer, &page.tree, &vp),
+///         inc.lnes_types(&page.tree, &vp),
 ///         analyzer.lnes_types(&page.tree, &vp),
 ///     );
 /// }
@@ -421,13 +371,7 @@ impl IncrementalAnalyzer {
 
     /// The viewport features of Table 1, equal to
     /// [`DomAnalyzer::viewport_features`] on the same `(tree, viewport)`.
-    pub fn viewport_features(
-        &mut self,
-        policy: &DomAnalyzer,
-        tree: &DomTree,
-        viewport: &Viewport,
-    ) -> ViewportFeatures {
-        let _ = policy; // features ignore the global-scroll policy, as the full scan does
+    pub fn viewport_features(&mut self, tree: &DomTree, viewport: &Viewport) -> ViewportFeatures {
         let state = self.ensure(tree, viewport);
         let viewport_area = viewport.area().max(1) as f64;
         ViewportFeatures {
@@ -441,22 +385,13 @@ impl IncrementalAnalyzer {
     }
 
     /// The LNES type bitmask, equal to [`DomAnalyzer::lnes_types`] on the
-    /// same `(tree, viewport)` under the given analyzer policy.
-    pub fn lnes_types(
-        &mut self,
-        policy: &DomAnalyzer,
-        tree: &DomTree,
-        viewport: &Viewport,
-    ) -> EventTypeSet {
+    /// same `(tree, viewport)`.
+    pub fn lnes_types(&mut self, tree: &DomTree, viewport: &Viewport) -> EventTypeSet {
         let state = self.ensure(tree, viewport);
         let mut types = state.agg.types();
-        if policy.include_global_scroll
-            && state.doc_height > viewport.height() + viewport.scroll_y()
-        {
-            let mut global = EventTypeSet::EMPTY;
-            global.insert(EventType::Scroll);
-            global.insert(EventType::TouchMove);
-            types = types.union(global);
+        if state.doc_height > viewport.height() + viewport.scroll_y() {
+            types.insert(EventType::Scroll);
+            types.insert(EventType::TouchMove);
         }
         if state.agg.nav_count > 0 {
             types.insert(EventType::Navigate);
@@ -760,6 +695,18 @@ mod tests {
         (tree, nav_link, menu_button, menu_item, far_button)
     }
 
+    /// The LNES after `event` fires on `node`: the node's memoized listener
+    /// effect is applied to clones of the tree and viewport, so the live ones
+    /// stay untouched. An event with no listener on `node` changes nothing.
+    fn lnes_after(tree: &DomTree, vp: &Viewport, node: NodeId, event: EventType) -> Lnes {
+        let Some(effect) = tree.node(node).unwrap().listener(event) else {
+            return DomAnalyzer::new().lnes(tree, vp);
+        };
+        let (mut scratch_tree, mut scratch_vp) = (tree.clone(), *vp);
+        scratch_tree.apply_effect(effect, &mut scratch_vp).unwrap();
+        DomAnalyzer::new().lnes(&scratch_tree, &scratch_vp)
+    }
+
     #[test]
     fn lnes_contains_only_visible_listeners() {
         let (tree, nav_link, menu_button, menu_item, far_button) = sample_page();
@@ -785,28 +732,25 @@ mod tests {
         let lnes = analyzer.lnes(&tree, &Viewport::phone());
         assert!(lnes.allows(EventType::Scroll));
         assert!(lnes.allows(EventType::TouchMove));
-        let no_scroll = DomAnalyzer::without_global_scroll().lnes(&tree, &Viewport::phone());
-        assert!(!no_scroll.allows(EventType::Scroll));
     }
 
     #[test]
     fn lnes_types_mask_matches_the_full_lnes() {
         let (tree, ..) = sample_page();
-        for analyzer in [DomAnalyzer::new(), DomAnalyzer::without_global_scroll()] {
-            for scroll in [0, 500, 1_900, 3_000] {
-                let mut vp = Viewport::phone();
-                vp.scroll_to(scroll);
-                let via_lnes: EventTypeSet = analyzer
-                    .lnes(&tree, &vp)
-                    .event_types()
-                    .into_iter()
-                    .collect();
-                assert_eq!(
-                    analyzer.lnes_types(&tree, &vp),
-                    via_lnes,
-                    "mask must agree with the Lnes at scroll {scroll}"
-                );
-            }
+        let analyzer = DomAnalyzer::new();
+        for scroll in [0, 500, 1_900, 3_000] {
+            let mut vp = Viewport::phone();
+            vp.scroll_to(scroll);
+            let via_lnes: EventTypeSet = analyzer
+                .lnes(&tree, &vp)
+                .event_types()
+                .into_iter()
+                .collect();
+            assert_eq!(
+                analyzer.lnes_types(&tree, &vp),
+                via_lnes,
+                "mask must agree with the Lnes at scroll {scroll}"
+            );
         }
     }
 
@@ -887,21 +831,10 @@ mod tests {
     fn lnes_after_menu_click_includes_menu_items() {
         let (tree, _, menu_button, menu_item, _) = sample_page();
         let analyzer = DomAnalyzer::new();
-        let semantic = SemanticTree::build(&tree);
         let vp = Viewport::phone();
         let before = analyzer.lnes(&tree, &vp);
         assert!(!before.nodes_for(EventType::Click).contains(&menu_item));
-        let after = analyzer
-            .lnes_after(
-                &tree,
-                &vp,
-                &semantic,
-                &[PossibleEvent {
-                    node: menu_button,
-                    event: EventType::Click,
-                }],
-            )
-            .unwrap();
+        let after = lnes_after(&tree, &vp, menu_button, EventType::Click);
         assert!(after.nodes_for(EventType::Click).contains(&menu_item));
         // The live DOM is untouched.
         assert!(!analyzer
@@ -920,21 +853,23 @@ mod tests {
             CallbackEffect::ScrollBy(1_900),
         )
         .unwrap();
-        let analyzer = DomAnalyzer::new();
-        let semantic = SemanticTree::build(&tree);
-        let vp = Viewport::phone();
-        let after = analyzer
-            .lnes_after(
-                &tree,
-                &vp,
-                &semantic,
-                &[PossibleEvent {
-                    node: tree.root(),
-                    event: EventType::Scroll,
-                }],
-            )
-            .unwrap();
+        let after = lnes_after(&tree, &Viewport::phone(), tree.root(), EventType::Scroll);
         assert!(after.nodes_for(EventType::Click).contains(&far_button));
+    }
+
+    #[test]
+    fn hypothetical_events_without_listeners_are_skipped() {
+        let (tree, nav_link, ..) = sample_page();
+        let vp = Viewport::phone();
+        // Submit has no listener anywhere; the projection should not fail.
+        assert!(tree
+            .node(nav_link)
+            .unwrap()
+            .listener(EventType::Submit)
+            .is_none());
+        let after = lnes_after(&tree, &vp, nav_link, EventType::Submit);
+        assert!(!after.is_empty());
+        assert_eq!(after, DomAnalyzer::new().lnes(&tree, &vp));
     }
 
     #[test]
@@ -968,12 +903,12 @@ mod tests {
                 inc.note_toggle(pre, &tree, menu);
             }
             assert_eq!(
-                inc.viewport_features(&analyzer, &tree, &vp),
+                inc.viewport_features(&tree, &vp),
                 analyzer.viewport_features(&tree, &vp),
                 "features diverged at step {step} (scroll {scroll})"
             );
             assert_eq!(
-                inc.lnes_types(&analyzer, &tree, &vp),
+                inc.lnes_types(&tree, &vp),
                 analyzer.lnes_types(&tree, &vp),
                 "mask diverged at step {step} (scroll {scroll})"
             );
@@ -995,7 +930,7 @@ mod tests {
         let analyzer = DomAnalyzer::new();
         let mut inc = IncrementalAnalyzer::new();
         let vp = Viewport::phone();
-        let before = inc.lnes_types(&analyzer, &tree, &vp);
+        let before = inc.lnes_types(&tree, &vp);
         assert!(!before.contains(EventType::Submit));
         // Mutate the tree *without* telling the analyzer: the stamp guard
         // must force a rebuild rather than serve stale aggregates.
@@ -1007,44 +942,9 @@ mod tests {
             t.add_listener(submit, EventType::Submit, CallbackEffect::SubmitForm)
                 .unwrap();
         }
-        let after = inc.lnes_types(&analyzer, &tree, &vp);
+        let after = inc.lnes_types(&tree, &vp);
         assert!(after.contains(EventType::Submit));
         assert_eq!(after, analyzer.lnes_types(&tree, &vp));
         assert_eq!(inc.stats().rebuilds, 2);
-    }
-
-    #[test]
-    fn incremental_analyzer_honours_the_global_scroll_policy() {
-        let (tree, ..) = sample_page();
-        let tree = std::sync::Arc::new(tree);
-        let vp = Viewport::phone();
-        for analyzer in [DomAnalyzer::new(), DomAnalyzer::without_global_scroll()] {
-            let mut inc = IncrementalAnalyzer::new();
-            assert_eq!(
-                inc.lnes_types(&analyzer, &tree, &vp),
-                analyzer.lnes_types(&tree, &vp)
-            );
-        }
-    }
-
-    #[test]
-    fn hypothetical_events_without_listeners_are_skipped() {
-        let (tree, nav_link, ..) = sample_page();
-        let analyzer = DomAnalyzer::new();
-        let semantic = SemanticTree::build(&tree);
-        let vp = Viewport::phone();
-        // Submit has no listener anywhere; the projection should not fail.
-        let after = analyzer
-            .lnes_after(
-                &tree,
-                &vp,
-                &semantic,
-                &[PossibleEvent {
-                    node: nav_link,
-                    event: EventType::Submit,
-                }],
-            )
-            .unwrap();
-        assert!(!after.is_empty());
     }
 }

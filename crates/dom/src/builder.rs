@@ -9,10 +9,9 @@ use std::sync::Arc;
 
 use crate::events::EventType;
 use crate::geometry::{Rect, Viewport};
-use crate::semantic::SemanticTree;
 use crate::tree::{CallbackEffect, DomTree, NodeId, NodeKind};
 
-/// A fully built page: the DOM tree, its Semantic Tree, and the node groups
+/// A fully built page: the DOM tree and the node groups
 /// that the workload generator needs to target interactions at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltPage {
@@ -24,8 +23,6 @@ pub struct BuiltPage {
     /// analyzer caches keyed on the stamp stay valid across unmutated clones
     /// and self-invalidate the moment a copy-on-write clone diverges.
     pub tree: Arc<DomTree>,
-    /// The Semantic Tree memoizing every listener's effect.
-    pub semantic: SemanticTree,
     /// Navigation links (header plus article links).
     pub links: Vec<NodeId>,
     /// Non-navigating buttons (like/expand/play controls).
@@ -315,8 +312,8 @@ impl PageBuilder {
     }
 
     /// Finalises the page: registers document-level scroll listeners when the
-    /// content is taller than a phone viewport, builds the Semantic Tree and
-    /// returns the [`BuiltPage`].
+    /// content is taller than a phone viewport and returns the
+    /// [`BuiltPage`].
     pub fn build(mut self) -> BuiltPage {
         let root = self.tree.root();
         if self.cursor_y > Viewport::phone().height() {
@@ -327,11 +324,9 @@ impl PageBuilder {
                 .add_listener(root, EventType::TouchMove, CallbackEffect::ScrollBy(240))
                 .expect("root exists");
         }
-        let semantic = SemanticTree::build(&self.tree);
         let document_height = self.tree.document_height();
         BuiltPage {
             tree: Arc::new(self.tree),
-            semantic,
             links: self.links,
             buttons: self.buttons,
             menu_buttons: self.menu_buttons,
@@ -439,17 +434,6 @@ mod tests {
         assert!(features.clickable_region_fraction <= 1.0);
         assert!(features.visible_link_count > 0);
         assert!(features.scrollable);
-    }
-
-    #[test]
-    fn semantic_tree_covers_every_listener() {
-        let page = news_page();
-        let listener_count: usize = page
-            .tree
-            .iter()
-            .map(|(_, node)| node.listeners().count())
-            .sum();
-        assert_eq!(page.semantic.len(), listener_count);
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::events::EventType;
-
 /// Errors produced by the `pes-dom` crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -13,8 +11,6 @@ pub enum DomError {
     UnknownNode(usize),
     /// A structural operation (append, reparent) would corrupt the tree.
     InvalidStructure(String),
-    /// No listener of the given event type is registered on the node.
-    NoListener(usize, EventType),
 }
 
 impl fmt::Display for DomError {
@@ -22,9 +18,6 @@ impl fmt::Display for DomError {
         match self {
             DomError::UnknownNode(idx) => write!(f, "node index {idx} does not exist in this tree"),
             DomError::InvalidStructure(msg) => write!(f, "invalid tree structure: {msg}"),
-            DomError::NoListener(idx, event) => {
-                write!(f, "node {idx} has no listener for {event}")
-            }
         }
     }
 }
@@ -41,9 +34,6 @@ mod tests {
         assert!(DomError::InvalidStructure("cycle".into())
             .to_string()
             .contains("cycle"));
-        assert!(DomError::NoListener(3, EventType::Click)
-            .to_string()
-            .contains("onclick"));
     }
 
     #[test]

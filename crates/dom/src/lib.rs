@@ -1,21 +1,21 @@
-//! # pes-dom — DOM tree, Semantic Tree and Likely-Next-Event-Set analysis
+//! # pes-dom — DOM tree and Likely-Next-Event-Set analysis
 //!
 //! The DOM substrate of the PES reproduction (Feng & Zhu, ISCA 2019). PES
 //! narrows its event predictions down to the events the application logic
 //! actually allows next: it traverses the part of the DOM tree inside the
 //! viewport, collects the events registered on visible nodes (the
-//! Likely-Next-Event-Set, LNES), and uses a Semantic Tree — memoized callback
-//! effects, piggybacked on the Accessibility Tree in the paper — to project
+//! Likely-Next-Event-Set, LNES), and applies each listener's memoized callback
+//! effect — piggybacked on the Accessibility Tree in the paper — to project
 //! what the DOM will look like after a predicted event *without* evaluating
 //! its JavaScript callback (Sec. 5.2, Fig. 7).
 //!
 //! This crate provides:
 //!
 //! * [`DomTree`] / [`DomNode`] — an arena DOM with geometry, CSS display
-//!   state and event listeners annotated with [`CallbackEffect`]s,
-//! * [`SemanticTree`] — the memoized effect table and hypothetical-apply,
-//! * [`DomAnalyzer`] — LNES computation, post-event LNES projection and the
-//!   application-inherent features of Table 1,
+//!   state and event listeners annotated with memoized [`CallbackEffect`]s,
+//!   applied without running the callback by [`DomTree::apply_effect`],
+//! * [`DomAnalyzer`] — LNES computation and the application-inherent
+//!   features of Table 1,
 //! * [`IncrementalAnalyzer`] — the same features and LNES type bitmask
 //!   maintained as deltas on scroll/toggle events (validated against the
 //!   tree's [`tree::TreeStamp`]), the per-prediction-step fast path,
@@ -38,16 +38,13 @@
 //! let lnes = analyzer.lnes(&page.tree, &Viewport::phone());
 //! assert!(lnes.allows(EventType::Click));
 //!
-//! // Project the LNES past a predicted click on the menu toggle: the menu
-//! // items become possible targets even though the callback never ran.
-//! let after = analyzer
-//!     .lnes_after(
-//!         &page.tree,
-//!         &Viewport::phone(),
-//!         &page.semantic,
-//!         &[pes_dom::PossibleEvent { node: page.menu_buttons[0], event: EventType::Click }],
-//!     )
-//!     .unwrap();
+//! // Project the LNES past a predicted click on the menu toggle: applying the
+//! // toggle's memoized effect to a copy of the tree makes the menu items
+//! // possible targets even though the callback never ran.
+//! let effect = page.tree.node(page.menu_buttons[0]).unwrap().listener(EventType::Click).unwrap();
+//! let (mut tree, mut viewport) = ((*page.tree).clone(), Viewport::phone());
+//! tree.apply_effect(effect, &mut viewport).unwrap();
+//! let after = analyzer.lnes(&tree, &viewport);
 //! assert!(after.nodes_for(EventType::Click).contains(&page.menu_items[0]));
 //! ```
 
@@ -59,7 +56,6 @@ pub mod builder;
 pub mod error;
 pub mod events;
 pub mod geometry;
-pub mod semantic;
 pub mod tree;
 
 pub use analyzer::{
@@ -69,7 +65,6 @@ pub use builder::{BuiltPage, PageBuilder};
 pub use error::DomError;
 pub use events::{EventType, EventTypeSet, Interaction};
 pub use geometry::{Rect, Viewport};
-pub use semantic::{SemanticEntry, SemanticRole, SemanticTree};
 pub use tree::{CallbackEffect, DomNode, DomTree, NodeId, NodeKind, TreeStamp};
 
 #[cfg(test)]
@@ -80,7 +75,6 @@ mod tests {
     fn public_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DomTree>();
-        assert_send_sync::<SemanticTree>();
         assert_send_sync::<Lnes>();
         assert_send_sync::<BuiltPage>();
         assert_send_sync::<DomError>();

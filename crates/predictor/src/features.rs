@@ -152,7 +152,6 @@ pub struct SessionState {
     tree: Arc<DomTree>,
     viewport: Viewport,
     history: HistoryWindow,
-    analyzer: DomAnalyzer,
     /// Delta-maintained viewport aggregates and LNES bitmask — the
     /// per-prediction-step fast path. Purely a cache: it self-validates
     /// against the tree's `TreeStamp` and the viewport, so it is *not*
@@ -167,7 +166,6 @@ impl Clone for SessionState {
             tree: Arc::clone(&self.tree),
             viewport: self.viewport,
             history: self.history.clone(),
-            analyzer: self.analyzer,
             inc: IncrementalAnalyzer::new(),
         }
     }
@@ -178,7 +176,6 @@ impl Clone for SessionState {
         }
         self.viewport = source.viewport;
         self.history.clone_from(&source.history);
-        self.analyzer = source.analyzer;
         // `self.inc` is deliberately kept: stamp validation re-syncs it.
     }
 }
@@ -191,7 +188,6 @@ impl SessionState {
             tree,
             viewport: Viewport::phone(),
             history: HistoryWindow::new(),
-            analyzer: DomAnalyzer::new(),
             inc: IncrementalAnalyzer::new(),
         }
     }
@@ -209,11 +205,6 @@ impl SessionState {
     /// The recent-event window.
     pub fn history(&self) -> &HistoryWindow {
         &self.history
-    }
-
-    /// The DOM analyzer used for feature extraction and LNES queries.
-    pub fn analyzer(&self) -> &DomAnalyzer {
-        &self.analyzer
     }
 
     /// The centre of a node, used as the position of a tap.
@@ -299,9 +290,7 @@ impl SessionState {
     /// incremental analyzer, so in the steady state this costs O(1) in the
     /// DOM size rather than a full-tree scan.
     pub fn features_into(&mut self, out: &mut FeatureVector) {
-        let vp = self
-            .inc
-            .viewport_features(&self.analyzer, &self.tree, &self.viewport);
+        let vp = self.inc.viewport_features(&self.tree, &self.viewport);
         // Normalise the click distance by the viewport diagonal.
         let diag = ((self.viewport.width().pow(2) + self.viewport.height().pow(2)) as f64).sqrt();
         let distance = self
@@ -329,15 +318,14 @@ impl SessionState {
 
     /// The Likely-Next-Event-Set for the current DOM state.
     pub fn lnes(&self) -> pes_dom::Lnes {
-        self.analyzer.lnes(&self.tree, &self.viewport)
+        DomAnalyzer::new().lnes(&self.tree, &self.viewport)
     }
 
     /// The event *types* of the Likely-Next-Event-Set as an allocation-free
     /// bitmask — exactly the set `self.lnes().event_types()` would return,
     /// served from the incremental analyzer's delta-maintained aggregates.
     pub fn allowed_types(&mut self) -> EventTypeSet {
-        self.inc
-            .lnes_types(&self.analyzer, &self.tree, &self.viewport)
+        self.inc.lnes_types(&self.tree, &self.viewport)
     }
 
     /// How the incremental analyzer has kept itself in sync over this
@@ -512,10 +500,19 @@ mod tests {
 
     #[test]
     fn unknown_targets_are_tolerated() {
-        let (_page, mut state) = page_state();
-        // A target id that does not exist in this tree.
+        let (page, mut state) = page_state();
+        // A click with no target: the root has no click listener.
         let bogus = ev(0, EventType::Click, None, 0);
         state.observe(&bogus);
         assert_eq!(state.history().len(), 1);
+        // A target id that does not exist in this tree, and a valid node
+        // with no listener for the event type: the DOM state is unchanged.
+        let (stamp, viewport) = (state.tree().stamp(), *state.viewport());
+        let missing = NodeId::from_index(page.tree.len() + 7);
+        state.observe(&ev(1, EventType::Click, Some(missing), 5));
+        state.observe(&ev(2, EventType::Submit, page.links.first().copied(), 10));
+        assert_eq!(state.history().len(), 3);
+        assert_eq!(state.tree().stamp(), stamp);
+        assert_eq!(*state.viewport(), viewport);
     }
 }

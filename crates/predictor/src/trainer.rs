@@ -205,13 +205,6 @@ impl Trainer {
         self.train_from_app_datasets(catalog.seen_apps().map(|app| self.app_dataset(app)))
     }
 
-    /// [`Trainer::train`] with typed errors: a catalog with no seen apps
-    /// (or otherwise empty training data) is rejected instead of yielding
-    /// an untrained classifier.
-    pub fn try_train(&self, catalog: &AppCatalog) -> Result<OneVsRestClassifier, TrainError> {
-        self.try_train_from_app_datasets(catalog.seen_apps().map(|app| self.app_dataset(app)))
-    }
-
     /// Convenience: trains and wraps the classifier into a sequence learner
     /// with the given configuration.
     pub fn train_learner(

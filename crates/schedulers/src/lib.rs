@@ -38,13 +38,11 @@ pub mod context;
 pub mod ebs;
 pub mod governors;
 pub mod profiler;
-pub mod routing;
 
 pub use context::{ScheduleContext, Scheduler};
 pub use ebs::Ebs;
 pub use governors::{InteractiveGovernor, OndemandGovernor};
 pub use profiler::DemandProfiler;
-pub use routing::{scheduler_for, FloorGovernor, RoutedTier};
 
 // The EBS unit tests pin ladder-cached decisions against the pre-ladder DVFS
 // oracle in the workspace's `tests/support/`.

@@ -10,10 +10,10 @@
 //!    window over its recent *full-tier* unit outcomes (quarantines,
 //!    watchdog trips, floor hits, violation spikes). When the bad count in
 //!    the window reaches the trip threshold the breaker opens and the
-//!    shard's units are routed to a reactive [`RoutedTier`] instead of the
-//!    proactive optimizer; after a cooldown the breaker half-opens and lets
-//!    a few probe units back onto the full tier, closing again only after
-//!    enough clean probes.
+//!    shard's units are routed to the [`DegradationLevel::Reactive`] tier
+//!    instead of the proactive optimizer; after a cooldown the breaker
+//!    half-opens and lets a few probe units back onto the full tier,
+//!    closing again only after enough clean probes.
 //! 3. **Admission control / load shedding** — arrivals (with optional
 //!    burst storms) land in a bounded queue; when the queue overflows, the
 //!    configured [`ShedPolicy`] deterministically sheds the oldest or the
@@ -45,7 +45,7 @@
 //! The journal is line-oriented ASCII: one cumulative record per batch,
 //! each a space-separated `key=value` token list ending in an FNV-1a-64
 //! checksum of everything before it. The reader treats a malformed
-//! *final* line as a torn tail and returns a typed
+//! *final* line, invalid UTF-8 included, as a torn tail and returns a typed
 //! [`FleetError::JournalVersion`] for an intact record with any other
 //! `PESFLEETJ*` magic, older formats included.
 //!
@@ -81,7 +81,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::OpenOptions;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -89,7 +89,6 @@ use pes_core::{
     splitmix, DegradationLevel, DegradationTrace, FaultCounts, PesConfig, PesScheduler, RunReport,
     SolveGeneration, SolveShard, WatchdogConfig,
 };
-use pes_schedulers::RoutedTier;
 use pes_workload::TraceGenerator;
 
 use crate::experiments::ExperimentContext;
@@ -177,8 +176,6 @@ pub struct BreakerConfig {
     pub probes: usize,
     /// Consecutive clean probes that close the breaker again.
     pub close_after: usize,
-    /// Where an open breaker routes its shard's units.
-    pub open_tier: RoutedTier,
 }
 
 impl Default for BreakerConfig {
@@ -189,7 +186,6 @@ impl Default for BreakerConfig {
             cooldown_batches: 2,
             probes: 2,
             close_after: 3,
-            open_tier: RoutedTier::Reactive,
         }
     }
 }
@@ -231,12 +227,11 @@ pub struct FleetConfig {
     /// deterministic inter-batch merge folds in unit order. Aggregates are
     /// bit-identical with this on or off (a generation hit mirrors the
     /// cold solve it dodges); only wall-clock and the shared-hit counters
-    /// change. On by default because repeated-config sweeps win about 26%
-    /// wall clock with it. On unique sessions it costs throughput:
-    /// `perfbench` on `fleet-decorrelated` (seed 1, 2-vCPU Intel Xeon,
-    /// alternating runs) measured 8,360 and 9,320 sessions/s with it
-    /// against 9,910 and 10,060 without (EXPERIMENTS.md, "Pointer-served
-    /// shared hits").
+    /// change. On by default because repeated-config sweeps win with it.
+    /// `perfbench` (seed 13, `--seconds 8`, 2-vCPU container, interleaved
+    /// pairs) ran 40–55% more sessions/s with it on `fleet-sweep`. On
+    /// unique sessions it costs throughput: memo-off ran 14–25% more
+    /// sessions/s on `fleet-decorrelated`.
     pub shared_memo: bool,
     /// Entry cap of the published solve generation. When the fold exceeds
     /// it, the merge keeps the last `generation_cap` entries in fold order
@@ -622,9 +617,9 @@ enum UnitRoute {
     Full,
     /// Full tier as a half-open probe; outcome feeds the probe counter.
     Probe,
-    /// Forced to a reactive tier by an open breaker; outcome is ignored by
-    /// the breaker.
-    Routed(RoutedTier),
+    /// Forced to the `Reactive` tier by an open breaker; outcome is ignored
+    /// by the breaker.
+    Routed,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -691,20 +686,12 @@ impl UnitOutcome {
     }
 }
 
-/// The [`DegradationLevel`] an open breaker's routed tier maps to.
-fn forced_level(tier: RoutedTier) -> DegradationLevel {
-    match tier {
-        RoutedTier::Reactive => DegradationLevel::Reactive,
-        RoutedTier::OndemandFloor => DegradationLevel::OndemandFloor,
-    }
-}
-
 /// The tier a route entered the engine at — attached to quarantine records
 /// so failures say how degraded the unit already was when it still failed.
 fn route_level(route: UnitRoute) -> DegradationLevel {
     match route {
         UnitRoute::Full | UnitRoute::Probe => DegradationLevel::Exact,
-        UnitRoute::Routed(tier) => forced_level(tier),
+        UnitRoute::Routed => DegradationLevel::Reactive,
     }
 }
 
@@ -907,13 +894,13 @@ where
                 let shard = unit % shards;
                 let route = match breakers[shard].state() {
                     BreakerState::Closed => UnitRoute::Full,
-                    BreakerState::Open => UnitRoute::Routed(config.breaker.open_tier),
+                    BreakerState::Open => UnitRoute::Routed,
                     BreakerState::HalfOpen => {
                         if probes_used[shard] < config.breaker.probes.max(1) {
                             probes_used[shard] += 1;
                             UnitRoute::Probe
                         } else {
-                            UnitRoute::Routed(config.breaker.open_tier)
+                            UnitRoute::Routed
                         }
                     }
                 };
@@ -933,7 +920,7 @@ where
             match ticket.route {
                 UnitRoute::Full => breaker.record(bad),
                 UnitRoute::Probe => breaker.record_probe(bad),
-                UnitRoute::Routed(_) => {}
+                UnitRoute::Routed => {}
             }
         }
         for breaker in &mut breakers {
@@ -1020,7 +1007,6 @@ struct BatchRunner<'a> {
     generation: Arc<SolveGeneration>,
     full: PesScheduler,
     reactive: PesScheduler,
-    floor: PesScheduler,
 }
 
 impl<'a> BatchRunner<'a> {
@@ -1046,10 +1032,6 @@ impl<'a> BatchRunner<'a> {
             reactive: PesScheduler::new(
                 ctx.learner.clone(),
                 base().with_forced_tier(DegradationLevel::Reactive),
-            ),
-            floor: PesScheduler::new(
-                ctx.learner.clone(),
-                base().with_forced_tier(DegradationLevel::OndemandFloor),
             ),
         }
     }
@@ -1078,8 +1060,7 @@ impl<'a> BatchRunner<'a> {
             }
             let scheduler = match ticket.route {
                 UnitRoute::Full | UnitRoute::Probe => &self.full,
-                UnitRoute::Routed(RoutedTier::Reactive) => &self.reactive,
-                UnitRoute::Routed(RoutedTier::OndemandFloor) => &self.floor,
+                UnitRoute::Routed => &self.reactive,
             };
             let faults = self.ctx.faults.reseeded(h);
             if self.shared_memo {
@@ -1575,15 +1556,12 @@ impl JournalWriter {
     /// Opens for append after a resume, first truncating any torn tail so
     /// the file holds exactly `intact` intact records.
     fn open_append(path: &Path, intact: usize) -> Result<Self, FleetError> {
-        let mut kept = String::new();
+        let mut kept = Vec::new();
         if path.exists() {
-            let reader = BufReader::new(std::fs::File::open(path)?);
-            for (i, line) in reader.lines().enumerate() {
-                if i >= intact {
-                    break;
-                }
-                kept.push_str(&line?);
-                kept.push('\n');
+            let bytes = std::fs::read(path)?;
+            for line in journal_lines(&bytes).into_iter().take(intact) {
+                kept.extend_from_slice(line);
+                kept.push(b'\n');
             }
         }
         let mut file = OpenOptions::new()
@@ -1591,7 +1569,7 @@ impl JournalWriter {
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(kept.as_bytes())?;
+        file.write_all(&kept)?;
         Ok(JournalWriter {
             file,
             path: path.to_path_buf(),
@@ -1611,6 +1589,20 @@ impl JournalWriter {
     }
 }
 
+/// Splits journal bytes into lines the way `BufRead::lines` does (a final
+/// `\n` ends the last line, a `\r` before a `\n` is dropped) without
+/// requiring UTF-8, so a torn tail of arbitrary bytes is a corrupt line
+/// rather than an IO error.
+fn journal_lines(bytes: &[u8]) -> Vec<&[u8]> {
+    if bytes.is_empty() {
+        return Vec::new();
+    }
+    let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    body.split(|&b| b == b'\n')
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .collect()
+}
+
 /// Reads the journal at `path`, returning its last intact record. A missing or empty journal yields `None` (run from the
 /// start). A torn or corrupt *final* line is tolerated and dropped; a
 /// corrupt line followed by intact ones means real corruption and errors.
@@ -1621,14 +1613,16 @@ fn read_checkpoint(
     if !path.exists() {
         return Ok(None);
     }
-    let reader = BufReader::new(std::fs::File::open(path)?);
-    let lines: Vec<String> = reader.lines().collect::<Result<_, _>>()?;
+    let bytes = std::fs::read(path)?;
+    let lines = journal_lines(&bytes);
     let mut last: Option<JournalRecord> = None;
     for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record(line, breaker_config) {
+        let parsed = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_record(line, breaker_config),
+            Err(_) => Err(FleetError::Corrupt("line is not valid UTF-8".into())),
+        };
+        match parsed {
             Ok(record) => last = Some(record),
             Err(FleetError::Corrupt(_)) if i + 1 == lines.len() => {
                 // Torn tail from the kill: ignore, resume from the
@@ -1654,7 +1648,6 @@ mod tests {
             cooldown_batches: 2,
             probes: 2,
             close_after: 2,
-            open_tier: RoutedTier::Reactive,
         }
     }
 

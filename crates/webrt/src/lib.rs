@@ -5,9 +5,9 @@
 //! ([`WebEvent`]) with per-interaction QoS targets ([`QosPolicy`]); each
 //! event's callback plus rendering work flows through the five-stage
 //! rendering pipeline ([`RenderPipeline`]) on a single ACMP configuration;
-//! the resulting [`Frame`] is displayed at the next 60 Hz VSync
-//! ([`VsyncClock`]); and events that have been triggered but not yet executed
-//! wait in the outstanding [`EventQueue`].
+//! and the resulting frame is displayed at the next 60 Hz VSync
+//! ([`VsyncClock`]). The [`ExecutionEngine`] runs a whole event stream
+//! through that pipeline one event at a time.
 //!
 //! # Examples
 //!
@@ -31,7 +31,7 @@
 //! );
 //!
 //! // Execute the event on the fastest configuration as soon as it arrives.
-//! let exec = RenderPipeline::new().execute(
+//! let (_busy, frame_ready_at) = RenderPipeline::new().execute_timing(
 //!     &event.demand(),
 //!     event.event_type().interaction(),
 //!     &model,
@@ -40,7 +40,7 @@
 //! );
 //! let outcome = QosOutcome {
 //!     triggered_at: event.arrival(),
-//!     displayed_at: vsync.next_refresh_at_or_after(exec.frame_ready_at),
+//!     displayed_at: vsync.next_refresh_at_or_after(frame_ready_at),
 //!     target: qos.target_for_event(event.event_type()),
 //! };
 //! assert!(!outcome.violated());
@@ -56,18 +56,14 @@
 
 pub mod event;
 pub mod executor;
-pub mod frame;
 pub mod pipeline;
 pub mod qos;
-pub mod queue;
 pub mod vsync;
 
 pub use event::{EventId, WebEvent};
 pub use executor::{ExecutionEngine, ExecutionRecord};
-pub use frame::{Frame, FrameState};
-pub use pipeline::{PipelineExecution, RenderPipeline, RenderStage, StageProfile, StageTiming};
+pub use pipeline::{RenderPipeline, RenderStage, StageProfile};
 pub use qos::{QosOutcome, QosPolicy};
-pub use queue::EventQueue;
 pub use vsync::VsyncClock;
 
 #[cfg(test)]
@@ -81,9 +77,7 @@ mod tests {
     fn public_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<WebEvent>();
-        assert_send_sync::<Frame>();
         assert_send_sync::<QosPolicy>();
-        assert_send_sync::<EventQueue>();
         assert_send_sync::<VsyncClock>();
     }
 
@@ -101,21 +95,21 @@ mod tests {
             TimeUs::from_millis(3),
             CpuDemand::new(TimeUs::from_millis(2), CpuCycles::new(20_000_000)),
         );
-        let exec = RenderPipeline::new().execute(
+        let (_, frame_ready_at) = RenderPipeline::new().execute_timing(
             &event.demand(),
             event.event_type().interaction(),
             &model,
             &platform.max_performance_config(),
             event.arrival(),
         );
-        let displayed = vsync.next_refresh_at_or_after(exec.frame_ready_at);
-        assert!(displayed >= exec.frame_ready_at);
+        let displayed = vsync.next_refresh_at_or_after(frame_ready_at);
+        assert!(displayed >= frame_ready_at);
         let outcome = QosOutcome {
             triggered_at: event.arrival(),
             displayed_at: displayed,
             target: QosPolicy::paper_defaults().target_for_event(event.event_type()),
         };
-        assert!(outcome.latency() >= exec.frame_ready_at - event.arrival());
+        assert!(outcome.latency() >= frame_ready_at - event.arrival());
         assert!(!outcome.violated());
     }
 
@@ -126,7 +120,7 @@ mod tests {
         let vsync = VsyncClock::sixty_hz();
         let qos = QosPolicy::paper_defaults();
         let demand = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(60_000_000));
-        let exec = RenderPipeline::new().execute(
+        let (_, frame_ready_at) = RenderPipeline::new().execute_timing(
             &demand,
             EventType::Scroll.interaction(),
             &model,
@@ -135,7 +129,7 @@ mod tests {
         );
         let outcome = QosOutcome {
             triggered_at: TimeUs::ZERO,
-            displayed_at: vsync.next_refresh_at_or_after(exec.frame_ready_at),
+            displayed_at: vsync.next_refresh_at_or_after(frame_ready_at),
             target: qos.target_for_event(EventType::Scroll),
         };
         assert!(

@@ -96,37 +96,6 @@ impl StageProfile {
     }
 }
 
-/// The timing of one stage of a pipeline execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageTiming {
-    /// The stage.
-    pub stage: RenderStage,
-    /// When the stage started.
-    pub start: TimeUs,
-    /// The stage's duration on the chosen configuration.
-    pub duration: TimeUs,
-}
-
-/// The result of pushing one event through the rendering pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineExecution {
-    /// When the pipeline started executing.
-    pub started_at: TimeUs,
-    /// Per-stage timings in pipeline order.
-    pub stages: Vec<StageTiming>,
-    /// When the frame became ready (end of composite).
-    pub frame_ready_at: TimeUs,
-    /// The configuration the pipeline ran on.
-    pub config: AcmpConfig,
-}
-
-impl PipelineExecution {
-    /// Total busy time of the pipeline.
-    pub fn busy_time(&self) -> TimeUs {
-        self.stages.iter().map(|s| s.duration).sum()
-    }
-}
-
 /// The rendering pipeline simulator.
 ///
 /// # Examples
@@ -141,15 +110,15 @@ impl PipelineExecution {
 /// let model = DvfsModel::new(&platform);
 /// let pipeline = RenderPipeline::new();
 /// let demand = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(100_000_000));
-/// let exec = pipeline.execute(
+/// let (busy, frame_ready_at) = pipeline.execute_timing(
 ///     &demand,
 ///     Interaction::Tap,
 ///     &model,
 ///     &platform.max_performance_config(),
 ///     TimeUs::from_millis(10),
 /// );
-/// assert_eq!(exec.stages.len(), 5);
-/// assert!(exec.frame_ready_at > TimeUs::from_millis(10));
+/// assert!(busy > TimeUs::ZERO);
+/// assert_eq!(frame_ready_at, TimeUs::from_millis(10) + busy);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenderPipeline {
@@ -163,44 +132,11 @@ impl RenderPipeline {
     }
 
     /// Runs an event's demand through the five pipeline stages on a single
-    /// configuration, starting at `start`, and returns the per-stage timings
-    /// plus the frame-ready instant.
-    pub fn execute(
-        &self,
-        demand: &CpuDemand,
-        interaction: Interaction,
-        model: &DvfsModel<'_>,
-        config: &AcmpConfig,
-        start: TimeUs,
-    ) -> PipelineExecution {
-        let profile = StageProfile::for_interaction(interaction);
-        let mut cursor = start;
-        let mut stages = Vec::with_capacity(RenderStage::ALL.len());
-        for stage in RenderStage::ALL {
-            let stage_demand = demand.scale(profile.fraction(stage));
-            let duration = model.execution_time(&stage_demand, config);
-            stages.push(StageTiming {
-                stage,
-                start: cursor,
-                duration,
-            });
-            cursor += duration;
-        }
-        PipelineExecution {
-            started_at: start,
-            stages,
-            frame_ready_at: cursor,
-            config: *config,
-        }
-    }
-
-    /// The `(busy time, frame-ready instant)` of pushing an event through
-    /// the pipeline, without materialising the per-stage breakdown —
-    /// value-identical to [`RenderPipeline::execute`] (the stages are
-    /// contiguous, so the busy time is the cursor's total advance), minus
-    /// its per-call `Vec` of stage timings. This is what the execution
-    /// engine's replay hot path consumes; [`RenderPipeline::execute`] stays
-    /// for callers that inspect stages (figures, tests).
+    /// configuration, starting at `start`, and returns the `(busy time,
+    /// frame-ready instant)`. Each stage's share of the demand is timed on
+    /// its own and the stages run back to back, so the busy time is the sum
+    /// of the per-stage times, which can differ from the time of the whole
+    /// demand by per-stage rounding.
     pub fn execute_timing(
         &self,
         demand: &CpuDemand,
@@ -217,19 +153,6 @@ impl RenderPipeline {
         }
         (cursor - start, cursor)
     }
-
-    /// The total pipeline latency for an event demand on a configuration,
-    /// without materialising the per-stage breakdown. Because the per-stage
-    /// split is linear in the demand, this equals the sum of the stage times
-    /// up to rounding.
-    pub fn total_latency(
-        &self,
-        demand: &CpuDemand,
-        model: &DvfsModel<'_>,
-        config: &AcmpConfig,
-    ) -> TimeUs {
-        model.execution_time(demand, config)
-    }
 }
 
 #[cfg(test)]
@@ -243,6 +166,27 @@ mod tests {
             Platform::exynos_5410(),
             CpuDemand::new(TimeUs::from_millis(10), CpuCycles::new(200_000_000)),
         )
+    }
+
+    /// The staged walk `execute_timing` folds: each stage's `(start,
+    /// duration)` in pipeline order.
+    fn staged(
+        demand: &CpuDemand,
+        interaction: Interaction,
+        model: &DvfsModel<'_>,
+        config: &AcmpConfig,
+        start: TimeUs,
+    ) -> Vec<(TimeUs, TimeUs)> {
+        let profile = StageProfile::for_interaction(interaction);
+        let mut cursor = start;
+        RenderStage::ALL
+            .iter()
+            .map(|&stage| {
+                let duration = model.execution_time(&demand.scale(profile.fraction(stage)), config);
+                cursor += duration;
+                (cursor - duration, duration)
+            })
+            .collect()
     }
 
     #[test]
@@ -279,22 +223,19 @@ mod tests {
     fn execution_stages_are_contiguous_and_ordered() {
         let (platform, demand) = fixture();
         let model = DvfsModel::new(&platform);
-        let pipeline = RenderPipeline::new();
-        let exec = pipeline.execute(
-            &demand,
-            Interaction::Load,
-            &model,
-            &platform.max_performance_config(),
-            TimeUs::from_millis(3),
-        );
-        assert_eq!(exec.stages.len(), 5);
-        assert_eq!(exec.stages[0].start, TimeUs::from_millis(3));
-        for w in exec.stages.windows(2) {
-            assert_eq!(w[0].start + w[0].duration, w[1].start);
+        let cfg = platform.max_performance_config();
+        let start = TimeUs::from_millis(3);
+        let stages = staged(&demand, Interaction::Load, &model, &cfg, start);
+        assert_eq!(stages.len(), 5);
+        assert_eq!(stages[0].0, start);
+        for w in stages.windows(2) {
+            assert_eq!(w[0].0 + w[0].1, w[1].0);
         }
-        let last = exec.stages.last().unwrap();
-        assert_eq!(exec.frame_ready_at, last.start + last.duration);
-        assert_eq!(exec.busy_time() + exec.started_at, exec.frame_ready_at);
+        let (busy, ready) =
+            RenderPipeline::new().execute_timing(&demand, Interaction::Load, &model, &cfg, start);
+        let last = stages.last().unwrap();
+        assert_eq!(ready, last.0 + last.1);
+        assert_eq!(busy + start, ready);
     }
 
     #[test]
@@ -305,26 +246,14 @@ mod tests {
         for interaction in Interaction::ALL {
             for cfg in platform.configs() {
                 let start = TimeUs::from_micros(12_345);
-                let exec = pipeline.execute(&demand, interaction, &model, cfg, start);
+                let stages = staged(&demand, interaction, &model, cfg, start);
                 let (busy, ready) =
                     pipeline.execute_timing(&demand, interaction, &model, cfg, start);
-                assert_eq!(busy, exec.busy_time(), "{interaction} on {cfg}");
-                assert_eq!(ready, exec.frame_ready_at, "{interaction} on {cfg}");
+                let staged_busy: TimeUs = stages.iter().map(|s| s.1).sum();
+                let last = stages.last().unwrap();
+                assert_eq!(busy, staged_busy, "{interaction} on {cfg}");
+                assert_eq!(ready, last.0 + last.1, "{interaction} on {cfg}");
             }
-        }
-    }
-
-    #[test]
-    fn total_latency_matches_stage_sum_approximately() {
-        let (platform, demand) = fixture();
-        let model = DvfsModel::new(&platform);
-        let pipeline = RenderPipeline::new();
-        for cfg in platform.configs() {
-            let exec = pipeline.execute(&demand, Interaction::Tap, &model, cfg, TimeUs::ZERO);
-            let direct = pipeline.total_latency(&demand, &model, cfg);
-            let diff = exec.busy_time().as_micros() as i64 - direct.as_micros() as i64;
-            // Per-stage rounding can differ by a few microseconds at most.
-            assert!(diff.abs() < 10, "cfg {cfg:?}: diff {diff}");
         }
     }
 
@@ -333,20 +262,20 @@ mod tests {
         let (platform, demand) = fixture();
         let model = DvfsModel::new(&platform);
         let pipeline = RenderPipeline::new();
-        let fast = pipeline.execute(
+        let (_, fast) = pipeline.execute_timing(
             &demand,
             Interaction::Tap,
             &model,
             &platform.max_performance_config(),
             TimeUs::ZERO,
         );
-        let slow = pipeline.execute(
+        let (_, slow) = pipeline.execute_timing(
             &demand,
             Interaction::Tap,
             &model,
             &platform.min_power_config(),
             TimeUs::ZERO,
         );
-        assert!(fast.frame_ready_at < slow.frame_ready_at);
+        assert!(fast < slow);
     }
 }

@@ -668,7 +668,6 @@ mod fleet_resilience {
     use std::sync::OnceLock;
 
     use pes::core::WatchdogConfig;
-    use pes::schedulers::RoutedTier;
     use pes::sim::{
         resume_fleet, run_fleet, run_fleet_journaled, BreakerConfig, FleetConfig, FleetError,
         FleetRunReport, FleetSpec, ShedPolicy,
@@ -740,7 +739,6 @@ mod fleet_resilience {
                 cooldown_batches: 1,
                 probes: 1,
                 close_after: 2,
-                open_tier: RoutedTier::Reactive,
             },
             watchdog: WatchdogConfig {
                 node_budget: 0,
@@ -893,6 +891,36 @@ mod fleet_resilience {
             full.breaker_opens(),
             full.breaker_histories,
         );
+    }
+
+    /// A kill can leave arbitrary bytes, not only a prefix of a record, on
+    /// the final line. A final line that is not valid UTF-8 is a torn tail
+    /// like any other: the resume starts from the last intact record and
+    /// reproduces the uninterrupted run.
+    #[test]
+    fn resume_treats_a_non_utf8_final_line_as_a_torn_tail() {
+        let spec = storm_spec();
+        let config = resilient_config();
+        let full_path = tmp_journal("utf8_full");
+        let full =
+            run_fleet_journaled(ctx(), &spec, &config, &full_path).expect("journaled run succeeds");
+        let journal = std::fs::read_to_string(&full_path).expect("journal readable");
+        let first = journal.lines().next().expect("at least one record");
+
+        let torn_path = tmp_journal("utf8_torn");
+        let mut torn = format!("{first}\n").into_bytes();
+        torn.extend_from_slice(b"PE\xff\xfeS");
+        std::fs::write(&torn_path, &torn).expect("write torn journal");
+        let resumed = resume_fleet(ctx(), &spec, &config, &torn_path).expect("resume succeeds");
+        assert_same_aggregates(&full, &resumed);
+        let resumed_journal = std::fs::read_to_string(&torn_path).expect("journal is UTF-8 again");
+        assert_eq!(
+            resumed_journal, journal,
+            "the resumed journal is the full one"
+        );
+
+        std::fs::remove_file(&full_path).ok();
+        std::fs::remove_file(&torn_path).ok();
     }
 
     /// PR 8 golden for the single-batch packed-prediction fleet replay:
@@ -1088,7 +1116,6 @@ mod fleet_resilience {
                 cooldown_batches: 2,
                 probes: 2,
                 close_after: 3,
-                open_tier: RoutedTier::Reactive,
             },
             watchdog: WatchdogConfig {
                 node_budget: 0,

@@ -216,13 +216,13 @@ proptest! {
                 _ => {}
             }
             prop_assert_eq!(
-                inc.viewport_features(&analyzer, &tree, &vp),
+                inc.viewport_features(&tree, &vp),
                 analyzer.viewport_features(&tree, &vp),
                 "features diverged at step {} (op {}, scroll {})",
                 step, op, vp.scroll_y()
             );
             prop_assert_eq!(
-                inc.lnes_types(&analyzer, &tree, &vp),
+                inc.lnes_types(&tree, &vp),
                 analyzer.lnes_types(&tree, &vp),
                 "LNES mask diverged at step {} (op {}, scroll {})",
                 step, op, vp.scroll_y()
@@ -1250,7 +1250,6 @@ mod chaos {
 mod fleet_resilience {
     use super::*;
 
-    use pes::schedulers::RoutedTier;
     use pes::sim::{
         fleet_admission_dry_run, BreakerConfig, BreakerState, CircuitBreaker, FleetConfig,
         FleetSpec, ShedPolicy,
@@ -1268,7 +1267,6 @@ mod fleet_resilience {
             cooldown_batches,
             probes: 2,
             close_after,
-            open_tier: RoutedTier::Reactive,
         }
     }
 
@@ -1631,10 +1629,11 @@ mod shared_memo {
     use pes::webrt::QosPolicy;
     use pes::workload::AppCatalog;
 
-    /// One cheap context for the whole module; training dominates the cost
-    /// of every case otherwise. Clean fault plane: the differential is about
-    /// the memo mirror, not the degradation ladder.
-    fn ctx() -> &'static ExperimentContext {
+    /// One cheap context for the whole module (and the journal robustness
+    /// cases); training dominates the cost of every case otherwise. Clean
+    /// fault plane: the differential is about the memo mirror, not the
+    /// degradation ladder.
+    pub(super) fn ctx() -> &'static ExperimentContext {
         static CTX: OnceLock<ExperimentContext> = OnceLock::new();
         CTX.get_or_init(|| {
             let catalog = AppCatalog::paper_suite();
@@ -2387,8 +2386,35 @@ mod frame_ledger {
 }
 
 // ---------------------------------------------------------------------------
-// Parser robustness: mutated trace JSON never panics the reader.
+// Parser robustness: mutated trace JSON and fleet journals never panic their
+// readers.
 // ---------------------------------------------------------------------------
+
+/// Applies `(kind, position, byte)` edits: 0 truncates, 1 substitutes,
+/// 2 inserts, 3 deletes. Positions wrap to the current length. Half the
+/// time the byte is drawn from `grammar` instead, so edits hit the format's
+/// structure rather than only scrambling values.
+fn mutate(original: &[u8], grammar: &[u8], edits: &[(usize, usize, u8)]) -> Vec<u8> {
+    let mut bytes = original.to_vec();
+    for &(kind, pos, raw) in edits {
+        let byte = if raw & 1 == 0 {
+            grammar[usize::from(raw >> 1) % grammar.len()]
+        } else {
+            raw
+        };
+        let len = bytes.len();
+        match kind {
+            0 => bytes.truncate(pos % (len + 1)),
+            1 if len > 0 => bytes[pos % len] = byte,
+            2 => bytes.insert(pos % (len + 1), byte),
+            3 if len > 0 => {
+                bytes.remove(pos % len);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
 
 mod trace_json_robustness {
     use super::*;
@@ -2408,34 +2434,8 @@ mod trace_json_robustness {
         })
     }
 
-    /// Bytes a substitution or insertion draws from half the time: JSON
-    /// punctuation, digits and literal letters, so edits hit structure
-    /// rather than only scrambling values.
+    /// JSON punctuation, digits and literal letters for [`mutate`].
     const GRAMMAR: &[u8] = b"{}[]\":,.-+eE0123456789\\ntrufals ";
-
-    /// Applies `(kind, position, byte)` edits: 0 truncates, 1 substitutes,
-    /// 2 inserts, 3 deletes. Positions wrap to the current length.
-    fn mutate(original: &[u8], edits: &[(usize, usize, u8)]) -> Vec<u8> {
-        let mut bytes = original.to_vec();
-        for &(kind, pos, raw) in edits {
-            let byte = if raw & 1 == 0 {
-                GRAMMAR[usize::from(raw >> 1) % GRAMMAR.len()]
-            } else {
-                raw
-            };
-            let len = bytes.len();
-            match kind {
-                0 => bytes.truncate(pos % (len + 1)),
-                1 if len > 0 => bytes[pos % len] = byte,
-                2 => bytes.insert(pos % (len + 1), byte),
-                3 if len > 0 => {
-                    bytes.remove(pos % len);
-                }
-                _ => {}
-            }
-        }
-        bytes
-    }
 
     proptest! {
         /// `Trace::from_json` over a mutated trace returns a typed error or
@@ -2448,7 +2448,7 @@ mod trace_json_robustness {
             let (trace, json) = original();
             // Every prefix of the edit list is a case of its own.
             for applied in 1..=edits.len() {
-                let mutated = mutate(json.as_bytes(), &edits[..applied]);
+                let mutated = mutate(json.as_bytes(), GRAMMAR, &edits[..applied]);
                 let text = String::from_utf8_lossy(&mutated);
                 if let Ok(parsed) = Trace::from_json(&text) {
                     if text == json.as_str() {
@@ -2458,6 +2458,99 @@ mod trace_json_robustness {
                     prop_assert_eq!(Trace::from_json(&json_again), Ok(parsed));
                 }
             }
+        }
+    }
+}
+
+mod journal_robustness {
+    use super::*;
+    use std::sync::OnceLock;
+
+    use pes::sim::{
+        resume_fleet, run_fleet_journaled, FleetConfig, FleetError, FleetRunReport, FleetSpec,
+    };
+
+    /// The record magic's letters, the journal's punctuation, hex digits and
+    /// the line break for [`mutate`].
+    const GRAMMAR: &[u8] = b"PESFLEETJ4 =,:;|#0123456789abcdef\n";
+
+    /// Eight four-event sessions in batches of two: four journal records.
+    fn spec() -> FleetSpec {
+        FleetSpec {
+            sessions: 8,
+            seed: 0x0B17_F11B,
+            arrivals_per_step: 3,
+            storm_every: 0,
+            storm_arrivals: 0,
+            max_events_per_session: 4,
+            scenario_cycle: 0,
+        }
+    }
+
+    fn config() -> FleetConfig {
+        FleetConfig {
+            batch_size: 2,
+            threads: 1,
+            ..FleetConfig::default()
+        }
+    }
+
+    fn tmp_journal(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("pes_props_{}_{tag}.journal", std::process::id()))
+    }
+
+    /// The uninterrupted run and the journal it wrote, built once.
+    fn original() -> &'static (FleetRunReport, Vec<u8>) {
+        static ORIGINAL: OnceLock<(FleetRunReport, Vec<u8>)> = OnceLock::new();
+        ORIGINAL.get_or_init(|| {
+            let path = tmp_journal("original");
+            let report = run_fleet_journaled(super::shared_memo::ctx(), &spec(), &config(), &path)
+                .expect("journaled run succeeds");
+            let journal = std::fs::read(&path).expect("journal readable");
+            std::fs::remove_file(&path).ok();
+            (report, journal)
+        })
+    }
+
+    fn last_line(journal: &[u8]) -> Option<&[u8]> {
+        journal
+            .split(|&b| b == b'\n')
+            .rev()
+            .find(|line| !line.is_empty())
+    }
+
+    proptest! {
+        /// `resume_fleet` over a truncated, byte-flipped or byte-inserted
+        /// journal never panics and never reports an IO error on a readable
+        /// file. It either resumes to the uninterrupted run's aggregates and
+        /// final record, or returns a typed journal error.
+        #[test]
+        fn mutated_fleet_journal_resumes_or_errors(
+            edits in collection::vec((0usize..3, 0usize..1 << 20, 0u8..=255), 1..4),
+        ) {
+            let (full, journal) = original();
+            prop_assert!(full.batches >= 3, "the journal holds several records");
+            let path = tmp_journal("mutated");
+            std::fs::write(&path, mutate(journal, GRAMMAR, &edits)).expect("write journal");
+            match resume_fleet(super::shared_memo::ctx(), &spec(), &config(), &path) {
+                Ok(resumed) => {
+                    prop_assert_eq!(resumed.energy_bits(), full.energy_bits());
+                    prop_assert_eq!(resumed.violations, full.violations);
+                    prop_assert_eq!(resumed.completed, full.completed);
+                    prop_assert_eq!(resumed.batches, full.batches);
+                    let rewritten = std::fs::read(&path).expect("journal readable");
+                    prop_assert_eq!(last_line(&rewritten), last_line(journal));
+                }
+                Err(FleetError::Io(msg)) => {
+                    prop_assert!(false, "IO error on a readable journal: {}", msg)
+                }
+                Err(
+                    FleetError::Corrupt(_)
+                    | FleetError::JournalVersion { .. }
+                    | FleetError::SpecMismatch(_),
+                ) => {}
+            }
+            std::fs::remove_file(&path).ok();
         }
     }
 }
