@@ -470,27 +470,34 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
+    // Four worker shards that each re-solve 4 of the 16 windows cold, so
+    // the fold drops every one of their entries as a duplicate. Each worker
+    // first poses its windows to the generation (hits, nothing recorded),
+    // so the batch's hit rate keeps the published generation admitted.
     let worker_shards: Vec<SolveShard> = shared_windows
         .chunks(4)
         .map(|chunk| {
-            let mut memo = SolveMemo::new();
             let mut shard = SolveShard::new();
-            for (items, shape) in chunk {
-                memo.solve_shared(
-                    items,
-                    None,
-                    *shape,
-                    200_000,
-                    0.0,
-                    &mut scratch,
-                    &SolveGeneration::empty(),
-                    &mut shard,
-                )
-                .unwrap();
+            for generation in [&generation, &SolveGeneration::empty()] {
+                let mut memo = SolveMemo::new();
+                for (items, shape) in chunk {
+                    memo.solve_shared(
+                        items,
+                        None,
+                        *shape,
+                        200_000,
+                        0.0,
+                        &mut scratch,
+                        generation,
+                        &mut shard,
+                    )
+                    .unwrap();
+                }
             }
             shard
         })
         .collect();
+    assert!(!SolveGeneration::publish(&generation, &worker_shards, 512).is_dormant());
     group.bench_function("shared_memo/publish_4x4", |b| {
         b.iter(|| {
             black_box(
@@ -500,10 +507,11 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
-    // `publish_512x64` is the fleet's steady state on decorrelated
-    // traffic: a full 512-entry generation (the default `generation_cap`)
-    // plus one batch of 64 unit shards of 9 fresh 4×17 windows each, cut
-    // back to 512.
+    // `publish_512x64` is an admitted generation's full fold: a full
+    // 512-entry generation (the default `generation_cap`) plus one batch of
+    // 64 unit shards of 9 fresh 4×17 windows each, cut back to 512. Each
+    // unit also re-poses 9 windows the generation holds, so the batch hits
+    // often enough that the published generation stays admitted.
     let row_window = |w: u64| {
         let items: Vec<ScheduleItem> = (0..4u64)
             .map(|i| ScheduleItem {
@@ -546,8 +554,29 @@ fn session_replay(c: &mut Criterion) {
     let full_generation = SolveGeneration::publish(&SolveGeneration::empty(), &full_shards, 512);
     assert_eq!(full_generation.len(), 512, "the generation must start full");
     let unit_shards: Vec<SolveShard> = (0..64u64)
-        .map(|u| record_shard(&mut scratch, 512 + u * 9..512 + (u + 1) * 9))
+        .map(|u| {
+            let mut memo = SolveMemo::new();
+            let mut shard = SolveShard::new();
+            let held = (0..9).map(|k| (u * 9 + k) % 512);
+            for w in held.chain(512 + u * 9..512 + (u + 1) * 9) {
+                let (items, shape) = row_window(w);
+                memo.solve_shared(
+                    &items,
+                    None,
+                    shape,
+                    200_000,
+                    0.0,
+                    &mut scratch,
+                    &full_generation,
+                    &mut shard,
+                )
+                .unwrap();
+            }
+            shard
+        })
         .collect();
+    let admitted = SolveGeneration::publish(&full_generation, &unit_shards, 512);
+    assert!(!admitted.is_dormant() && admitted.len() == 512);
     group.bench_function("shared_memo/publish_512x64", |b| {
         b.iter(|| {
             black_box(
@@ -564,9 +593,13 @@ fn session_replay(c: &mut Criterion) {
     // evicted. `publish_512x64` keeps its inputs alive, so it never pays
     // those frees. Iterations alternate between two disjoint halves of a
     // pre-built window pool, so each publish evicts the whole previous
-    // generation, as decorrelated traffic does. The solves run on a
-    // 1-node budget from pre-sorted orders (the greedy incumbent, no
-    // search), so the freeze, fold and frees are not lost in search time.
+    // generation, as decorrelated traffic does. The batch hits nothing, so
+    // each publish is dormant: it keeps at most 32 sampled entries and the
+    // drop frees the rest. In a fleet only the second batch of unique
+    // traffic records every window before such a publish; later batches
+    // record the sample only. The solves run on a 1-node budget from
+    // pre-sorted orders (the greedy incumbent, no search), so the freeze,
+    // fold and frees are not lost in search time.
     let cycle_pool: Vec<(Vec<ScheduleItem>, Vec<OptionOrder>, u64)> = (0..2 * 64 * 9u64)
         .map(|w| {
             let (items, shape) = row_window(1_024 + w);

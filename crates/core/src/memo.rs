@@ -60,6 +60,35 @@
 //!   counters, the degradation ladder) therefore observes a bit-identical
 //!   replay whether the shared cache is plugged in or not; only wall-clock
 //!   time and the shard's own [`SolveShard::shared_hits`] counter differ.
+//!
+//! # Admission
+//!
+//! On unique traffic the generation answers almost nothing, yet every cold
+//! solve would still be frozen, recorded and folded. So each generation
+//! decides at publish time whether it is worth probing, from a hit rate
+//! the batch before it measured on a fixed 1-in-[`DORMANT_SAMPLE_EVERY`]
+//! slice of window shapes:
+//!
+//! * A generation published over an empty one is never dormant: its
+//!   batch had nothing to hit.
+//! * Otherwise it turns **dormant** when the batch's probes of sampled
+//!   shapes hit fewer than one time in [`ADMIT_PROBES_PER_HIT`], and keeps
+//!   the previous flag when the batch probed no sampled shape.
+//! * Under a dormant generation [`SolveMemo::solve_shared`] still counts
+//!   every ring miss as a shared lookup, but only sampled shapes probe the
+//!   generation and are recorded; every other window takes the plain cold
+//!   path, unfrozen. A dormant generation keeps only sampled entries, as
+//!   many as the sampled share of a full generation
+//!   ([`SolveGeneration::publish`]).
+//!
+//! The decision reads the sampled slice in both states, and the slice
+//! holds about as many entries in both, so the rate measured under a
+//! dormant generation predicts what an admitted one would answer: traffic
+//! that starts to repeat turns the generation back on, and the unsampled
+//! entries it then records keep it on. Skipping a probe *is* the cold
+//! path, so the mirror contract above holds either way, and the decision
+//! folds order-independent sums, so it does not depend on how many workers
+//! ran the batch.
 
 use std::sync::Arc;
 
@@ -296,6 +325,24 @@ pub struct SolveMemo {
 /// Default number of cold solves one [`SolveShard`] retains per replay.
 pub const SHARD_CAP: usize = 32;
 
+/// Admission threshold: a generation published over a non-empty one goes
+/// dormant when the batch's probes of sampled shapes hit fewer than one
+/// time in this many (see the module docs).
+pub const ADMIT_PROBES_PER_HIT: usize = 16;
+
+/// The admission sample: one window shape in this many. A dormant
+/// generation is probed, and recorded into, by sampled shapes only.
+pub const DORMANT_SAMPLE_EVERY: u64 = 16;
+
+/// Whether `shape` lies in the fixed slice of shapes a dormant generation
+/// still probes and records. The shape is folded with its own top bits and
+/// multiplied, and the slice is read from the product's high half, so it
+/// does not follow any one input bit.
+fn sampled(shape: u64) -> bool {
+    let mixed = (shape ^ (shape >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> 32).is_multiple_of(DORMANT_SAMPLE_EVERY)
+}
+
 /// A fleet worker's private write shard for one batch: cold solves are
 /// recorded here (bounded by a cap, deduplicated by revalidation key) and
 /// folded into the next [`SolveGeneration`] by the publish phase. The shard
@@ -310,6 +357,11 @@ pub struct SolveShard {
     cap: usize,
     shared_hits: usize,
     shared_lookups: usize,
+    shared_probes: usize,
+    /// Probes and hits of windows in the dormant sample, in either state:
+    /// the admission decision reads these.
+    sample_probes: usize,
+    sample_hits: usize,
 }
 
 impl Default for SolveShard {
@@ -331,15 +383,19 @@ impl SolveShard {
             cap,
             shared_hits: 0,
             shared_lookups: 0,
+            shared_probes: 0,
+            sample_probes: 0,
+            sample_hits: 0,
         }
     }
 
-    /// Number of cold solves recorded so far.
+    /// Number of entries held for the next publish: the cold solves
+    /// recorded so far, and the entries a dormant generation answered with.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether no cold solve has been recorded.
+    /// Whether the shard holds nothing for the next publish.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -349,10 +405,17 @@ impl SolveShard {
         self.shared_hits
     }
 
-    /// Ring misses that probed the shared generation through this shard
-    /// (`shared_lookups - shared_hits` fell through to a cold solve).
+    /// Ring misses that reached the shared layer through this shard, probe
+    /// or not (`shared_lookups - shared_hits` fell through to a cold
+    /// solve).
     pub fn shared_lookups(&self) -> usize {
         self.shared_lookups
+    }
+
+    /// Shared lookups that actually probed the generation: all of them
+    /// under an admitted generation, the sampled slice under a dormant one.
+    pub fn probes(&self) -> usize {
+        self.shared_probes
     }
 
     /// Records a cold solve. The ring recycles its slots, so the slot is
@@ -365,6 +428,17 @@ impl SolveShard {
             return;
         }
         self.entries.push(Arc::new(SharedSolve::freeze(slot)));
+    }
+
+    /// Holds an entry a dormant generation answered with. The fleet
+    /// publishes only after a batch whose shards hold something, and a
+    /// dormant generation turns back on only at a publish, so a batch
+    /// whose sampled probes all hit must still publish. The fold drops the
+    /// entry again as a duplicate of the generation's own.
+    fn share(&mut self, entry: &Arc<SharedSolve>) {
+        if self.entries.len() < self.cap && !self.entries.iter().any(|e| Arc::ptr_eq(e, entry)) {
+            self.entries.push(Arc::clone(entry));
+        }
     }
 }
 
@@ -381,6 +455,10 @@ pub struct SolveGeneration {
     /// deterministic. Shared with the shards and generations they came
     /// from (and with the ring slots they answer for), never copied.
     entries: Vec<Arc<SharedSolve>>,
+    /// Set by [`SolveGeneration::publish`] when the batch before hit too
+    /// rarely: only sampled shapes probe and record (module docs,
+    /// "Admission").
+    dormant: bool,
 }
 
 impl SolveGeneration {
@@ -389,6 +467,7 @@ impl SolveGeneration {
         SolveGeneration {
             shapes: Vec::new(),
             entries: Vec::new(),
+            dormant: false,
         }
     }
 
@@ -402,6 +481,12 @@ impl SolveGeneration {
         self.entries.is_empty()
     }
 
+    /// Whether only the sampled slice of window shapes probes and records
+    /// under this generation (module docs, "Admission").
+    pub fn is_dormant(&self) -> bool {
+        self.dormant
+    }
+
     /// Folds the previous generation and a batch's shards into the next
     /// generation. Deterministic by construction: entries are taken in
     /// fold order (the previous generation in its shape-sorted order, then
@@ -413,48 +498,100 @@ impl SolveGeneration {
     /// first, lowest shape first (they enter the fold shape-sorted, not by
     /// age), and only then the earliest shards' entries.
     ///
-    /// The entries themselves are shared by pointer, never copied, and the
-    /// fold runs in `O(n log n)`: duplicates share a shape, so they only
-    /// need comparing within the equal-shape runs of a stable sort.
+    /// The entries themselves are shared by pointer, never copied. The
+    /// previous generation is already sorted and free of duplicates, so
+    /// only the shards' entries are sorted; they are checked against the
+    /// previous generation by binary search and merged into its surviving
+    /// tail in one pass.
+    ///
+    /// The new generation is dormant when `prev` is non-empty and the
+    /// shards' probes of sampled shapes hit fewer than one time in
+    /// [`ADMIT_PROBES_PER_HIT`]; shards that probed no sampled shape keep
+    /// `prev`'s flag. A dormant generation is only ever probed by sampled
+    /// shapes, so its fold keeps only those, cut to `cap /`
+    /// [`DORMANT_SAMPLE_EVERY`] (at least one): the share of a full
+    /// generation the sample would hold. Its sampled hit rate then
+    /// estimates what an admitted generation would answer.
     pub fn publish(prev: &SolveGeneration, shards: &[SolveShard], cap: usize) -> SolveGeneration {
-        let candidates: Vec<&Arc<SharedSolve>> = prev
-            .entries
+        let (hits, probes) = shards
             .iter()
-            .chain(shards.iter().flat_map(|s| s.entries.iter()))
+            .fold((0, 0), |(h, p), s| (h + s.sample_hits, p + s.sample_probes));
+        let dormant = match (prev.is_empty(), probes) {
+            (true, _) => false,
+            (false, 0) => prev.dormant,
+            (false, _) => hits * ADMIT_PROBES_PER_HIT < probes,
+        };
+        let (keep, cap): (fn(u64) -> bool, usize) = if dormant {
+            (sampled, (cap / DORMANT_SAMPLE_EVERY as usize).max(1))
+        } else {
+            (|_| true, cap)
+        };
+        let fresh: Vec<&Arc<SharedSolve>> = shards
+            .iter()
+            .flat_map(|s| s.entries.iter())
+            .filter(|e| keep(e.shape))
             .collect();
         // Stable, so each equal-shape run stays in fold order and the first
         // kept copy of a key is its first occurrence.
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by_key(|&i| candidates[i].shape);
+        let mut order: Vec<usize> = (0..fresh.len()).collect();
+        order.sort_by_key(|&i| fresh[i].shape);
         let mut kept: Vec<usize> = Vec::with_capacity(order.len());
         let mut run_start = 0;
         for i in order {
-            let candidate = candidates[i];
+            let candidate = fresh[i].key();
             if kept
                 .last()
-                .is_some_and(|&k| candidates[k].shape != candidate.shape)
+                .is_some_and(|&k| fresh[k].shape != candidate.shape)
             {
                 run_start = kept.len();
             }
-            if !kept[run_start..]
-                .iter()
-                .any(|&k| candidates[k].key().matches(&candidate.key()))
+            // A previous entry with the candidate's key has its shape, so
+            // `keep` kept it too.
+            if prev.lookup(&candidate).is_none()
+                && !kept[run_start..]
+                    .iter()
+                    .any(|&k| fresh[k].key().matches(&candidate))
             {
                 kept.push(i);
             }
         }
-        // `kept` is already shape-sorted with ties in fold order; the cap
-        // keeps the fold-order suffix, i.e. every index at or past the
-        // `cap`-th largest.
-        let mut by_fold = kept.clone();
-        by_fold.sort_unstable();
-        let first_kept = by_fold
-            .get(by_fold.len().saturating_sub(cap))
-            .map_or(usize::MAX, |&i| i);
-        kept.retain(|&i| i >= first_kept);
+        // The cut drops the fold order's head: the previous generation's
+        // lowest kept shapes first, then the shards' earliest entries.
+        let old = || {
+            prev.shapes
+                .iter()
+                .zip(&prev.entries)
+                .filter(|(&shape, _)| keep(shape))
+        };
+        let old_len = old().count();
+        let cut = (old_len + kept.len()).saturating_sub(cap);
+        let fresh_cut = cut.saturating_sub(old_len);
+        if fresh_cut > 0 {
+            let mut by_fold = kept.clone();
+            by_fold.sort_unstable();
+            let first_kept = by_fold.get(fresh_cut).map_or(usize::MAX, |&i| i);
+            kept.retain(|&i| i >= first_kept);
+        }
+        // Merge the two shape-sorted runs; on equal shapes the previous
+        // generation comes first, as in fold order.
+        let mut shapes = Vec::with_capacity(old_len - cut.min(old_len) + kept.len());
+        let mut entries = Vec::with_capacity(shapes.capacity());
+        let mut push = |shape: u64, entry: &Arc<SharedSolve>| {
+            shapes.push(shape);
+            entries.push(Arc::clone(entry));
+        };
+        let mut old = old().skip(cut).peekable();
+        for &i in &kept {
+            while let Some((&shape, entry)) = old.next_if(|(&s, _)| s <= fresh[i].shape) {
+                push(shape, entry);
+            }
+            push(fresh[i].shape, fresh[i]);
+        }
+        old.for_each(|(&shape, entry)| push(shape, entry));
         SolveGeneration {
-            shapes: kept.iter().map(|&i| candidates[i].shape).collect(),
-            entries: kept.iter().map(|&i| Arc::clone(candidates[i])).collect(),
+            shapes,
+            entries,
+            dormant,
         }
     }
 
@@ -564,7 +701,8 @@ impl SolveMemo {
     /// a ring miss is counted, the cached `nodes_explored` is returned — so
     /// the replay is bit-identical to one without the shared cache (see
     /// the module docs). Cold solves are recorded into `shard` for the
-    /// next publish.
+    /// next publish. Under a dormant generation only the sampled slice of
+    /// shapes probes and records; the rest solve cold straight away.
     ///
     /// # Errors
     ///
@@ -589,8 +727,18 @@ impl SolveMemo {
             return Ok(0);
         }
         shard.shared_lookups += 1;
+        let in_sample = sampled(shape);
+        if shared.dormant && !in_sample {
+            return self.solve_cold(items, orders, shape, node_limit, incumbent_gap, scratch);
+        }
+        shard.shared_probes += 1;
+        shard.sample_probes += usize::from(in_sample);
         if let Some(entry) = shared.lookup(&posed) {
             shard.shared_hits += 1;
+            shard.sample_hits += usize::from(in_sample);
+            if shared.dormant {
+                shard.share(entry);
+            }
             // Mirror the cold-solve path: same miss count, same ring slot
             // rotation, same returned node count. The ring evolves exactly
             // as if the solve had run; the slot answers through the pointer.
@@ -997,9 +1145,20 @@ mod tests {
         // Both shards hold both windows; the fold keeps one copy of each.
         let gen1 = SolveGeneration::publish(&empty, &[shard_one.clone(), shard_two.clone()], 64);
         assert_eq!(gen1.len(), 2);
-        // Republishing over the previous generation adds nothing new, and
-        // the same inputs fold to the same generation.
-        let gen2 = SolveGeneration::publish(&gen1, &[shard_one.clone(), shard_two.clone()], 64);
+        // Republishing the same entries over the previous generation adds
+        // nothing new, and the same inputs fold to the same generation. The
+        // shards' probe counters are cleared: four misses and no hit would
+        // publish a dormant generation (see the admission tests below).
+        let entries_only = |shard: &SolveShard| SolveShard {
+            entries: shard.entries.clone(),
+            ..SolveShard::new()
+        };
+        let gen2 = SolveGeneration::publish(
+            &gen1,
+            &[entries_only(&shard_one), entries_only(&shard_two)],
+            64,
+        );
+        assert!(!gen2.is_dormant());
         assert_eq!(gen2.len(), 2);
         // The empty publish is the empty generation.
         assert!(SolveGeneration::publish(&empty, &[], 64).is_empty());
@@ -1107,17 +1266,25 @@ mod tests {
 
     /// The quadratic fold `publish` replaced, kept as its oracle: scan
     /// every kept entry per candidate, deep-copy the survivors, cut to the
-    /// fold-order suffix, sort.
+    /// fold-order suffix, sort. A `dormant` fold keeps only sampled shapes
+    /// and cuts to `cap / DORMANT_SAMPLE_EVERY` (at least one).
     fn publish_reference(
         prev: &SolveGeneration,
         shards: &[SolveShard],
         cap: usize,
+        dormant: bool,
     ) -> SolveGeneration {
+        let cap = if dormant {
+            (cap / DORMANT_SAMPLE_EVERY as usize).max(1)
+        } else {
+            cap
+        };
         let mut merged: Vec<Arc<SharedSolve>> = Vec::new();
         let candidates = prev
             .entries
             .iter()
-            .chain(shards.iter().flat_map(|s| s.entries.iter()));
+            .chain(shards.iter().flat_map(|s| s.entries.iter()))
+            .filter(|e| !dormant || sampled(e.shape));
         for candidate in candidates {
             if merged.iter().any(|e| e.key().matches(&candidate.key())) {
                 continue;
@@ -1131,6 +1298,7 @@ mod tests {
         SolveGeneration {
             shapes: merged.iter().map(|e| e.shape).collect(),
             entries: merged,
+            dormant,
         }
     }
 
@@ -1139,13 +1307,19 @@ mod tests {
     /// between different keys as well as duplicate keys.
     type Spec = (u64, u64, usize, usize, usize);
 
+    /// The shape of synthetic class `class`, increasing with the class:
+    /// classes 0 and 1 lie outside the dormant sample, 2 and 3 inside.
+    fn class_shape(class: u64) -> u64 {
+        shape_in_sample(class >= 2, (class % 2) as usize)
+    }
+
     /// A synthetic solved window for `spec`. `tag` lands in
     /// `nodes_explored`, so equal keys carry distinguishable solutions and
     /// the differential can tell which occurrence a fold kept.
     fn synthetic(spec: Spec, tag: usize) -> Arc<SharedSolve> {
         let (shape, row, limit, gap, tier) = spec;
         Arc::new(SharedSolve {
-            shape: shape * 0x9e37_79b9,
+            shape: class_shape(shape),
             node_limit: [1_000, 200_000][limit],
             incumbent_gap: [0.0, 0.01][gap],
             tier: [SolveTier::Exact, SolveTier::Incumbent][tier],
@@ -1198,13 +1372,18 @@ mod tests {
                     0..5,
                 ),
                 cap_pick in 0usize..64,
+                prev_dormant in 0usize..2,
             ) {
                 let mut tag = 0;
-                let prev = publish_reference(
+                let mut prev = publish_reference(
                     &SolveGeneration::empty(),
                     &[shard_of(&prev_specs, &mut tag)],
                     prev_cap,
+                    false,
                 );
+                // The shards made no probes, so the fold keeps the flag.
+                prev.dormant = prev_dormant == 1;
+                let dormant = prev.dormant && !prev.is_empty();
                 let shards: Vec<SolveShard> = shard_specs
                     .iter()
                     .map(|specs| shard_of(specs, &mut tag))
@@ -1213,7 +1392,8 @@ mod tests {
                 let cap = 1 + cap_pick % (n + 2);
 
                 let fast = SolveGeneration::publish(&prev, &shards, cap);
-                let reference = publish_reference(&prev, &shards, cap);
+                let reference = publish_reference(&prev, &shards, cap, dormant);
+                prop_assert_eq!(fast.is_dormant(), dormant);
                 prop_assert_eq!(observable(&fast), observable(&reference));
                 prop_assert_eq!(&fast.shapes, &reference.shapes);
 
@@ -1255,8 +1435,307 @@ mod tests {
         assert_eq!(prev.len(), 2);
         let fresh = shard_of(&[(1, 0, 0, 0, 0)], &mut tag);
         let next = SolveGeneration::publish(&prev, &[fresh], 2);
-        let shapes: Vec<u64> = next.entries.iter().map(|e| e.shape / 0x9e37_79b9).collect();
-        assert_eq!(shapes, [1, 3], "the lowest shape goes, though it is newer");
+        assert!(class_shape(0) < class_shape(1) && class_shape(1) < class_shape(3));
+        let classes: Vec<u64> = next
+            .shapes
+            .iter()
+            .map(|&shape| (0..4).find(|&c| class_shape(c) == shape).unwrap())
+            .collect();
+        assert_eq!(classes, [1, 3], "the lowest shape goes, though it is newer");
+    }
+
+    /// A shard that made `probes` generation probes of sampled shapes,
+    /// `hits` of them hits, and recorded nothing.
+    fn probed(probes: usize, hits: usize) -> SolveShard {
+        SolveShard {
+            shared_hits: hits,
+            shared_lookups: probes,
+            shared_probes: probes,
+            sample_probes: probes,
+            sample_hits: hits,
+            ..SolveShard::new()
+        }
+    }
+
+    /// The `n`-th shape inside (`true`) or outside (`false`) the slice a
+    /// dormant generation samples.
+    fn shape_in_sample(inside: bool, n: usize) -> u64 {
+        (1u64..).filter(|&s| sampled(s) == inside).nth(n).unwrap()
+    }
+
+    /// Poses `items` under `shape` to `memo` through the shared layer.
+    fn pose_shared(
+        memo: &mut SolveMemo,
+        items: &[ScheduleItem],
+        shape: u64,
+        generation: &SolveGeneration,
+        shard: &mut SolveShard,
+    ) -> usize {
+        let orders = orders_for(items);
+        let mut scratch = SolveScratch::new();
+        memo.solve_shared(
+            items,
+            Some(&orders),
+            shape,
+            200_000,
+            0.0,
+            &mut scratch,
+            generation,
+            shard,
+        )
+        .unwrap()
+    }
+
+    /// A dormant generation holding `window(50_000)` under an unsampled
+    /// shape and `window(90_000)` under a sampled one, with those shapes.
+    /// A dormant publish would drop the unsampled entry; it is kept here
+    /// to show that a dormant generation does not serve it.
+    fn dormant_generation() -> (SolveGeneration, u64, u64) {
+        let (outside, inside) = (shape_in_sample(false, 0), shape_in_sample(true, 0));
+        let mut shard = SolveShard::new();
+        let mut memo = SolveMemo::new();
+        let empty = SolveGeneration::empty();
+        pose_shared(&mut memo, &window(50_000), outside, &empty, &mut shard);
+        pose_shared(&mut memo, &window(90_000), inside, &empty, &mut shard);
+        let mut dormant = SolveGeneration::publish(&empty, &[shard], 64);
+        assert_eq!(dormant.len(), 2);
+        dormant.dormant = true;
+        (dormant, outside, inside)
+    }
+
+    #[test]
+    fn a_publish_over_an_empty_generation_is_never_dormant() {
+        // The first batch had nothing to hit: one probe, no hit.
+        let mut shard = SolveShard::new();
+        let empty = SolveGeneration::empty();
+        pose_shared(
+            &mut SolveMemo::new(),
+            &window(50_000),
+            7,
+            &empty,
+            &mut shard,
+        );
+        assert_eq!((shard.probes(), shard.shared_hits()), (1, 0));
+        let first = SolveGeneration::publish(&empty, &[shard], 64);
+        assert!(!first.is_dormant());
+        assert!(!SolveGeneration::publish(&empty, &[probed(1_000, 0)], 64).is_dormant());
+    }
+
+    #[test]
+    fn a_batch_hitting_below_the_threshold_makes_the_next_generation_dormant() {
+        let mut tag = 0;
+        let prev = SolveGeneration::publish(
+            &SolveGeneration::empty(),
+            &[shard_of(&[(0, 0, 0, 0, 0)], &mut tag)],
+            64,
+        );
+        assert!(!prev.is_dormant());
+        // Four hits would be exactly one in `ADMIT_PROBES_PER_HIT`; the
+        // sums run over every shard of the batch.
+        let probes = 2 * ADMIT_PROBES_PER_HIT;
+        let below = SolveGeneration::publish(&prev, &[probed(probes, 1), probed(probes, 2)], 64);
+        assert!(below.is_dormant());
+        let at = SolveGeneration::publish(&prev, &[probed(probes, 1), probed(probes, 3)], 64);
+        assert!(!at.is_dormant());
+    }
+
+    #[test]
+    fn a_dormant_generation_probes_and_records_only_sampled_shapes() {
+        let (dormant, outside, inside) = dormant_generation();
+        let mut shard = SolveShard::new();
+        let mut memo = SolveMemo::new();
+        let mut plain = SolveMemo::new();
+        let mut scratch = SolveScratch::new();
+        let mut pose = |items: &[ScheduleItem], shape: u64, shard: &mut SolveShard| {
+            let nodes = pose_shared(&mut memo, items, shape, &dormant, shard);
+            let cold = plain
+                .solve(
+                    items,
+                    Some(&orders_for(items)),
+                    shape,
+                    200_000,
+                    0.0,
+                    &mut scratch,
+                )
+                .unwrap();
+            assert_eq!(nodes, cold, "every path mirrors the cold solve");
+            assert_eq!(memo.solution(), plain.solution());
+            assert_eq!(memo.stats(), plain.stats());
+        };
+        // The unsampled window is in the generation, but is not probed:
+        // it solves cold and is not recorded.
+        pose(&window(50_000), outside, &mut shard);
+        assert_eq!(shard.shared_lookups(), 1);
+        assert_eq!((shard.probes(), shard.shared_hits()), (0, 0));
+        assert!(shard.is_empty());
+        // The sampled window probes and hits, and the shard holds the
+        // entry that answered, so the batch publishes.
+        pose(&window(90_000), inside, &mut shard);
+        assert_eq!(shard.shared_lookups(), 2);
+        assert_eq!((shard.probes(), shard.shared_hits()), (1, 1));
+        assert_eq!(shard.len(), 1);
+        assert!(dormant
+            .entries
+            .iter()
+            .any(|e| Arc::ptr_eq(e, &shard.entries[0])));
+        // A new sampled window probes, misses and is recorded.
+        pose(&window(130_000), shape_in_sample(true, 1), &mut shard);
+        assert_eq!(shard.shared_lookups(), 3);
+        assert_eq!((shard.probes(), shard.shared_hits()), (2, 1));
+        assert_eq!(shard.len(), 2);
+    }
+
+    #[test]
+    fn sampled_hits_above_the_threshold_turn_the_generation_back_on() {
+        let (dormant, _, inside) = dormant_generation();
+        let mut shard = SolveShard::new();
+        let mut memo = SolveMemo::new();
+        pose_shared(&mut memo, &window(90_000), inside, &dormant, &mut shard);
+        pose_shared(
+            &mut memo,
+            &window(130_000),
+            shape_in_sample(true, 1),
+            &dormant,
+            &mut shard,
+        );
+        assert_eq!((shard.probes(), shard.shared_hits()), (2, 1));
+        let next = SolveGeneration::publish(&dormant, &[shard], 64);
+        assert!(!next.is_dormant(), "one hit in two probes is admitted");
+        assert_eq!(next.len(), 3, "the shared entry folds into its original");
+        // A batch whose only probe hits records no solve, yet its shard
+        // holds the answering entry, so the fleet still publishes it.
+        let mut hit_only = SolveShard::new();
+        pose_shared(
+            &mut SolveMemo::new(),
+            &window(90_000),
+            inside,
+            &dormant,
+            &mut hit_only,
+        );
+        assert!(!hit_only.is_empty());
+        assert!(!SolveGeneration::publish(&dormant, &[hit_only], 64).is_dormant());
+    }
+
+    #[test]
+    fn a_batch_without_probes_keeps_the_previous_flag() {
+        let (dormant, _, _) = dormant_generation();
+        let mut tag = 0;
+        let admitted = SolveGeneration::publish(
+            &SolveGeneration::empty(),
+            &[shard_of(&[(0, 0, 0, 0, 0)], &mut tag)],
+            64,
+        );
+        for prev in [&dormant, &admitted] {
+            let unprobed = shard_of(&[(3, 0, 0, 0, 0)], &mut tag);
+            let next = SolveGeneration::publish(prev, &[unprobed, SolveShard::new()], 64);
+            assert_eq!(next.is_dormant(), prev.is_dormant());
+        }
+    }
+
+    #[test]
+    fn a_dormant_publish_keeps_only_the_sampled_slice() {
+        // Every synthetic key: 4 shape classes x 3 rows x 4 parameter
+        // combinations, half of them under sampled shapes.
+        let specs: Vec<Spec> = (0..48usize)
+            .map(|k| {
+                let (class, row) = ((k % 4) as u64, (k / 4 % 3) as u64);
+                (class, row, k / 12 % 2, k / 24, 0)
+            })
+            .collect();
+        let mut tag = 0;
+        let admitted = SolveGeneration::publish(
+            &SolveGeneration::empty(),
+            &[shard_of(&specs, &mut tag)],
+            512,
+        );
+        assert_eq!(admitted.len(), 48);
+        let dormant = SolveGeneration::publish(&admitted, &[probed(64, 0)], 256);
+        assert!(dormant.is_dormant());
+        assert_eq!(dormant.len(), 256 / DORMANT_SAMPLE_EVERY as usize);
+        assert!(dormant.shapes.iter().all(|&shape| sampled(shape)));
+        // The cut keeps the fold order's tail, the highest sampled shapes:
+        // all 12 class-3 keys and 4 of the 12 class-2 keys.
+        let class_3 = dormant.shapes.iter().filter(|&&s| s == class_shape(3));
+        assert_eq!(class_3.count(), 12);
+    }
+
+    #[test]
+    fn traffic_that_starts_to_repeat_turns_the_generation_back_on_for_good() {
+        // One fleet batch over `shapes`: units of eight windows, each with
+        // its own ring and shard, published as the fleet does, only when
+        // some shard holds something. Returns the batch's
+        // `(hits, probes, lookups)`.
+        let items = window(50_000);
+        let orders = orders_for(&items);
+        let mut scratch = SolveScratch::new();
+        let mut batch = |generation: &mut SolveGeneration, shapes: &[u64]| {
+            let shards: Vec<SolveShard> = shapes
+                .chunks(8)
+                .map(|unit| {
+                    let (mut memo, mut shard) = (SolveMemo::new(), SolveShard::new());
+                    for &shape in unit {
+                        memo.solve_shared(
+                            &items,
+                            Some(&orders),
+                            shape,
+                            1,
+                            0.0,
+                            &mut scratch,
+                            generation,
+                            &mut shard,
+                        )
+                        .unwrap();
+                    }
+                    shard
+                })
+                .collect();
+            if shards.iter().any(|s| !s.is_empty()) {
+                *generation = SolveGeneration::publish(generation, &shards, 512);
+            }
+            let sum = |f: fn(&SolveShard) -> usize| shards.iter().map(f).sum::<usize>();
+            (
+                sum(SolveShard::shared_hits),
+                sum(SolveShard::probes),
+                sum(SolveShard::shared_lookups),
+            )
+        };
+        let mut shapes = (1u64..).map(crate::fault::splitmix);
+        let mut generation = SolveGeneration::empty();
+        // Unique traffic: dormant from the third batch on.
+        for _ in 0..3 {
+            let unique: Vec<u64> = shapes.by_ref().take(256).collect();
+            batch(&mut generation, &unique);
+        }
+        assert!(generation.is_dormant());
+        // Then every batch poses the same 128 windows and 128 new ones,
+        // so half the lookups could hit. The first dormant batch records
+        // the sampled slice, the second hits half of it and turns the
+        // generation back on, and the first admitted batch records the
+        // unsampled repeats. Measured on all its probes, that batch would
+        // read about one hit in 32 and go dormant again; on its sample it
+        // reads one in two.
+        let repeat: Vec<u64> = shapes.by_ref().take(128).collect();
+        let mixed = |shapes: &mut dyn Iterator<Item = u64>| {
+            let mut batch_shapes = repeat.clone();
+            batch_shapes.extend(shapes.take(128));
+            batch_shapes
+        };
+        let repeat_sampled = repeat.iter().filter(|&&s| sampled(s)).count();
+        assert!(repeat_sampled > 0);
+        batch(&mut generation, &mixed(&mut shapes));
+        assert!(generation.is_dormant());
+        let (hits, _, _) = batch(&mut generation, &mixed(&mut shapes));
+        assert_eq!(hits, repeat_sampled);
+        assert!(!generation.is_dormant());
+        let (hits, probes, _) = batch(&mut generation, &mixed(&mut shapes));
+        assert_eq!((hits, probes), (repeat_sampled, 256));
+        assert!(!generation.is_dormant(), "the admitted batch keeps it on");
+        for _ in 0..3 {
+            let (hits, probes, lookups) = batch(&mut generation, &mixed(&mut shapes));
+            assert_eq!((probes, lookups), (256, 256));
+            assert!(hits >= 64, "{hits} of 128 repeats answered");
+            assert!(!generation.is_dormant());
+        }
     }
 
     mod pointer_served_differential {
@@ -1271,7 +1750,8 @@ mod tests {
 
         /// Window `id` of a 12-window pool. Window 0 is empty (its solve
         /// errors); the others hold 1–3 items of 4 options. Shapes are
-        /// forced into three classes, so different windows collide.
+        /// forced into three classes, so different windows collide; one
+        /// class lies outside the slice a dormant generation samples.
         fn pool_window(id: u64) -> (Vec<ScheduleItem>, u64) {
             let len = if id == 0 { 0 } else { 1 + id % 3 };
             let items = (0..len)
@@ -1287,7 +1767,9 @@ mod tests {
                         .collect(),
                 })
                 .collect();
-            (items, 0x51 * (1 + id % 3))
+            // Two shape classes inside the dormant sample, one outside.
+            let class = (id % 3) as usize;
+            (items, shape_in_sample(class < 2, class))
         }
 
         /// Poses `call` to `memo` through `solve_shared` and to `plain`
@@ -1306,7 +1788,7 @@ mod tests {
             let (items, shape) = pool_window(id);
             let orders = orders_for(&items);
             let (limit, gap) = (LIMITS[limit], GAPS[gap]);
-            let hits_before = shard.shared_hits();
+            let (hits_before, probes_before) = (shard.shared_hits(), shard.probes());
             let shared = memo.solve_shared(
                 &items,
                 Some(&orders),
@@ -1323,6 +1805,13 @@ mod tests {
             if shared.is_ok() {
                 assert_eq!(memo.solution(), plain.solution());
                 assert_eq!(memo.tier(), plain.tier());
+            }
+            if generation.is_dormant() && !sampled(shape) {
+                assert_eq!(
+                    shard.probes(),
+                    probes_before,
+                    "unsampled shapes never probe"
+                );
             }
             if shard.shared_hits() > hits_before {
                 let entry = generation.lookup(&WindowKey::posed(shape, &items, limit, gap));
@@ -1341,6 +1830,7 @@ mod tests {
                 second in collection::vec((0u64..12, 0usize..3, 0usize..2), 1..40),
                 shard_cap in 1usize..33,
                 generation_cap in 1usize..40,
+                dormant in 0usize..2,
             ) {
                 let mut scratch = SolveScratch::new();
                 let empty = SolveGeneration::empty();
@@ -1349,7 +1839,8 @@ mod tests {
                 for &call in &first {
                     pose_both(call, &mut memo, &mut plain, &empty, &mut shard, &mut scratch);
                 }
-                let generation = SolveGeneration::publish(&empty, &[shard], generation_cap);
+                let mut generation = SolveGeneration::publish(&empty, &[shard], generation_cap);
+                generation.dormant = dormant == 1;
                 let mut probe = SolveShard::new();
                 let (mut memo, mut plain) = (SolveMemo::new(), SolveMemo::new());
                 for &call in &second {

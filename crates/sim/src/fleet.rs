@@ -31,7 +31,10 @@
 //! across the fleet: every replay probes a read-only [`SolveGeneration`]
 //! of window solves published by previous batches (each worker records its
 //! own fresh solves into a private [`SolveShard`]; a deterministic merge
-//! folds the shards in unit order between batches).
+//! folds the shards in unit order between batches). Each merge also decides,
+//! from the hit rate the batch measured, whether the next generation is
+//! worth probing: a dormant one is probed only by a sampled slice of window
+//! shapes (see [`SolveGeneration::is_dormant`]).
 //!
 //! Everything is a deterministic function of ([`FleetSpec`],
 //! [`FleetConfig`], context): session parameters derive statelessly from
@@ -226,18 +229,28 @@ pub struct FleetConfig {
     /// records its fresh solves into a private [`SolveShard`] that the
     /// deterministic inter-batch merge folds in unit order. Aggregates are
     /// bit-identical with this on or off (a generation hit mirrors the
-    /// cold solve it dodges); only wall-clock and the shared-hit counters
-    /// change. On by default because repeated-config sweeps win with it.
-    /// `perfbench` (seed 13, `--seconds 8`, 2-vCPU container, interleaved
-    /// pairs) ran 40–55% more sessions/s with it on `fleet-sweep`. On
-    /// unique sessions it costs throughput: memo-off ran 14–25% more
-    /// sessions/s on `fleet-decorrelated`.
+    /// cold solve it dodges); only wall-clock and the shared counters
+    /// change. Each merge also decides, from the hit rate the batch
+    /// measured on a 1-in-16 sample of window shapes, whether the next
+    /// generation is worth probing ([`SolveGeneration::is_dormant`]), so
+    /// unique traffic pays for the sample only. On by default because
+    /// repeated-config sweeps win with it. `perfbench` medians (seed 29,
+    /// `--seconds 6`, 2-vCPU container, interleaved pairs):
+    /// `fleet-sweep`, which never goes dormant, ran 20,257 sessions/s
+    /// against 13,478 with the memo off (8 of 8 pairs); `fleet-decorrelated`
+    /// ran 14,084 against 11,003 before admission and 14,692 with the memo
+    /// off (10 pairs).
     pub shared_memo: bool,
     /// Entry cap of the published solve generation. When the fold exceeds
     /// it, the merge keeps the last `generation_cap` entries in fold order
     /// (previous generation, shape-sorted, then the batch's shards in unit
     /// order): survivors of the previous generation go first, lowest shape
     /// first rather than oldest first, then the batch's earliest shards.
+    /// A dormant generation keeps `generation_cap / 16` sampled entries.
+    /// 512 holds the `fleet-sweep` chunk's roughly 430 distinct windows:
+    /// at 256 that workload solved 24 times as many windows and ran 24%
+    /// fewer sessions/s, and 1,024 solved exactly what 512 does (seed 13,
+    /// `--seconds 5`, 8 interleaved rounds).
     pub generation_cap: usize,
 }
 
@@ -493,9 +506,16 @@ pub struct FleetRunReport {
     /// resume-stable (a resumed run rebuilds the generation cold), so this
     /// is report-only and never journaled.
     pub shared_hits: usize,
-    /// Ring misses that probed the shared generation (hit or not).
-    /// Report-only, like [`FleetRunReport::shared_hits`].
+    /// Ring misses that reached the shared layer, whether or not they
+    /// probed the generation: `shared_lookups - shared_hits` is the number
+    /// of solves that ran. Report-only, like [`FleetRunReport::shared_hits`].
     pub shared_lookups: usize,
+    /// Shared lookups that probed the generation. Equal to
+    /// `shared_lookups` while every generation is admitted; a dormant one
+    /// probes only its sampled slice of window shapes (see
+    /// [`SolveGeneration::is_dormant`]). Report-only, like
+    /// [`FleetRunReport::shared_hits`].
+    pub shared_probes: usize,
 }
 
 impl FleetRunReport {
@@ -550,7 +570,10 @@ impl FleetRunReport {
         }
     }
 
-    /// Fraction of shared-generation probes that hit.
+    /// Shared hits over shared lookups. A lookup that a dormant generation
+    /// did not probe counts as a miss here, so this is the share of ring
+    /// misses the shared layer answered, not the hit rate of its probes
+    /// (that is `shared_hits / shared_probes`).
     pub fn shared_hit_rate(&self) -> f64 {
         if self.shared_lookups == 0 {
             0.0
@@ -646,8 +669,10 @@ struct UnitOutcome {
     /// Ring misses answered by the shared generation (report-only; see
     /// [`FleetRunReport::shared_hits`]).
     shared_hits: usize,
-    /// Ring misses that probed the shared generation.
+    /// Ring misses that reached the shared layer.
     shared_lookups: usize,
+    /// Shared lookups that probed the generation.
+    shared_probes: usize,
 }
 
 impl UnitOutcome {
@@ -665,6 +690,7 @@ impl UnitOutcome {
             memo_misses: report.solver_cache_misses,
             shared_hits: 0,
             shared_lookups: 0,
+            shared_probes: 0,
         }
     }
 
@@ -682,6 +708,7 @@ impl UnitOutcome {
             memo_misses: 0,
             shared_hits: 0,
             shared_lookups: 0,
+            shared_probes: 0,
         }
     }
 }
@@ -835,6 +862,7 @@ where
         memo_misses: 0,
         shared_hits: 0,
         shared_lookups: 0,
+        shared_probes: 0,
     };
 
     // Fast-forward: replay the admission steps of the journaled batches
@@ -941,6 +969,7 @@ where
             report.memo_misses += outcome.memo_misses;
             report.shared_hits += outcome.shared_hits;
             report.shared_lookups += outcome.shared_lookups;
+            report.shared_probes += outcome.shared_probes;
         }
         report.retries += batch.total_retries();
         for failure in &batch.failures {
@@ -1078,6 +1107,7 @@ impl<'a> BatchRunner<'a> {
                 let mut outcome = UnitOutcome::from_report(&run);
                 outcome.shared_hits = shard.shared_hits();
                 outcome.shared_lookups = shard.shared_lookups();
+                outcome.shared_probes = shard.probes();
                 (outcome, Some(shard))
             } else {
                 let run = scheduler.run_trace_with_plane_and_faults(

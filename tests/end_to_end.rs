@@ -1041,6 +1041,61 @@ mod fleet_resilience {
         );
     }
 
+    /// Shared-memo admission end to end: on unique sessions the generation
+    /// answers almost nothing, so after the first two batches it turns
+    /// dormant and only a sampled slice of the ring misses probes it; on a
+    /// repeated-config sweep it keeps answering, so every miss probes.
+    /// Either way the aggregates equal the memo-off run's.
+    #[test]
+    fn decorrelated_fleet_goes_dormant_and_sweep_stays_admitted() {
+        let config = FleetConfig {
+            batch_size: 8,
+            queue_capacity: 64,
+            watchdog: WatchdogConfig::disabled(),
+            ..FleetConfig::default()
+        };
+        let solo_cfg = FleetConfig {
+            shared_memo: false,
+            ..config.clone()
+        };
+        for scenario_cycle in [0, 6] {
+            let spec = FleetSpec {
+                sessions: 80,
+                seed: 0xD0_4A47,
+                arrivals_per_step: 8,
+                storm_every: 0,
+                storm_arrivals: 0,
+                max_events_per_session: 12,
+                scenario_cycle,
+            };
+            let shared = run_fleet(ctx(), &spec, &config);
+            let solo = run_fleet(ctx(), &spec, &solo_cfg);
+            assert!(shared.batches >= 8, "{} batches", shared.batches);
+            assert_same_aggregates(&shared, &solo);
+            assert_eq!(shared.solver_nodes, solo.solver_nodes);
+            assert_eq!(shared.memo_misses, solo.memo_misses);
+            assert_eq!(shared.shared_lookups, shared.memo_misses);
+            println!(
+                "ADMISSION cycle={scenario_cycle} lookups={} probes={} hits={}",
+                shared.shared_lookups, shared.shared_probes, shared.shared_hits
+            );
+            if scenario_cycle == 0 {
+                assert!(
+                    shared.shared_probes * 2 < shared.shared_lookups,
+                    "unique sessions must go dormant: {} probes of {} lookups",
+                    shared.shared_probes,
+                    shared.shared_lookups
+                );
+            } else {
+                assert_eq!(
+                    shared.shared_probes, shared.shared_lookups,
+                    "a sweep keeps every lookup probing"
+                );
+                assert!(shared.shared_hits > 0);
+            }
+        }
+    }
+
     /// Same FNV-1a the journal uses, so the tests can re-checksum rewritten
     /// record payloads.
     fn fnv1a(payload: &str) -> u64 {

@@ -1729,6 +1729,51 @@ mod shared_memo {
                 "hits cannot exceed lookups"
             );
         }
+
+        /// Admission is decided from per-batch sums, so the shared counters
+        /// — and which windows were probed at all — do not depend on the
+        /// worker count. Specs run for enough batches that unique traffic
+        /// turns the generation dormant; cycled ones keep it admitted.
+        #[test]
+        fn shared_memo_admission_is_thread_count_independent(
+            sessions in 24usize..=40,
+            seed in 0u64..u64::MAX,
+            batch_size in 2usize..=4,
+            shards in 1usize..=3,
+            scenario_cycle in 0usize..=3,
+        ) {
+            let spec = FleetSpec {
+                sessions,
+                seed,
+                arrivals_per_step: 4,
+                storm_every: 0,
+                storm_arrivals: 0,
+                max_events_per_session: 10,
+                // 0 is unique traffic; 1..=3 repeat a few configurations.
+                scenario_cycle,
+            };
+            let config = |threads, shared_memo| FleetConfig {
+                batch_size,
+                queue_capacity: 64,
+                threads,
+                shards,
+                watchdog: WatchdogConfig::disabled(),
+                shared_memo,
+                ..FleetConfig::default()
+            };
+            let solo = run_fleet(ctx(), &spec, &config(1, false));
+            let counters =
+                |r: &FleetRunReport| (r.shared_hits, r.shared_lookups, r.shared_probes);
+            let one = run_fleet(ctx(), &spec, &config(1, true));
+            let three = run_fleet(ctx(), &spec, &config(3, true));
+            prop_assert_eq!(counters(&one), counters(&three));
+            for shared in [&one, &three] {
+                assert_bitwise_equal(shared, &solo);
+                prop_assert_eq!(shared.shared_lookups, shared.memo_misses);
+                prop_assert!(shared.shared_hits <= shared.shared_probes);
+                prop_assert!(shared.shared_probes <= shared.shared_lookups);
+            }
+        }
     }
 }
 
