@@ -47,8 +47,6 @@ kernels=(
   solver_window/rebuild_13x17_sorted
   pr8:predict_kernel/single_masked_f64
   pr8:predict_kernel/single_masked_packed
-  pr8:predict_kernel/batch_64_f64_reference
-  pr8:predict_kernel/predict_many_64
   pr13:shared_memo/generation_hit_cycle16
   pr9:shared_memo/publish_4x4
   pr12:shared_memo/publish_512x64

@@ -58,14 +58,6 @@ impl CpuDemand {
         self.ref_cycles
     }
 
-    /// Adds two demands (e.g. callback plus rendering stages).
-    pub fn combine(&self, other: &CpuDemand) -> CpuDemand {
-        CpuDemand {
-            t_mem: self.t_mem + other.t_mem,
-            ref_cycles: self.ref_cycles + other.ref_cycles,
-        }
-    }
-
     /// Scales both components by a non-negative factor.
     pub fn scale(&self, factor: f64) -> CpuDemand {
         CpuDemand {
@@ -765,11 +757,7 @@ mod tests {
 
     #[test]
     fn demand_combine_and_scale() {
-        let a = CpuDemand::new(TimeUs::from_millis(2), CpuCycles::new(1_000));
-        let b = CpuDemand::new(TimeUs::from_millis(3), CpuCycles::new(2_000));
-        let c = a.combine(&b);
-        assert_eq!(c.t_mem(), TimeUs::from_millis(5));
-        assert_eq!(c.ref_cycles().get(), 3_000);
+        let c = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(3_000));
         let half = c.scale(0.5);
         assert_eq!(half.t_mem(), TimeUs::from_millis_f64(2.5));
         assert_eq!(half.ref_cycles().get(), 1_500);

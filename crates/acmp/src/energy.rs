@@ -279,17 +279,6 @@ impl<'p> EnergyMeter<'p> {
         self.idle_time
     }
 
-    /// Average power over the whole observation window, if any time elapsed.
-    pub fn average_power(&self) -> Option<PowerMw> {
-        let elapsed = self.busy_time + self.idle_time;
-        if elapsed.is_zero() {
-            return None;
-        }
-        Some(PowerMw::new(
-            self.total.as_microjoules() * 1_000.0 / elapsed.as_micros() as f64,
-        ))
-    }
-
     /// Fraction of the total energy spent on squashed speculative work — the
     /// quantity reported as "1.8 % / 2.2 % misprediction energy overhead" in
     /// Sec. 6.3.
@@ -316,7 +305,6 @@ mod tests {
         let p = platform();
         let m = EnergyMeter::new(&p);
         assert_eq!(m.total().as_microjoules(), 0.0);
-        assert!(m.average_power().is_none());
         assert_eq!(m.speculative_waste_fraction(), 0.0);
     }
 
@@ -472,7 +460,9 @@ mod tests {
         let mut m = EnergyMeter::new(&p);
         m.record_busy(&cfg, TimeUs::from_millis(10), ActivityKind::UsefulWork);
         m.record_idle(&cfg, TimeUs::from_millis(10));
-        let avg = m.average_power().unwrap().as_milliwatts();
+        // Energy over the 20 ms window, as milliwatts (µJ / µs · 1,000).
+        let elapsed = (m.busy_time() + m.idle_time()).as_micros() as f64;
+        let avg = m.total().as_microjoules() * 1_000.0 / elapsed;
         let idle = p.idle_power(&cfg).as_milliwatts();
         let peak =
             p.active_power(&cfg).as_milliwatts() + p.background_idle_power(&cfg).as_milliwatts();

@@ -17,8 +17,6 @@ pub enum AcmpError {
     ConfigNotOnPlatform(AcmpConfig),
     /// Online demand recovery (Eqn. 1 system solve) failed.
     DemandRecovery(String),
-    /// Power-table (de)serialisation failed.
-    PowerTable(String),
 }
 
 impl fmt::Display for AcmpError {
@@ -33,7 +31,6 @@ impl fmt::Display for AcmpError {
                 )
             }
             AcmpError::DemandRecovery(msg) => write!(f, "demand recovery failed: {msg}"),
-            AcmpError::PowerTable(msg) => write!(f, "power table serialisation failed: {msg}"),
         }
     }
 }
@@ -54,7 +51,6 @@ mod tests {
             AcmpError::UnknownConfig(42).to_string(),
             AcmpError::ConfigNotOnPlatform(cfg).to_string(),
             AcmpError::DemandRecovery("same frequency".into()).to_string(),
-            AcmpError::PowerTable("bad line".into()).to_string(),
         ];
         for e in errs {
             assert!(!e.is_empty());

@@ -56,7 +56,6 @@ pub use dvfs::{CpuDemand, DvfsLadder, DvfsModel, LadderCache, LadderPoint, Ladde
 pub use energy::{ActivityKind, EnergyMeter};
 pub use error::AcmpError;
 pub use platform::{ClusterSpec, Platform};
-pub use power::PowerTable;
 pub use transition::TransitionModel;
 pub use utilization::UtilizationTracker;
 

@@ -189,15 +189,6 @@ impl ClusterSpec {
             .unwrap_or_else(|| self.max_frequency())
     }
 
-    /// The next frequency above `current` on the ladder, saturating at the top.
-    pub fn step_up(&self, current: FreqMhz) -> FreqMhz {
-        self.frequencies
-            .iter()
-            .copied()
-            .find(|f| *f > current)
-            .unwrap_or_else(|| self.max_frequency())
-    }
-
     /// The next frequency below `current` on the ladder, saturating at the bottom.
     pub fn step_down(&self, current: FreqMhz) -> FreqMhz {
         self.frequencies
@@ -481,8 +472,6 @@ mod tests {
         let little = ClusterSpec::exynos_little();
         assert_eq!(little.snap_up(FreqMhz::new(420)).as_mhz(), 450);
         assert_eq!(little.snap_up(FreqMhz::new(1000)).as_mhz(), 600);
-        assert_eq!(little.step_up(FreqMhz::new(350)).as_mhz(), 400);
-        assert_eq!(little.step_up(FreqMhz::new(600)).as_mhz(), 600);
         assert_eq!(little.step_down(FreqMhz::new(600)).as_mhz(), 550);
         assert_eq!(little.step_down(FreqMhz::new(350)).as_mhz(), 350);
     }

@@ -7,11 +7,10 @@
 //! standard `P = P_static + C · V² · f` model with per-core-kind capacitance
 //! and a voltage/frequency curve calibrated to published Cortex-A15/A7 power
 //! envelopes, and then treat the resulting table exactly as the paper does: a
-//! frozen per-configuration look-up.
+//! frozen per-configuration look-up, which [`crate::DvfsLadder`] builds once
+//! per platform.
 
-use std::collections::BTreeMap;
-
-use crate::config::{AcmpConfig, CoreKind};
+use crate::config::CoreKind;
 use crate::units::{FreqMhz, PowerMw};
 
 /// Analytical parameters from which a per-configuration power value is
@@ -141,139 +140,9 @@ impl CorePowerParams {
     }
 }
 
-/// A frozen per-configuration power look-up table, mirroring the measured
-/// table that the paper persists to local storage and loads at boot
-/// (Sec. 5.3).
-///
-/// # Examples
-///
-/// ```
-/// use pes_acmp::{Platform, power::PowerTable};
-///
-/// let platform = Platform::exynos_5410();
-/// let table = PowerTable::from_platform(&platform);
-/// let json = table.to_json().unwrap();
-/// let restored = PowerTable::from_json(&json).unwrap();
-/// assert_eq!(table, restored);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PowerTable {
-    active_mw: BTreeMap<String, f64>,
-    idle_mw: BTreeMap<String, f64>,
-}
-
-impl PowerTable {
-    /// Builds the look-up table for every configuration of a platform.
-    pub fn from_platform(platform: &crate::Platform) -> Self {
-        let mut active_mw = BTreeMap::new();
-        let mut idle_mw = BTreeMap::new();
-        for cfg in platform.configs() {
-            let key = Self::key(cfg);
-            active_mw.insert(key.clone(), platform.active_power(cfg).as_milliwatts());
-            idle_mw.insert(key, platform.idle_power(cfg).as_milliwatts());
-        }
-        PowerTable { active_mw, idle_mw }
-    }
-
-    fn key(cfg: &AcmpConfig) -> String {
-        format!("{}@{}", cfg.core().label(), cfg.frequency().as_mhz())
-    }
-
-    /// Active power of a configuration, if present in the table.
-    pub fn active(&self, cfg: &AcmpConfig) -> Option<PowerMw> {
-        self.active_mw
-            .get(&Self::key(cfg))
-            .map(|&mw| PowerMw::new(mw))
-    }
-
-    /// Idle power of a configuration, if present in the table.
-    pub fn idle(&self, cfg: &AcmpConfig) -> Option<PowerMw> {
-        self.idle_mw
-            .get(&Self::key(cfg))
-            .map(|&mw| PowerMw::new(mw))
-    }
-
-    /// Number of configurations in the table.
-    pub fn len(&self) -> usize {
-        self.active_mw.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.active_mw.is_empty()
-    }
-
-    /// Serialises the table to JSON (the "local storage file" of Sec. 5.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialisation fails, which cannot happen for the
-    /// plain-map representation used here but is surfaced for API honesty.
-    pub fn to_json(&self) -> Result<String, crate::AcmpError> {
-        serde_json_compat::to_string(self).map_err(|e| crate::AcmpError::PowerTable(e.to_string()))
-    }
-
-    /// Restores a table previously produced by [`PowerTable::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::AcmpError::PowerTable`] when the input is not a valid
-    /// serialised table.
-    pub fn from_json(json: &str) -> Result<Self, crate::AcmpError> {
-        serde_json_compat::from_str(json).map_err(|e| crate::AcmpError::PowerTable(e.to_string()))
-    }
-}
-
-/// Minimal JSON (de)serialisation shim so that the crate does not need a
-/// `serde_json` dependency of its own: the table is flat, so the `serde`
-/// derive plus a tiny hand-rolled writer/reader suffice.
-mod serde_json_compat {
-    use super::PowerTable;
-
-    /// Serialises a [`PowerTable`] into a simple line-oriented text format
-    /// (`kind@freq active idle` per line).
-    pub fn to_string(table: &PowerTable) -> Result<String, String> {
-        let mut out = String::new();
-        for (key, active) in &table.active_mw {
-            let idle = table.idle_mw.get(key).copied().unwrap_or(0.0);
-            out.push_str(&format!("{key} {active} {idle}\n"));
-        }
-        Ok(out)
-    }
-
-    /// Parses the format produced by [`to_string`].
-    pub fn from_str(s: &str) -> Result<PowerTable, String> {
-        let mut table = PowerTable::default();
-        for (line_no, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let key = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing key", line_no + 1))?;
-            let active: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing active power", line_no + 1))?
-                .parse()
-                .map_err(|e| format!("line {}: {e}", line_no + 1))?;
-            let idle: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing idle power", line_no + 1))?
-                .parse()
-                .map_err(|e| format!("line {}: {e}", line_no + 1))?;
-            table.active_mw.insert(key.to_string(), active);
-            table.idle_mw.insert(key.to_string(), idle);
-        }
-        Ok(table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Platform;
 
     #[test]
     fn power_is_monotonic_in_frequency() {
@@ -344,28 +213,5 @@ mod tests {
         assert_eq!(a15.voltage_at(FreqMhz::new(5000)), a15.v_max);
         let mid = a15.voltage_at(FreqMhz::new(1300));
         assert!(mid > a15.v_min && mid < a15.v_max);
-    }
-
-    #[test]
-    fn power_table_round_trips_through_json() {
-        let platform = Platform::exynos_5410();
-        let table = PowerTable::from_platform(&platform);
-        assert_eq!(table.len(), platform.configs().len());
-        let json = table.to_json().expect("serialise");
-        let restored = PowerTable::from_json(&json).expect("parse");
-        assert_eq!(table, restored);
-        for cfg in platform.configs() {
-            let direct = platform.active_power(cfg).as_milliwatts();
-            let via_table = restored.active(cfg).expect("present").as_milliwatts();
-            assert!((direct - via_table).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn power_table_rejects_malformed_input() {
-        assert!(PowerTable::from_json("A15(big)@800 not-a-number 3").is_err());
-        assert!(PowerTable::from_json("A15(big)@800").is_err());
-        let empty = PowerTable::from_json("").expect("empty ok");
-        assert!(empty.is_empty());
     }
 }

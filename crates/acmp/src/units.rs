@@ -238,11 +238,6 @@ impl FreqMhz {
     pub const fn as_khz(self) -> u64 {
         self.0 as u64 * 1_000
     }
-
-    /// Returns the frequency in GHz.
-    pub fn as_ghz(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
 }
 
 impl fmt::Display for FreqMhz {
@@ -337,11 +332,6 @@ impl EnergyUj {
     /// Returns the value in millijoules.
     pub fn as_millijoules(self) -> f64 {
         self.0 / 1_000.0
-    }
-
-    /// Returns the value in joules.
-    pub fn as_joules(self) -> f64 {
-        self.0 / 1_000_000.0
     }
 }
 
@@ -465,7 +455,6 @@ mod tests {
         e += EnergyUj::new(250.0);
         e += EnergyUj::new(750.0);
         assert!((e.as_millijoules() - 1.0).abs() < 1e-9);
-        assert!((e.as_joules() - 0.001).abs() < 1e-12);
     }
 
     #[test]
@@ -480,7 +469,6 @@ mod tests {
     fn frequency_conversions() {
         let f = FreqMhz::new(1500);
         assert_eq!(f.as_khz(), 1_500_000);
-        assert!((f.as_ghz() - 1.5).abs() < 1e-12);
         assert_eq!(f.to_string(), "1500 MHz");
     }
 }

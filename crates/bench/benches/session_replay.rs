@@ -209,10 +209,8 @@ fn session_replay(c: &mut Criterion) {
 
     // ------------------------------------------------------------------
     // Prediction-plane kernels (PR 8): one masked inference through the
-    // retained f64 reference, the same inference through the packed f32
-    // plane, and a 64-session shard through one `predict_many` matrix
-    // pass. The acceptance bar is the batch path beating 64 scalar
-    // inferences by ≥ 2×.
+    // retained f64 reference and the same inference through the packed
+    // f32 plane.
     // ------------------------------------------------------------------
     let classifier = learner.classifier();
     let packed = learner.packed();
@@ -230,27 +228,6 @@ fn session_replay(c: &mut Criterion) {
     });
     group.bench_function("predict_kernel/single_masked_packed", |b| {
         b.iter(|| black_box(packed.predict_masked(black_box(&padded), black_box(mask))))
-    });
-
-    const SHARD: usize = 64;
-    let mut rows: Vec<f32> = Vec::new();
-    for _ in 0..SHARD {
-        packed.pad_features_append(&features, &mut rows);
-    }
-    let masks = vec![mask; SHARD];
-    let mut decisions = Vec::with_capacity(SHARD);
-    group.bench_function("predict_kernel/batch_64_f64_reference", |b| {
-        b.iter(|| {
-            for _ in 0..SHARD {
-                black_box(classifier.predict_masked(black_box(&features), black_box(mask)));
-            }
-        })
-    });
-    group.bench_function("predict_kernel/predict_many_64", |b| {
-        b.iter(|| {
-            packed.predict_many(black_box(&rows), black_box(&masks), &mut decisions);
-            black_box(decisions.len())
-        })
     });
 
     // The scenario artifacts alone: what regenerating them per unit used to

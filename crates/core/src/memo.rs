@@ -117,18 +117,6 @@ pub struct MemoStats {
     pub revalidations: usize,
 }
 
-impl MemoStats {
-    /// Hits as a fraction of lookups (0.0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-}
-
 /// One item of a frozen window: its release and deadline, and how many of
 /// the entry's flat options belong to it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -896,7 +884,6 @@ mod tests {
         assert_eq!(memo.stats().hits, 1);
         assert_eq!(memo.stats().misses, 1);
         assert_eq!(memo.stats().revalidations, 1);
-        assert!((memo.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl WatchdogConfig {
             event_budget: 0,
         }
     }
-
-    /// Whether both meters are disabled.
-    pub fn is_disabled(&self) -> bool {
-        self.node_budget == 0 && self.event_budget == 0
-    }
 }
 
 impl Default for WatchdogConfig {
@@ -131,7 +126,6 @@ mod tests {
     #[test]
     fn disabled_watchdog_never_trips() {
         let mut state = WatchdogState::new(WatchdogConfig::disabled());
-        assert!(WatchdogConfig::default().is_disabled());
         assert_eq!(state.charge_nodes(usize::MAX), 0);
         for _ in 0..1_000 {
             assert_eq!(state.charge_event(), 0);

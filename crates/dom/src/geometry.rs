@@ -106,13 +106,6 @@ impl Rect {
     pub fn center(&self) -> (i64, i64) {
         (self.x + self.width / 2, self.y + self.height / 2)
     }
-
-    /// Euclidean distance between the centres of two rectangles, in pixels.
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        let (ax, ay) = self.center();
-        let (bx, by) = other.center();
-        (((ax - bx).pow(2) + (ay - by).pow(2)) as f64).sqrt()
-    }
 }
 
 /// The visible viewport: a fixed-size window over the document that moves
@@ -242,9 +235,6 @@ mod tests {
         assert!(r.contains_point(29, 29));
         assert!(!r.contains_point(30, 30));
         assert_eq!(r.center(), (20, 20));
-        assert_eq!(r.center_distance(&r), 0.0);
-        let other = Rect::new(10, 50, 20, 20);
-        assert!((r.center_distance(&other) - 40.0).abs() < 1e-9);
     }
 
     #[test]

@@ -397,21 +397,6 @@ impl DomTree {
         Ok(displayed)
     }
 
-    /// Moves a node (and implicitly its subtree) by `(dx, dy)` document
-    /// pixels. Children keep their own rectangles; builders lay nodes out in
-    /// absolute coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DomError::UnknownNode`] for stale ids.
-    pub fn translate_node(&mut self, id: NodeId, dx: i64, dy: i64) -> Result<(), DomError> {
-        self.check_id(id)?;
-        let rect = self.nodes[id.0].rect.translated(dx, dy);
-        self.nodes[id.0].rect = rect;
-        self.stamp = TreeStamp::next();
-        Ok(())
-    }
-
     /// Whether a node and all of its ancestors are displayed.
     pub fn is_effectively_displayed(&self, id: NodeId) -> bool {
         let mut cursor = Some(id);
@@ -732,7 +717,6 @@ mod tests {
             .is_err());
         assert!(tree.set_displayed(stale, false).is_err());
         assert!(tree.toggle_displayed(stale).is_err());
-        assert!(tree.translate_node(stale, 1, 1).is_err());
         assert!(tree
             .apply_effect(CallbackEffect::ToggleVisibility(stale), &mut vp)
             .is_err());

@@ -163,8 +163,8 @@ impl EventSequenceLearner {
         &self.classifier
     }
 
-    /// The packed class-major f32 twin of the classifier — the model the
-    /// batch (`predict_many`) paths run on.
+    /// The packed class-major f32 twin of the classifier — the model
+    /// [`LearnerConfig::with_packed`] predictions run on.
     pub fn packed(&self) -> &PackedModel {
         &self.packed
     }

@@ -47,10 +47,7 @@ pub use features::{FeatureVector, HistoryWindow, SessionState, FEATURE_DIM, HIST
 pub use learner::{EventSequenceLearner, LearnerConfig, PredictScratch, PredictedEvent};
 pub use logistic::{LogisticModel, OneVsRestClassifier};
 pub use packed::{sigmoid_f32, PackedModel, CLASSES, LANES};
-pub use trainer::{
-    build_dataset, evaluate_accuracy, evaluate_accuracy_batched, TrainError, Trainer,
-    TrainingConfig,
-};
+pub use trainer::{build_dataset, evaluate_accuracy, Trainer, TrainingConfig};
 
 #[cfg(test)]
 mod tests {

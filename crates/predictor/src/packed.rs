@@ -1,4 +1,4 @@
-//! The batched prediction plane: class-major packed weights.
+//! The packed prediction plane: class-major f32 weights.
 //!
 //! [`crate::OneVsRestClassifier`] stores one `Vec<f64>` per class — fine for
 //! training, but every prediction round then chases seven separate
@@ -10,11 +10,9 @@
 //!
 //! The dot-product kernel is written once as four explicit lane
 //! accumulators combined in a fixed order, so every path that scores a row
-//! performs the same IEEE operations in the same order.
-//!
-//! [`PackedModel::predict_many`] runs one matrix pass over a whole batch of
-//! feature rows (every trace of an app in a figure sweep), turning
-//! per-event scalar cost into amortised batch cost.
+//! performs the same IEEE operations in the same order. The sequence
+//! learner runs it one session at a time when
+//! [`crate::LearnerConfig::with_packed`] is set.
 
 use pes_dom::{EventType, EventTypeSet};
 
@@ -119,7 +117,7 @@ fn argmax_masked(scores: &[f32; CLASSES], allowed: EventTypeSet) -> (EventType, 
 /// The trained one-vs-rest weights re-laid as one contiguous class-major
 /// `f32` matrix: row `c` holds class `c`'s weights, zero-padded to a
 /// multiple of [`LANES`]. The f64 per-class layout stays the reference
-/// path; this is the serving layout the single and batch kernels run on.
+/// path; this is the serving layout the packed kernel runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedModel {
     /// `CLASSES * padded_dim` weights, class-major.
@@ -169,86 +167,33 @@ impl PackedModel {
         &self.weights[c * self.padded_dim..(c + 1) * self.padded_dim]
     }
 
-    /// Appends one lane-padded f32 row converted from f64 features to
-    /// `out` — the building block for batch matrices. Extra features are
-    /// truncated and missing ones zero-filled, like the f64 reference.
-    pub fn pad_features_append(&self, features: &[f64], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.extend(features.iter().take(self.dim).map(|&v| v as f32));
-        out.resize(start + self.padded_dim, 0.0);
-    }
-
     /// Converts f64 features into a single lane-padded f32 row in `out`
-    /// (cleared first).
+    /// (cleared first). Extra features are truncated and missing ones
+    /// zero-filled, like the f64 reference.
     pub fn pad_features(&self, features: &[f64], out: &mut Vec<f32>) {
         out.clear();
-        self.pad_features_append(features, out);
+        out.extend(features.iter().take(self.dim).map(|&v| v as f32));
+        out.resize(self.padded_dim, 0.0);
     }
 
-    /// Writes all [`CLASSES`] raw logit scores `w_c · x + b_c` for one
-    /// lane-padded row. Every class is scored — masking happens at the
-    /// argmax, keeping the kernel branch-free and uniform across paths.
-    pub fn scores_into(&self, padded: &[f32], out: &mut [f32; CLASSES]) {
+    /// All [`CLASSES`] raw logit scores `w_c · x + b_c` for one lane-padded
+    /// row. Every class is scored — masking happens at the argmax, keeping
+    /// the kernel branch-free.
+    pub fn scores(&self, padded: &[f32]) -> [f32; CLASSES] {
         debug_assert_eq!(padded.len(), self.padded_dim);
+        let mut out = [0.0f32; CLASSES];
         for (c, slot) in out.iter_mut().enumerate() {
             *slot = dot_lanes(self.row(c), padded) + self.biases[c];
         }
-    }
-
-    /// Convenience form of [`PackedModel::scores_into`].
-    pub fn scores(&self, padded: &[f32]) -> [f32; CLASSES] {
-        let mut out = [0.0f32; CLASSES];
-        self.scores_into(padded, &mut out);
         out
-    }
-
-    /// Predicts the most likely allowed event for one lane-padded feature
-    /// row, returning its raw winning logit. Tie-breaks and empty-mask
-    /// fallback replicate the f64 reference exactly. This is the score the
-    /// batch path compares against bit for bit; [`PackedModel::predict_masked`]
-    /// is the sigmoid-squashed form the sequence learner chains on.
-    pub fn predict_masked_raw(&self, padded: &[f32], allowed: EventTypeSet) -> (EventType, f32) {
-        let mut scores = [0.0f32; CLASSES];
-        self.scores_into(padded, &mut scores);
-        argmax_masked(&scores, allowed)
     }
 
     /// Predicts the most likely allowed event for one lane-padded feature
     /// row, returning its f32 confidence (the winning sigmoid). Tie-breaks
     /// and empty-mask fallback replicate the f64 reference exactly.
     pub fn predict_masked(&self, padded: &[f32], allowed: EventTypeSet) -> (EventType, f32) {
-        let (event, z) = self.predict_masked_raw(padded, allowed);
+        let (event, z) = argmax_masked(&self.scores(padded), allowed);
         (event, sigmoid_f32(z))
-    }
-
-    /// One matrix pass over a whole batch: `padded_rows` holds
-    /// `masks.len()` lane-padded rows back to back, `out` receives one
-    /// `(event, raw winning logit)` per row (cleared first) — the logit
-    /// rather than the sigmoid, because batch consumers (the figure
-    /// sweeps) only use the class decision and the sigmoid is
-    /// strictly monotonic, so squashing cannot change it. Each row goes
-    /// through the same kernel and argmax as
-    /// [`PackedModel::predict_masked_raw`], so the batch path is
-    /// bit-identical to the single path by construction — including empty
-    /// and length-1 batches.
-    pub fn predict_many(
-        &self,
-        padded_rows: &[f32],
-        masks: &[EventTypeSet],
-        out: &mut Vec<(EventType, f32)>,
-    ) {
-        debug_assert_eq!(padded_rows.len(), masks.len() * self.padded_dim);
-        out.clear();
-        out.reserve(masks.len());
-        // Row-at-a-time over the shard: the whole model is seven cache
-        // lines, so the weights stay resident across the batch and each
-        // row's seven dots run out of registers. Every row goes through the
-        // identical `scores_into` + `argmax_masked` as the single path.
-        let mut scores = [0.0f32; CLASSES];
-        for (row, &mask) in padded_rows.chunks_exact(self.padded_dim).zip(masks.iter()) {
-            self.scores_into(row, &mut scores);
-            out.push(argmax_masked(&scores, mask));
-        }
     }
 }
 
@@ -316,53 +261,6 @@ mod tests {
         let (ref32, conf) = packed.predict_masked(&padded, EventTypeSet::ALL);
         assert_eq!(ref64, ref32);
         assert!(conf > 0.0 && conf <= 1.0);
-    }
-
-    #[test]
-    fn predict_many_is_bit_identical_to_single_predictions() {
-        let packed = PackedModel::from_classifier(&toy_classifier());
-        let mut rows = Vec::new();
-        let mut masks = Vec::new();
-        for k in 0..5usize {
-            let features: Vec<f64> = (0..FEATURE_DIM)
-                .map(|i| ((i + k) as f64 * 0.43).sin())
-                .collect();
-            packed.pad_features_append(&features, &mut rows);
-            let mut mask = EventTypeSet::EMPTY;
-            for (j, e) in EventType::ALL.into_iter().enumerate() {
-                if (k + j) % 2 == 0 {
-                    mask.insert(e);
-                }
-            }
-            masks.push(mask);
-        }
-        let mut out = Vec::new();
-        packed.predict_many(&rows, &masks, &mut out);
-        assert_eq!(out.len(), masks.len());
-        for (k, &(event, logit)) in out.iter().enumerate() {
-            let row = &rows[k * packed.padded_dim()..(k + 1) * packed.padded_dim()];
-            let (se, sz) = packed.predict_masked_raw(row, masks[k]);
-            assert_eq!(event, se);
-            assert_eq!(logit.to_bits(), sz.to_bits(), "row {k} not bit-identical");
-            let (ce, conf) = packed.predict_masked(row, masks[k]);
-            assert_eq!(event, ce, "sigmoid squashing must not move the argmax");
-            assert_eq!(conf.to_bits(), sigmoid_f32(logit).to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_many_handles_empty_and_length_one_batches() {
-        let packed = PackedModel::from_classifier(&toy_classifier());
-        let mut out = vec![(EventType::ALL[0], 0.0f32)];
-        packed.predict_many(&[], &[], &mut out);
-        assert!(out.is_empty());
-        let mut row = Vec::new();
-        packed.pad_features(&toy_features(), &mut row);
-        packed.predict_many(&row, &[EventTypeSet::ALL], &mut out);
-        assert_eq!(out.len(), 1);
-        let (se, sz) = packed.predict_masked_raw(&row, EventTypeSet::ALL);
-        assert_eq!(out[0].0, se);
-        assert_eq!(out[0].1.to_bits(), sz.to_bits());
     }
 
     #[test]

@@ -8,50 +8,12 @@
 //! synthetic traces: training traces come from the [`pes_workload::TRAINING_SEED_BASE`]
 //! seed range, evaluation traces from the disjoint [`pes_workload::EVAL_SEED_BASE`] range.
 
-use std::fmt;
-
-use pes_dom::{BuiltPage, EventType, EventTypeSet};
+use pes_dom::{BuiltPage, EventType};
 use pes_workload::{AppCatalog, AppProfile, Trace, TraceGenerator, TRAINING_SEED_BASE};
 
 use crate::features::{FeatureVector, SessionState, FEATURE_DIM};
 use crate::learner::{EventSequenceLearner, LearnerConfig};
 use crate::logistic::OneVsRestClassifier;
-
-/// Typed errors of the fallible training entry points. The infallible
-/// `train*` convenience methods keep their historical lenient semantics
-/// (an empty dataset yields a zero classifier); callers that want
-/// misconfigurations surfaced instead of absorbed use the `try_*` forms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrainError {
-    /// The concatenated dataset holds no samples — training would silently
-    /// return an untrained (all-0.5) classifier.
-    EmptyDataset,
-    /// A sample's feature row does not match [`FEATURE_DIM`]; SGD would
-    /// silently truncate or zero-pad it.
-    DimensionMismatch {
-        /// The dimension training expects ([`FEATURE_DIM`]).
-        expected: usize,
-        /// The offending sample's dimension.
-        got: usize,
-        /// Index of the offending sample in the concatenated dataset.
-        sample: usize,
-    },
-}
-
-impl fmt::Display for TrainError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrainError::EmptyDataset => write!(f, "training dataset is empty"),
-            TrainError::DimensionMismatch {
-                expected,
-                got,
-                sample,
-            } => write!(f, "sample {sample} has {got} features, expected {expected}"),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,36 +117,6 @@ impl Trainer {
         self.fit(&dataset)
     }
 
-    /// [`Trainer::train_from_app_datasets`] surfacing misconfigurations as
-    /// typed errors instead of absorbing them: an empty dataset and
-    /// wrong-dimension feature rows are rejected rather than silently
-    /// yielding an untrained or truncated model.
-    pub fn try_train_from_app_datasets<I>(
-        &self,
-        datasets: I,
-    ) -> Result<OneVsRestClassifier, TrainError>
-    where
-        I: IntoIterator<Item = Vec<(FeatureVector, EventType)>>,
-    {
-        let mut dataset = Vec::new();
-        for app_dataset in datasets {
-            dataset.extend(app_dataset);
-        }
-        if dataset.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        for (sample, (features, _)) in dataset.iter().enumerate() {
-            if features.len() != FEATURE_DIM {
-                return Err(TrainError::DimensionMismatch {
-                    expected: FEATURE_DIM,
-                    got: features.len(),
-                    sample,
-                });
-            }
-        }
-        Ok(self.fit(&dataset))
-    }
-
     /// Fits a fresh classifier on an already-concatenated dataset.
     fn fit(&self, dataset: &[(FeatureVector, EventType)]) -> OneVsRestClassifier {
         let mut classifier = OneVsRestClassifier::zeros(FEATURE_DIM);
@@ -250,75 +182,6 @@ pub fn evaluate_accuracy<T: std::borrow::Borrow<Trace>>(
                 }
             }
             state.observe(event);
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        correct as f64 / total as f64
-    }
-}
-
-/// The batched twin of [`evaluate_accuracy`]: all of an app's evaluation
-/// traces advance in lockstep and each step runs **one**
-/// [`crate::PackedModel::predict_many`] matrix pass over every still-active
-/// session, instead of one scalar inference per (trace, event). Decisions
-/// are the packed plane's f32 decisions — bit-identical to
-/// [`EventSequenceLearner::predict_next_packed`] per event, because the
-/// batch path reuses the single path's kernel.
-pub fn evaluate_accuracy_batched<T: std::borrow::Borrow<Trace>>(
-    learner: &EventSequenceLearner,
-    page: &BuiltPage,
-    traces: &[T],
-) -> f64 {
-    let packed = learner.packed();
-    let use_lnes = learner.config().use_lnes;
-    let mut states: Vec<SessionState> = traces
-        .iter()
-        .map(|_| SessionState::new(page.tree.clone()))
-        .collect();
-    let max_len = traces.iter().map(|t| t.borrow().len()).max().unwrap_or(0);
-    let mut features = Vec::with_capacity(FEATURE_DIM);
-    let mut rows: Vec<f32> = Vec::new();
-    let mut masks: Vec<EventTypeSet> = Vec::new();
-    let mut active: Vec<usize> = Vec::new();
-    let mut decisions: Vec<(EventType, f32)> = Vec::new();
-    let mut total = 0usize;
-    let mut correct = 0usize;
-    for i in 0..max_len {
-        // Gather one feature row + LNES mask per still-active session.
-        rows.clear();
-        masks.clear();
-        active.clear();
-        if i > 0 {
-            for (t, trace) in traces.iter().enumerate() {
-                if i >= trace.borrow().len() {
-                    continue;
-                }
-                let state = &mut states[t];
-                state.features_into(&mut features);
-                packed.pad_features_append(&features, &mut rows);
-                masks.push(if use_lnes {
-                    state.allowed_types()
-                } else {
-                    EventTypeSet::ALL
-                });
-                active.push(t);
-            }
-            // One matrix pass over the whole shard of pending sessions.
-            packed.predict_many(&rows, &masks, &mut decisions);
-            for (&t, &(predicted, _)) in active.iter().zip(decisions.iter()) {
-                total += 1;
-                if predicted == traces[t].borrow().events()[i].event_type() {
-                    correct += 1;
-                }
-            }
-        }
-        for (t, trace) in traces.iter().enumerate() {
-            let trace = trace.borrow();
-            if i < trace.len() {
-                states[t].observe(&trace.events()[i]);
-            }
         }
     }
     if total == 0 {

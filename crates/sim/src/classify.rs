@@ -11,7 +11,6 @@
 //! * **Type IV** — benign: met the deadline at the minimal-energy
 //!   configuration with no interference.
 
-use pes_acmp::units::TimeUs;
 use pes_acmp::DvfsModel;
 use pes_webrt::{QosPolicy, WebEvent};
 
@@ -125,11 +124,6 @@ pub fn distribution(classes: &[EventClass]) -> ClassDistribution {
     }
 }
 
-/// A zero-duration helper used by tests.
-pub fn no_delay() -> TimeUs {
-    TimeUs::ZERO
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +168,5 @@ mod tests {
         let d = distribution(&[]);
         assert_eq!(d.qos_missing(), 0.0);
         assert_eq!(d.energy_wasting(), 0.0);
-        assert_eq!(no_delay(), TimeUs::ZERO);
     }
 }

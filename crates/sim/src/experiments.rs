@@ -25,9 +25,7 @@ use pes_acmp::units::TimeUs;
 use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, Platform};
 use pes_core::{FaultPlane, OracleScheduler, PesConfig, PesScheduler};
 use pes_dom::EventType;
-use pes_predictor::{
-    evaluate_accuracy, evaluate_accuracy_batched, EventSequenceLearner, LearnerConfig, Trainer,
-};
+use pes_predictor::{evaluate_accuracy, EventSequenceLearner, LearnerConfig, Trainer};
 use pes_schedulers::{Ebs, InteractiveGovernor, OndemandGovernor};
 use pes_webrt::{EventId, QosPolicy, WebEvent};
 use pes_workload::{AppCatalog, Trace};
@@ -382,35 +380,6 @@ pub fn fig8_accuracy(ctx: &ExperimentContext, use_lnes: bool) -> Vec<(String, bo
             app.name().to_string(),
             app.is_seen(),
             evaluate_accuracy(
-                &learner,
-                ctx.scenarios.page_ref(app_idx),
-                &ctx.scenarios.traces(app_idx)[..traces],
-            ),
-        )
-    })
-}
-
-/// [`fig8_accuracy`] over the packed plane's one-matrix-pass
-/// `predict_many`: every live trace of an application is advanced in
-/// lockstep and each step scores the whole batch with a single packed
-/// sweep. Decisions are bit-identical to the packed single-session path,
-/// so this agrees with the scalar figure whenever the f32 re-layout
-/// preserves the f64 argmax.
-pub fn fig8_accuracy_batched(ctx: &ExperimentContext, use_lnes: bool) -> Vec<(String, bool, f64)> {
-    let mut learner = ctx.learner.clone();
-    learner.set_config(
-        LearnerConfig::paper_defaults()
-            .with_lnes(use_lnes)
-            .with_packed(true),
-    );
-    let apps = ctx.catalog.apps();
-    let traces = ctx.traces_per_app.max(2);
-    par_map(apps.len(), |app_idx| {
-        let app = &apps[app_idx];
-        (
-            app.name().to_string(),
-            app.is_seen(),
-            evaluate_accuracy_batched(
                 &learner,
                 ctx.scenarios.page_ref(app_idx),
                 &ctx.scenarios.traces(app_idx)[..traces],

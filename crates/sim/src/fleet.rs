@@ -20,12 +20,14 @@
 //!    lowest-priority sessions, so storms degrade throughput gracefully
 //!    instead of growing memory.
 //! 4. **Journaled checkpoint/resume** — after every batch the driver
-//!    appends one checksummed, cumulative journal record (unit cursor,
-//!    aggregate violations/energy, breaker snapshots). A killed run resumes
-//!    from the last intact record by fast-forwarding the
-//!    outcome-independent admission arithmetic and restoring the
-//!    outcome-dependent aggregates, producing byte-identical aggregates to
-//!    the uninterrupted run — torn tail lines included.
+//!    appends one checksummed, cumulative journal record, encoded straight
+//!    from the running [`FleetRunReport`] plus the intake cursor and the
+//!    breaker snapshots. A killed run resumes from the last intact record
+//!    by fast-forwarding the outcome-independent admission arithmetic and
+//!    restoring the report's journaled fields, producing byte-identical
+//!    aggregates to the uninterrupted run — torn tail lines included. The
+//!    resume keeps the journal through that record's line and appends
+//!    after it.
 //!
 //! On top of the four resilience mechanisms the driver shares solver work
 //! across the fleet: every replay probes a read-only [`SolveGeneration`]
@@ -47,10 +49,10 @@
 //!
 //! The journal is line-oriented ASCII: one cumulative record per batch,
 //! each a space-separated `key=value` token list ending in an FNV-1a-64
-//! checksum of everything before it. The reader treats a malformed
-//! *final* line, invalid UTF-8 included, as a torn tail and returns a typed
-//! [`FleetError::JournalVersion`] for an intact record with any other
-//! `PESFLEETJ*` magic, older formats included.
+//! checksum of everything before it. The reader skips blank lines, treats
+//! a malformed *final* line, invalid UTF-8 included, as a torn tail and
+//! returns a typed [`FleetError::JournalVersion`] for an intact record with
+//! any other `PESFLEETJ*` magic, older formats included.
 //!
 //! ```text
 //! PESFLEETJ4 batch=.. step=.. next_unit=.. shed=.. completed=.. retries=..
@@ -454,7 +456,7 @@ impl CircuitBreaker {
 /// Aggregate outcome of a fleet run, deterministic for a given
 /// ([`FleetSpec`], [`FleetConfig`], context) — and byte-identical whether
 /// the run was uninterrupted or killed and resumed from its journal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetRunReport {
     /// Sessions the spec asked for.
     pub sessions: usize,
@@ -654,7 +656,7 @@ struct Ticket {
 /// The compact per-unit summary kept after a replay (the full `RunReport`,
 /// with its per-event vectors, is dropped inside the worker — that is what
 /// keeps fleet memory bounded by the batch size).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct UnitOutcome {
     events: usize,
     violations: usize,
@@ -662,7 +664,6 @@ struct UnitOutcome {
     degradation: DegradationTrace,
     injections: FaultCounts,
     watchdog_trips: usize,
-    final_tier: DegradationLevel,
     solver_nodes: usize,
     memo_hits: usize,
     memo_misses: usize,
@@ -684,31 +685,10 @@ impl UnitOutcome {
             degradation: report.degradation,
             injections: report.fault_injections,
             watchdog_trips: report.watchdog_trips,
-            final_tier: report.final_tier,
             solver_nodes: report.solver_nodes,
             memo_hits: report.solver_cache_hits,
             memo_misses: report.solver_cache_misses,
-            shared_hits: 0,
-            shared_lookups: 0,
-            shared_probes: 0,
-        }
-    }
-
-    fn clean() -> Self {
-        UnitOutcome {
-            events: 0,
-            violations: 0,
-            energy_uj: 0.0,
-            degradation: DegradationTrace::default(),
-            injections: FaultCounts::default(),
-            watchdog_trips: 0,
-            final_tier: DegradationLevel::Exact,
-            solver_nodes: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            shared_hits: 0,
-            shared_lookups: 0,
-            shared_probes: 0,
+            ..UnitOutcome::default()
         }
     }
 }
@@ -827,7 +807,7 @@ fn drive<E>(
     spec: &FleetSpec,
     config: &FleetConfig,
     mut journal: Option<&mut JournalWriter>,
-    checkpoint: Option<JournalRecord>,
+    checkpoint: Option<Checkpoint>,
     mut exec: E,
 ) -> Result<FleetRunReport, FleetError>
 where
@@ -838,77 +818,49 @@ where
         .map(|_| CircuitBreaker::new(&config.breaker))
         .collect();
     let mut intake = Intake::default();
-    let mut batches = 0usize;
     let mut report = FleetRunReport {
         sessions: spec.sessions,
-        completed: 0,
-        shed: 0,
-        shed_by_priority: [0; 4],
-        failures: Vec::new(),
-        retries: 0,
-        steps: 0,
-        batches: 0,
-        peak_queue: 0,
-        violations: 0,
-        events: 0,
-        energy_uj: 0.0,
-        degradation: DegradationTrace::default(),
-        injections: FaultCounts::default(),
-        watchdog_trips: 0,
-        breaker_histories: Vec::new(),
-        breaker_finals: Vec::new(),
-        solver_nodes: 0,
-        memo_hits: 0,
-        memo_misses: 0,
-        shared_hits: 0,
-        shared_lookups: 0,
-        shared_probes: 0,
+        ..FleetRunReport::default()
     };
 
     // Fast-forward: replay the admission steps of the journaled batches
     // (their admitted units are dropped: the checkpoint already holds their
     // outcomes), then restore the outcome-dependent cumulative state.
-    if let Some(cp) = checkpoint {
-        while batches < cp.batches && intake.pending(spec) {
+    if let Some((saved, (step, next_unit), saved_breakers)) = checkpoint {
+        while report.batches < saved.batches && intake.pending(spec) {
             drop(intake.admit(spec, config, &mut report));
-            batches += 1;
+            report.batches += 1;
         }
-        if batches != cp.batches
-            || intake.step != cp.step
-            || intake.next_unit != cp.next_unit
-            || report.shed != cp.shed
+        if report.batches != saved.batches
+            || intake.step != step
+            || intake.next_unit != next_unit
+            || report.shed != saved.shed
         {
             return Err(FleetError::SpecMismatch(format!(
-                "fast-forward reached batch {batches} step {} unit {} shed {}, \
-                 journal says batch {} step {} unit {} shed {}",
+                "fast-forward reached batch {} step {} unit {} shed {}, \
+                 journal says batch {} step {step} unit {next_unit} shed {}",
+                report.batches,
                 intake.step,
                 intake.next_unit,
                 report.shed,
-                cp.batches,
-                cp.step,
-                cp.next_unit,
-                cp.shed
+                saved.batches,
+                saved.shed
             )));
         }
-        if cp.breakers.len() != shards {
+        if saved_breakers.len() != shards {
             return Err(FleetError::SpecMismatch(format!(
                 "journal has {} breaker shards, config has {shards}",
-                cp.breakers.len()
+                saved_breakers.len()
             )));
         }
-        report.completed = cp.completed;
-        report.retries = cp.retries;
-        report.violations = cp.violations;
-        report.events = cp.events;
-        report.energy_uj = f64::from_bits(cp.energy_bits);
-        report.watchdog_trips = cp.watchdog_trips;
-        report.degradation = cp.degradation;
-        report.injections = cp.injections;
-        report.solver_nodes = cp.solver_nodes;
-        report.memo_hits = cp.memo_hits;
-        report.memo_misses = cp.memo_misses;
-        report.failures = cp.failures;
-        breakers = cp.breakers;
+        // Admission alone sets the fields the journal does not carry.
+        report = FleetRunReport {
+            sessions: report.sessions,
+            shed_by_priority: report.shed_by_priority,
+            peak_queue: report.peak_queue,
+            ..saved
+        };
+        breakers = saved_breakers;
     }
 
     while intake.pending(spec) {
@@ -981,35 +933,19 @@ where
                 message: failure.message.clone(),
             });
         }
-        batches += 1;
+        report.batches += 1;
 
         // 7. Journal the cumulative record for this batch.
         if let Some(writer) = journal.as_deref_mut() {
-            let record = JournalRecord {
-                batches,
-                step: intake.step,
-                next_unit: intake.next_unit,
-                shed: report.shed,
-                completed: report.completed,
-                retries: report.retries,
-                violations: report.violations,
-                events: report.events,
-                energy_bits: report.energy_uj.to_bits(),
-                watchdog_trips: report.watchdog_trips,
-                degradation: report.degradation,
-                injections: report.injections,
-                solver_nodes: report.solver_nodes,
-                memo_hits: report.memo_hits,
-                memo_misses: report.memo_misses,
-                failures: report.failures.clone(),
-                breakers: breakers.clone(),
-            };
-            writer.append(&record)?;
+            writer.append(&encode_record(
+                &report,
+                (intake.step, intake.next_unit),
+                &breakers,
+            ))?;
         }
     }
 
     report.steps = intake.step;
-    report.batches = batches;
     report.peak_queue = report.peak_queue.min(config.queue_capacity.max(1));
     report.breaker_histories = breakers.iter().map(|b| b.history_letters()).collect();
     report.breaker_finals = breakers.iter().map(|b| b.state()).collect();
@@ -1199,12 +1135,16 @@ pub fn resume_fleet(
     path: &Path,
 ) -> Result<FleetRunReport, FleetError> {
     let checkpoint = read_checkpoint(path, &config.breaker)?;
-    let mut writer =
-        JournalWriter::open_append(path, checkpoint.as_ref().map_or(0, |c| c.batches))?;
+    let kept_lines = checkpoint.as_ref().map_or(0, |(line, _)| line + 1);
+    let mut writer = JournalWriter::open_append(path, kept_lines)?;
     let mut runner = BatchRunner::new(ctx, spec, config);
-    drive(spec, config, Some(&mut writer), checkpoint, |tickets| {
-        runner.run(tickets)
-    })
+    drive(
+        spec,
+        config,
+        Some(&mut writer),
+        checkpoint.map(|(_, saved)| saved),
+        |tickets| runner.run(tickets),
+    )
 }
 
 /// Runs the full driver loop — arrivals, storms, shedding, admission,
@@ -1214,7 +1154,10 @@ pub fn resume_fleet(
 /// terminates and never deadlocks, at any spec/config.
 pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetRunReport {
     let exec = |tickets: &[Ticket]| FleetReport {
-        results: tickets.iter().map(|_| Some(UnitOutcome::clean())).collect(),
+        results: tickets
+            .iter()
+            .map(|_| Some(UnitOutcome::default()))
+            .collect(),
         failures: Vec::new(),
         attempts: vec![1; tickets.len()],
     };
@@ -1236,28 +1179,11 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
 /// resume-stable.
 const JOURNAL_MAGIC: &str = "PESFLEETJ4";
 
-/// One journal line: the cumulative driver state after a batch. The last
-/// intact record is what a resume restores.
-#[derive(Debug, Clone, PartialEq)]
-struct JournalRecord {
-    batches: usize,
-    step: u64,
-    next_unit: usize,
-    shed: usize,
-    completed: usize,
-    retries: usize,
-    violations: usize,
-    events: usize,
-    energy_bits: u64,
-    watchdog_trips: usize,
-    degradation: DegradationTrace,
-    injections: FaultCounts,
-    solver_nodes: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-    failures: Vec<UnitFailure>,
-    breakers: Vec<CircuitBreaker>,
-}
+/// What one journal line holds: the cumulative report (only its journaled
+/// fields; see the module docs), the intake cursor `(step, next_unit)` and
+/// one breaker snapshot per shard. The last intact line is what a resume
+/// restores.
+type Checkpoint = (FleetRunReport, (u64, usize), Vec<CircuitBreaker>);
 
 fn level_letter(level: DegradationLevel) -> char {
     match level {
@@ -1291,13 +1217,17 @@ fn fnv1a(payload: &str) -> u64 {
     hash
 }
 
-fn encode_record(record: &JournalRecord) -> String {
-    let deg = &record.degradation;
-    let inj = &record.injections;
-    let fail = if record.failures.is_empty() {
+fn encode_record(
+    report: &FleetRunReport,
+    (step, next_unit): (u64, usize),
+    breakers: &[CircuitBreaker],
+) -> String {
+    let deg = &report.degradation;
+    let inj = &report.injections;
+    let fail = if report.failures.is_empty() {
         "-".to_string()
     } else {
-        record
+        report
             .failures
             .iter()
             .map(|f| {
@@ -1311,8 +1241,7 @@ fn encode_record(record: &JournalRecord) -> String {
             .collect::<Vec<_>>()
             .join(";")
     };
-    let brk = record
-        .breakers
+    let brk = breakers
         .iter()
         .map(|b| {
             let hist = b.history_letters();
@@ -1336,16 +1265,16 @@ fn encode_record(record: &JournalRecord) -> String {
         "{JOURNAL_MAGIC} batch={} step={} next_unit={} shed={} completed={} retries={} \
          violations={} events={} energy={:016x} wd={} deg={},{},{},{},{} \
          inj={},{},{},{},{},{},{},{} nodes={} mh={} mm={} fail={fail} brk={brk}",
-        record.batches,
-        record.step,
-        record.next_unit,
-        record.shed,
-        record.completed,
-        record.retries,
-        record.violations,
-        record.events,
-        record.energy_bits,
-        record.watchdog_trips,
+        report.batches,
+        step,
+        next_unit,
+        report.shed,
+        report.completed,
+        report.retries,
+        report.violations,
+        report.events,
+        report.energy_uj.to_bits(),
+        report.watchdog_trips,
         deg.exact,
         deg.anytime,
         deg.greedy,
@@ -1359,9 +1288,9 @@ fn encode_record(record: &JournalRecord) -> String {
         inj.delayed_vsyncs,
         inj.duplicated_events,
         inj.dropped_events,
-        record.solver_nodes,
-        record.memo_hits,
-        record.memo_misses,
+        report.solver_nodes,
+        report.memo_hits,
+        report.memo_misses,
     );
     let checksum = fnv1a(&payload);
     format!("{payload} #{checksum:016x}")
@@ -1402,7 +1331,7 @@ fn parse_counts<const N: usize>(value: &str, key: &str) -> Result<[usize; N], Fl
 /// the reader treats a corrupt *final* line as a torn tail and ignores it
 /// — and `JournalVersion` (never swallowed as a torn tail) for an intact
 /// record whose magic this build does not read.
-fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRecord, FleetError> {
+fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<Checkpoint, FleetError> {
     let (payload, checksum) = line
         .rsplit_once(" #")
         .ok_or_else(|| FleetError::Corrupt("no checksum".into()))?;
@@ -1541,16 +1470,14 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRec
         breaker.history = history;
         breakers.push(breaker);
     }
-    Ok(JournalRecord {
+    let report = FleetRunReport {
         batches,
-        step,
-        next_unit,
         shed,
         completed,
         retries,
         violations,
         events,
-        energy_bits,
+        energy_uj: f64::from_bits(energy_bits),
         watchdog_trips,
         degradation,
         injections,
@@ -1558,8 +1485,9 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<JournalRec
         memo_hits,
         memo_misses,
         failures,
-        breakers,
-    })
+        ..FleetRunReport::default()
+    };
+    Ok((report, (step, next_unit), breakers))
 }
 
 /// Appends one encoded record per batch to the journal file, flushing
@@ -1583,13 +1511,14 @@ impl JournalWriter {
         })
     }
 
-    /// Opens for append after a resume, first truncating any torn tail so
-    /// the file holds exactly `intact` intact records.
-    fn open_append(path: &Path, intact: usize) -> Result<Self, FleetError> {
+    /// Opens for append after a resume, first truncating the file to its
+    /// first `lines` lines: everything through the record the resume
+    /// restored, so a torn tail goes and blank lines before it stay.
+    fn open_append(path: &Path, lines: usize) -> Result<Self, FleetError> {
         let mut kept = Vec::new();
         if path.exists() {
             let bytes = std::fs::read(path)?;
-            for line in journal_lines(&bytes).into_iter().take(intact) {
+            for line in journal_lines(&bytes).into_iter().take(lines) {
                 kept.extend_from_slice(line);
                 kept.push(b'\n');
             }
@@ -1606,16 +1535,12 @@ impl JournalWriter {
         })
     }
 
-    fn append_record(&mut self, line: &str) -> Result<(), FleetError> {
+    fn append(&mut self, line: &str) -> Result<(), FleetError> {
         self.file.write_all(line.as_bytes())?;
         self.file.write_all(b"\n")?;
         self.file
             .flush()
             .map_err(|e| FleetError::Io(format!("{}: {e}", self.path.display())))
-    }
-
-    fn append(&mut self, record: &JournalRecord) -> Result<(), FleetError> {
-        self.append_record(&encode_record(record))
     }
 }
 
@@ -1633,19 +1558,21 @@ fn journal_lines(bytes: &[u8]) -> Vec<&[u8]> {
         .collect()
 }
 
-/// Reads the journal at `path`, returning its last intact record. A missing or empty journal yields `None` (run from the
-/// start). A torn or corrupt *final* line is tolerated and dropped; a
-/// corrupt line followed by intact ones means real corruption and errors.
+/// Reads the journal at `path`, returning its last intact record and the
+/// index of the line it sits on. A missing or empty journal yields `None`
+/// (run from the start). Blank lines are skipped. A torn or corrupt
+/// *final* line is tolerated and dropped; a corrupt line followed by
+/// intact ones means real corruption and errors.
 fn read_checkpoint(
     path: &Path,
     breaker_config: &BreakerConfig,
-) -> Result<Option<JournalRecord>, FleetError> {
+) -> Result<Option<(usize, Checkpoint)>, FleetError> {
     if !path.exists() {
         return Ok(None);
     }
     let bytes = std::fs::read(path)?;
     let lines = journal_lines(&bytes);
-    let mut last: Option<JournalRecord> = None;
+    let mut last: Option<(usize, Checkpoint)> = None;
     for (i, line) in lines.iter().enumerate() {
         let parsed = match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => continue,
@@ -1653,7 +1580,7 @@ fn read_checkpoint(
             Err(_) => Err(FleetError::Corrupt("line is not valid UTF-8".into())),
         };
         match parsed {
-            Ok(record) => last = Some(record),
+            Ok(saved) => last = Some((i, saved)),
             Err(FleetError::Corrupt(_)) if i + 1 == lines.len() => {
                 // Torn tail from the kill: ignore, resume from the
                 // previous intact record. Version errors never qualify —
@@ -1772,24 +1699,22 @@ mod tests {
         assert!(p0 < 4);
     }
 
-    /// A record with every field populated, including failures and
-    /// several breakers.
-    fn sample_record() -> JournalRecord {
+    /// A record with every journaled field populated, including failures
+    /// and several breakers.
+    fn sample_record() -> Checkpoint {
         let mut breaker = CircuitBreaker::new(&breaker_config());
         for _ in 0..3 {
             breaker.record(true);
         }
         breaker.end_batch();
-        JournalRecord {
+        let report = FleetRunReport {
             batches: 7,
-            step: 9,
-            next_unit: 112,
             shed: 5,
             completed: 99,
             retries: 3,
             violations: 41,
             events: 12_345,
-            energy_bits: 1.234e9f64.to_bits(),
+            energy_uj: 1.234e9,
             watchdog_trips: 6,
             degradation: DegradationTrace {
                 exact: 10,
@@ -1817,40 +1742,44 @@ mod tests {
                 last_level: Some(DegradationLevel::Reactive),
                 message: "quarantined before resume (journaled)".to_string(),
             }],
-            breakers: vec![breaker, CircuitBreaker::new(&breaker_config())],
-        }
+            ..FleetRunReport::default()
+        };
+        let breakers = vec![breaker, CircuitBreaker::new(&breaker_config())];
+        (report, (9, 112), breakers)
+    }
+
+    fn encode(record: &Checkpoint) -> String {
+        encode_record(&record.0, record.1, &record.2)
     }
 
     #[test]
     fn journal_record_round_trips_through_encode_and_parse() {
         let record = sample_record();
-        let line = encode_record(&record);
+        let line = encode(&record);
         let parsed = parse_record(&line, &breaker_config()).expect("round trip");
         assert_eq!(parsed, record);
     }
 
+    /// A one-shard record of batch `batches` with no failures.
+    fn plain_record(batches: usize, violations: usize, energy_uj: f64) -> Checkpoint {
+        let report = FleetRunReport {
+            batches,
+            completed: batches * 8,
+            violations,
+            events: batches * 100,
+            energy_uj,
+            solver_nodes: batches * 1_000,
+            memo_hits: batches * 5,
+            memo_misses: batches * 7,
+            ..FleetRunReport::default()
+        };
+        let breakers = vec![CircuitBreaker::new(&breaker_config())];
+        (report, (batches as u64, batches * 8), breakers)
+    }
+
     #[test]
     fn journal_parser_rejects_tampered_lines() {
-        let record = JournalRecord {
-            batches: 1,
-            step: 1,
-            next_unit: 8,
-            shed: 0,
-            completed: 8,
-            retries: 0,
-            violations: 2,
-            events: 100,
-            energy_bits: 7.5f64.to_bits(),
-            watchdog_trips: 0,
-            degradation: DegradationTrace::default(),
-            injections: FaultCounts::default(),
-            solver_nodes: 999,
-            memo_hits: 10,
-            memo_misses: 20,
-            failures: Vec::new(),
-            breakers: vec![CircuitBreaker::new(&breaker_config())],
-        };
-        let line = encode_record(&record);
+        let line = encode(&plain_record(1, 2, 7.5));
         assert!(parse_record(&line, &breaker_config()).is_ok());
         let tampered = line.replace("violations=2", "violations=0");
         assert!(matches!(
@@ -1924,32 +1853,14 @@ mod tests {
     fn checkpoint_reader_tolerates_a_torn_tail_only() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("pes_fleet_torn_{}.journal", std::process::id()));
-        let record = |batches: usize| JournalRecord {
-            batches,
-            step: batches as u64,
-            next_unit: batches * 8,
-            shed: 0,
-            completed: batches * 8,
-            retries: 0,
-            violations: batches,
-            events: batches * 100,
-            energy_bits: (batches as f64).to_bits(),
-            watchdog_trips: 0,
-            degradation: DegradationTrace::default(),
-            injections: FaultCounts::default(),
-            solver_nodes: batches * 1_000,
-            memo_hits: batches * 5,
-            memo_misses: batches * 7,
-            failures: Vec::new(),
-            breakers: vec![CircuitBreaker::new(&breaker_config())],
-        };
-        let l1 = encode_record(&record(1));
-        let l2 = encode_record(&record(2));
+        let record = |batches: usize| plain_record(batches, batches, batches as f64);
+        let l1 = encode(&record(1));
+        let l2 = encode(&record(2));
         let torn = &l2[..l2.len() - 10];
         std::fs::write(&path, format!("{l1}\n{torn}\n")).expect("write journal");
         let cp = read_checkpoint(&path, &breaker_config()).expect("torn tail tolerated");
-        let cp = cp.expect("first record intact");
-        assert_eq!(cp.batches, 1);
+        let (line, (report, _, _)) = cp.expect("first record intact");
+        assert_eq!((line, report.batches), (0, 1));
         // A corrupt line *followed by* an intact one is real corruption.
         std::fs::write(&path, format!("{torn}\n{l1}\n")).expect("write journal");
         assert!(matches!(
@@ -1995,26 +1906,7 @@ mod tests {
 
     #[test]
     fn unknown_journal_magic_is_a_version_error_not_a_torn_tail() {
-        let record = JournalRecord {
-            batches: 1,
-            step: 1,
-            next_unit: 8,
-            shed: 0,
-            completed: 8,
-            retries: 0,
-            violations: 0,
-            events: 80,
-            energy_bits: 1.0f64.to_bits(),
-            watchdog_trips: 0,
-            degradation: DegradationTrace::default(),
-            injections: FaultCounts::default(),
-            solver_nodes: 100,
-            memo_hits: 1,
-            memo_misses: 2,
-            failures: Vec::new(),
-            breakers: vec![CircuitBreaker::new(&breaker_config())],
-        };
-        let line = encode_record(&record);
+        let line = encode(&plain_record(1, 0, 1.0));
         let (payload, _) = line.rsplit_once(" #").expect("checksummed");
         let future = checksummed(&payload.replace(JOURNAL_MAGIC, "PESFLEETJ9"));
         match parse_record(&future, &breaker_config()) {
@@ -2071,9 +1963,9 @@ mod tests {
             bytes
         }
 
-        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<JournalRecord>, FleetError> {
+        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<Checkpoint>, FleetError> {
             std::fs::write(path, journal).expect("write journal");
-            read_checkpoint(path, &breaker_config())
+            Ok(read_checkpoint(path, &breaker_config())?.map(|(_, saved)| saved))
         }
 
         proptest! {
@@ -2086,15 +1978,15 @@ mod tests {
                 edits in collection::vec((0usize..4, 0usize..1 << 16, 0u8..=255), 1..6),
             ) {
                 let first = sample_record();
-                let mut second = sample_record();
-                second.batches += 1;
-                second.next_unit += 64;
-                second.energy_bits = 2.5e9f64.to_bits();
-                let line = encode_record(&second);
-                let journal = format!("{}\n{line}\n", encode_record(&first));
+                let (mut report, (step, next_unit), breakers) = sample_record();
+                report.batches += 1;
+                report.energy_uj = 2.5e9;
+                let second = (report, (step, next_unit + 64), breakers);
+                let line = encode(&second);
+                let journal = format!("{}\n{line}\n", encode(&first));
                 let path = std::env::temp_dir()
                     .join(format!("pes_fleet_fuzz_{}.journal", std::process::id()));
-                let cp_first = checkpoint_of(&path, encode_record(&first).as_bytes())
+                let cp_first = checkpoint_of(&path, encode(&first).as_bytes())
                     .expect("intact journal reads");
                 let cp_second = checkpoint_of(&path, journal.as_bytes()).expect("intact journal reads");
                 // Every prefix of the edit list is a case of its own.

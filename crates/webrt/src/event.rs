@@ -110,18 +110,6 @@ impl WebEvent {
     pub fn demand(&self) -> CpuDemand {
         self.demand
     }
-
-    /// Returns a copy of the event with a different arrival time (used when
-    /// replaying a recorded trace from a different origin).
-    pub fn with_arrival(&self, arrival: TimeUs) -> WebEvent {
-        WebEvent { arrival, ..*self }
-    }
-
-    /// Returns a copy of the event with a different demand (used by
-    /// schedulers that refine their workload estimates online).
-    pub fn with_demand(&self, demand: CpuDemand) -> WebEvent {
-        WebEvent { demand, ..*self }
-    }
 }
 
 impl fmt::Display for WebEvent {
@@ -161,17 +149,6 @@ mod tests {
         assert_eq!(ev.target(), None);
         assert_eq!(ev.arrival(), TimeUs::from_millis(250));
         assert_eq!(ev.demand().t_mem(), TimeUs::from_millis(2));
-    }
-
-    #[test]
-    fn with_arrival_and_with_demand_replace_only_that_field() {
-        let ev = sample_event();
-        let moved = ev.with_arrival(TimeUs::from_millis(400));
-        assert_eq!(moved.arrival(), TimeUs::from_millis(400));
-        assert_eq!(moved.id(), ev.id());
-        let heavier = ev.with_demand(CpuDemand::new(TimeUs::ZERO, CpuCycles::new(1)));
-        assert_eq!(heavier.demand().ref_cycles().get(), 1);
-        assert_eq!(heavier.arrival(), ev.arrival());
     }
 
     #[test]

@@ -50,23 +50,12 @@ impl VsyncClock {
         self.period
     }
 
-    /// The refresh rate in Hz.
-    pub fn refresh_rate_hz(&self) -> f64 {
-        1_000_000.0 / self.period.as_micros() as f64
-    }
-
     /// The first VSync instant at or after `t`. A frame that becomes ready
     /// exactly on a VSync is shown at that VSync.
     pub fn next_refresh_at_or_after(&self, t: TimeUs) -> TimeUs {
         let period = self.period.as_micros();
         let ticks = t.as_micros().div_ceil(period);
         TimeUs::from_micros(ticks * period)
-    }
-
-    /// The idle time between a frame becoming ready at `t` and it being
-    /// displayed.
-    pub fn wait_from(&self, t: TimeUs) -> TimeUs {
-        self.next_refresh_at_or_after(t).saturating_sub(t)
     }
 }
 
@@ -84,7 +73,6 @@ mod tests {
     fn sixty_hz_period_and_rate() {
         let c = VsyncClock::sixty_hz();
         assert_eq!(c.period(), TimeUs::from_micros(16_667));
-        assert!((c.refresh_rate_hz() - 60.0).abs() < 0.1);
         assert_eq!(c, VsyncClock::default());
     }
 
@@ -95,7 +83,6 @@ mod tests {
             c.next_refresh_at_or_after(TimeUs::from_millis(30)),
             TimeUs::from_millis(30)
         );
-        assert_eq!(c.wait_from(TimeUs::from_millis(30)), TimeUs::ZERO);
     }
 
     #[test]
@@ -105,7 +92,6 @@ mod tests {
             c.next_refresh_at_or_after(TimeUs::from_millis(31)),
             TimeUs::from_millis(40)
         );
-        assert_eq!(c.wait_from(TimeUs::from_millis(31)), TimeUs::from_millis(9));
     }
 
     #[test]

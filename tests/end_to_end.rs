@@ -923,6 +923,64 @@ mod fleet_resilience {
         std::fs::remove_file(&torn_path).ok();
     }
 
+    /// The exact final journal record of the storm run. `deg`, `inj` and
+    /// `brk` carry non-trivial values; nothing is quarantined, so `fail` is
+    /// `-` (the unit round-trip test covers a non-empty roster).
+    const GOLDEN_STORM_JOURNAL_TAIL: &str = "PESFLEETJ4 batch=9 step=9 next_unit=60 shed=26 \
+         completed=34 retries=0 violations=86 events=270 energy=41a637800551cd9f wd=48 \
+         deg=17,8,7,207,31 inj=7,5,18,17,3,36,29,31 nodes=519 mh=1 mm=31 fail=- \
+         brk=H:7:3:0:0:OHOHOHOHOH|H:7:3:0:0:OHOHOHOHOHOHOHOH|H:7:3:0:0:OHOHOHOHOH \
+         #5f5799a48d43ac53";
+
+    /// Pins the `PESFLEETJ4` line byte for byte: field order, encodings,
+    /// checksum and every cumulative counter the storm run journals.
+    /// Re-pin via `--nocapture` and the `STORM-JOURNAL-GOLDEN-CAPTURE` line
+    /// only for an intentional change of behaviour or of the format.
+    #[test]
+    fn golden_storm_journal_final_record_stays_pinned() {
+        let path = tmp_journal("golden");
+        let report = run_fleet_journaled(ctx(), &storm_spec(), &resilient_config(), &path)
+            .expect("journaled run succeeds");
+        let journal = std::fs::read_to_string(&path).expect("journal readable");
+        std::fs::remove_file(&path).ok();
+        let last = journal.lines().last().expect("at least one record");
+        println!("STORM-JOURNAL-GOLDEN-CAPTURE {last}");
+        assert_eq!(journal.lines().count(), report.batches);
+        assert_eq!(last, GOLDEN_STORM_JOURNAL_TAIL);
+    }
+
+    /// A blank line between records is skipped by the reader, and the
+    /// resume keeps every line through the record it restored: records
+    /// after the blank line survive, and the file ends up with one intact
+    /// record per batch, the uninterrupted run's.
+    #[test]
+    fn resume_keeps_every_record_after_a_blank_line() {
+        let spec = storm_spec();
+        let config = resilient_config();
+        let full_path = tmp_journal("blank_full");
+        let full =
+            run_fleet_journaled(ctx(), &spec, &config, &full_path).expect("journaled run succeeds");
+        let journal = std::fs::read_to_string(&full_path).expect("journal readable");
+        let lines: Vec<&str> = journal.lines().collect();
+        assert!(lines.len() > 3, "the run must outlast the kept records");
+
+        let blank_path = tmp_journal("blank");
+        let killed = format!("{}\n\n{}\n{}\n", lines[0], lines[1], lines[2]);
+        std::fs::write(&blank_path, killed).expect("write journal");
+        let resumed = resume_fleet(ctx(), &spec, &config, &blank_path).expect("resume succeeds");
+        assert_same_aggregates(&full, &resumed);
+
+        let resumed_journal = std::fs::read_to_string(&blank_path).expect("journal readable");
+        let records: Vec<&str> = resumed_journal
+            .lines()
+            .filter(|line| !line.trim().is_empty())
+            .collect();
+        assert_eq!(records, lines, "one intact record per batch");
+
+        std::fs::remove_file(&full_path).ok();
+        std::fs::remove_file(&blank_path).ok();
+    }
+
     /// PR 8 golden for the single-batch packed-prediction fleet replay:
     /// `(violations, energy µJ)`.
     const GOLDEN_BATCHED_FLEET: (usize, f64) = (12, 32_082_523.87536225);
@@ -1205,77 +1263,5 @@ mod fleet_resilience {
             report.breaker_opens(),
             report.energy_uj
         );
-    }
-}
-
-/// PR 8 — differential lockdown of the batched prediction plane at the
-/// integration tier: the batched figure sweep must be bit-identical to the
-/// packed single-session path it claims to batch.
-mod prediction_plane {
-    use super::*;
-
-    use pes::predictor::SessionState;
-    use pes::sim::{fig8_accuracy, fig8_accuracy_batched};
-
-    /// `fig8_accuracy_batched` is bit-identical to walking each session
-    /// through the packed single-prediction path, and stays within a loose
-    /// band of the scalar f64 figure it approximates.
-    #[test]
-    fn batched_figure_sweep_matches_packed_single_path_exactly() {
-        let catalog = AppCatalog::paper_suite();
-        let ctx = ExperimentContext {
-            platform: Platform::exynos_5410(),
-            power_plane: Arc::new(DvfsLadder::for_platform(&Platform::exynos_5410())),
-            qos: QosPolicy::paper_defaults(),
-            learner: quick_learner(&catalog),
-            catalog,
-            traces_per_app: 2,
-            scenarios: ScenarioCache::build(&AppCatalog::paper_suite(), 2),
-            faults: pes::core::FaultPlane::none(),
-        };
-
-        let batched = fig8_accuracy_batched(&ctx, true);
-        let scalar = fig8_accuracy(&ctx, true);
-        assert_eq!(batched.len(), ctx.catalog.apps().len());
-
-        let mut single = ctx.learner.clone();
-        single.set_config(
-            LearnerConfig::paper_defaults()
-                .with_lnes(true)
-                .with_packed(true),
-        );
-        for (app_idx, (name, _, accuracy)) in batched.iter().enumerate() {
-            // Reference: the packed single-session path, one event at a time.
-            let mut total = 0usize;
-            let mut correct = 0usize;
-            for trace in &ctx.scenarios.traces(app_idx)[..2] {
-                let mut state = SessionState::new(ctx.scenarios.page_ref(app_idx).tree.clone());
-                for (i, event) in trace.events().iter().enumerate() {
-                    if i > 0 {
-                        let (predicted, _) = single.predict_next_packed(&mut state);
-                        total += 1;
-                        if predicted == event.event_type() {
-                            correct += 1;
-                        }
-                    }
-                    state.observe(event);
-                }
-            }
-            let reference = if total == 0 {
-                0.0
-            } else {
-                correct as f64 / total as f64
-            };
-            assert_eq!(
-                accuracy.to_bits(),
-                reference.to_bits(),
-                "{name}: batched accuracy must equal the packed single path bit for bit"
-            );
-            let f64_figure = scalar[app_idx].2;
-            assert!(
-                (accuracy - f64_figure).abs() < 0.1,
-                "{name}: packed accuracy {accuracy} strayed from the f64 figure {f64_figure}"
-            );
-        }
     }
 }

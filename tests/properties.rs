@@ -1403,11 +1403,9 @@ mod fleet_resilience {
     }
 }
 
-/// PR 8 — the batched prediction plane. The packed f32 kernels are locked
-/// down differentially against the retained per-class scalar paths:
-/// one session at a time must equal the whole-batch matrix pass bit for bit,
-/// and the f32 re-layout must reproduce the f64 reference argmax whenever
-/// the decision margin is clear of rounding noise. A prediction round cut
+/// PR 8 — the packed prediction plane. The f32 re-layout must reproduce
+/// the f64 reference argmax whenever the decision margin is clear of
+/// rounding noise. A prediction round cut
 /// at the first rejected type must be a prefix of the unbounded round.
 mod prediction_plane {
     use proptest::prelude::*;
@@ -1456,61 +1454,7 @@ mod prediction_plane {
         proptest::collection::vec(-2.0f64..2.0, NUM_CLASSES..NUM_CLASSES + 1)
     }
 
-    /// Batch rows: a feature vector plus a raw LNES bitmask (0 = empty set,
-    /// which the plane must treat as "all classes allowed"). Length 0..=8
-    /// covers the empty batch and the single-session batch.
-    fn batch_strategy() -> impl Strategy<Value = Vec<(Vec<f64>, u8)>> {
-        proptest::collection::vec(
-            (
-                proptest::collection::vec(-10.0f64..10.0, FEATURE_DIM..FEATURE_DIM + 1),
-                0u8..128,
-            ),
-            0..9,
-        )
-    }
-
     proptest! {
-        /// `predict_many` is the single-session packed path, bit for bit:
-        /// identical class decisions AND identical f32 confidence bits for
-        /// every row of every batch (including empty and length-1 batches).
-        #[test]
-        fn predict_many_is_bitwise_equal_to_per_row_packed(
-            weights in weights_strategy(),
-            biases in biases_strategy(),
-            batch in batch_strategy(),
-        ) {
-            let packed = PackedModel::from_classifier(&classifier(&weights, &biases));
-
-            let mut rows = Vec::new();
-            let mut masks = Vec::new();
-            for (features, bits) in &batch {
-                packed.pad_features_append(features, &mut rows);
-                masks.push(mask_from_bits(*bits));
-            }
-
-            let mut many = Vec::new();
-            packed.predict_many(&rows, &masks, &mut many);
-            prop_assert_eq!(many.len(), batch.len());
-
-            let mut padded = Vec::new();
-            for (row, ((features, _), mask)) in batch.iter().zip(&masks).enumerate() {
-                packed.pad_features(features, &mut padded);
-                let (single_event, single_logit) = packed.predict_masked_raw(&padded, *mask);
-                let (batch_event, batch_logit) = many[row];
-                prop_assert_eq!(single_event, batch_event, "row {} class decision", row);
-                prop_assert_eq!(
-                    single_logit.to_bits(),
-                    batch_logit.to_bits(),
-                    "row {} score bits",
-                    row
-                );
-                // The sigmoid-squashed single path agrees on the decision —
-                // squashing is strictly monotonic.
-                let (conf_event, _) = packed.predict_masked(&padded, *mask);
-                prop_assert_eq!(single_event, conf_event);
-            }
-        }
-
         /// The f32 re-layout agrees with the retained f64 reference whenever
         /// the top-two raw-score margin is clear of f32 rounding noise.
         #[test]
