@@ -285,19 +285,17 @@ fn select_cheapest(
 const LADDER_CACHE_SIZE: usize = 32;
 
 /// One memoised ladder row: the per-configuration [`LadderPoint`]s of a
-/// demand plus, computed lazily on first request, the two sorted index
-/// orders the optimisation-window poser carries into the solver.
+/// demand plus, computed lazily on first request, the sorted index order
+/// the optimisation-window poser carries into the solver.
 ///
-/// The orders are **stable** sorts of the point indices — by marginal energy
-/// (the solver's option cost) and by latency in whole microseconds (the
-/// solver's option duration) — with exactly the tie-breaking
-/// `ScheduleProblem`'s own table build uses, so a window re-posed from these
-/// orders is bit-identical to one that re-sorted the options itself.
+/// The order is a **stable** sort of the point indices by marginal energy
+/// (the solver's option cost), with exactly the tie-breaking
+/// `ScheduleProblem`'s own table build uses, so a window re-posed from it
+/// is bit-identical to one that re-sorted the options itself.
 #[derive(Debug, Clone, Default)]
 pub struct LadderRow {
     points: Vec<LadderPoint>,
     by_cost: Vec<u32>,
-    by_duration: Vec<u32>,
 }
 
 impl LadderRow {
@@ -313,22 +311,14 @@ impl LadderRow {
         &self.by_cost
     }
 
-    /// Point indices sorted ascending by whole-microsecond latency (stable:
-    /// ties keep config-table order). Only present after
-    /// [`LadderCache::row`] served this row at least once.
-    pub fn by_duration(&self) -> &[u32] {
-        &self.by_duration
-    }
-
     /// Re-evaluates the row for a new demand, invalidating the sorted
-    /// orders (they are rebuilt lazily by [`LadderRow::ensure_sorted`]).
+    /// order (it is rebuilt lazily by [`LadderRow::ensure_sorted`]).
     fn refill(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) {
         ladder.eval_into(demand, &mut self.points);
         self.by_cost.clear();
-        self.by_duration.clear();
     }
 
-    /// Builds the sorted orders if this row does not hold them yet. Pure
+    /// Builds the sorted order if this row does not hold it yet. Pure
     /// `points()` consumers (reactive decisions) never pay for the sorts.
     // The comparator `expect` restates a ladder invariant: `eval_into` only
     // produces finite energies (finite power × finite time), so the partial
@@ -347,10 +337,6 @@ impl LadderRow {
                 .partial_cmp(&points[b as usize].energy_uj)
                 .expect("ladder energies are finite")
         });
-        self.by_duration.clear();
-        self.by_duration.extend(0..self.points.len() as u32);
-        self.by_duration
-            .sort_by_key(|&a| points[a as usize].time.as_micros());
     }
 }
 
@@ -895,9 +881,8 @@ mod tests {
             assert!(cache.points(model.ladder(), demand).len() == model.ladder().len());
             let row = cache.row(model.ladder(), demand);
             assert_eq!(row.points().len(), row.by_cost().len());
-            assert_eq!(row.points().len(), row.by_duration().len());
-            // Both orders are the exact permutation a stable sort over the
-            // solver's `(duration_us, cost)` view of the row produces.
+            // The order is the exact permutation a stable sort over the
+            // solver's cost view of the row produces.
             let mut expect_cost: Vec<u32> = (0..row.points().len() as u32).collect();
             expect_cost.sort_by(|&a, &b| {
                 row.points()[a as usize]
@@ -906,9 +891,6 @@ mod tests {
                     .unwrap()
             });
             assert_eq!(row.by_cost(), expect_cost.as_slice());
-            let mut expect_dur: Vec<u32> = (0..row.points().len() as u32).collect();
-            expect_dur.sort_by_key(|&a| row.points()[a as usize].time.as_micros());
-            assert_eq!(row.by_duration(), expect_dur.as_slice());
         }
         // A second `row()` of the same demand is a pure hit.
         let (hits_before, misses_before) = cache.stats();

@@ -39,6 +39,10 @@ use pes_sim::{run_reactive_with_plane, ScenarioCache};
 use pes_webrt::{ExecutionEngine, QosPolicy};
 use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
 
+#[path = "../../../tests/support/windows.rs"]
+mod windows;
+use windows::greedy_hostile_chain;
+
 fn session_replay(c: &mut Criterion) {
     let platform = Platform::exynos_5410();
     let qos = QosPolicy::paper_defaults();
@@ -304,42 +308,12 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
-    // Mirrors `greedy_hostile_chain(6)` in the pes_ilp unit suite
-    // (crates/ilp/src/schedule.rs) constant for constant, so this unit
-    // measures exactly the scenario the quality test locks down; keep the
-    // two in lockstep when tuning. Solved with the runtime's wide-tier
-    // settings: the 60 k budget and the ε incumbent-quality stop of
-    // `PesConfig::paper_defaults()` — this is the wide-window worst case a
-    // hostile trace would feel per decision.
-    let hostile_window: Vec<ScheduleItem> = (0..6)
-        .flat_map(|k| {
-            let base = k * 3_000_000;
-            [
-                ScheduleItem {
-                    release_us: base,
-                    deadline_us: base + 3_000_000,
-                    options: (0..17)
-                        .map(|j| ScheduleOption {
-                            choice: j,
-                            duration_us: 2_500_000 - j as u64 * 90_000,
-                            cost: 10.0 + 1.5 * (j as f64).powf(1.3),
-                        })
-                        .collect(),
-                },
-                ScheduleItem {
-                    release_us: base + 500_000,
-                    deadline_us: base + 1_800_000,
-                    options: (0..17)
-                        .map(|j| ScheduleOption {
-                            choice: j,
-                            duration_us: 1_500_000 - j as u64 * 50_000,
-                            cost: 8.0 + 1.2 * (j as f64).powf(1.3),
-                        })
-                        .collect(),
-                },
-            ]
-        })
-        .collect();
+    // `greedy_hostile_chain(6)`, the window the pes_ilp quality test locks
+    // down, solved with the runtime's wide-tier settings: the 60 k budget
+    // and the ε incumbent-quality stop of `PesConfig::paper_defaults()` —
+    // this is the wide-window worst case a hostile trace would feel per
+    // decision.
+    let hostile_window = greedy_hostile_chain(6);
     let hostile_problem = ScheduleProblem::new(0, hostile_window)
         .with_node_limit(60_000)
         .with_incumbent_gap(INCUMBENT_GAP_EPSILON);

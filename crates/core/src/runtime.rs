@@ -1235,11 +1235,10 @@ impl Replay<'_> {
     /// re-derived every power term per configuration per fill, which
     /// dominated the Oracle's per-event cost). The Learned planner, whose
     /// quantised + held demand classes recur across rounds, also copies the
-    /// row's cost- and duration-sorted orders alongside the item, so a
-    /// memo-miss re-pose builds its solver tables without sorting a single
-    /// option; the Oracle's exact one-shot demands skip the orders —
-    /// sorting rows nothing reuses costs more than the re-pose sort it
-    /// would save.
+    /// row's cost-sorted order alongside the item, so a memo-miss re-pose
+    /// builds its solver tables without sorting a single option; the
+    /// Oracle's exact one-shot demands skip the order — sorting rows
+    /// nothing reuses costs more than the re-pose sort it would save.
     fn fill_schedule_item(
         &mut self,
         used: usize,
@@ -1272,8 +1271,6 @@ impl Replay<'_> {
             let order = &mut rs.orders_buf[used];
             order.by_cost.clear();
             order.by_cost.extend_from_slice(row.by_cost());
-            order.by_duration.clear();
-            order.by_duration.extend_from_slice(row.by_duration());
         } else {
             let points = rs.ladder_cache.points(ladder, demand);
             item.assign_options(points.iter().map(|p| (p.time.as_micros(), p.energy_uj)));

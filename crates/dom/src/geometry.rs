@@ -74,11 +74,6 @@ impl Rect {
         self.area() == 0
     }
 
-    /// The rectangle translated by `(dx, dy)`.
-    pub fn translated(&self, dx: i64, dy: i64) -> Rect {
-        Rect::new(self.x + dx, self.y + dy, self.width, self.height)
-    }
-
     /// The overlapping region of two rectangles, if any.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         let x1 = self.x.max(other.x);
@@ -235,12 +230,6 @@ mod tests {
         assert!(r.contains_point(29, 29));
         assert!(!r.contains_point(30, 30));
         assert_eq!(r.center(), (20, 20));
-    }
-
-    #[test]
-    fn rect_translation() {
-        let r = Rect::new(0, 0, 5, 5).translated(3, -2);
-        assert_eq!(r, Rect::new(3, -2, 5, 5));
     }
 
     #[test]

@@ -57,10 +57,11 @@ pub use schedule::{
     SolveTier,
 };
 
-// The generic 0/1 ILP of the specialised-vs-generic ablation and the
-// pre-optimisation reference search live in the workspace's
-// `tests/support/`; the unit tests use them and run their tests with this
-// crate's, which is why the files name this crate `pes_ilp`.
+// The generic 0/1 ILP of the specialised-vs-generic ablation, the
+// pre-optimisation reference search and the shared test windows live in
+// the workspace's `tests/support/`; the unit tests use them and run their
+// tests with this crate's, which is why the files name this crate
+// `pes_ilp`.
 #[cfg(test)]
 extern crate self as pes_ilp;
 #[cfg(test)]
@@ -72,6 +73,9 @@ mod reference;
 #[cfg(test)]
 #[path = "../../../tests/support/solver.rs"]
 mod solver;
+#[cfg(test)]
+#[path = "../../../tests/support/windows.rs"]
+mod windows;
 
 #[cfg(test)]
 mod tests {

@@ -16,12 +16,19 @@
 //! (Sec. 5.5 budgets ~10 ms amortised per solve), so the branch-and-bound is
 //! engineered to be allocation-free per search node:
 //!
-//! * the cost-sorted option order and the admissible lower-bound tables
-//!   (per-item minimum durations/costs and duration-sorted prefix-minimum
-//!   cost arrays) are computed **once per problem** at construction and
-//!   cached in [`ScheduleProblem`], so repeated solves of the same window —
-//!   the common case in the PES runtime, which re-plans overlapping windows
-//!   — skip the per-call sort entirely;
+//! * the non-dominated options of every item, in cost order, and the
+//!   admissible lower-bound tables (per-item minimum durations/costs,
+//!   release and deadline arrays) are computed **once per problem** at
+//!   construction and cached flat in [`ScheduleProblem`], so repeated
+//!   solves of the same window — the common case in the PES runtime, which
+//!   re-plans overlapping windows — skip the per-call sort entirely. The
+//!   build sorts each option row in place, allocation-free; the
+//!   cost-ordered run of non-dominated options doubles as the "cheapest
+//!   option fitting a budget" table, so no duration sort is needed at all;
+//! * each node is split into an inlined prologue (`enter`: count, budget,
+//!   probe, bounds, leaf) and a child loop (`expand`) that recurses only
+//!   into the children surviving their prologue — most children die on
+//!   entry to the scan bound, so they cost no call;
 //! * the search reuses one scratch assignment buffer and copies it into a
 //!   preallocated incumbent buffer instead of cloning a fresh `Vec` at every
 //!   improved incumbent;
@@ -48,7 +55,9 @@
 //! switches to a **coarse-time incumbent search**. It fills a dynamic
 //! programme over a grid of 2,048 time cells: `LB[k][c]` is the
 //! least penalised value of items `k..` from cell `c` when durations and
-//! releases round down to the grid, which is an admissible lower bound. One
+//! releases round down to the grid, which is an admissible lower bound.
+//! Each row is filled only over the cells a schedule can reach item `k`
+//! in, between the fastest and the slowest chain of finishes. One
 //! dive guided by that table improves the incumbent, then the depth-first
 //! search re-runs from the root on the remaining budget, pruning on the
 //! table in O(1) per node and with the ε incumbent-quality slack (see
@@ -60,9 +69,10 @@
 //! a best incumbent. [`ScheduleProblem::solve`] is the exact-only wrapper:
 //! it reports [`IlpError::NodeLimit`] for anything but the exact tier.
 //!
-//! The pre-optimisation solver lives in the workspace's test support module
-//! (`tests/support/reference.rs`), so property tests can assert the
-//! optimised search returns identical schedules.
+//! The pre-optimisation solver and the full-width coarse-time fill live in
+//! the workspace's test support module (`tests/support/reference.rs`), so
+//! property tests can assert the optimised search returns identical
+//! schedules and the reachable-cell fill identical bounds.
 
 use crate::error::IlpError;
 
@@ -142,31 +152,28 @@ impl ScheduleItem {
     }
 }
 
-/// Pre-sorted option orders for one item of a (re-)posed window, supplied
-/// by callers that already hold the option rows sorted — the PES runtime's
-/// DVFS ladder cache memoises its 17-point rows together with exactly these
-/// two permutations.
+/// The pre-sorted option order for one item of a (re-)posed window,
+/// supplied by callers that already hold the option rows sorted — the PES
+/// runtime's DVFS ladder cache memoises its 17-point rows together with
+/// exactly this permutation.
 ///
-/// Both orders must be **stable** sorts of `0..options.len()` over the
-/// item's option keys: `by_cost` ascending by `ScheduleOption::cost`,
-/// `by_duration` ascending by `ScheduleOption::duration_us`, ties keeping
-/// index order in both. [`ScheduleProblem::rebuild_sorted`] consumes them to
-/// build its solver tables without sorting, bit-identical to the sorting
-/// path (`debug_assert`ed, and pinned by the workspace proptests).
+/// `by_cost` must be a **stable** sort of `0..options.len()` ascending by
+/// `ScheduleOption::cost`, ties keeping index order.
+/// [`ScheduleProblem::rebuild_sorted`] consumes it to build its solver
+/// tables without sorting, bit-identical to the sorting path
+/// (`debug_assert`ed, and pinned by the workspace proptests).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptionOrder {
     /// Option indices sorted ascending by cost (stable).
     pub by_cost: Vec<u32>,
-    /// Option indices sorted ascending by duration (stable).
-    pub by_duration: Vec<u32>,
 }
 
 impl OptionOrder {
-    /// Builds the canonical stable orders of `options`: exactly the
-    /// permutations [`ScheduleProblem`]'s own table build produces, with
+    /// Builds the canonical stable order of `options`: exactly the
+    /// permutation [`ScheduleProblem`]'s own table build produces, with
     /// identical tie-breaking. This is the reference implementation the
     /// bit-identity tests compare external row providers (the DVFS ladder
-    /// cache) against.
+    /// cache) and the table build's own sort against.
     // The comparator `expect` restates a problem invariant: option costs
     // are finite energies, so the partial ordering is total here.
     #[allow(clippy::expect_used)]
@@ -178,41 +185,26 @@ impl OptionOrder {
                 .partial_cmp(&options[b as usize].cost)
                 .expect("costs are finite")
         });
-        let mut by_duration: Vec<u32> = (0..options.len() as u32).collect();
-        by_duration.sort_by_key(|&a| options[a as usize].duration_us);
-        OptionOrder {
-            by_cost,
-            by_duration,
-        }
+        OptionOrder { by_cost }
     }
 
     /// Whether this order is a valid stable-sorted view of `options` — the
     /// contract [`ScheduleProblem::rebuild_sorted`] `debug_assert`s.
     pub fn is_valid_for(&self, options: &[ScheduleOption]) -> bool {
-        let stable_perm = |perm: &[u32], key_le: &dyn Fn(u32, u32) -> bool| {
-            perm.len() == options.len()
-                && {
-                    let mut seen = vec![false; options.len()];
-                    perm.iter().all(|&i| {
-                        let fresh = (i as usize) < options.len() && !seen[i as usize];
-                        if fresh {
-                            seen[i as usize] = true;
-                        }
-                        fresh
-                    })
+        let mut seen = vec![false; options.len()];
+        self.by_cost.len() == options.len()
+            && self.by_cost.iter().all(|&i| {
+                let fresh = (i as usize) < options.len() && !seen[i as usize];
+                if fresh {
+                    seen[i as usize] = true;
                 }
-                && perm.windows(2).all(|w| key_le(w[0], w[1]))
-        };
-        stable_perm(&self.by_cost, &|a, b| {
-            let (ca, cb) = (options[a as usize].cost, options[b as usize].cost);
-            ca < cb || (ca == cb && a < b)
-        }) && stable_perm(&self.by_duration, &|a, b| {
-            let (da, db) = (
-                options[a as usize].duration_us,
-                options[b as usize].duration_us,
-            );
-            da < db || (da == db && a < b)
-        })
+                fresh
+            })
+            && self.by_cost.windows(2).all(|w| {
+                let (a, b) = (w[0], w[1]);
+                let (ca, cb) = (options[a as usize].cost, options[b as usize].cost);
+                ca < cb || (ca == cb && a < b)
+            })
     }
 }
 
@@ -255,6 +247,9 @@ pub struct SolveScratch {
     prune_cap: f64,
     /// Search nodes visited.
     nodes: usize,
+    /// First-pass nodes left until the next adaptive probe: it fires on
+    /// every multiple of [`ScheduleProblem::probe_interval`].
+    probe_countdown: usize,
     /// Fraction of the enumeration space already covered (sum of the
     /// subtree weights of every pruned subtree and visited leaf). Drives the
     /// adaptive probe's completed-nodes projection.
@@ -286,13 +281,21 @@ pub struct SolveScratch {
 /// relaxed misses imply true misses, so `LB[k][c]` — the least penalised
 /// value of items `k..` from cell `c` — never exceeds the true remaining
 /// value from any time in that cell.
+///
+/// Only the cells a schedule can reach are filled: row `k` covers
+/// `reach[k]`, from the relaxed fastest chain to the rounded-up slowest
+/// chain over all options. Every query (a true finish time) and every read
+/// the fill itself makes lands in that range; the other cells hold stale
+/// values and are never read.
 #[derive(Debug, Clone, Default)]
 struct CoarseBound {
     /// Row-major `LB`: `n + 1` rows of `overflow + 1` cells; row `n` is zero.
     lb: Vec<f64>,
-    /// The next item's row with this item's penalty added, padded to twice
-    /// the row width.
+    /// The next item's row with this item's penalty added, padded past the
+    /// overflow cell with the overflow value.
     penalised_next: Vec<f64>,
+    /// The reachable cell range `(first, last)` of each row, inclusive.
+    reach: Vec<(usize, usize)>,
     /// The window start, the origin of cell 0.
     start_us: u64,
     /// Cell width in microseconds (at least 1).
@@ -318,10 +321,16 @@ impl CoarseBound {
         (t.saturating_sub(self.start_us) / self.grid_us).min(self.overflow as u64) as usize
     }
 
-    /// `LB[index][cell(cursor_us)]`.
+    /// `LB[index][cell(cursor_us)]`; `cursor_us` must be a time some
+    /// schedule reaches item `index` at.
     #[inline]
     fn at(&self, index: usize, cursor_us: u64) -> f64 {
-        self.lb[index * (self.overflow + 1) + self.cell(cursor_us)]
+        let c = self.cell(cursor_us);
+        debug_assert!(
+            (self.reach[index].0..=self.reach[index].1).contains(&c),
+            "cell {c} of row {index} is unreachable"
+        );
+        self.lb[index * (self.overflow + 1) + c]
     }
 }
 
@@ -331,7 +340,7 @@ impl SolveScratch {
         SolveScratch::default()
     }
 
-    fn reset(&mut self, n: usize, prune_cap: f64) {
+    fn reset(&mut self, n: usize, prune_cap: f64, probe_interval: usize) {
         self.selected.clear();
         self.selected.resize(n, 0);
         self.best_selected.clear();
@@ -340,6 +349,7 @@ impl SolveScratch {
         self.has_best = false;
         self.prune_cap = prune_cap;
         self.nodes = 0;
+        self.probe_countdown = probe_interval;
         self.progress = 0.0;
         self.probe_baseline = None;
         self.hopeless_probes = 0;
@@ -384,11 +394,18 @@ pub struct ScheduleProblem {
     start_us: u64,
     items: Vec<ScheduleItem>,
     node_limit: usize,
-    /// Cost-sorted option indices for every item, flattened; item `i`'s order
-    /// lives at `order[order_offsets[i]..order_offsets[i + 1]]`. Computed
-    /// once at construction so repeated solves skip the per-call sort.
+    /// Release time per item, parallel to `items`.
+    release: Vec<u64>,
+    /// Deadline per item, parallel to `items`.
+    deadline: Vec<u64>,
+    /// Non-dominated option indices of every item in cost order, flattened;
+    /// item `i`'s order lives at `order[order_offsets[i]..order_offsets[i +
+    /// 1]]`. Computed once per window so repeated solves skip the sort.
     order: Vec<u32>,
-    /// Offsets into `order`, one per item plus a trailing end offset.
+    /// `(duration_us, cost)` of each entry of `order`, so a node's children
+    /// read one flat array instead of chasing the item's option list.
+    ranked: Vec<(u64, f64)>,
+    /// Offsets into `order`/`ranked`, one per item plus a trailing end.
     order_offsets: Vec<u32>,
     /// Fastest option duration per item: drives the earliest-finish chain of
     /// the admissible lower bound.
@@ -396,14 +413,6 @@ pub struct ScheduleProblem {
     /// Cheapest option cost per item: the cost floor once an item's deadline
     /// is already unavoidably missed.
     min_cost: Vec<f64>,
-    /// Option durations per item, sorted ascending, flattened.
-    dur_sorted: Vec<u64>,
-    /// `dur_cheapest[k]`: cheapest cost among the options of the same item
-    /// that are at least as fast as `dur_sorted[k]` (prefix minimum), so
-    /// "cheapest option fitting a budget" is one binary search.
-    dur_cheapest: Vec<f64>,
-    /// Offsets into `dur_sorted`/`dur_cheapest`, one per item plus an end.
-    dur_offsets: Vec<u32>,
     /// `suffix_min_cost[i]`: plain cost floor of items `i..`, used as the
     /// lower bound's tail beyond [`BOUND_SCAN_LIMIT`].
     suffix_min_cost: Vec<f64>,
@@ -458,8 +467,10 @@ const ADAPT_PROBE_INTERVAL_MIN: usize = 512;
 const ADAPT_PROJECTION_MARGIN: f64 = 2.0;
 
 /// Time cells of the coarse-time lower-bound table, spread over `[start,
-/// latest deadline]`. Filling the table costs `O(n · DP_CELLS · m)` per
-/// hopeless window, about 0.1 ms at 12×17. On the 346 hopeless Oracle
+/// latest deadline]`. Filling every cell costs `O(n · DP_CELLS · m)` per
+/// hopeless window, about 0.2 ms at 12×17 as measured in an Oracle replay;
+/// filling only each row's reachable cells cuts that (see
+/// `fill_coarse_bound`). On the 346 hopeless Oracle
 /// windows of the seed-1 `policy-matrix` traces, 1,024 cells ran 15%
 /// faster but planned 0.9 J more energy; 4,096 cells planned 0.7 J less
 /// but ran 1.6× slower.
@@ -468,23 +479,23 @@ const DP_CELLS: u64 = 2048;
 impl ScheduleProblem {
     /// Creates a problem whose first event may start at `start_us`.
     ///
-    /// Construction precomputes the solver's caches (cost-sorted option
-    /// order, per-item minimum durations/costs, duration-sorted
-    /// prefix-minimum cost tables) in `O(n·m log m)` for `n` items of `m`
-    /// options — negligible next to the search itself, and paid once per
-    /// window rather than once per solve.
+    /// Construction precomputes the solver's caches (the cost-ordered
+    /// non-dominated options, per-item minimum durations/costs, releases
+    /// and deadlines) in `O(n·m log m)` for `n` items of `m` options —
+    /// negligible next to the search itself, and paid once per window
+    /// rather than once per solve.
     pub fn new(start_us: u64, items: Vec<ScheduleItem>) -> Self {
         let mut problem = ScheduleProblem {
             start_us,
             items,
             node_limit: 5_000_000,
+            release: Vec::new(),
+            deadline: Vec::new(),
             order: Vec::new(),
+            ranked: Vec::new(),
             order_offsets: Vec::new(),
             min_duration: Vec::new(),
             min_cost: Vec::new(),
-            dur_sorted: Vec::new(),
-            dur_cheapest: Vec::new(),
-            dur_offsets: Vec::new(),
             suffix_min_cost: Vec::new(),
             inv_breadth: Vec::new(),
             incumbent_gap: 0.0,
@@ -510,8 +521,7 @@ impl ScheduleProblem {
     /// [`ScheduleProblem::rebuild`] without the per-item sorting: the caller
     /// supplies one pre-sorted [`OptionOrder`] per item (the PES runtime's
     /// ladder cache holds its 17-option rows sorted already), and the solver
-    /// tables are built by walking those orders instead of re-sorting —
-    /// which was most of a re-pose's cost. Bit-identical to
+    /// tables are built by walking those orders instead of re-sorting. Bit-identical to
     /// [`ScheduleProblem::rebuild`] when the orders satisfy
     /// [`OptionOrder::is_valid_for`] (`debug_assert`ed here).
     ///
@@ -564,109 +574,76 @@ impl ScheduleProblem {
     // [`OptionOrder::from_options`].
     #[allow(clippy::expect_used)]
     fn rebuild_tables(&mut self, orders: Option<&[OptionOrder]>) {
-        let n = self.items.len();
-        let items = &self.items;
-
-        // Cost-sorted option order per item: the first dive is greedy and
-        // produces a good incumbent quickly. Dominated options — at least as
-        // slow AND at least as expensive as an option earlier in cost order —
-        // are dropped: such a branch can never strictly improve on the
-        // earlier option's subtree (a later start can only raise future cost
-        // and violations), so eliding it cannot change which incumbents the
-        // search accepts.
+        self.release.clear();
+        self.deadline.clear();
         self.order.clear();
+        self.ranked.clear();
         self.order_offsets.clear();
-        let mut scratch_idx: Vec<u32> = Vec::new();
         self.order_offsets.push(0);
-        for (i, item) in items.iter().enumerate() {
-            let by_cost: &[u32] = match orders {
-                Some(orders) => &orders[i].by_cost,
+        self.min_duration.clear();
+        self.min_cost.clear();
+        self.inv_breadth.clear();
+        for (i, item) in self.items.iter().enumerate() {
+            let options = &item.options;
+            self.release.push(item.release_us);
+            self.deadline.push(item.deadline_us);
+            self.min_cost
+                .push(options.iter().map(|o| o.cost).fold(f64::INFINITY, f64::min));
+
+            // Cost-sorted option order: the first dive is greedy and
+            // produces a good incumbent quickly. Dominated options — at
+            // least as slow AND at least as expensive as an option earlier
+            // in cost order — are dropped: such a branch can never strictly
+            // improve on the earlier option's subtree (a later start can
+            // only raise future cost and violations), so eliding it cannot
+            // change which incumbents the search accepts. The row is
+            // sorted at the tail of `order` and compacted in place; the
+            // library's stable sort needs no buffer for rows of up to 20
+            // options.
+            let base = self.order.len();
+            match orders {
+                Some(orders) => self.order.extend_from_slice(&orders[i].by_cost),
                 None => {
-                    scratch_idx.clear();
-                    scratch_idx.extend(0..item.options.len() as u32);
-                    scratch_idx.sort_by(|&a, &b| {
-                        item.options[a as usize]
+                    self.order.extend(0..options.len() as u32);
+                    self.order[base..].sort_by(|&a, &b| {
+                        options[a as usize]
                             .cost
-                            .partial_cmp(&item.options[b as usize].cost)
+                            .partial_cmp(&options[b as usize].cost)
                             .expect("costs are finite")
                     });
-                    &scratch_idx
                 }
-            };
+            }
+            let mut kept = base;
             let mut fastest_so_far = u64::MAX;
-            for &idx in by_cost {
-                let duration = item.options[idx as usize].duration_us;
-                if duration < fastest_so_far {
-                    fastest_so_far = duration;
-                    self.order.push(idx);
+            for r in base..self.order.len() {
+                let o = self.order[r];
+                let opt = options[o as usize];
+                // The cheapest option is always kept, even at `u64::MAX`.
+                if kept == base || opt.duration_us < fastest_so_far {
+                    fastest_so_far = opt.duration_us;
+                    self.order[kept] = o;
+                    self.ranked.push((opt.duration_us, opt.cost));
+                    kept += 1;
                 }
             }
-            self.order_offsets.push(self.order.len() as u32);
+            self.order.truncate(kept);
+            self.order_offsets.push(kept as u32);
+            // The fastest option is never dominated, so the last survivor
+            // is the item's minimum duration.
+            self.min_duration.push(if options.is_empty() {
+                0
+            } else {
+                fastest_so_far
+            });
+            self.inv_breadth.push(1.0 / (kept - base).max(1) as f64);
         }
 
-        // Per-item minimum duration and cost: the building blocks of the
-        // admissible earliest-finish / cheapest-feasible lower bound.
-        self.min_duration.clear();
-        self.min_duration.extend(items.iter().map(|item| {
-            item.options
-                .iter()
-                .map(|o| o.duration_us)
-                .min()
-                .unwrap_or(0)
-        }));
-        self.min_cost.clear();
-        self.min_cost.extend(items.iter().map(|item| {
-            item.options
-                .iter()
-                .map(|o| o.cost)
-                .fold(f64::INFINITY, f64::min)
-        }));
-
-        // Duration-sorted options with a prefix-minimum cost, so "cheapest
-        // option no slower than a budget" is a single binary search.
-        self.dur_sorted.clear();
-        self.dur_cheapest.clear();
-        self.dur_offsets.clear();
-        self.dur_offsets.push(0);
-        let mut by_duration: Vec<(u64, f64)> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match orders {
-                Some(orders) => {
-                    let mut cheapest = f64::INFINITY;
-                    for &idx in &orders[i].by_duration {
-                        let opt = item.options[idx as usize];
-                        cheapest = cheapest.min(opt.cost);
-                        self.dur_sorted.push(opt.duration_us);
-                        self.dur_cheapest.push(cheapest);
-                    }
-                }
-                None => {
-                    by_duration.clear();
-                    by_duration.extend(item.options.iter().map(|o| (o.duration_us, o.cost)));
-                    by_duration.sort_by_key(|&(duration, _)| duration);
-                    let mut cheapest = f64::INFINITY;
-                    for &(duration, cost) in &by_duration {
-                        cheapest = cheapest.min(cost);
-                        self.dur_sorted.push(duration);
-                        self.dur_cheapest.push(cheapest);
-                    }
-                }
-            }
-            self.dur_offsets.push(self.dur_sorted.len() as u32);
-        }
-
+        let n = self.items.len();
         self.suffix_min_cost.clear();
         self.suffix_min_cost.resize(n + 1, 0.0);
         for i in (0..n).rev() {
             self.suffix_min_cost[i] = self.suffix_min_cost[i + 1] + self.min_cost[i];
         }
-
-        self.inv_breadth.clear();
-        let order_offsets = &self.order_offsets;
-        self.inv_breadth.extend((0..n).map(|i| {
-            let breadth = (order_offsets[i + 1] - order_offsets[i]).max(1);
-            1.0 / breadth as f64
-        }));
     }
 
     /// The events in the window.
@@ -720,26 +697,34 @@ impl ScheduleProblem {
         self.incumbent_gap
     }
 
-    /// Item `k`'s non-dominated option indices in cost order.
+    /// Item `k`'s range of `order`/`ranked`: its non-dominated options in
+    /// cost order.
     #[inline]
-    fn cost_order(&self, k: usize) -> &[u32] {
-        &self.order[self.order_offsets[k] as usize..self.order_offsets[k + 1] as usize]
+    fn ranked_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.order_offsets[k] as usize..self.order_offsets[k + 1] as usize
     }
 
     /// Cheapest cost of an option of item `j` no slower than `budget`.
     /// Precondition: the item's fastest option fits (`budget >=
-    /// min_duration[j]`). The slowest-option-fits common case (loose
-    /// windows) answers with one compare instead of a binary search.
+    /// min_duration[j]`).
+    ///
+    /// The cheapest fitting option is never dominated (every option before
+    /// it in cost order is too slow), so the answer is the first entry of
+    /// the item's cost-ordered, strictly speeding-up `ranked` run that
+    /// fits: one compare when the cheapest option fits (loose windows),
+    /// else a binary search.
     #[inline]
     fn cheapest_fitting(&self, j: usize, budget: u64) -> f64 {
-        let lo = self.dur_offsets[j] as usize;
-        let hi = self.dur_offsets[j + 1] as usize;
-        if self.dur_sorted[hi - 1] <= budget {
-            return self.dur_cheapest[hi - 1];
+        let ranked = &self.ranked[self.ranked_range(j)];
+        if ranked[0].0 <= budget {
+            return ranked[0].1;
         }
-        let fitting = self.dur_sorted[lo..hi].partition_point(|&d| d <= budget);
-        debug_assert!(fitting > 0, "caller checked the fastest option fits");
-        self.dur_cheapest[lo + fitting - 1]
+        let too_slow = ranked.partition_point(|&(d, _)| d > budget);
+        debug_assert!(
+            too_slow < ranked.len(),
+            "caller checked the fastest option fits"
+        );
+        ranked[too_slow].1
     }
 
     /// Whether the earliest-finish scan bound prunes a node at item `index`,
@@ -750,8 +735,8 @@ impl ScheduleProblem {
     /// no earlier than `max(chain, release)` and the chain advances by the
     /// item's *fastest* option, so every actual schedule starts each item at
     /// or after the chain's start. The item then contributes the cheapest
-    /// option fast enough to meet its deadline from that earliest start (one
-    /// binary search in the duration-sorted prefix-minimum table); if even
+    /// option fast enough to meet its deadline from that earliest start
+    /// ([`ScheduleProblem::cheapest_fitting`]); if even
     /// the fastest option misses, the miss is unavoidable and the item
     /// contributes a violation plus its global cheapest cost. Items past
     /// [`BOUND_SCAN_LIMIT`] contribute their plain cost floor. Every
@@ -775,9 +760,14 @@ impl ScheduleProblem {
         if index == scan_end {
             return penalised + self.suffix_min_cost[scan_end] >= threshold;
         }
-        for (j, item) in self.items.iter().enumerate().take(scan_end).skip(index) {
-            let start = chain.max(item.release_us);
-            let budget = item.deadline_us.saturating_sub(start);
+        for j in index..scan_end {
+            let start = chain.max(self.release[j]);
+            // Finishes saturate at `u64::MAX`, so every option meets a
+            // deadline there.
+            let budget = match self.deadline[j] {
+                u64::MAX => u64::MAX,
+                deadline => deadline.saturating_sub(start),
+            };
             if budget < self.min_duration[j] {
                 violations += 1;
                 cost += self.min_cost[j];
@@ -854,8 +844,8 @@ impl ScheduleProblem {
         // greedy value so an exactly-greedy-valued optimum is never pruned.
         let greedy = self.greedy_value();
         let prune_cap = greedy + (greedy.abs() * 1e-12).max(1e-6);
-        scratch.reset(self.items.len(), prune_cap);
-        let tier = match self.branch::<false>(scratch, 0, self.start_us, 0.0, 0, 1.0) {
+        scratch.reset(self.items.len(), prune_cap, self.probe_interval());
+        let tier = match self.search::<false>(scratch) {
             Ok(()) => SolveTier::Exact,
             Err(stop) => {
                 // Seed the incumbent with the greedy schedule unless the
@@ -925,6 +915,8 @@ impl ScheduleProblem {
     /// that residual space. Two consecutive over-budget projections are
     /// required, so one noisy estimate cannot end a search the bound would
     /// finish.
+    #[cold]
+    #[inline(never)]
     fn adapt_probe(&self, scratch: &mut SolveScratch) {
         match scratch.probe_baseline {
             None => scratch.probe_baseline = Some((scratch.nodes, scratch.progress)),
@@ -949,10 +941,26 @@ impl ScheduleProblem {
         }
     }
 
-    /// The depth-first branch and bound. The first pass (`COARSE = false`)
-    /// runs the adaptive probe; the coarse-time pass (`COARSE = true`) runs
-    /// without it and prunes on the coarse-time table first.
-    fn branch<const COARSE: bool>(
+    /// Runs the depth-first branch and bound from the root: the first pass
+    /// (`COARSE = false`) runs the adaptive probe; the coarse-time pass
+    /// (`COARSE = true`) runs without it and prunes on the coarse-time table
+    /// first.
+    fn search<const COARSE: bool>(&self, scratch: &mut SolveScratch) -> Result<(), SearchStop> {
+        if self.enter::<COARSE>(scratch, 0, self.start_us, 0.0, 0, 1.0)? {
+            self.expand::<COARSE>(scratch, 0, self.start_us, 0.0, 0, 1.0)?;
+        }
+        Ok(())
+    }
+
+    /// The prologue of one search node at item `index`, reached at
+    /// `cursor_us` with prefix `cost` and `violations` and carrying
+    /// `weight` of the enumeration space: counts the node, enforces the
+    /// budget, runs the adaptive probe, prunes on the bounds and accepts a
+    /// leaf. Returns whether the node must be expanded. Inlined into its
+    /// parent's child loop, so the ~94% of children the bounds prune on
+    /// entry cost no call.
+    #[inline(always)]
+    fn enter<const COARSE: bool>(
         &self,
         scratch: &mut SolveScratch,
         index: usize,
@@ -960,7 +968,7 @@ impl ScheduleProblem {
         cost: f64,
         violations: usize,
         weight: f64,
-    ) -> Result<(), SearchStop> {
+    ) -> Result<bool, SearchStop> {
         if !COARSE && scratch.hopeless_probes >= 2 {
             // The adaptive probe concluded the search cannot finish within
             // the node budget: unwind the whole stack and hand the remaining
@@ -972,8 +980,12 @@ impl ScheduleProblem {
         if scratch.nodes > self.node_limit {
             return Err(SearchStop::Budget);
         }
-        if !COARSE && scratch.nodes.is_multiple_of(self.probe_interval()) {
-            self.adapt_probe(scratch);
+        if !COARSE {
+            scratch.probe_countdown -= 1;
+            if scratch.probe_countdown == 0 {
+                scratch.probe_countdown = self.probe_interval();
+                self.adapt_probe(scratch);
+            }
         }
         let penalised = cost + violations as f64 * VIOLATION_PENALTY;
         let threshold = if scratch.has_best {
@@ -981,19 +993,17 @@ impl ScheduleProblem {
         } else {
             scratch.prune_cap
         };
-        if COARSE && penalised + scratch.coarse.at(index, cursor_us) >= threshold {
+        // The coarse-time table, then the earliest-finish scan bound: taking
+        // the cheapest deadline-respecting remaining options in the best
+        // case, and counting only the future misses that are already
+        // unavoidable, can this branch still beat the incumbent (or, before
+        // one exists, the greedy cap)? Both bounds are admissible, so the
+        // returned optimum is identical to the unpruned search's.
+        if (COARSE && penalised + scratch.coarse.at(index, cursor_us) >= threshold)
+            || self.scan_bound_prunes(index, cursor_us, penalised, threshold)
+        {
             scratch.progress += weight;
-            return Ok(());
-        }
-        // Earliest-finish scan bound: taking the cheapest deadline-respecting
-        // remaining options in the best case, and counting only the future
-        // misses that are already unavoidable, can this branch still beat
-        // the incumbent (or, before one exists, the greedy cap)? The bound
-        // is admissible, so the returned optimum is identical to the
-        // unpruned search's.
-        if self.scan_bound_prunes(index, cursor_us, penalised, threshold) {
-            scratch.progress += weight;
-            return Ok(());
+            return Ok(false);
         }
         if index == self.items.len() {
             scratch.progress += weight;
@@ -1005,25 +1015,51 @@ impl ScheduleProblem {
                     scratch.prune_slack = self.prune_slack(penalised);
                 }
             }
-            return Ok(());
+            return Ok(false);
         }
-        let item = &self.items[index];
+        Ok(true)
+    }
+
+    /// Expands an entered node at item `index` (see
+    /// [`ScheduleProblem::enter`]): enters each child in cost order and
+    /// recurses only into the children that survive their prologue, so
+    /// nodes are counted and probed in the same order as a search that
+    /// called into every child.
+    fn expand<const COARSE: bool>(
+        &self,
+        scratch: &mut SolveScratch,
+        index: usize,
+        cursor_us: u64,
+        cost: f64,
+        violations: usize,
+        weight: f64,
+    ) -> Result<(), SearchStop> {
+        let start = cursor_us.max(self.release[index]);
+        let deadline = self.deadline[index];
         let child_weight = weight * self.inv_breadth[index];
-        for &o in self.cost_order(index) {
-            let opt_idx = o as usize;
-            let opt = item.options[opt_idx];
-            let start = cursor_us.max(item.release_us);
-            let finish = start.saturating_add(opt.duration_us);
-            let missed = finish > item.deadline_us;
-            scratch.selected[index] = opt_idx;
-            self.branch::<COARSE>(
+        for r in self.ranked_range(index) {
+            let (duration, option_cost) = self.ranked[r];
+            let finish = start.saturating_add(duration);
+            let child_cost = cost + option_cost;
+            let child_violations = violations + usize::from(finish > deadline);
+            scratch.selected[index] = self.order[r] as usize;
+            if self.enter::<COARSE>(
                 scratch,
                 index + 1,
                 finish,
-                cost + opt.cost,
-                violations + usize::from(missed),
+                child_cost,
+                child_violations,
                 child_weight,
-            )?;
+            )? {
+                self.expand::<COARSE>(
+                    scratch,
+                    index + 1,
+                    finish,
+                    child_cost,
+                    child_violations,
+                    child_weight,
+                )?;
+            }
         }
         Ok(())
     }
@@ -1101,7 +1137,7 @@ impl ScheduleProblem {
         self.fill_coarse_bound(&mut scratch.coarse);
         self.coarse_dive(scratch);
         scratch.prune_slack = self.prune_slack(scratch.best_penalised);
-        let _ = self.branch::<true>(scratch, 0, self.start_us, 0.0, 0, 1.0);
+        let _ = self.search::<true>(scratch);
     }
 
     /// The prune slack at incumbent value `best_penalised`: the incumbent
@@ -1118,47 +1154,87 @@ impl ScheduleProblem {
     /// Fills the coarse-time table (see [`CoarseBound`]) backwards, one
     /// item at a time, as a shifted minimum over the next row with the
     /// item's penalty already added: `row[c] = min_o(cost_o +
-    /// penalised_next[min(max(c, release) + shift_o, overflow)])`. Cell
-    /// offsets are clamped at the overflow cell and every cell is computed
-    /// with saturating arithmetic, so hostile times (durations or deadlines
-    /// near `u64::MAX`) cannot overflow or grow the table past
-    /// `(n + 1) × (DP_CELLS + 1)` entries.
+    /// penalised_next[min(max(c, release) + shift_o, overflow)])`, over the
+    /// row's reachable cells only. Cell offsets are clamped at the overflow
+    /// cell and every cell is computed with saturating arithmetic, so
+    /// hostile times (durations or deadlines near `u64::MAX`) cannot
+    /// overflow or grow the table past `(n + 1) × (DP_CELLS + 1)` entries.
     fn fill_coarse_bound(&self, table: &mut CoarseBound) {
         let n = self.items.len();
-        let latest = self.items.iter().map(|i| i.deadline_us).max().unwrap_or(0);
+        let latest = self.deadline.iter().copied().max().unwrap_or(0);
         let horizon = latest.saturating_sub(self.start_us);
         table.start_us = self.start_us;
         table.grid_us = horizon / DP_CELLS + 1;
         table.overflow = (horizon / table.grid_us + 1) as usize;
-        let width = table.overflow + 1;
-        table.lb.clear();
-        table.lb.resize((n + 1) * width, 0.0);
+        let (grid_us, overflow) = (table.grid_us, table.overflow);
+        let width = overflow + 1;
+        // The cells a duration advances a relaxed (rounded-down) finish.
+        let shift = |duration_us: u64| (duration_us / grid_us).min(overflow as u64) as usize;
+
+        // Forward pass: the reachable cells of every row. The first cell
+        // follows the fastest chain, relaxed as the fill reads it and
+        // capped by the cell of the true fastest finish (lower only when
+        // that finish saturates). The last follows the slowest chain with
+        // durations rounded up, which bounds both the true slowest finish
+        // and every relaxed read.
+        table.reach.clear();
+        table.reach.push((0, 0));
+        let (mut first, mut last) = (0usize, 0usize);
+        let mut fastest_us = self.start_us;
+        for k in 0..n {
+            let release = table.cell(self.release[k]);
+            let fastest = self.min_duration[k];
+            let slowest = self.items[k].options.iter().map(|o| o.duration_us).max();
+            let slowest_cells = slowest.unwrap_or(0).div_ceil(grid_us).min(overflow as u64);
+            fastest_us = fastest_us.max(self.release[k]).saturating_add(fastest);
+            first = (first.max(release) + shift(fastest))
+                .min(table.cell(fastest_us))
+                .min(overflow);
+            last = (last.max(release) + slowest_cells as usize).min(overflow);
+            table.reach.push((first, last));
+        }
+
+        if table.lb.len() < (n + 1) * width {
+            table.lb.resize((n + 1) * width, 0.0);
+        }
+        if table.penalised_next.len() < 2 * width {
+            table.penalised_next.resize(2 * width, 0.0);
+        }
+        let (first, last) = table.reach[n];
+        table.lb[n * width + first..=n * width + last].fill(0.0);
         for k in (0..n).rev() {
-            let item = &self.items[k];
             // The first cell whose finish misses: past the deadline's cell,
             // or every cell when the deadline precedes the window.
-            let miss_from = (item.deadline_us.checked_sub(self.start_us))
-                .map_or(0, |d| (d / table.grid_us) as usize + 1);
-            let release = table.cell(item.release_us);
+            let miss_from = (self.deadline[k].checked_sub(self.start_us))
+                .map_or(0, |d| (d / grid_us) as usize + 1);
+            let release = table.cell(self.release[k]);
+            let (first, last) = table.reach[k];
+            let (next_first, next_last) = table.reach[k + 1];
+            // Cells before the release start at the release: compute the
+            // release-clamped cells, then copy the first one down.
+            let (lo, hi) = (first.max(release), last.max(release));
+            let ranked = &self.ranked[self.ranked_range(k)];
+            let max_shift = ranked.iter().map(|&(d, _)| shift(d)).max().unwrap_or(0);
             let (head, tail) = table.lb.split_at_mut((k + 1) * width);
-            let row = &mut head[k * width..];
-            // The next row, padded with `overflow` copies of its overflow
-            // cell so that every shifted read stays in bounds.
+            let row = &mut head[k * width..(k + 1) * width];
+            let next_row = &tail[..width];
+            // The next row with this item's penalty, over its reachable
+            // cells, padded with its overflow cell wherever a shifted read
+            // runs past it (reads only pass the last reachable cell when
+            // that cell is the overflow cell).
             let next = &mut table.penalised_next;
-            next.clear();
-            next.extend_from_slice(&tail[..width]);
-            next.resize(2 * width, tail[width - 1]);
-            for p in &mut next[miss_from..] {
+            let end = (hi + max_shift + 1).max(next_last + 1);
+            next[next_first..=next_last].copy_from_slice(&next_row[next_first..=next_last]);
+            next[next_last + 1..end].fill(next_row[next_last]);
+            for p in &mut next[miss_from.max(next_first)..end.max(miss_from)] {
                 *p += VIOLATION_PENALTY;
             }
-            row[release..].fill(f64::INFINITY);
-            for &o in self.cost_order(k) {
-                let opt = item.options[o as usize];
-                let shift = (opt.duration_us / table.grid_us).min(table.overflow as u64) as usize;
-                relax_row(&mut row[release..], &next[release + shift..], opt.cost);
+            row[lo..=hi].fill(f64::INFINITY);
+            for &(duration, cost) in ranked {
+                relax_row(&mut row[lo..=hi], &next[lo + shift(duration)..], cost);
             }
-            let at_release = row[release];
-            row[..release].fill(at_release);
+            let at_release = row[lo];
+            row[first..lo].fill(at_release);
         }
     }
 
@@ -1173,14 +1249,14 @@ impl ScheduleProblem {
         for (k, item) in self.items.iter().enumerate() {
             let start = cursor.max(item.release_us);
             let mut best = (f64::INFINITY, 0, start);
-            for &o in self.cost_order(k) {
-                let opt = item.options[o as usize];
-                let finish = start.saturating_add(opt.duration_us);
+            for r in self.ranked_range(k) {
+                let (duration, option_cost) = self.ranked[r];
+                let finish = start.saturating_add(duration);
                 let missed = f64::from(u8::from(finish > item.deadline_us));
                 let value =
-                    opt.cost + missed * VIOLATION_PENALTY + scratch.coarse.at(k + 1, finish);
+                    option_cost + missed * VIOLATION_PENALTY + scratch.coarse.at(k + 1, finish);
                 if value < best.0 {
-                    best = (value, o as usize, finish);
+                    best = (value, self.order[r] as usize, finish);
                 }
             }
             let (_, sel, finish) = best;
@@ -1201,7 +1277,9 @@ impl ScheduleProblem {
     /// where `solution` finishes item `k - 1` (at the window start for
     /// `k = 0`), and the last entry is `(0, 0.0)`. This is the table the
     /// coarse-time search prunes with; it is exposed so tests can check it
-    /// never exceeds the true remaining value.
+    /// never exceeds the true remaining value. `solution.finish_us` must be
+    /// the finishes of some selection of this problem's options (any
+    /// selection: the table holds exactly the cells such schedules reach).
     pub fn coarse_time_bounds(&self, solution: &ScheduleSolution) -> Vec<(usize, f64)> {
         let mut table = CoarseBound::default();
         self.fill_coarse_bound(&mut table);
@@ -1251,6 +1329,7 @@ mod tests {
     use super::*;
     use crate::reference::solve_reference;
     use crate::solver::to_generic_ilp;
+    use crate::windows::greedy_hostile_chain;
 
     fn opt(choice: usize, duration_us: u64, cost: f64) -> ScheduleOption {
         ScheduleOption {
@@ -1536,42 +1615,6 @@ mod tests {
         }
     }
 
-    /// A chain of Fig. 2-style (slack-rich, then tight) event pairs whose
-    /// slowest options overlap the next pair: greedy lets every slack-rich
-    /// event crawl and then misses every tight deadline, while a global
-    /// schedule meets all of them. Exact search needs tens of millions of
-    /// nodes on this window; the coarse-time search finds the 0-violation
-    /// optimum within a few thousand.
-    fn greedy_hostile_chain(pairs: u64) -> Vec<ScheduleItem> {
-        let mut items = Vec::new();
-        for k in 0..pairs {
-            let base = k * 3_000_000;
-            items.push(ScheduleItem {
-                release_us: base,
-                deadline_us: base + 3_000_000,
-                options: (0..17)
-                    .map(|j| ScheduleOption {
-                        choice: j,
-                        duration_us: 2_500_000 - j as u64 * 90_000,
-                        cost: 10.0 + 1.5 * (j as f64).powf(1.3),
-                    })
-                    .collect(),
-            });
-            items.push(ScheduleItem {
-                release_us: base + 500_000,
-                deadline_us: base + 1_800_000,
-                options: (0..17)
-                    .map(|j| ScheduleOption {
-                        choice: j,
-                        duration_us: 1_500_000 - j as u64 * 50_000,
-                        cost: 8.0 + 1.2 * (j as f64).powf(1.3),
-                    })
-                    .collect(),
-            });
-        }
-        items
-    }
-
     #[test]
     fn anytime_incumbent_beats_the_greedy_cliff_on_hostile_windows() {
         // 12 events x 17 options; the depth-first search cannot finish this
@@ -1729,6 +1772,25 @@ mod tests {
         assert_eq!(tier, SolveTier::Incumbent);
         assert_eq!(solution.finish_us[12], u64::MAX, "finishes saturate");
         assert!(no_worse(&solution, &problem.solve_greedy().unwrap()));
+    }
+
+    #[test]
+    fn saturating_finishes_meet_a_deadline_at_the_top_of_the_range() {
+        // Finishes saturate at `u64::MAX`, so both options meet this
+        // deadline: the cheapest one (whose duration is `u64::MAX` itself)
+        // must stay a branch, and the scan bound must not count a miss.
+        let items = vec![ScheduleItem {
+            release_us: u64::MAX - 1,
+            deadline_us: u64::MAX,
+            options: vec![opt(0, u64::MAX, 1.0), opt(1, u64::MAX - 7, 2.0)],
+        }];
+        let problem = ScheduleProblem::new(0, items);
+        let greedy = problem.solve_greedy().unwrap();
+        let solution = problem.solve().unwrap();
+        assert_eq!(solution.choices, greedy.choices);
+        assert_eq!(solution.choices, vec![0]);
+        assert_eq!(solution.violations, 0);
+        assert_eq!(solution.finish_us, vec![u64::MAX]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ mod support;
 use support::dvfs::{
     cheapest_config_within_reference, execution_power_reference, marginal_energy_reference,
 };
-use support::reference::solve_reference;
+use support::reference::{coarse_time_bounds_reference, solve_reference};
 use support::solver::to_generic_ilp;
 
 proptest! {
@@ -828,6 +828,106 @@ proptest! {
             "coarse-time result ({}, {}) worse than greedy ({}, {})",
             anytime.violations, anytime.total_cost, greedy.violations, greedy.total_cost
         );
+    }
+
+    /// The coarse-time table fills only the cells a schedule can reach;
+    /// every cell a schedule does query equals the full-width fill's bit for
+    /// bit. Windows of up to 8 events carry random `(duration, cost)` rows,
+    /// so dominated options abound, and half of them sit at the top of the
+    /// time range, ending in an event whose durations saturate every
+    /// finish and one more event after it. The queried schedules are random picks (dominated options
+    /// included), the greedy schedule and the solver's own.
+    #[test]
+    fn coarse_time_table_matches_the_full_fill_on_every_reachable_cell(
+        shape in proptest::collection::vec(
+            (
+                0u64..300_000,
+                10u64..200,
+                proptest::collection::vec((1u64..400_000, 1u64..60), 1..18),
+            ),
+            1..9
+        ),
+        start in 0u64..40_000,
+        hostile in 0u8..2,
+        picks in proptest::collection::vec(
+            proptest::collection::vec(0u16..u16::MAX, 9..10),
+            4..5
+        ),
+    ) {
+        let hostile = hostile == 1;
+        let base = if hostile { u64::MAX / 2 } else { 0 };
+        let mut release = base + start;
+        let mut items: Vec<ScheduleItem> = shape
+            .iter()
+            .map(|(gap, slack_pct, row)| {
+                release += gap;
+                let slowest = row.iter().map(|&(d, _)| d).max().unwrap_or(0);
+                ScheduleItem {
+                    release_us: release,
+                    deadline_us: release + slowest * slack_pct / 100,
+                    options: row
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &(duration_us, cost))| ScheduleOption {
+                            choice: j,
+                            duration_us,
+                            cost: cost as f64,
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        if hostile {
+            let top = |release_us, options: [(u64, f64); 2]| ScheduleItem {
+                release_us,
+                deadline_us: u64::MAX,
+                options: options
+                    .iter()
+                    .enumerate()
+                    .map(|(choice, &(duration_us, cost))| ScheduleOption {
+                        choice,
+                        duration_us,
+                        cost,
+                    })
+                    .collect(),
+            };
+            items.push(top(u64::MAX - 1, [(u64::MAX, 1.0), (u64::MAX - 7, 2.0)]));
+            items.push(top(u64::MAX - 3, [(5, 3.0), (1, 4.0)]));
+        }
+        let problem = ScheduleProblem::new(base + start, items)
+            .with_node_limit(4_096)
+            .with_incumbent_gap(pes::core::INCUMBENT_GAP_EPSILON);
+        let mut schedules: Vec<ScheduleSolution> = picks
+            .iter()
+            .map(|pick| {
+                let mut cursor = problem.start_us();
+                let mut schedule = ScheduleSolution::default();
+                for (item, &p) in problem.items().iter().zip(pick.iter().cycle()) {
+                    let sel = p as usize % item.options.len();
+                    cursor = cursor.max(item.release_us)
+                        .saturating_add(item.options[sel].duration_us);
+                    schedule.selected.push(sel);
+                    schedule.finish_us.push(cursor);
+                }
+                schedule
+            })
+            .collect();
+        schedules.push(problem.solve_greedy().unwrap());
+        let mut solved = ScheduleSolution::default();
+        problem.solve_anytime_with(&mut SolveScratch::new(), &mut solved).unwrap();
+        schedules.push(solved);
+        for schedule in &schedules {
+            let reachable = problem.coarse_time_bounds(schedule);
+            let full = coarse_time_bounds_reference(&problem, schedule);
+            prop_assert_eq!(reachable.len(), full.len());
+            for (k, (a, b)) in reachable.iter().zip(&full).enumerate() {
+                prop_assert!(
+                    a.0 == b.0 && a.1.to_bits() == b.1.to_bits(),
+                    "item {} of schedule {:?}: reachable fill {:?} vs full fill {:?}",
+                    k, schedule.selected, a, b
+                );
+            }
+        }
     }
 
     /// Plane-routed energy metering is bit-identical to the retained
@@ -2541,5 +2641,154 @@ mod journal_robustness {
             }
             std::fs::remove_file(&path).ok();
         }
+    }
+}
+
+/// The solver's search trajectory, pinned window by window: tier, nodes
+/// explored, selected options and the total cost's bit pattern. The
+/// adaptive probe, the runtime's watchdog and every session golden read
+/// `nodes_explored`, so a change to the search's speed must leave each of
+/// these untouched; this golden says which window moved when one does.
+mod solver_trajectory {
+    use super::*;
+    use support::windows::greedy_hostile_chain;
+    use SolveTier::{Exact, Incumbent};
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded window of `n` events with DVFS-shaped rows: latency falls
+    /// and energy rises with the configuration index, each with a few
+    /// percent of jitter so that some options are dominated. Each deadline
+    /// lies `slack_pct` percent of the event's slowest latency after its
+    /// release.
+    fn seeded_window(seed: u64, n: usize, slack_pct: u64) -> Vec<ScheduleItem> {
+        let mut state = seed;
+        let mut release = 0;
+        (0..n)
+            .map(|_| {
+                release += splitmix(&mut state) % 250_000;
+                let base = 60_000 + splitmix(&mut state) % 340_000;
+                let options = (0..17)
+                    .map(|j| {
+                        let speed = 100 + 22 * j as u64 + splitmix(&mut state) % 15;
+                        let jitter = 1.0 + (splitmix(&mut state) % 8) as f64 / 100.0;
+                        ScheduleOption {
+                            choice: j,
+                            duration_us: base * 100 / speed,
+                            cost: base as f64 / 1e4 * (1.0 + 0.05 * (j * j) as f64) * jitter,
+                        }
+                    })
+                    .collect();
+                ScheduleItem {
+                    release_us: release,
+                    deadline_us: release + base * slack_pct / 100,
+                    options,
+                }
+            })
+            .collect()
+    }
+
+    /// The pinned windows, each with its node budget and ε: PES-scale
+    /// windows of 2–8 events under the narrow budget, Oracle-scale windows
+    /// of 12 events under the wide budget (all but the loosest go
+    /// hopeless and finish in the coarse-time search), and the
+    /// greedy-hostile chain under both budgets.
+    fn cases() -> Vec<ScheduleProblem> {
+        let gap = pes::core::INCUMBENT_GAP_EPSILON;
+        let narrow = pes::core::OPTIMIZER_NODE_LIMIT;
+        let wide = pes::core::WIDE_WINDOW_NODE_LIMIT;
+        let pes_scale = (0..14u64).map(|seed| {
+            let slack = [40, 60, 80, 100][seed as usize % 4];
+            (
+                seeded_window(seed, 2 + seed as usize % 7, slack),
+                narrow,
+                gap,
+            )
+        });
+        let oracle_scale = (0..10u64).map(|seed| {
+            let slack = [40, 60, 80, 100, 400][seed as usize % 5];
+            (seeded_window(100 + seed, 12, slack), wide, gap)
+        });
+        let hostile = [
+            (greedy_hostile_chain(6), narrow, 0.0),
+            (greedy_hostile_chain(6), wide, gap),
+        ];
+        pes_scale
+            .chain(oracle_scale)
+            .chain(hostile)
+            .map(|(items, budget, gap)| {
+                ScheduleProblem::new(0, items)
+                    .with_node_limit(budget)
+                    .with_incumbent_gap(gap)
+            })
+            .collect()
+    }
+
+    /// `(tier, nodes_explored, selected, total_cost bits)` per window of
+    /// [`cases`], recorded before the solver's per-node work was cut.
+    #[rustfmt::skip]
+    const PINNED: [(SolveTier, usize, &[usize], u64); 26] = [
+        (Exact, 69, &[9, 7], 0x407244015ccf0df0),
+        (Exact, 52, &[4, 3, 3], 0x405689dce797536e),
+        (Exact, 137, &[1, 2, 2, 1], 0x4057f7b950b955f8),
+        (Exact, 6852, &[2, 5, 4, 5, 5], 0x4074622b961b5fd8),
+        (Exact, 102, &[7, 7, 7, 7, 7, 7], 0x407d4db2d05f2885),
+        (Incumbent, 6145, &[3, 4, 6, 5, 6, 5, 6], 0x4078c8d1343a9a2f),
+        (Incumbent, 6145, &[1, 1, 4, 6, 4, 4, 4, 6], 0x407bcf0980b24207),
+        (Exact, 52, &[1, 1], 0x4040fb8389217c52),
+        (Exact, 52, &[7, 7, 0], 0x4062858ab8db7e41),
+        (Exact, 2253, &[3, 9, 9, 8], 0x407d4c227631b585),
+        (Exact, 324, &[2, 2, 1, 4, 2], 0x4064599c6342c577),
+        (Exact, 2364, &[6, 5, 5, 4, 0, 0], 0x406890d0ba7d3ef0),
+        (Exact, 4523, &[11, 10, 7, 13, 11, 7, 7], 0x4091f1568a9d7d54),
+        (Incumbent, 6297, &[6, 5, 9, 11, 3, 6, 7, 4], 0x4086a3b26138fffd),
+        (Incumbent, 3705, &[7, 7, 7, 5, 7, 8, 7, 9, 13, 11, 13, 7], 0x409465ed9e11ce5f),
+        (Incumbent, 3607, &[3, 3, 7, 8, 8, 8, 11, 8, 4, 3, 3, 4], 0x408c3f37283ab1ac),
+        (Incumbent, 2812, &[6, 6, 8, 9, 9, 14, 14, 12, 5, 6, 5, 4], 0x409a15252d44dcaa),
+        (Incumbent, 3695, &[0, 0, 3, 12, 12, 12, 2, 5, 0, 0, 1, 1], 0x40880cc635108305),
+        (Exact, 204, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], 0x4071781c3ce2089e),
+        (Incumbent, 3033, &[7, 8, 10, 15, 13, 16, 13, 7, 7, 7, 7, 7], 0x409e94b012f3f88a),
+        (Incumbent, 6807, &[13, 16, 13, 13, 3, 12, 12, 14, 4, 3, 8, 7], 0x409d85dc8457e8f6),
+        (Incumbent, 4189, &[5, 8, 1, 10, 10, 10, 10, 8, 4, 5, 5, 1], 0x40916d44f578bd81),
+        (Incumbent, 6161, &[2, 3, 4, 6, 14, 13, 12, 13, 12, 13, 0, 0], 0x409bc386ff9f87f0),
+        (Incumbent, 3067, &[0, 0, 0, 1, 2, 3, 2, 3, 3, 3, 2, 0], 0x407afc1a09f47588),
+        (Incumbent, 6332, &[16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16], 0x4085fbe1bed06fbd),
+        (Incumbent, 2931, &[16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16], 0x4085fbe1bed06fbd),
+    ];
+
+    #[test]
+    fn golden_solver_trajectories_stay_pinned() {
+        let problems = cases();
+        assert_eq!(problems.len(), PINNED.len());
+        let mut scratch = SolveScratch::new();
+        let mut solution = ScheduleSolution::default();
+        for (i, (problem, &(tier, nodes, selected, cost_bits))) in
+            problems.iter().zip(&PINNED).enumerate()
+        {
+            let got = problem
+                .solve_anytime_with(&mut scratch, &mut solution)
+                .unwrap();
+            assert_eq!(
+                (got, solution.nodes_explored, solution.selected.as_slice()),
+                (tier, nodes, selected),
+                "window {i}: tier, nodes or selection moved"
+            );
+            assert_eq!(
+                solution.total_cost.to_bits(),
+                cost_bits,
+                "window {i}: total cost moved"
+            );
+        }
+        // The pins cover both tiers at both scales.
+        assert!(PINNED[..14].iter().any(|p| p.0 == Exact));
+        assert!(PINNED[..14].iter().any(|p| p.0 == Incumbent));
+        assert!(PINNED[14..24].iter().any(|p| p.0 == Exact));
+        assert!(PINNED[14..].iter().filter(|p| p.0 == Incumbent).count() >= 10);
     }
 }

@@ -17,3 +17,4 @@ pub mod dvfs;
 pub mod linear;
 pub mod reference;
 pub mod solver;
+pub mod windows;

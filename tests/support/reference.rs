@@ -4,16 +4,24 @@
 //! per improvement. Property tests assert the optimised search returns
 //! identical schedules; benches and the `bnb_speedup` example measure the
 //! speedup against it.
+//!
+//! It also holds the full-width coarse-time table fill, the reference for
+//! the solver's fill of the reachable cells only
+//! ([`coarse_time_bounds_reference`]).
 
 // Each includer uses a subset of the support code.
 #![allow(dead_code)]
 
-use pes_ilp::{IlpError, ScheduleProblem, ScheduleSolution};
+use pes_ilp::{IlpError, OptionOrder, ScheduleProblem, ScheduleSolution};
 
 /// Cost penalty per missed deadline, so that minimising the penalised cost
 /// is lexicographic: first violations, then energy. The same constant as
 /// the optimised solver's.
 const VIOLATION_PENALTY: f64 = 1.0e15;
+
+/// Time cells of the coarse-time table; the same constant as the optimised
+/// solver's.
+const DP_CELLS: u64 = 2048;
 
 /// Solves `problem` exactly with the reference search, honouring its node
 /// limit.
@@ -144,4 +152,73 @@ impl ReferenceSearch<'_> {
         }
         Ok(())
     }
+}
+
+/// `ScheduleProblem::coarse_time_bounds` from a table filled over every
+/// cell, as the solver filled it before it skipped the cells no schedule
+/// reaches. Entry `k` is `LB[k][cell]` at the time `solution` finishes item
+/// `k - 1` (the window start for `k = 0`), split into `(violations, cost)`.
+pub fn coarse_time_bounds_reference(
+    problem: &ScheduleProblem,
+    solution: &ScheduleSolution,
+) -> Vec<(usize, f64)> {
+    let items = problem.items();
+    let start = problem.start_us();
+    let n = items.len();
+    let latest = items.iter().map(|i| i.deadline_us).max().unwrap_or(0);
+    let horizon = latest.saturating_sub(start);
+    let grid = horizon / DP_CELLS + 1;
+    let overflow = (horizon / grid + 1) as usize;
+    let width = overflow + 1;
+    let cell = |t: u64| (t.saturating_sub(start) / grid).min(overflow as u64) as usize;
+    let mut lb = vec![0.0; (n + 1) * width];
+    for k in (0..n).rev() {
+        let item = &items[k];
+        // The non-dominated options in cost order, as the solver keeps them:
+        // the cheapest, then each option faster than every cheaper one.
+        let mut fastest_so_far = None;
+        let ranked: Vec<_> = OptionOrder::from_options(&item.options)
+            .by_cost
+            .iter()
+            .map(|&o| item.options[o as usize])
+            .filter(|opt| {
+                let keep = fastest_so_far.is_none_or(|f| opt.duration_us < f);
+                if keep {
+                    fastest_so_far = Some(opt.duration_us);
+                }
+                keep
+            })
+            .collect();
+        let miss_from = item
+            .deadline_us
+            .checked_sub(start)
+            .map_or(0, |d| (d / grid) as usize + 1);
+        let release = cell(item.release_us);
+        let mut next = lb[(k + 1) * width..(k + 2) * width].to_vec();
+        next.resize(2 * width, next[width - 1]);
+        for p in &mut next[miss_from..] {
+            *p += VIOLATION_PENALTY;
+        }
+        let row = &mut lb[k * width..(k + 1) * width];
+        row[release..].fill(f64::INFINITY);
+        for opt in &ranked {
+            let shift = (opt.duration_us / grid).min(overflow as u64) as usize;
+            for (c, r) in row.iter_mut().enumerate().skip(release) {
+                let v = opt.cost + next[c + shift];
+                *r = if v < *r { v } else { *r };
+            }
+        }
+        let at_release = row[release];
+        row[..release].fill(at_release);
+    }
+    std::iter::once(start)
+        .chain(solution.finish_us.iter().copied())
+        .take(n + 1)
+        .enumerate()
+        .map(|(k, cursor)| {
+            let bound = lb[k * width + cell(cursor)];
+            let violations = (bound / VIOLATION_PENALTY).round();
+            (violations as usize, bound - violations * VIOLATION_PENALTY)
+        })
+        .collect()
 }
