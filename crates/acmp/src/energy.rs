@@ -53,11 +53,14 @@ impl ActivityKind {
 /// # Examples
 ///
 /// ```
-/// use pes_acmp::{Platform, energy::{ActivityKind, EnergyMeter}};
+/// use std::sync::Arc;
+///
+/// use pes_acmp::{DvfsLadder, Platform, energy::{ActivityKind, EnergyMeter}};
 /// use pes_acmp::units::TimeUs;
 ///
 /// let platform = Platform::exynos_5410();
-/// let mut meter = EnergyMeter::new(&platform);
+/// let plane = Arc::new(DvfsLadder::for_platform(&platform));
+/// let mut meter = EnergyMeter::with_plane(&platform, plane);
 /// let cfg = platform.max_performance_config();
 /// meter.record_busy(&cfg, TimeUs::from_millis(10), ActivityKind::UsefulWork);
 /// assert!(meter.total().as_millijoules() > 0.0);
@@ -65,15 +68,13 @@ impl ActivityKind {
 #[derive(Debug, Clone)]
 pub struct EnergyMeter<'p> {
     platform: &'p Platform,
-    /// The shared DVFS power plane, when the meter was built with one: the
-    /// per-configuration `active`/`idle`/`background` powers frozen at
-    /// ladder-build time. Samples at platform operating points read these
-    /// instead of re-deriving every power term from the cluster tables per
-    /// call (the re-derivation the ROADMAP flagged as the last per-event
-    /// DVFS math on the replay hot path). Off-plane configurations — and
-    /// meters built without a plane — fall back to the platform-table
-    /// derivation, which is bit-identical by construction.
-    plane: Option<Arc<DvfsLadder>>,
+    /// The shared DVFS power plane: the per-configuration
+    /// `active`/`idle`/`background` powers frozen at ladder-build time.
+    /// Samples at platform operating points read these instead of
+    /// re-deriving every power term from the cluster tables per call.
+    /// Off-plane configurations fall back to the platform-table derivation,
+    /// which is bit-identical by construction.
+    plane: Arc<DvfsLadder>,
     total: EnergyUj,
     /// Per-activity accumulators, indexed by [`ActivityKind::index`].
     /// Flat arrays instead of the original `BTreeMap`s: the replay engine
@@ -98,8 +99,14 @@ pub struct EnergyMeter<'p> {
 }
 
 impl<'p> EnergyMeter<'p> {
-    /// Creates a meter for a platform with all counters at zero.
-    pub fn new(platform: &'p Platform) -> Self {
+    /// Creates a meter with all counters at zero that serves
+    /// per-configuration powers from a shared DVFS power plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane was built for a different platform.
+    pub fn with_plane(platform: &'p Platform, plane: Arc<DvfsLadder>) -> Self {
+        plane.assert_matches(platform);
         let mut background_cluster = [CoreKind::BigA15; 4];
         for kind in CoreKind::ALL {
             background_cluster[kind.index()] = platform
@@ -111,7 +118,7 @@ impl<'p> EnergyMeter<'p> {
         }
         EnergyMeter {
             platform,
-            plane: None,
+            plane,
             total: EnergyUj::ZERO,
             by_activity: [EnergyUj::ZERO; 4],
             by_cluster: [EnergyUj::ZERO; 4],
@@ -122,38 +129,23 @@ impl<'p> EnergyMeter<'p> {
         }
     }
 
-    /// Creates a meter that serves per-configuration powers from a shared
-    /// DVFS power plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane was built for a different platform.
-    pub fn with_plane(platform: &'p Platform, plane: Arc<DvfsLadder>) -> Self {
-        plane.assert_matches(platform);
-        EnergyMeter {
-            plane: Some(plane),
-            ..EnergyMeter::new(platform)
-        }
-    }
-
     /// The plane rung holding `cfg`, through the one-entry memo. Caches
-    /// only plane hits: off-plane configurations (and plane-less meters)
-    /// take the platform-table fallback, which never consults a rung.
+    /// only plane hits: off-plane configurations take the platform-table
+    /// fallback, which never consults a rung.
     fn rung(&mut self, cfg: &AcmpConfig) -> Option<LadderRung> {
-        let plane = self.plane.as_ref()?;
         let i = match self.cached_rung {
             Some((cached, i)) if cached == *cfg => i,
             _ => {
-                let i = plane.rung_index(cfg)?;
+                let i = self.plane.rung_index(cfg)?;
                 self.cached_rung = Some((*cfg, i));
                 i
             }
         };
-        Some(plane.rungs()[i])
+        Some(self.plane.rungs()[i])
     }
 
     /// `(active, background)` powers of `cfg`, from the frozen plane when
-    /// available (rung memoised across consecutive samples).
+    /// `cfg` is on it (rung memoised across consecutive samples).
     fn busy_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
         match self.rung(cfg) {
             Some(rung) => (rung.active_power, rung.background_power),
@@ -165,7 +157,7 @@ impl<'p> EnergyMeter<'p> {
     }
 
     /// `(idle, background)` powers of `cfg`, from the frozen plane when
-    /// available (rung memoised across consecutive samples).
+    /// `cfg` is on it (rung memoised across consecutive samples).
     fn idle_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
         match self.rung(cfg) {
             Some(rung) => (rung.idle_power, rung.background_power),
@@ -294,16 +286,21 @@ impl<'p> EnergyMeter<'p> {
 mod tests {
     use super::*;
     use crate::config::CoreKind;
+    use crate::oracle::ReferenceMeter;
     use crate::units::FreqMhz;
 
     fn platform() -> Platform {
         Platform::exynos_5410()
     }
 
+    fn meter(p: &Platform) -> EnergyMeter<'_> {
+        EnergyMeter::with_plane(p, Arc::new(DvfsLadder::for_platform(p)))
+    }
+
     #[test]
     fn fresh_meter_is_zero() {
         let p = platform();
-        let m = EnergyMeter::new(&p);
+        let m = meter(&p);
         assert_eq!(m.total().as_microjoules(), 0.0);
         assert_eq!(m.speculative_waste_fraction(), 0.0);
     }
@@ -311,8 +308,8 @@ mod tests {
     #[test]
     fn busy_on_big_costs_more_than_busy_on_little() {
         let p = platform();
-        let mut big = EnergyMeter::new(&p);
-        let mut little = EnergyMeter::new(&p);
+        let mut big = meter(&p);
+        let mut little = meter(&p);
         big.record_busy(
             &p.max_performance_config(),
             TimeUs::from_millis(100),
@@ -330,8 +327,8 @@ mod tests {
     fn idle_costs_less_than_busy_at_same_config() {
         let p = platform();
         let cfg = p.max_performance_config();
-        let mut busy = EnergyMeter::new(&p);
-        let mut idle = EnergyMeter::new(&p);
+        let mut busy = meter(&p);
+        let mut idle = meter(&p);
         busy.record_busy(&cfg, TimeUs::from_millis(50), ActivityKind::UsefulWork);
         idle.record_idle(&cfg, TimeUs::from_millis(50));
         assert!(busy.total().as_millijoules() > idle.total().as_millijoules());
@@ -343,7 +340,7 @@ mod tests {
     fn activity_breakdown_adds_up_to_total() {
         let p = platform();
         let cfg = p.max_performance_config();
-        let mut m = EnergyMeter::new(&p);
+        let mut m = meter(&p);
         m.record_busy(&cfg, TimeUs::from_millis(10), ActivityKind::UsefulWork);
         m.record_busy(&cfg, TimeUs::from_millis(2), ActivityKind::SpeculativeWaste);
         m.record_idle(&cfg, TimeUs::from_millis(5));
@@ -360,7 +357,7 @@ mod tests {
     #[test]
     fn cluster_breakdown_includes_background_cluster() {
         let p = platform();
-        let mut m = EnergyMeter::new(&p);
+        let mut m = meter(&p);
         // Run only on the big cluster; the little cluster should still pick
         // up its idle floor.
         m.record_busy(
@@ -380,7 +377,7 @@ mod tests {
     fn zero_duration_samples_are_ignored() {
         let p = platform();
         let cfg = p.min_power_config();
-        let mut m = EnergyMeter::new(&p);
+        let mut m = meter(&p);
         m.record_busy(&cfg, TimeUs::ZERO, ActivityKind::UsefulWork);
         m.record_idle(&cfg, TimeUs::ZERO);
         m.record_transition(&cfg, TimeUs::ZERO);
@@ -389,11 +386,10 @@ mod tests {
 
     #[test]
     fn plane_routed_meter_is_bit_identical_to_the_reference_path() {
-        use std::sync::Arc;
         for p in [Platform::exynos_5410(), Platform::tx2_parker()] {
-            let plane = Arc::new(crate::dvfs::DvfsLadder::for_platform(&p));
+            let plane = Arc::new(DvfsLadder::for_platform(&p));
             let mut routed = EnergyMeter::with_plane(&p, Arc::clone(&plane));
-            let mut reference = EnergyMeter::new(&p);
+            let mut reference = ReferenceMeter::new(&p);
             for (i, cfg) in p.configs().iter().enumerate() {
                 let busy = TimeUs::from_micros(1_000 + 137 * i as u64);
                 let idle = TimeUs::from_micros(500 + 91 * i as u64);
@@ -437,14 +433,13 @@ mod tests {
 
     #[test]
     fn off_plane_configs_fall_back_to_the_platform_tables() {
-        use std::sync::Arc;
         let p = platform();
-        let plane = Arc::new(crate::dvfs::DvfsLadder::for_platform(&p));
+        let plane = Arc::new(DvfsLadder::for_platform(&p));
         // 1234 MHz is not an Exynos operating point; the plane-routed meter
         // must still answer, with the reference derivation's exact value.
         let off = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1234));
         let mut routed = EnergyMeter::with_plane(&p, plane);
-        let mut reference = EnergyMeter::new(&p);
+        let mut reference = ReferenceMeter::new(&p);
         routed.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
         reference.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
         assert_eq!(
@@ -457,7 +452,7 @@ mod tests {
     fn average_power_is_between_idle_and_peak() {
         let p = platform();
         let cfg = p.max_performance_config();
-        let mut m = EnergyMeter::new(&p);
+        let mut m = meter(&p);
         m.record_busy(&cfg, TimeUs::from_millis(10), ActivityKind::UsefulWork);
         m.record_idle(&cfg, TimeUs::from_millis(10));
         // Energy over the 20 ms window, as milliwatts (µJ / µs · 1,000).

@@ -55,11 +55,11 @@ fn per_policy_replay(c: &mut Criterion) {
     });
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
     group.bench_function("PES", |b| {
-        b.iter(|| black_box(pes.run_trace(&platform, &page, &trace, &qos)))
+        b.iter(|| black_box(pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos)))
     });
     let oracle = OracleScheduler::new();
     group.bench_function("Oracle", |b| {
-        b.iter(|| black_box(oracle.run_trace(&platform, &page, &trace, &qos)))
+        b.iter(|| black_box(oracle.run_trace_with_plane(&platform, &plane, &page, &trace, &qos)))
     });
     group.finish();
 }

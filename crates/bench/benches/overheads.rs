@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use pes_acmp::{DvfsModel, Platform};
+use pes_acmp::{DvfsLadder, DvfsModel, Platform};
 use pes_core::{PesConfig, PesScheduler};
 use pes_ilp::{ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch};
 use pes_predictor::{LearnerConfig, SessionState, Trainer, TrainingConfig};
@@ -140,6 +141,7 @@ fn schedule_window_scaling(c: &mut Criterion) {
 
 fn scheduling_decisions(c: &mut Criterion) {
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let dvfs = DvfsModel::new(&platform);
     let qos = QosPolicy::paper_defaults();
     let catalog = AppCatalog::paper_suite();
@@ -168,7 +170,7 @@ fn scheduling_decisions(c: &mut Criterion) {
     .train_learner(&catalog, LearnerConfig::paper_defaults());
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
     c.bench_function("PES full-session replay (one ~25-event trace)", |b| {
-        b.iter(|| black_box(pes.run_trace(&platform, &page, &trace, &qos)))
+        b.iter(|| black_box(pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos)))
     });
 }
 

@@ -18,7 +18,7 @@ use pes_bench::{mean, pct, std_dev};
 use pes_core::PesConfig;
 use pes_sim::{
     fig10_waste, fig13_pareto, fig14_sensitivity, fig2_case_study, fig3_event_types, fig8_accuracy,
-    fig9_pfb_trace, full_comparison, AppComparison, ExperimentContext,
+    fig9_pfb_trace, full_comparison, AppComparison, ExperimentContext, Policy,
 };
 
 fn main() {
@@ -233,9 +233,9 @@ fn fig11(comparisons: &[AppComparison]) {
             c.app,
             c.seen,
             "100%",
-            pct(c.normalized_energy("EBS").unwrap_or(1.0)),
-            pct(c.normalized_energy("PES").unwrap_or(1.0)),
-            pct(c.normalized_energy("Oracle").unwrap_or(1.0)),
+            pct(c.normalized_energy(Policy::Ebs)),
+            pct(c.normalized_energy(Policy::Pes)),
+            pct(c.normalized_energy(Policy::Oracle)),
         );
     }
     summary(comparisons, true);
@@ -247,17 +247,17 @@ fn summary(comparisons: &[AppComparison], seen: bool) {
     if subset.is_empty() {
         return;
     }
-    let avg = |p: &str| {
+    let avg = |p| {
         mean(
             &subset
                 .iter()
-                .filter_map(|c| c.normalized_energy(p))
+                .map(|c| c.normalized_energy(p))
                 .collect::<Vec<_>>(),
         )
     };
-    let pes = avg("PES");
-    let ebs = avg("EBS");
-    let oracle = avg("Oracle");
+    let pes = avg(Policy::Pes);
+    let ebs = avg(Policy::Ebs);
+    let oracle = avg(Policy::Oracle);
     println!(
         "{} apps: PES saves {} vs Interactive, {} vs EBS; Oracle saves {} vs Interactive",
         if seen { "seen" } else { "unseen" },
@@ -278,29 +278,29 @@ fn fig12(comparisons: &[AppComparison]) {
             "{:<16} {:>6} {:>12} {:>8} {:>8} {:>8}",
             c.app,
             c.seen,
-            pct(c.violation_of("Interactive").unwrap_or(0.0)),
-            pct(c.violation_of("EBS").unwrap_or(0.0)),
-            pct(c.violation_of("PES").unwrap_or(0.0)),
-            pct(c.violation_of("Oracle").unwrap_or(0.0)),
+            pct(c.violation_rate[Policy::Interactive]),
+            pct(c.violation_rate[Policy::Ebs]),
+            pct(c.violation_rate[Policy::Pes]),
+            pct(c.violation_rate[Policy::Oracle]),
         );
     }
     for seen in [true, false] {
         let subset: Vec<&AppComparison> = comparisons.iter().filter(|c| c.seen == seen).collect();
-        let avg = |p: &str| {
+        let avg = |p| {
             mean(
                 &subset
                     .iter()
-                    .filter_map(|c| c.violation_of(p))
+                    .map(|c| c.violation_rate[p])
                     .collect::<Vec<_>>(),
             )
         };
         println!(
             "{} apps: Interactive {}, EBS {}, PES {}  (PES reduction vs EBS: {})",
             if seen { "seen" } else { "unseen" },
-            pct(avg("Interactive")),
-            pct(avg("EBS")),
-            pct(avg("PES")),
-            pct(1.0 - avg("PES") / avg("EBS").max(1e-9)),
+            pct(avg(Policy::Interactive)),
+            pct(avg(Policy::Ebs)),
+            pct(avg(Policy::Pes)),
+            pct(1.0 - avg(Policy::Pes) / avg(Policy::Ebs).max(1e-9)),
         );
     }
 }
@@ -311,7 +311,9 @@ fn fig13(comparisons: &[AppComparison]) {
         "{:<14} {:>18} {:>16}",
         "policy", "normalised energy", "QoS violation"
     );
-    for (policy, energy, violation) in fig13_pareto(comparisons) {
+    let pareto = fig13_pareto(comparisons);
+    for policy in Policy::ALL {
+        let (energy, violation) = pareto[policy];
         println!("{:<14} {:>18} {:>16}", policy, pct(energy), pct(violation));
     }
 }
@@ -348,9 +350,10 @@ fn overheads(ctx: &ExperimentContext, comparisons: Option<&[AppComparison]>) {
     // replayed from the shared scenario artifacts.
     let pes = pes_core::PesScheduler::new(ctx.learner.clone(), PesConfig::paper_defaults());
     if let Some(app_idx) = ctx.app_index("cnn") {
-        let page = ctx.scenarios.page(app_idx);
-        let trace = ctx.scenarios.trace(app_idx, 0);
-        let report = pes.run_trace(&ctx.platform, &page, &trace, &ctx.qos);
+        let page = ctx.scenarios.page_ref(app_idx);
+        let trace = ctx.scenarios.trace_ref(app_idx, 0);
+        let report =
+            pes.run_trace_with_plane(&ctx.platform, &ctx.power_plane, page, trace, &ctx.qos);
         println!(
             "cnn session: prediction rounds {}, average degree {:.1}, optimizer B&B nodes {} total",
             report.prediction_rounds,

@@ -19,20 +19,26 @@
 //! # Examples
 //!
 //! ```no_run
+//! use std::sync::Arc;
+//!
 //! use pes_core::{PesConfig, PesScheduler};
 //! use pes_predictor::{LearnerConfig, Trainer};
 //! use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
-//! use pes_acmp::Platform;
+//! use pes_acmp::{DvfsLadder, Platform};
 //! use pes_webrt::QosPolicy;
 //!
 //! let catalog = AppCatalog::paper_suite();
 //! let learner = Trainer::new().train_learner(&catalog, LearnerConfig::paper_defaults());
 //! let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
 //!
+//! // One DVFS power plane per platform, shared by every replay on it.
+//! let platform = Platform::exynos_5410();
+//! let plane = Arc::new(DvfsLadder::for_platform(&platform));
 //! let app = catalog.find("cnn").unwrap();
 //! let page = app.build_page();
 //! let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE);
-//! let report = pes.run_trace(&Platform::exynos_5410(), &page, &trace, &QosPolicy::paper_defaults());
+//! let qos = QosPolicy::paper_defaults();
+//! let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
 //! println!("energy: {}, QoS violations: {}", report.total_energy, report.violations);
 //! ```
 

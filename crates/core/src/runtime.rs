@@ -9,8 +9,9 @@
 //! same machinery with perfect knowledge of the future event sequence and of
 //! every event's true workload.
 //!
-//! Every `run_trace*` entry point builds an [`ExecutionEngine`] and hands it
-//! to one private `Replay` state machine, which serves each delivered event
+//! Every `run_trace*` entry point takes the caller's shared DVFS power
+//! plane, builds an [`ExecutionEngine`] on it and hands the engine to one
+//! private `Replay` state machine, which serves each delivered event
 //! in the three phases of Sec. 5: *speculate* while the CPU is idle (a new
 //! prediction round starts only once the PFB is empty), *validate* the input
 //! against the PFB (commit the front frame or squash them all), and *serve*
@@ -27,7 +28,7 @@ use pes_acmp::{AcmpConfig, ActivityKind, CpuDemand, DvfsLadder, LadderCache, Pla
 use pes_dom::{BuiltPage, EventType};
 use pes_ilp::{IlpError, OptionOrder, ScheduleItem, SolveScratch, SolveTier};
 use pes_predictor::{EventSequenceLearner, LearnerConfig, PredictScratch, SessionState};
-use pes_schedulers::DemandProfiler;
+use pes_schedulers::{ebs_config, DemandProfiler};
 use pes_webrt::{EventId, ExecutionEngine, QosOutcome, QosPolicy, WebEvent};
 use pes_workload::Trace;
 
@@ -204,11 +205,6 @@ pub struct RunReport {
     /// graceful-degradation ladder: one observation per optimizer round
     /// (from its solve tier) and one per reactively served event.
     pub degradation: DegradationTrace,
-    /// Events whose type had no demand estimate when served reactively
-    /// (the [`DegradationLevel::OndemandFloor`] count): the runtime ran
-    /// them at the conservative profiling configuration instead of
-    /// panicking.
-    pub unprofiled_fallbacks: usize,
     /// Faults the replay's [`FaultPlane`] actually injected, by class
     /// (all-zero under [`FaultPlane::none`]).
     pub fault_injections: FaultCounts,
@@ -482,19 +478,6 @@ impl PesScheduler {
         &self.runtime.config
     }
 
-    /// Replays one trace under PES, building a private DVFS power plane.
-    pub fn run_trace(
-        &self,
-        platform: &Platform,
-        page: &BuiltPage,
-        trace: &Trace,
-        qos: &QosPolicy,
-    ) -> RunReport {
-        let engine = ExecutionEngine::new(platform, *qos);
-        self.runtime
-            .run(engine, page, trace, &FaultPlane::none(), None)
-    }
-
     /// Replays one trace under PES on a shared DVFS power plane (one ladder
     /// per platform, built once by the experiment context).
     pub fn run_trace_with_plane(
@@ -565,19 +548,6 @@ impl OracleScheduler {
                 config: PesConfig::paper_defaults(),
             },
         }
-    }
-
-    /// Replays one trace under the Oracle, building a private power plane.
-    pub fn run_trace(
-        &self,
-        platform: &Platform,
-        page: &BuiltPage,
-        trace: &Trace,
-        qos: &QosPolicy,
-    ) -> RunReport {
-        let engine = ExecutionEngine::new(platform, *qos);
-        self.runtime
-            .run(engine, page, trace, &FaultPlane::none(), None)
     }
 
     /// Replays one trace under the Oracle on a shared DVFS power plane.
@@ -674,7 +644,6 @@ impl ProactiveRuntime {
                 solver_cache_misses: 0,
                 solver_cache_revalidations: 0,
                 degradation: DegradationTrace::default(),
-                unprofiled_fallbacks: 0,
                 fault_injections: FaultCounts::default(),
                 energy_breakdown: Vec::new(),
                 watchdog_trips: 0,
@@ -916,7 +885,6 @@ impl Replay<'_> {
         report.solver_cache_hits = memo_stats.hits;
         report.solver_cache_misses = memo_stats.misses;
         report.solver_cache_revalidations = memo_stats.revalidations;
-        report.unprofiled_fallbacks = report.degradation.ondemand_floor;
         report.fault_injections = fs.counts();
         report.energy_breakdown = ActivityKind::ALL
             .iter()
@@ -946,15 +914,12 @@ impl Replay<'_> {
         }
     }
 
-    /// Reactive (EBS-equivalent) configuration choice for `ev`, served from
-    /// the precomputed DVFS ladder through the replay's demand memo.
-    /// Records the event on the degradation ladder: `Reactive` normally,
-    /// `OndemandFloor` when the serving tier is pinned at the floor (a
-    /// breaker routed the unit there, or the watchdog demoted it all the
-    /// way down) or when the event type has no demand estimate at all —
-    /// possible when a fault (or a hostile trace) delivers a type the
-    /// profiler never observed — in which case the conservative profiling
-    /// configuration serves the event instead of panicking.
+    /// Reactive configuration choice for `ev`: the EBS decision
+    /// ([`ebs_config`]) through the replay's demand memo, recorded on the
+    /// degradation ladder as `Reactive`. A serving tier pinned at the floor
+    /// (a breaker routed the unit there, or the watchdog demoted it all the
+    /// way down) serves the conservative profiling configuration instead,
+    /// recorded as `OndemandFloor`.
     fn reactive_config(&mut self, ev: &WebEvent) -> AcmpConfig {
         let ladder = &mut self.report.degradation;
         let dvfs = self.engine.dvfs();
@@ -962,21 +927,16 @@ impl Replay<'_> {
             ladder.observe(DegradationLevel::OndemandFloor);
             return self.profiler.profiling_config(ev.event_type(), dvfs);
         }
-        if self.profiler.needs_profiling(ev.event_type()) {
-            ladder.observe(DegradationLevel::Reactive);
-            return self.profiler.profiling_config(ev.event_type(), dvfs);
-        }
-        let Some(estimate) = self.profiler.estimate(ev.event_type()) else {
-            ladder.observe(DegradationLevel::OndemandFloor);
-            return self.profiler.profiling_config(ev.event_type(), dvfs);
-        };
         ladder.observe(DegradationLevel::Reactive);
         let start_time = self.engine.cpu_free_at().max(ev.arrival());
-        let deadline = ev.arrival() + self.engine.qos().target_for_event(ev.event_type());
-        let budget = deadline.saturating_sub(start_time);
-        let points = self.rs.ladder_cache.points(dvfs.ladder(), &estimate);
-        DvfsLadder::cheapest_within(points, budget)
-            .unwrap_or_else(|| self.engine.platform().max_performance_config())
+        ebs_config(
+            &self.profiler,
+            &mut self.rs.ladder_cache,
+            dvfs,
+            self.engine.qos(),
+            ev,
+            start_time,
+        )
     }
 
     /// Predicts the event sequence starting at event `next` into
@@ -1300,10 +1260,11 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 7);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let pes = PesScheduler::new(quick_learner(&catalog), PesConfig::paper_defaults());
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
 
         assert_eq!(report.events, trace.len());
         assert_eq!(report.outcomes.len(), trace.len());
@@ -1326,10 +1287,11 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 3);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let oracle = OracleScheduler::new();
-        let report = oracle.run_trace(&platform, &page, &trace, &qos);
+        let report = oracle.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert_eq!(report.mispredictions, 0);
         assert_eq!(report.waste_energy.as_microjoules(), 0.0);
         assert!(report.prediction_accuracy() > 0.99 || report.predictions == 0);
@@ -1347,11 +1309,13 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 11);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let pes = PesScheduler::new(quick_learner(&catalog), PesConfig::paper_defaults());
-        let pes_report = pes.run_trace(&platform, &page, &trace, &qos);
-        let oracle_report = OracleScheduler::new().run_trace(&platform, &page, &trace, &qos);
+        let pes_report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
+        let oracle_report =
+            OracleScheduler::new().run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert!(
             oracle_report.total_energy.as_microjoules()
                 <= pes_report.total_energy.as_microjoules() * 1.05,
@@ -1377,6 +1341,7 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 5);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         // With an (unachievable) 100 % cumulative-confidence requirement the
@@ -1385,7 +1350,7 @@ mod tests {
             quick_learner(&catalog),
             PesConfig::paper_defaults().with_confidence_threshold(1.0),
         );
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert_eq!(report.predictions, 0);
         assert_eq!(report.mispredictions, 0);
         assert_eq!(report.outcomes.len(), trace.len());
@@ -1458,6 +1423,7 @@ mod tests {
         let app = catalog.find("cnn").unwrap();
         let page = app.build_page();
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         // A perfectly steady scroll burst: constant inter-arrival gap and
@@ -1479,7 +1445,7 @@ mod tests {
         let trace = Trace::from_events("steady burst", 0, events);
 
         let pes = PesScheduler::new(quick_learner(&catalog), PesConfig::paper_defaults());
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert!(
             report.solver_cache_hits > 0,
             "a steady burst should re-plan identical windows from cache \
@@ -1533,7 +1499,6 @@ mod tests {
             solver_cache_misses: 12,
             solver_cache_revalidations: 5,
             degradation: DegradationTrace::default(),
-            unprofiled_fallbacks: 0,
             fault_injections: FaultCounts::default(),
             energy_breakdown: Vec::new(),
             watchdog_trips: 0,
@@ -1569,7 +1534,7 @@ mod tests {
         );
         assert_eq!(plain, faulted, "FaultPlane::none() must be a no-op");
         assert_eq!(plain.fault_injections, FaultCounts::default());
-        assert_eq!(plain.unprofiled_fallbacks, 0);
+        assert_eq!(plain.degradation.ondemand_floor, 0);
         assert!(
             plain.degradation.decisions() > 0,
             "the ladder records unfaulted replays too"
@@ -1634,13 +1599,14 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 2);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let pes = PesScheduler::new(
             quick_learner(&catalog),
             PesConfig::paper_defaults().with_forced_tier(DegradationLevel::Reactive),
         );
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert_eq!(
             report.predictions, 0,
             "a breaker-routed unit never speculates"
@@ -1659,15 +1625,15 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 2);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let pes = PesScheduler::new(
             quick_learner(&catalog),
             PesConfig::paper_defaults().with_forced_tier(DegradationLevel::OndemandFloor),
         );
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert_eq!(report.degradation.ondemand_floor, trace.len());
-        assert_eq!(report.unprofiled_fallbacks, trace.len());
         assert_eq!(report.final_tier, DegradationLevel::OndemandFloor);
     }
 
@@ -1679,6 +1645,7 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 2);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         // A five-event budget on a full-length trace must keep tripping and
@@ -1690,7 +1657,7 @@ mod tests {
                 event_budget: 5,
             }),
         );
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert!(
             report.watchdog_trips >= 4,
             "trips: {}",
@@ -1700,7 +1667,7 @@ mod tests {
         assert!(report.degradation.ondemand_floor > 0);
         assert_eq!(report.outcomes.len(), report.events, "no event is lost");
         // Watchdogged replays stay deterministic.
-        let again = pes.run_trace(&platform, &page, &trace, &qos);
+        let again = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert_eq!(report, again);
     }
 
@@ -1712,10 +1679,11 @@ mod tests {
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 2);
         let platform = Platform::exynos_5410();
+        let plane = Arc::new(DvfsLadder::for_platform(&platform));
         let qos = QosPolicy::paper_defaults();
 
         let unbounded = PesScheduler::new(quick_learner(&catalog), PesConfig::paper_defaults());
-        let baseline = unbounded.run_trace(&platform, &page, &trace, &qos);
+        let baseline = unbounded.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert!(baseline.solver_nodes > 200, "trace exercises the solver");
 
         let budget = 100;
@@ -1726,7 +1694,7 @@ mod tests {
                 event_budget: 0,
             }),
         );
-        let report = watched.run_trace(&platform, &page, &trace, &qos);
+        let report = watched.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         assert!(report.watchdog_trips > 0);
         assert!(
             report.solver_nodes < baseline.solver_nodes,

@@ -277,7 +277,8 @@ pub struct SolveScratch {
 /// The coarse-time relaxation of a window: time is cut into cells of
 /// `grid_us` from the window start, durations and releases round *down* to
 /// the grid and an item misses when its finish cell lies past its
-/// deadline's cell. Relaxed finishes are never later than true ones and
+/// deadline's cell. True finishes saturate at `u64::MAX`, so relaxed ones
+/// stop at its cell too. Relaxed finishes are never later than true ones and
 /// relaxed misses imply true misses, so `LB[k][c]` — the least penalised
 /// value of items `k..` from cell `c` — never exceeds the true remaining
 /// value from any time in that cell.
@@ -1154,11 +1155,12 @@ impl ScheduleProblem {
     /// Fills the coarse-time table (see [`CoarseBound`]) backwards, one
     /// item at a time, as a shifted minimum over the next row with the
     /// item's penalty already added: `row[c] = min_o(cost_o +
-    /// penalised_next[min(max(c, release) + shift_o, overflow)])`, over the
-    /// row's reachable cells only. Cell offsets are clamped at the overflow
-    /// cell and every cell is computed with saturating arithmetic, so
-    /// hostile times (durations or deadlines near `u64::MAX`) cannot
-    /// overflow or grow the table past `(n + 1) × (DP_CELLS + 1)` entries.
+    /// penalised_next[min(max(c, release) + shift_o, top)])`, over the
+    /// row's reachable cells only, where `top` is the cell of `u64::MAX`.
+    /// Cell offsets are clamped at the overflow cell and every cell is
+    /// computed with saturating arithmetic, so hostile times (durations or
+    /// deadlines near `u64::MAX`) cannot overflow or grow the table past
+    /// `(n + 1) × (DP_CELLS + 1)` entries.
     fn fill_coarse_bound(&self, table: &mut CoarseBound) {
         let n = self.items.len();
         let latest = self.deadline.iter().copied().max().unwrap_or(0);
@@ -1168,6 +1170,9 @@ impl ScheduleProblem {
         table.overflow = (horizon / table.grid_us + 1) as usize;
         let (grid_us, overflow) = (table.grid_us, table.overflow);
         let width = overflow + 1;
+        // The cell of `u64::MAX`, the latest finish: below the overflow
+        // cell only when the latest deadline shares its cell.
+        let top = table.cell(u64::MAX);
         // The cells a duration advances a relaxed (rounded-down) finish.
         let shift = |duration_us: u64| (duration_us / grid_us).min(overflow as u64) as usize;
 
@@ -1228,6 +1233,13 @@ impl ScheduleProblem {
             next[next_last + 1..end].fill(next_row[next_last]);
             for p in &mut next[miss_from.max(next_first)..end.max(miss_from)] {
                 *p += VIOLATION_PENALTY;
+            }
+            // True finishes saturate at `u64::MAX`, so no read may land
+            // past its cell: a relaxed read there would count a miss a
+            // saturated finish does not make.
+            if top < overflow && top + 1 < end {
+                let at_top = next[top];
+                next[top + 1..end].fill(at_top);
             }
             row[lo..=hi].fill(f64::INFINITY);
             for &(duration, cost) in ranked {

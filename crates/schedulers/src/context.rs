@@ -47,15 +47,6 @@ pub trait Scheduler {
 
     /// Clears per-session state before replaying a new trace.
     fn reset(&mut self);
-
-    /// Events this session the scheduler served with a conservative
-    /// fallback because their type had no demand estimate (fault-plane
-    /// starvation, hostile traces). Mirrors the proactive runtime's
-    /// `RunReport::unprofiled_fallbacks`; purely reactive policies that
-    /// never consult a profiler report zero.
-    fn unprofiled_fallbacks(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]

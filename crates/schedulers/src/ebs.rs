@@ -9,11 +9,35 @@
 //! removes.
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{AcmpConfig, DvfsLadder, LadderCache};
-use pes_webrt::WebEvent;
+use pes_acmp::{AcmpConfig, DvfsLadder, DvfsModel, LadderCache};
+use pes_webrt::{QosPolicy, WebEvent};
 
 use crate::context::{ScheduleContext, Scheduler};
 use crate::profiler::DemandProfiler;
+
+/// The EBS configuration for `event` when it starts executing at
+/// `start_time`, shared by [`Ebs`] and the proactive runtime's reactive
+/// tier: the profiling configuration while the event type has no demand
+/// estimate yet, then the cheapest configuration that finishes the estimate
+/// within the event's remaining latency budget (queueing delay included),
+/// and peak performance when even the fastest one misses (Type I).
+pub fn ebs_config(
+    profiler: &DemandProfiler,
+    ladder_cache: &mut LadderCache,
+    dvfs: &DvfsModel<'_>,
+    qos: &QosPolicy,
+    event: &WebEvent,
+    start_time: TimeUs,
+) -> AcmpConfig {
+    let ty = event.event_type();
+    let Some(estimate) = profiler.estimate(ty) else {
+        return profiler.profiling_config(ty, dvfs);
+    };
+    let deadline = event.arrival() + qos.target_for_event(ty);
+    let points = ladder_cache.points(dvfs.ladder(), &estimate);
+    DvfsLadder::cheapest_within(points, deadline.saturating_sub(start_time))
+        .unwrap_or_else(|| dvfs.platform().max_performance_config())
+}
 
 /// The EBS scheduler.
 #[derive(Debug, Clone)]
@@ -23,11 +47,6 @@ pub struct Ebs {
     /// estimate of an event type only changes when a new observation lands,
     /// so most decisions re-evaluate a demand this cache already holds.
     ladder_cache: LadderCache,
-    /// Events served by the conservative profiling configuration because
-    /// their type had no demand estimate *after* the profiling guard —
-    /// possible when a fault plane starves the profiler (see
-    /// [`Scheduler::unprofiled_fallbacks`]).
-    unprofiled_fallbacks: usize,
 }
 
 impl Ebs {
@@ -36,7 +55,6 @@ impl Ebs {
         Ebs {
             profiler: DemandProfiler::new(platform),
             ladder_cache: LadderCache::new(),
-            unprofiled_fallbacks: 0,
         }
     }
 
@@ -52,33 +70,14 @@ impl Scheduler for Ebs {
     }
 
     fn schedule_event(&mut self, ctx: &ScheduleContext<'_>, event: &WebEvent) -> AcmpConfig {
-        // Cold start: run the two profiling executions at the designated
-        // profiling operating points.
-        if self.profiler.needs_profiling(event.event_type()) {
-            return self.profiler.profiling_config(event.event_type(), ctx.dvfs);
-        }
-        // A profiled type normally has an estimate, but fault-plane
-        // starvation (or a hostile trace) can deliver a type the profiler
-        // never completed: fall back to the conservative profiling
-        // configuration — the same ladder floor the proactive runtime's
-        // `reactive_config` takes — instead of panicking.
-        let Some(estimate) = self.profiler.estimate(event.event_type()) else {
-            self.unprofiled_fallbacks += 1;
-            return self.profiler.profiling_config(event.event_type(), ctx.dvfs);
-        };
-        // The event's remaining latency budget: its deadline minus the time
-        // at which it will actually start executing (queueing delay included,
-        // which is exactly why interference hurts a reactive policy).
-        let deadline = event.arrival() + ctx.qos.target_for_event(event.event_type());
-        let budget = deadline.saturating_sub(ctx.start_time);
-        let points = self.ladder_cache.points(ctx.dvfs.ladder(), &estimate);
-        match DvfsLadder::cheapest_within(points, budget) {
-            Some(cfg) => cfg,
-            // Even the fastest configuration cannot make it (Type I): spend
-            // peak performance to minimise the damage, as the paper observes
-            // conventional schedulers do.
-            None => ctx.platform.max_performance_config(),
-        }
+        ebs_config(
+            &self.profiler,
+            &mut self.ladder_cache,
+            ctx.dvfs,
+            ctx.qos,
+            event,
+            ctx.start_time,
+        )
     }
 
     fn on_event_complete(
@@ -96,11 +95,6 @@ impl Scheduler for Ebs {
     fn reset(&mut self) {
         self.profiler.reset();
         self.ladder_cache.clear();
-        self.unprofiled_fallbacks = 0;
-    }
-
-    fn unprofiled_fallbacks(&self) -> usize {
-        self.unprofiled_fallbacks
     }
 }
 
@@ -172,30 +166,6 @@ mod tests {
             "profiling runs happen on the big cluster"
         );
         assert!(ebs.profiler().needs_profiling(EventType::Click));
-    }
-
-    #[test]
-    fn unprofiled_fallbacks_start_zero_and_reset_clears_them() {
-        let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
-        let mut ebs = Ebs::new(&fixture.platform);
-        assert_eq!(ebs.unprofiled_fallbacks(), 0);
-        warm_up(&mut ebs, &fixture, EventType::Click, 300);
-        let ctx = ScheduleContext {
-            platform: &fixture.platform,
-            dvfs: &dvfs,
-            qos: &fixture.qos,
-            start_time: TimeUs::from_millis(1_000),
-            current_config: fixture.platform.min_power_config(),
-        };
-        ebs.schedule_event(&ctx, &event(9, EventType::Click, 1_000, 300));
-        // The healthy path — profiling guard or served estimate — never
-        // counts a fallback; the counter only moves on the starvation
-        // branch, and a session reset clears it.
-        assert_eq!(ebs.unprofiled_fallbacks(), 0);
-        ebs.unprofiled_fallbacks = 3;
-        ebs.reset();
-        assert_eq!(ebs.unprofiled_fallbacks(), 0);
     }
 
     #[test]

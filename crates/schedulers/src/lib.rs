@@ -9,7 +9,8 @@
 //! * [`Ebs`] — the state-of-the-art reactive QoS-aware scheduler (Zhu et al.,
 //!   HPCA'15): per-event minimum-energy configuration under the event's QoS
 //!   target, with online Eqn. 1 workload profiling ([`DemandProfiler`]) that
-//!   PES reuses.
+//!   PES reuses. The per-event decision itself is [`ebs_config`], which
+//!   PES's reactive tier takes too.
 //!
 //! All of them implement the [`Scheduler`] trait consumed by the reactive
 //! simulation loop in `pes-sim`; the Oracle and PES itself are proactive and
@@ -40,7 +41,7 @@ pub mod governors;
 pub mod profiler;
 
 pub use context::{ScheduleContext, Scheduler};
-pub use ebs::Ebs;
+pub use ebs::{ebs_config, Ebs};
 pub use governors::{InteractiveGovernor, OndemandGovernor};
 pub use profiler::DemandProfiler;
 

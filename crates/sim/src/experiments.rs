@@ -17,16 +17,16 @@
 //! per unit (enforced by `scenario_cache_matches_regenerated_artifacts` and
 //! `parallel_fan_out_is_deterministic` below).
 
-use std::sync::Arc;
-
 use std::fmt;
+use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 use pes_acmp::units::TimeUs;
 use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, Platform};
-use pes_core::{FaultPlane, OracleScheduler, PesConfig, PesScheduler};
-use pes_dom::EventType;
+use pes_core::{FaultPlane, OracleScheduler, PesConfig, PesScheduler, RunReport};
+use pes_dom::{BuiltPage, EventType};
 use pes_predictor::{evaluate_accuracy, EventSequenceLearner, LearnerConfig, Trainer};
-use pes_schedulers::{Ebs, InteractiveGovernor, OndemandGovernor};
+use pes_schedulers::{Ebs, InteractiveGovernor, OndemandGovernor, Scheduler};
 use pes_webrt::{EventId, QosPolicy, WebEvent};
 use pes_workload::{AppCatalog, Trace};
 
@@ -62,8 +62,7 @@ pub struct ExperimentContext {
     pub scenarios: ScenarioCache,
     /// The fault-injection plane the context's replays run under.
     /// [`FaultPlane::none`] (the default) keeps every driver bit-identical
-    /// to the unfaulted suite; the chaos tier swaps in seeded schedules via
-    /// [`ExperimentContext::with_faults`].
+    /// to the unfaulted suite; the chaos tier sets seeded schedules here.
     pub faults: FaultPlane,
 }
 
@@ -95,13 +94,6 @@ impl ExperimentContext {
             scenarios,
             faults: FaultPlane::none(),
         }
-    }
-
-    /// Returns a copy replaying under the given fault-injection plane
-    /// (chaos tier); [`FaultPlane::none`] restores the clean suite.
-    pub fn with_faults(mut self, faults: FaultPlane) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Switches the hardware model to the NVIDIA TX2 (Sec. 6.5 "other
@@ -445,6 +437,68 @@ pub fn fig10_waste(ctx: &ExperimentContext) -> Vec<(String, bool, f64, f64)> {
 // Fig. 11 / Fig. 12 / Fig. 13 — energy, QoS violation and Pareto comparison
 // ---------------------------------------------------------------------------
 
+/// The five policies of the paper's comparison (Sec. 6.1), in presentation
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Policy {
+    /// Android's default, QoS-agnostic interactivity governor.
+    Interactive,
+    /// The energy-leaning utilisation governor.
+    Ondemand,
+    /// The reactive, QoS-aware Event-Based Scheduler.
+    Ebs,
+    /// Proactive event scheduling.
+    Pes,
+    /// The proactive runtime with perfect knowledge of the future.
+    Oracle,
+}
+
+impl Policy {
+    /// Every policy, in presentation order.
+    pub const ALL: [Policy; 5] = [
+        Policy::Interactive,
+        Policy::Ondemand,
+        Policy::Ebs,
+        Policy::Pes,
+        Policy::Oracle,
+    ];
+
+    /// The name the figures print.
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::Interactive => "Interactive",
+            Policy::Ondemand => "Ondemand",
+            Policy::Ebs => "EBS",
+            Policy::Pes => "PES",
+            Policy::Oracle => "Oracle",
+        }
+    }
+}
+
+impl fmt::Display for Policy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+/// One value per policy, indexed by [`Policy`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PerPolicy<T>(pub [T; 5]);
+
+impl<T> Index<Policy> for PerPolicy<T> {
+    type Output = T;
+
+    fn index(&self, policy: Policy) -> &T {
+        &self.0[policy as usize]
+    }
+}
+
+impl<T> IndexMut<Policy> for PerPolicy<T> {
+    fn index_mut(&mut self, policy: Policy) -> &mut T {
+        &mut self.0[policy as usize]
+    }
+}
+
 /// Per-application comparison of all scheduling policies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppComparison {
@@ -452,32 +506,53 @@ pub struct AppComparison {
     pub app: String,
     /// Whether the app is in the seen suite.
     pub seen: bool,
-    /// `(policy, energy in mJ, violation rate)` per policy.
-    pub policies: Vec<(String, f64, f64)>,
+    /// Session energy in millijoules, summed over the traces.
+    pub energy_mj: PerPolicy<f64>,
+    /// QoS violations per replayed event.
+    pub violation_rate: PerPolicy<f64>,
 }
 
 impl AppComparison {
     /// Energy of a policy normalised to `Interactive` (Fig. 11).
-    pub fn normalized_energy(&self, policy: &str) -> Option<f64> {
-        let interactive = self.energy_of("Interactive")?;
-        Some(self.energy_of(policy)? / interactive)
+    pub fn normalized_energy(&self, policy: Policy) -> f64 {
+        self.energy_mj[policy] / self.energy_mj[Policy::Interactive]
     }
+}
 
-    /// Absolute energy of a policy in millijoules.
-    pub fn energy_of(&self, policy: &str) -> Option<f64> {
-        self.policies
-            .iter()
-            .find(|(p, _, _)| p == policy)
-            .map(|(_, e, _)| *e)
+/// Replays one `(page, trace)` scenario under `policy` on the context's
+/// power plane and returns `(energy in mJ, QoS violations)`. `pes` serves
+/// [`Policy::Pes`]; every other policy replays on a fresh scheduler.
+fn replay(
+    ctx: &ExperimentContext,
+    pes: &PesScheduler,
+    policy: Policy,
+    page: &BuiltPage,
+    trace: &Trace,
+) -> (f64, usize) {
+    let (platform, plane, qos) = (&ctx.platform, &ctx.power_plane, &ctx.qos);
+    let reactive = |scheduler: &mut dyn Scheduler| {
+        let r = run_reactive_with_plane(platform, plane, trace, scheduler, qos);
+        (r.total_energy.as_millijoules(), r.violations())
+    };
+    let proactive = |r: RunReport| (r.total_energy.as_millijoules(), r.violations);
+    match policy {
+        Policy::Interactive => reactive(&mut InteractiveGovernor::new()),
+        Policy::Ondemand => reactive(&mut OndemandGovernor::new()),
+        Policy::Ebs => reactive(&mut Ebs::new(platform)),
+        Policy::Pes => proactive(pes.run_trace_with_plane(platform, plane, page, trace, qos)),
+        Policy::Oracle => proactive(
+            OracleScheduler::new().run_trace_with_plane(platform, plane, page, trace, qos),
+        ),
     }
+}
 
-    /// Violation rate of a policy.
-    pub fn violation_of(&self, policy: &str) -> Option<f64> {
-        self.policies
-            .iter()
-            .find(|(p, _, _)| p == policy)
-            .map(|(_, _, v)| *v)
-    }
+/// Per-event violation rates from violation totals over `events` events.
+fn violation_rates(violations: PerPolicy<f64>, events: usize) -> PerPolicy<f64> {
+    PerPolicy(
+        violations
+            .0
+            .map(|v| if events == 0 { 0.0 } else { v / events as f64 }),
+    )
 }
 
 /// Runs Interactive, Ondemand, EBS, PES and Oracle over every application in
@@ -486,184 +561,74 @@ pub fn full_comparison(ctx: &ExperimentContext) -> Vec<AppComparison> {
     full_comparison_with_config(ctx, PesConfig::paper_defaults())
 }
 
-/// The policy names of the headline comparison, in presentation order.
-const COMPARISON_POLICIES: [&str; 5] = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"];
-
 /// Same as [`full_comparison`] but with an explicit PES configuration (used
 /// by the Fig. 14 sensitivity sweep and the ablations).
 ///
 /// This is the heaviest driver of the suite: `18 apps × N traces × 5
-/// schedulers` independent replays. It fans one unit of work per
-/// `(application, trace, scheduler)` tuple over scoped threads — each unit
+/// policies` independent replays. It fans one unit of work per
+/// `(application, trace, policy)` tuple over scoped threads — each unit
 /// replays the shared immutable page and trace of its `(application, trace)`
 /// pair from the [`ScenarioCache`], so the fan-out is deterministic — and
-/// folds the per-unit `(energy, violations, events)` triples back in the
-/// serial loop's order, keeping the result byte-identical to the serial
-/// driver (and to the regenerate-per-unit driver this replaced; see
+/// folds the per-unit `(energy, violations)` pairs back in the serial loop's
+/// order, keeping the result byte-identical to the serial driver (and to
+/// the regenerate-per-unit driver this replaced; see
 /// `parallel_fan_out_is_deterministic`).
 pub fn full_comparison_with_config(
     ctx: &ExperimentContext,
     pes_config: PesConfig,
 ) -> Vec<AppComparison> {
     let pes = PesScheduler::new(ctx.learner.clone(), pes_config);
-    let oracle = OracleScheduler::new();
     let apps = ctx.catalog.apps();
     let traces = ctx.traces_per_app;
-    let policies = COMPARISON_POLICIES.len();
-    let per_unit: Vec<(f64, usize, usize)> = par_map(apps.len() * traces * policies, |unit| {
+    let policies = Policy::ALL.len();
+    let per_unit: Vec<(f64, usize)> = par_map(apps.len() * traces * policies, |unit| {
         let app_idx = unit / (traces * policies);
         let trace_idx = (unit / policies) % traces;
-        let policy = COMPARISON_POLICIES[unit % policies];
         let page = ctx.scenarios.page_ref(app_idx);
         let trace = ctx.scenarios.trace_ref(app_idx, trace_idx);
-        let events = trace.len();
-        match policy {
-            "Interactive" => {
-                let r = run_reactive_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    trace,
-                    &mut InteractiveGovernor::new(),
-                    &ctx.qos,
-                );
-                (r.total_energy.as_millijoules(), r.violations(), events)
-            }
-            "Ondemand" => {
-                let r = run_reactive_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    trace,
-                    &mut OndemandGovernor::new(),
-                    &ctx.qos,
-                );
-                (r.total_energy.as_millijoules(), r.violations(), events)
-            }
-            "EBS" => {
-                let r = run_reactive_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    trace,
-                    &mut Ebs::new(&ctx.platform),
-                    &ctx.qos,
-                );
-                (r.total_energy.as_millijoules(), r.violations(), events)
-            }
-            "PES" => {
-                let r = pes.run_trace_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    page,
-                    trace,
-                    &ctx.qos,
-                );
-                (r.total_energy.as_millijoules(), r.violations, events)
-            }
-            _ => {
-                let r = oracle.run_trace_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    page,
-                    trace,
-                    &ctx.qos,
-                );
-                (r.total_energy.as_millijoules(), r.violations, events)
-            }
-        }
+        replay(ctx, &pes, Policy::ALL[unit % policies], page, trace)
     });
     apps.iter()
         .enumerate()
         .map(|(app_idx, app)| {
-            let mut totals: Vec<(String, f64, f64, usize)> = COMPARISON_POLICIES
-                .iter()
-                .map(|p| (p.to_string(), 0.0, 0.0, 0))
-                .collect();
+            let mut energy_mj = PerPolicy([0.0; 5]);
+            let mut violations = PerPolicy([0.0; 5]);
+            let mut events = 0;
             // Accumulate trace-major, policy-minor: the exact float-addition
             // order of the old serial nested loops.
             for trace_idx in 0..traces {
-                for (policy_idx, entry) in totals.iter_mut().enumerate() {
-                    let (energy_mj, violations, events) =
-                        per_unit[(app_idx * traces + trace_idx) * policies + policy_idx];
-                    entry.1 += energy_mj;
-                    entry.2 += violations as f64;
-                    entry.3 += events;
+                for policy in Policy::ALL {
+                    let (energy, violated) =
+                        per_unit[(app_idx * traces + trace_idx) * policies + policy as usize];
+                    energy_mj[policy] += energy;
+                    violations[policy] += violated as f64;
                 }
+                events += ctx.scenarios.trace_ref(app_idx, trace_idx).len();
             }
             AppComparison {
                 app: app.name().to_string(),
                 seen: app.is_seen(),
-                policies: totals
-                    .into_iter()
-                    .map(|(p, e, v, n)| (p, e, if n == 0 { 0.0 } else { v / n as f64 }))
-                    .collect(),
+                energy_mj,
+                violation_rate: violation_rates(violations, events),
             }
         })
         .collect()
 }
 
-/// Suite-level averages used by Fig. 13: `(policy, normalised energy,
-/// violation rate)`, averaged over the seen applications.
-pub fn fig13_pareto(comparisons: &[AppComparison]) -> Vec<(String, f64, f64)> {
-    let policies = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"];
-    policies
-        .iter()
-        .map(|policy| {
-            let seen: Vec<&AppComparison> = comparisons.iter().filter(|c| c.seen).collect();
-            let energy = seen
-                .iter()
-                .filter_map(|c| c.normalized_energy(policy))
-                .sum::<f64>()
-                / seen.len().max(1) as f64;
-            let violation = seen
-                .iter()
-                .filter_map(|c| c.violation_of(policy))
-                .sum::<f64>()
-                / seen.len().max(1) as f64;
-            (policy.to_string(), energy, violation)
-        })
-        .collect()
-}
-
-/// A pareto/comparison lookup named a scheduler the result set does not
-/// contain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingPolicyError {
-    /// The scheduler name that was looked up.
-    pub policy: String,
-    /// The scheduler names the result set actually holds.
-    pub available: Vec<String>,
-}
-
-impl fmt::Display for MissingPolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scheduler {:?} is not in the pareto set (available: {})",
-            self.policy,
-            self.available.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for MissingPolicyError {}
-
-/// The `(policy, normalised energy, violation rate)` entry of one scheduler
-/// in a [`fig13_pareto`] result.
-///
-/// # Errors
-///
-/// Returns a [`MissingPolicyError`] naming the missing scheduler (and the
-/// ones present) instead of aborting the caller with a bare `unwrap`.
-pub fn pareto_entry<'a>(
-    pareto: &'a [(String, f64, f64)],
-    policy: &str,
-) -> Result<&'a (String, f64, f64), MissingPolicyError> {
-    pareto
-        .iter()
-        .find(|(p, _, _)| p == policy)
-        .ok_or_else(|| MissingPolicyError {
-            policy: policy.to_string(),
-            available: pareto.iter().map(|(p, _, _)| p.clone()).collect(),
-        })
+/// Suite-level averages used by Fig. 13: `(normalised energy, violation
+/// rate)` per policy, averaged over the seen applications.
+pub fn fig13_pareto(comparisons: &[AppComparison]) -> PerPolicy<(f64, f64)> {
+    let seen: Vec<&AppComparison> = comparisons.iter().filter(|c| c.seen).collect();
+    let apps = seen.len().max(1) as f64;
+    PerPolicy(Policy::ALL.map(|policy| {
+        let energy = seen
+            .iter()
+            .map(|c| c.normalized_energy(policy))
+            .sum::<f64>()
+            / apps;
+        let violation = seen.iter().map(|c| c.violation_rate[policy]).sum::<f64>() / apps;
+        (energy, violation)
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -699,36 +664,21 @@ pub fn fig14_sensitivity(
                 ctx.learner.clone(),
                 PesConfig::paper_defaults().with_confidence_threshold(threshold),
             );
-            let per_unit: Vec<(f64, usize, f64, usize)> = par_map(subset.len() * traces, |unit| {
-                let app_idx = subset[unit / traces];
-                let page = ctx.scenarios.page_ref(app_idx);
-                let trace = ctx.scenarios.trace_ref(app_idx, unit % traces);
-                let e = run_reactive_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    trace,
-                    &mut Ebs::new(&ctx.platform),
-                    &ctx.qos,
-                );
-                let p = pes.run_trace_with_plane(
-                    &ctx.platform,
-                    &ctx.power_plane,
-                    page,
-                    trace,
-                    &ctx.qos,
-                );
-                (
-                    e.total_energy.as_millijoules(),
-                    e.violations(),
-                    p.total_energy.as_millijoules(),
-                    p.violations,
-                )
-            });
+            let per_unit: Vec<((f64, usize), (f64, usize))> =
+                par_map(subset.len() * traces, |unit| {
+                    let app_idx = subset[unit / traces];
+                    let page = ctx.scenarios.page_ref(app_idx);
+                    let trace = ctx.scenarios.trace_ref(app_idx, unit % traces);
+                    (
+                        replay(ctx, &pes, Policy::Ebs, page, trace),
+                        replay(ctx, &pes, Policy::Pes, page, trace),
+                    )
+                });
             let mut pes_energy = 0.0;
             let mut ebs_energy = 0.0;
             let mut pes_violations = 0usize;
             let mut ebs_violations = 0usize;
-            for (ebs_e, ebs_v, pes_e, pes_v) in per_unit {
+            for ((ebs_e, ebs_v), (pes_e, pes_v)) in per_unit {
                 ebs_energy += ebs_e;
                 ebs_violations += ebs_v;
                 pes_energy += pes_e;
@@ -754,7 +704,6 @@ pub fn fig14_sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactive::run_reactive_with_plane;
     use pes_workload::{TraceGenerator, EVAL_SEED_BASE};
 
     fn tiny_ctx() -> ExperimentContext {
@@ -818,15 +767,13 @@ mod tests {
     /// byte-for-byte.
     fn full_comparison_regenerate_serial(ctx: &ExperimentContext) -> Vec<AppComparison> {
         let pes = PesScheduler::new(ctx.learner.clone(), PesConfig::paper_defaults());
-        let oracle = OracleScheduler::new();
         ctx.catalog
             .apps()
             .iter()
             .map(|app| {
-                let mut totals: Vec<(String, f64, f64, usize)> = COMPARISON_POLICIES
-                    .iter()
-                    .map(|p| (p.to_string(), 0.0, 0.0, 0))
-                    .collect();
+                let mut energy_mj = PerPolicy([0.0; 5]);
+                let mut violations = PerPolicy([0.0; 5]);
+                let mut events = 0;
                 for trace_idx in 0..ctx.traces_per_app {
                     let page = app.build_page();
                     let trace = TraceGenerator::new().generate(
@@ -834,60 +781,18 @@ mod tests {
                         &page,
                         EVAL_SEED_BASE + trace_idx as u64,
                     );
-                    for (policy_idx, policy) in COMPARISON_POLICIES.iter().enumerate() {
-                        let (energy_mj, violations) = match *policy {
-                            "Interactive" => {
-                                let r = run_reactive_with_plane(
-                                    &ctx.platform,
-                                    &ctx.power_plane,
-                                    &trace,
-                                    &mut InteractiveGovernor::new(),
-                                    &ctx.qos,
-                                );
-                                (r.total_energy.as_millijoules(), r.violations())
-                            }
-                            "Ondemand" => {
-                                let r = run_reactive_with_plane(
-                                    &ctx.platform,
-                                    &ctx.power_plane,
-                                    &trace,
-                                    &mut OndemandGovernor::new(),
-                                    &ctx.qos,
-                                );
-                                (r.total_energy.as_millijoules(), r.violations())
-                            }
-                            "EBS" => {
-                                let r = run_reactive_with_plane(
-                                    &ctx.platform,
-                                    &ctx.power_plane,
-                                    &trace,
-                                    &mut Ebs::new(&ctx.platform),
-                                    &ctx.qos,
-                                );
-                                (r.total_energy.as_millijoules(), r.violations())
-                            }
-                            "PES" => {
-                                let r = pes.run_trace(&ctx.platform, &page, &trace, &ctx.qos);
-                                (r.total_energy.as_millijoules(), r.violations)
-                            }
-                            _ => {
-                                let r = oracle.run_trace(&ctx.platform, &page, &trace, &ctx.qos);
-                                (r.total_energy.as_millijoules(), r.violations)
-                            }
-                        };
-                        let entry = &mut totals[policy_idx];
-                        entry.1 += energy_mj;
-                        entry.2 += violations as f64;
-                        entry.3 += trace.len();
+                    for policy in Policy::ALL {
+                        let (energy, violated) = replay(ctx, &pes, policy, &page, &trace);
+                        energy_mj[policy] += energy;
+                        violations[policy] += violated as f64;
                     }
+                    events += trace.len();
                 }
                 AppComparison {
                     app: app.name().to_string(),
                     seen: app.is_seen(),
-                    policies: totals
-                        .into_iter()
-                        .map(|(p, e, v, n)| (p, e, if n == 0 { 0.0 } else { v / n as f64 }))
-                        .collect(),
+                    energy_mj,
+                    violation_rate: violation_rates(violations, events),
                 }
             })
             .collect()
@@ -962,15 +867,10 @@ mod tests {
         let comparisons = full_comparison(&ctx);
         assert_eq!(comparisons.len(), 18);
         let pareto = fig13_pareto(&comparisons);
-        let get = |name: &str| {
-            pareto_entry(&pareto, name)
-                .expect("comparison policy present")
-                .clone()
-        };
-        let (_, interactive_e, _) = get("Interactive");
-        let (_, pes_e, pes_v) = get("PES");
-        let (_, ebs_e, ebs_v) = get("EBS");
-        let (_, oracle_e, oracle_v) = get("Oracle");
+        let (interactive_e, _) = pareto[Policy::Interactive];
+        let (pes_e, pes_v) = pareto[Policy::Pes];
+        let (ebs_e, ebs_v) = pareto[Policy::Ebs];
+        let (oracle_e, oracle_v) = pareto[Policy::Oracle];
         assert!((interactive_e - 1.0).abs() < 1e-9);
         assert!(
             pes_e < 1.0,
@@ -983,22 +883,5 @@ mod tests {
         );
         assert!(pes_v < ebs_v, "PES should reduce QoS violations vs EBS");
         assert!(oracle_v <= pes_v + 1e-9);
-    }
-
-    #[test]
-    fn pareto_lookup_errors_name_the_missing_scheduler() {
-        let pareto = vec![
-            ("PES".to_string(), 0.8, 0.01),
-            ("EBS".to_string(), 0.9, 0.05),
-        ];
-        assert_eq!(pareto_entry(&pareto, "PES").unwrap().1, 0.8);
-        let err = pareto_entry(&pareto, "Oracle").unwrap_err();
-        assert_eq!(err.policy, "Oracle");
-        assert_eq!(err.available, vec!["PES".to_string(), "EBS".to_string()]);
-        let shown = err.to_string();
-        assert!(
-            shown.contains("Oracle") && shown.contains("PES, EBS"),
-            "{shown}"
-        );
     }
 }

@@ -46,9 +46,8 @@ pub mod training;
 pub use classify::{classify_events, distribution, ClassDistribution, EventClass};
 pub use experiments::{
     fig10_waste, fig13_pareto, fig14_sensitivity, fig2_case_study, fig2_trace, fig3_event_types,
-    fig8_accuracy, fig9_pfb_trace, full_comparison, full_comparison_with_config, pareto_entry,
-    AppComparison, CaseStudy, ExperimentContext, MissingPolicyError, SensitivityPoint,
-    TimelineEntry,
+    fig8_accuracy, fig9_pfb_trace, full_comparison, full_comparison_with_config, AppComparison,
+    CaseStudy, ExperimentContext, PerPolicy, Policy, SensitivityPoint, TimelineEntry,
 };
 pub use fleet::{
     fleet_admission_dry_run, resume_fleet, run_fleet, run_fleet_journaled, unit_scenario,

@@ -35,11 +35,6 @@ pub struct ReactiveReport {
     pub records: Vec<ReactiveEventRecord>,
     /// Total processor energy over the session.
     pub total_energy: EnergyUj,
-    /// Events the scheduler served with a conservative fallback because
-    /// their type had no demand estimate (see
-    /// [`Scheduler::unprofiled_fallbacks`]); mirrors the proactive
-    /// `RunReport::unprofiled_fallbacks`.
-    pub unprofiled_fallbacks: usize,
     /// QoS violations, counted at commit time by the engine (identical to scanning `records` — the reactive differential test
     /// pins the two against each other).
     pub violations: usize,
@@ -113,7 +108,6 @@ pub fn run_reactive_with_plane(
         app: trace.app().to_string(),
         records,
         total_energy: engine.total_energy(),
-        unprofiled_fallbacks: scheduler.unprofiled_fallbacks(),
         violations: engine.violations(),
     }
 }

@@ -44,13 +44,16 @@ pub struct ExecutionRecord {
 /// # Examples
 ///
 /// ```
-/// use pes_acmp::{CpuDemand, Platform};
+/// use std::sync::Arc;
+///
+/// use pes_acmp::{CpuDemand, DvfsLadder, Platform};
 /// use pes_acmp::units::{CpuCycles, TimeUs};
 /// use pes_dom::EventType;
 /// use pes_webrt::{EventId, ExecutionEngine, QosPolicy, WebEvent};
 ///
 /// let platform = Platform::exynos_5410();
-/// let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+/// let plane = Arc::new(DvfsLadder::for_platform(&platform));
+/// let mut engine = ExecutionEngine::with_plane(&platform, QosPolicy::paper_defaults(), plane);
 /// let event = WebEvent::new(
 ///     EventId::new(0),
 ///     EventType::Click,
@@ -82,14 +85,7 @@ pub struct ExecutionEngine<'p> {
 
 impl<'p> ExecutionEngine<'p> {
     /// Creates an engine parked at the platform's lowest-power configuration
-    /// at time zero. Builds a private DVFS ladder; replay fleets should use
-    /// [`ExecutionEngine::with_plane`] to share one per platform instead.
-    pub fn new(platform: &'p Platform, qos: QosPolicy) -> Self {
-        let plane = Arc::new(DvfsLadder::for_platform(platform));
-        ExecutionEngine::with_plane(platform, qos, plane)
-    }
-
-    /// Creates an engine whose DVFS model *and* energy meter are served by a
+    /// at time zero, whose DVFS model *and* energy meter are served by a
     /// shared, already-built power plane (one ladder per platform, built by
     /// the experiment context): replays neither rebuild the 17-rung table
     /// nor re-derive cluster powers per energy sample.
@@ -285,6 +281,11 @@ mod tests {
     use pes_acmp::CpuDemand;
     use pes_dom::EventType;
 
+    fn engine(platform: &Platform) -> ExecutionEngine<'_> {
+        let plane = Arc::new(DvfsLadder::for_platform(platform));
+        ExecutionEngine::with_plane(platform, QosPolicy::paper_defaults(), plane)
+    }
+
     fn event(id: u64, ty: EventType, at_ms: u64, mcycles: u64) -> WebEvent {
         WebEvent::new(
             EventId::new(id),
@@ -298,7 +299,7 @@ mod tests {
     #[test]
     fn execution_respects_arrival_for_non_speculative_events() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         let ev = event(0, EventType::Click, 100, 50);
         let record = engine.execute_event(&ev, &platform.max_performance_config(), false);
         assert!(record.started_at >= TimeUs::from_millis(100));
@@ -309,7 +310,7 @@ mod tests {
     #[test]
     fn speculative_execution_can_start_before_arrival() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         let ev = event(0, EventType::Click, 500, 50);
         let record = engine.execute_event(&ev, &platform.max_performance_config(), true);
         assert!(record.started_at < ev.arrival());
@@ -322,7 +323,7 @@ mod tests {
     #[test]
     fn idle_time_accumulates_idle_energy() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         engine.idle_until(TimeUs::from_millis(500));
         assert_eq!(engine.cpu_free_at(), TimeUs::from_millis(500));
         assert!(engine.total_energy().as_millijoules() > 0.0);
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn config_switches_cost_time_and_energy() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         let before = engine.cpu_free_at();
         engine.switch_config(&platform.max_performance_config());
         assert!(engine.cpu_free_at() > before);
@@ -349,7 +350,7 @@ mod tests {
     #[test]
     fn commit_scores_qos_against_the_arrival_time() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         // A heavy move event on the slowest configuration misses 33 ms.
         let ev = event(0, EventType::Scroll, 0, 60);
         let record = engine.execute_event(&ev, &platform.min_power_config(), false);
@@ -361,7 +362,7 @@ mod tests {
     #[test]
     fn squashed_speculation_is_reattributed_to_waste() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         let ev = event(0, EventType::Click, 1_000, 80);
         let record = engine.execute_event(&ev, &platform.max_performance_config(), true);
         assert_eq!(engine.waste_fraction(), 0.0);
@@ -376,7 +377,7 @@ mod tests {
     fn shared_plane_engine_matches_a_fresh_engine_bit_for_bit() {
         let platform = Platform::exynos_5410();
         let plane = Arc::new(DvfsLadder::for_platform(&platform));
-        let mut fresh = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut fresh = engine(&platform);
         let mut shared =
             ExecutionEngine::with_plane(&platform, QosPolicy::paper_defaults(), Arc::clone(&plane));
         assert!(Arc::ptr_eq(shared.dvfs().shared_ladder(), &plane));
@@ -410,7 +411,7 @@ mod tests {
     #[test]
     fn back_to_back_events_queue_on_the_single_main_thread() {
         let platform = Platform::exynos_5410();
-        let mut engine = ExecutionEngine::new(&platform, QosPolicy::paper_defaults());
+        let mut engine = engine(&platform);
         let first = event(0, EventType::Load, 0, 2_000);
         let second = event(1, EventType::Click, 10, 100);
         let r1 = engine.execute_event(&first, &platform.max_performance_config(), false);

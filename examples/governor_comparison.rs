@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example governor_comparison [traces_per_app]`.
 
-use pes::sim::{fig13_pareto, full_comparison, ExperimentContext};
+use pes::sim::{fig13_pareto, full_comparison, ExperimentContext, Policy};
 
 fn main() {
     let traces_per_app: usize = std::env::args()
@@ -25,18 +25,20 @@ fn main() {
             "{:<16} {:>6} {:>11.0}mJ {:>7.2} {:>7.2} {:>7.2} | {:>7.1}% {:>7.1}% {:>7.1}%",
             c.app,
             c.seen,
-            c.energy_of("Interactive").unwrap_or(0.0),
-            c.normalized_energy("EBS").unwrap_or(1.0),
-            c.normalized_energy("PES").unwrap_or(1.0),
-            c.normalized_energy("Oracle").unwrap_or(1.0),
-            100.0 * c.violation_of("EBS").unwrap_or(0.0),
-            100.0 * c.violation_of("PES").unwrap_or(0.0),
-            100.0 * c.violation_of("Oracle").unwrap_or(0.0),
+            c.energy_mj[Policy::Interactive],
+            c.normalized_energy(Policy::Ebs),
+            c.normalized_energy(Policy::Pes),
+            c.normalized_energy(Policy::Oracle),
+            100.0 * c.violation_rate[Policy::Ebs],
+            100.0 * c.violation_rate[Policy::Pes],
+            100.0 * c.violation_rate[Policy::Oracle],
         );
     }
 
     println!("\nPareto points (seen-suite averages, Fig. 13):");
-    for (policy, energy, violation) in fig13_pareto(&comparisons) {
+    let pareto = fig13_pareto(&comparisons);
+    for policy in Policy::ALL {
+        let (energy, violation) = pareto[policy];
         println!(
             "  {:<12} normalised energy {:>5.2}   QoS violation {:>5.1}%",
             policy,

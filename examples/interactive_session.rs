@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --release --example interactive_session [app]`.
 
-use pes::acmp::Platform;
+use std::sync::Arc;
+
+use pes::acmp::{DvfsLadder, Platform};
 use pes::core::{PesConfig, PesScheduler};
 use pes::predictor::{LearnerConfig, Trainer};
 use pes::webrt::QosPolicy;
@@ -29,6 +31,7 @@ fn main() {
     };
 
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     println!("training predictor...");
     let learner = Trainer::new().train_learner(&catalog, LearnerConfig::paper_defaults());
@@ -36,7 +39,7 @@ fn main() {
 
     let page = app.build_page();
     let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + 4);
-    let report = pes.run_trace(&platform, &page, &trace, &qos);
+    let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
 
     println!(
         "\nsession of {} — {} events over {:.0} s (touch user: {})\n",

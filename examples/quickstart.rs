@@ -41,8 +41,9 @@ fn main() {
     );
     let ebs = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults())
-        .run_trace(&platform, &page, &trace, &qos);
-    let oracle = OracleScheduler::new().run_trace(&platform, &page, &trace, &qos);
+        .run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
+    let oracle =
+        OracleScheduler::new().run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
 
     println!(
         "{:<14} {:>12} {:>16} {:>14}",

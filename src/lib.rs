@@ -22,6 +22,9 @@
 //! # Quick start
 //!
 //! ```no_run
+//! use std::sync::Arc;
+//!
+//! use pes::acmp::{DvfsLadder, Platform};
 //! use pes::core::{PesConfig, PesScheduler};
 //! use pes::predictor::{LearnerConfig, Trainer};
 //! use pes::workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
@@ -30,13 +33,17 @@
 //! let catalog = AppCatalog::paper_suite();
 //! let learner = Trainer::new().train_learner(&catalog, LearnerConfig::paper_defaults());
 //!
-//! // Replay a user session of cnn.com under PES on the Exynos 5410 model.
+//! // Replay a user session of cnn.com under PES on the Exynos 5410 model,
+//! // on the platform's one shared DVFS power plane.
+//! let platform = Platform::exynos_5410();
+//! let plane = Arc::new(DvfsLadder::for_platform(&platform));
 //! let app = catalog.find("cnn").unwrap();
 //! let page = app.build_page();
 //! let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE);
 //! let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
-//! let report = pes.run_trace(
-//!     &pes::acmp::Platform::exynos_5410(),
+//! let report = pes.run_trace_with_plane(
+//!     &platform,
+//!     &plane,
 //!     &page,
 //!     &trace,
 //!     &pes::webrt::QosPolicy::paper_defaults(),

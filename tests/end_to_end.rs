@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use pes::acmp::{DvfsLadder, DvfsModel, Platform};
-use pes::core::{FaultConfig, FaultPlane, OracleScheduler, PesConfig, PesScheduler};
+use pes::core::{
+    DegradationLevel, FaultConfig, FaultPlane, OracleScheduler, PesConfig, PesScheduler,
+};
 use pes::predictor::{LearnerConfig, Trainer, TrainingConfig};
 use pes::schedulers::{DemandProfiler, Ebs, InteractiveGovernor, OndemandGovernor};
 use pes::sim::{
@@ -61,7 +63,7 @@ fn pes_improves_on_ebs_for_energy_and_qos_across_several_apps() {
                 run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
             ebs_energy += e.total_energy.as_millijoules();
             ebs_violations += e.violations();
-            let p = pes.run_trace(&platform, &page, &trace, &qos);
+            let p = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
             pes_energy += p.total_energy.as_millijoules();
             pes_violations += p.violations;
         }
@@ -93,6 +95,7 @@ fn pes_improves_on_ebs_for_energy_and_qos_across_several_apps() {
 fn oracle_dominates_every_policy_it_is_compared_against() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let learner = quick_learner(&catalog);
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults());
@@ -103,8 +106,8 @@ fn oracle_dominates_every_policy_it_is_compared_against() {
     let page = app.build_page();
     let trace = generator.generate(app, &page, EVAL_SEED_BASE + 21);
 
-    let pes_report = pes.run_trace(&platform, &page, &trace, &qos);
-    let oracle_report = oracle.run_trace(&platform, &page, &trace, &qos);
+    let pes_report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
+    let oracle_report = oracle.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
 
     assert!(oracle_report.violations <= pes_report.violations);
     assert!(
@@ -201,7 +204,7 @@ fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
 
     let fast = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
 
-    let mut engine = ExecutionEngine::new(&platform, qos);
+    let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane));
     let dvfs = DvfsModel::new(&platform);
     let mut profiler = DemandProfiler::new(&platform);
     let mut reference_configs = Vec::with_capacity(trace.len());
@@ -234,6 +237,51 @@ fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
     );
 }
 
+/// PES pinned to the `Reactive` tier serves every event through the one EBS
+/// decision (`pes_schedulers::ebs_config`) and never speculates, so it
+/// reproduces EBS session by session: over every app of the suite, three
+/// fault-free traces each, the per-event QoS outcomes and violation counts
+/// are equal and the session energy is bit-identical.
+#[test]
+fn forced_reactive_pes_reproduces_ebs_session_by_session() {
+    let catalog = AppCatalog::paper_suite();
+    let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
+    let qos = QosPolicy::paper_defaults();
+    let scenarios = ScenarioCache::build(&catalog, 3);
+    let pes = PesScheduler::new(
+        quick_learner(&catalog),
+        PesConfig::paper_defaults().with_forced_tier(DegradationLevel::Reactive),
+    );
+    let mut sessions = 0;
+    for (app_idx, app) in catalog.apps().iter().enumerate() {
+        for trace_idx in 0..3 {
+            let page = scenarios.page_ref(app_idx);
+            let trace = scenarios.trace_ref(app_idx, trace_idx);
+            let ebs =
+                run_reactive_with_plane(&platform, &plane, trace, &mut Ebs::new(&platform), &qos);
+            let reactive = pes.run_trace_with_plane(&platform, &plane, page, trace, &qos);
+            let session = format!("{} trace {trace_idx}", app.name());
+            assert!(
+                reactive
+                    .outcomes
+                    .iter()
+                    .map(|(_, o)| o)
+                    .eq(ebs.records.iter().map(|r| &r.outcome)),
+                "{session}: per-event outcomes diverged"
+            );
+            assert_eq!(reactive.violations, ebs.violations(), "{session}");
+            assert_eq!(
+                reactive.total_energy.as_microjoules().to_bits(),
+                ebs.total_energy.as_microjoules().to_bits(),
+                "{session}: session energy diverged"
+            );
+            sessions += 1;
+        }
+    }
+    assert_eq!(sessions, 54);
+}
+
 /// Golden seeded sessions: one fixed `(app, seed)` replay per scheduler with
 /// the frame-deadline-miss count pinned exactly and the session energy
 /// pinned to the microjoule. Any change to the event fast path that shifts a
@@ -252,8 +300,9 @@ fn golden_seeded_sessions_stay_pinned() {
 
     // (policy, violations, energy in µJ) goldens for the seeded session.
     let pes = PesScheduler::new(learner, PesConfig::paper_defaults())
-        .run_trace(&platform, &page, &trace, &qos);
-    let oracle = OracleScheduler::new().run_trace(&platform, &page, &trace, &qos);
+        .run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
+    let oracle =
+        OracleScheduler::new().run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
     let ebs = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
     let interactive = run_reactive_with_plane(
         &platform,
@@ -320,6 +369,7 @@ const GOLDEN_INTERACTIVE: (usize, f64) = (2, 20_044_502.467135124);
 fn golden_oracle_anytime_sessions_stay_pinned() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let oracle = OracleScheduler::new();
 
@@ -331,7 +381,7 @@ fn golden_oracle_anytime_sessions_stay_pinned() {
         let app = catalog.find(app_name).unwrap();
         let page = app.build_page();
         let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE + seed_offset);
-        let report = oracle.run_trace(&platform, &page, &trace, &qos);
+        let report = oracle.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         let energy = report.total_energy.as_microjoules();
         println!(
             "ORACLE-GOLDEN-CAPTURE {app_name}: ({}, {energy:?}, {})",
@@ -421,12 +471,13 @@ fn cnn_replay_scores_solve_memo_hits() {
 fn golden_pes_shape_memo_session_stays_pinned() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let app = catalog.find("cnn").unwrap();
     let page = app.build_page();
     let trace = TraceGenerator::new().generate(app, &page, EVAL_SEED_BASE);
     let pes = PesScheduler::new(quick_learner(&catalog), PesConfig::paper_defaults());
-    let report = pes.run_trace(&platform, &page, &trace, &qos);
+    let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
     let energy = report.total_energy.as_microjoules();
     println!(
         "PES-MEMO-GOLDEN-CAPTURE cnn: ({}, {energy:?}, {} hits / {} lookups)",
@@ -513,7 +564,7 @@ fn zero_fault_plane_replays_stay_pinned_to_the_goldens() {
     // that reconciles with the session total.
     for report in [&golden, &memo] {
         assert_eq!(report.fault_injections.total(), 0, "no faults injected");
-        assert_eq!(report.unprofiled_fallbacks, 0);
+        assert_eq!(report.degradation.ondemand_floor, 0);
         assert!(report.degradation.decisions() > 0, "ladder is populated");
         let breakdown: f64 = report
             .energy_breakdown
@@ -553,6 +604,7 @@ fn golden_watchdogged_sessions_stay_pinned() {
 
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
+    let plane = Arc::new(DvfsLadder::for_platform(&platform));
     let qos = QosPolicy::paper_defaults();
     let app = catalog.find("cnn").unwrap();
     let page = app.build_page();
@@ -582,7 +634,7 @@ fn golden_watchdogged_sessions_stay_pinned() {
             learner.clone(),
             PesConfig::paper_defaults().with_watchdog(watchdog),
         );
-        let report = pes.run_trace(&platform, &page, &trace, &qos);
+        let report = pes.run_trace_with_plane(&platform, &plane, &page, &trace, &qos);
         let energy = report.total_energy.as_microjoules();
         let d = report.degradation;
         let histogram = [d.exact, d.anytime, d.greedy, d.reactive, d.ondemand_floor];

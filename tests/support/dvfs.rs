@@ -1,12 +1,12 @@
 //! The pre-ladder DVFS math, re-derived from the platform tables on every
-//! call: the oracles the ladder-backed `DvfsModel` paths are pinned against
-//! bit for bit.
+//! call: the oracles the ladder-backed `DvfsModel` paths and the
+//! plane-routed `EnergyMeter` are pinned against bit for bit.
 
 // Each includer uses a subset of the support code.
 #![allow(dead_code)]
 
 use pes_acmp::units::{EnergyUj, PowerMw, TimeUs};
-use pes_acmp::{AcmpConfig, CpuDemand, DvfsModel};
+use pes_acmp::{AcmpConfig, ActivityKind, CoreKind, CpuDemand, DvfsModel, Platform};
 
 /// `DvfsModel::execution_power`: the active power of `cfg` plus the idle
 /// floor of the other cluster.
@@ -55,4 +55,135 @@ pub fn cheapest_config_within_reference(
         }
     }
     best.map(|(cfg, _)| cfg)
+}
+
+/// The plane-less `EnergyMeter`: every sample re-derives its powers from
+/// the platform tables and lands in the same accumulators in the same
+/// addition order, so a plane-routed meter must match it bit for bit.
+#[derive(Debug, Clone)]
+pub struct ReferenceMeter<'p> {
+    platform: &'p Platform,
+    total: EnergyUj,
+    by_activity: [EnergyUj; 4],
+    by_cluster: [EnergyUj; 4],
+    busy_time: TimeUs,
+    idle_time: TimeUs,
+}
+
+impl<'p> ReferenceMeter<'p> {
+    /// A meter with every counter at zero.
+    pub fn new(platform: &'p Platform) -> Self {
+        ReferenceMeter {
+            platform,
+            total: EnergyUj::ZERO,
+            by_activity: [EnergyUj::ZERO; 4],
+            by_cluster: [EnergyUj::ZERO; 4],
+            busy_time: TimeUs::ZERO,
+            idle_time: TimeUs::ZERO,
+        }
+    }
+
+    /// `EnergyMeter::record_busy`.
+    pub fn record_busy(&mut self, cfg: &AcmpConfig, duration: TimeUs, activity: ActivityKind) {
+        if duration.is_zero() {
+            return;
+        }
+        let own = self.platform.active_power(cfg).energy_over(duration);
+        let background = self
+            .platform
+            .background_idle_power(cfg)
+            .energy_over(duration);
+        self.busy_time += duration;
+        self.add(cfg.core(), own, activity);
+        self.add(self.other_cluster(cfg.core()), background, activity);
+    }
+
+    /// `EnergyMeter::record_idle`.
+    pub fn record_idle(&mut self, cfg: &AcmpConfig, duration: TimeUs) {
+        if duration.is_zero() {
+            return;
+        }
+        let own = self.platform.idle_power(cfg).energy_over(duration);
+        let background = self
+            .platform
+            .background_idle_power(cfg)
+            .energy_over(duration);
+        self.idle_time += duration;
+        self.add(cfg.core(), own, ActivityKind::Idle);
+        self.add(
+            self.other_cluster(cfg.core()),
+            background,
+            ActivityKind::Idle,
+        );
+    }
+
+    /// `EnergyMeter::record_transition`.
+    pub fn record_transition(&mut self, to: &AcmpConfig, duration: TimeUs) {
+        if duration.is_zero() {
+            return;
+        }
+        let energy = self.platform.active_power(to).energy_over(duration);
+        self.busy_time += duration;
+        self.add(to.core(), energy, ActivityKind::Transition);
+    }
+
+    /// `EnergyMeter::reattribute_waste`.
+    pub fn reattribute_waste(&mut self, energy: EnergyUj) {
+        let useful = self.for_activity(ActivityKind::UsefulWork);
+        let moved = EnergyUj::new(energy.as_microjoules().min(useful.as_microjoules()));
+        if moved.as_microjoules() == 0.0 {
+            return;
+        }
+        self.by_activity[ActivityKind::UsefulWork.index()] = useful - moved;
+        self.by_activity[ActivityKind::SpeculativeWaste.index()] += moved;
+    }
+
+    /// The platform cluster charged for `active`'s background idle draw.
+    fn other_cluster(&self, active: CoreKind) -> CoreKind {
+        self.platform
+            .clusters()
+            .iter()
+            .map(|c| c.core_kind())
+            .find(|k| *k != active)
+            .unwrap_or(active)
+    }
+
+    fn add(&mut self, cluster: CoreKind, energy: EnergyUj, activity: ActivityKind) {
+        self.total += energy;
+        self.by_activity[activity.index()] += energy;
+        self.by_cluster[cluster.index()] += energy;
+    }
+
+    /// Total energy integrated so far.
+    pub fn total(&self) -> EnergyUj {
+        self.total
+    }
+
+    /// Energy attributed to `activity`.
+    pub fn for_activity(&self, activity: ActivityKind) -> EnergyUj {
+        self.by_activity[activity.index()]
+    }
+
+    /// Energy attributed to `cluster`.
+    pub fn for_cluster(&self, cluster: CoreKind) -> EnergyUj {
+        self.by_cluster[cluster.index()]
+    }
+
+    /// Total busy (executing or transitioning) time.
+    pub fn busy_time(&self) -> TimeUs {
+        self.busy_time
+    }
+
+    /// Total idle time.
+    pub fn idle_time(&self) -> TimeUs {
+        self.idle_time
+    }
+
+    /// `EnergyMeter::speculative_waste_fraction`.
+    pub fn speculative_waste_fraction(&self) -> f64 {
+        if self.total.as_microjoules() == 0.0 {
+            return 0.0;
+        }
+        self.for_activity(ActivityKind::SpeculativeWaste) / self.total
+    }
 }

@@ -199,6 +199,10 @@ pub fn coarse_time_bounds_reference(
         for p in &mut next[miss_from..] {
             *p += VIOLATION_PENALTY;
         }
+        // Finishes saturate at `u64::MAX`: reads past its cell read it.
+        let top = cell(u64::MAX);
+        let at_top = next[top];
+        next[top + 1..].fill(at_top);
         let row = &mut lb[k * width..(k + 1) * width];
         row[release..].fill(f64::INFINITY);
         for opt in &ranked {
