@@ -1,12 +1,13 @@
-//! The analytical DVFS latency model of Eqn. 1: `T = Tmem + Ndep / f`.
+//! The analytical DVFS latency model of Eqn. 1: `T = Tmem + Ndep / f`,
+//! and the Eqn. 5 marginal energy both EBS and PES schedule on.
 //!
 //! Events carry a [`CpuDemand`] (memory-bound time plus a CPU-cycle
-//! requirement); [`DvfsModel`] maps a demand and an [`AcmpConfig`] to an
-//! execution latency and to the energy spent, and — like EBS and PES — can
-//! *recover* the demand from two latency observations at different
-//! frequencies by solving the two-equation system described in Sec. 5.3.
-
-use std::sync::Arc;
+//! requirement); [`CpuDemand::time_on`] maps it to an execution latency on
+//! one configuration. The [`DvfsLadder`] is the one power model: it freezes
+//! every platform operating point's powers once and evaluates latency and
+//! marginal energy per rung. [`recover_demand`] inverts Eqn. 1 the way EBS
+//! and PES do, solving the two-equation system of Sec. 5.3 from two latency
+//! observations at different frequencies.
 
 use crate::config::AcmpConfig;
 use crate::error::AcmpError;
@@ -65,6 +66,65 @@ impl CpuDemand {
             ref_cycles: self.ref_cycles.scale(factor),
         }
     }
+
+    /// Execution latency of this demand on configuration `cfg` (Eqn. 1/3):
+    /// `T = Tmem + Ndep(core) / f`.
+    pub fn time_on(&self, cfg: &AcmpConfig) -> TimeUs {
+        let cycles_on_core = self.ref_cycles.scale(1.0 / cfg.core().ipc_relative_to_a7());
+        self.t_mem + cycles_on_core.time_at(cfg.frequency())
+    }
+}
+
+/// Recovers a [`CpuDemand`] from two latency observations of the *same*
+/// event workload taken at two different frequencies on the same core kind,
+/// by solving the linear system of Eqn. 1 — the online profiling step both
+/// EBS and PES perform the first two times an event is seen (Sec. 5.3).
+///
+/// # Errors
+///
+/// Returns [`AcmpError::DemandRecovery`] when the two observations use the
+/// same frequency or different core kinds, or when the observations are
+/// inconsistent (they would imply negative `Tmem` or `Ndep`, in which case
+/// the closest physically meaningful demand is unrecoverable).
+pub fn recover_demand(
+    obs_a: (AcmpConfig, TimeUs),
+    obs_b: (AcmpConfig, TimeUs),
+) -> Result<CpuDemand, AcmpError> {
+    let (cfg_a, t_a) = obs_a;
+    let (cfg_b, t_b) = obs_b;
+    if cfg_a.core() != cfg_b.core() {
+        return Err(AcmpError::DemandRecovery(
+            "observations must come from the same core kind".into(),
+        ));
+    }
+    if cfg_a.frequency() == cfg_b.frequency() {
+        return Err(AcmpError::DemandRecovery(
+            "observations must use two distinct frequencies".into(),
+        ));
+    }
+    // T = Tmem + C/f  =>  C = (Ta - Tb) / (1/fa - 1/fb),  Tmem = Ta - C/fa
+    let fa = cfg_a.frequency().as_mhz() as f64;
+    let fb = cfg_b.frequency().as_mhz() as f64;
+    let ta = t_a.as_micros() as f64;
+    let tb = t_b.as_micros() as f64;
+    let inv_diff = 1.0 / fa - 1.0 / fb;
+    let cycles_on_core = (ta - tb) / inv_diff;
+    if !cycles_on_core.is_finite() || cycles_on_core < 0.0 {
+        return Err(AcmpError::DemandRecovery(
+            "observations imply a negative cycle count".into(),
+        ));
+    }
+    let t_mem = ta - cycles_on_core / fa;
+    if t_mem < -1.0 {
+        return Err(AcmpError::DemandRecovery(
+            "observations imply a negative memory time".into(),
+        ));
+    }
+    let ref_cycles = cycles_on_core * cfg_a.core().ipc_relative_to_a7();
+    Ok(CpuDemand::new(
+        TimeUs::from_micros(t_mem.max(0.0).round() as u64),
+        CpuCycles::new(ref_cycles.round() as u64),
+    ))
 }
 
 /// One rung of the precomputed [`DvfsLadder`]: a platform configuration with
@@ -72,11 +132,10 @@ impl CpuDemand {
 ///
 /// Besides the combined `exec_power` the optimisation objective uses, each
 /// rung freezes the three *raw* power terms ([`LadderRung::active_power`],
-/// [`LadderRung::idle_power`], [`LadderRung::background_power`]) that the
-/// [`crate::EnergyMeter`] previously re-derived from the cluster tables on
-/// every `record_busy`/`record_idle` call — the per-call math the shared
-/// power plane removes from the metering hot path. Each is computed with the
-/// exact expression the platform tables use, so plane-routed samples are
+/// [`LadderRung::idle_power`], [`LadderRung::background_power`]) the
+/// [`crate::EnergyMeter`] charges per sample, so metering never re-derives
+/// a power from the cluster tables. Each is computed with the exact
+/// expression the platform tables use, so plane-routed samples are
 /// bit-identical to the direct derivation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderRung {
@@ -84,12 +143,11 @@ pub struct LadderRung {
     pub config: AcmpConfig,
     /// `1 / ipc_relative_to_a7`, the factor translating reference cycles
     /// into cycles on this rung's core. Precomputed with the exact
-    /// expression the direct model uses, so scaled cycle counts are
+    /// expression [`CpuDemand::time_on`] uses, so scaled cycle counts are
     /// bit-identical.
     pub inv_ipc: f64,
-    /// Active power including the background cluster's idle floor — the
-    /// value [`DvfsModel::execution_power`] recomputes from the platform on
-    /// every call.
+    /// Active power including the background cluster's idle floor: the
+    /// power an execution on this rung draws (cores stay on, Sec. 4.1).
     pub exec_power: PowerMw,
     /// Active power of the executing core alone
     /// ([`Platform::active_power`] frozen).
@@ -115,18 +173,35 @@ pub struct LadderPoint {
     pub energy_uj: f64,
 }
 
-/// The precomputed per-configuration energy/latency ladder.
+/// The precomputed per-configuration energy/latency ladder: the one
+/// evaluator of Eqn. 1 latency and Eqn. 5 marginal energy.
 ///
-/// The direct [`DvfsModel`] methods walk the platform's cluster tables on
-/// every call — `marginal_energy` even re-derives the baseline idle power
-/// (an O(configs) scan with per-config power evaluations) each time, which
-/// put the 17-configuration loop of every reactive decision and every
-/// ILP-window fill at the top of the replay profiles. The ladder freezes all
-/// demand-independent terms once per platform; evaluating a demand across
-/// all configurations is then 17 fused multiply-adds. Every value is
-/// computed with the exact expressions of the direct model, so decisions are
-/// byte-identical (pinned by the exhaustive ladder test and the golden-trace
-/// tests).
+/// Deriving a power from the platform's cluster tables walks them per call,
+/// and the marginal energy's baseline idle power is an O(configs) scan with
+/// per-config power evaluations; that put the 17-configuration loop of
+/// every reactive decision and every ILP-window fill at the top of the
+/// replay profiles. The ladder freezes all demand-independent terms once
+/// per platform; evaluating a demand across all configurations is then 17
+/// fused multiply-adds. Every value is computed with the exact expressions
+/// of [`CpuDemand::time_on`] and the platform tables, so decisions are
+/// byte-identical to a per-call derivation (pinned by the exhaustive ladder
+/// test against the `tests/support/dvfs.rs` references and by the
+/// golden-trace tests).
+///
+/// # Examples
+///
+/// ```
+/// use pes_acmp::{CpuDemand, DvfsLadder, Platform};
+/// use pes_acmp::units::{CpuCycles, TimeUs};
+///
+/// let platform = Platform::exynos_5410();
+/// let plane = DvfsLadder::for_platform(&platform);
+/// let demand = CpuDemand::new(TimeUs::from_millis(10), CpuCycles::new(200_000_000));
+/// let fast = demand.time_on(&platform.max_performance_config());
+/// let slow = demand.time_on(&platform.min_power_config());
+/// assert!(fast < slow);
+/// assert_eq!(plane.best_case_latency(&demand), fast);
+/// ```
 #[derive(Debug, Clone)]
 pub struct DvfsLadder {
     rungs: Vec<LadderRung>,
@@ -137,9 +212,8 @@ impl DvfsLadder {
     /// Builds the ladder for a platform. This is the shared power plane of a
     /// replay fleet: built once per `(platform, context)` and handed out as
     /// an `Arc` to every execution engine, scheduler and energy meter, so no
-    /// replay ever rebuilds the 17-rung table (the per-replay
-    /// `DvfsModel::new` rebuild was measurable on the Interactive governor
-    /// unit).
+    /// replay ever rebuilds the 17-rung table (a per-replay rebuild was
+    /// measurable on the Interactive governor unit).
     pub fn for_platform(platform: &Platform) -> Self {
         let min_cfg = platform.min_power_config();
         let baseline = platform.idle_power(&min_cfg) + platform.background_idle_power(&min_cfg);
@@ -180,23 +254,23 @@ impl DvfsLadder {
     /// point. A linear scan of a tiny table (17 entries on the Exynos
     /// 5410), each compare two small scalars — far cheaper than re-deriving
     /// cluster powers.
-    pub fn rung_index(&self, cfg: &AcmpConfig) -> Option<usize> {
+    fn rung_index(&self, cfg: &AcmpConfig) -> Option<usize> {
         self.rungs.iter().position(|r| r.config == *cfg)
     }
 
-    /// Number of configurations (rungs).
-    pub fn len(&self) -> usize {
-        self.rungs.len()
-    }
-
-    /// Whether the ladder has no rungs (never true for a valid platform).
-    pub fn is_empty(&self) -> bool {
-        self.rungs.is_empty()
-    }
-
-    /// The precomputed rungs, in platform config-table order.
-    pub fn rungs(&self) -> &[LadderRung] {
-        &self.rungs
+    /// The rung holding `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not an operating point of the platform this plane
+    /// was built for. Every configuration a replay runs on comes from the
+    /// platform's table; [`Platform::config_id`] validates one built
+    /// elsewhere.
+    pub fn rung(&self, cfg: &AcmpConfig) -> &LadderRung {
+        match self.rung_index(cfg) {
+            Some(i) => &self.rungs[i],
+            None => panic!("{cfg} is not an operating point of this DVFS plane"),
+        }
     }
 
     /// The precomputed baseline idle power (the always-on floor charged
@@ -205,10 +279,9 @@ impl DvfsLadder {
         self.baseline
     }
 
-    /// Latency of `demand` on rung `index` — identical to
-    /// [`DvfsModel::execution_time`] on that rung's configuration.
-    pub fn execution_time_at(&self, demand: &CpuDemand, index: usize) -> TimeUs {
-        let rung = &self.rungs[index];
+    /// Latency of `demand` on `rung` — identical to
+    /// [`CpuDemand::time_on`] on that rung's configuration.
+    fn execution_time_on(demand: &CpuDemand, rung: &LadderRung) -> TimeUs {
         demand.t_mem()
             + demand
                 .ref_cycles()
@@ -216,18 +289,59 @@ impl DvfsLadder {
                 .time_at(rung.config.frequency())
     }
 
-    /// Marginal energy of `demand` on rung `index` — identical to
-    /// [`DvfsModel::marginal_energy`] on that rung's configuration.
-    pub fn marginal_energy_at(&self, demand: &CpuDemand, index: usize) -> EnergyUj {
-        let time = self.execution_time_at(demand, index);
-        self.marginal_energy_over(index, time)
-    }
-
-    /// Marginal energy of occupying rung `index` for `time`.
-    fn marginal_energy_over(&self, index: usize, time: TimeUs) -> EnergyUj {
-        let gross = self.rungs[index].exec_power.energy_over(time);
+    /// Marginal energy of occupying `rung` for `time`.
+    fn marginal_energy_over(&self, rung: &LadderRung, time: TimeUs) -> EnergyUj {
+        let gross = rung.exec_power.energy_over(time);
         let baseline = self.baseline.energy_over(time);
         gross - baseline
+    }
+
+    /// `demand` evaluated on `rung`: its latency and marginal energy.
+    fn point(&self, demand: &CpuDemand, rung: &LadderRung) -> LadderPoint {
+        let time = Self::execution_time_on(demand, rung);
+        LadderPoint {
+            config: rung.config,
+            time,
+            energy_uj: self.marginal_energy_over(rung, time).as_microjoules(),
+        }
+    }
+
+    /// The *marginal* energy of executing `demand` on `cfg`: the energy above
+    /// what the processor would have drawn idling for the same wall-clock
+    /// time. Because the user session length is set by the user (not by how
+    /// fast events execute), minimising marginal energy is the correct
+    /// scheduling objective — the always-on floor is paid either way. This is
+    /// the cost used in the EBS/PES/Oracle optimisation (Eqn. 5); measured
+    /// session energy still includes the floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not on this plane (see [`DvfsLadder::rung`]).
+    pub fn marginal_energy(&self, demand: &CpuDemand, cfg: &AcmpConfig) -> EnergyUj {
+        let rung = self.rung(cfg);
+        self.marginal_energy_over(rung, Self::execution_time_on(demand, rung))
+    }
+
+    /// The cheapest (lowest marginal-energy) configuration that finishes
+    /// `demand` within `budget`, or `None` if even the fastest configuration
+    /// misses the budget (the Type I situation of Sec. 4.3). Schedulers
+    /// holding a [`LadderCache`] select with [`DvfsLadder::cheapest_within`]
+    /// instead, skipping even the 17 fused evaluations when the demand
+    /// repeats.
+    pub fn cheapest_config_within(&self, demand: &CpuDemand, budget: TimeUs) -> Option<AcmpConfig> {
+        select_cheapest(
+            self.rungs.iter().map(|rung| self.point(demand, rung)),
+            budget,
+        )
+    }
+
+    /// Latency of `demand` under the fastest configuration of the platform.
+    pub fn best_case_latency(&self, demand: &CpuDemand) -> TimeUs {
+        self.rungs
+            .iter()
+            .map(|rung| Self::execution_time_on(demand, rung))
+            .min()
+            .unwrap_or(TimeUs::ZERO)
     }
 
     /// Evaluates `demand` across every rung into `out` (cleared first,
@@ -235,47 +349,36 @@ impl DvfsLadder {
     /// serves.
     pub fn eval_into(&self, demand: &CpuDemand, out: &mut Vec<LadderPoint>) {
         out.clear();
-        out.extend((0..self.rungs.len()).map(|i| {
-            let time = self.execution_time_at(demand, i);
-            LadderPoint {
-                config: self.rungs[i].config,
-                time,
-                energy_uj: self.marginal_energy_over(i, time).as_microjoules(),
-            }
-        }));
+        out.extend(self.rungs.iter().map(|rung| self.point(demand, rung)));
     }
 
     /// The cheapest (lowest marginal-energy) point finishing within
     /// `budget`, or `None` when even the fastest misses it. Selection is
-    /// identical to [`DvfsModel::cheapest_config_within`] (both delegate to
+    /// identical to [`DvfsLadder::cheapest_config_within`] (both delegate to
     /// the same selector): strictly-less comparison keeps the first minimum
     /// on ties.
     pub fn cheapest_within(points: &[LadderPoint], budget: TimeUs) -> Option<AcmpConfig> {
-        select_cheapest(
-            points.iter().map(|p| (p.time, p.energy_uj, p.config)),
-            budget,
-        )
+        select_cheapest(points.iter().copied(), budget)
     }
 }
 
 /// The one authoritative budget selector: the cheapest configuration among
-/// `(latency, marginal energy µJ, config)` candidates whose latency fits
-/// `budget`. Strictly-less comparison keeps the first minimum on ties — the
-/// tie-breaking the pre-ladder `min_by` selection had, which scheduler
-/// decisions depend on.
+/// the candidate points whose latency fits `budget`. Strictly-less
+/// comparison keeps the first minimum on ties — the tie-breaking the
+/// pre-ladder `min_by` selection had, which scheduler decisions depend on.
 fn select_cheapest(
-    candidates: impl Iterator<Item = (TimeUs, f64, AcmpConfig)>,
+    candidates: impl Iterator<Item = LadderPoint>,
     budget: TimeUs,
 ) -> Option<AcmpConfig> {
     let mut best: Option<(AcmpConfig, f64)> = None;
-    for (time, energy, config) in candidates {
-        if time > budget {
+    for point in candidates {
+        if point.time > budget {
             continue;
         }
-        assert!(energy.is_finite(), "energy is finite");
+        assert!(point.energy_uj.is_finite(), "energy is finite");
         match best {
-            Some((_, cheapest)) if energy >= cheapest => {}
-            _ => best = Some((config, energy)),
+            Some((_, cheapest)) if point.energy_uj >= cheapest => {}
+            _ => best = Some((point.config, point.energy_uj)),
         }
     }
     best.map(|(cfg, _)| cfg)
@@ -415,224 +518,12 @@ impl LadderCache {
     }
 }
 
-/// The DVFS latency/energy model bound to a concrete [`Platform`].
-///
-/// # Examples
-///
-/// ```
-/// use pes_acmp::{Platform, dvfs::{CpuDemand, DvfsModel}};
-/// use pes_acmp::units::{CpuCycles, TimeUs};
-///
-/// let platform = Platform::exynos_5410();
-/// let model = DvfsModel::new(&platform);
-/// let demand = CpuDemand::new(TimeUs::from_millis(10), CpuCycles::new(200_000_000));
-/// let fast = model.execution_time(&demand, &platform.max_performance_config());
-/// let slow = model.execution_time(&demand, &platform.min_power_config());
-/// assert!(fast < slow);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DvfsModel<'p> {
-    platform: &'p Platform,
-    ladder: Arc<DvfsLadder>,
-}
-
-impl<'p> DvfsModel<'p> {
-    /// Binds the model to a platform, precomputing the per-configuration
-    /// ladder.
-    pub fn new(platform: &'p Platform) -> Self {
-        DvfsModel {
-            platform,
-            ladder: Arc::new(DvfsLadder::for_platform(platform)),
-        }
-    }
-
-    /// Binds the model to a platform using an already-built shared ladder
-    /// (the context-wide power plane), skipping the per-model ladder build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder was built for a different platform.
-    pub fn with_ladder(platform: &'p Platform, ladder: Arc<DvfsLadder>) -> Self {
-        ladder.assert_matches(platform);
-        DvfsModel { platform, ladder }
-    }
-
-    /// The platform this model is bound to.
-    pub fn platform(&self) -> &Platform {
-        self.platform
-    }
-
-    /// The precomputed per-configuration ladder.
-    pub fn ladder(&self) -> &DvfsLadder {
-        &self.ladder
-    }
-
-    /// The shared handle to the ladder, for callers that hand the same power
-    /// plane to other components (e.g. the energy meter).
-    pub fn shared_ladder(&self) -> &Arc<DvfsLadder> {
-        &self.ladder
-    }
-
-    /// The ladder rung holding `cfg`, when `cfg` is a platform operating
-    /// point.
-    fn rung_for(&self, cfg: &AcmpConfig) -> Option<&LadderRung> {
-        self.ladder.rung_index(cfg).map(|i| &self.ladder.rungs[i])
-    }
-
-    /// Execution latency of `demand` on configuration `cfg` (Eqn. 1/3):
-    /// `T = Tmem + Ndep(core) / f`.
-    pub fn execution_time(&self, demand: &CpuDemand, cfg: &AcmpConfig) -> TimeUs {
-        let cycles_on_core = demand
-            .ref_cycles()
-            .scale(1.0 / cfg.core().ipc_relative_to_a7());
-        demand.t_mem() + cycles_on_core.time_at(cfg.frequency())
-    }
-
-    /// Active power drawn while executing on `cfg`, including the idle power
-    /// of the other cluster (cores stay on, Sec. 4.1). Served from the
-    /// precomputed ladder for platform operating points; derived directly
-    /// (identically) for off-ladder configurations.
-    pub fn execution_power(&self, cfg: &AcmpConfig) -> PowerMw {
-        match self.rung_for(cfg) {
-            Some(rung) => rung.exec_power,
-            None => self.off_ladder_execution_power(cfg),
-        }
-    }
-
-    /// The live fallback of [`DvfsModel::execution_power`] for a
-    /// configuration that is not a platform operating point: the same sum
-    /// the ladder freezes per rung, derived from the platform tables.
-    fn off_ladder_execution_power(&self, cfg: &AcmpConfig) -> PowerMw {
-        self.platform.active_power(cfg) + self.platform.background_idle_power(cfg)
-    }
-
-    /// Energy spent executing `demand` on `cfg`.
-    pub fn execution_energy(&self, demand: &CpuDemand, cfg: &AcmpConfig) -> EnergyUj {
-        self.execution_power(cfg)
-            .energy_over(self.execution_time(demand, cfg))
-    }
-
-    /// Idle power while the runtime waits at configuration `cfg` (own core
-    /// idling plus the other cluster's idle floor).
-    pub fn idle_power(&self, cfg: &AcmpConfig) -> PowerMw {
-        self.platform.idle_power(cfg) + self.platform.background_idle_power(cfg)
-    }
-
-    /// The lowest possible idle power of the whole processor subsystem: every
-    /// cluster parked at its minimum operating point plus the SoC floor. This
-    /// is the power that is drawn during a user session *regardless* of
-    /// scheduling decisions. Precomputed at construction — the pre-ladder
-    /// implementation re-derived the minimum-power configuration (an
-    /// O(configs) power scan) on every call, on the hot path of every
-    /// marginal-energy evaluation.
-    pub fn baseline_idle_power(&self) -> PowerMw {
-        self.ladder.baseline
-    }
-
-    /// The *marginal* energy of executing `demand` on `cfg`: the energy above
-    /// what the processor would have drawn idling for the same wall-clock
-    /// time. Because the user session length is set by the user (not by how
-    /// fast events execute), minimising marginal energy is the correct
-    /// scheduling objective — the always-on floor is paid either way. This is
-    /// the cost used in the EBS/PES/Oracle optimisation (Eqn. 5); measured
-    /// session energy still includes the floor.
-    pub fn marginal_energy(&self, demand: &CpuDemand, cfg: &AcmpConfig) -> EnergyUj {
-        let time = self.execution_time(demand, cfg);
-        let gross = self.execution_power(cfg).energy_over(time);
-        let baseline = self.baseline_idle_power().energy_over(time);
-        gross - baseline
-    }
-
-    /// Recovers a [`CpuDemand`] from two latency observations of the *same*
-    /// event workload taken at two different frequencies on the same core
-    /// kind, by solving the linear system of Eqn. 1 — the online profiling
-    /// step both EBS and PES perform the first two times an event is seen
-    /// (Sec. 5.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcmpError::DemandRecovery`] when the two observations use
-    /// the same frequency or different core kinds, or when the observations
-    /// are inconsistent (they would imply negative `Tmem` or `Ndep`, in which
-    /// case the closest physically meaningful demand is unrecoverable).
-    pub fn recover_demand(
-        &self,
-        obs_a: (AcmpConfig, TimeUs),
-        obs_b: (AcmpConfig, TimeUs),
-    ) -> Result<CpuDemand, AcmpError> {
-        let (cfg_a, t_a) = obs_a;
-        let (cfg_b, t_b) = obs_b;
-        if cfg_a.core() != cfg_b.core() {
-            return Err(AcmpError::DemandRecovery(
-                "observations must come from the same core kind".into(),
-            ));
-        }
-        if cfg_a.frequency() == cfg_b.frequency() {
-            return Err(AcmpError::DemandRecovery(
-                "observations must use two distinct frequencies".into(),
-            ));
-        }
-        // T = Tmem + C/f  =>  C = (Ta - Tb) / (1/fa - 1/fb),  Tmem = Ta - C/fa
-        let fa = cfg_a.frequency().as_mhz() as f64;
-        let fb = cfg_b.frequency().as_mhz() as f64;
-        let ta = t_a.as_micros() as f64;
-        let tb = t_b.as_micros() as f64;
-        let inv_diff = 1.0 / fa - 1.0 / fb;
-        let cycles_on_core = (ta - tb) / inv_diff;
-        if !cycles_on_core.is_finite() || cycles_on_core < 0.0 {
-            return Err(AcmpError::DemandRecovery(
-                "observations imply a negative cycle count".into(),
-            ));
-        }
-        let t_mem = ta - cycles_on_core / fa;
-        if t_mem < -1.0 {
-            return Err(AcmpError::DemandRecovery(
-                "observations imply a negative memory time".into(),
-            ));
-        }
-        let ref_cycles = cycles_on_core * cfg_a.core().ipc_relative_to_a7();
-        Ok(CpuDemand::new(
-            TimeUs::from_micros(t_mem.max(0.0).round() as u64),
-            CpuCycles::new(ref_cycles.round() as u64),
-        ))
-    }
-
-    /// The cheapest (lowest marginal-energy) configuration that finishes
-    /// `demand` within `budget`, or `None` if even the fastest configuration
-    /// misses the budget (the Type I situation of Sec. 4.3). Evaluated over
-    /// the precomputed ladder; schedulers holding a [`LadderCache`] can skip
-    /// even the 17 fused evaluations when the demand repeats.
-    pub fn cheapest_config_within(&self, demand: &CpuDemand, budget: TimeUs) -> Option<AcmpConfig> {
-        select_cheapest(
-            (0..self.ladder.len()).map(|i| {
-                (
-                    self.ladder.execution_time_at(demand, i),
-                    self.ladder.marginal_energy_at(demand, i).as_microjoules(),
-                    self.ladder.rungs[i].config,
-                )
-            }),
-            budget,
-        )
-    }
-
-    /// Latency of `demand` under the fastest configuration of the platform.
-    pub fn best_case_latency(&self, demand: &CpuDemand) -> TimeUs {
-        self.platform
-            .configs()
-            .iter()
-            .map(|cfg| self.execution_time(demand, cfg))
-            .min()
-            .unwrap_or(TimeUs::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CoreKind;
     use crate::oracle::{
-        baseline_idle_power_reference, cheapest_config_within_reference, execution_power_reference,
-        marginal_energy_reference,
+        baseline_idle_power_reference, cheapest_config_within_reference, marginal_energy_reference,
     };
     use crate::units::FreqMhz;
 
@@ -645,11 +536,10 @@ mod tests {
     #[test]
     fn latency_decreases_with_throughput() {
         let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
         let latencies: Vec<u64> = platform
             .configs()
             .iter()
-            .map(|cfg| model.execution_time(&demand, cfg).as_micros())
+            .map(|cfg| demand.time_on(cfg).as_micros())
             .collect();
         // Configurations are sorted by effective throughput, so latency must
         // be non-increasing along the table.
@@ -659,42 +549,41 @@ mod tests {
     #[test]
     fn memory_time_is_frequency_independent() {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
         let pure_mem = CpuDemand::new(TimeUs::from_millis(7), CpuCycles::ZERO);
         for cfg in platform.configs() {
-            assert_eq!(model.execution_time(&pure_mem, cfg), TimeUs::from_millis(7));
+            assert_eq!(pure_mem.time_on(cfg), TimeUs::from_millis(7));
         }
     }
 
     #[test]
     fn energy_tradeoff_little_is_cheaper_but_slower() {
         let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let big = platform.max_performance_config();
         let little = AcmpConfig::new(CoreKind::LittleA7, FreqMhz::new(600));
-        assert!(model.execution_time(&demand, &big) < model.execution_time(&demand, &little));
+        assert!(demand.time_on(&big) < demand.time_on(&little));
         assert!(
-            model.marginal_energy(&demand, &big).as_microjoules()
-                > model.marginal_energy(&demand, &little).as_microjoules(),
+            plane.marginal_energy(&demand, &big).as_microjoules()
+                > plane.marginal_energy(&demand, &little).as_microjoules(),
             "big core should cost more marginal energy for the same work"
         );
         // The baseline idle floor is charged during execution regardless of
         // the configuration, so marginal energy is strictly below gross.
-        assert!(
-            model.marginal_energy(&demand, &big).as_microjoules()
-                < model.execution_energy(&demand, &big).as_microjoules()
-        );
+        let gross = plane
+            .rung(&big)
+            .exec_power
+            .energy_over(demand.time_on(&big));
+        assert!(plane.marginal_energy(&demand, &big).as_microjoules() < gross.as_microjoules());
     }
 
     #[test]
     fn demand_recovery_round_trips() {
-        let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let (_, demand) = model_fixture();
         let cfg_a = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1000));
         let cfg_b = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1600));
-        let t_a = model.execution_time(&demand, &cfg_a);
-        let t_b = model.execution_time(&demand, &cfg_b);
-        let recovered = model.recover_demand((cfg_a, t_a), (cfg_b, t_b)).unwrap();
+        let t_a = demand.time_on(&cfg_a);
+        let t_b = demand.time_on(&cfg_b);
+        let recovered = recover_demand((cfg_a, t_a), (cfg_b, t_b)).unwrap();
         let rel_err = |a: u64, b: u64| (a as f64 - b as f64).abs() / (b as f64).max(1.0);
         assert!(rel_err(recovered.t_mem().as_micros(), demand.t_mem().as_micros()) < 0.02);
         assert!(rel_err(recovered.ref_cycles().get(), demand.ref_cycles().get()) < 0.02);
@@ -702,41 +591,37 @@ mod tests {
 
     #[test]
     fn demand_recovery_rejects_degenerate_observations() {
-        let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let (_, demand) = model_fixture();
         let cfg = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1000));
-        let t = model.execution_time(&demand, &cfg);
-        assert!(model.recover_demand((cfg, t), (cfg, t)).is_err());
+        let t = demand.time_on(&cfg);
+        assert!(recover_demand((cfg, t), (cfg, t)).is_err());
         let little = AcmpConfig::new(CoreKind::LittleA7, FreqMhz::new(600));
-        assert!(model
-            .recover_demand((cfg, t), (little, model.execution_time(&demand, &little)))
-            .is_err());
+        assert!(recover_demand((cfg, t), (little, demand.time_on(&little))).is_err());
         // Inconsistent observations: lower frequency reported *faster* time.
         let cfg_hi = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1800));
-        assert!(model
-            .recover_demand(
-                (cfg, TimeUs::from_millis(5)),
-                (cfg_hi, TimeUs::from_millis(50))
-            )
-            .is_err());
+        assert!(recover_demand(
+            (cfg, TimeUs::from_millis(5)),
+            (cfg_hi, TimeUs::from_millis(50))
+        )
+        .is_err());
     }
 
     #[test]
     fn cheapest_config_within_budget_prefers_low_energy() {
         let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         // A generous budget should pick something on the little cluster.
-        let generous = model
+        let generous = plane
             .cheapest_config_within(&demand, TimeUs::from_secs(10))
             .unwrap();
         assert_eq!(generous.core(), CoreKind::LittleA7);
         // A tight-but-feasible budget forces the big cluster.
-        let tight_budget = model.execution_time(&demand, &platform.max_performance_config())
-            + TimeUs::from_millis(1);
-        let tight = model.cheapest_config_within(&demand, tight_budget).unwrap();
+        let tight_budget =
+            demand.time_on(&platform.max_performance_config()) + TimeUs::from_millis(1);
+        let tight = plane.cheapest_config_within(&demand, tight_budget).unwrap();
         assert_eq!(tight.core(), CoreKind::BigA15);
         // An impossible budget yields no configuration (Type I event).
-        assert!(model
+        assert!(plane
             .cheapest_config_within(&demand, TimeUs::from_micros(10))
             .is_none());
     }
@@ -745,19 +630,17 @@ mod tests {
     fn demand_combine_and_scale() {
         let c = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(3_000));
         let half = c.scale(0.5);
-        assert_eq!(half.t_mem(), TimeUs::from_millis_f64(2.5));
+        assert_eq!(half.t_mem(), TimeUs::from_micros(2_500));
         assert_eq!(half.ref_cycles().get(), 1_500);
     }
 
     #[test]
     fn ladder_matches_direct_model_bit_for_bit() {
         for platform in [Platform::exynos_5410(), Platform::tx2_parker()] {
-            let model = DvfsModel::new(&platform);
-            let ladder = model.ladder();
-            assert_eq!(ladder.len(), platform.configs().len());
+            let ladder = DvfsLadder::for_platform(&platform);
             assert_eq!(
                 ladder.baseline_idle_power().as_milliwatts(),
-                baseline_idle_power_reference(&model).as_milliwatts()
+                baseline_idle_power_reference(&platform).as_milliwatts()
             );
             let demands = [
                 CpuDemand::ZERO,
@@ -767,12 +650,13 @@ mod tests {
             let mut points = Vec::new();
             for demand in &demands {
                 ladder.eval_into(demand, &mut points);
+                assert_eq!(points.len(), platform.configs().len());
                 for (i, (point, cfg)) in points.iter().zip(platform.configs()).enumerate() {
                     assert_eq!(point.config, *cfg);
-                    assert_eq!(point.time, model.execution_time(demand, cfg));
+                    assert_eq!(point.time, demand.time_on(cfg));
                     assert_eq!(
                         point.energy_uj.to_bits(),
-                        marginal_energy_reference(&model, demand, cfg)
+                        marginal_energy_reference(&platform, demand, cfg)
                             .as_microjoules()
                             .to_bits(),
                         "rung {i} energy must be bit-identical"
@@ -788,7 +672,7 @@ mod tests {
             let ladder = DvfsLadder::for_platform(&platform);
             for (i, cfg) in platform.configs().iter().enumerate() {
                 assert_eq!(ladder.rung_index(cfg), Some(i));
-                let rung = &ladder.rungs()[i];
+                let rung = ladder.rung(cfg);
                 let bits = |p: PowerMw| p.as_milliwatts().to_bits();
                 assert_eq!(bits(rung.active_power), bits(platform.active_power(cfg)));
                 assert_eq!(bits(rung.idle_power), bits(platform.idle_power(cfg)));
@@ -812,24 +696,21 @@ mod tests {
         let exynos = Platform::exynos_5410();
         let tx2 = Platform::tx2_parker();
         let plane = std::sync::Arc::new(DvfsLadder::for_platform(&tx2));
-        let _ = DvfsModel::with_ladder(&exynos, plane);
+        let _ = crate::EnergyMeter::with_plane(&exynos, plane);
     }
 
     #[test]
     fn shared_ladder_models_reuse_one_plane() {
         let platform = Platform::exynos_5410();
         let plane = std::sync::Arc::new(DvfsLadder::for_platform(&platform));
-        let a = DvfsModel::with_ladder(&platform, std::sync::Arc::clone(&plane));
-        let b = DvfsModel::with_ladder(&platform, std::sync::Arc::clone(&plane));
-        assert!(std::sync::Arc::ptr_eq(a.shared_ladder(), b.shared_ladder()));
-        // Shared-plane models answer exactly as freshly built ones.
-        let fresh = DvfsModel::new(&platform);
+        let a = std::sync::Arc::clone(&plane);
+        let b = std::sync::Arc::clone(&plane);
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        // A shared plane answers exactly as a freshly built one.
+        let fresh = DvfsLadder::for_platform(&platform);
         let demand = CpuDemand::new(TimeUs::from_millis(3), CpuCycles::new(90_000_000));
         for cfg in platform.configs() {
-            assert_eq!(
-                a.execution_time(&demand, cfg),
-                fresh.execution_time(&demand, cfg)
-            );
+            assert_eq!(a.rung(cfg), fresh.rung(cfg));
             assert_eq!(
                 a.marginal_energy(&demand, cfg).as_microjoules().to_bits(),
                 fresh
@@ -838,16 +719,20 @@ mod tests {
                     .to_bits()
             );
         }
+        assert_eq!(
+            b.best_case_latency(&demand),
+            fresh.best_case_latency(&demand)
+        );
     }
 
     #[test]
     fn ladder_cache_hits_on_repeated_demands_and_survives_eviction() {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let mut cache = LadderCache::new();
         let demand = CpuDemand::new(TimeUs::from_millis(3), CpuCycles::new(90_000_000));
-        let first = cache.points(model.ladder(), &demand).to_vec();
-        let again = cache.points(model.ladder(), &demand).to_vec();
+        let first = cache.points(&ladder, &demand).to_vec();
+        let again = cache.points(&ladder, &demand).to_vec();
         assert_eq!(first, again);
         assert_eq!(cache.stats(), (1, 1));
         // Push enough distinct demands through to wrap the ring, then ask
@@ -855,21 +740,21 @@ mod tests {
         // served stale.
         for i in 0..40u64 {
             let d = CpuDemand::new(TimeUs::from_micros(i), CpuCycles::new(i * 1_000));
-            let points = cache.points(model.ladder(), &d).to_vec();
+            let points = cache.points(&ladder, &d).to_vec();
             let mut expected = Vec::new();
-            model.ladder().eval_into(&d, &mut expected);
+            ladder.eval_into(&d, &mut expected);
             assert_eq!(points, expected);
         }
-        let revisited = cache.points(model.ladder(), &demand).to_vec();
+        let revisited = cache.points(&ladder, &demand).to_vec();
         assert_eq!(revisited, first);
         cache.clear();
-        assert_eq!(cache.points(model.ladder(), &demand).to_vec(), first);
+        assert_eq!(cache.points(&ladder, &demand).to_vec(), first);
     }
 
     #[test]
     fn ladder_rows_expose_stably_sorted_orders() {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let mut cache = LadderCache::new();
         let demands = [
             CpuDemand::ZERO, // all-zero latencies/energies: pure tie-breaking
@@ -878,8 +763,8 @@ mod tests {
         ];
         for demand in &demands {
             // `points()` alone must not pay for the sorts; `row()` must.
-            assert!(cache.points(model.ladder(), demand).len() == model.ladder().len());
-            let row = cache.row(model.ladder(), demand);
+            assert!(cache.points(&ladder, demand).len() == platform.configs().len());
+            let row = cache.row(&ladder, demand);
             assert_eq!(row.points().len(), row.by_cost().len());
             // The order is the exact permutation a stable sort over the
             // solver's cost view of the row produces.
@@ -894,50 +779,46 @@ mod tests {
         }
         // A second `row()` of the same demand is a pure hit.
         let (hits_before, misses_before) = cache.stats();
-        let _ = cache.row(model.ladder(), &demands[1]);
+        let _ = cache.row(&ladder, &demands[1]);
         assert_eq!(cache.stats(), (hits_before + 1, misses_before));
     }
 
     #[test]
     fn ladder_selection_matches_the_reference_selector() {
         let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let mut points = Vec::new();
-        model.ladder().eval_into(&demand, &mut points);
+        ladder.eval_into(&demand, &mut points);
         for budget_us in [10, 28_000, 40_000, 75_000, 200_000, 10_000_000] {
             let budget = TimeUs::from_micros(budget_us);
             assert_eq!(
                 DvfsLadder::cheapest_within(&points, budget),
-                cheapest_config_within_reference(&model, &demand, budget),
+                cheapest_config_within_reference(&platform, &demand, budget),
                 "selection diverged at budget {budget_us}us"
             );
             assert_eq!(
-                model.cheapest_config_within(&demand, budget),
-                cheapest_config_within_reference(&model, &demand, budget),
+                ladder.cheapest_config_within(&demand, budget),
+                cheapest_config_within_reference(&platform, &demand, budget),
             );
         }
     }
 
     #[test]
-    fn execution_power_falls_back_for_off_ladder_configs() {
+    #[should_panic(expected = "1234 MHz")]
+    fn rung_panics_for_off_ladder_configs() {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
-        // 1234 MHz is not an Exynos operating point; the model must still
-        // answer, with the same value the direct derivation produces.
-        let off = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1234));
-        assert_eq!(
-            model.execution_power(&off).as_milliwatts(),
-            execution_power_reference(&model, &off).as_milliwatts()
-        );
+        let ladder = DvfsLadder::for_platform(&platform);
+        // 1234 MHz is not an Exynos operating point.
+        let _ = ladder.rung(&AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1234)));
     }
 
     #[test]
     fn execution_power_includes_background_cluster() {
         let (platform, _) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let cfg = platform.max_performance_config();
         assert!(
-            model.execution_power(&cfg).as_milliwatts()
+            ladder.rung(&cfg).exec_power.as_milliwatts()
                 > platform.active_power(&cfg).as_milliwatts()
         );
     }
@@ -945,10 +826,10 @@ mod tests {
     #[test]
     fn best_case_latency_equals_fastest_config() {
         let (platform, demand) = model_fixture();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         assert_eq!(
-            model.best_case_latency(&demand),
-            model.execution_time(&demand, &platform.max_performance_config())
+            ladder.best_case_latency(&demand),
+            demand.time_on(&platform.max_performance_config())
         );
     }
 }

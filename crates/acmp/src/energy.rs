@@ -2,16 +2,16 @@
 //!
 //! Stands in for the ODROID board's current-sense resistors plus the NI DAQ
 //! unit of Sec. 3: the simulator reports every busy/idle interval to an
-//! [`EnergyMeter`], which integrates power over time, split by cluster and by
-//! activity kind so that the evaluation figures can report both totals and
-//! breakdowns (e.g. the misprediction energy overhead of Sec. 6.3).
+//! [`EnergyMeter`], which integrates power over time, split by activity kind
+//! so that the evaluation figures can report both totals and breakdowns
+//! (e.g. the misprediction energy overhead of Sec. 6.3).
 
 use std::sync::Arc;
 
-use crate::config::{AcmpConfig, CoreKind};
+use crate::config::AcmpConfig;
 use crate::dvfs::{DvfsLadder, LadderRung};
 use crate::platform::Platform;
-use crate::units::{EnergyUj, PowerMw, TimeUs};
+use crate::units::{EnergyUj, TimeUs};
 
 /// The kind of activity an energy sample is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,14 +66,11 @@ impl ActivityKind {
 /// assert!(meter.total().as_millijoules() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct EnergyMeter<'p> {
-    platform: &'p Platform,
+pub struct EnergyMeter {
     /// The shared DVFS power plane: the per-configuration
     /// `active`/`idle`/`background` powers frozen at ladder-build time.
-    /// Samples at platform operating points read these instead of
-    /// re-deriving every power term from the cluster tables per call.
-    /// Off-plane configurations fall back to the platform-table derivation,
-    /// which is bit-identical by construction.
+    /// Every sample reads these instead of re-deriving a power term from
+    /// the cluster tables.
     plane: Arc<DvfsLadder>,
     total: EnergyUj,
     /// Per-activity accumulators, indexed by [`ActivityKind::index`].
@@ -83,88 +80,46 @@ pub struct EnergyMeter<'p> {
     /// unchanged, so every total stays bit-identical to the map-backed
     /// meter.
     by_activity: [EnergyUj; 4],
-    /// Per-cluster accumulators, indexed by [`CoreKind::index`].
-    by_cluster: [EnergyUj; 4],
-    /// The *other* platform cluster charged for background idle draw,
-    /// precomputed per core kind at construction (the map-backed meter
-    /// re-searched the cluster table on every sample).
-    background_cluster: [CoreKind; 4],
-    /// One-entry memo of the last `(config, ladder rung)` pair: the engine
-    /// meters long runs of samples at its current configuration, so the
-    /// rung scan is paid once per configuration switch instead of once per
-    /// sample.
-    cached_rung: Option<(AcmpConfig, usize)>,
+    /// One-entry memo of the last rung metered: the engine meters long
+    /// runs of samples at its current configuration, so the rung scan is
+    /// paid once per configuration switch instead of once per sample.
+    cached_rung: Option<LadderRung>,
     busy_time: TimeUs,
     idle_time: TimeUs,
 }
 
-impl<'p> EnergyMeter<'p> {
+impl EnergyMeter {
     /// Creates a meter with all counters at zero that serves
     /// per-configuration powers from a shared DVFS power plane.
     ///
     /// # Panics
     ///
     /// Panics if the plane was built for a different platform.
-    pub fn with_plane(platform: &'p Platform, plane: Arc<DvfsLadder>) -> Self {
+    pub fn with_plane(platform: &Platform, plane: Arc<DvfsLadder>) -> Self {
         plane.assert_matches(platform);
-        let mut background_cluster = [CoreKind::BigA15; 4];
-        for kind in CoreKind::ALL {
-            background_cluster[kind.index()] = platform
-                .clusters()
-                .iter()
-                .map(|c| c.core_kind())
-                .find(|k| *k != kind)
-                .unwrap_or(kind);
-        }
         EnergyMeter {
-            platform,
             plane,
             total: EnergyUj::ZERO,
             by_activity: [EnergyUj::ZERO; 4],
-            by_cluster: [EnergyUj::ZERO; 4],
-            background_cluster,
             cached_rung: None,
             busy_time: TimeUs::ZERO,
             idle_time: TimeUs::ZERO,
         }
     }
 
-    /// The plane rung holding `cfg`, through the one-entry memo. Caches
-    /// only plane hits: off-plane configurations take the platform-table
-    /// fallback, which never consults a rung.
-    fn rung(&mut self, cfg: &AcmpConfig) -> Option<LadderRung> {
-        let i = match self.cached_rung {
-            Some((cached, i)) if cached == *cfg => i,
+    /// The plane rung holding `cfg`, through the one-entry memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not on the plane (see [`DvfsLadder::rung`]).
+    fn rung(&mut self, cfg: &AcmpConfig) -> LadderRung {
+        match self.cached_rung {
+            Some(rung) if rung.config == *cfg => rung,
             _ => {
-                let i = self.plane.rung_index(cfg)?;
-                self.cached_rung = Some((*cfg, i));
-                i
+                let rung = *self.plane.rung(cfg);
+                self.cached_rung = Some(rung);
+                rung
             }
-        };
-        Some(self.plane.rungs()[i])
-    }
-
-    /// `(active, background)` powers of `cfg`, from the frozen plane when
-    /// `cfg` is on it (rung memoised across consecutive samples).
-    fn busy_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        match self.rung(cfg) {
-            Some(rung) => (rung.active_power, rung.background_power),
-            None => (
-                self.platform.active_power(cfg),
-                self.platform.background_idle_power(cfg),
-            ),
-        }
-    }
-
-    /// `(idle, background)` powers of `cfg`, from the frozen plane when
-    /// `cfg` is on it (rung memoised across consecutive samples).
-    fn idle_powers(&mut self, cfg: &AcmpConfig) -> (PowerMw, PowerMw) {
-        match self.rung(cfg) {
-            Some(rung) => (rung.idle_power, rung.background_power),
-            None => (
-                self.platform.idle_power(cfg),
-                self.platform.background_idle_power(cfg),
-            ),
         }
     }
 
@@ -174,12 +129,10 @@ impl<'p> EnergyMeter<'p> {
         if duration.is_zero() {
             return;
         }
-        let (active, background_power) = self.busy_powers(cfg);
-        let own = active.energy_over(duration);
-        let background = background_power.energy_over(duration);
+        let rung = self.rung(cfg);
         self.busy_time += duration;
-        self.add(cfg.core(), own, activity);
-        self.add_background(cfg.core(), background, activity);
+        self.add(rung.active_power.energy_over(duration), activity);
+        self.add(rung.background_power.energy_over(duration), activity);
     }
 
     /// Records an idle interval while the hardware is parked at `cfg`.
@@ -187,12 +140,13 @@ impl<'p> EnergyMeter<'p> {
         if duration.is_zero() {
             return;
         }
-        let (idle, background_power) = self.idle_powers(cfg);
-        let own = idle.energy_over(duration);
-        let background = background_power.energy_over(duration);
+        let rung = self.rung(cfg);
         self.idle_time += duration;
-        self.add(cfg.core(), own, ActivityKind::Idle);
-        self.add_background(cfg.core(), background, ActivityKind::Idle);
+        self.add(rung.idle_power.energy_over(duration), ActivityKind::Idle);
+        self.add(
+            rung.background_power.energy_over(duration),
+            ActivityKind::Idle,
+        );
     }
 
     /// Records a configuration transition (DVFS switch / migration). The
@@ -201,10 +155,9 @@ impl<'p> EnergyMeter<'p> {
         if duration.is_zero() {
             return;
         }
-        let (active, _) = self.busy_powers(to);
-        let e = active.energy_over(duration);
+        let e = self.rung(to).active_power.energy_over(duration);
         self.busy_time += duration;
-        self.add(to.core(), e, ActivityKind::Transition);
+        self.add(e, ActivityKind::Transition);
     }
 
     /// Moves `energy` from the useful-work bucket to the speculative-waste
@@ -212,7 +165,7 @@ impl<'p> EnergyMeter<'p> {
     /// was already metered as useful when it executed). The total is
     /// unchanged; the re-attribution is clamped to the energy actually
     /// recorded as useful work.
-    pub fn reattribute_waste(&mut self, cluster: CoreKind, energy: EnergyUj) {
+    pub fn reattribute_waste(&mut self, energy: EnergyUj) {
         let useful = self.for_activity(ActivityKind::UsefulWork);
         let moved = EnergyUj::new(energy.as_microjoules().min(useful.as_microjoules()));
         if moved.as_microjoules() == 0.0 {
@@ -221,29 +174,11 @@ impl<'p> EnergyMeter<'p> {
         let useful_slot = &mut self.by_activity[ActivityKind::UsefulWork.index()];
         *useful_slot = *useful_slot - moved;
         self.by_activity[ActivityKind::SpeculativeWaste.index()] += moved;
-        // Cluster attribution is unchanged; note the cluster only for callers
-        // that later want a per-cluster waste breakdown.
-        let _ = cluster;
     }
 
-    fn add(&mut self, cluster: CoreKind, energy: EnergyUj, activity: ActivityKind) {
+    fn add(&mut self, energy: EnergyUj, activity: ActivityKind) {
         self.total += energy;
         self.by_activity[activity.index()] += energy;
-        self.by_cluster[cluster.index()] += energy;
-    }
-
-    fn add_background(
-        &mut self,
-        active_cluster: CoreKind,
-        energy: EnergyUj,
-        activity: ActivityKind,
-    ) {
-        // Attribute the background cluster's idle draw to the *other* cluster
-        // so per-cluster breakdowns mirror the two DAQ channels of Sec. 3.
-        let other = self.background_cluster[active_cluster.index()];
-        self.total += energy;
-        self.by_activity[activity.index()] += energy;
-        self.by_cluster[other.index()] += energy;
     }
 
     /// Total energy integrated so far.
@@ -254,11 +189,6 @@ impl<'p> EnergyMeter<'p> {
     /// Energy attributed to a specific activity kind.
     pub fn for_activity(&self, activity: ActivityKind) -> EnergyUj {
         self.by_activity[activity.index()]
-    }
-
-    /// Energy attributed to a specific cluster.
-    pub fn for_cluster(&self, cluster: CoreKind) -> EnergyUj {
-        self.by_cluster[cluster.index()]
     }
 
     /// Total busy (executing or transitioning) time observed.
@@ -293,7 +223,7 @@ mod tests {
         Platform::exynos_5410()
     }
 
-    fn meter(p: &Platform) -> EnergyMeter<'_> {
+    fn meter(p: &Platform) -> EnergyMeter {
         EnergyMeter::with_plane(p, Arc::new(DvfsLadder::for_platform(p)))
     }
 
@@ -357,19 +287,23 @@ mod tests {
     #[test]
     fn cluster_breakdown_includes_background_cluster() {
         let p = platform();
+        let cfg = p.max_performance_config();
+        let d = TimeUs::from_millis(20);
         let mut m = meter(&p);
-        // Run only on the big cluster; the little cluster should still pick
-        // up its idle floor.
-        m.record_busy(
-            &p.max_performance_config(),
-            TimeUs::from_millis(20),
-            ActivityKind::UsefulWork,
-        );
-        assert!(m.for_cluster(CoreKind::BigA15).as_microjoules() > 0.0);
-        assert!(m.for_cluster(CoreKind::LittleA7).as_microjoules() > 0.0);
-        assert!(
-            m.for_cluster(CoreKind::BigA15).as_microjoules()
-                > m.for_cluster(CoreKind::LittleA7).as_microjoules()
+        // Run only on the big cluster; the little cluster's idle floor is
+        // still charged: the total is the running cluster's active draw
+        // plus the other cluster's idle floor, added in that order.
+        m.record_busy(&cfg, d, ActivityKind::UsefulWork);
+        let running = p.active_power(&cfg).energy_over(d);
+        let background = p.background_idle_power(&cfg).energy_over(d);
+        assert!(background.as_microjoules() > 0.0);
+        assert!(running.as_microjoules() > background.as_microjoules());
+        let mut expected = EnergyUj::ZERO;
+        expected += running;
+        expected += background;
+        assert_eq!(
+            m.total().as_microjoules().to_bits(),
+            expected.as_microjoules().to_bits()
         );
     }
 
@@ -417,35 +351,19 @@ mod tests {
                     p.name()
                 );
             }
-            for cluster in p.clusters() {
-                let kind = cluster.core_kind();
-                assert_eq!(
-                    routed.for_cluster(kind).as_microjoules().to_bits(),
-                    reference.for_cluster(kind).as_microjoules().to_bits(),
-                    "cluster {kind:?} drifted on {}",
-                    p.name()
-                );
-            }
             assert_eq!(routed.busy_time(), reference.busy_time());
             assert_eq!(routed.idle_time(), reference.idle_time());
         }
     }
 
     #[test]
-    fn off_plane_configs_fall_back_to_the_platform_tables() {
+    #[should_panic(expected = "1234 MHz")]
+    fn metering_an_off_plane_config_panics() {
         let p = platform();
-        let plane = Arc::new(DvfsLadder::for_platform(&p));
-        // 1234 MHz is not an Exynos operating point; the plane-routed meter
-        // must still answer, with the reference derivation's exact value.
+        // 1234 MHz is not an Exynos operating point: no replay runs there,
+        // so metering one is a caller bug, not a sample to derive.
         let off = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(1234));
-        let mut routed = EnergyMeter::with_plane(&p, plane);
-        let mut reference = ReferenceMeter::new(&p);
-        routed.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
-        reference.record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
-        assert_eq!(
-            routed.total().as_microjoules().to_bits(),
-            reference.total().as_microjoules().to_bits()
-        );
+        meter(&p).record_busy(&off, TimeUs::from_millis(7), ActivityKind::UsefulWork);
     }
 
     #[test]

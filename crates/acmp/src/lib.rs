@@ -6,7 +6,9 @@
 //! `<core, frequency>` operating points that every scheduler picks from,
 //! together with:
 //!
-//! * the DVFS latency model of Eqn. 1, `T = Tmem + Ndep / f` ([`dvfs`]),
+//! * the DVFS latency model of Eqn. 1, `T = Tmem + Ndep / f`, and the
+//!   shared [`DvfsLadder`] power plane that evaluates it and the Eqn. 5
+//!   marginal energy per operating point ([`dvfs`]),
 //! * a per-configuration power look-up table, analytically derived but frozen
 //!   the same way the paper freezes its measured table ([`power`]),
 //! * transition overheads for DVFS switches and core migrations
@@ -17,20 +19,20 @@
 //! # Examples
 //!
 //! ```
-//! use pes_acmp::{Platform, dvfs::{CpuDemand, DvfsModel}};
+//! use pes_acmp::{CpuDemand, DvfsLadder, Platform};
 //! use pes_acmp::units::{CpuCycles, TimeUs};
 //!
 //! let platform = Platform::exynos_5410();
-//! let model = DvfsModel::new(&platform);
+//! let plane = DvfsLadder::for_platform(&platform);
 //!
 //! // An event needing 300M A7-equivalent cycles plus 20 ms of memory time:
 //! let demand = CpuDemand::new(TimeUs::from_millis(20), CpuCycles::new(300_000_000));
 //!
 //! // The cheapest configuration that still meets a 300 ms tap deadline:
-//! let cfg = model
+//! let cfg = plane
 //!     .cheapest_config_within(&demand, TimeUs::from_millis(300))
 //!     .expect("the deadline is feasible");
-//! assert!(model.execution_time(&demand, &cfg) <= TimeUs::from_millis(300));
+//! assert!(demand.time_on(&cfg) <= TimeUs::from_millis(300));
 //! ```
 
 #![warn(missing_docs)]
@@ -52,14 +54,16 @@ pub mod units;
 pub mod utilization;
 
 pub use config::{AcmpConfig, ConfigId, CoreKind};
-pub use dvfs::{CpuDemand, DvfsLadder, DvfsModel, LadderCache, LadderPoint, LadderRow, LadderRung};
+pub use dvfs::{
+    recover_demand, CpuDemand, DvfsLadder, LadderCache, LadderPoint, LadderRow, LadderRung,
+};
 pub use energy::{ActivityKind, EnergyMeter};
 pub use error::AcmpError;
 pub use platform::{ClusterSpec, Platform};
 pub use transition::TransitionModel;
 pub use utilization::UtilizationTracker;
 
-// The unit tests compile the pre-ladder DVFS oracles from the workspace's
+// The unit tests compile the per-call DVFS oracles from the workspace's
 // `tests/support/`, which name this crate `pes_acmp`.
 #[cfg(test)]
 extern crate self as pes_acmp;
@@ -89,12 +93,15 @@ mod tests {
         // millijoules — the same order of magnitude as the per-event energy
         // numbers quoted in Sec. 6.3 of the paper.
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let demand = CpuDemand::new(TimeUs::from_millis(10), CpuCycles::new(50_000_000));
-        let cfg = model
+        let cfg = plane
             .cheapest_config_within(&demand, TimeUs::from_millis(300))
             .unwrap();
-        let energy = model.execution_energy(&demand, &cfg);
+        let energy = plane
+            .rung(&cfg)
+            .exec_power
+            .energy_over(demand.time_on(&cfg));
         assert!(
             energy.as_millijoules() > 1.0 && energy.as_millijoules() < 200.0,
             "per-event energy {energy} is outside the plausible range"

@@ -10,11 +10,10 @@
 //! frozen per-configuration look-up, which [`crate::DvfsLadder`] builds once
 //! per platform.
 
-use crate::config::CoreKind;
 use crate::units::{FreqMhz, PowerMw};
 
 /// Analytical parameters from which a per-configuration power value is
-/// derived. One set of parameters exists per [`CoreKind`].
+/// derived. One set of parameters exists per [`crate::CoreKind`].
 ///
 /// # Examples
 ///
@@ -95,16 +94,6 @@ impl CorePowerParams {
             v_max: 1.12,
             f_min: FreqMhz::new(345),
             f_max: FreqMhz::new(2035),
-        }
-    }
-
-    /// Default parameters for a given core kind.
-    pub fn for_core(kind: CoreKind) -> Self {
-        match kind {
-            CoreKind::BigA15 => Self::cortex_a15(),
-            CoreKind::LittleA7 => Self::cortex_a7(),
-            CoreKind::A57 => Self::cortex_a57(),
-            CoreKind::Denver2 => Self::denver2(),
         }
     }
 
@@ -195,8 +184,12 @@ mod tests {
 
     #[test]
     fn idle_power_is_below_active_power() {
-        for kind in CoreKind::ALL {
-            let params = CorePowerParams::for_core(kind);
+        for params in [
+            CorePowerParams::cortex_a15(),
+            CorePowerParams::cortex_a7(),
+            CorePowerParams::cortex_a57(),
+            CorePowerParams::denver2(),
+        ] {
             for mhz in [params.f_min.as_mhz(), params.f_max.as_mhz()] {
                 let f = FreqMhz::new(mhz);
                 assert!(

@@ -51,12 +51,6 @@ impl TimeUs {
         TimeUs((s.max(0.0) * 1_000_000.0).round() as u64)
     }
 
-    /// Creates a time value from fractional milliseconds, rounding to the
-    /// nearest microsecond. Negative inputs saturate to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        TimeUs((ms.max(0.0) * 1_000.0).round() as u64)
-    }
-
     /// Returns the raw number of microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -217,7 +211,6 @@ impl fmt::Display for CpuCycles {
 /// use pes_acmp::units::FreqMhz;
 ///
 /// let f = FreqMhz::new(1800);
-/// assert_eq!(f.as_khz(), 1_800_000);
 /// assert!(f > FreqMhz::new(600));
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -232,11 +225,6 @@ impl FreqMhz {
     /// Returns the frequency in MHz.
     pub const fn as_mhz(self) -> u32 {
         self.0
-    }
-
-    /// Returns the frequency in kHz.
-    pub const fn as_khz(self) -> u64 {
-        self.0 as u64 * 1_000
     }
 }
 
@@ -383,13 +371,11 @@ mod tests {
         assert_eq!(TimeUs::from_millis(3), TimeUs::from_micros(3_000));
         assert_eq!(TimeUs::from_secs(2), TimeUs::from_millis(2_000));
         assert_eq!(TimeUs::from_secs_f64(0.5), TimeUs::from_millis(500));
-        assert_eq!(TimeUs::from_millis_f64(1.5), TimeUs::from_micros(1_500));
     }
 
     #[test]
     fn time_negative_float_inputs_saturate_to_zero() {
         assert_eq!(TimeUs::from_secs_f64(-1.0), TimeUs::ZERO);
-        assert_eq!(TimeUs::from_millis_f64(-0.1), TimeUs::ZERO);
     }
 
     #[test]
@@ -468,7 +454,6 @@ mod tests {
     #[test]
     fn frequency_conversions() {
         let f = FreqMhz::new(1500);
-        assert_eq!(f.as_khz(), 1_500_000);
         assert_eq!(f.to_string(), "1500 MHz");
     }
 }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use pes_acmp::{DvfsLadder, DvfsModel, Platform};
+use pes_acmp::{DvfsLadder, Platform};
 use pes_core::{PesConfig, PesScheduler};
 use pes_ilp::{ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch};
 use pes_predictor::{LearnerConfig, SessionState, Trainer, TrainingConfig};
@@ -142,7 +142,6 @@ fn schedule_window_scaling(c: &mut Criterion) {
 fn scheduling_decisions(c: &mut Criterion) {
     let platform = Platform::exynos_5410();
     let plane = Arc::new(DvfsLadder::for_platform(&platform));
-    let dvfs = DvfsModel::new(&platform);
     let qos = QosPolicy::paper_defaults();
     let catalog = AppCatalog::paper_suite();
     let app = catalog.find("bbc").unwrap();
@@ -153,7 +152,7 @@ fn scheduling_decisions(c: &mut Criterion) {
     let mut ebs = Ebs::new(&platform);
     let ctx = ScheduleContext {
         platform: &platform,
-        dvfs: &dvfs,
+        plane: &plane,
         qos: &qos,
         start_time: event.arrival(),
         current_config: platform.min_power_config(),

@@ -25,7 +25,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use pes_acmp::units::{CpuCycles, TimeUs};
-use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, LadderCache, Platform};
+use pes_acmp::{CpuDemand, DvfsLadder, LadderCache, Platform};
 use pes_core::{
     window_shape, OracleScheduler, PesConfig, PesScheduler, SolveGeneration, SolveMemo, SolveShard,
     INCUMBENT_GAP_EPSILON,
@@ -249,7 +249,7 @@ fn session_replay(c: &mut Criterion) {
     // the Oracle unit (17-config window fills) and the EBS unit (reactive
     // decisions), isolated from the replay loop.
     // ------------------------------------------------------------------
-    let dvfs = DvfsModel::new(&platform);
+    let ladder = DvfsLadder::for_platform(&platform);
     let demand = CpuDemand::new(TimeUs::from_millis(4), CpuCycles::new(120_000_000));
     let budget = TimeUs::from_millis(120);
 
@@ -259,7 +259,7 @@ fn session_replay(c: &mut Criterion) {
     let mut points_buf = Vec::new();
     group.bench_function("dvfs_decision/ladder_eval_17", |b| {
         b.iter(|| {
-            dvfs.ladder().eval_into(black_box(&demand), &mut points_buf);
+            ladder.eval_into(black_box(&demand), &mut points_buf);
             black_box(DvfsLadder::cheapest_within(&points_buf, budget))
         })
     });
@@ -269,7 +269,7 @@ fn session_replay(c: &mut Criterion) {
     let mut cache = LadderCache::new();
     group.bench_function("dvfs_decision/cached_decision", |b| {
         b.iter(|| {
-            let points = cache.points(dvfs.ladder(), black_box(&demand));
+            let points = cache.points(&ladder, black_box(&demand));
             black_box(DvfsLadder::cheapest_within(points, budget))
         })
     });

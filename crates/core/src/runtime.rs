@@ -793,12 +793,8 @@ impl Replay<'_> {
                 .fs
                 .delay_vsync(frame.record.frame_ready_at, self.engine.vsync().period());
             self.engine.commit(ev, ready_at);
-            self.profiler.observe(
-                ev.event_type(),
-                frame.record.config,
-                frame.record.busy_time,
-                self.engine.dvfs(),
-            );
+            self.profiler
+                .observe(ev.event_type(), frame.record.config, frame.record.busy_time);
             return true;
         }
         self.report.mispredictions += 1;
@@ -850,12 +846,8 @@ impl Replay<'_> {
             .fs
             .delay_vsync(record.frame_ready_at, self.engine.vsync().period());
         self.engine.commit(ev, ready_at);
-        self.profiler.observe(
-            ev.event_type(),
-            config,
-            record.busy_time,
-            self.engine.dvfs(),
-        );
+        self.profiler
+            .observe(ev.event_type(), config, record.busy_time);
         let trips = self.wd.charge_event();
         self.demote(trips);
     }
@@ -922,17 +914,17 @@ impl Replay<'_> {
     /// recorded as `OndemandFloor`.
     fn reactive_config(&mut self, ev: &WebEvent) -> AcmpConfig {
         let ladder = &mut self.report.degradation;
-        let dvfs = self.engine.dvfs();
         if self.tier == DegradationLevel::OndemandFloor {
             ladder.observe(DegradationLevel::OndemandFloor);
-            return self.profiler.profiling_config(ev.event_type(), dvfs);
+            return self.profiler.profiling_config(ev.event_type());
         }
         ladder.observe(DegradationLevel::Reactive);
         let start_time = self.engine.cpu_free_at().max(ev.arrival());
         ebs_config(
             &self.profiler,
             &mut self.rs.ladder_cache,
-            dvfs,
+            self.engine.platform(),
+            self.engine.plane(),
             self.engine.qos(),
             ev,
             start_time,
@@ -1220,7 +1212,7 @@ impl Replay<'_> {
         let item = &mut rs.items_buf[used];
         item.release_us = release.as_micros();
         item.deadline_us = deadline.as_micros();
-        let ladder = self.engine.dvfs().ladder();
+        let ladder: &DvfsLadder = self.engine.plane();
         if self.runtime.learned() {
             let row = rs.ladder_cache.row(ladder, demand);
             item.assign_options(

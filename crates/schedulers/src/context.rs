@@ -7,7 +7,7 @@
 //! utilisation-driven and history-driven policies can maintain their state.
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{AcmpConfig, DvfsModel, Platform};
+use pes_acmp::{AcmpConfig, DvfsLadder, Platform};
 use pes_webrt::{QosPolicy, WebEvent};
 
 /// Everything a reactive scheduler may consult when deciding a configuration.
@@ -15,8 +15,9 @@ use pes_webrt::{QosPolicy, WebEvent};
 pub struct ScheduleContext<'a> {
     /// The hardware platform.
     pub platform: &'a Platform,
-    /// The DVFS latency/energy model bound to the platform.
-    pub dvfs: &'a DvfsModel<'a>,
+    /// The shared DVFS power plane of the platform: the Eqn. 1/5
+    /// evaluator QoS-aware decisions are made on.
+    pub plane: &'a DvfsLadder,
     /// The QoS policy in force.
     pub qos: &'a QosPolicy,
     /// The time at which the event will start executing
@@ -85,11 +86,11 @@ mod tests {
     #[test]
     fn trait_is_object_safe_and_usable() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let ctx = ScheduleContext {
             platform: &platform,
-            dvfs: &dvfs,
+            plane: &plane,
             qos: &qos,
             start_time: TimeUs::ZERO,
             current_config: platform.min_power_config(),

@@ -9,7 +9,7 @@
 //! removes.
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{AcmpConfig, DvfsLadder, DvfsModel, LadderCache};
+use pes_acmp::{AcmpConfig, DvfsLadder, LadderCache, Platform};
 use pes_webrt::{QosPolicy, WebEvent};
 
 use crate::context::{ScheduleContext, Scheduler};
@@ -24,19 +24,20 @@ use crate::profiler::DemandProfiler;
 pub fn ebs_config(
     profiler: &DemandProfiler,
     ladder_cache: &mut LadderCache,
-    dvfs: &DvfsModel<'_>,
+    platform: &Platform,
+    plane: &DvfsLadder,
     qos: &QosPolicy,
     event: &WebEvent,
     start_time: TimeUs,
 ) -> AcmpConfig {
     let ty = event.event_type();
     let Some(estimate) = profiler.estimate(ty) else {
-        return profiler.profiling_config(ty, dvfs);
+        return profiler.profiling_config(ty);
     };
     let deadline = event.arrival() + qos.target_for_event(ty);
-    let points = ladder_cache.points(dvfs.ladder(), &estimate);
+    let points = ladder_cache.points(plane, &estimate);
     DvfsLadder::cheapest_within(points, deadline.saturating_sub(start_time))
-        .unwrap_or_else(|| dvfs.platform().max_performance_config())
+        .unwrap_or_else(|| platform.max_performance_config())
 }
 
 /// The EBS scheduler.
@@ -51,7 +52,7 @@ pub struct Ebs {
 
 impl Ebs {
     /// Creates an EBS instance for a platform.
-    pub fn new(platform: &pes_acmp::Platform) -> Self {
+    pub fn new(platform: &Platform) -> Self {
         Ebs {
             profiler: DemandProfiler::new(platform),
             ladder_cache: LadderCache::new(),
@@ -73,7 +74,8 @@ impl Scheduler for Ebs {
         ebs_config(
             &self.profiler,
             &mut self.ladder_cache,
-            ctx.dvfs,
+            ctx.platform,
+            ctx.plane,
             ctx.qos,
             event,
             ctx.start_time,
@@ -82,14 +84,14 @@ impl Scheduler for Ebs {
 
     fn on_event_complete(
         &mut self,
-        ctx: &ScheduleContext<'_>,
+        _ctx: &ScheduleContext<'_>,
         event: &WebEvent,
         config: &AcmpConfig,
         busy_time: TimeUs,
         _finished_at: TimeUs,
     ) {
         self.profiler
-            .observe(event.event_type(), *config, busy_time, ctx.dvfs);
+            .observe(event.event_type(), *config, busy_time);
     }
 
     fn reset(&mut self) {
@@ -103,7 +105,7 @@ mod tests {
     use super::*;
     use crate::oracle::cheapest_config_within_reference;
     use pes_acmp::units::CpuCycles;
-    use pes_acmp::{CpuDemand, DvfsModel, Platform};
+    use pes_acmp::CpuDemand;
     use pes_dom::EventType;
     use pes_webrt::{EventId, QosPolicy};
 
@@ -132,18 +134,18 @@ mod tests {
     }
 
     fn warm_up(ebs: &mut Ebs, fixture: &Fixture, ty: EventType, mcycles: u64) {
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         for i in 0..2 {
             let ev = event(i, ty, 0, mcycles);
             let ctx = ScheduleContext {
                 platform: &fixture.platform,
-                dvfs: &dvfs,
+                plane: &plane,
                 qos: &fixture.qos,
                 start_time: TimeUs::ZERO,
                 current_config: fixture.platform.min_power_config(),
             };
             let cfg = ebs.schedule_event(&ctx, &ev);
-            let busy = dvfs.execution_time(&ev.demand(), &cfg);
+            let busy = ev.demand().time_on(&cfg);
             ebs.on_event_complete(&ctx, &ev, &cfg, busy, busy);
         }
     }
@@ -151,11 +153,11 @@ mod tests {
     #[test]
     fn cold_start_uses_profiling_configs() {
         let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         let mut ebs = Ebs::new(&fixture.platform);
         let ctx = ScheduleContext {
             platform: &fixture.platform,
-            dvfs: &dvfs,
+            plane: &plane,
             qos: &fixture.qos,
             start_time: TimeUs::ZERO,
             current_config: fixture.platform.min_power_config(),
@@ -171,14 +173,14 @@ mod tests {
     #[test]
     fn after_profiling_ebs_picks_the_cheapest_feasible_config() {
         let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         let mut ebs = Ebs::new(&fixture.platform);
         warm_up(&mut ebs, &fixture, EventType::Click, 300);
         // A tap with no queueing delay has its whole 300 ms budget available.
         let ev = event(9, EventType::Click, 1_000, 300);
         let ctx = ScheduleContext {
             platform: &fixture.platform,
-            dvfs: &dvfs,
+            plane: &plane,
             qos: &fixture.qos,
             start_time: TimeUs::from_millis(1_000),
             current_config: fixture.platform.min_power_config(),
@@ -186,7 +188,7 @@ mod tests {
         let cfg = ebs.schedule_event(&ctx, &ev);
         // Must meet the deadline with the estimated demand...
         let est = ebs.profiler().estimate(EventType::Click).unwrap();
-        assert!(dvfs.execution_time(&est, &cfg) <= TimeUs::from_millis(300));
+        assert!(est.time_on(&cfg) <= TimeUs::from_millis(300));
         // ...and must not simply be the maximum-performance configuration.
         assert!(cfg != fixture.platform.max_performance_config());
     }
@@ -194,13 +196,13 @@ mod tests {
     #[test]
     fn queueing_delay_forces_a_faster_configuration() {
         let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         let mut ebs = Ebs::new(&fixture.platform);
         warm_up(&mut ebs, &fixture, EventType::Click, 300);
         let ev = event(9, EventType::Click, 1_000, 300);
         let relaxed_ctx = ScheduleContext {
             platform: &fixture.platform,
-            dvfs: &dvfs,
+            plane: &plane,
             qos: &fixture.qos,
             start_time: TimeUs::from_millis(1_000),
             current_config: fixture.platform.min_power_config(),
@@ -222,14 +224,14 @@ mod tests {
     #[test]
     fn infeasible_budgets_fall_back_to_peak_performance() {
         let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         let mut ebs = Ebs::new(&fixture.platform);
         warm_up(&mut ebs, &fixture, EventType::Scroll, 200);
         // A move event whose profiled demand cannot fit in 33 ms at all.
         let ev = event(9, EventType::Scroll, 1_000, 200);
         let ctx = ScheduleContext {
             platform: &fixture.platform,
-            dvfs: &dvfs,
+            plane: &plane,
             qos: &fixture.qos,
             start_time: TimeUs::from_millis(1_000),
             current_config: fixture.platform.min_power_config(),
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn ladder_cached_decisions_match_the_reference_model() {
         let fixture = Fixture::new();
-        let dvfs = DvfsModel::new(&fixture.platform);
+        let plane = DvfsLadder::for_platform(&fixture.platform);
         let mut ebs = Ebs::new(&fixture.platform);
         warm_up(&mut ebs, &fixture, EventType::Click, 300);
         let estimate = ebs.profiler().estimate(EventType::Click).unwrap();
@@ -254,7 +256,7 @@ mod tests {
             let ev = event(9, EventType::Click, 1_000, 300);
             let ctx = ScheduleContext {
                 platform: &fixture.platform,
-                dvfs: &dvfs,
+                plane: &plane,
                 qos: &fixture.qos,
                 start_time: TimeUs::from_millis(1_000 + delay_ms),
                 current_config: fixture.platform.min_power_config(),
@@ -262,7 +264,7 @@ mod tests {
             let chosen = ebs.schedule_event(&ctx, &ev);
             let deadline = ev.arrival() + fixture.qos.target_for_event(EventType::Click);
             let budget = deadline.saturating_sub(ctx.start_time);
-            let reference = cheapest_config_within_reference(&dvfs, &estimate, budget)
+            let reference = cheapest_config_within_reference(&fixture.platform, &estimate, budget)
                 .unwrap_or_else(|| fixture.platform.max_performance_config());
             assert_eq!(chosen, reference, "decision diverged at delay {delay_ms}ms");
         }

@@ -86,7 +86,7 @@ impl Scheduler for InteractiveGovernor {
         // Within-event ramp approximation: if the event will keep the CPU
         // busy beyond one sampling period at the resting operating point, the
         // governor saturates and the event effectively runs at max speed.
-        let at_resting = ctx.dvfs.execution_time(&event.demand(), &resting);
+        let at_resting = event.demand().time_on(&resting);
         if at_resting > self.sampling_period {
             ctx.platform.max_performance_config()
         } else {
@@ -179,7 +179,7 @@ impl Scheduler for OndemandGovernor {
         // after a full (long) sampling period of saturation, and even then it
         // steps rather than jumps; long events end up at a high-but-not-peak
         // big configuration.
-        let at_resting = ctx.dvfs.execution_time(&event.demand(), &resting);
+        let at_resting = event.demand().time_on(&resting);
         if at_resting > self.sampling_period {
             let stepped = big.step_down(big.max_frequency());
             AcmpConfig::new(big.core_kind(), stepped)
@@ -212,19 +212,19 @@ impl Scheduler for OndemandGovernor {
 mod tests {
     use super::*;
     use pes_acmp::units::CpuCycles;
-    use pes_acmp::{CpuDemand, DvfsModel, Platform};
+    use pes_acmp::{CpuDemand, DvfsLadder, Platform};
     use pes_dom::EventType;
     use pes_webrt::{EventId, QosPolicy};
 
     fn ctx<'a>(
         platform: &'a Platform,
-        dvfs: &'a DvfsModel<'a>,
+        plane: &'a DvfsLadder,
         qos: &'a QosPolicy,
         start_ms: u64,
     ) -> ScheduleContext<'a> {
         ScheduleContext {
             platform,
-            dvfs,
+            plane,
             qos,
             start_time: TimeUs::from_millis(start_ms),
             current_config: platform.min_power_config(),
@@ -244,16 +244,16 @@ mod tests {
     #[test]
     fn interactive_runs_long_events_at_peak() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let mut gov = InteractiveGovernor::new();
         let cfg = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 0),
+            &ctx(&platform, &plane, &qos, 0),
             &event(EventType::Load, 2_000),
         );
         assert_eq!(cfg, platform.max_performance_config());
         let tap = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 0),
+            &ctx(&platform, &plane, &qos, 0),
             &event(EventType::Click, 400),
         );
         assert_eq!(tap, platform.max_performance_config());
@@ -262,13 +262,13 @@ mod tests {
     #[test]
     fn interactive_leaves_tiny_events_at_the_resting_point_after_idle() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let mut gov = InteractiveGovernor::new();
         // Long idle: utilisation is zero, resting point is the lowest big
         // frequency; a tiny move event finishes within one sampling period.
         let cfg = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 5_000),
+            &ctx(&platform, &plane, &qos, 5_000),
             &event(EventType::Scroll, 10),
         );
         assert!(cfg.core().is_big());
@@ -278,19 +278,19 @@ mod tests {
     #[test]
     fn interactive_saturated_utilisation_jumps_to_peak() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let mut gov = InteractiveGovernor::new();
         // Report a solid 100 ms of busy time right before the decision point.
         gov.on_event_complete(
-            &ctx(&platform, &dvfs, &qos, 100),
+            &ctx(&platform, &plane, &qos, 100),
             &event(EventType::Load, 100),
             &platform.max_performance_config(),
             TimeUs::from_millis(100),
             TimeUs::from_millis(100),
         );
         let cfg = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 100),
+            &ctx(&platform, &plane, &qos, 100),
             &event(EventType::Scroll, 5),
         );
         assert_eq!(cfg, platform.max_performance_config());
@@ -299,16 +299,16 @@ mod tests {
     #[test]
     fn ondemand_prefers_low_power_after_idle_and_never_peaks_for_long_events() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let mut gov = OndemandGovernor::new();
         let small = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 5_000),
+            &ctx(&platform, &plane, &qos, 5_000),
             &event(EventType::Scroll, 10),
         );
         assert_eq!(small.core(), CoreKind::LittleA7);
         let long = gov.schedule_event(
-            &ctx(&platform, &dvfs, &qos, 5_000),
+            &ctx(&platform, &plane, &qos, 5_000),
             &event(EventType::Load, 2_000),
         );
         assert!(long.core().is_big());
@@ -318,11 +318,11 @@ mod tests {
     #[test]
     fn governors_reset_cleanly() {
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let qos = QosPolicy::paper_defaults();
         let mut gov = InteractiveGovernor::new();
         gov.on_event_complete(
-            &ctx(&platform, &dvfs, &qos, 50),
+            &ctx(&platform, &plane, &qos, 50),
             &event(EventType::Load, 100),
             &platform.max_performance_config(),
             TimeUs::from_millis(50),

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{AcmpConfig, CoreKind, CpuDemand, DvfsModel, Platform};
+use pes_acmp::{recover_demand, AcmpConfig, CoreKind, CpuDemand, Platform};
 use pes_dom::EventType;
 
 /// Per-event-type profiling state.
@@ -36,7 +36,7 @@ struct TypeProfile {
 /// # Examples
 ///
 /// ```
-/// use pes_acmp::{DvfsModel, Platform};
+/// use pes_acmp::Platform;
 /// use pes_dom::EventType;
 /// use pes_schedulers::DemandProfiler;
 ///
@@ -45,8 +45,7 @@ struct TypeProfile {
 /// // Before any observation the profiler has no estimate and asks for the
 /// // first profiling configuration.
 /// assert!(profiler.estimate(EventType::Click).is_none());
-/// let dvfs = DvfsModel::new(&platform);
-/// let cfg = profiler.profiling_config(EventType::Click, &dvfs);
+/// let cfg = profiler.profiling_config(EventType::Click);
 /// assert!(cfg.core().is_big());
 /// ```
 #[derive(Debug, Clone)]
@@ -90,7 +89,7 @@ impl DemandProfiler {
 
     /// The configuration to use for the next profiling run of this event
     /// type (alternating between the two profiling operating points).
-    pub fn profiling_config(&self, event_type: EventType, _dvfs: &DvfsModel<'_>) -> AcmpConfig {
+    pub fn profiling_config(&self, event_type: EventType) -> AcmpConfig {
         let seen = self
             .profiles
             .get(&event_type)
@@ -116,13 +115,7 @@ impl DemandProfiler {
     /// busy (execution) time. Once two observations at distinct frequencies
     /// on the same core kind exist, the demand is recovered and subsequently
     /// refined with an EWMA of per-execution recovered demands.
-    pub fn observe(
-        &mut self,
-        event_type: EventType,
-        config: AcmpConfig,
-        busy_time: TimeUs,
-        dvfs: &DvfsModel<'_>,
-    ) {
+    pub fn observe(&mut self, event_type: EventType, config: AcmpConfig, busy_time: TimeUs) {
         let alpha = self.ewma_alpha;
         let profile = self.profiles.entry(event_type).or_default();
         profile.samples += 1;
@@ -144,7 +137,7 @@ impl DemandProfiler {
                     {
                         continue;
                     }
-                    if let Ok(demand) = dvfs.recover_demand(prior, fresh) {
+                    if let Ok(demand) = recover_demand(prior, fresh) {
                         profile.estimate = Some(demand);
                         profile.observations.clear();
                         break;
@@ -209,14 +202,13 @@ mod tests {
     #[test]
     fn two_profiling_runs_recover_the_demand() {
         let (platform, true_demand) = setup();
-        let dvfs = DvfsModel::new(&platform);
         let mut profiler = DemandProfiler::new(&platform);
         assert!(profiler.needs_profiling(EventType::Click));
 
         for _ in 0..2 {
-            let cfg = profiler.profiling_config(EventType::Click, &dvfs);
-            let busy = dvfs.execution_time(&true_demand, &cfg);
-            profiler.observe(EventType::Click, cfg, busy, &dvfs);
+            let cfg = profiler.profiling_config(EventType::Click);
+            let busy = true_demand.time_on(&cfg);
+            profiler.observe(EventType::Click, cfg, busy);
         }
         assert!(!profiler.needs_profiling(EventType::Click));
         let est = profiler.estimate(EventType::Click).unwrap();
@@ -229,11 +221,10 @@ mod tests {
     #[test]
     fn profiling_configs_alternate_and_are_fast_enough() {
         let (platform, _) = setup();
-        let dvfs = DvfsModel::new(&platform);
         let mut profiler = DemandProfiler::new(&platform);
-        let first = profiler.profiling_config(EventType::Load, &dvfs);
-        profiler.observe(EventType::Load, first, TimeUs::from_millis(100), &dvfs);
-        let second = profiler.profiling_config(EventType::Load, &dvfs);
+        let first = profiler.profiling_config(EventType::Load);
+        profiler.observe(EventType::Load, first, TimeUs::from_millis(100));
+        let second = profiler.profiling_config(EventType::Load);
         assert_ne!(first.frequency(), second.frequency());
         assert!(first.core().is_big() && second.core().is_big());
     }
@@ -241,28 +232,17 @@ mod tests {
     #[test]
     fn later_observations_track_drifting_workloads() {
         let (platform, true_demand) = setup();
-        let dvfs = DvfsModel::new(&platform);
         let mut profiler = DemandProfiler::new(&platform);
         for _ in 0..2 {
-            let cfg = profiler.profiling_config(EventType::Click, &dvfs);
-            profiler.observe(
-                EventType::Click,
-                cfg,
-                dvfs.execution_time(&true_demand, &cfg),
-                &dvfs,
-            );
+            let cfg = profiler.profiling_config(EventType::Click);
+            profiler.observe(EventType::Click, cfg, true_demand.time_on(&cfg));
         }
         let before = profiler.estimate(EventType::Click).unwrap();
         // The workload doubles; feed several observations of the new demand.
         let heavier = true_demand.scale(2.0);
         let cfg = platform.max_performance_config();
         for _ in 0..10 {
-            profiler.observe(
-                EventType::Click,
-                cfg,
-                dvfs.execution_time(&heavier, &cfg),
-                &dvfs,
-            );
+            profiler.observe(EventType::Click, cfg, heavier.time_on(&cfg));
         }
         let after = profiler.estimate(EventType::Click).unwrap();
         assert!(after.ref_cycles().get() > before.ref_cycles().get());
@@ -271,16 +251,10 @@ mod tests {
     #[test]
     fn reset_clears_estimates() {
         let (platform, true_demand) = setup();
-        let dvfs = DvfsModel::new(&platform);
         let mut profiler = DemandProfiler::new(&platform);
         for _ in 0..2 {
-            let cfg = profiler.profiling_config(EventType::Scroll, &dvfs);
-            profiler.observe(
-                EventType::Scroll,
-                cfg,
-                dvfs.execution_time(&true_demand, &cfg),
-                &dvfs,
-            );
+            let cfg = profiler.profiling_config(EventType::Scroll);
+            profiler.observe(EventType::Scroll, cfg, true_demand.time_on(&cfg));
         }
         assert!(profiler.estimate(EventType::Scroll).is_some());
         profiler.reset();
@@ -291,16 +265,10 @@ mod tests {
     #[test]
     fn per_type_estimates_are_independent() {
         let (platform, true_demand) = setup();
-        let dvfs = DvfsModel::new(&platform);
         let mut profiler = DemandProfiler::new(&platform);
         for _ in 0..2 {
-            let cfg = profiler.profiling_config(EventType::Click, &dvfs);
-            profiler.observe(
-                EventType::Click,
-                cfg,
-                dvfs.execution_time(&true_demand, &cfg),
-                &dvfs,
-            );
+            let cfg = profiler.profiling_config(EventType::Click);
+            profiler.observe(EventType::Click, cfg, true_demand.time_on(&cfg));
         }
         assert!(profiler.estimate(EventType::Click).is_some());
         assert!(profiler.estimate(EventType::Scroll).is_none());

@@ -11,7 +11,7 @@
 //! * **Type IV** — benign: met the deadline at the minimal-energy
 //!   configuration with no interference.
 
-use pes_acmp::DvfsModel;
+use pes_acmp::DvfsLadder;
 use pes_webrt::{QosPolicy, WebEvent};
 
 use crate::reactive::ReactiveReport;
@@ -72,7 +72,7 @@ impl ClassDistribution {
 pub fn classify_events(
     report: &ReactiveReport,
     events: &[WebEvent],
-    dvfs: &DvfsModel<'_>,
+    plane: &DvfsLadder,
     qos: &QosPolicy,
 ) -> Vec<EventClass> {
     report
@@ -81,7 +81,7 @@ pub fn classify_events(
         .zip(events.iter())
         .map(|(record, event)| {
             let target = qos.target_for_event(event.event_type());
-            let best_case = dvfs.best_case_latency(&event.demand());
+            let best_case = plane.best_case_latency(&event.demand());
             // Intrinsically infeasible: the fastest configuration plus one
             // display refresh cannot make the target.
             if best_case > target {
@@ -95,10 +95,10 @@ pub fn classify_events(
             if interfered {
                 // Could a cheaper configuration have served the event had it
                 // not been delayed?
-                let ideal = dvfs.cheapest_config_within(&event.demand(), target);
+                let ideal = plane.cheapest_config_within(&event.demand(), target);
                 if let Some(ideal_cfg) = ideal {
-                    let used_cost = dvfs.marginal_energy(&event.demand(), &record.config);
-                    let ideal_cost = dvfs.marginal_energy(&event.demand(), &ideal_cfg);
+                    let used_cost = plane.marginal_energy(&event.demand(), &record.config);
+                    let ideal_cost = plane.marginal_energy(&event.demand(), &ideal_cfg);
                     if used_cost.as_microjoules() > ideal_cost.as_microjoules() * 1.01 {
                         return EventClass::TypeIII;
                     }
@@ -128,7 +128,7 @@ pub fn distribution(classes: &[EventClass]) -> ClassDistribution {
 mod tests {
     use super::*;
     use crate::reactive::run_reactive_with_plane;
-    use pes_acmp::{DvfsLadder, Platform};
+    use pes_acmp::Platform;
     use pes_schedulers::Ebs;
     use pes_workload::{AppCatalog, TraceGenerator, EVAL_SEED_BASE};
     use std::sync::Arc;
@@ -138,7 +138,6 @@ mod tests {
         let catalog = AppCatalog::paper_suite();
         let platform = Platform::exynos_5410();
         let plane = Arc::new(DvfsLadder::for_platform(&platform));
-        let dvfs = DvfsModel::new(&platform);
         let qos = QosPolicy::paper_defaults();
         let gen = TraceGenerator::new();
         let mut all_classes = Vec::new();
@@ -147,7 +146,7 @@ mod tests {
             let trace = gen.generate(app, &page, EVAL_SEED_BASE + 2);
             let report =
                 run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
-            let classes = classify_events(&report, trace.events(), &dvfs, &qos);
+            let classes = classify_events(&report, trace.events(), &plane, &qos);
             assert_eq!(classes.len(), trace.len());
             let dist = distribution(&classes);
             let sum = dist.type_i + dist.type_ii + dist.type_iii + dist.type_iv;

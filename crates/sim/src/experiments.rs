@@ -22,7 +22,7 @@ use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{CpuDemand, DvfsLadder, DvfsModel, Platform};
+use pes_acmp::{CpuDemand, DvfsLadder, Platform};
 use pes_core::{FaultPlane, OracleScheduler, PesConfig, PesScheduler, RunReport};
 use pes_dom::{BuiltPage, EventType};
 use pes_predictor::{evaluate_accuracy, EventSequenceLearner, LearnerConfig, Trainer};
@@ -325,7 +325,6 @@ fn seen_indices(ctx: &ExperimentContext) -> Vec<usize> {
 /// Per-application event-type distribution (Fig. 3). One fan-out unit per
 /// `(application, trace)` pair, each replaying its shared trace under EBS.
 pub fn fig3_event_types(ctx: &ExperimentContext) -> Vec<(String, ClassDistribution)> {
-    let dvfs = DvfsModel::with_ladder(&ctx.platform, Arc::clone(&ctx.power_plane));
     let seen = seen_indices(ctx);
     let traces = ctx.traces_per_app;
     let per_trace: Vec<Vec<crate::EventClass>> = par_map(seen.len() * traces, |unit| {
@@ -337,7 +336,7 @@ pub fn fig3_event_types(ctx: &ExperimentContext) -> Vec<(String, ClassDistributi
             &mut Ebs::new(&ctx.platform),
             &ctx.qos,
         );
-        classify_events(&report, trace.events(), &dvfs, &ctx.qos)
+        classify_events(&report, trace.events(), &ctx.power_plane, &ctx.qos)
     });
     seen.iter()
         .enumerate()

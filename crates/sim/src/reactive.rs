@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pes_acmp::units::{EnergyUj, TimeUs};
-use pes_acmp::{AcmpConfig, DvfsLadder, DvfsModel, Platform};
+use pes_acmp::{AcmpConfig, DvfsLadder, Platform};
 use pes_schedulers::{ScheduleContext, Scheduler};
 use pes_webrt::{EventId, ExecutionEngine, QosOutcome, QosPolicy};
 use pes_workload::Trace;
@@ -80,13 +80,12 @@ pub fn run_reactive_with_plane(
 ) -> ReactiveReport {
     scheduler.reset();
     let mut engine = ExecutionEngine::with_plane(platform, *qos, Arc::clone(plane));
-    let dvfs = DvfsModel::with_ladder(platform, Arc::clone(plane));
     let mut records = Vec::with_capacity(trace.len());
     for ev in trace.events() {
         let start_time = engine.cpu_free_at().max(ev.arrival());
         let ctx = ScheduleContext {
             platform,
-            dvfs: &dvfs,
+            plane,
             qos,
             start_time,
             current_config: engine.current_config(),

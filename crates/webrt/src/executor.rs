@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use pes_acmp::units::{EnergyUj, TimeUs};
-use pes_acmp::{
-    AcmpConfig, ActivityKind, DvfsLadder, DvfsModel, EnergyMeter, Platform, TransitionModel,
-};
+use pes_acmp::{AcmpConfig, ActivityKind, DvfsLadder, EnergyMeter, Platform, TransitionModel};
 use pes_dom::Interaction;
 
 use crate::event::{EventId, WebEvent};
@@ -68,12 +66,12 @@ pub struct ExecutionRecord {
 #[derive(Debug, Clone)]
 pub struct ExecutionEngine<'p> {
     platform: &'p Platform,
-    dvfs: DvfsModel<'p>,
+    plane: Arc<DvfsLadder>,
     pipeline: RenderPipeline,
     vsync: VsyncClock,
     qos: QosPolicy,
     transitions: TransitionModel,
-    meter: EnergyMeter<'p>,
+    meter: EnergyMeter,
     /// QoS violations among the committed outcomes, counted at commit so
     /// [`ExecutionEngine::violations`] never rescans the outcome log.
     violations: usize,
@@ -85,19 +83,23 @@ pub struct ExecutionEngine<'p> {
 
 impl<'p> ExecutionEngine<'p> {
     /// Creates an engine parked at the platform's lowest-power configuration
-    /// at time zero, whose DVFS model *and* energy meter are served by a
+    /// at time zero, whose schedulers *and* energy meter are served by a
     /// shared, already-built power plane (one ladder per platform, built by
     /// the experiment context): replays neither rebuild the 17-rung table
     /// nor re-derive cluster powers per energy sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane was built for a different platform.
     pub fn with_plane(platform: &'p Platform, qos: QosPolicy, plane: Arc<DvfsLadder>) -> Self {
         ExecutionEngine {
             platform,
-            dvfs: DvfsModel::with_ladder(platform, Arc::clone(&plane)),
+            meter: EnergyMeter::with_plane(platform, Arc::clone(&plane)),
+            plane,
             pipeline: RenderPipeline::new(),
             vsync: VsyncClock::sixty_hz(),
             qos,
             transitions: TransitionModel::exynos_defaults(),
-            meter: EnergyMeter::with_plane(platform, plane),
             violations: 0,
             current_config: platform.min_power_config(),
             cpu_free_at: TimeUs::ZERO,
@@ -113,9 +115,10 @@ impl<'p> ExecutionEngine<'p> {
         self.platform
     }
 
-    /// The DVFS model bound to the platform.
-    pub fn dvfs(&self) -> &DvfsModel<'p> {
-        &self.dvfs
+    /// The shared DVFS power plane the engine meters through: the one
+    /// Eqn. 1/5 evaluator its schedulers decide on.
+    pub fn plane(&self) -> &Arc<DvfsLadder> {
+        &self.plane
     }
 
     /// The QoS policy in force.
@@ -214,7 +217,6 @@ impl<'p> ExecutionEngine<'p> {
         let (busy, frame_ready_at) = self.pipeline.execute_timing(
             &event.demand(),
             event.event_type().interaction(),
-            &self.dvfs,
             config,
             start,
         );
@@ -256,11 +258,12 @@ impl<'p> ExecutionEngine<'p> {
     /// useful work to speculative waste.
     pub fn account_squashed_frame(&mut self, record: &ExecutionRecord) {
         let energy = self
-            .dvfs
-            .execution_power(&record.config)
+            .plane
+            .rung(&record.config)
+            .exec_power
             .energy_over(record.busy_time);
         // Move the energy between activity buckets; the total stays the same.
-        self.meter.reattribute_waste(record.config.core(), energy);
+        self.meter.reattribute_waste(energy);
     }
 
     /// Fraction of total energy wasted on squashed speculative work.
@@ -380,7 +383,7 @@ mod tests {
         let mut fresh = engine(&platform);
         let mut shared =
             ExecutionEngine::with_plane(&platform, QosPolicy::paper_defaults(), Arc::clone(&plane));
-        assert!(Arc::ptr_eq(shared.dvfs().shared_ladder(), &plane));
+        assert!(Arc::ptr_eq(shared.plane(), &plane));
         for (i, (ty, at_ms, mcycles)) in [
             (EventType::Load, 0u64, 1_500u64),
             (EventType::Click, 900, 120),

@@ -12,13 +12,12 @@
 //! # Examples
 //!
 //! ```
-//! use pes_acmp::{CpuDemand, DvfsModel, Platform};
+//! use pes_acmp::{CpuDemand, Platform};
 //! use pes_acmp::units::{CpuCycles, TimeUs};
 //! use pes_dom::EventType;
 //! use pes_webrt::{EventId, QosOutcome, QosPolicy, RenderPipeline, VsyncClock, WebEvent};
 //!
 //! let platform = Platform::exynos_5410();
-//! let model = DvfsModel::new(&platform);
 //! let qos = QosPolicy::paper_defaults();
 //! let vsync = VsyncClock::sixty_hz();
 //!
@@ -34,7 +33,6 @@
 //! let (_busy, frame_ready_at) = RenderPipeline::new().execute_timing(
 //!     &event.demand(),
 //!     event.event_type().interaction(),
-//!     &model,
 //!     &platform.max_performance_config(),
 //!     event.arrival(),
 //! );
@@ -70,7 +68,7 @@ pub use vsync::VsyncClock;
 mod tests {
     use super::*;
     use pes_acmp::units::{CpuCycles, TimeUs};
-    use pes_acmp::{CpuDemand, DvfsModel, Platform};
+    use pes_acmp::{CpuDemand, Platform};
     use pes_dom::EventType;
 
     #[test]
@@ -86,7 +84,6 @@ mod tests {
         // Reproduce the Fig. 1 shape: latency = execution + idle wait until
         // the next display refresh.
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
         let vsync = VsyncClock::sixty_hz();
         let event = WebEvent::new(
             EventId::new(0),
@@ -98,7 +95,6 @@ mod tests {
         let (_, frame_ready_at) = RenderPipeline::new().execute_timing(
             &event.demand(),
             event.event_type().interaction(),
-            &model,
             &platform.max_performance_config(),
             event.arrival(),
         );
@@ -116,14 +112,12 @@ mod tests {
     #[test]
     fn a_heavy_move_event_violates_its_tight_deadline_on_the_little_core() {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
         let vsync = VsyncClock::sixty_hz();
         let qos = QosPolicy::paper_defaults();
         let demand = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(60_000_000));
         let (_, frame_ready_at) = RenderPipeline::new().execute_timing(
             &demand,
             EventType::Scroll.interaction(),
-            &model,
             &platform.min_power_config(),
             TimeUs::ZERO,
         );

@@ -7,7 +7,7 @@
 //! on the single ACMP configuration chosen by the scheduler for the event.
 
 use pes_acmp::units::TimeUs;
-use pes_acmp::{AcmpConfig, CpuDemand, DvfsModel};
+use pes_acmp::{AcmpConfig, CpuDemand};
 use pes_dom::Interaction;
 
 /// One stage of the rendering pipeline.
@@ -101,19 +101,17 @@ impl StageProfile {
 /// # Examples
 ///
 /// ```
-/// use pes_acmp::{CpuDemand, DvfsModel, Platform};
+/// use pes_acmp::{CpuDemand, Platform};
 /// use pes_acmp::units::{CpuCycles, TimeUs};
 /// use pes_dom::Interaction;
 /// use pes_webrt::RenderPipeline;
 ///
 /// let platform = Platform::exynos_5410();
-/// let model = DvfsModel::new(&platform);
 /// let pipeline = RenderPipeline::new();
 /// let demand = CpuDemand::new(TimeUs::from_millis(5), CpuCycles::new(100_000_000));
 /// let (busy, frame_ready_at) = pipeline.execute_timing(
 ///     &demand,
 ///     Interaction::Tap,
-///     &model,
 ///     &platform.max_performance_config(),
 ///     TimeUs::from_millis(10),
 /// );
@@ -141,7 +139,6 @@ impl RenderPipeline {
         &self,
         demand: &CpuDemand,
         interaction: Interaction,
-        model: &DvfsModel<'_>,
         config: &AcmpConfig,
         start: TimeUs,
     ) -> (TimeUs, TimeUs) {
@@ -149,7 +146,7 @@ impl RenderPipeline {
         let mut cursor = start;
         for stage in RenderStage::ALL {
             let stage_demand = demand.scale(profile.fraction(stage));
-            cursor += model.execution_time(&stage_demand, config);
+            cursor += stage_demand.time_on(config);
         }
         (cursor - start, cursor)
     }
@@ -173,7 +170,6 @@ mod tests {
     fn staged(
         demand: &CpuDemand,
         interaction: Interaction,
-        model: &DvfsModel<'_>,
         config: &AcmpConfig,
         start: TimeUs,
     ) -> Vec<(TimeUs, TimeUs)> {
@@ -182,7 +178,7 @@ mod tests {
         RenderStage::ALL
             .iter()
             .map(|&stage| {
-                let duration = model.execution_time(&demand.scale(profile.fraction(stage)), config);
+                let duration = demand.scale(profile.fraction(stage)).time_on(config);
                 cursor += duration;
                 (cursor - duration, duration)
             })
@@ -222,17 +218,16 @@ mod tests {
     #[test]
     fn execution_stages_are_contiguous_and_ordered() {
         let (platform, demand) = fixture();
-        let model = DvfsModel::new(&platform);
         let cfg = platform.max_performance_config();
         let start = TimeUs::from_millis(3);
-        let stages = staged(&demand, Interaction::Load, &model, &cfg, start);
+        let stages = staged(&demand, Interaction::Load, &cfg, start);
         assert_eq!(stages.len(), 5);
         assert_eq!(stages[0].0, start);
         for w in stages.windows(2) {
             assert_eq!(w[0].0 + w[0].1, w[1].0);
         }
         let (busy, ready) =
-            RenderPipeline::new().execute_timing(&demand, Interaction::Load, &model, &cfg, start);
+            RenderPipeline::new().execute_timing(&demand, Interaction::Load, &cfg, start);
         let last = stages.last().unwrap();
         assert_eq!(ready, last.0 + last.1);
         assert_eq!(busy + start, ready);
@@ -241,14 +236,12 @@ mod tests {
     #[test]
     fn execute_timing_matches_the_staged_execution_exactly() {
         let (platform, demand) = fixture();
-        let model = DvfsModel::new(&platform);
         let pipeline = RenderPipeline::new();
         for interaction in Interaction::ALL {
             for cfg in platform.configs() {
                 let start = TimeUs::from_micros(12_345);
-                let stages = staged(&demand, interaction, &model, cfg, start);
-                let (busy, ready) =
-                    pipeline.execute_timing(&demand, interaction, &model, cfg, start);
+                let stages = staged(&demand, interaction, cfg, start);
+                let (busy, ready) = pipeline.execute_timing(&demand, interaction, cfg, start);
                 let staged_busy: TimeUs = stages.iter().map(|s| s.1).sum();
                 let last = stages.last().unwrap();
                 assert_eq!(busy, staged_busy, "{interaction} on {cfg}");
@@ -260,19 +253,16 @@ mod tests {
     #[test]
     fn faster_configs_finish_the_pipeline_sooner() {
         let (platform, demand) = fixture();
-        let model = DvfsModel::new(&platform);
         let pipeline = RenderPipeline::new();
         let (_, fast) = pipeline.execute_timing(
             &demand,
             Interaction::Tap,
-            &model,
             &platform.max_performance_config(),
             TimeUs::ZERO,
         );
         let (_, slow) = pipeline.execute_timing(
             &demand,
             Interaction::Tap,
-            &model,
             &platform.min_power_config(),
             TimeUs::ZERO,
         );

@@ -137,7 +137,7 @@ impl Default for DemandModel {
 mod tests {
     use super::*;
     use crate::catalog::AppCatalog;
-    use pes_acmp::{DvfsModel, Platform};
+    use pes_acmp::{DvfsLadder, Platform};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -182,12 +182,12 @@ mod tests {
         // the bulk of taps remain servable — the precondition for the Fig. 3
         // event-type distribution.
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
+        let plane = DvfsLadder::for_platform(&platform);
         let taps = sample_many("cnn", EventType::Click, 400);
         let budget = TimeUs::from_millis(300);
         let servable = taps
             .iter()
-            .filter(|d| dvfs.cheapest_config_within(d, budget).is_some())
+            .filter(|d| plane.cheapest_config_within(d, budget).is_some())
             .count();
         let fraction = servable as f64 / taps.len() as f64;
         assert!(fraction > 0.6, "too many Type I taps: {fraction}");
@@ -200,14 +200,10 @@ mod tests {
         // the scheduling problem would be trivial and every scheduler would
         // look identical.
         let platform = Platform::exynos_5410();
-        let dvfs = DvfsModel::new(&platform);
         let taps = sample_many("ebay", EventType::Click, 200);
         let slow = platform.min_power_config();
         let budget = TimeUs::from_millis(300);
-        let fits_slow = taps
-            .iter()
-            .filter(|d| dvfs.execution_time(d, &slow) <= budget)
-            .count();
+        let fits_slow = taps.iter().filter(|d| d.time_on(&slow) <= budget).count();
         assert!(
             (fits_slow as f64) < 0.5 * taps.len() as f64,
             "the slowest configuration serves too many taps ({fits_slow}/{})",

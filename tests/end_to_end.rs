@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use pes::acmp::{DvfsLadder, DvfsModel, Platform};
+use pes::acmp::{DvfsLadder, Platform};
 use pes::core::{
     DegradationLevel, FaultConfig, FaultPlane, OracleScheduler, PesConfig, PesScheduler,
 };
@@ -128,7 +128,6 @@ fn event_type_distribution_matches_the_motivation_narrative() {
     let catalog = AppCatalog::paper_suite();
     let platform = Platform::exynos_5410();
     let plane = Arc::new(DvfsLadder::for_platform(&platform));
-    let dvfs = pes::acmp::DvfsModel::new(&platform);
     let qos = QosPolicy::paper_defaults();
     let generator = TraceGenerator::new();
     let mut classes = Vec::new();
@@ -137,7 +136,7 @@ fn event_type_distribution_matches_the_motivation_narrative() {
         let trace = generator.generate(app, &page, EVAL_SEED_BASE + 33);
         let report =
             run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
-        classes.extend(classify_events(&report, trace.events(), &dvfs, &qos));
+        classes.extend(classify_events(&report, trace.events(), &plane, &qos));
     }
     let dist = distribution(&classes);
     assert!(dist.qos_missing() > 0.03, "{dist:?}");
@@ -205,23 +204,22 @@ fn ladder_backed_ebs_decisions_are_byte_identical_to_the_pre_refactor_model() {
     let fast = run_reactive_with_plane(&platform, &plane, &trace, &mut Ebs::new(&platform), &qos);
 
     let mut engine = ExecutionEngine::with_plane(&platform, qos, Arc::clone(&plane));
-    let dvfs = DvfsModel::new(&platform);
     let mut profiler = DemandProfiler::new(&platform);
     let mut reference_configs = Vec::with_capacity(trace.len());
     for ev in trace.events() {
         let start_time = engine.cpu_free_at().max(ev.arrival());
         let config = if profiler.needs_profiling(ev.event_type()) {
-            profiler.profiling_config(ev.event_type(), &dvfs)
+            profiler.profiling_config(ev.event_type())
         } else {
             let estimate = profiler.estimate(ev.event_type()).unwrap();
             let deadline = ev.arrival() + qos.target_for_event(ev.event_type());
             let budget = deadline.saturating_sub(start_time);
-            cheapest_config_within_reference(&dvfs, &estimate, budget)
+            cheapest_config_within_reference(&platform, &estimate, budget)
                 .unwrap_or_else(|| platform.max_performance_config())
         };
         let record = engine.execute_event(ev, &config, false);
         engine.commit(ev, record.frame_ready_at);
-        profiler.observe(ev.event_type(), config, record.busy_time, &dvfs);
+        profiler.observe(ev.event_type(), config, record.busy_time);
         reference_configs.push(config);
     }
 

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use pes::acmp::units::{CpuCycles, FreqMhz, TimeUs};
 use pes::acmp::{
-    AcmpConfig, ActivityKind, CoreKind, CpuDemand, DvfsLadder, DvfsModel, EnergyMeter, Platform,
+    recover_demand, AcmpConfig, ActivityKind, CoreKind, CpuDemand, DvfsLadder, EnergyMeter,
+    Platform,
 };
 use pes::core::SolveMemo;
 use pes::dom::{
@@ -29,12 +30,11 @@ proptest! {
     #[test]
     fn latency_monotone_in_throughput(mem_ms in 0u64..500, mcycles in 0u64..5_000) {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
         let demand = CpuDemand::new(TimeUs::from_millis(mem_ms), CpuCycles::new(mcycles * 1_000_000));
         let latencies: Vec<u64> = platform
             .configs()
             .iter()
-            .map(|cfg| model.execution_time(&demand, cfg).as_micros())
+            .map(|cfg| demand.time_on(cfg).as_micros())
             .collect();
         prop_assert!(latencies.windows(2).all(|w| w[0] >= w[1]));
     }
@@ -48,14 +48,13 @@ proptest! {
         f2_idx in 6usize..10,
     ) {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
         let big = platform.cluster_for(CoreKind::BigA15).unwrap();
         let demand = CpuDemand::new(TimeUs::from_millis(mem_ms), CpuCycles::new(mcycles * 1_000_000));
         let cfg_a = AcmpConfig::new(CoreKind::BigA15, big.frequencies()[f1_idx]);
         let cfg_b = AcmpConfig::new(CoreKind::BigA15, big.frequencies()[f2_idx]);
-        let t_a = model.execution_time(&demand, &cfg_a);
-        let t_b = model.execution_time(&demand, &cfg_b);
-        let recovered = model.recover_demand((cfg_a, t_a), (cfg_b, t_b)).unwrap();
+        let t_a = demand.time_on(&cfg_a);
+        let t_b = demand.time_on(&cfg_b);
+        let recovered = recover_demand((cfg_a, t_a), (cfg_b, t_b)).unwrap();
         let rel = |a: u64, b: u64| (a as f64 - b as f64).abs() / (b as f64).max(1.0);
         prop_assert!(rel(recovered.ref_cycles().get(), demand.ref_cycles().get()) < 0.05);
     }
@@ -234,7 +233,8 @@ proptest! {
     }
 
     /// Differential: ladder-evaluated latency/energy and the budget selector
-    /// agree bit-for-bit with the direct per-call model on random demands.
+    /// agree bit-for-bit with the direct per-call model (`CpuDemand::time_on`
+    /// and the `support::dvfs` platform-table references) on random demands.
     #[test]
     fn dvfs_ladder_matches_direct_model_on_random_demands(
         mem_us in 0u64..2_000_000,
@@ -242,30 +242,30 @@ proptest! {
         budget_us in 0u64..4_000_000,
     ) {
         let platform = Platform::exynos_5410();
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let demand = CpuDemand::new(TimeUs::from_micros(mem_us), CpuCycles::new(kcycles * 1_000));
         let mut points = Vec::new();
-        model.ladder().eval_into(&demand, &mut points);
+        ladder.eval_into(&demand, &mut points);
         for (point, cfg) in points.iter().zip(platform.configs()) {
-            prop_assert_eq!(point.time, model.execution_time(&demand, cfg));
+            prop_assert_eq!(point.time, demand.time_on(cfg));
             prop_assert!(
                 point.energy_uj.to_bits()
-                    == marginal_energy_reference(&model, &demand, cfg).as_microjoules().to_bits()
+                    == marginal_energy_reference(&platform, &demand, cfg).as_microjoules().to_bits()
             );
         }
         let budget = TimeUs::from_micros(budget_us);
         prop_assert_eq!(
             DvfsLadder::cheapest_within(&points, budget),
-            cheapest_config_within_reference(&model, &demand, budget)
+            cheapest_config_within_reference(&platform, &demand, budget)
         );
     }
 }
 
 /// Exhaustive ladder check: every configuration of both modelled platforms ×
 /// a demand grid spanning idle pseudo-events to heavy page loads. The
-/// precomputed ladder must reproduce the direct `execution_time` /
-/// `marginal_energy` values bit-for-bit — this is the lockdown that lets the
-/// schedulers consume the ladder without any behavioural drift.
+/// precomputed ladder must reproduce the direct `CpuDemand::time_on` latency
+/// and the platform-table marginal energy bit-for-bit — this is the lockdown
+/// that lets the schedulers consume the ladder without any behavioural drift.
 #[test]
 fn ladder_is_exhaustively_bit_identical_to_the_direct_model() {
     let mem_grid_us = [0u64, 1, 137, 1_000, 5_000, 33_000, 200_000, 3_000_000];
@@ -279,35 +279,35 @@ fn ladder_is_exhaustively_bit_identical_to_the_direct_model() {
         7_000_000_000,
     ];
     for platform in [Platform::exynos_5410(), Platform::tx2_parker()] {
-        let model = DvfsModel::new(&platform);
+        let ladder = DvfsLadder::for_platform(&platform);
         let mut points = Vec::new();
         for &mem in &mem_grid_us {
             for &cycles in &cycle_grid {
                 let demand = CpuDemand::new(TimeUs::from_micros(mem), CpuCycles::new(cycles));
-                model.ladder().eval_into(&demand, &mut points);
+                ladder.eval_into(&demand, &mut points);
                 assert_eq!(points.len(), platform.configs().len());
                 for (point, cfg) in points.iter().zip(platform.configs()) {
                     assert_eq!(point.config, *cfg);
                     assert_eq!(
                         point.time,
-                        model.execution_time(&demand, cfg),
+                        demand.time_on(cfg),
                         "latency drift on {} at ({mem}us, {cycles} cycles)",
                         cfg
                     );
                     assert_eq!(
                         point.energy_uj.to_bits(),
-                        marginal_energy_reference(&model, &demand, cfg)
+                        marginal_energy_reference(&platform, &demand, cfg)
                             .as_microjoules()
                             .to_bits(),
                         "energy drift on {} at ({mem}us, {cycles} cycles)",
                         cfg
                     );
                     assert_eq!(
-                        model
+                        ladder
                             .marginal_energy(&demand, cfg)
                             .as_microjoules()
                             .to_bits(),
-                        marginal_energy_reference(&model, &demand, cfg)
+                        marginal_energy_reference(&platform, &demand, cfg)
                             .as_microjoules()
                             .to_bits()
                     );
@@ -963,7 +963,7 @@ proptest! {
 
     /// Plane-routed energy metering is bit-identical to the plane-less
     /// reference meter (`support::dvfs`) over random interleavings of busy/idle/transition
-    /// samples: totals, activity-kind breakdowns and cluster breakdowns.
+    /// samples: totals and activity-kind breakdowns.
     #[test]
     fn plane_routed_energy_metering_matches_the_reference_path(
         samples in proptest::collection::vec(
@@ -1013,14 +1013,6 @@ proptest! {
                 "activity {:?} drifted", kind
             );
         }
-        for cluster in platform.clusters() {
-            let kind = cluster.core_kind();
-            prop_assert!(
-                routed.for_cluster(kind).as_microjoules().to_bits()
-                    == reference.for_cluster(kind).as_microjoules().to_bits(),
-                "cluster {:?} drifted", kind
-            );
-        }
         prop_assert_eq!(routed.busy_time(), reference.busy_time());
         prop_assert_eq!(routed.idle_time(), reference.idle_time());
     }
@@ -1063,15 +1055,6 @@ fn energy_meter_plane_is_exhaustively_bit_identical_to_the_reference() {
                 routed.for_activity(kind).as_microjoules().to_bits(),
                 reference.for_activity(kind).as_microjoules().to_bits(),
                 "activity {kind:?} drifted on {}",
-                platform.name()
-            );
-        }
-        for cluster in platform.clusters() {
-            let kind = cluster.core_kind();
-            assert_eq!(
-                routed.for_cluster(kind).as_microjoules().to_bits(),
-                reference.for_cluster(kind).as_microjoules().to_bits(),
-                "cluster {kind:?} drifted on {}",
                 platform.name()
             );
         }
@@ -2221,7 +2204,7 @@ mod frame_ledger {
     /// (the platform-table derivation) and VSync presentation computed from
     /// the clock directly.
     struct Reference<'p> {
-        dvfs: DvfsModel<'p>,
+        platform: &'p Platform,
         pipeline: RenderPipeline,
         transitions: TransitionModel,
         vsync: VsyncClock,
@@ -2235,7 +2218,7 @@ mod frame_ledger {
     impl<'p> Reference<'p> {
         fn new(platform: &'p Platform, qos: QosPolicy) -> Self {
             Reference {
-                dvfs: DvfsModel::new(platform),
+                platform,
                 pipeline: RenderPipeline::new(),
                 transitions: TransitionModel::exynos_defaults(),
                 vsync: VsyncClock::sixty_hz(),
@@ -2279,9 +2262,9 @@ mod frame_ledger {
             self.switch_config(cfg);
             let start = self.free_at;
             let interaction = ev.event_type().interaction();
-            let (busy, ready) =
-                self.pipeline
-                    .execute_timing(&ev.demand(), interaction, &self.dvfs, cfg, start);
+            let (busy, ready) = self
+                .pipeline
+                .execute_timing(&ev.demand(), interaction, cfg, start);
             self.meter.record_busy(cfg, busy, ActivityKind::UsefulWork);
             self.free_at = ready;
             ExecutionRecord {
@@ -2306,8 +2289,8 @@ mod frame_ledger {
         }
 
         fn squash(&mut self, record: &ExecutionRecord) {
-            let energy =
-                execution_power_reference(&self.dvfs, &record.config).energy_over(record.busy_time);
+            let energy = execution_power_reference(self.platform, &record.config)
+                .energy_over(record.busy_time);
             self.meter.reattribute_waste(energy);
         }
     }

@@ -1,53 +1,54 @@
-//! The pre-ladder DVFS math, re-derived from the platform tables on every
-//! call: the oracles the ladder-backed `DvfsModel` paths and the
-//! plane-routed `EnergyMeter` are pinned against bit for bit.
+//! The DVFS math re-derived from the platform tables on every call: the
+//! oracles the shared `DvfsLadder` plane and the plane-routed `EnergyMeter`
+//! are pinned against bit for bit. Latency is `CpuDemand::time_on` itself,
+//! the one Eqn. 1 expression.
 
 // Each includer uses a subset of the support code.
 #![allow(dead_code)]
 
 use pes_acmp::units::{EnergyUj, PowerMw, TimeUs};
-use pes_acmp::{AcmpConfig, ActivityKind, CoreKind, CpuDemand, DvfsModel, Platform};
+use pes_acmp::{AcmpConfig, ActivityKind, CpuDemand, Platform};
 
-/// `DvfsModel::execution_power`: the active power of `cfg` plus the idle
-/// floor of the other cluster.
-pub fn execution_power_reference(model: &DvfsModel<'_>, cfg: &AcmpConfig) -> PowerMw {
-    let platform = model.platform();
+/// The power an execution on `cfg` draws: the active power of `cfg` plus the
+/// idle floor of the other cluster.
+pub fn execution_power_reference(platform: &Platform, cfg: &AcmpConfig) -> PowerMw {
     platform.active_power(cfg) + platform.background_idle_power(cfg)
 }
 
-/// `DvfsModel::baseline_idle_power`: the idle power at the platform's
-/// minimum-power configuration.
-pub fn baseline_idle_power_reference(model: &DvfsModel<'_>) -> PowerMw {
-    model.idle_power(&model.platform().min_power_config())
+/// The always-on floor: the idle power at the platform's minimum-power
+/// configuration, background cluster included.
+pub fn baseline_idle_power_reference(platform: &Platform) -> PowerMw {
+    let min = platform.min_power_config();
+    platform.idle_power(&min) + platform.background_idle_power(&min)
 }
 
-/// `DvfsModel::marginal_energy`: the energy of executing `demand` on `cfg`
-/// above the baseline idle draw over the same time.
+/// Eqn. 5: the energy of executing `demand` on `cfg` above the baseline
+/// idle draw over the same time.
 pub fn marginal_energy_reference(
-    model: &DvfsModel<'_>,
+    platform: &Platform,
     demand: &CpuDemand,
     cfg: &AcmpConfig,
 ) -> EnergyUj {
-    let time = model.execution_time(demand, cfg);
-    let gross = execution_power_reference(model, cfg).energy_over(time);
-    let baseline = baseline_idle_power_reference(model).energy_over(time);
+    let time = demand.time_on(cfg);
+    let gross = execution_power_reference(platform, cfg).energy_over(time);
+    let baseline = baseline_idle_power_reference(platform).energy_over(time);
     gross - baseline
 }
 
-/// `DvfsModel::cheapest_config_within`: the lowest marginal-energy platform
-/// configuration that finishes `demand` within `budget`. Strictly-less
-/// comparison keeps the first minimum on ties.
+/// The lowest marginal-energy platform configuration that finishes `demand`
+/// within `budget`. Strictly-less comparison keeps the first minimum on
+/// ties.
 pub fn cheapest_config_within_reference(
-    model: &DvfsModel<'_>,
+    platform: &Platform,
     demand: &CpuDemand,
     budget: TimeUs,
 ) -> Option<AcmpConfig> {
     let mut best: Option<(AcmpConfig, f64)> = None;
-    for cfg in model.platform().configs() {
-        if model.execution_time(demand, cfg) > budget {
+    for cfg in platform.configs() {
+        if demand.time_on(cfg) > budget {
             continue;
         }
-        let energy = marginal_energy_reference(model, demand, cfg).as_microjoules();
+        let energy = marginal_energy_reference(platform, demand, cfg).as_microjoules();
         assert!(energy.is_finite(), "energy is finite");
         match best {
             Some((_, cheapest)) if energy >= cheapest => {}
@@ -65,7 +66,6 @@ pub struct ReferenceMeter<'p> {
     platform: &'p Platform,
     total: EnergyUj,
     by_activity: [EnergyUj; 4],
-    by_cluster: [EnergyUj; 4],
     busy_time: TimeUs,
     idle_time: TimeUs,
 }
@@ -77,7 +77,6 @@ impl<'p> ReferenceMeter<'p> {
             platform,
             total: EnergyUj::ZERO,
             by_activity: [EnergyUj::ZERO; 4],
-            by_cluster: [EnergyUj::ZERO; 4],
             busy_time: TimeUs::ZERO,
             idle_time: TimeUs::ZERO,
         }
@@ -94,8 +93,8 @@ impl<'p> ReferenceMeter<'p> {
             .background_idle_power(cfg)
             .energy_over(duration);
         self.busy_time += duration;
-        self.add(cfg.core(), own, activity);
-        self.add(self.other_cluster(cfg.core()), background, activity);
+        self.add(own, activity);
+        self.add(background, activity);
     }
 
     /// `EnergyMeter::record_idle`.
@@ -109,12 +108,8 @@ impl<'p> ReferenceMeter<'p> {
             .background_idle_power(cfg)
             .energy_over(duration);
         self.idle_time += duration;
-        self.add(cfg.core(), own, ActivityKind::Idle);
-        self.add(
-            self.other_cluster(cfg.core()),
-            background,
-            ActivityKind::Idle,
-        );
+        self.add(own, ActivityKind::Idle);
+        self.add(background, ActivityKind::Idle);
     }
 
     /// `EnergyMeter::record_transition`.
@@ -124,7 +119,7 @@ impl<'p> ReferenceMeter<'p> {
         }
         let energy = self.platform.active_power(to).energy_over(duration);
         self.busy_time += duration;
-        self.add(to.core(), energy, ActivityKind::Transition);
+        self.add(energy, ActivityKind::Transition);
     }
 
     /// `EnergyMeter::reattribute_waste`.
@@ -138,20 +133,9 @@ impl<'p> ReferenceMeter<'p> {
         self.by_activity[ActivityKind::SpeculativeWaste.index()] += moved;
     }
 
-    /// The platform cluster charged for `active`'s background idle draw.
-    fn other_cluster(&self, active: CoreKind) -> CoreKind {
-        self.platform
-            .clusters()
-            .iter()
-            .map(|c| c.core_kind())
-            .find(|k| *k != active)
-            .unwrap_or(active)
-    }
-
-    fn add(&mut self, cluster: CoreKind, energy: EnergyUj, activity: ActivityKind) {
+    fn add(&mut self, energy: EnergyUj, activity: ActivityKind) {
         self.total += energy;
         self.by_activity[activity.index()] += energy;
-        self.by_cluster[cluster.index()] += energy;
     }
 
     /// Total energy integrated so far.
@@ -162,11 +146,6 @@ impl<'p> ReferenceMeter<'p> {
     /// Energy attributed to `activity`.
     pub fn for_activity(&self, activity: ActivityKind) -> EnergyUj {
         self.by_activity[activity.index()]
-    }
-
-    /// Energy attributed to `cluster`.
-    pub fn for_cluster(&self, cluster: CoreKind) -> EnergyUj {
-        self.by_cluster[cluster.index()]
     }
 
     /// Total busy (executing or transitioning) time.

@@ -3,8 +3,8 @@
 //! slow, obviously-correct counterpart a live fast path is checked or
 //! measured against.
 //!
-//! * [`dvfs`]: the pre-ladder DVFS power and energy math, and the
-//!   plane-less reference energy meter.
+//! * [`dvfs`]: the DVFS power and energy math re-derived from the
+//!   platform tables per call, and the plane-less reference energy meter.
 //! * [`reference`]: the pre-optimisation schedule search.
 //! * [`linear`] and [`solver`]: the generic 0/1 ILP of the Sec. 5.5
 //!   specialised-vs-generic ablation, with the window encoding.
