@@ -44,7 +44,6 @@ kernels=(
   solver_window/oracle_13x17_exact
   solver_window/hostile_12x17_anytime
   solver_window/rebuild_13x17
-  solver_window/rebuild_13x17_sorted
   pr8:predict_kernel/single_masked_f64
   pr8:predict_kernel/single_masked_packed
   pr13:shared_memo/generation_hit_cycle16

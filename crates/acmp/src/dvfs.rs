@@ -387,77 +387,21 @@ fn select_cheapest(
 /// Number of demands a [`LadderCache`] retains.
 const LADDER_CACHE_SIZE: usize = 32;
 
-/// One memoised ladder row: the per-configuration [`LadderPoint`]s of a
-/// demand plus, computed lazily on first request, the sorted index order
-/// the optimisation-window poser carries into the solver.
-///
-/// The order is a **stable** sort of the point indices by marginal energy
-/// (the solver's option cost), with exactly the tie-breaking
-/// `ScheduleProblem`'s own table build uses, so a window re-posed from it
-/// is bit-identical to one that re-sorted the options itself.
-#[derive(Debug, Clone, Default)]
-pub struct LadderRow {
-    points: Vec<LadderPoint>,
-    by_cost: Vec<u32>,
-}
-
-impl LadderRow {
-    /// The per-configuration points, in platform config-table order.
-    pub fn points(&self) -> &[LadderPoint] {
-        &self.points
-    }
-
-    /// Point indices sorted ascending by marginal energy (stable: ties keep
-    /// config-table order). Only present after [`LadderCache::row`] served
-    /// this row at least once.
-    pub fn by_cost(&self) -> &[u32] {
-        &self.by_cost
-    }
-
-    /// Re-evaluates the row for a new demand, invalidating the sorted
-    /// order (it is rebuilt lazily by [`LadderRow::ensure_sorted`]).
-    fn refill(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) {
-        ladder.eval_into(demand, &mut self.points);
-        self.by_cost.clear();
-    }
-
-    /// Builds the sorted order if this row does not hold it yet. Pure
-    /// `points()` consumers (reactive decisions) never pay for the sorts.
-    // The comparator `expect` restates a ladder invariant: `eval_into` only
-    // produces finite energies (finite power × finite time), so the partial
-    // ordering is total here.
-    #[allow(clippy::expect_used)]
-    fn ensure_sorted(&mut self) {
-        if self.by_cost.len() == self.points.len() {
-            return;
-        }
-        self.by_cost.clear();
-        self.by_cost.extend(0..self.points.len() as u32);
-        let points = &self.points;
-        self.by_cost.sort_by(|&a, &b| {
-            points[a as usize]
-                .energy_uj
-                .partial_cmp(&points[b as usize].energy_uj)
-                .expect("ladder energies are finite")
-        });
-    }
-}
-
 /// A small demand-keyed memo of ladder evaluations.
 ///
 /// Reactive decisions and window fills evaluate the same few demands over
 /// and over — profiled per-event-type estimates only move when an
 /// observation lands, and the PES planner quantises its estimates onto a
 /// coarse grid precisely so the same rows recur across prediction rounds.
-/// The cache is a ring of demand-keyed [`LadderRow`]s with linear lookup:
-/// hits cost a handful of 16-byte key compares, misses re-evaluate into the
-/// evicted row's allocations.
+/// The cache is a ring of demand-keyed rows of [`LadderPoint`]s with linear
+/// lookup: hits cost a handful of 16-byte key compares, misses re-evaluate
+/// into the evicted row's allocation.
 ///
 /// Callers own their cache (one per scheduler / replay scratch); rows are
 /// only meaningful against the ladder they were filled from.
 #[derive(Debug, Clone, Default)]
 pub struct LadderCache {
-    entries: Vec<(CpuDemand, LadderRow)>,
+    entries: Vec<(CpuDemand, Vec<LadderPoint>)>,
     cursor: usize,
     hits: usize,
     misses: usize,
@@ -480,15 +424,17 @@ impl LadderCache {
         self.cursor = 0;
     }
 
-    /// The ring slot holding `demand`, filling (or recycling) one on a miss.
-    fn slot(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) -> usize {
+    /// The per-configuration points of `demand`, in platform config-table
+    /// order, from cache when the demand was evaluated recently; a miss
+    /// fills (or recycles) one ring slot.
+    pub fn points(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) -> &[LadderPoint] {
         if let Some(slot) = self.entries.iter().position(|(key, _)| key == demand) {
             self.hits += 1;
-            return slot;
+            return &self.entries[slot].1;
         }
         self.misses += 1;
         let slot = if self.entries.len() < LADDER_CACHE_SIZE {
-            self.entries.push((*demand, LadderRow::default()));
+            self.entries.push((*demand, Vec::new()));
             self.entries.len() - 1
         } else {
             let slot = self.cursor;
@@ -496,25 +442,9 @@ impl LadderCache {
             self.entries[slot].0 = *demand;
             slot
         };
-        self.entries[slot].1.refill(ladder, demand);
-        slot
-    }
-
-    /// The per-configuration points of `demand`, from cache when the demand
-    /// was evaluated recently.
-    pub fn points(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) -> &[LadderPoint] {
-        let slot = self.slot(ladder, demand);
-        self.entries[slot].1.points()
-    }
-
-    /// The full row of `demand` — points plus the cost- and duration-sorted
-    /// index orders (computed on first request and memoised with the row).
-    /// This is what the PES window poser consumes so a re-posed
-    /// `ScheduleProblem` never re-sorts its option tables.
-    pub fn row(&mut self, ladder: &DvfsLadder, demand: &CpuDemand) -> &LadderRow {
-        let slot = self.slot(ladder, demand);
-        self.entries[slot].1.ensure_sorted();
-        &self.entries[slot].1
+        let row = &mut self.entries[slot].1;
+        ladder.eval_into(demand, row);
+        row
     }
 }
 
@@ -749,38 +679,6 @@ mod tests {
         assert_eq!(revisited, first);
         cache.clear();
         assert_eq!(cache.points(&ladder, &demand).to_vec(), first);
-    }
-
-    #[test]
-    fn ladder_rows_expose_stably_sorted_orders() {
-        let platform = Platform::exynos_5410();
-        let ladder = DvfsLadder::for_platform(&platform);
-        let mut cache = LadderCache::new();
-        let demands = [
-            CpuDemand::ZERO, // all-zero latencies/energies: pure tie-breaking
-            CpuDemand::new(TimeUs::from_millis(3), CpuCycles::new(90_000_000)),
-            CpuDemand::new(TimeUs::from_micros(137), CpuCycles::new(999_999)),
-        ];
-        for demand in &demands {
-            // `points()` alone must not pay for the sorts; `row()` must.
-            assert!(cache.points(&ladder, demand).len() == platform.configs().len());
-            let row = cache.row(&ladder, demand);
-            assert_eq!(row.points().len(), row.by_cost().len());
-            // The order is the exact permutation a stable sort over the
-            // solver's cost view of the row produces.
-            let mut expect_cost: Vec<u32> = (0..row.points().len() as u32).collect();
-            expect_cost.sort_by(|&a, &b| {
-                row.points()[a as usize]
-                    .energy_uj
-                    .partial_cmp(&row.points()[b as usize].energy_uj)
-                    .unwrap()
-            });
-            assert_eq!(row.by_cost(), expect_cost.as_slice());
-        }
-        // A second `row()` of the same demand is a pure hit.
-        let (hits_before, misses_before) = cache.stats();
-        let _ = cache.row(&ladder, &demands[1]);
-        assert_eq!(cache.stats(), (hits_before + 1, misses_before));
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct EnergyMeter {
     /// runs of samples at its current configuration, so the rung scan is
     /// paid once per configuration switch instead of once per sample.
     cached_rung: Option<LadderRung>,
-    busy_time: TimeUs,
-    idle_time: TimeUs,
 }
 
 impl EnergyMeter {
@@ -102,8 +100,6 @@ impl EnergyMeter {
             total: EnergyUj::ZERO,
             by_activity: [EnergyUj::ZERO; 4],
             cached_rung: None,
-            busy_time: TimeUs::ZERO,
-            idle_time: TimeUs::ZERO,
         }
     }
 
@@ -130,7 +126,6 @@ impl EnergyMeter {
             return;
         }
         let rung = self.rung(cfg);
-        self.busy_time += duration;
         self.add(rung.active_power.energy_over(duration), activity);
         self.add(rung.background_power.energy_over(duration), activity);
     }
@@ -141,7 +136,6 @@ impl EnergyMeter {
             return;
         }
         let rung = self.rung(cfg);
-        self.idle_time += duration;
         self.add(rung.idle_power.energy_over(duration), ActivityKind::Idle);
         self.add(
             rung.background_power.energy_over(duration),
@@ -156,7 +150,6 @@ impl EnergyMeter {
             return;
         }
         let e = self.rung(to).active_power.energy_over(duration);
-        self.busy_time += duration;
         self.add(e, ActivityKind::Transition);
     }
 
@@ -189,16 +182,6 @@ impl EnergyMeter {
     /// Energy attributed to a specific activity kind.
     pub fn for_activity(&self, activity: ActivityKind) -> EnergyUj {
         self.by_activity[activity.index()]
-    }
-
-    /// Total busy (executing or transitioning) time observed.
-    pub fn busy_time(&self) -> TimeUs {
-        self.busy_time
-    }
-
-    /// Total idle time observed.
-    pub fn idle_time(&self) -> TimeUs {
-        self.idle_time
     }
 
     /// Fraction of the total energy spent on squashed speculative work — the
@@ -262,8 +245,6 @@ mod tests {
         busy.record_busy(&cfg, TimeUs::from_millis(50), ActivityKind::UsefulWork);
         idle.record_idle(&cfg, TimeUs::from_millis(50));
         assert!(busy.total().as_millijoules() > idle.total().as_millijoules());
-        assert_eq!(busy.busy_time(), TimeUs::from_millis(50));
-        assert_eq!(idle.idle_time(), TimeUs::from_millis(50));
     }
 
     #[test]
@@ -351,8 +332,6 @@ mod tests {
                     p.name()
                 );
             }
-            assert_eq!(routed.busy_time(), reference.busy_time());
-            assert_eq!(routed.idle_time(), reference.idle_time());
         }
     }
 
@@ -371,10 +350,11 @@ mod tests {
         let p = platform();
         let cfg = p.max_performance_config();
         let mut m = meter(&p);
-        m.record_busy(&cfg, TimeUs::from_millis(10), ActivityKind::UsefulWork);
-        m.record_idle(&cfg, TimeUs::from_millis(10));
+        let (busy, idle) = (TimeUs::from_millis(10), TimeUs::from_millis(10));
+        m.record_busy(&cfg, busy, ActivityKind::UsefulWork);
+        m.record_idle(&cfg, idle);
         // Energy over the 20 ms window, as milliwatts (µJ / µs · 1,000).
-        let elapsed = (m.busy_time() + m.idle_time()).as_micros() as f64;
+        let elapsed = (busy + idle).as_micros() as f64;
         let avg = m.total().as_microjoules() * 1_000.0 / elapsed;
         let idle = p.idle_power(&cfg).as_milliwatts();
         let peak =

@@ -54,9 +54,7 @@ pub mod units;
 pub mod utilization;
 
 pub use config::{AcmpConfig, ConfigId, CoreKind};
-pub use dvfs::{
-    recover_demand, CpuDemand, DvfsLadder, LadderCache, LadderPoint, LadderRow, LadderRung,
-};
+pub use dvfs::{recover_demand, CpuDemand, DvfsLadder, LadderCache, LadderPoint, LadderRung};
 pub use energy::{ActivityKind, EnergyMeter};
 pub use error::AcmpError;
 pub use platform::{ClusterSpec, Platform};

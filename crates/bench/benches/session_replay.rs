@@ -30,9 +30,7 @@ use pes_core::{
     window_shape, OracleScheduler, PesConfig, PesScheduler, SolveGeneration, SolveMemo, SolveShard,
     INCUMBENT_GAP_EPSILON,
 };
-use pes_ilp::{
-    OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
-};
+use pes_ilp::{ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch};
 use pes_predictor::{LearnerConfig, PredictScratch, SessionState, Trainer, TrainingConfig};
 use pes_schedulers::{Ebs, InteractiveGovernor, OndemandGovernor};
 use pes_sim::{run_reactive_with_plane, ScenarioCache};
@@ -328,26 +326,13 @@ fn session_replay(c: &mut Criterion) {
     });
 
     // What a cache-miss re-pose costs the runtime's solve-memoisation ring:
-    // re-tabling a 13-item window in place, no allocations. The `rebuild`
-    // unit sorts every option row per item (the Oracle's exact-demand
-    // path); the `rebuild_sorted` unit walks the pre-sorted orders the
-    // ladder cache memoises with its rows (the PES path), skipping the
-    // sorts that dominated a re-pose.
+    // re-tabling a 13-item window in place, sorting every option row, no
+    // allocations. PES and the Oracle both re-pose this way.
     let mut recycled = ScheduleProblem::new(0, Vec::new());
     let posed_items: Vec<ScheduleItem> = exact_problem.items().to_vec();
     group.bench_function("solver_window/rebuild_13x17", |b| {
         b.iter(|| {
             recycled.rebuild(0, black_box(&posed_items));
-            black_box(recycled.items().len())
-        })
-    });
-    let posed_orders: Vec<OptionOrder> = posed_items
-        .iter()
-        .map(|item| OptionOrder::from_options(&item.options))
-        .collect();
-    group.bench_function("solver_window/rebuild_13x17_sorted", |b| {
-        b.iter(|| {
-            recycled.rebuild_sorted(0, black_box(&posed_items), black_box(&posed_orders));
             black_box(recycled.items().len())
         })
     });
@@ -390,9 +375,7 @@ fn session_replay(c: &mut Criterion) {
         let mut nodes = 0usize;
         for (items, shape) in &shared_windows {
             nodes += memo
-                .solve_shared(
-                    items, None, *shape, 200_000, 0.0, scratch, generation, shard,
-                )
+                .solve_shared(items, *shape, 200_000, 0.0, scratch, generation, shard)
                 .unwrap();
         }
         nodes
@@ -434,7 +417,6 @@ fn session_replay(c: &mut Criterion) {
                 for (items, shape) in chunk {
                     memo.solve_shared(
                         items,
-                        None,
                         *shape,
                         200_000,
                         0.0,
@@ -487,7 +469,6 @@ fn session_replay(c: &mut Criterion) {
             let (items, shape) = row_window(w);
             memo.solve_shared(
                 &items,
-                None,
                 shape,
                 200_000,
                 0.0,
@@ -513,7 +494,6 @@ fn session_replay(c: &mut Criterion) {
                 let (items, shape) = row_window(w);
                 memo.solve_shared(
                     &items,
-                    None,
                     shape,
                     200_000,
                     0.0,
@@ -548,19 +528,12 @@ fn session_replay(c: &mut Criterion) {
     // each publish is dormant: it keeps at most 32 sampled entries and the
     // drop frees the rest. In a fleet only the second batch of unique
     // traffic records every window before such a publish; later batches
-    // record the sample only. The solves run on a 1-node budget from
-    // pre-sorted orders (the greedy incumbent, no search), so the freeze,
-    // fold and frees are not lost in search time.
-    let cycle_pool: Vec<(Vec<ScheduleItem>, Vec<OptionOrder>, u64)> = (0..2 * 64 * 9u64)
-        .map(|w| {
-            let (items, shape) = row_window(1_024 + w);
-            let orders = items
-                .iter()
-                .map(|item| OptionOrder::from_options(&item.options))
-                .collect();
-            (items, orders, shape)
-        })
-        .collect();
+    // record the sample only. Each solve re-poses its ring slot through
+    // `ScheduleProblem::rebuild` and runs on a 1-node budget (the greedy
+    // incumbent, no search), so the freeze, fold and frees are not lost in
+    // search time.
+    let cycle_pool: Vec<(Vec<ScheduleItem>, u64)> =
+        (0..2 * 64 * 9u64).map(|w| row_window(1_024 + w)).collect();
     let mut cycle_memos: Vec<SolveMemo> = (0..64).map(|_| SolveMemo::new()).collect();
     let mut cycle_generation = full_generation.clone();
     let mut cycle_half = 0;
@@ -573,10 +546,9 @@ fn session_replay(c: &mut Criterion) {
                 .zip(half.chunks(9))
                 .map(|(memo, windows)| {
                     let mut shard = SolveShard::new();
-                    for (items, orders, shape) in windows {
+                    for (items, shape) in windows {
                         memo.solve_shared(
                             items,
-                            Some(orders),
                             *shape,
                             1,
                             0.0,

@@ -22,13 +22,13 @@
 //!
 //! On a miss the ring recycles its oldest slot in place: the evicted slot's
 //! problem re-poses itself over the new window through
-//! [`ScheduleProblem::rebuild_sorted`] — reusing the item slots and solver
-//! tables, and walking the caller's pre-sorted option orders instead of
-//! re-sorting them — and the evicted solution's buffers become the solve
-//! target. A steady replay's misses are therefore allocation-free *and*
-//! sort-free. [`SolveMemo::reset`] carries the ring from one replay to the
-//! next: it forgets every cached window but keeps the slots' buffers, so a
-//! worker's later replays re-pose into warm slots too.
+//! [`ScheduleProblem::rebuild`] — reusing the item slots and solver
+//! tables, and sorting each option row in place — and the evicted
+//! solution's buffers become the solve target. A steady replay's misses
+//! therefore reuse the ring's allocations. [`SolveMemo::reset`] carries
+//! the ring from one replay to the next: it forgets every cached window but
+//! keeps the slots' buffers, so a worker's later replays re-pose into warm
+//! slots too.
 //!
 //! # The shared cross-replay cache
 //!
@@ -93,8 +93,8 @@
 use std::sync::Arc;
 
 use pes_ilp::{
-    IlpError, OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution,
-    SolveScratch, SolveTier,
+    IlpError, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
+    SolveTier,
 };
 
 /// Number of recent windows the per-replay solve memoisation retains.
@@ -651,15 +651,10 @@ impl SolveMemo {
 
     /// Answers the posed window `items` (already normalised to start at
     /// time zero and bucketed by the planner) from the ring, solving it
-    /// anytime into the recycled oldest slot on a miss. `orders`, when
-    /// present, holds one pre-sorted [`OptionOrder`] per item (served by
-    /// the DVFS ladder cache), so a miss re-poses without sorting; callers
-    /// whose option rows are one-shot (the Oracle's exact per-event
-    /// demands, which no later round re-uses) pass `None` and let the
-    /// re-pose sort — pre-sorting rows nothing ever reuses is a net loss.
-    /// `shape` is the window's [`window_shape`] fingerprint. Returns the
-    /// number of new search nodes explored (0 on a hit); the schedule is
-    /// read via [`SolveMemo::solution`].
+    /// anytime into the recycled oldest slot on a miss. `shape` is the
+    /// window's [`window_shape`] fingerprint. Returns the number of new
+    /// search nodes explored (0 on a hit); the schedule is read via
+    /// [`SolveMemo::solution`].
     ///
     /// # Errors
     ///
@@ -668,7 +663,6 @@ impl SolveMemo {
     pub fn solve(
         &mut self,
         items: &[ScheduleItem],
-        orders: Option<&[OptionOrder]>,
         shape: u64,
         node_limit: usize,
         incumbent_gap: f64,
@@ -680,7 +674,7 @@ impl SolveMemo {
             self.current = slot;
             return Ok(0);
         }
-        self.solve_cold(items, orders, shape, node_limit, incumbent_gap, scratch)
+        self.solve_cold(items, shape, node_limit, incumbent_gap, scratch)
     }
 
     /// [`SolveMemo::solve`] with the shared cross-replay cache plugged in
@@ -700,7 +694,6 @@ impl SolveMemo {
     pub fn solve_shared(
         &mut self,
         items: &[ScheduleItem],
-        orders: Option<&[OptionOrder]>,
         shape: u64,
         node_limit: usize,
         incumbent_gap: f64,
@@ -717,7 +710,7 @@ impl SolveMemo {
         shard.shared_lookups += 1;
         let in_sample = sampled(shape);
         if shared.dormant && !in_sample {
-            return self.solve_cold(items, orders, shape, node_limit, incumbent_gap, scratch);
+            return self.solve_cold(items, shape, node_limit, incumbent_gap, scratch);
         }
         shard.shared_probes += 1;
         shard.sample_probes += usize::from(in_sample);
@@ -741,7 +734,7 @@ impl SolveMemo {
             self.cursor = (self.cursor + 1) % SOLVE_CACHE_SIZE;
             return Ok(nodes);
         }
-        let nodes = self.solve_cold(items, orders, shape, node_limit, incumbent_gap, scratch)?;
+        let nodes = self.solve_cold(items, shape, node_limit, incumbent_gap, scratch)?;
         shard.record(&self.slots[self.current]);
         Ok(nodes)
     }
@@ -781,7 +774,6 @@ impl SolveMemo {
     fn solve_cold(
         &mut self,
         items: &[ScheduleItem],
-        orders: Option<&[OptionOrder]>,
         shape: u64,
         node_limit: usize,
         incumbent_gap: f64,
@@ -791,10 +783,7 @@ impl SolveMemo {
         self.ensure_slots();
         let slot = &mut self.slots[self.cursor];
         slot.shared = None;
-        match orders {
-            Some(orders) => slot.problem.rebuild_sorted(0, items, orders),
-            None => slot.problem.rebuild(0, items),
-        }
+        slot.problem.rebuild(0, items);
         slot.problem.set_node_limit(node_limit);
         slot.problem.set_incumbent_gap(incumbent_gap);
         slot.shape = shape;
@@ -853,13 +842,6 @@ mod tests {
             .collect()
     }
 
-    fn orders_for(items: &[ScheduleItem]) -> Vec<OptionOrder> {
-        items
-            .iter()
-            .map(|item| OptionOrder::from_options(&item.options))
-            .collect()
-    }
-
     fn shape_of(items: &[ScheduleItem]) -> u64 {
         window_shape(items.iter().map(|_| (7, 11)), items.iter())
     }
@@ -867,17 +849,16 @@ mod tests {
     #[test]
     fn repeat_windows_hit_and_match_a_cold_solve() {
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut memo = SolveMemo::new();
         let mut scratch = SolveScratch::new();
         let nodes = memo
-            .solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
+            .solve(&items, shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert!(nodes > 0);
         let cold = memo.solution().clone();
         let again = memo
-            .solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
+            .solve(&items, shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert_eq!(again, 0, "second pose must be a hit");
         assert_eq!(*memo.solution(), cold);
@@ -890,23 +871,17 @@ mod tests {
     fn colliding_shapes_revalidate_and_fall_through() {
         let a = window(50_000);
         let b = window(90_000);
-        let orders_a = orders_for(&a);
-        let orders_b = orders_for(&b);
         let shape = 0x1234_5678_9abc_def0; // deliberately shared
         let mut memo = SolveMemo::new();
         let mut scratch = SolveScratch::new();
-        memo.solve(&a, Some(&orders_a), shape, 200_000, 0.0, &mut scratch)
-            .unwrap();
-        let nodes = memo
-            .solve(&b, Some(&orders_b), shape, 200_000, 0.0, &mut scratch)
-            .unwrap();
+        memo.solve(&a, shape, 200_000, 0.0, &mut scratch).unwrap();
+        let nodes = memo.solve(&b, shape, 200_000, 0.0, &mut scratch).unwrap();
         assert!(nodes > 0, "a collision must fall through to a solve");
         assert_eq!(memo.stats().hits, 0);
         assert_eq!(memo.stats().revalidations, 1);
         // A cold memo solves `b` to the identical solution.
         let mut cold = SolveMemo::new();
-        cold.solve(&b, Some(&orders_b), shape, 200_000, 0.0, &mut scratch)
-            .unwrap();
+        cold.solve(&b, shape, 200_000, 0.0, &mut scratch).unwrap();
         assert_eq!(*cold.solution(), *memo.solution());
     }
 
@@ -914,43 +889,23 @@ mod tests {
     fn ring_recycles_and_errors_never_poison_slots() {
         let mut memo = SolveMemo::new();
         let mut scratch = SolveScratch::new();
-        assert!(memo
-            .solve(&[], None, 0, 200_000, 0.0, &mut scratch)
-            .is_err());
+        assert!(memo.solve(&[], 0, 200_000, 0.0, &mut scratch).is_err());
         // The failed pose must not be served as a hit for an empty window.
-        assert!(memo
-            .solve(&[], None, 0, 200_000, 0.0, &mut scratch)
-            .is_err());
+        assert!(memo.solve(&[], 0, 200_000, 0.0, &mut scratch).is_err());
         // Wrap the ring and revisit the first window: it was evicted, so it
         // must be re-solved (a miss), to the same solution.
         let first = window(10_000);
-        let orders_first = orders_for(&first);
-        memo.solve(
-            &first,
-            Some(&orders_first),
-            shape_of(&first),
-            200_000,
-            0.0,
-            &mut scratch,
-        )
-        .unwrap();
+        memo.solve(&first, shape_of(&first), 200_000, 0.0, &mut scratch)
+            .unwrap();
         let sol_first = memo.solution().clone();
         for k in 0..SOLVE_CACHE_SIZE as u64 {
             let w = window(20_000 + k * 7_000);
-            let o = orders_for(&w);
-            memo.solve(&w, Some(&o), shape_of(&w), 200_000, 0.0, &mut scratch)
+            memo.solve(&w, shape_of(&w), 200_000, 0.0, &mut scratch)
                 .unwrap();
         }
         let hits_before = memo.stats().hits;
-        memo.solve(
-            &first,
-            Some(&orders_first),
-            shape_of(&first),
-            200_000,
-            0.0,
-            &mut scratch,
-        )
-        .unwrap();
+        memo.solve(&first, shape_of(&first), 200_000, 0.0, &mut scratch)
+            .unwrap();
         assert_eq!(memo.stats().hits, hits_before, "evicted windows miss");
         assert_eq!(*memo.solution(), sol_first);
     }
@@ -962,22 +917,20 @@ mod tests {
         // cached slot only answers calls with the parameters it was solved
         // under.
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut memo = SolveMemo::new();
         let mut scratch = SolveScratch::new();
-        memo.solve(&items, Some(&orders), shape, 5_000, 0.0, &mut scratch)
-            .unwrap();
+        memo.solve(&items, shape, 5_000, 0.0, &mut scratch).unwrap();
         let budget_nodes = memo
-            .solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
+            .solve(&items, shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert!(budget_nodes > 0, "a larger budget must re-solve, not reuse");
         let gap_nodes = memo
-            .solve(&items, Some(&orders), shape, 200_000, 0.01, &mut scratch)
+            .solve(&items, shape, 200_000, 0.01, &mut scratch)
             .unwrap();
         assert!(gap_nodes > 0, "a different gap must re-solve, not reuse");
         let hit_nodes = memo
-            .solve(&items, Some(&orders), shape, 200_000, 0.01, &mut scratch)
+            .solve(&items, shape, 200_000, 0.01, &mut scratch)
             .unwrap();
         assert_eq!(hit_nodes, 0, "matching parameters hit");
     }
@@ -985,14 +938,12 @@ mod tests {
     #[test]
     fn reset_forgets_every_window_and_releases_shared_entries() {
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut scratch = SolveScratch::new();
         let mut shard = SolveShard::new();
         let mut memo = SolveMemo::new();
         memo.solve_shared(
             &items,
-            Some(&orders),
             shape,
             200_000,
             0.0,
@@ -1009,7 +960,6 @@ mod tests {
         for posed in [&other, &items] {
             warm.solve_shared(
                 posed,
-                Some(&orders_for(posed)),
                 shape_of(posed),
                 200_000,
                 0.0,
@@ -1030,12 +980,11 @@ mod tests {
         // windows miss, to the same solutions and counters.
         let mut fresh = SolveMemo::new();
         for posed in [&items, &other, &items] {
-            let o = orders_for(posed);
             let warm_nodes = warm
-                .solve(posed, Some(&o), shape_of(posed), 200_000, 0.0, &mut scratch)
+                .solve(posed, shape_of(posed), 200_000, 0.0, &mut scratch)
                 .unwrap();
             let fresh_nodes = fresh
-                .solve(posed, Some(&o), shape_of(posed), 200_000, 0.0, &mut scratch)
+                .solve(posed, shape_of(posed), 200_000, 0.0, &mut scratch)
                 .unwrap();
             assert_eq!(warm_nodes, fresh_nodes);
             assert_eq!(*warm.solution(), *fresh.solution());
@@ -1048,7 +997,6 @@ mod tests {
     #[test]
     fn shared_generation_hits_mirror_the_cold_solve() {
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut scratch = SolveScratch::new();
         // Worker A solves cold into its shard.
@@ -1057,7 +1005,6 @@ mod tests {
         let cold_nodes = memo_a
             .solve_shared(
                 &items,
-                Some(&orders),
                 shape,
                 200_000,
                 0.0,
@@ -1079,7 +1026,6 @@ mod tests {
         let hit_nodes = memo_b
             .solve_shared(
                 &items,
-                Some(&orders),
                 shape,
                 200_000,
                 0.0,
@@ -1098,7 +1044,7 @@ mod tests {
         assert!(shard_b.is_empty());
         // The entry landed in B's ring: a plain re-pose is a local hit.
         let local = memo_b
-            .solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
+            .solve(&items, shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert_eq!(local, 0);
         assert_eq!(memo_b.stats().hits, 1);
@@ -1115,10 +1061,8 @@ mod tests {
         for (shard, seq) in [(&mut shard_one, [&a, &b]), (&mut shard_two, [&b, &a])] {
             let mut memo = SolveMemo::new();
             for items in seq {
-                let orders = orders_for(items);
                 memo.solve_shared(
                     items,
-                    Some(&orders),
                     shape_of(items),
                     200_000,
                     0.0,
@@ -1160,10 +1104,8 @@ mod tests {
         let mut memo = SolveMemo::new();
         let windows: Vec<Vec<ScheduleItem>> = (0..3).map(|k| window(10_000 + k * 7_000)).collect();
         for items in &windows {
-            let orders = orders_for(items);
             memo.solve_shared(
                 items,
-                Some(&orders),
                 shape_of(items),
                 200_000,
                 0.0,
@@ -1191,14 +1133,12 @@ mod tests {
     #[test]
     fn shared_lookups_revalidate_solve_parameters() {
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut scratch = SolveScratch::new();
         let mut shard = SolveShard::new();
         let mut memo = SolveMemo::new();
         memo.solve_shared(
             &items,
-            Some(&orders),
             shape,
             5_000,
             0.0,
@@ -1214,7 +1154,6 @@ mod tests {
         fresh
             .solve_shared(
                 &items,
-                Some(&orders),
                 shape,
                 200_000,
                 0.0,
@@ -1231,22 +1170,18 @@ mod tests {
     #[test]
     fn hits_serve_the_tier_of_the_cached_solve() {
         let items = window(50_000);
-        let orders = orders_for(&items);
         let shape = shape_of(&items);
         let mut memo = SolveMemo::new();
         let mut scratch = SolveScratch::new();
         // Starved to one node: the incumbent (greedy seed) answers.
-        memo.solve(&items, Some(&orders), shape, 1, 0.0, &mut scratch)
-            .unwrap();
+        memo.solve(&items, shape, 1, 0.0, &mut scratch).unwrap();
         assert_eq!(memo.tier(), SolveTier::Incumbent);
-        let hit = memo
-            .solve(&items, Some(&orders), shape, 1, 0.0, &mut scratch)
-            .unwrap();
+        let hit = memo.solve(&items, shape, 1, 0.0, &mut scratch).unwrap();
         assert_eq!(hit, 0, "starved re-pose hits");
         assert_eq!(memo.tier(), SolveTier::Incumbent, "hit repeats its tier");
         // A full-budget solve of the same window lands in a fresh slot at
         // the exact tier.
-        memo.solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
+        memo.solve(&items, shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert_eq!(memo.tier(), SolveTier::Exact);
     }
@@ -1458,19 +1393,9 @@ mod tests {
         generation: &SolveGeneration,
         shard: &mut SolveShard,
     ) -> usize {
-        let orders = orders_for(items);
         let mut scratch = SolveScratch::new();
-        memo.solve_shared(
-            items,
-            Some(&orders),
-            shape,
-            200_000,
-            0.0,
-            &mut scratch,
-            generation,
-            shard,
-        )
-        .unwrap()
+        memo.solve_shared(items, shape, 200_000, 0.0, &mut scratch, generation, shard)
+            .unwrap()
     }
 
     /// A dormant generation holding `window(50_000)` under an unsampled
@@ -1536,14 +1461,7 @@ mod tests {
         let mut pose = |items: &[ScheduleItem], shape: u64, shard: &mut SolveShard| {
             let nodes = pose_shared(&mut memo, items, shape, &dormant, shard);
             let cold = plain
-                .solve(
-                    items,
-                    Some(&orders_for(items)),
-                    shape,
-                    200_000,
-                    0.0,
-                    &mut scratch,
-                )
+                .solve(items, shape, 200_000, 0.0, &mut scratch)
                 .unwrap();
             assert_eq!(nodes, cold, "every path mirrors the cold solve");
             assert_eq!(memo.solution(), plain.solution());
@@ -1653,7 +1571,6 @@ mod tests {
         // some shard holds something. Returns the batch's
         // `(hits, probes, lookups)`.
         let items = window(50_000);
-        let orders = orders_for(&items);
         let mut scratch = SolveScratch::new();
         let mut batch = |generation: &mut SolveGeneration, shapes: &[u64]| {
             let shards: Vec<SolveShard> = shapes
@@ -1663,7 +1580,6 @@ mod tests {
                     for &shape in unit {
                         memo.solve_shared(
                             &items,
-                            Some(&orders),
                             shape,
                             1,
                             0.0,
@@ -1773,20 +1689,10 @@ mod tests {
         ) {
             let (id, limit, gap) = call;
             let (items, shape) = pool_window(id);
-            let orders = orders_for(&items);
             let (limit, gap) = (LIMITS[limit], GAPS[gap]);
             let (hits_before, probes_before) = (shard.shared_hits(), shard.probes());
-            let shared = memo.solve_shared(
-                &items,
-                Some(&orders),
-                shape,
-                limit,
-                gap,
-                scratch,
-                generation,
-                shard,
-            );
-            let cold = plain.solve(&items, Some(&orders), shape, limit, gap, scratch);
+            let shared = memo.solve_shared(&items, shape, limit, gap, scratch, generation, shard);
+            let cold = plain.solve(&items, shape, limit, gap, scratch);
             assert_eq!(shared, cold);
             assert_eq!(memo.stats(), plain.stats());
             if shared.is_ok() {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use pes_acmp::units::{EnergyUj, TimeUs};
 use pes_acmp::{AcmpConfig, ActivityKind, CpuDemand, DvfsLadder, LadderCache, Platform};
 use pes_dom::{BuiltPage, EventType};
-use pes_ilp::{IlpError, OptionOrder, ScheduleItem, SolveScratch, SolveTier};
+use pes_ilp::{IlpError, ScheduleItem, SolveScratch, SolveTier};
 use pes_predictor::{EventSequenceLearner, LearnerConfig, PredictScratch, SessionState};
 use pes_schedulers::{ebs_config, DemandProfiler};
 use pes_webrt::{EventId, ExecutionEngine, QosOutcome, QosPolicy, WebEvent};
@@ -387,9 +387,6 @@ struct RunScratch {
     /// The window under construction; item slots (and their `options` Vecs)
     /// are overwritten in place.
     items_buf: Vec<ScheduleItem>,
-    /// Pre-sorted option orders aligned with `items_buf`, copied out of the
-    /// ladder cache's rows so a cache-miss re-pose never sorts.
-    orders_buf: Vec<OptionOrder>,
     /// `(event type, demand)` aligned with `items_buf`.
     kinds_buf: Vec<(EventType, CpuDemand)>,
     /// Predicted `(event type, demand)` pairs for the current round.
@@ -1011,7 +1008,7 @@ impl Replay<'_> {
     /// scratch arena — exact when the budget suffices, otherwise the
     /// coarse-time incumbent (never worse than the greedy schedule the
     /// pre-anytime runtime cliff-dropped to) — into the recycled oldest
-    /// slot, re-posed sort-free from the ladder cache's pre-sorted rows.
+    /// slot, re-posed in place.
     /// Wide windows (more than [`WIDE_WINDOW_THRESHOLD`] events, the
     /// Oracle's 12-event rounds) use the second budget tier plus the
     /// ε incumbent-quality stop. Returns the number of new search nodes
@@ -1051,19 +1048,9 @@ impl Replay<'_> {
         // solve: a starved budget re-keys the memo lookup (parameters are
         // revalidated), so a starved round never serves a full-budget slot.
         let node_limit = self.fs.starve_budget(node_limit);
-        // Learned windows are posed from memoised (quantised, held) ladder
-        // rows whose sorted orders amortise across rounds, so their misses
-        // re-pose sort-free; Oracle windows are posed from exact one-shot
-        // demands, where pre-sorting rows nothing reuses would cost more
-        // than the re-pose sort it saves.
-        let orders = self
-            .runtime
-            .learned()
-            .then(|| &rs.orders_buf[..rs.items_buf.len()]);
         let nodes = match &mut self.shared {
             Some((generation, shard)) => rs.memo.solve_shared(
                 &rs.items_buf,
-                orders,
                 shape,
                 node_limit,
                 INCUMBENT_GAP_EPSILON,
@@ -1073,7 +1060,6 @@ impl Replay<'_> {
             )?,
             None => rs.memo.solve(
                 &rs.items_buf,
-                orders,
                 shape,
                 node_limit,
                 INCUMBENT_GAP_EPSILON,
@@ -1185,12 +1171,7 @@ impl Replay<'_> {
     /// per-configuration `(latency, energy)` table is a precomputed ladder
     /// row served through the replay's demand memo (the pre-ladder code
     /// re-derived every power term per configuration per fill, which
-    /// dominated the Oracle's per-event cost). The Learned planner, whose
-    /// quantised + held demand classes recur across rounds, also copies the
-    /// row's cost-sorted order alongside the item, so a memo-miss re-pose
-    /// builds its solver tables without sorting a single option; the
-    /// Oracle's exact one-shot demands skip the order — sorting rows
-    /// nothing reuses costs more than the re-pose sort it would save.
+    /// dominated the Oracle's per-event cost).
     fn fill_schedule_item(
         &mut self,
         used: usize,
@@ -1206,27 +1187,12 @@ impl Replay<'_> {
                 options: Vec::with_capacity(self.engine.platform().configs().len()),
             });
         }
-        if used == rs.orders_buf.len() {
-            rs.orders_buf.push(OptionOrder::default());
-        }
         let item = &mut rs.items_buf[used];
         item.release_us = release.as_micros();
         item.deadline_us = deadline.as_micros();
         let ladder: &DvfsLadder = self.engine.plane();
-        if self.runtime.learned() {
-            let row = rs.ladder_cache.row(ladder, demand);
-            item.assign_options(
-                row.points()
-                    .iter()
-                    .map(|p| (p.time.as_micros(), p.energy_uj)),
-            );
-            let order = &mut rs.orders_buf[used];
-            order.by_cost.clear();
-            order.by_cost.extend_from_slice(row.by_cost());
-        } else {
-            let points = rs.ladder_cache.points(ladder, demand);
-            item.assign_options(points.iter().map(|p| (p.time.as_micros(), p.energy_uj)));
-        }
+        let points = rs.ladder_cache.points(ladder, demand);
+        item.assign_options(points.iter().map(|p| (p.time.as_micros(), p.energy_uj)));
     }
 }
 

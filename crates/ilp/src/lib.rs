@@ -53,8 +53,7 @@ pub mod schedule;
 
 pub use error::IlpError;
 pub use schedule::{
-    OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
-    SolveTier,
+    ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch, SolveTier,
 };
 
 // The generic 0/1 ILP of the specialised-vs-generic ablation, the

@@ -152,62 +152,6 @@ impl ScheduleItem {
     }
 }
 
-/// The pre-sorted option order for one item of a (re-)posed window,
-/// supplied by callers that already hold the option rows sorted — the PES
-/// runtime's DVFS ladder cache memoises its 17-point rows together with
-/// exactly this permutation.
-///
-/// `by_cost` must be a **stable** sort of `0..options.len()` ascending by
-/// `ScheduleOption::cost`, ties keeping index order.
-/// [`ScheduleProblem::rebuild_sorted`] consumes it to build its solver
-/// tables without sorting, bit-identical to the sorting path
-/// (`debug_assert`ed, and pinned by the workspace proptests).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OptionOrder {
-    /// Option indices sorted ascending by cost (stable).
-    pub by_cost: Vec<u32>,
-}
-
-impl OptionOrder {
-    /// Builds the canonical stable order of `options`: exactly the
-    /// permutation [`ScheduleProblem`]'s own table build produces, with
-    /// identical tie-breaking. This is the reference implementation the
-    /// bit-identity tests compare external row providers (the DVFS ladder
-    /// cache) and the table build's own sort against.
-    // The comparator `expect` restates a problem invariant: option costs
-    // are finite energies, so the partial ordering is total here.
-    #[allow(clippy::expect_used)]
-    pub fn from_options(options: &[ScheduleOption]) -> Self {
-        let mut by_cost: Vec<u32> = (0..options.len() as u32).collect();
-        by_cost.sort_by(|&a, &b| {
-            options[a as usize]
-                .cost
-                .partial_cmp(&options[b as usize].cost)
-                .expect("costs are finite")
-        });
-        OptionOrder { by_cost }
-    }
-
-    /// Whether this order is a valid stable-sorted view of `options` — the
-    /// contract [`ScheduleProblem::rebuild_sorted`] `debug_assert`s.
-    pub fn is_valid_for(&self, options: &[ScheduleOption]) -> bool {
-        let mut seen = vec![false; options.len()];
-        self.by_cost.len() == options.len()
-            && self.by_cost.iter().all(|&i| {
-                let fresh = (i as usize) < options.len() && !seen[i as usize];
-                if fresh {
-                    seen[i as usize] = true;
-                }
-                fresh
-            })
-            && self.by_cost.windows(2).all(|w| {
-                let (a, b) = (w[0], w[1]);
-                let (ca, cb) = (options[a as usize].cost, options[b as usize].cost);
-                ca < cb || (ca == cb && a < b)
-            })
-    }
-}
-
 /// A solved schedule.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScheduleSolution {
@@ -501,7 +445,7 @@ impl ScheduleProblem {
             inv_breadth: Vec::new(),
             incumbent_gap: 0.0,
         };
-        problem.rebuild_tables(None);
+        problem.rebuild_tables();
         problem
     }
 
@@ -516,35 +460,7 @@ impl ScheduleProblem {
     /// allocates nothing per solve.
     pub fn rebuild(&mut self, start_us: u64, items: &[ScheduleItem]) {
         self.copy_items(start_us, items);
-        self.rebuild_tables(None);
-    }
-
-    /// [`ScheduleProblem::rebuild`] without the per-item sorting: the caller
-    /// supplies one pre-sorted [`OptionOrder`] per item (the PES runtime's
-    /// ladder cache holds its 17-option rows sorted already), and the solver
-    /// tables are built by walking those orders instead of re-sorting. Bit-identical to
-    /// [`ScheduleProblem::rebuild`] when the orders satisfy
-    /// [`OptionOrder::is_valid_for`] (`debug_assert`ed here).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `orders.len() != items.len()`.
-    pub fn rebuild_sorted(
-        &mut self,
-        start_us: u64,
-        items: &[ScheduleItem],
-        orders: &[OptionOrder],
-    ) {
-        assert_eq!(items.len(), orders.len(), "one OptionOrder per window item");
-        debug_assert!(
-            items
-                .iter()
-                .zip(orders)
-                .all(|(item, order)| order.is_valid_for(&item.options)),
-            "orders must be stable sorts of the item options"
-        );
-        self.copy_items(start_us, items);
-        self.rebuild_tables(Some(orders));
+        self.rebuild_tables();
     }
 
     /// Copies a new window into the recycled item slots.
@@ -567,14 +483,11 @@ impl ScheduleProblem {
     }
 
     /// Recomputes the solver's cached tables from `self.items`, reusing the
-    /// table allocations. Produces exactly the tables
-    /// [`ScheduleProblem::new`] builds; with `orders` supplied the per-item
-    /// sorts are replaced by walks of the given (identically tie-broken)
-    /// permutations.
-    // The comparator `expect` restates the same finite-cost invariant as
-    // [`OptionOrder::from_options`].
+    /// table allocations.
+    // The comparator `expect` restates a problem invariant: option costs
+    // are finite energies, so the partial ordering is total here.
     #[allow(clippy::expect_used)]
-    fn rebuild_tables(&mut self, orders: Option<&[OptionOrder]>) {
+    fn rebuild_tables(&mut self) {
         self.release.clear();
         self.deadline.clear();
         self.order.clear();
@@ -584,7 +497,7 @@ impl ScheduleProblem {
         self.min_duration.clear();
         self.min_cost.clear();
         self.inv_breadth.clear();
-        for (i, item) in self.items.iter().enumerate() {
+        for item in &self.items {
             let options = &item.options;
             self.release.push(item.release_us);
             self.deadline.push(item.deadline_us);
@@ -602,18 +515,13 @@ impl ScheduleProblem {
             // library's stable sort needs no buffer for rows of up to 20
             // options.
             let base = self.order.len();
-            match orders {
-                Some(orders) => self.order.extend_from_slice(&orders[i].by_cost),
-                None => {
-                    self.order.extend(0..options.len() as u32);
-                    self.order[base..].sort_by(|&a, &b| {
-                        options[a as usize]
-                            .cost
-                            .partial_cmp(&options[b as usize].cost)
-                            .expect("costs are finite")
-                    });
-                }
-            }
+            self.order.extend(0..options.len() as u32);
+            self.order[base..].sort_by(|&a, &b| {
+                options[a as usize]
+                    .cost
+                    .partial_cmp(&options[b as usize].cost)
+                    .expect("costs are finite")
+            });
             let mut kept = base;
             let mut fastest_so_far = u64::MAX;
             for r in base..self.order.len() {
@@ -1664,38 +1572,6 @@ mod tests {
                 .unwrap();
             assert_eq!(tier_a, tier_b);
             assert_eq!(first, again);
-        }
-    }
-
-    /// Stable sorted orders per item, via the canonical builder.
-    fn orders_for(items: &[ScheduleItem]) -> Vec<OptionOrder> {
-        items
-            .iter()
-            .map(|item| OptionOrder::from_options(&item.options))
-            .collect()
-    }
-
-    #[test]
-    fn rebuild_sorted_is_bit_identical_to_the_sorting_rebuild() {
-        for items in [fig2_like_items(), hard_window(7), greedy_hostile_chain(3)] {
-            let orders = orders_for(&items);
-            assert!(orders
-                .iter()
-                .zip(&items)
-                .all(|(o, i)| o.is_valid_for(&i.options)));
-            let mut sorting = ScheduleProblem::new(0, Vec::new()).with_node_limit(60_000);
-            sorting.rebuild(0, &items);
-            let mut sorted = ScheduleProblem::new(0, Vec::new()).with_node_limit(60_000);
-            sorted.rebuild_sorted(0, &items, &orders);
-            // Every solver table (the derived PartialEq spans them all) and
-            // therefore every solve is identical.
-            assert_eq!(sorting, sorted);
-            let mut scratch = SolveScratch::new();
-            let (mut a, mut b) = (ScheduleSolution::default(), ScheduleSolution::default());
-            let tier_a = sorting.solve_anytime_with(&mut scratch, &mut a).unwrap();
-            let tier_b = sorted.solve_anytime_with(&mut scratch, &mut b).unwrap();
-            assert_eq!(tier_a, tier_b);
-            assert_eq!(a, b);
         }
     }
 

@@ -28,7 +28,6 @@ use pes_dom::EventType;
 struct TypeProfile {
     observations: Vec<(AcmpConfig, TimeUs)>,
     estimate: Option<CpuDemand>,
-    samples: usize,
 }
 
 /// The online demand profiler.
@@ -103,14 +102,6 @@ impl DemandProfiler {
         self.profiles.get(&event_type).and_then(|p| p.estimate)
     }
 
-    /// Number of observations recorded for an event type.
-    pub fn samples(&self, event_type: EventType) -> usize {
-        self.profiles
-            .get(&event_type)
-            .map(|p| p.samples)
-            .unwrap_or(0)
-    }
-
     /// Records a measured execution: the configuration it ran on and the
     /// busy (execution) time. Once two observations at distinct frequencies
     /// on the same core kind exist, the demand is recovered and subsequently
@@ -118,7 +109,6 @@ impl DemandProfiler {
     pub fn observe(&mut self, event_type: EventType, config: AcmpConfig, busy_time: TimeUs) {
         let alpha = self.ewma_alpha;
         let profile = self.profiles.entry(event_type).or_default();
-        profile.samples += 1;
         match profile.estimate {
             None => {
                 // Pair the new observation against the accumulated ones. Old
@@ -215,7 +205,6 @@ mod tests {
         let rel = |a: u64, b: u64| (a as f64 - b as f64).abs() / b as f64;
         assert!(rel(est.ref_cycles().get(), true_demand.ref_cycles().get()) < 0.05);
         assert!(rel(est.t_mem().as_micros(), true_demand.t_mem().as_micros()) < 0.05);
-        assert_eq!(profiler.samples(EventType::Click), 2);
     }
 
     #[test]
@@ -259,7 +248,6 @@ mod tests {
         assert!(profiler.estimate(EventType::Scroll).is_some());
         profiler.reset();
         assert!(profiler.estimate(EventType::Scroll).is_none());
-        assert_eq!(profiler.samples(EventType::Scroll), 0);
     }
 
     #[test]

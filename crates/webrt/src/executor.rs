@@ -78,7 +78,6 @@ pub struct ExecutionEngine<'p> {
     current_config: AcmpConfig,
     cpu_free_at: TimeUs,
     outcomes: Vec<(EventId, QosOutcome)>,
-    records: Vec<ExecutionRecord>,
 }
 
 impl<'p> ExecutionEngine<'p> {
@@ -103,10 +102,9 @@ impl<'p> ExecutionEngine<'p> {
             violations: 0,
             current_config: platform.min_power_config(),
             cpu_free_at: TimeUs::ZERO,
-            // One paper-suite session is ~31 events; seeding the logs
+            // One paper-suite session is ~31 events; seeding the log
             // avoids the realloc-and-copy ladder every replay paid.
             outcomes: Vec::with_capacity(32),
-            records: Vec::with_capacity(32),
         }
     }
 
@@ -166,11 +164,6 @@ impl<'p> ExecutionEngine<'p> {
         self.outcomes
     }
 
-    /// The per-event execution records so far.
-    pub fn records(&self) -> &[ExecutionRecord] {
-        &self.records
-    }
-
     /// Accounts idle time at the current configuration up to `until`, moving
     /// the CPU-free horizon forward. No-op when `until` is in the past.
     pub fn idle_until(&mut self, until: TimeUs) {
@@ -226,7 +219,7 @@ impl<'p> ExecutionEngine<'p> {
         self.meter
             .record_busy(config, busy, ActivityKind::UsefulWork);
         self.cpu_free_at = frame_ready_at;
-        let record = ExecutionRecord {
+        ExecutionRecord {
             event: event.id(),
             interaction: event.event_type().interaction(),
             config: *config,
@@ -234,9 +227,7 @@ impl<'p> ExecutionEngine<'p> {
             frame_ready_at,
             busy_time: busy,
             speculative,
-        };
-        self.records.push(record);
-        record
+        }
     }
 
     /// Commits a frame produced for `event` at `frame_ready_at`: the frame is
@@ -307,7 +298,7 @@ mod tests {
         let record = engine.execute_event(&ev, &platform.max_performance_config(), false);
         assert!(record.started_at >= TimeUs::from_millis(100));
         assert!(engine.total_energy().as_millijoules() > 0.0);
-        assert_eq!(engine.records().len(), 1);
+        assert_eq!(record.event, ev.id());
     }
 
     #[test]

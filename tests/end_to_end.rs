@@ -461,7 +461,7 @@ fn cnn_replay_scores_solve_memo_hits() {
 /// bench-unit scenario (cnn, seed `EVAL_SEED_BASE`) with violations pinned
 /// exactly, session energy to 0.5 µJ and a nonzero memo hit count,
 /// identical in debug and release. Any change to the memo key, the
-/// planning hysteresis or the sorted-row re-pose that shifts a single
+/// planning hysteresis or the window re-pose that shifts a single
 /// scheduling decision moves these and fails loudly; refresh via
 /// `--nocapture` + the `PES-MEMO-GOLDEN-CAPTURE` line only for an
 /// intentional behaviour change.

@@ -12,8 +12,8 @@ use pes::dom::{
     CallbackEffect, DomAnalyzer, EventType, IncrementalAnalyzer, PageBuilder, Viewport,
 };
 use pes::ilp::{
-    IlpError, OptionOrder, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution,
-    SolveScratch, SolveTier,
+    IlpError, ScheduleItem, ScheduleOption, ScheduleProblem, ScheduleSolution, SolveScratch,
+    SolveTier,
 };
 use pes::webrt::VsyncClock;
 
@@ -493,8 +493,8 @@ fn coarse_bound_stays_within(problem: &ScheduleProblem, optimum: &ScheduleSoluti
 }
 
 /// A PES/Oracle-shaped window: `n` events × 17-option convex cost curves
-/// with randomised load, the shape both the memo-ring and sorted-rebuild
-/// bit-identity properties below exercise.
+/// with randomised load, the shape the memo-ring bit-identity property
+/// below exercises.
 fn shaped_window(
     n: u64,
     base_dur: u64,
@@ -518,16 +518,6 @@ fn shaped_window(
         .collect()
 }
 
-/// The stable sorted option orders of a window — the canonical
-/// `OptionOrder::from_options` reference, shared with the ladder cache's
-/// row orders.
-fn stable_orders(items: &[ScheduleItem]) -> Vec<OptionOrder> {
-    items
-        .iter()
-        .map(|item| OptionOrder::from_options(&item.options))
-        .collect()
-}
-
 /// Field-for-field bit identity of two schedules (total cost compared on
 /// its bit pattern, not within an epsilon).
 fn assert_bit_identical(a: &ScheduleSolution, b: &ScheduleSolution) {
@@ -548,7 +538,7 @@ proptest! {
     /// revalidates against a cached slot returns a schedule (and therefore
     /// energy) bit-identical to a cold solve of the same posed window —
     /// with decoy windows interleaved so the hit comes from a mid-ring
-    /// slot, and under both the sorted-row and the sorting re-pose path.
+    /// slot.
     #[test]
     fn shape_tolerant_memo_hits_are_bit_identical_to_cold_solves(
         n in 6u64..=12,
@@ -558,12 +548,8 @@ proptest! {
         curve_quarters in 2u64..9,
         release_gap in 20_000u64..120_000,
         decoys in 1u64..4,
-        sorted_flag in 0u64..2,
     ) {
-        let sorted_rows = sorted_flag == 1;
         let items = shaped_window(n, base_dur, step, slack_pct, curve_quarters, release_gap);
-        let orders = stable_orders(&items);
-        let orders_arg = if sorted_rows { Some(&orders[..]) } else { None };
         // The fingerprint the runtime would compute is opaque to the ring;
         // any deterministic value works as long as equal windows share it.
         let shape = items.iter().fold(n, |h, i| {
@@ -572,7 +558,7 @@ proptest! {
         let mut scratch = SolveScratch::new();
 
         let mut memo = SolveMemo::new();
-        let nodes = memo.solve(&items, orders_arg, shape, 24_000, 0.01, &mut scratch).unwrap();
+        let nodes = memo.solve(&items, shape, 24_000, 0.01, &mut scratch).unwrap();
         prop_assert!(nodes > 0, "first pose must solve");
         let first = memo.solution().clone();
 
@@ -586,54 +572,19 @@ proptest! {
                 curve_quarters,
                 release_gap,
             );
-            let decoy_orders = stable_orders(&decoy);
-            memo.solve(&decoy, Some(&decoy_orders), shape ^ (d + 1), 24_000, 0.01, &mut scratch)
+            memo.solve(&decoy, shape ^ (d + 1), 24_000, 0.01, &mut scratch)
                 .unwrap();
         }
 
-        let hit_nodes = memo.solve(&items, orders_arg, shape, 24_000, 0.01, &mut scratch).unwrap();
+        let hit_nodes = memo.solve(&items, shape, 24_000, 0.01, &mut scratch).unwrap();
         prop_assert_eq!(hit_nodes, 0, "the re-posed window must revalidate as a hit");
         let hit = memo.solution().clone();
 
         // A cold ring solving the same posed window answers bit-identically.
         let mut cold = SolveMemo::new();
-        cold.solve(&items, orders_arg, shape, 24_000, 0.01, &mut scratch).unwrap();
+        cold.solve(&items, shape, 24_000, 0.01, &mut scratch).unwrap();
         assert_bit_identical(&hit, &first);
         assert_bit_identical(&hit, cold.solution());
-    }
-
-    /// The sorted-row re-pose is bit-identical to the sorting path: every
-    /// solver table (the derived `PartialEq` spans them all) and every
-    /// anytime solve agree exactly.
-    #[test]
-    fn sorted_row_rebuild_is_bit_identical_to_the_sorting_path(
-        n in 1u64..=12,
-        base_dur in 150_000u64..350_000,
-        step in 0u64..15_000,
-        slack_pct in 40u64..160,
-        curve_quarters in 0u64..9,
-        release_gap in 20_000u64..120_000,
-    ) {
-        // `step == 0` makes every duration equal and `curve_quarters == 0`
-        // every cost equal: the all-ties cases where only stable ordering
-        // keeps the two paths aligned.
-        let items = shaped_window(n, base_dur, step, slack_pct, curve_quarters, release_gap);
-        let orders = stable_orders(&items);
-        prop_assert!(orders.iter().zip(&items).all(|(o, i)| o.is_valid_for(&i.options)));
-
-        let mut sorting = ScheduleProblem::new(0, Vec::new()).with_node_limit(24_000);
-        sorting.rebuild(0, &items);
-        let mut sorted = ScheduleProblem::new(0, Vec::new()).with_node_limit(24_000);
-        sorted.rebuild_sorted(0, &items, &orders);
-        prop_assert_eq!(&sorting, &sorted);
-
-        let mut scratch = SolveScratch::new();
-        let mut a = ScheduleSolution::default();
-        let mut b = ScheduleSolution::default();
-        let tier_a = sorting.solve_anytime_with(&mut scratch, &mut a).unwrap();
-        let tier_b = sorted.solve_anytime_with(&mut scratch, &mut b).unwrap();
-        prop_assert_eq!(tier_a, tier_b);
-        assert_bit_identical(&a, &b);
     }
 
     /// The ε incumbent-quality stop never weakens the anytime quality
@@ -1013,8 +964,6 @@ proptest! {
                 "activity {:?} drifted", kind
             );
         }
-        prop_assert_eq!(routed.busy_time(), reference.busy_time());
-        prop_assert_eq!(routed.idle_time(), reference.idle_time());
     }
 }
 
@@ -2420,7 +2369,6 @@ mod frame_ledger {
                 }
                 assert_engine_matches(&engine, &reference);
             }
-            prop_assert_eq!(engine.records().len() as u64, next_id);
         }
     }
 

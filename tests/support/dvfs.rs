@@ -66,8 +66,6 @@ pub struct ReferenceMeter<'p> {
     platform: &'p Platform,
     total: EnergyUj,
     by_activity: [EnergyUj; 4],
-    busy_time: TimeUs,
-    idle_time: TimeUs,
 }
 
 impl<'p> ReferenceMeter<'p> {
@@ -77,8 +75,6 @@ impl<'p> ReferenceMeter<'p> {
             platform,
             total: EnergyUj::ZERO,
             by_activity: [EnergyUj::ZERO; 4],
-            busy_time: TimeUs::ZERO,
-            idle_time: TimeUs::ZERO,
         }
     }
 
@@ -92,7 +88,6 @@ impl<'p> ReferenceMeter<'p> {
             .platform
             .background_idle_power(cfg)
             .energy_over(duration);
-        self.busy_time += duration;
         self.add(own, activity);
         self.add(background, activity);
     }
@@ -107,7 +102,6 @@ impl<'p> ReferenceMeter<'p> {
             .platform
             .background_idle_power(cfg)
             .energy_over(duration);
-        self.idle_time += duration;
         self.add(own, ActivityKind::Idle);
         self.add(background, ActivityKind::Idle);
     }
@@ -118,7 +112,6 @@ impl<'p> ReferenceMeter<'p> {
             return;
         }
         let energy = self.platform.active_power(to).energy_over(duration);
-        self.busy_time += duration;
         self.add(energy, ActivityKind::Transition);
     }
 
@@ -146,16 +139,6 @@ impl<'p> ReferenceMeter<'p> {
     /// Energy attributed to `activity`.
     pub fn for_activity(&self, activity: ActivityKind) -> EnergyUj {
         self.by_activity[activity.index()]
-    }
-
-    /// Total busy (executing or transitioning) time.
-    pub fn busy_time(&self) -> TimeUs {
-        self.busy_time
-    }
-
-    /// Total idle time.
-    pub fn idle_time(&self) -> TimeUs {
-        self.idle_time
     }
 
     /// `EnergyMeter::speculative_waste_fraction`.

@@ -12,7 +12,7 @@
 // Each includer uses a subset of the support code.
 #![allow(dead_code)]
 
-use pes_ilp::{IlpError, OptionOrder, ScheduleProblem, ScheduleSolution};
+use pes_ilp::{IlpError, ScheduleProblem, ScheduleSolution};
 
 /// Cost penalty per missed deadline, so that minimising the penalised cost
 /// is lexicographic: first violations, then energy. The same constant as
@@ -176,11 +176,11 @@ pub fn coarse_time_bounds_reference(
         let item = &items[k];
         // The non-dominated options in cost order, as the solver keeps them:
         // the cheapest, then each option faster than every cheaper one.
+        let mut by_cost = item.options.clone();
+        by_cost.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("costs are finite"));
         let mut fastest_so_far = None;
-        let ranked: Vec<_> = OptionOrder::from_options(&item.options)
-            .by_cost
-            .iter()
-            .map(|&o| item.options[o as usize])
+        let ranked: Vec<_> = by_cost
+            .into_iter()
             .filter(|opt| {
                 let keep = fastest_so_far.is_none_or(|f| opt.duration_us < f);
                 if keep {
