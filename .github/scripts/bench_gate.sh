@@ -45,7 +45,6 @@ kernels=(
   solver_window/hostile_12x17_anytime
   solver_window/rebuild_13x17
   pr8:predict_kernel/single_masked_f64
-  pr8:predict_kernel/single_masked_packed
   pr13:shared_memo/generation_hit_cycle16
   pr9:shared_memo/publish_4x4
   pr12:shared_memo/publish_512x64

@@ -264,19 +264,12 @@ impl DvfsLadder {
     ///
     /// Panics if `cfg` is not an operating point of the platform this plane
     /// was built for. Every configuration a replay runs on comes from the
-    /// platform's table; [`Platform::config_id`] validates one built
-    /// elsewhere.
+    /// platform's table.
     pub fn rung(&self, cfg: &AcmpConfig) -> &LadderRung {
         match self.rung_index(cfg) {
             Some(i) => &self.rungs[i],
             None => panic!("{cfg} is not an operating point of this DVFS plane"),
         }
-    }
-
-    /// The precomputed baseline idle power (the always-on floor charged
-    /// against gross energy in the marginal-energy objective).
-    pub fn baseline_idle_power(&self) -> PowerMw {
-        self.baseline
     }
 
     /// Latency of `demand` on `rung` — identical to
@@ -452,9 +445,7 @@ impl LadderCache {
 mod tests {
     use super::*;
     use crate::config::CoreKind;
-    use crate::oracle::{
-        baseline_idle_power_reference, cheapest_config_within_reference, marginal_energy_reference,
-    };
+    use crate::oracle::{cheapest_config_within_reference, marginal_energy_reference};
     use crate::units::FreqMhz;
 
     fn model_fixture() -> (Platform, CpuDemand) {
@@ -568,10 +559,6 @@ mod tests {
     fn ladder_matches_direct_model_bit_for_bit() {
         for platform in [Platform::exynos_5410(), Platform::tx2_parker()] {
             let ladder = DvfsLadder::for_platform(&platform);
-            assert_eq!(
-                ladder.baseline_idle_power().as_milliwatts(),
-                baseline_idle_power_reference(&platform).as_milliwatts()
-            );
             let demands = [
                 CpuDemand::ZERO,
                 CpuDemand::new(TimeUs::from_micros(137), CpuCycles::new(999_999)),

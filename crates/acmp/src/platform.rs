@@ -313,20 +313,6 @@ impl Platform {
             .ok_or(AcmpError::UnknownConfig(id.index()))
     }
 
-    /// The dense index of a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcmpError::ConfigNotOnPlatform`] if the `<core, frequency>`
-    /// tuple is not an operating point of this platform.
-    pub fn config_id(&self, cfg: &AcmpConfig) -> Result<ConfigId, AcmpError> {
-        self.configs
-            .iter()
-            .position(|c| c == cfg)
-            .map(ConfigId::new)
-            .ok_or(AcmpError::ConfigNotOnPlatform(*cfg))
-    }
-
     /// The highest-performance configuration (big core at maximum frequency).
     pub fn max_performance_config(&self) -> AcmpConfig {
         *self.configs.last().expect("platform has configs")
@@ -351,8 +337,7 @@ impl Platform {
     /// # Panics
     ///
     /// Panics if the configuration's core kind is not hosted by this
-    /// platform; use [`Platform::config_id`] to validate externally produced
-    /// configurations first.
+    /// platform.
     pub fn active_power(&self, cfg: &AcmpConfig) -> PowerMw {
         self.cluster_for(cfg.core())
             .expect("configuration core kind exists on platform")
@@ -441,13 +426,9 @@ mod tests {
     fn config_id_round_trips() {
         let p = Platform::exynos_5410();
         for (i, cfg) in p.configs().iter().enumerate() {
-            let id = p.config_id(cfg).unwrap();
-            assert_eq!(id.index(), i);
-            assert_eq!(p.config(id).unwrap(), cfg);
+            assert_eq!(p.config(ConfigId::new(i)).unwrap(), cfg);
         }
         assert!(p.config(ConfigId::new(99)).is_err());
-        let foreign = AcmpConfig::new(CoreKind::BigA15, FreqMhz::new(123));
-        assert!(p.config_id(&foreign).is_err());
     }
 
     #[test]

@@ -193,43 +193,19 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
-    // The same round through the packed f32 plane: identical chaining and
-    // masking, but each inference is one class-major matrix row sweep
-    // instead of seven f64 dot products.
-    let mut packed_learner = learner.clone();
-    packed_learner.set_config(LearnerConfig::paper_defaults().with_packed(true));
-    let mut packed_scratch = PredictScratch::new();
-    group.bench_function("prediction_round/packed", |b| {
-        b.iter(|| {
-            black_box(
-                packed_learner
-                    .predict_sequence_with(black_box(&state), &mut packed_scratch)
-                    .len(),
-            )
-        })
-    });
-
     // ------------------------------------------------------------------
-    // Prediction-plane kernels (PR 8): one masked inference through the
-    // retained f64 reference and the same inference through the packed
-    // f32 plane.
+    // Prediction kernel: one masked inference through the f64 classifier.
     // ------------------------------------------------------------------
     let classifier = learner.classifier();
-    let packed = learner.packed();
     let mut probe = SessionState::new(page.tree.clone());
     for ev in trace.events().iter().take(6) {
         probe.observe(ev);
     }
     let features = probe.features();
     let mask = probe.allowed_types();
-    let mut padded: Vec<f32> = Vec::new();
-    packed.pad_features(&features, &mut padded);
 
     group.bench_function("predict_kernel/single_masked_f64", |b| {
         b.iter(|| black_box(classifier.predict_masked(black_box(&features), black_box(mask))))
-    });
-    group.bench_function("predict_kernel/single_masked_packed", |b| {
-        b.iter(|| black_box(packed.predict_masked(black_box(&padded), black_box(mask))))
     });
 
     // The scenario artifacts alone: what regenerating them per unit used to

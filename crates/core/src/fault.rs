@@ -139,15 +139,6 @@ impl DegradationTrace {
         DegradationLevel::ALL.iter().map(|&l| self.count(l)).sum()
     }
 
-    /// The worst level observed, `None` when nothing was recorded.
-    pub fn worst(&self) -> Option<DegradationLevel> {
-        DegradationLevel::ALL
-            .iter()
-            .rev()
-            .find(|&&l| self.count(l) > 0)
-            .copied()
-    }
-
     /// Folds another trace into this one (fleet aggregation).
     pub fn merge(&mut self, other: &DegradationTrace) {
         self.exact += other.exact;
@@ -698,19 +689,15 @@ mod tests {
     #[test]
     fn degradation_trace_tracks_worst_and_totals() {
         let mut trace = DegradationTrace::default();
-        assert_eq!(trace.worst(), None);
         trace.observe(DegradationLevel::Exact);
         trace.observe(DegradationLevel::Exact);
         trace.observe(DegradationLevel::Anytime);
-        assert_eq!(trace.worst(), Some(DegradationLevel::Anytime));
         trace.observe(DegradationLevel::Reactive);
-        assert_eq!(trace.worst(), Some(DegradationLevel::Reactive));
         assert_eq!(trace.decisions(), 4);
         assert!(DegradationLevel::Exact < DegradationLevel::OndemandFloor);
         let mut other = DegradationTrace::default();
         other.observe(DegradationLevel::OndemandFloor);
         trace.merge(&other);
-        assert_eq!(trace.worst(), Some(DegradationLevel::OndemandFloor));
         assert_eq!(trace.decisions(), 5);
     }
 

@@ -71,17 +71,9 @@ impl PendingFrameBuffer {
         }
     }
 
-    /// Squashes every pending frame, returning them so the caller can
-    /// re-attribute their energy as misprediction waste.
-    pub fn squash_all(&mut self) -> Vec<PendingFrame> {
-        self.frames.drain(..).collect()
-    }
-
-    /// Allocation-free squash: visits every pending frame in order (so the
-    /// caller can re-attribute its energy as misprediction waste), then
-    /// clears the buffer. Returns the number of frames squashed. This is the
-    /// variant the runtime's hot path uses; [`PendingFrameBuffer::squash_all`]
-    /// remains for callers that want ownership.
+    /// Squashes every pending frame: visits each in order (so the caller can
+    /// re-attribute its energy as misprediction waste), then clears the
+    /// buffer without allocating. Returns the number of frames squashed.
     pub fn squash_with(&mut self, mut visit: impl FnMut(&PendingFrame)) -> usize {
         let squashed = self.frames.len();
         for frame in &self.frames {
@@ -146,8 +138,7 @@ mod tests {
         for _ in 0..4 {
             pfb.push(frame(EventType::TouchMove));
         }
-        let squashed = pfb.squash_all();
-        assert_eq!(squashed.len(), 4);
+        assert_eq!(pfb.squash_with(|_| {}), 4);
         assert!(pfb.is_empty());
         assert!(pfb.front().is_none());
     }

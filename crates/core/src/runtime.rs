@@ -132,13 +132,10 @@ impl PesConfig {
         self
     }
 
-    /// Returns a copy with prediction rounds routed through the packed
-    /// class-major f32 plane (`pes_predictor::PackedModel`) instead of the
-    /// per-class f64 reference path. Off by default: the reference path
-    /// keeps the pinned goldens bit-stable, the packed plane serves the
-    /// fleet's batch tiers.
-    pub fn with_packed_prediction(mut self, use_packed: bool) -> Self {
-        self.learner = self.learner.with_packed(use_packed);
+    /// Returns `self` unchanged: this has no effect. Prediction has one
+    /// inference path, the learner's f64 model. The method is kept only
+    /// because the benchmark harness (`perfbench`) still calls it.
+    pub fn with_packed_prediction(self, _packed: bool) -> Self {
         self
     }
 
@@ -1468,6 +1465,16 @@ mod tests {
         assert!((report.average_waste_ms() - 20.0).abs() < 1e-9);
         assert!((report.average_prediction_degree() - 4.5).abs() < 1e-12);
         assert!((report.waste_energy_fraction() - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn packed_prediction_shim_leaves_the_config_unchanged() {
+        for packed in [false, true] {
+            assert_eq!(
+                PesConfig::paper_defaults().with_packed_prediction(packed),
+                PesConfig::paper_defaults()
+            );
+        }
     }
 
     #[test]

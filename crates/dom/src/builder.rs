@@ -37,19 +37,6 @@ pub struct BuiltPage {
     pub document_height: i64,
 }
 
-impl BuiltPage {
-    /// All interactive nodes, regardless of group.
-    pub fn interactive_nodes(&self) -> Vec<NodeId> {
-        let mut all = Vec::new();
-        all.extend(&self.links);
-        all.extend(&self.buttons);
-        all.extend(&self.menu_buttons);
-        all.extend(&self.menu_items);
-        all.extend(&self.submit_buttons);
-        all
-    }
-}
-
 /// Fluent page builder. Sections are stacked vertically in call order.
 ///
 /// # Examples
@@ -363,14 +350,6 @@ mod tests {
         assert_eq!(page.submit_buttons.len(), 1);
         assert!(page.buttons.len() >= 3);
         assert!(page.document_height > 1_000);
-        assert_eq!(
-            page.interactive_nodes().len(),
-            page.links.len()
-                + page.buttons.len()
-                + page.menu_buttons.len()
-                + page.menu_items.len()
-                + page.submit_buttons.len()
-        );
     }
 
     #[test]

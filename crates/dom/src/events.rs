@@ -126,17 +126,6 @@ impl EventType {
     pub fn is_move(self) -> bool {
         self.interaction() == Interaction::Move
     }
-
-    /// Whether issuing this event's side effects over the network could be
-    /// irreversible. PES suppresses network requests for speculative events
-    /// (Sec. 5.3); submissions and navigations are the event types that carry
-    /// such requests.
-    pub fn has_network_side_effects(self) -> bool {
-        matches!(
-            self,
-            EventType::Submit | EventType::Navigate | EventType::Load
-        )
-    }
 }
 
 impl fmt::Display for EventType {
@@ -186,12 +175,6 @@ impl EventTypeSet {
     /// Adds an event type to the set.
     pub fn insert(&mut self, event: EventType) {
         self.0 |= 1 << event.class_index();
-    }
-
-    /// The union of two sets (used by the incremental analyzer to merge the
-    /// visible-node mask with the document-level scroll/navigate bits).
-    pub fn union(self, other: EventTypeSet) -> EventTypeSet {
-        EventTypeSet(self.0 | other.0)
     }
 
     /// Whether the set contains the event type.
@@ -259,9 +242,6 @@ mod tests {
         assert!(EventType::Load.is_navigation());
         assert!(EventType::Navigate.is_navigation());
         assert!(!EventType::Click.is_navigation());
-        assert!(EventType::Submit.has_network_side_effects());
-        assert!(!EventType::Scroll.has_network_side_effects());
-        assert!(!EventType::TouchStart.has_network_side_effects());
     }
 
     #[test]
@@ -298,21 +278,5 @@ mod tests {
         assert_eq!(EventTypeSet::ALL.len(), EventType::ALL.len());
         let collected: EventTypeSet = EventType::ALL.into_iter().collect();
         assert_eq!(collected, EventTypeSet::ALL);
-    }
-
-    #[test]
-    fn event_type_set_union() {
-        let mut a = EventTypeSet::EMPTY;
-        a.insert(EventType::Click);
-        let mut b = EventTypeSet::EMPTY;
-        b.insert(EventType::Scroll);
-        let ab = a.union(b);
-        assert!(ab.contains(EventType::Click) && ab.contains(EventType::Scroll));
-        assert_eq!(ab.len(), 2);
-        assert_eq!(a.union(a), a);
-        assert_eq!(
-            EventTypeSet::ALL.union(EventTypeSet::EMPTY),
-            EventTypeSet::ALL
-        );
     }
 }

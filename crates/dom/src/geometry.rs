@@ -92,11 +92,6 @@ impl Rect {
         self.intersection(other).is_some()
     }
 
-    /// Whether the point `(px, py)` lies inside the rectangle.
-    pub fn contains_point(&self, px: i64, py: i64) -> bool {
-        px >= self.x && px < self.x + self.width && py >= self.y && py < self.y + self.height
-    }
-
     /// Centre of the rectangle.
     pub fn center(&self) -> (i64, i64) {
         (self.x + self.width / 2, self.y + self.height / 2)
@@ -226,9 +221,6 @@ mod tests {
     #[test]
     fn rect_contains_point_and_center() {
         let r = Rect::new(10, 10, 20, 20);
-        assert!(r.contains_point(10, 10));
-        assert!(r.contains_point(29, 29));
-        assert!(!r.contains_point(30, 30));
         assert_eq!(r.center(), (20, 20));
     }
 

@@ -15,7 +15,6 @@ use pes_webrt::{EventId, WebEvent};
 
 use crate::features::{FeatureVector, SessionState, FEATURE_DIM};
 use crate::logistic::OneVsRestClassifier;
-use crate::packed::PackedModel;
 
 /// One predicted future event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,11 +39,6 @@ pub struct LearnerConfig {
     /// Whether the DOM-derived LNES masks the candidate classes (the
     /// "predictor design" ablation of Sec. 6.5 turns this off).
     pub use_lnes: bool,
-    /// Whether prediction rounds run on the packed f32 plane
-    /// ([`PackedModel`]) instead of the per-class f64 reference path. Off
-    /// by default: the reference path keeps the pinned goldens bit-stable,
-    /// the packed plane serves the batch/fleet tiers.
-    pub use_packed: bool,
 }
 
 impl Default for LearnerConfig {
@@ -53,7 +47,6 @@ impl Default for LearnerConfig {
             confidence_threshold: 0.70,
             max_degree: 8,
             use_lnes: true,
-            use_packed: false,
         }
     }
 }
@@ -76,13 +69,6 @@ impl LearnerConfig {
         self.use_lnes = use_lnes;
         self
     }
-
-    /// Returns a copy with the packed f32 prediction plane enabled or
-    /// disabled.
-    pub fn with_packed(mut self, use_packed: bool) -> Self {
-        self.use_packed = use_packed;
-        self
-    }
 }
 
 /// Reusable buffers for [`EventSequenceLearner::predict_sequence_while`]: the
@@ -95,9 +81,6 @@ impl LearnerConfig {
 pub struct PredictScratch {
     session: Option<SessionState>,
     features: FeatureVector,
-    /// Lane-padded f32 row for the packed plane (unused on the reference
-    /// path).
-    features32: Vec<f32>,
     out: Vec<PredictedEvent>,
 }
 
@@ -130,22 +113,13 @@ impl PredictScratch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventSequenceLearner {
     classifier: OneVsRestClassifier,
-    /// The classifier's weights re-laid for the packed batch plane; built
-    /// eagerly (seven padded f32 rows — a few hundred bytes) so every
-    /// learner can serve both paths.
-    packed: PackedModel,
     config: LearnerConfig,
 }
 
 impl EventSequenceLearner {
     /// Creates a learner from a trained classifier and a configuration.
     pub fn new(classifier: OneVsRestClassifier, config: LearnerConfig) -> Self {
-        let packed = PackedModel::from_classifier(&classifier);
-        EventSequenceLearner {
-            classifier,
-            packed,
-            config,
-        }
+        EventSequenceLearner { classifier, config }
     }
 
     /// The learner configuration.
@@ -161,12 +135,6 @@ impl EventSequenceLearner {
     /// The underlying classifier.
     pub fn classifier(&self) -> &OneVsRestClassifier {
         &self.classifier
-    }
-
-    /// The packed class-major f32 twin of the classifier — the model
-    /// [`LearnerConfig::with_packed`] predictions run on.
-    pub fn packed(&self) -> &PackedModel {
-        &self.packed
     }
 
     /// Predicts the type of the immediate next event from the current session
@@ -192,37 +160,6 @@ impl EventSequenceLearner {
             EventTypeSet::ALL
         };
         self.classifier.predict_masked(features, allowed)
-    }
-
-    /// The packed-plane twin of [`predict_next_into`]: same features and
-    /// mask, inference on the class-major f32 matrix. The confidence is
-    /// the packed plane's f32 sigmoid widened to f64.
-    ///
-    /// [`predict_next_into`]: EventSequenceLearner::predict_next_into
-    fn predict_next_packed_into(
-        &self,
-        state: &mut SessionState,
-        features: &mut FeatureVector,
-        features32: &mut Vec<f32>,
-    ) -> (EventType, f64) {
-        state.features_into(features);
-        let allowed = if self.config.use_lnes {
-            state.allowed_types()
-        } else {
-            EventTypeSet::ALL
-        };
-        self.packed.pad_features(features, features32);
-        let (event, confidence) = self.packed.predict_masked(features32, allowed);
-        (event, f64::from(confidence))
-    }
-
-    /// [`EventSequenceLearner::predict_next`] on the packed f32 plane,
-    /// regardless of [`LearnerConfig::use_packed`] — the differential
-    /// tests' handle on the packed single-prediction path.
-    pub fn predict_next_packed(&self, state: &mut SessionState) -> (EventType, f64) {
-        let mut features = Vec::with_capacity(FEATURE_DIM);
-        let mut features32 = Vec::new();
-        self.predict_next_packed_into(state, &mut features, &mut features32)
     }
 
     /// Predicts a sequence of future events. Prediction continues while the
@@ -275,15 +212,7 @@ impl EventSequenceLearner {
         };
         let mut cumulative = 1.0;
         for step in 0..self.config.max_degree {
-            let (event_type, confidence) = if self.config.use_packed {
-                self.predict_next_packed_into(
-                    session,
-                    &mut scratch.features,
-                    &mut scratch.features32,
-                )
-            } else {
-                self.predict_next_into(session, &mut scratch.features)
-            };
+            let (event_type, confidence) = self.predict_next_into(session, &mut scratch.features);
             let next_cumulative = cumulative * confidence;
             if next_cumulative < self.config.confidence_threshold || !keep(event_type) {
                 break;
@@ -307,22 +236,6 @@ impl EventSequenceLearner {
             session.observe(&synthetic);
         }
         &scratch.out
-    }
-
-    /// The prediction degree (sequence length) the learner would produce from
-    /// the given state.
-    pub fn prediction_degree(&self, state: &SessionState) -> usize {
-        let mut scratch = PredictScratch::new();
-        self.prediction_degree_with(state, &mut scratch)
-    }
-
-    /// [`EventSequenceLearner::prediction_degree`] with caller-owned buffers.
-    pub fn prediction_degree_with(
-        &self,
-        state: &SessionState,
-        scratch: &mut PredictScratch,
-    ) -> usize {
-        self.predict_sequence_with(state, scratch).len()
     }
 }
 
@@ -385,7 +298,6 @@ mod tests {
             LearnerConfig::paper_defaults(),
         );
         assert!(learner.predict_sequence(&state()).is_empty());
-        assert_eq!(learner.prediction_degree(&state()), 0);
     }
 
     #[test]
@@ -419,7 +331,7 @@ mod tests {
             LearnerConfig::paper_defaults().with_confidence_threshold(0.999),
         );
         let s = state();
-        assert!(relaxed.prediction_degree(&s) >= strict.prediction_degree(&s));
+        assert!(relaxed.predict_sequence(&s).len() >= strict.predict_sequence(&s).len());
     }
 
     #[test]
@@ -488,9 +400,9 @@ mod tests {
             confident_scroll_classifier(),
             LearnerConfig::paper_defaults(),
         );
-        let before = learner.prediction_degree(&state());
+        let before = learner.predict_sequence(&state()).len();
         learner.set_config(LearnerConfig::paper_defaults().with_confidence_threshold(0.9999));
-        let after = learner.prediction_degree(&state());
+        let after = learner.predict_sequence(&state()).len();
         assert!(after <= before);
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! * [`SessionState`] — the live session context (DOM, viewport, recent-event
 //!   window) and the feature extraction of Table 1,
-//! * [`OneVsRestClassifier`] / [`LogisticModel`] — the statistical model,
+//! * [`OneVsRestClassifier`] / [`LogisticModel`] — the statistical model; every
+//!   prediction runs on its f64 weights,
 //! * [`EventSequenceLearner`] — confidence-chained multi-step prediction with
 //!   LNES masking,
 //! * [`Trainer`] — offline training on generated traces plus the Fig. 8
@@ -40,13 +41,11 @@
 pub mod features;
 pub mod learner;
 pub mod logistic;
-pub mod packed;
 pub mod trainer;
 
 pub use features::{FeatureVector, HistoryWindow, SessionState, FEATURE_DIM, HISTORY_WINDOW};
 pub use learner::{EventSequenceLearner, LearnerConfig, PredictScratch, PredictedEvent};
 pub use logistic::{LogisticModel, OneVsRestClassifier};
-pub use packed::{sigmoid_f32, PackedModel, CLASSES, LANES};
 pub use trainer::{build_dataset, evaluate_accuracy, Trainer, TrainingConfig};
 
 #[cfg(test)]

@@ -222,9 +222,10 @@ pub struct FleetConfig {
     /// A completed unit with at least this many QoS violations counts as a
     /// bad breaker outcome (`0` disables the spike signal).
     pub violation_spike: usize,
-    /// Serve every tier's prediction rounds on the packed class-major f32
-    /// plane (`PesConfig::with_packed_prediction`). Decisions are identical
-    /// either way; only the replay's prediction kernel changes.
+    /// Inert: nothing reads this field, and prediction has one inference
+    /// path whatever it holds. It is kept only because the benchmark
+    /// harness (`perfbench`) still passes it to
+    /// [`PesConfig::with_packed_prediction`], which has no effect either.
     pub packed_prediction: bool,
     /// Share window solves across the fleet: each replay probes the
     /// read-only solve generation published by previous batches and
@@ -976,11 +977,7 @@ struct BatchRunner<'a> {
 
 impl<'a> BatchRunner<'a> {
     fn new(ctx: &'a ExperimentContext, spec: &'a FleetSpec, config: &FleetConfig) -> Self {
-        let base = || {
-            PesConfig::paper_defaults()
-                .with_watchdog(config.watchdog)
-                .with_packed_prediction(config.packed_prediction)
-        };
+        let base = || PesConfig::paper_defaults().with_watchdog(config.watchdog);
         BatchRunner {
             ctx,
             spec,

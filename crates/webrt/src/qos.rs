@@ -65,17 +65,6 @@ impl QosPolicy {
     pub fn target_for_event(&self, event: EventType) -> TimeUs {
         self.target(event.interaction())
     }
-
-    /// Returns a policy with every target scaled by `factor` (used in
-    /// sensitivity studies).
-    pub fn scaled(&self, factor: f64) -> QosPolicy {
-        QosPolicy {
-            load: self.load.scale(factor),
-            tap: self.tap.scale(factor),
-            mv: self.mv.scale(factor),
-            submit: self.submit.scale(factor),
-        }
-    }
 }
 
 impl Default for QosPolicy {
@@ -146,13 +135,6 @@ mod tests {
             p.target_for_event(EventType::Navigate),
             p.target(Interaction::Load)
         );
-    }
-
-    #[test]
-    fn scaled_policy_scales_every_target() {
-        let p = QosPolicy::paper_defaults().scaled(0.5);
-        assert_eq!(p.target(Interaction::Load), TimeUs::from_millis(1_500));
-        assert_eq!(p.target(Interaction::Tap), TimeUs::from_millis(150));
     }
 
     #[test]

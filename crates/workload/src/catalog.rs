@@ -16,7 +16,6 @@ use crate::app::{AppCategory, AppProfile, PageParams};
 ///
 /// let catalog = AppCatalog::paper_suite();
 /// assert_eq!(catalog.seen_apps().count(), 12);
-/// assert_eq!(catalog.unseen_apps().count(), 6);
 /// assert!(catalog.find("slashdot").is_some());
 /// assert!(catalog.find("not-a-real-app").is_none());
 /// ```
@@ -338,11 +337,6 @@ impl AppCatalog {
         self.apps.iter().filter(|a| a.is_seen())
     }
 
-    /// The six applications only used for evaluation.
-    pub fn unseen_apps(&self) -> impl Iterator<Item = &AppProfile> + '_ {
-        self.apps.iter().filter(|a| !a.is_seen())
-    }
-
     /// Looks an application up by name.
     pub fn find(&self, name: &str) -> Option<&AppProfile> {
         self.apps.iter().find(|a| a.name() == name)
@@ -374,7 +368,6 @@ mod tests {
         let c = AppCatalog::paper_suite();
         assert_eq!(c.len(), 18);
         assert_eq!(c.seen_apps().count(), 12);
-        assert_eq!(c.unseen_apps().count(), 6);
         assert!(!c.is_empty());
     }
 

@@ -1031,15 +1031,17 @@ mod fleet_resilience {
         std::fs::remove_file(&blank_path).ok();
     }
 
-    /// PR 8 golden for the single-batch packed-prediction fleet replay:
-    /// `(violations, energy µJ)`.
+    /// Golden for the single-batch fleet replay with
+    /// `packed_prediction: true`: `(violations, energy µJ)`.
     const GOLDEN_BATCHED_FLEET: (usize, f64) = (12, 32_082_523.87536225);
 
-    /// PR 8 golden: a single-batch fleet replay with the packed prediction
-    /// plane on stays pinned — exact violation count and energy within
-    /// 0.5 µJ. Identical in debug and release builds. Re-pin via `--nocapture` and the
-    /// `BATCHED-FLEET-GOLDEN-CAPTURE` line only for an intentional
-    /// behaviour change.
+    /// A single-batch fleet replay with `packed_prediction: true` stays
+    /// pinned: exact violation count and energy within 0.5 µJ, identical in
+    /// debug and release builds. The field is inert (prediction has one
+    /// inference path), and the pin is also what the same spec gives with
+    /// the field `false`, so this pins that setting it changes nothing.
+    /// Re-pin via `--nocapture` and the `BATCHED-FLEET-GOLDEN-CAPTURE` line
+    /// only for an intentional behaviour change.
     #[test]
     fn golden_batched_prediction_fleet_replay_stays_pinned() {
         let spec = FleetSpec {

@@ -1462,10 +1462,8 @@ mod fleet_resilience {
     }
 }
 
-/// PR 8 — the packed prediction plane. The f32 re-layout must reproduce
-/// the f64 reference argmax whenever the decision margin is clear of
-/// rounding noise. A prediction round cut
-/// at the first rejected type must be a prefix of the unbounded round.
+/// The prediction round: a round cut at the first rejected type must be a
+/// prefix of the unbounded round.
 mod prediction_plane {
     use proptest::prelude::*;
 
@@ -1473,8 +1471,8 @@ mod prediction_plane {
     use pes::acmp::CpuDemand;
     use pes::dom::{EventType, EventTypeSet, PageBuilder};
     use pes::predictor::{
-        EventSequenceLearner, LearnerConfig, LogisticModel, OneVsRestClassifier, PackedModel,
-        PredictScratch, SessionState, FEATURE_DIM,
+        EventSequenceLearner, LearnerConfig, LogisticModel, OneVsRestClassifier, PredictScratch,
+        SessionState, FEATURE_DIM,
     };
     use pes::webrt::{EventId, WebEvent};
 
@@ -1514,67 +1512,22 @@ mod prediction_plane {
     }
 
     proptest! {
-        /// The f32 re-layout agrees with the retained f64 reference whenever
-        /// the top-two raw-score margin is clear of f32 rounding noise.
-        #[test]
-        fn packed_decision_matches_f64_reference_on_clear_margins(
-            weights in weights_strategy(),
-            biases in biases_strategy(),
-            features in proptest::collection::vec(-10.0f64..10.0, FEATURE_DIM..FEATURE_DIM + 1),
-            bits in 0u8..128,
-        ) {
-            let reference = classifier(&weights, &biases);
-            let packed = PackedModel::from_classifier(&reference);
-            let mask = mask_from_bits(bits);
-
-            // f64 reference probabilities, restricted the same way the
-            // reference path restricts them (empty mask falls back to all
-            // classes). The margin must be measured in probability space:
-            // the reference argmaxes sigmoid(z), which saturates to exact
-            // 1.0 for large z and then resolves the tie positionally, while
-            // the packed plane argmaxes raw scores.
-            let effective = if mask.is_empty() { EventTypeSet::ALL } else { mask };
-            let mut probs: Vec<f64> = Vec::new();
-            for (c, model) in reference.models().iter().enumerate() {
-                if effective.contains(EventType::ALL[c]) {
-                    probs.push(model.predict_proba(&features));
-                }
-            }
-            let mut sorted = probs.clone();
-            sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-            let margin = if sorted.len() >= 2 { sorted[0] - sorted[1] } else { f64::MAX };
-            if margin <= 1e-2 {
-                // Saturated or near-tied probabilities — the winner is
-                // decided by tie-break position or rounding noise, so the
-                // two layouts may legitimately differ. Vacuous case.
-                continue;
-            }
-
-            let (ref_event, _) = reference.predict_masked(&features, mask);
-            let mut padded = Vec::new();
-            packed.pad_features(&features, &mut padded);
-            let (packed_event, _) = packed.predict_masked(&padded, mask);
-            prop_assert_eq!(ref_event, packed_event);
-        }
-
         /// A round cut by `keep` is the unbounded round's longest prefix
-        /// whose types `keep` accepts, on both the f64 and packed planes,
-        /// and accepting everything is the unbounded round exactly. One
-        /// scratch serves every round, as in the runtime, so a shorter round
-        /// leaves the scratch session in a different state for the next.
+        /// whose types `keep` accepts, and accepting everything is the
+        /// unbounded round exactly. One scratch serves every round, as in
+        /// the runtime, so a shorter round leaves the scratch session in a
+        /// different state for the next.
         #[test]
         fn predict_sequence_while_is_the_kept_prefix_of_the_full_round(
             weights in weights_strategy(),
             biases in biases_strategy(),
             warmup in proptest::collection::vec(0usize..NUM_CLASSES, 0..6),
             threshold in 0.0f64..0.95,
-            use_packed in 0u8..2,
             use_lnes in 0u8..2,
             keep_bits in 0u8..128,
         ) {
             let config = LearnerConfig::paper_defaults()
                 .with_confidence_threshold(threshold)
-                .with_packed(use_packed == 1)
                 .with_lnes(use_lnes == 1);
             let learner = EventSequenceLearner::new(classifier(&weights, &biases), config);
             let page = PageBuilder::new(360)
