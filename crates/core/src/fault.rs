@@ -380,11 +380,9 @@ impl FaultSession {
     }
 
     fn next_u64(&mut self) -> u64 {
+        let out = splitmix(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        out
     }
 
     fn uniform(&mut self) -> f64 {

@@ -19,15 +19,15 @@
 //!    configured [`ShedPolicy`] deterministically sheds the oldest or the
 //!    lowest-priority sessions, so storms degrade throughput gracefully
 //!    instead of growing memory.
-//! 4. **Journaled checkpoint/resume** — after every batch the driver
-//!    appends one checksummed, cumulative journal record, encoded straight
-//!    from the running [`FleetRunReport`] plus the intake cursor and the
-//!    breaker snapshots. A killed run resumes from the last intact record
-//!    by fast-forwarding the outcome-independent admission arithmetic and
-//!    restoring the report's journaled fields, producing byte-identical
-//!    aggregates to the uninterrupted run — torn tail lines included. The
-//!    resume keeps the journal through that record's line and appends
-//!    after it.
+//! 4. **Journaled resume** — after every batch the driver appends one
+//!    checksummed journal record holding that batch's unit outcomes: each
+//!    admitted unit's route, attempts and compact outcome. Admission,
+//!    breakers and the report fold are deterministic functions of those
+//!    outcomes, so a killed run resumes through the same drive loop from
+//!    batch 0, taking each journaled batch's outcomes in place of replaying
+//!    it, and produces byte-identical aggregates to the uninterrupted run —
+//!    torn tail lines included. The resume keeps the journal through its
+//!    last intact record and appends the remaining batches after it.
 //!
 //! On top of the four resilience mechanisms the driver shares solver work
 //! across the fleet: every replay probes a read-only [`SolveGeneration`]
@@ -45,42 +45,27 @@
 //! index order, so reruns — and resumed runs — are byte-identical
 //! regardless of worker count.
 //!
-//! # Journal record format (`PESFLEETJ4`)
+//! # Journal record format (`PESFLEETJ5`)
 //!
-//! The journal is line-oriented ASCII: one cumulative record per batch,
-//! each a space-separated `key=value` token list ending in an FNV-1a-64
-//! checksum of everything before it. The reader skips blank lines, treats
-//! a malformed *final* line, invalid UTF-8 included, as a torn tail and
+//! The journal is line-oriented ASCII: one record per batch, in batch
+//! order, each a space-separated token list ending in an FNV-1a-64 checksum
+//! of everything before it. The reader skips blank lines, treats a
+//! malformed *final* line, invalid UTF-8 included, as a torn tail and
 //! returns a typed [`FleetError::JournalVersion`] for an intact record with
 //! any other `PESFLEETJ*` magic, older formats included.
 //!
 //! ```text
-//! PESFLEETJ4 batch=.. step=.. next_unit=.. shed=.. completed=.. retries=..
-//!   violations=.. events=.. energy=<16-hex> wd=.. deg=E,A,G,R,F
-//!   inj=c1,..,c8 nodes=.. mh=.. mm=..
-//!   fail=idx:att:L;.. brk=S:bits:len:cd:ps:hist|.. #<16-hex checksum>
+//! PESFLEETJ5 batch=<i> units=<unit>:<route>:<attempts>:<outcome>;.. #<16-hex checksum>
 //! ```
-//!
-//! Field by field (all counters are *cumulative* since the run started):
 //!
 //! | Token | Meaning |
 //! |---|---|
-//! | `batch=` | Batches executed (== records written so far). |
-//! | `step=` | Admission steps consumed by the arrival process. |
-//! | `next_unit=` | Next unit index to admit (the resume cursor). |
-//! | `shed=` | Sessions shed by the [`ShedPolicy`]. |
-//! | `completed=` | Replays completed (including retried units). |
-//! | `retries=` | Supervised re-executions after a worker panic. |
-//! | `violations=` | QoS violations across all completed replays. |
-//! | `events=` | Events executed across all completed replays. |
-//! | `energy=` | Total energy as big-endian hex of `f64::to_bits` — bit-exact, no decimal round-trip. |
-//! | `wd=` | Watchdog deadline trips. |
-//! | `deg=` | Five comma-separated [`DegradationLevel`] counts: Exact, Anytime, Greedy, Reactive, OndemandFloor. |
-//! | `inj=` | Eight comma-separated [`FaultCounts`] fields: prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events. |
-//! | `nodes=` | Solver nodes explored fleet-wide. |
-//! | `mh=` / `mm=` | Per-replay solve-memo ring hits / misses. (Shared-generation hit counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one non-resume-stable aggregate.) |
-//! | `fail=` | Quarantine roster, `index:attempts:level-letter` triples joined by `;` (`-` when empty). |
-//! | `brk=` | One breaker snapshot per shard joined by `\|`: `state-letter:window-bits-hex:window-len:cooldown-left:probe-successes:transition-history` (history `-` when empty). |
+//! | `batch=` | The batch's index from 0; the `i`-th record must hold batch `i`. |
+//! | `units=` | The batch's admitted units in admission order, joined by `;`. |
+//! | `<unit>` | The unit index. |
+//! | `<route>` | `F` full tier, `P` half-open probe, `R` routed to the reactive tier by an open breaker. |
+//! | `<attempts>` | Supervised attempts: `1` plus the unit's retries. |
+//! | `<outcome>` | `-` for a quarantined unit, else 20 comma-separated decimals: events, violations, `f64::to_bits` of the energy in µJ (bit-exact, no decimal round-trip), watchdog trips, the five [`DegradationLevel`] counts (Exact, Anytime, Greedy, Reactive, OndemandFloor), the eight [`FaultCounts`] fields (prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events), solver nodes, and per-replay memo-ring hits and misses. The shared-generation counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one aggregate that is not resume-stable. |
 //! | `#` | FNV-1a-64 checksum (hex) of the full payload before ` #`. |
 
 use std::collections::VecDeque;
@@ -279,7 +264,7 @@ impl Default for FleetConfig {
 /// Derives the stateless per-session parameters of `unit` under `seed`:
 /// `(scenario hash, app index, trace seed, priority in 0..4)`. The hash is
 /// one [`splitmix`] of `seed ^ unit`, so adjacent units are fully
-/// decorrelated yet reproducible from the journal cursor alone.
+/// decorrelated yet reproducible from the unit index alone.
 pub fn unit_scenario(seed: u64, apps: usize, unit: usize) -> (u64, usize, u64, u8) {
     let h = splitmix(seed ^ unit as u64);
     let app_idx = (h % apps.max(1) as u64) as usize;
@@ -304,21 +289,12 @@ pub enum BreakerState {
 }
 
 impl BreakerState {
-    /// One-letter code used by the journal (`C`/`O`/`H`).
+    /// One-letter code used by the transition histories (`C`/`O`/`H`).
     pub fn letter(self) -> char {
         match self {
             BreakerState::Closed => 'C',
             BreakerState::Open => 'O',
             BreakerState::HalfOpen => 'H',
-        }
-    }
-
-    fn from_letter(c: char) -> Option<BreakerState> {
-        match c {
-            'C' => Some(BreakerState::Closed),
-            'O' => Some(BreakerState::Open),
-            'H' => Some(BreakerState::HalfOpen),
-            _ => None,
         }
     }
 }
@@ -337,7 +313,6 @@ pub struct CircuitBreaker {
     close_after: usize,
     state: BreakerState,
     bits: u64,
-    len: usize,
     cooldown_left: usize,
     probe_successes: usize,
     history: Vec<BreakerState>,
@@ -354,7 +329,6 @@ impl CircuitBreaker {
             close_after: config.close_after.max(1),
             state: BreakerState::Closed,
             bits: 0,
-            len: 0,
             cooldown_left: 0,
             probe_successes: 0,
             history: Vec::new(),
@@ -377,7 +351,7 @@ impl CircuitBreaker {
         &self.history
     }
 
-    /// The transition history as journal letters (`"OHC..."`, empty when
+    /// The transition history as state letters (`"OHC..."`, empty when
     /// the breaker never tripped).
     pub fn history_letters(&self) -> String {
         self.history.iter().map(|s| s.letter()).collect()
@@ -409,7 +383,6 @@ impl CircuitBreaker {
             (1u64 << self.window) - 1
         };
         self.bits = ((self.bits << 1) | u64::from(bad)) & mask;
-        self.len = (self.len + 1).min(self.window);
         if self.bad_in_window() >= self.trip_threshold {
             self.trip();
         }
@@ -429,7 +402,6 @@ impl CircuitBreaker {
             if self.probe_successes >= self.close_after {
                 self.state = BreakerState::Closed;
                 self.bits = 0;
-                self.len = 0;
                 self.probe_successes = 0;
                 self.history.push(BreakerState::Closed);
             }
@@ -474,7 +446,7 @@ pub struct FleetRunReport {
     pub retries: usize,
     /// Driver steps taken.
     pub steps: u64,
-    /// Batches executed (== journal records written).
+    /// Batches executed (== records in a complete journal).
     pub batches: usize,
     /// Peak admission-queue length after shedding (bounded by
     /// `queue_capacity`).
@@ -492,7 +464,7 @@ pub struct FleetRunReport {
     pub injections: FaultCounts,
     /// Watchdog deadline trips summed over completed replays.
     pub watchdog_trips: usize,
-    /// Per-shard breaker transition histories as journal letters.
+    /// Per-shard breaker transition histories as state letters.
     pub breaker_histories: Vec<String>,
     /// Per-shard final breaker states.
     pub breaker_finals: Vec<BreakerState>,
@@ -594,8 +566,9 @@ pub enum FleetError {
     Io(String),
     /// A journal record failed to parse or checksum (beyond a torn tail).
     Corrupt(String),
-    /// The journal's admission cursor disagrees with the spec/config it is
-    /// being resumed under.
+    /// The journal disagrees with the spec/config it is being resumed
+    /// under: a record's admitted units or routes differ from the run's, or
+    /// the journal holds more batches than the run has.
     SpecMismatch(String),
     /// A record carries a journal-format magic this build does not read
     /// (e.g. a journal written by a newer build). Distinct from
@@ -648,7 +621,7 @@ enum UnitRoute {
     Routed,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Ticket {
     unit: usize,
     route: UnitRoute,
@@ -747,7 +720,7 @@ fn shed_to_capacity(
 /// The outcome-independent half of a fleet drive: the admission queue, the
 /// next unit to arrive and the step counter. Arrivals, storms, shedding and
 /// admission depend only on the step index and the queue contents, never on
-/// unit outcomes, so a resume replays them to reach the journaled batch.
+/// unit outcomes.
 #[derive(Debug, Default)]
 struct Intake {
     queue: VecDeque<(usize, u8)>,
@@ -803,12 +776,14 @@ impl Intake {
 /// run substitutes instant clean outcomes. All arithmetic outside `exec`
 /// (arrivals, storms, shedding, admission, breaker feeding, aggregation
 /// order) is identical across both, which is what lets the proptests
-/// exercise the full driver loop cheaply.
+/// exercise the full driver loop cheaply. The first `journaled.len()`
+/// batches take a resumed journal's outcomes in place of `exec`; every
+/// later batch runs and appends its record to `journal`.
 fn drive<E>(
     spec: &FleetSpec,
     config: &FleetConfig,
     mut journal: Option<&mut JournalWriter>,
-    checkpoint: Option<Checkpoint>,
+    journaled: Vec<JournaledBatch>,
     mut exec: E,
 ) -> Result<FleetRunReport, FleetError>
 where
@@ -819,50 +794,11 @@ where
         .map(|_| CircuitBreaker::new(&config.breaker))
         .collect();
     let mut intake = Intake::default();
+    let mut journaled = journaled.into_iter();
     let mut report = FleetRunReport {
         sessions: spec.sessions,
         ..FleetRunReport::default()
     };
-
-    // Fast-forward: replay the admission steps of the journaled batches
-    // (their admitted units are dropped: the checkpoint already holds their
-    // outcomes), then restore the outcome-dependent cumulative state.
-    if let Some((saved, (step, next_unit), saved_breakers)) = checkpoint {
-        while report.batches < saved.batches && intake.pending(spec) {
-            drop(intake.admit(spec, config, &mut report));
-            report.batches += 1;
-        }
-        if report.batches != saved.batches
-            || intake.step != step
-            || intake.next_unit != next_unit
-            || report.shed != saved.shed
-        {
-            return Err(FleetError::SpecMismatch(format!(
-                "fast-forward reached batch {} step {} unit {} shed {}, \
-                 journal says batch {} step {step} unit {next_unit} shed {}",
-                report.batches,
-                intake.step,
-                intake.next_unit,
-                report.shed,
-                saved.batches,
-                saved.shed
-            )));
-        }
-        if saved_breakers.len() != shards {
-            return Err(FleetError::SpecMismatch(format!(
-                "journal has {} breaker shards, config has {shards}",
-                saved_breakers.len()
-            )));
-        }
-        // Admission alone sets the fields the journal does not carry.
-        report = FleetRunReport {
-            sessions: report.sessions,
-            shed_by_priority: report.shed_by_priority,
-            peak_queue: report.peak_queue,
-            ..saved
-        };
-        breakers = saved_breakers;
-    }
 
     while intake.pending(spec) {
         // 1–3. Arrivals, load shedding and admission (`Intake::admit`),
@@ -889,8 +825,24 @@ where
             })
             .collect();
 
-        // 4. Supervised fan-out of the batch.
-        let batch = exec(&tickets);
+        // 4. Supervised fan-out of the batch, journaling its unit outcomes,
+        //    or the outcomes a resumed journal holds for it.
+        let batch = match journaled.next() {
+            Some((units, batch)) if units == tickets => batch,
+            Some(_) => {
+                return Err(FleetError::SpecMismatch(format!(
+                    "journal record {} admits other units or routes than the run",
+                    report.batches
+                )))
+            }
+            None => {
+                let batch = exec(&tickets);
+                if let Some(writer) = journal.as_deref_mut() {
+                    writer.append(&encode_record(report.batches, &tickets, &batch))?;
+                }
+                batch
+            }
+        };
 
         // 5. Outcome classification feeds the shard breakers in unit index
         //    order (full-tier and probe outcomes only), then the batch
@@ -935,19 +887,16 @@ where
             });
         }
         report.batches += 1;
-
-        // 7. Journal the cumulative record for this batch.
-        if let Some(writer) = journal.as_deref_mut() {
-            writer.append(&encode_record(
-                &report,
-                (intake.step, intake.next_unit),
-                &breakers,
-            ))?;
-        }
     }
 
+    if journaled.len() > 0 {
+        return Err(FleetError::SpecMismatch(format!(
+            "journal holds {} more batches than the run's {}",
+            journaled.len(),
+            report.batches
+        )));
+    }
     report.steps = intake.step;
-    report.peak_queue = report.peak_queue.min(config.queue_capacity.max(1));
     report.breaker_histories = breakers.iter().map(|b| b.history_letters()).collect();
     report.breaker_finals = breakers.iter().map(|b| b.state()).collect();
     Ok(report)
@@ -1097,51 +1046,48 @@ pub fn run_fleet(
     config: &FleetConfig,
 ) -> FleetRunReport {
     let mut runner = BatchRunner::new(ctx, spec, config);
-    match drive(spec, config, None, None, |tickets| runner.run(tickets)) {
+    match drive(spec, config, None, Vec::new(), |tickets| {
+        runner.run(tickets)
+    }) {
         Ok(report) => report,
         // Unreachable: the journal-free drive has no IO to fail.
         Err(e) => unreachable!("journal-free fleet drive errored: {e}"),
     }
 }
 
-/// [`run_fleet`] writing one checksummed cumulative journal record per
-/// batch to `path` (truncating any previous journal there).
+/// [`run_fleet`] writing one checksummed journal record of unit outcomes
+/// per batch to `path` (truncating any previous journal there).
 pub fn run_fleet_journaled(
     ctx: &ExperimentContext,
     spec: &FleetSpec,
     config: &FleetConfig,
     path: &Path,
 ) -> Result<FleetRunReport, FleetError> {
-    let mut writer = JournalWriter::create(path)?;
+    let mut writer = JournalWriter::open_append(path, 0)?;
     let mut runner = BatchRunner::new(ctx, spec, config);
-    drive(spec, config, Some(&mut writer), None, |tickets| {
+    drive(spec, config, Some(&mut writer), Vec::new(), |tickets| {
         runner.run(tickets)
     })
 }
 
-/// Resumes a killed journaled run: reads the journal at `path` (tolerating
-/// a torn final line), fast-forwards the admission cursor, restores the
-/// aggregates and breaker states of the last intact record, runs the
-/// remaining batches and appends their records. The resulting report is
-/// byte-identical to the uninterrupted run's. A missing or empty journal
-/// simply runs from the start.
+/// Resumes a killed journaled run: reads every intact record of the
+/// journal at `path` (tolerating a torn final line), then runs the one
+/// drive loop from batch 0, taking each journaled batch's unit outcomes in
+/// place of replaying it, and appends the records of the batches that run.
+/// The resulting report is byte-identical to the uninterrupted run's. A
+/// missing or empty journal simply runs from the start.
 pub fn resume_fleet(
     ctx: &ExperimentContext,
     spec: &FleetSpec,
     config: &FleetConfig,
     path: &Path,
 ) -> Result<FleetRunReport, FleetError> {
-    let checkpoint = read_checkpoint(path, &config.breaker)?;
-    let kept_lines = checkpoint.as_ref().map_or(0, |(line, _)| line + 1);
+    let (journaled, kept_lines) = read_journal(path)?;
     let mut writer = JournalWriter::open_append(path, kept_lines)?;
     let mut runner = BatchRunner::new(ctx, spec, config);
-    drive(
-        spec,
-        config,
-        Some(&mut writer),
-        checkpoint.map(|(_, saved)| saved),
-        |tickets| runner.run(tickets),
-    )
+    drive(spec, config, Some(&mut writer), journaled, |tickets| {
+        runner.run(tickets)
+    })
 }
 
 /// Runs the full driver loop — arrivals, storms, shedding, admission,
@@ -1158,7 +1104,7 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
         failures: Vec::new(),
         attempts: vec![1; tickets.len()],
     };
-    match drive(spec, config, None, None, exec) {
+    match drive(spec, config, None, Vec::new(), exec) {
         Ok(report) => report,
         // Unreachable: the journal-free drive has no IO to fail.
         Err(e) => unreachable!("dry-run fleet drive errored: {e}"),
@@ -1170,36 +1116,75 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
 // ---------------------------------------------------------------------------
 
 /// The journal format this build writes and reads. Any other `PESFLEETJ*`
-/// magic is a [`FleetError::JournalVersion`]. The shared-memo hit counters
-/// are deliberately **not** journaled: a resumed run rebuilds the
-/// generation cold, so they are the one aggregate that is not
-/// resume-stable.
-const JOURNAL_MAGIC: &str = "PESFLEETJ4";
+/// magic is a [`FleetError::JournalVersion`].
+const JOURNAL_MAGIC: &str = "PESFLEETJ5";
 
-/// What one journal line holds: the cumulative report (only its journaled
-/// fields; see the module docs), the intake cursor `(step, next_unit)` and
-/// one breaker snapshot per shard. The last intact line is what a resume
-/// restores.
-type Checkpoint = (FleetRunReport, (u64, usize), Vec<CircuitBreaker>);
+/// What one journal record holds: a batch's admitted tickets and its
+/// supervised report (the outcomes and attempts of those units).
+type JournaledBatch = (Vec<Ticket>, FleetReport<UnitOutcome>);
 
-fn level_letter(level: DegradationLevel) -> char {
-    match level {
-        DegradationLevel::Exact => 'E',
-        DegradationLevel::Anytime => 'A',
-        DegradationLevel::Greedy => 'G',
-        DegradationLevel::Reactive => 'R',
-        DegradationLevel::OndemandFloor => 'F',
+impl UnitOutcome {
+    /// The 20 journaled fields in record order (see the module docs).
+    fn fields(&self) -> [u64; 20] {
+        let (d, i) = (&self.degradation, &self.injections);
+        let mut fields = [
+            self.events,
+            self.violations,
+            0,
+            self.watchdog_trips,
+            d.exact,
+            d.anytime,
+            d.greedy,
+            d.reactive,
+            d.ondemand_floor,
+            i.prediction_flips,
+            i.confidence_corruptions,
+            i.demand_drifts,
+            i.starved_solves,
+            i.masked_configs,
+            i.delayed_vsyncs,
+            i.duplicated_events,
+            i.dropped_events,
+            self.solver_nodes,
+            self.memo_hits,
+            self.memo_misses,
+        ]
+        .map(|field| field as u64);
+        fields[2] = self.energy_uj.to_bits();
+        fields
     }
-}
 
-fn level_from_letter(c: char) -> Option<DegradationLevel> {
-    match c {
-        'E' => Some(DegradationLevel::Exact),
-        'A' => Some(DegradationLevel::Anytime),
-        'G' => Some(DegradationLevel::Greedy),
-        'R' => Some(DegradationLevel::Reactive),
-        'F' => Some(DegradationLevel::OndemandFloor),
-        _ => None,
+    /// The inverse of [`UnitOutcome::fields`]; the shared-generation
+    /// counters, which are not journaled, come back as zero.
+    fn from_fields(fields: [u64; 20]) -> Self {
+        let field = |i: usize| fields[i] as usize;
+        UnitOutcome {
+            events: field(0),
+            violations: field(1),
+            energy_uj: f64::from_bits(fields[2]),
+            watchdog_trips: field(3),
+            degradation: DegradationTrace {
+                exact: field(4),
+                anytime: field(5),
+                greedy: field(6),
+                reactive: field(7),
+                ondemand_floor: field(8),
+            },
+            injections: FaultCounts {
+                prediction_flips: field(9),
+                confidence_corruptions: field(10),
+                demand_drifts: field(11),
+                starved_solves: field(12),
+                masked_configs: field(13),
+                delayed_vsyncs: field(14),
+                duplicated_events: field(15),
+                dropped_events: field(16),
+            },
+            solver_nodes: field(17),
+            memo_hits: field(18),
+            memo_misses: field(19),
+            ..UnitOutcome::default()
+        }
     }
 }
 
@@ -1214,81 +1199,28 @@ fn fnv1a(payload: &str) -> u64 {
     hash
 }
 
-fn encode_record(
-    report: &FleetRunReport,
-    (step, next_unit): (u64, usize),
-    breakers: &[CircuitBreaker],
-) -> String {
-    let deg = &report.degradation;
-    let inj = &report.injections;
-    let fail = if report.failures.is_empty() {
-        "-".to_string()
-    } else {
-        report
-            .failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{}:{}:{}",
-                    f.index,
-                    f.attempts,
-                    f.last_level.map_or('E', level_letter)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(";")
-    };
-    let brk = breakers
+/// Encodes batch `batch`: each admitted unit with its route, attempts and
+/// outcome (`-` when quarantined), in admission order.
+fn encode_record(batch: usize, tickets: &[Ticket], report: &FleetReport<UnitOutcome>) -> String {
+    let units = tickets
         .iter()
-        .map(|b| {
-            let hist = b.history_letters();
-            format!(
-                "{}:{:x}:{}:{}:{}:{}",
-                b.state.letter(),
-                b.bits,
-                b.len,
-                b.cooldown_left,
-                b.probe_successes,
-                if hist.is_empty() {
-                    "-".to_string()
-                } else {
-                    hist
-                }
-            )
+        .zip(&report.attempts)
+        .zip(&report.results)
+        .map(|((ticket, attempts), outcome)| {
+            let route = match ticket.route {
+                UnitRoute::Full => 'F',
+                UnitRoute::Probe => 'P',
+                UnitRoute::Routed => 'R',
+            };
+            let outcome = outcome.as_ref().map_or_else(
+                || "-".to_string(),
+                |o| o.fields().map(|field| field.to_string()).join(","),
+            );
+            format!("{}:{route}:{attempts}:{outcome}", ticket.unit)
         })
         .collect::<Vec<_>>()
-        .join("|");
-    let payload = format!(
-        "{JOURNAL_MAGIC} batch={} step={} next_unit={} shed={} completed={} retries={} \
-         violations={} events={} energy={:016x} wd={} deg={},{},{},{},{} \
-         inj={},{},{},{},{},{},{},{} nodes={} mh={} mm={} fail={fail} brk={brk}",
-        report.batches,
-        step,
-        next_unit,
-        report.shed,
-        report.completed,
-        report.retries,
-        report.violations,
-        report.events,
-        report.energy_uj.to_bits(),
-        report.watchdog_trips,
-        deg.exact,
-        deg.anytime,
-        deg.greedy,
-        deg.reactive,
-        deg.ondemand_floor,
-        inj.prediction_flips,
-        inj.confidence_corruptions,
-        inj.demand_drifts,
-        inj.starved_solves,
-        inj.masked_configs,
-        inj.delayed_vsyncs,
-        inj.duplicated_events,
-        inj.dropped_events,
-        report.solver_nodes,
-        report.memo_hits,
-        report.memo_misses,
-    );
+        .join(";");
+    let payload = format!("{JOURNAL_MAGIC} batch={batch} units={units}");
     let checksum = fnv1a(&payload);
     format!("{payload} #{checksum:016x}")
 }
@@ -1301,34 +1233,47 @@ fn kv<'a>(token: Option<&'a str>, key: &str) -> Result<&'a str, FleetError> {
         .ok_or_else(|| FleetError::Corrupt(format!("expected {key}=..., got {token:?}")))
 }
 
-fn parse_usize(value: &str, key: &str) -> Result<usize, FleetError> {
-    value
-        .parse()
-        .map_err(|_| FleetError::Corrupt(format!("bad {key} value {value:?}")))
+/// Parses one `unit:route:attempts:outcome` entry of a record.
+fn parse_unit(entry: &str) -> Result<(Ticket, usize, Option<UnitOutcome>), FleetError> {
+    let corrupt = || FleetError::Corrupt(format!("bad unit entry {entry:?}"));
+    let [unit, route, attempts, outcome] = entry.split(':').collect::<Vec<_>>()[..] else {
+        return Err(corrupt());
+    };
+    let route = match route {
+        "F" => UnitRoute::Full,
+        "P" => UnitRoute::Probe,
+        "R" => UnitRoute::Routed,
+        _ => return Err(corrupt()),
+    };
+    let outcome = if outcome == "-" {
+        None
+    } else {
+        let mut fields = [0u64; 20];
+        let mut values = outcome.split(',');
+        for field in &mut fields {
+            *field = values
+                .next()
+                .and_then(|value| value.parse().ok())
+                .ok_or_else(corrupt)?;
+        }
+        if values.next().is_some() {
+            return Err(corrupt());
+        }
+        Some(UnitOutcome::from_fields(fields))
+    };
+    let ticket = Ticket {
+        unit: unit.parse().map_err(|_| corrupt())?,
+        route,
+    };
+    Ok((ticket, attempts.parse().map_err(|_| corrupt())?, outcome))
 }
 
-fn parse_counts<const N: usize>(value: &str, key: &str) -> Result<[usize; N], FleetError> {
-    let mut out = [0usize; N];
-    let mut parts = value.split(',');
-    for slot in &mut out {
-        let part = parts
-            .next()
-            .ok_or_else(|| FleetError::Corrupt(format!("{key} needs {N} counts")))?;
-        *slot = parse_usize(part, key)?;
-    }
-    if parts.next().is_some() {
-        return Err(FleetError::Corrupt(format!(
-            "{key} has more than {N} counts"
-        )));
-    }
-    Ok(out)
-}
-
-/// Parses one journal line. Returns `Corrupt` for anything malformed —
-/// the reader treats a corrupt *final* line as a torn tail and ignores it
-/// — and `JournalVersion` (never swallowed as a torn tail) for an intact
-/// record whose magic this build does not read.
-fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<Checkpoint, FleetError> {
+/// Parses one journal line into its batch index and batch. Returns
+/// `Corrupt` for anything malformed — the reader treats a corrupt *final*
+/// line as a torn tail and ignores it — and `JournalVersion` (never
+/// swallowed as a torn tail) for an intact record whose magic this build
+/// does not read.
+fn parse_record(line: &str) -> Result<(usize, JournaledBatch), FleetError> {
     let (payload, checksum) = line
         .rsplit_once(" #")
         .ok_or_else(|| FleetError::Corrupt("no checksum".into()))?;
@@ -1348,143 +1293,31 @@ fn parse_record(line: &str, breaker_config: &BreakerConfig) -> Result<Checkpoint
         }
         other => return Err(FleetError::Corrupt(format!("bad magic {other:?}"))),
     }
-    let batches = parse_usize(kv(tokens.next(), "batch")?, "batch")?;
-    let step = kv(tokens.next(), "step")?
-        .parse::<u64>()
-        .map_err(|_| FleetError::Corrupt("bad step".into()))?;
-    let next_unit = parse_usize(kv(tokens.next(), "next_unit")?, "next_unit")?;
-    let shed = parse_usize(kv(tokens.next(), "shed")?, "shed")?;
-    let completed = parse_usize(kv(tokens.next(), "completed")?, "completed")?;
-    let retries = parse_usize(kv(tokens.next(), "retries")?, "retries")?;
-    let violations = parse_usize(kv(tokens.next(), "violations")?, "violations")?;
-    let events = parse_usize(kv(tokens.next(), "events")?, "events")?;
-    let energy_bits = u64::from_str_radix(kv(tokens.next(), "energy")?, 16)
-        .map_err(|_| FleetError::Corrupt("bad energy bits".into()))?;
-    let watchdog_trips = parse_usize(kv(tokens.next(), "wd")?, "wd")?;
-    let [exact, anytime, greedy, reactive, ondemand_floor] =
-        parse_counts::<5>(kv(tokens.next(), "deg")?, "deg")?;
-    let degradation = DegradationTrace {
-        exact,
-        anytime,
-        greedy,
-        reactive,
-        ondemand_floor,
+    let batch_field = kv(tokens.next(), "batch")?;
+    let index = batch_field
+        .parse()
+        .map_err(|_| FleetError::Corrupt(format!("bad batch value {batch_field:?}")))?;
+    let mut tickets = Vec::new();
+    let mut batch = FleetReport {
+        results: Vec::new(),
+        failures: Vec::new(),
+        attempts: Vec::new(),
     };
-    let [flips, corr, drifts, starved, masked, vsyncs, dups, drops] =
-        parse_counts::<8>(kv(tokens.next(), "inj")?, "inj")?;
-    let injections = FaultCounts {
-        prediction_flips: flips,
-        confidence_corruptions: corr,
-        demand_drifts: drifts,
-        starved_solves: starved,
-        masked_configs: masked,
-        delayed_vsyncs: vsyncs,
-        duplicated_events: dups,
-        dropped_events: drops,
-    };
-    let solver_nodes = parse_usize(kv(tokens.next(), "nodes")?, "nodes")?;
-    let memo_hits = parse_usize(kv(tokens.next(), "mh")?, "mh")?;
-    let memo_misses = parse_usize(kv(tokens.next(), "mm")?, "mm")?;
-    let fail_field = kv(tokens.next(), "fail")?;
-    let mut failures = Vec::new();
-    if fail_field != "-" {
-        for entry in fail_field.split(';') {
-            let mut parts = entry.split(':');
-            let index = parse_usize(
-                parts
-                    .next()
-                    .ok_or_else(|| FleetError::Corrupt("empty fail entry".into()))?,
-                "fail.index",
-            )?;
-            let attempts = parse_usize(
-                parts
-                    .next()
-                    .ok_or_else(|| FleetError::Corrupt("fail entry missing attempts".into()))?,
-                "fail.attempts",
-            )?;
-            let level = parts
-                .next()
-                .and_then(|s| s.chars().next())
-                .and_then(level_from_letter)
-                .ok_or_else(|| FleetError::Corrupt("fail entry missing level".into()))?;
-            failures.push(UnitFailure {
-                index,
+    for entry in kv(tokens.next(), "units")?.split(';') {
+        let (ticket, attempts, outcome) = parse_unit(entry)?;
+        if outcome.is_none() {
+            batch.failures.push(UnitFailure {
+                index: tickets.len(),
                 attempts,
-                last_level: Some(level),
+                last_level: None,
                 message: "quarantined before resume (journaled)".to_string(),
             });
         }
+        tickets.push(ticket);
+        batch.attempts.push(attempts);
+        batch.results.push(outcome);
     }
-    let brk_field = kv(tokens.next(), "brk")?;
-    let mut breakers = Vec::new();
-    for entry in brk_field.split('|') {
-        let mut parts = entry.split(':');
-        let state = parts
-            .next()
-            .and_then(|s| s.chars().next())
-            .and_then(BreakerState::from_letter)
-            .ok_or_else(|| FleetError::Corrupt("bad breaker state".into()))?;
-        let bits = parts
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| FleetError::Corrupt("bad breaker window bits".into()))?;
-        let len = parse_usize(
-            parts
-                .next()
-                .ok_or_else(|| FleetError::Corrupt("breaker missing len".into()))?,
-            "brk.len",
-        )?;
-        let cooldown_left = parse_usize(
-            parts
-                .next()
-                .ok_or_else(|| FleetError::Corrupt("breaker missing cooldown".into()))?,
-            "brk.cooldown",
-        )?;
-        let probe_successes = parse_usize(
-            parts
-                .next()
-                .ok_or_else(|| FleetError::Corrupt("breaker missing probes".into()))?,
-            "brk.probes",
-        )?;
-        let hist_field = parts
-            .next()
-            .ok_or_else(|| FleetError::Corrupt("breaker missing history".into()))?;
-        let mut history = Vec::new();
-        if hist_field != "-" {
-            for c in hist_field.chars() {
-                history.push(
-                    BreakerState::from_letter(c)
-                        .ok_or_else(|| FleetError::Corrupt(format!("bad history letter {c:?}")))?,
-                );
-            }
-        }
-        let mut breaker = CircuitBreaker::new(breaker_config);
-        breaker.state = state;
-        breaker.bits = bits;
-        breaker.len = len;
-        breaker.cooldown_left = cooldown_left;
-        breaker.probe_successes = probe_successes;
-        breaker.history = history;
-        breakers.push(breaker);
-    }
-    let report = FleetRunReport {
-        batches,
-        shed,
-        completed,
-        retries,
-        violations,
-        events,
-        energy_uj: f64::from_bits(energy_bits),
-        watchdog_trips,
-        degradation,
-        injections,
-        solver_nodes,
-        memo_hits,
-        memo_misses,
-        failures,
-        ..FleetRunReport::default()
-    };
-    Ok((report, (step, next_unit), breakers))
+    Ok((index, (tickets, batch)))
 }
 
 /// Appends one encoded record per batch to the journal file, flushing
@@ -1496,24 +1329,13 @@ struct JournalWriter {
 }
 
 impl JournalWriter {
-    fn create(path: &Path) -> Result<Self, FleetError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Opens for append after a resume, first truncating the file to its
-    /// first `lines` lines: everything through the record the resume
-    /// restored, so a torn tail goes and blank lines before it stay.
+    /// Opens the journal for append, first truncating the file to its
+    /// first `lines` lines: a fresh run keeps none, a resume everything
+    /// through the last record it read, so a torn tail goes and blank lines
+    /// before it stay.
     fn open_append(path: &Path, lines: usize) -> Result<Self, FleetError> {
         let mut kept = Vec::new();
-        if path.exists() {
+        if lines > 0 {
             let bytes = std::fs::read(path)?;
             for line in journal_lines(&bytes).into_iter().take(lines) {
                 kept.extend_from_slice(line);
@@ -1555,31 +1377,39 @@ fn journal_lines(bytes: &[u8]) -> Vec<&[u8]> {
         .collect()
 }
 
-/// Reads the journal at `path`, returning its last intact record and the
-/// index of the line it sits on. A missing or empty journal yields `None`
-/// (run from the start). Blank lines are skipped. A torn or corrupt
-/// *final* line is tolerated and dropped; a corrupt line followed by
-/// intact ones means real corruption and errors.
-fn read_checkpoint(
-    path: &Path,
-    breaker_config: &BreakerConfig,
-) -> Result<Option<(usize, Checkpoint)>, FleetError> {
+/// Reads the journal at `path`: every intact record in batch order, and
+/// the number of lines through the last of them (what a resume keeps). A
+/// missing or empty journal yields no records (run from the start). Blank
+/// lines are skipped. A torn or corrupt *final* line is tolerated and
+/// dropped; a corrupt line followed by intact ones, or a record out of
+/// batch order, means real corruption and errors.
+fn read_journal(path: &Path) -> Result<(Vec<JournaledBatch>, usize), FleetError> {
+    let mut batches = Vec::new();
+    let mut kept_lines = 0;
     if !path.exists() {
-        return Ok(None);
+        return Ok((batches, kept_lines));
     }
     let bytes = std::fs::read(path)?;
     let lines = journal_lines(&bytes);
-    let mut last: Option<(usize, Checkpoint)> = None;
     for (i, line) in lines.iter().enumerate() {
         let parsed = match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => parse_record(line, breaker_config),
+            Ok(line) => parse_record(line),
             Err(_) => Err(FleetError::Corrupt("line is not valid UTF-8".into())),
         };
         match parsed {
-            Ok(saved) => last = Some((i, saved)),
+            Ok((index, batch)) if index == batches.len() => {
+                batches.push(batch);
+                kept_lines = i + 1;
+            }
+            Ok((index, _)) => {
+                return Err(FleetError::Corrupt(format!(
+                    "record of batch {index} where batch {} belongs",
+                    batches.len()
+                )))
+            }
             Err(FleetError::Corrupt(_)) if i + 1 == lines.len() => {
-                // Torn tail from the kill: ignore, resume from the
+                // Torn tail from the kill: ignore, resume after the
                 // previous intact record. Version errors never qualify —
                 // an intact checksummed record from an unknown build must
                 // surface, not be silently restarted over.
@@ -1588,7 +1418,7 @@ fn read_checkpoint(
             Err(e) => return Err(e),
         }
     }
-    Ok(last)
+    Ok((batches, kept_lines))
 }
 
 #[cfg(test)]
@@ -1696,95 +1526,90 @@ mod tests {
         assert!(p0 < 4);
     }
 
-    /// A record with every journaled field populated, including failures
-    /// and several breakers.
-    fn sample_record() -> Checkpoint {
-        let mut breaker = CircuitBreaker::new(&breaker_config());
-        for _ in 0..3 {
-            breaker.record(true);
-        }
-        breaker.end_batch();
-        let report = FleetRunReport {
-            batches: 7,
-            shed: 5,
-            completed: 99,
-            retries: 3,
-            violations: 41,
-            events: 12_345,
-            energy_uj: 1.234e9,
-            watchdog_trips: 6,
-            degradation: DegradationTrace {
-                exact: 10,
-                anytime: 4,
-                greedy: 3,
-                reactive: 2,
-                ondemand_floor: 1,
-            },
-            injections: FaultCounts {
-                prediction_flips: 1,
-                confidence_corruptions: 2,
-                demand_drifts: 3,
-                starved_solves: 4,
-                masked_configs: 5,
-                delayed_vsyncs: 6,
-                duplicated_events: 7,
-                dropped_events: 8,
-            },
-            solver_nodes: 123_456,
-            memo_hits: 321,
-            memo_misses: 654,
-            failures: vec![UnitFailure {
-                index: 17,
-                attempts: 2,
-                last_level: Some(DegradationLevel::Reactive),
-                message: "quarantined before resume (journaled)".to_string(),
-            }],
-            ..FleetRunReport::default()
-        };
-        let breakers = vec![breaker, CircuitBreaker::new(&breaker_config())];
-        (report, (9, 112), breakers)
+    /// A unit outcome with every journaled field distinct and non-zero.
+    fn outcome(seed: u64) -> UnitOutcome {
+        let mut fields: [u64; 20] = std::array::from_fn(|i| seed * 100 + i as u64);
+        fields[2] = (1.234e9 * seed as f64).to_bits();
+        UnitOutcome::from_fields(fields)
     }
 
-    fn encode(record: &Checkpoint) -> String {
-        encode_record(&record.0, record.1, &record.2)
+    /// A batch with every route, a retried unit, a quarantined unit and
+    /// every outcome field populated.
+    fn sample_record() -> JournaledBatch {
+        let tickets = vec![
+            Ticket {
+                unit: 17,
+                route: UnitRoute::Full,
+            },
+            Ticket {
+                unit: 18,
+                route: UnitRoute::Probe,
+            },
+            Ticket {
+                unit: 20,
+                route: UnitRoute::Routed,
+            },
+        ];
+        let batch = FleetReport {
+            results: vec![Some(outcome(1)), None, Some(outcome(3))],
+            failures: vec![UnitFailure {
+                index: 1,
+                attempts: 2,
+                last_level: None,
+                message: "quarantined before resume (journaled)".to_string(),
+            }],
+            attempts: vec![1, 2, 2],
+        };
+        (tickets, batch)
+    }
+
+    fn encode(index: usize, record: &JournaledBatch) -> String {
+        encode_record(index, &record.0, &record.1)
     }
 
     #[test]
     fn journal_record_round_trips_through_encode_and_parse() {
         let record = sample_record();
-        let line = encode(&record);
-        let parsed = parse_record(&line, &breaker_config()).expect("round trip");
-        assert_eq!(parsed, record);
+        assert_eq!(
+            record.1.results[0].as_ref().map(|o| o.energy_uj),
+            Some(1.234e9)
+        );
+        let line = encode(7, &record);
+        assert!(
+            line.starts_with("PESFLEETJ5 batch=7 units=17:F:1:100,101,"),
+            "{line}"
+        );
+        assert!(line.contains(";18:P:2:-;20:R:2:300,301,"), "{line}");
+        let parsed = parse_record(&line).expect("round trip");
+        assert_eq!(parsed, (7, record));
     }
 
-    /// A one-shard record of batch `batches` with no failures.
-    fn plain_record(batches: usize, violations: usize, energy_uj: f64) -> Checkpoint {
-        let report = FleetRunReport {
-            batches,
-            completed: batches * 8,
-            violations,
-            events: batches * 100,
-            energy_uj,
-            solver_nodes: batches * 1_000,
-            memo_hits: batches * 5,
-            memo_misses: batches * 7,
-            ..FleetRunReport::default()
+    /// A one-unit batch: a clean full-tier unit.
+    fn plain_record(seed: u64) -> JournaledBatch {
+        let ticket = Ticket {
+            unit: seed as usize,
+            route: UnitRoute::Full,
         };
-        let breakers = vec![CircuitBreaker::new(&breaker_config())];
-        (report, (batches as u64, batches * 8), breakers)
+        let batch = FleetReport {
+            results: vec![Some(outcome(seed))],
+            failures: Vec::new(),
+            attempts: vec![1],
+        };
+        (vec![ticket], batch)
     }
 
     #[test]
     fn journal_parser_rejects_tampered_lines() {
-        let line = encode(&plain_record(1, 2, 7.5));
-        assert!(parse_record(&line, &breaker_config()).is_ok());
-        let tampered = line.replace("violations=2", "violations=0");
+        let line = encode(1, &plain_record(2));
+        assert!(parse_record(&line).is_ok());
+        let tampered = line.replace(":F:1:", ":F:2:");
+        assert_ne!(tampered, line);
         assert!(matches!(
-            parse_record(&tampered, &breaker_config()),
+            parse_record(&tampered),
             Err(FleetError::Corrupt(_))
         ));
         let torn = &line[..line.len() / 2];
-        assert!(parse_record(torn, &breaker_config()).is_err());
+        assert!(parse_record(torn).is_err());
     }
 
     #[test]
@@ -1819,6 +1644,84 @@ mod tests {
         assert_eq!(report, again, "dry run is deterministic");
     }
 
+    /// A drive handed journaled batches takes them in place of `exec`, in
+    /// batch order, and folds them to the very report the run that wrote
+    /// them produced; extra or mismatched batches are a spec mismatch.
+    #[test]
+    fn drive_takes_journaled_batches_in_place_of_exec() {
+        let spec = FleetSpec {
+            sessions: 40,
+            seed: 11,
+            arrivals_per_step: 5,
+            storm_every: 3,
+            storm_arrivals: 9,
+            max_events_per_session: 0,
+            scenario_cycle: 0,
+        };
+        let config = FleetConfig {
+            batch_size: 4,
+            queue_capacity: 10,
+            shards: 2,
+            ..FleetConfig::default()
+        };
+        // Every third unit is quarantined, every unit sees a trip, so the
+        // breakers and the failure roster both move.
+        let exec = |tickets: &[Ticket]| {
+            let mut batch = FleetReport {
+                results: Vec::new(),
+                failures: Vec::new(),
+                attempts: Vec::new(),
+            };
+            for (index, ticket) in tickets.iter().enumerate() {
+                let failed = ticket.unit % 3 == 0;
+                batch
+                    .results
+                    .push((!failed).then(|| outcome(ticket.unit as u64)));
+                batch.attempts.push(1 + usize::from(failed));
+                if failed {
+                    batch.failures.push(UnitFailure {
+                        index,
+                        attempts: 2,
+                        last_level: None,
+                        message: "quarantined before resume (journaled)".to_string(),
+                    });
+                }
+            }
+            batch
+        };
+        let mut written = Vec::new();
+        let run = drive(&spec, &config, None, Vec::new(), |tickets| {
+            let batch = exec(tickets);
+            written.push((tickets.to_vec(), batch.clone()));
+            batch
+        })
+        .expect("fresh drive");
+        assert!(run.breaker_opens() > 0 && !run.failures.is_empty());
+
+        for k in 0..=written.len() {
+            let mut calls = 0;
+            let resumed = drive(&spec, &config, None, written[..k].to_vec(), |tickets| {
+                calls += 1;
+                exec(tickets)
+            })
+            .expect("resumed drive");
+            assert_eq!((resumed, calls), (run.clone(), written.len() - k));
+        }
+
+        let mut extra = written.clone();
+        extra.push(written[0].clone());
+        assert!(matches!(
+            drive(&spec, &config, None, extra, exec),
+            Err(FleetError::SpecMismatch(_))
+        ));
+        let mut swapped = written.clone();
+        swapped.swap(0, 1);
+        assert!(matches!(
+            drive(&spec, &config, None, swapped, exec),
+            Err(FleetError::SpecMismatch(_))
+        ));
+    }
+
     #[test]
     fn dry_run_without_storms_sheds_nothing() {
         let spec = FleetSpec {
@@ -1850,20 +1753,20 @@ mod tests {
     fn checkpoint_reader_tolerates_a_torn_tail_only() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("pes_fleet_torn_{}.journal", std::process::id()));
-        let record = |batches: usize| plain_record(batches, batches, batches as f64);
-        let l1 = encode(&record(1));
-        let l2 = encode(&record(2));
-        let torn = &l2[..l2.len() - 10];
-        std::fs::write(&path, format!("{l1}\n{torn}\n")).expect("write journal");
-        let cp = read_checkpoint(&path, &breaker_config()).expect("torn tail tolerated");
-        let (line, (report, _, _)) = cp.expect("first record intact");
-        assert_eq!((line, report.batches), (0, 1));
+        let l0 = encode(0, &plain_record(1));
+        let l1 = encode(1, &plain_record(2));
+        let torn = &l1[..l1.len() - 10];
+        std::fs::write(&path, format!("{l0}\n{torn}\n")).expect("write journal");
+        let (records, kept_lines) = read_journal(&path).expect("torn tail tolerated");
+        assert_eq!((records, kept_lines), (vec![plain_record(1)], 1));
         // A corrupt line *followed by* an intact one is real corruption.
-        std::fs::write(&path, format!("{torn}\n{l1}\n")).expect("write journal");
-        assert!(matches!(
-            read_checkpoint(&path, &breaker_config()),
-            Err(FleetError::Corrupt(_))
-        ));
+        std::fs::write(&path, format!("{torn}\n{l0}\n")).expect("write journal");
+        assert!(matches!(read_journal(&path), Err(FleetError::Corrupt(_))));
+        // So is an intact record out of batch order, even as the final line.
+        for journal in [format!("{l1}\n{l0}\n"), format!("{l0}\n{l0}\n")] {
+            std::fs::write(&path, journal).expect("write journal");
+            assert!(matches!(read_journal(&path), Err(FleetError::Corrupt(_))));
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1874,6 +1777,12 @@ mod tests {
     #[test]
     fn older_journal_versions_are_version_errors() {
         let energy = 7.5f64.to_bits();
+        let j4 = checksummed(
+            "PESFLEETJ4 batch=9 step=9 next_unit=60 shed=26 completed=34 retries=0 \
+             violations=86 events=270 energy=41a637800551cd9f wd=48 deg=17,8,7,207,31 \
+             inj=7,5,18,17,3,36,29,31 nodes=519 mh=1 mm=31 fail=- \
+             brk=H:7:3:0:0:OHOHOHOHOH|H:7:3:0:0:OHOHOHOHOHOHOHOH|H:7:3:0:0:OHOHOHOHOH",
+        );
         let j3 = checksummed(&format!(
             "PESFLEETJ3 batch=3 step=4 next_unit=24 shed=1 completed=23 retries=2 \
              violations=5 events=400 energy={energy:016x} wd=1 deg=20,1,1,1,0 \
@@ -1890,8 +1799,13 @@ mod tests {
              violations=3 events=200 energy={energy:016x} wd=0 deg=16,0,0,0,0 \
              inj=0,0,0,0,0,0,0,0 fail=- brk=C:0:0:0:0:-"
         ));
-        for (line, magic) in [(j3, "PESFLEETJ3"), (j2, "PESFLEETJ2"), (j1, "PESFLEETJ1")] {
-            match parse_record(&line, &breaker_config()) {
+        for (line, magic) in [
+            (j4, "PESFLEETJ4"),
+            (j3, "PESFLEETJ3"),
+            (j2, "PESFLEETJ2"),
+            (j1, "PESFLEETJ1"),
+        ] {
+            match parse_record(&line) {
                 Err(FleetError::JournalVersion { found, supported }) => {
                     assert_eq!(found, magic);
                     assert_eq!(supported, JOURNAL_MAGIC);
@@ -1903,10 +1817,10 @@ mod tests {
 
     #[test]
     fn unknown_journal_magic_is_a_version_error_not_a_torn_tail() {
-        let line = encode(&plain_record(1, 0, 1.0));
+        let line = encode(0, &plain_record(1));
         let (payload, _) = line.rsplit_once(" #").expect("checksummed");
         let future = checksummed(&payload.replace(JOURNAL_MAGIC, "PESFLEETJ9"));
-        match parse_record(&future, &breaker_config()) {
+        match parse_record(&future) {
             Err(FleetError::JournalVersion { found, supported }) => {
                 assert_eq!(found, "PESFLEETJ9");
                 assert_eq!(supported, JOURNAL_MAGIC);
@@ -1920,7 +1834,7 @@ mod tests {
         let path = dir.join(format!("pes_fleet_future_{}.journal", std::process::id()));
         std::fs::write(&path, format!("{future}\n")).expect("write journal");
         assert!(matches!(
-            read_checkpoint(&path, &breaker_config()),
+            read_journal(&path),
             Err(FleetError::JournalVersion { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -1933,7 +1847,7 @@ mod tests {
         /// Bytes a substitution or insertion draws from half the time: the
         /// record grammar's separators and digits, so edits hit structure
         /// rather than only scrambling values.
-        const GRAMMAR: &[u8] = b" =,:;|#-\n0123456789abcdefPESFLEETJ";
+        const GRAMMAR: &[u8] = b" =,:;#-\n0123456789abcdefPESFLEETJFR";
 
         /// Applies `(kind, position, byte)` edits: 0 truncates, 1
         /// substitutes, 2 inserts, 3 deletes. Positions wrap to the
@@ -1960,42 +1874,40 @@ mod tests {
             bytes
         }
 
-        fn checkpoint_of(path: &Path, journal: &[u8]) -> Result<Option<Checkpoint>, FleetError> {
+        fn records_of(path: &Path, journal: &[u8]) -> Result<Vec<JournaledBatch>, FleetError> {
             std::fs::write(path, journal).expect("write journal");
-            Ok(read_checkpoint(path, &breaker_config())?.map(|(_, saved)| saved))
+            Ok(read_journal(path)?.0)
         }
 
         proptest! {
             /// A mutated record parses back to the very record or fails
             /// with a typed error, and the resume reader over a mutated
-            /// two-record journal restores one of its records, none, or
-            /// errors — never panics, never invents a checkpoint.
+            /// two-record journal restores a prefix of its records or
+            /// errors — never panics, never invents a record.
             #[test]
             fn mutated_journals_parse_equal_or_error(
                 edits in collection::vec((0usize..4, 0usize..1 << 16, 0u8..=255), 1..6),
             ) {
                 let first = sample_record();
-                let (mut report, (step, next_unit), breakers) = sample_record();
-                report.batches += 1;
-                report.energy_uj = 2.5e9;
-                let second = (report, (step, next_unit + 64), breakers);
-                let line = encode(&second);
-                let journal = format!("{}\n{line}\n", encode(&first));
+                let (mut tickets, mut batch) = sample_record();
+                tickets[0].unit += 64;
+                batch.results[0] = Some(outcome(5));
+                let second = (tickets, batch);
+                let line = encode(1, &second);
+                let journal = format!("{}\n{line}\n", encode(0, &first));
+                let intact = [first, second.clone()];
                 let path = std::env::temp_dir()
                     .join(format!("pes_fleet_fuzz_{}.journal", std::process::id()));
-                let cp_first = checkpoint_of(&path, encode(&first).as_bytes())
-                    .expect("intact journal reads");
-                let cp_second = checkpoint_of(&path, journal.as_bytes()).expect("intact journal reads");
                 // Every prefix of the edit list is a case of its own.
                 for applied in 1..=edits.len() {
                     let mutated = mutate(line.as_bytes(), &edits[..applied]);
-                    let parsed = parse_record(&String::from_utf8_lossy(&mutated), &breaker_config());
-                    if let Ok(parsed) = parsed {
-                        prop_assert_eq!(parsed, second.clone());
+                    if let Ok(parsed) = parse_record(&String::from_utf8_lossy(&mutated)) {
+                        prop_assert_eq!(parsed, (1, second.clone()));
                     }
-                    let restored = checkpoint_of(&path, &mutate(journal.as_bytes(), &edits[..applied]));
-                    if let Ok(Some(cp)) = restored {
-                        prop_assert!(Some(&cp) == cp_first.as_ref() || Some(&cp) == cp_second.as_ref());
+                    let restored = records_of(&path, &mutate(journal.as_bytes(), &edits[..applied]));
+                    if let Ok(records) = restored {
+                        prop_assert!(records.len() <= intact.len());
+                        prop_assert_eq!(&records[..], &intact[..records.len()]);
                     }
                 }
                 std::fs::remove_file(&path).ok();

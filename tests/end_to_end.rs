@@ -973,19 +973,21 @@ mod fleet_resilience {
         std::fs::remove_file(&torn_path).ok();
     }
 
-    /// The exact final journal record of the storm run. `deg`, `inj` and
-    /// `brk` carry non-trivial values; nothing is quarantined, so `fail` is
-    /// `-` (the unit round-trip test covers a non-empty roster).
-    const GOLDEN_STORM_JOURNAL_TAIL: &str = "PESFLEETJ4 batch=9 step=9 next_unit=60 shed=26 \
-         completed=34 retries=0 violations=86 events=270 energy=41a637800551cd9f wd=48 \
-         deg=17,8,7,207,31 inj=7,5,18,17,3,36,29,31 nodes=519 mh=1 mm=31 fail=- \
-         brk=H:7:3:0:0:OHOHOHOHOH|H:7:3:0:0:OHOHOHOHOHOHOHOH|H:7:3:0:0:OHOHOHOHOH \
-         #5f5799a48d43ac53";
+    /// The exact final journal record of the storm run: batch 8's two
+    /// half-open probe units, each with its route, attempts and the 20
+    /// outcome fields.
+    const GOLDEN_STORM_JOURNAL_TAIL: &str = "PESFLEETJ5 batch=8 \
+         units=58:P:1:9,4,4706557449730656352,2,1,0,1,7,0,0,0,0,1,1,1,2,1,20,0,2;\
+         59:P:1:8,1,4706503254292600673,1,0,2,0,5,0,0,0,2,2,0,2,1,1,24,0,2 \
+         #353ebf63e6dd92a9";
 
-    /// Pins the `PESFLEETJ4` line byte for byte: field order, encodings,
-    /// checksum and every cumulative counter the storm run journals.
-    /// Re-pin via `--nocapture` and the `STORM-JOURNAL-GOLDEN-CAPTURE` line
-    /// only for an intentional change of behaviour or of the format.
+    /// Pins the `PESFLEETJ5` line byte for byte: field order, encodings,
+    /// checksum and the final batch's unit outcomes. The run's report must
+    /// also equal every counter the cumulative `PESFLEETJ4` golden record
+    /// journaled before the format held unit outcomes, so the format change
+    /// moved no aggregate. Re-pin via `--nocapture` and the
+    /// `STORM-JOURNAL-GOLDEN-CAPTURE` line only for an intentional change
+    /// of behaviour or of the format.
     #[test]
     fn golden_storm_journal_final_record_stays_pinned() {
         let path = tmp_journal("golden");
@@ -997,6 +999,125 @@ mod fleet_resilience {
         println!("STORM-JOURNAL-GOLDEN-CAPTURE {last}");
         assert_eq!(journal.lines().count(), report.batches);
         assert_eq!(last, GOLDEN_STORM_JOURNAL_TAIL);
+
+        assert_eq!(
+            (report.batches, report.steps, report.shed, report.completed),
+            (9, 9, 26, 34)
+        );
+        assert_eq!(report.retries, 0);
+        assert!(report.failures.is_empty());
+        assert_eq!(
+            (report.violations, report.events, report.watchdog_trips),
+            (86, 270, 48)
+        );
+        assert_eq!(report.energy_bits(), 0x41a6_3780_0551_cd9f);
+        let deg = &report.degradation;
+        assert_eq!(
+            [
+                deg.exact,
+                deg.anytime,
+                deg.greedy,
+                deg.reactive,
+                deg.ondemand_floor
+            ],
+            [17, 8, 7, 207, 31]
+        );
+        let inj = &report.injections;
+        assert_eq!(
+            [
+                inj.prediction_flips,
+                inj.confidence_corruptions,
+                inj.demand_drifts,
+                inj.starved_solves,
+                inj.masked_configs,
+                inj.delayed_vsyncs,
+                inj.duplicated_events,
+                inj.dropped_events,
+            ],
+            [7, 5, 18, 17, 3, 36, 29, 31]
+        );
+        assert_eq!(
+            (report.solver_nodes, report.memo_hits, report.memo_misses),
+            (519, 1, 31)
+        );
+        assert_eq!(
+            report.breaker_histories.join("|"),
+            "OHOHOHOHOH|OHOHOHOHOHOHOHOH|OHOHOHOHOH"
+        );
+    }
+
+    /// A journal resumed under a spec or config it was not written for is
+    /// a typed `SpecMismatch`, never a silent merge of two runs: another
+    /// fleet seed (different priorities, so different shedding), another
+    /// shard count (different breaker routing) and a spec with fewer
+    /// sessions than the journal covers.
+    #[test]
+    fn resume_under_another_spec_is_a_spec_mismatch() {
+        let spec = storm_spec();
+        let config = resilient_config();
+        let full_path = tmp_journal("mismatch_full");
+        run_fleet_journaled(ctx(), &spec, &config, &full_path).expect("journaled run succeeds");
+        let journal = std::fs::read(&full_path).expect("journal readable");
+        std::fs::remove_file(&full_path).ok();
+
+        let other_seed = FleetSpec {
+            seed: spec.seed ^ 1,
+            ..spec.clone()
+        };
+        let two_shards = FleetConfig {
+            shards: 2,
+            ..config.clone()
+        };
+        let fewer_sessions = FleetSpec {
+            sessions: 40,
+            ..spec.clone()
+        };
+        let path = tmp_journal("mismatch");
+        for (case, spec, config) in [
+            ("another seed", &other_seed, &config),
+            ("two shards", &spec, &two_shards),
+            ("fewer sessions", &fewer_sessions, &config),
+        ] {
+            std::fs::write(&path, &journal).expect("write journal");
+            match resume_fleet(ctx(), spec, config, &path) {
+                Err(FleetError::SpecMismatch(_)) => {}
+                other => panic!("{case}: expected a spec mismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A kill can land after any record. Resuming from every record
+    /// boundary `k` (the first `k` records, plus a torn fragment of the
+    /// next while one remains) reproduces the uninterrupted run's
+    /// aggregates and leaves the journal byte-identical to its. With no
+    /// record kept the resume is a fresh run, equal to plain `run_fleet`.
+    #[test]
+    fn resume_from_every_record_boundary_reproduces_the_run() {
+        let spec = storm_spec();
+        let config = resilient_config();
+        let full_path = tmp_journal("boundary_full");
+        let full =
+            run_fleet_journaled(ctx(), &spec, &config, &full_path).expect("journaled run succeeds");
+        let journal = std::fs::read_to_string(&full_path).expect("journal readable");
+        std::fs::remove_file(&full_path).ok();
+        let lines: Vec<&str> = journal.lines().collect();
+        assert_eq!(lines.len(), full.batches);
+        assert_same_aggregates(&full, &run_fleet(ctx(), &spec, &config));
+
+        let path = tmp_journal("boundary");
+        for k in 0..=lines.len() {
+            let mut killed: String = lines[..k].iter().map(|line| format!("{line}\n")).collect();
+            if let Some(next) = lines.get(k) {
+                killed.push_str(&next[..next.len() / 2]);
+            }
+            std::fs::write(&path, &killed).expect("write killed journal");
+            let resumed = resume_fleet(ctx(), &spec, &config, &path).expect("resume succeeds");
+            assert_same_aggregates(&full, &resumed);
+            let resumed_journal = std::fs::read_to_string(&path).expect("journal readable");
+            assert_eq!(resumed_journal, journal, "journal after a resume from {k}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A blank line between records is skipped by the reader, and the
@@ -1218,7 +1339,7 @@ mod fleet_resilience {
     }
 
     /// Journal-format compatibility: this build reads only the journal
-    /// format it writes. A journal from an older build (`J1`–`J3`) or an
+    /// format it writes. A journal from an older build (`J1`–`J4`) or an
     /// unknown future one is rejected with the typed version error instead
     /// of being mistaken for a torn tail and silently restarted — even
     /// when the unreadable record is the final line.
@@ -1234,7 +1355,13 @@ mod fleet_resilience {
         let (current, fields) = payload.split_once(' ').expect("magic then fields");
 
         let version_path = tmp_journal("ver_other");
-        for magic in ["PESFLEETJ1", "PESFLEETJ2", "PESFLEETJ3", "PESFLEETJ7"] {
+        for magic in [
+            "PESFLEETJ1",
+            "PESFLEETJ2",
+            "PESFLEETJ3",
+            "PESFLEETJ4",
+            "PESFLEETJ7",
+        ] {
             let rewritten = format!("{magic} {fields}");
             let line = format!("{rewritten} #{:016x}\n", fnv1a(&rewritten));
             std::fs::write(&version_path, &line).expect("write rewritten journal");

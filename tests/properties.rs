@@ -2470,9 +2470,9 @@ mod journal_robustness {
         resume_fleet, run_fleet_journaled, FleetConfig, FleetError, FleetRunReport, FleetSpec,
     };
 
-    /// The record magic's letters, the journal's punctuation, hex digits and
-    /// the line break for [`mutate`].
-    const GRAMMAR: &[u8] = b"PESFLEETJ4 =,:;|#0123456789abcdef\n";
+    /// The record magic's letters, the journal's punctuation, the route
+    /// letters, hex digits and the line break for [`mutate`].
+    const GRAMMAR: &[u8] = b"PESFLEETJ5 =,:;#-FPR0123456789abcdef\n";
 
     /// Eight four-event sessions in batches of two: four journal records.
     fn spec() -> FleetSpec {
