@@ -138,15 +138,6 @@ impl DegradationTrace {
     pub fn decisions(&self) -> usize {
         DegradationLevel::ALL.iter().map(|&l| self.count(l)).sum()
     }
-
-    /// Folds another trace into this one (fleet aggregation).
-    pub fn merge(&mut self, other: &DegradationTrace) {
-        self.exact += other.exact;
-        self.anytime += other.anytime;
-        self.greedy += other.greedy;
-        self.reactive += other.reactive;
-        self.ondemand_floor += other.ondemand_floor;
-    }
 }
 
 /// The fault schedule of a [`FaultPlane`]: one rate (probability per
@@ -338,18 +329,6 @@ impl FaultCounts {
             + self.delayed_vsyncs
             + self.duplicated_events
             + self.dropped_events
-    }
-
-    /// Folds another counter set into this one (fleet aggregation).
-    pub fn merge(&mut self, other: &FaultCounts) {
-        self.prediction_flips += other.prediction_flips;
-        self.confidence_corruptions += other.confidence_corruptions;
-        self.demand_drifts += other.demand_drifts;
-        self.starved_solves += other.starved_solves;
-        self.masked_configs += other.masked_configs;
-        self.delayed_vsyncs += other.delayed_vsyncs;
-        self.duplicated_events += other.duplicated_events;
-        self.dropped_events += other.dropped_events;
     }
 }
 
@@ -693,10 +672,6 @@ mod tests {
         trace.observe(DegradationLevel::Reactive);
         assert_eq!(trace.decisions(), 4);
         assert!(DegradationLevel::Exact < DegradationLevel::OndemandFloor);
-        let mut other = DegradationTrace::default();
-        other.observe(DegradationLevel::OndemandFloor);
-        trace.merge(&other);
-        assert_eq!(trace.decisions(), 5);
     }
 
     #[test]

@@ -6,19 +6,18 @@
 //!    [`WatchdogConfig`] budget enforced inside `pes_core::runtime`; a trip
 //!    demotes the unit's serving tier one [`DegradationLevel`] and is
 //!    reported in `RunReport::watchdog_trips`.
-//! 2. **Circuit breakers** — each shard (`unit % shards`) keeps a sliding
-//!    window over its recent *full-tier* unit outcomes (quarantines,
-//!    watchdog trips, floor hits, violation spikes). When the bad count in
-//!    the window reaches the trip threshold the breaker opens and the
-//!    shard's units are routed to the [`DegradationLevel::Reactive`] tier
-//!    instead of the proactive optimizer; after a cooldown the breaker
-//!    half-opens and lets a few probe units back onto the full tier,
-//!    closing again only after enough clean probes.
+//! 2. **Circuit breakers** — each of four shards (`unit % 4`) keeps a
+//!    sliding window over its 16 most recent *full-tier* unit outcomes
+//!    (quarantines, watchdog trips, floor hits). When 8 of them are bad the
+//!    breaker opens and the shard's units are routed to the
+//!    [`DegradationLevel::Reactive`] tier instead of the proactive
+//!    optimizer; after a two-batch cooldown the breaker half-opens and lets
+//!    two probe units per batch back onto the full tier, closing again
+//!    after three clean probes.
 //! 3. **Admission control / load shedding** — arrivals (with optional
 //!    burst storms) land in a bounded queue; when the queue overflows, the
-//!    configured [`ShedPolicy`] deterministically sheds the oldest or the
-//!    lowest-priority sessions, so storms degrade throughput gracefully
-//!    instead of growing memory.
+//!    sessions that have waited longest are shed from its head, so storms
+//!    degrade throughput gracefully instead of growing memory.
 //! 4. **Journaled resume** — after every batch the driver appends one
 //!    checksummed journal record holding that batch's unit outcomes: each
 //!    admitted unit's route, attempts and compact outcome. Admission,
@@ -45,7 +44,7 @@
 //! index order, so reruns — and resumed runs — are byte-identical
 //! regardless of worker count.
 //!
-//! # Journal record format (`PESFLEETJ5`)
+//! # Journal record format (`PESFLEETJ6`)
 //!
 //! The journal is line-oriented ASCII: one record per batch, in batch
 //! order, each a space-separated token list ending in an FNV-1a-64 checksum
@@ -55,17 +54,18 @@
 //! any other `PESFLEETJ*` magic, older formats included.
 //!
 //! ```text
-//! PESFLEETJ5 batch=<i> units=<unit>:<route>:<attempts>:<outcome>;.. #<16-hex checksum>
+//! PESFLEETJ6 fp=<16-hex fingerprint> batch=<i> units=<unit>:<route>:<attempts>:<outcome>;.. #<16-hex checksum>
 //! ```
 //!
 //! | Token | Meaning |
 //! |---|---|
+//! | `fp=` | FNV-1a-64 (hex) of the run: every [`FleetSpec`] field plus [`FleetConfig::batch_size`], [`FleetConfig::queue_capacity`] and [`FleetConfig::watchdog`]. A resume under another fingerprint is a [`FleetError::SpecMismatch`]. The thread count, the shared memo and its cap leave every journaled outcome unchanged, so they are not part of it. |
 //! | `batch=` | The batch's index from 0; the `i`-th record must hold batch `i`. |
 //! | `units=` | The batch's admitted units in admission order, joined by `;`. |
 //! | `<unit>` | The unit index. |
 //! | `<route>` | `F` full tier, `P` half-open probe, `R` routed to the reactive tier by an open breaker. |
-//! | `<attempts>` | Supervised attempts: `1` plus the unit's retries. |
-//! | `<outcome>` | `-` for a quarantined unit, else 20 comma-separated decimals: events, violations, `f64::to_bits` of the energy in µJ (bit-exact, no decimal round-trip), watchdog trips, the five [`DegradationLevel`] counts (Exact, Anytime, Greedy, Reactive, OndemandFloor), the eight [`FaultCounts`] fields (prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events), solver nodes, and per-replay memo-ring hits and misses. The shared-generation counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one aggregate that is not resume-stable. |
+//! | `<attempts>` | Supervised attempts: `1`, or `2` after the one retry; `0` when the worker thread died. |
+//! | `<outcome>` | `-` for a quarantined unit, else 20 comma-separated decimals: events, violations, `f64::to_bits` of the energy in µJ (bit-exact, no decimal round-trip), watchdog trips, the five [`DegradationLevel`] counts (Exact, Anytime, Greedy, Reactive, OndemandFloor), the eight [`FaultCounts`] fields (prediction flips, confidence corruptions, demand drifts, starved solves, masked configs, delayed vsyncs, duplicated events, dropped events), solver nodes, and per-replay memo-ring hits and misses. The shared-generation counters are deliberately **not** journaled: a resumed run rebuilds the generation cold, so they are the one aggregate that is not resume-stable. A checksummed record can still carry any `u64`, so the report fold adds them checked and a sum that overflows is [`FleetError::Corrupt`]. |
 //! | `#` | FNV-1a-64 checksum (hex) of the full payload before ` #`. |
 
 use std::collections::VecDeque;
@@ -142,71 +142,37 @@ impl FleetSpec {
     }
 }
 
-/// Which queued sessions the admission controller sheds first when the
-/// bounded queue overflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShedPolicy {
-    /// Drop the session that has waited longest (head of the queue).
-    OldestFirst,
-    /// Drop the lowest-priority session (oldest among ties).
-    LowestPriorityFirst,
-}
+/// Supervised retries per unit before it is quarantined (see
+/// [`crate::parallel::par_map_supervised_with`]).
+const UNIT_RETRIES: usize = 1;
+/// Breaker shards: unit `u` belongs to shard `u % SHARDS` and shares that
+/// shard's circuit breaker.
+const SHARDS: usize = 4;
+/// Length of a breaker's sliding window over recent full-tier outcomes.
+const BREAKER_WINDOW: u32 = 16;
+/// Bad outcomes in the window that open a breaker.
+const BREAKER_TRIP: usize = 8;
+/// Batches an open breaker waits before half-opening.
+const BREAKER_COOLDOWN: usize = 2;
+/// Probe units a half-open breaker admits to the full tier per batch.
+const BREAKER_PROBES: usize = 2;
+/// Consecutive clean probes that close a half-open breaker.
+const BREAKER_CLOSE_AFTER: usize = 3;
 
-/// Circuit-breaker thresholds shared by every shard breaker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Sliding-window length over recent full-tier outcomes (clamped to
-    /// `1..=64`; the window is stored as bits of a `u64`).
-    pub window: usize,
-    /// Bad outcomes in the window that open the breaker.
-    pub trip_threshold: usize,
-    /// Batches an open breaker waits before half-opening.
-    pub cooldown_batches: usize,
-    /// Probe units a half-open breaker admits to the full tier per batch.
-    pub probes: usize,
-    /// Consecutive clean probes that close the breaker again.
-    pub close_after: usize,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            window: 16,
-            trip_threshold: 8,
-            cooldown_batches: 2,
-            probes: 2,
-            close_after: 3,
-        }
-    }
-}
-
-/// How the driver runs the stream: batching, queueing, shedding, retry and
-/// resilience thresholds.
+/// How the driver runs the stream: batching, queueing, workers, the
+/// watchdog and the shared solve memo.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Sessions admitted (and fanned out) per driver step.
     pub batch_size: usize,
-    /// Bounded admission queue capacity; overflow is shed.
+    /// Bounded admission queue capacity; overflow is shed oldest first.
     pub queue_capacity: usize,
-    /// Which sessions to shed on overflow.
-    pub shed: ShedPolicy,
-    /// Bounded retries per unit before quarantine (see
-    /// [`crate::parallel::par_map_supervised_with`]).
-    pub retries: usize,
     /// Worker threads for the per-batch fan-out (`0` uses
     /// [`parallelism`]; the result is identical either way).
     pub threads: usize,
-    /// Shard count; each unit belongs to shard `unit % shards` and shares
-    /// that shard's circuit breaker.
-    pub shards: usize,
-    /// Shared breaker thresholds.
-    pub breaker: BreakerConfig,
     /// Per-replay watchdog deadlines ([`WatchdogConfig::disabled`] turns
     /// enforcement off).
     pub watchdog: WatchdogConfig,
-    /// A completed unit with at least this many QoS violations counts as a
-    /// bad breaker outcome (`0` disables the spike signal).
-    pub violation_spike: usize,
     /// Inert: nothing reads this field, and prediction has one inference
     /// path whatever it holds. It is kept only because the benchmark
     /// harness (`perfbench`) still passes it to
@@ -247,13 +213,8 @@ impl Default for FleetConfig {
         FleetConfig {
             batch_size: 16,
             queue_capacity: 64,
-            shed: ShedPolicy::OldestFirst,
-            retries: 1,
             threads: 0,
-            shards: 4,
-            breaker: BreakerConfig::default(),
             watchdog: WatchdogConfig::disabled(),
-            violation_spike: 0,
             packed_prediction: false,
             shared_memo: true,
             generation_cap: 512,
@@ -264,7 +225,9 @@ impl Default for FleetConfig {
 /// Derives the stateless per-session parameters of `unit` under `seed`:
 /// `(scenario hash, app index, trace seed, priority in 0..4)`. The hash is
 /// one [`splitmix`] of `seed ^ unit`, so adjacent units are fully
-/// decorrelated yet reproducible from the unit index alone.
+/// decorrelated yet reproducible from the unit index alone. The driver
+/// reads no priority (it sheds oldest first); the tuple keeps it for the
+/// callers that destructure it.
 pub fn unit_scenario(seed: u64, apps: usize, unit: usize) -> (u64, usize, u64, u8) {
     let h = splitmix(seed ^ unit as u64);
     let app_idx = (h % apps.max(1) as u64) as usize;
@@ -278,9 +241,10 @@ pub fn unit_scenario(seed: u64, apps: usize, unit: usize) -> (u64, usize, u64, u
 // ---------------------------------------------------------------------------
 
 /// The three breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BreakerState {
     /// Healthy: units run the full proactive tier and feed the window.
+    #[default]
     Closed,
     /// Tripped: units are routed to the breaker's reactive tier.
     Open,
@@ -301,16 +265,14 @@ impl BreakerState {
 
 /// A per-shard circuit breaker: a pure, deterministic state machine over
 /// full-tier unit outcomes. Bad outcomes while closed fill a sliding bit
-/// window; reaching the trip threshold opens the breaker; `end_batch`
-/// cooldown ticks half-open it; clean probes close it (a bad probe snaps it
-/// back open). Routed-tier outcomes never feed the window — a shard serving
-/// at the floor cannot poison its own recovery signal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// window; 8 bad outcomes among the last 16 open the breaker; two
+/// `end_batch` cooldown ticks half-open it; three clean probes close it (a
+/// bad probe snaps it back open). Routed-tier outcomes never feed the
+/// window — a shard serving at the floor cannot poison its own recovery
+/// signal. `CircuitBreaker::default()` is a closed breaker with an empty
+/// window.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CircuitBreaker {
-    window: usize,
-    trip_threshold: usize,
-    cooldown_batches: usize,
-    close_after: usize,
     state: BreakerState,
     bits: u64,
     cooldown_left: usize,
@@ -319,22 +281,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds (window clamped to
-    /// `1..=64`, thresholds to at least 1).
-    pub fn new(config: &BreakerConfig) -> Self {
-        CircuitBreaker {
-            window: config.window.clamp(1, 64),
-            trip_threshold: config.trip_threshold.max(1),
-            cooldown_batches: config.cooldown_batches.max(1),
-            close_after: config.close_after.max(1),
-            state: BreakerState::Closed,
-            bits: 0,
-            cooldown_left: 0,
-            probe_successes: 0,
-            history: Vec::new(),
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -345,29 +291,16 @@ impl CircuitBreaker {
         self.bits.count_ones() as usize
     }
 
-    /// Every state transition so far, oldest first (the initial `Closed`
-    /// is implicit and not recorded).
-    pub fn history(&self) -> &[BreakerState] {
-        &self.history
-    }
-
-    /// The transition history as state letters (`"OHC..."`, empty when
-    /// the breaker never tripped).
+    /// The transition history as state letters, oldest first (`"OHC..."`;
+    /// the initial `Closed` is implicit, so a breaker that never tripped
+    /// has an empty history).
     pub fn history_letters(&self) -> String {
         self.history.iter().map(|s| s.letter()).collect()
     }
 
-    /// Times the breaker opened (including re-opens from a bad probe).
-    pub fn opens(&self) -> usize {
-        self.history
-            .iter()
-            .filter(|&&s| s == BreakerState::Open)
-            .count()
-    }
-
     fn trip(&mut self) {
         self.state = BreakerState::Open;
-        self.cooldown_left = self.cooldown_batches;
+        self.cooldown_left = BREAKER_COOLDOWN;
         self.probe_successes = 0;
         self.history.push(BreakerState::Open);
     }
@@ -377,20 +310,15 @@ impl CircuitBreaker {
         if self.state != BreakerState::Closed {
             return;
         }
-        let mask = if self.window == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.window) - 1
-        };
-        self.bits = ((self.bits << 1) | u64::from(bad)) & mask;
-        if self.bad_in_window() >= self.trip_threshold {
+        self.bits = ((self.bits << 1) | u64::from(bad)) & ((1 << BREAKER_WINDOW) - 1);
+        if self.bad_in_window() >= BREAKER_TRIP {
             self.trip();
         }
     }
 
     /// Feeds one probe outcome while half-open (no-op in any other state):
-    /// a bad probe re-opens, `close_after` clean probes close the breaker
-    /// and clear its window.
+    /// a bad probe re-opens, three clean probes close the breaker and clear
+    /// its window.
     pub fn record_probe(&mut self, bad: bool) {
         if self.state != BreakerState::HalfOpen {
             return;
@@ -399,7 +327,7 @@ impl CircuitBreaker {
             self.trip();
         } else {
             self.probe_successes += 1;
-            if self.probe_successes >= self.close_after {
+            if self.probe_successes >= BREAKER_CLOSE_AFTER {
                 self.state = BreakerState::Closed;
                 self.bits = 0;
                 self.probe_successes = 0;
@@ -437,8 +365,6 @@ pub struct FleetRunReport {
     pub completed: usize,
     /// Sessions shed by admission control (never executed).
     pub shed: usize,
-    /// Shed sessions by priority class (index = priority `0..4`).
-    pub shed_by_priority: [usize; 4],
     /// Quarantined sessions (executed, persistently failing), in unit
     /// order; each carries the [`DegradationLevel`] it was routed at.
     pub failures: Vec<UnitFailure>,
@@ -500,26 +426,12 @@ impl FleetRunReport {
         self.energy_uj.to_bits()
     }
 
-    /// Fraction of requested sessions that were quarantined.
-    pub fn quarantine_rate(&self) -> f64 {
-        if self.sessions == 0 {
-            0.0
-        } else {
-            self.failures.len() as f64 / self.sessions as f64
-        }
-    }
-
     /// Times any shard breaker opened.
     pub fn breaker_opens(&self) -> usize {
         self.breaker_histories
             .iter()
             .map(|h| h.chars().filter(|&c| c == 'O').count())
             .sum()
-    }
-
-    /// Whether every admitted session completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
     }
 
     /// Per-replay memo-ring hit rate over all optimizer invocations.
@@ -567,8 +479,9 @@ pub enum FleetError {
     /// A journal record failed to parse or checksum (beyond a torn tail).
     Corrupt(String),
     /// The journal disagrees with the spec/config it is being resumed
-    /// under: a record's admitted units or routes differ from the run's, or
-    /// the journal holds more batches than the run has.
+    /// under: a record carries another run's fingerprint, its admitted
+    /// units or routes differ from the run's, or the journal holds more
+    /// batches than the run has.
     SpecMismatch(String),
     /// A record carries a journal-format magic this build does not read
     /// (e.g. a journal written by a newer build). Distinct from
@@ -676,45 +589,8 @@ fn route_level(route: UnitRoute) -> DegradationLevel {
     }
 }
 
-fn is_bad(outcome: Option<&UnitOutcome>, violation_spike: usize) -> bool {
-    match outcome {
-        None => true,
-        Some(o) => {
-            o.watchdog_trips > 0
-                || o.degradation.ondemand_floor > 0
-                || (violation_spike > 0 && o.violations >= violation_spike)
-        }
-    }
-}
-
-/// Sheds queue entries down to `capacity` under `policy`, folding the shed
-/// units into the counters. Deterministic: `OldestFirst` pops the head,
-/// `LowestPriorityFirst` removes the first (oldest) minimum-priority entry.
-fn shed_to_capacity(
-    queue: &mut VecDeque<(usize, u8)>,
-    capacity: usize,
-    policy: ShedPolicy,
-    shed: &mut usize,
-    shed_by_priority: &mut [usize; 4],
-) {
-    while queue.len() > capacity {
-        let victim = match policy {
-            ShedPolicy::OldestFirst => queue.pop_front(),
-            ShedPolicy::LowestPriorityFirst => {
-                let mut min_at = 0usize;
-                for (i, &(_, p)) in queue.iter().enumerate() {
-                    if p < queue[min_at].1 {
-                        min_at = i;
-                    }
-                }
-                queue.remove(min_at)
-            }
-        };
-        if let Some((_, priority)) = victim {
-            *shed += 1;
-            shed_by_priority[priority as usize & 3] += 1;
-        }
-    }
+fn is_bad(outcome: Option<&UnitOutcome>) -> bool {
+    outcome.is_none_or(|o| o.watchdog_trips > 0 || o.degradation.ondemand_floor > 0)
 }
 
 /// The outcome-independent half of a fleet drive: the admission queue, the
@@ -723,7 +599,7 @@ fn shed_to_capacity(
 /// unit outcomes.
 #[derive(Debug, Default)]
 struct Intake {
-    queue: VecDeque<(usize, u8)>,
+    queue: VecDeque<usize>,
     next_unit: usize,
     step: u64,
 }
@@ -735,36 +611,30 @@ impl Intake {
     }
 
     /// One driver step up to admission: arrivals (steady rate plus periodic
-    /// burst storms), load shedding down to the bounded queue capacity
-    /// (counted into `report`), then the next batch drained from the queue
-    /// head. The batch is never empty while [`Intake::pending`] held.
+    /// burst storms), load shedding from the queue head down to the bounded
+    /// queue capacity (counted into `report`), then the next batch drained
+    /// from the queue head. The batch is never empty while
+    /// [`Intake::pending`] held.
     fn admit(
         &mut self,
         spec: &FleetSpec,
         config: &FleetConfig,
         report: &mut FleetRunReport,
-    ) -> std::collections::vec_deque::Drain<'_, (usize, u8)> {
+    ) -> std::collections::vec_deque::Drain<'_, usize> {
         self.step += 1;
         let mut arrivals = spec.arrivals_per_step.max(1);
         if spec.storm_every > 0 && self.step.is_multiple_of(spec.storm_every as u64) {
             arrivals += spec.storm_arrivals;
         }
-        for _ in 0..arrivals {
-            if self.next_unit >= spec.sessions {
-                break;
-            }
-            let (_, _, _, priority) =
-                unit_scenario(spec.seed, 1, spec.scenario_unit(self.next_unit));
-            self.queue.push_back((self.next_unit, priority));
-            self.next_unit += 1;
-        }
-        shed_to_capacity(
-            &mut self.queue,
-            config.queue_capacity.max(1),
-            config.shed,
-            &mut report.shed,
-            &mut report.shed_by_priority,
-        );
+        let arrived = arrivals.min(spec.sessions - self.next_unit);
+        self.queue.extend(self.next_unit..self.next_unit + arrived);
+        self.next_unit += arrived;
+        let excess = self
+            .queue
+            .len()
+            .saturating_sub(config.queue_capacity.max(1));
+        self.queue.drain(..excess);
+        report.shed += excess;
         report.peak_queue = report.peak_queue.max(self.queue.len());
         let take = config.batch_size.max(1).min(self.queue.len());
         self.queue.drain(..take)
@@ -789,31 +659,32 @@ fn drive<E>(
 where
     E: FnMut(&[Ticket]) -> FleetReport<UnitOutcome>,
 {
-    let shards = config.shards.max(1);
-    let mut breakers: Vec<CircuitBreaker> = (0..shards)
-        .map(|_| CircuitBreaker::new(&config.breaker))
-        .collect();
+    let fingerprint = fingerprint(spec, config);
+    let mut breakers = vec![CircuitBreaker::default(); SHARDS];
     let mut intake = Intake::default();
     let mut journaled = journaled.into_iter();
     let mut report = FleetRunReport {
         sessions: spec.sessions,
         ..FleetRunReport::default()
     };
+    // The journaled counters, summed in unit order.
+    let mut totals = UnitOutcome::default();
 
     while intake.pending(spec) {
         // 1–3. Arrivals, load shedding and admission (`Intake::admit`),
-        //    then breaker routing: half-open shards admit `probes` full-tier
-        //    probe units per batch, the rest stay routed.
-        let mut probes_used = vec![0usize; shards];
+        //    then breaker routing: half-open shards admit
+        //    `BREAKER_PROBES` full-tier probe units per batch, the rest
+        //    stay routed.
+        let mut probes_used = [0usize; SHARDS];
         let tickets: Vec<Ticket> = intake
             .admit(spec, config, &mut report)
-            .map(|(unit, _priority)| {
-                let shard = unit % shards;
+            .map(|unit| {
+                let shard = unit % SHARDS;
                 let route = match breakers[shard].state() {
                     BreakerState::Closed => UnitRoute::Full,
                     BreakerState::Open => UnitRoute::Routed,
                     BreakerState::HalfOpen => {
-                        if probes_used[shard] < config.breaker.probes.max(1) {
+                        if probes_used[shard] < BREAKER_PROBES {
                             probes_used[shard] += 1;
                             UnitRoute::Probe
                         } else {
@@ -838,7 +709,12 @@ where
             None => {
                 let batch = exec(&tickets);
                 if let Some(writer) = journal.as_deref_mut() {
-                    writer.append(&encode_record(report.batches, &tickets, &batch))?;
+                    writer.append(&encode_record(
+                        fingerprint,
+                        report.batches,
+                        &tickets,
+                        &batch,
+                    ))?;
                 }
                 batch
             }
@@ -847,9 +723,9 @@ where
         // 5. Outcome classification feeds the shard breakers in unit index
         //    order (full-tier and probe outcomes only), then the batch
         //    boundary ticks every cooldown.
-        for (i, ticket) in tickets.iter().enumerate() {
-            let bad = is_bad(batch.results[i].as_ref(), config.violation_spike);
-            let breaker = &mut breakers[ticket.unit % shards];
+        for (ticket, outcome) in tickets.iter().zip(&batch.results) {
+            let bad = is_bad(outcome.as_ref());
+            let breaker = &mut breakers[ticket.unit % SHARDS];
             match ticket.route {
                 UnitRoute::Full => breaker.record(bad),
                 UnitRoute::Probe => breaker.record_probe(bad),
@@ -860,23 +736,23 @@ where
             breaker.end_batch();
         }
 
-        // 6. Aggregation in unit index order (deterministic float fold).
+        // 6. Aggregation in unit index order (deterministic float fold). A
+        //    checksummed record can carry any counter, so a sum that
+        //    overflows is a corrupt journal, never a panic or a wrap.
+        let index = report.batches;
+        let overflow = || {
+            FleetError::Corrupt(format!(
+                "journal record {index} overflows the report's sums"
+            ))
+        };
         for outcome in batch.results.iter().flatten() {
             report.completed += 1;
-            report.violations += outcome.violations;
-            report.events += outcome.events;
-            report.energy_uj += outcome.energy_uj;
-            report.watchdog_trips += outcome.watchdog_trips;
-            report.degradation.merge(&outcome.degradation);
-            report.injections.merge(&outcome.injections);
-            report.solver_nodes += outcome.solver_nodes;
-            report.memo_hits += outcome.memo_hits;
-            report.memo_misses += outcome.memo_misses;
-            report.shared_hits += outcome.shared_hits;
-            report.shared_lookups += outcome.shared_lookups;
-            report.shared_probes += outcome.shared_probes;
+            totals = totals.checked_add(outcome).ok_or_else(overflow)?;
         }
-        report.retries += batch.total_retries();
+        report.retries = report
+            .retries
+            .checked_add(batch.total_retries())
+            .ok_or_else(overflow)?;
         for failure in &batch.failures {
             let ticket = tickets[failure.index];
             report.failures.push(UnitFailure {
@@ -899,6 +775,18 @@ where
     report.steps = intake.step;
     report.breaker_histories = breakers.iter().map(|b| b.history_letters()).collect();
     report.breaker_finals = breakers.iter().map(|b| b.state()).collect();
+    report.violations = totals.violations;
+    report.events = totals.events;
+    report.energy_uj = totals.energy_uj;
+    report.watchdog_trips = totals.watchdog_trips;
+    report.degradation = totals.degradation;
+    report.injections = totals.injections;
+    report.solver_nodes = totals.solver_nodes;
+    report.memo_hits = totals.memo_hits;
+    report.memo_misses = totals.memo_misses;
+    report.shared_hits = totals.shared_hits;
+    report.shared_lookups = totals.shared_lookups;
+    report.shared_probes = totals.shared_probes;
     Ok(report)
 }
 
@@ -911,7 +799,6 @@ struct BatchRunner<'a> {
     ctx: &'a ExperimentContext,
     spec: &'a FleetSpec,
     threads: usize,
-    retries: usize,
     /// Probe the shared solve generation per replay and publish the
     /// workers' shards between batches.
     shared_memo: bool,
@@ -935,7 +822,6 @@ impl<'a> BatchRunner<'a> {
             } else {
                 config.threads
             },
-            retries: config.retries,
             shared_memo: config.shared_memo,
             generation_cap: config.generation_cap.max(1),
             generation: Arc::new(SolveGeneration::empty()),
@@ -954,7 +840,7 @@ impl<'a> BatchRunner<'a> {
     fn run(&mut self, tickets: &[Ticket]) -> FleetReport<UnitOutcome> {
         let apps = self.ctx.catalog.apps().len();
         let generation = Arc::clone(&self.generation);
-        let raw = par_map_supervised_with(self.threads, tickets.len(), self.retries, |i| {
+        let raw = par_map_supervised_with(self.threads, tickets.len(), UNIT_RETRIES, |i| {
             let ticket = tickets[i];
             let (h, app_idx, trace_seed, _) =
                 unit_scenario(self.spec.seed, apps, self.spec.scenario_unit(ticket.unit));
@@ -1075,14 +961,15 @@ pub fn run_fleet_journaled(
 /// drive loop from batch 0, taking each journaled batch's unit outcomes in
 /// place of replaying it, and appends the records of the batches that run.
 /// The resulting report is byte-identical to the uninterrupted run's. A
-/// missing or empty journal simply runs from the start.
+/// missing or empty journal simply runs from the start; a record with
+/// another run's fingerprint is a [`FleetError::SpecMismatch`].
 pub fn resume_fleet(
     ctx: &ExperimentContext,
     spec: &FleetSpec,
     config: &FleetConfig,
     path: &Path,
 ) -> Result<FleetRunReport, FleetError> {
-    let (journaled, kept_lines) = read_journal(path)?;
+    let (journaled, kept_lines) = read_journal(path, fingerprint(spec, config))?;
     let mut writer = JournalWriter::open_append(path, kept_lines)?;
     let mut runner = BatchRunner::new(ctx, spec, config);
     drive(spec, config, Some(&mut writer), journaled, |tickets| {
@@ -1117,7 +1004,7 @@ pub fn fleet_admission_dry_run(spec: &FleetSpec, config: &FleetConfig) -> FleetR
 
 /// The journal format this build writes and reads. Any other `PESFLEETJ*`
 /// magic is a [`FleetError::JournalVersion`].
-const JOURNAL_MAGIC: &str = "PESFLEETJ5";
+const JOURNAL_MAGIC: &str = "PESFLEETJ6";
 
 /// What one journal record holds: a batch's admitted tickets and its
 /// supervised report (the outcomes and attempts of those units).
@@ -1152,6 +1039,26 @@ impl UnitOutcome {
         .map(|field| field as u64);
         fields[2] = self.energy_uj.to_bits();
         fields
+    }
+
+    /// `self + other`, or `None` when a journaled counter overflows. The
+    /// energy is a float add and the report-only shared counters are plain
+    /// adds: they never come from a journal.
+    fn checked_add(&self, other: &UnitOutcome) -> Option<UnitOutcome> {
+        let (a, b) = (self.fields(), other.fields());
+        let mut sum = [0u64; 20];
+        for (i, field) in sum.iter_mut().enumerate() {
+            if i != 2 {
+                *field = a[i].checked_add(b[i])?;
+            }
+        }
+        sum[2] = (self.energy_uj + other.energy_uj).to_bits();
+        Some(UnitOutcome {
+            shared_hits: self.shared_hits + other.shared_hits,
+            shared_lookups: self.shared_lookups + other.shared_lookups,
+            shared_probes: self.shared_probes + other.shared_probes,
+            ..UnitOutcome::from_fields(sum)
+        })
     }
 
     /// The inverse of [`UnitOutcome::fields`]; the shared-generation
@@ -1199,9 +1106,39 @@ fn fnv1a(payload: &str) -> u64 {
     hash
 }
 
-/// Encodes batch `batch`: each admitted unit with its route, attempts and
-/// outcome (`-` when quarantined), in admission order.
-fn encode_record(batch: usize, tickets: &[Ticket], report: &FleetReport<UnitOutcome>) -> String {
+/// The run identity every record carries: FNV-1a over every [`FleetSpec`]
+/// field and the [`FleetConfig`] fields that move an admission or a
+/// journaled outcome (see the module docs).
+fn fingerprint(spec: &FleetSpec, config: &FleetConfig) -> u64 {
+    let FleetSpec {
+        sessions,
+        seed,
+        arrivals_per_step,
+        storm_every,
+        storm_arrivals,
+        max_events_per_session,
+        scenario_cycle,
+    } = spec;
+    let WatchdogConfig {
+        node_budget,
+        event_budget,
+    } = config.watchdog;
+    fnv1a(&format!(
+        "{sessions} {seed} {arrivals_per_step} {storm_every} {storm_arrivals} \
+         {max_events_per_session} {scenario_cycle} {} {} {node_budget} {event_budget}",
+        config.batch_size, config.queue_capacity
+    ))
+}
+
+/// Encodes batch `batch` of the run `fingerprint`: each admitted unit with
+/// its route, attempts and outcome (`-` when quarantined), in admission
+/// order.
+fn encode_record(
+    fingerprint: u64,
+    batch: usize,
+    tickets: &[Ticket],
+    report: &FleetReport<UnitOutcome>,
+) -> String {
     let units = tickets
         .iter()
         .zip(&report.attempts)
@@ -1220,7 +1157,7 @@ fn encode_record(batch: usize, tickets: &[Ticket], report: &FleetReport<UnitOutc
         })
         .collect::<Vec<_>>()
         .join(";");
-    let payload = format!("{JOURNAL_MAGIC} batch={batch} units={units}");
+    let payload = format!("{JOURNAL_MAGIC} fp={fingerprint:016x} batch={batch} units={units}");
     let checksum = fnv1a(&payload);
     format!("{payload} #{checksum:016x}")
 }
@@ -1265,15 +1202,21 @@ fn parse_unit(entry: &str) -> Result<(Ticket, usize, Option<UnitOutcome>), Fleet
         unit: unit.parse().map_err(|_| corrupt())?,
         route,
     };
-    Ok((ticket, attempts.parse().map_err(|_| corrupt())?, outcome))
+    let attempts = attempts
+        .parse()
+        .ok()
+        .filter(|&attempts| attempts <= 1 + UNIT_RETRIES)
+        .ok_or_else(corrupt)?;
+    Ok((ticket, attempts, outcome))
 }
 
-/// Parses one journal line into its batch index and batch. Returns
+/// Parses one journal line into its run fingerprint, batch index and
+/// batch. Returns
 /// `Corrupt` for anything malformed — the reader treats a corrupt *final*
 /// line as a torn tail and ignores it — and `JournalVersion` (never
 /// swallowed as a torn tail) for an intact record whose magic this build
 /// does not read.
-fn parse_record(line: &str) -> Result<(usize, JournaledBatch), FleetError> {
+fn parse_record(line: &str) -> Result<(u64, usize, JournaledBatch), FleetError> {
     let (payload, checksum) = line
         .rsplit_once(" #")
         .ok_or_else(|| FleetError::Corrupt("no checksum".into()))?;
@@ -1293,6 +1236,9 @@ fn parse_record(line: &str) -> Result<(usize, JournaledBatch), FleetError> {
         }
         other => return Err(FleetError::Corrupt(format!("bad magic {other:?}"))),
     }
+    let fp_field = kv(tokens.next(), "fp")?;
+    let fingerprint = u64::from_str_radix(fp_field, 16)
+        .map_err(|_| FleetError::Corrupt(format!("bad fingerprint {fp_field:?}")))?;
     let batch_field = kv(tokens.next(), "batch")?;
     let index = batch_field
         .parse()
@@ -1317,7 +1263,7 @@ fn parse_record(line: &str) -> Result<(usize, JournaledBatch), FleetError> {
         batch.attempts.push(attempts);
         batch.results.push(outcome);
     }
-    Ok((index, (tickets, batch)))
+    Ok((fingerprint, index, (tickets, batch)))
 }
 
 /// Appends one encoded record per batch to the journal file, flushing
@@ -1377,13 +1323,14 @@ fn journal_lines(bytes: &[u8]) -> Vec<&[u8]> {
         .collect()
 }
 
-/// Reads the journal at `path`: every intact record in batch order, and
-/// the number of lines through the last of them (what a resume keeps). A
-/// missing or empty journal yields no records (run from the start). Blank
-/// lines are skipped. A torn or corrupt *final* line is tolerated and
-/// dropped; a corrupt line followed by intact ones, or a record out of
-/// batch order, means real corruption and errors.
-fn read_journal(path: &Path) -> Result<(Vec<JournaledBatch>, usize), FleetError> {
+/// Reads the journal of the run `fingerprint` at `path`: every intact
+/// record in batch order, and the number of lines through the last of them
+/// (what a resume keeps). A missing or empty journal yields no records (run
+/// from the start). Blank lines are skipped. A torn or corrupt *final* line
+/// is tolerated and dropped; a corrupt line followed by intact ones, or a
+/// record out of batch order, means real corruption and errors, and an
+/// intact record of another run is a spec mismatch.
+fn read_journal(path: &Path, fingerprint: u64) -> Result<(Vec<JournaledBatch>, usize), FleetError> {
     let mut batches = Vec::new();
     let mut kept_lines = 0;
     if !path.exists() {
@@ -1398,11 +1345,17 @@ fn read_journal(path: &Path) -> Result<(Vec<JournaledBatch>, usize), FleetError>
             Err(_) => Err(FleetError::Corrupt("line is not valid UTF-8".into())),
         };
         match parsed {
-            Ok((index, batch)) if index == batches.len() => {
+            Ok((fp, index, _)) if fp != fingerprint => {
+                return Err(FleetError::SpecMismatch(format!(
+                    "journal record {index} was written by run {fp:016x}, not this run's \
+                     {fingerprint:016x}"
+                )))
+            }
+            Ok((_, index, batch)) if index == batches.len() => {
                 batches.push(batch);
                 kept_lines = i + 1;
             }
-            Ok((index, _)) => {
+            Ok((_, index, _)) => {
                 return Err(FleetError::Corrupt(format!(
                     "record of batch {index} where batch {} belongs",
                     batches.len()
@@ -1425,25 +1378,15 @@ fn read_journal(path: &Path) -> Result<(Vec<JournaledBatch>, usize), FleetError>
 mod tests {
     use super::*;
 
-    fn breaker_config() -> BreakerConfig {
-        BreakerConfig {
-            window: 8,
-            trip_threshold: 3,
-            cooldown_batches: 2,
-            probes: 2,
-            close_after: 2,
-        }
-    }
-
     #[test]
     fn breaker_walks_open_half_open_closed() {
-        let mut b = CircuitBreaker::new(&breaker_config());
+        let mut b = CircuitBreaker::default();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record(true);
-        b.record(false);
-        b.record(true);
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record(true); // third bad in window: trips
+        for bad in [true, false, true, true, true, true, true, true] {
+            b.record(bad);
+        }
+        assert_eq!((b.state(), b.bad_in_window()), (BreakerState::Closed, 7));
+        b.record(true); // eighth bad in the window: trips
         assert_eq!(b.state(), BreakerState::Open);
         // Recording while open is inert.
         b.record(false);
@@ -1453,18 +1396,34 @@ mod tests {
         b.end_batch();
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record_probe(false);
+        b.record_probe(false);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_probe(false); // close_after = 2 clean probes
+        b.record_probe(false); // the third clean probe closes it
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.bad_in_window(), 0, "window cleared on close");
         assert_eq!(b.history_letters(), "OHC");
-        assert_eq!(b.opens(), 1);
+    }
+
+    #[test]
+    fn bad_outcomes_slide_out_of_the_window() {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..7 {
+            b.record(true);
+        }
+        for _ in 0..9 {
+            b.record(false);
+        }
+        assert_eq!(b.bad_in_window(), 7, "sixteen outcomes fill the window");
+        b.record(false);
+        assert_eq!(b.bad_in_window(), 6, "the oldest bad outcome slid out");
+        b.record(true);
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn a_bad_probe_reopens_the_breaker() {
-        let mut b = CircuitBreaker::new(&breaker_config());
-        for _ in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..8 {
             b.record(true);
         }
         b.end_batch();
@@ -1478,6 +1437,7 @@ mod tests {
         b.end_batch();
         b.end_batch();
         b.record_probe(false);
+        b.record_probe(false);
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record_probe(false);
         assert_eq!(b.state(), BreakerState::Closed);
@@ -1485,34 +1445,28 @@ mod tests {
 
     #[test]
     fn shed_policies_pick_deterministic_victims() {
-        let mut queue: VecDeque<(usize, u8)> =
-            VecDeque::from(vec![(0, 2), (1, 0), (2, 3), (3, 0), (4, 1)]);
-        let mut shed = 0;
-        let mut by_priority = [0usize; 4];
-        shed_to_capacity(
-            &mut queue,
-            3,
-            ShedPolicy::OldestFirst,
-            &mut shed,
-            &mut by_priority,
-        );
-        assert_eq!(queue, VecDeque::from(vec![(2, 3), (3, 0), (4, 1)]));
-        assert_eq!((shed, by_priority), (2, [1, 0, 1, 0]));
-
-        let mut queue: VecDeque<(usize, u8)> =
-            VecDeque::from(vec![(0, 2), (1, 0), (2, 3), (3, 0), (4, 1)]);
-        let mut shed = 0;
-        let mut by_priority = [0usize; 4];
-        shed_to_capacity(
-            &mut queue,
-            3,
-            ShedPolicy::LowestPriorityFirst,
-            &mut shed,
-            &mut by_priority,
-        );
-        // Sheds the oldest priority-0 entries (units 1 then 3).
-        assert_eq!(queue, VecDeque::from(vec![(0, 2), (2, 3), (4, 1)]));
-        assert_eq!((shed, by_priority), (2, [2, 0, 0, 0]));
+        // Five sessions already queued, none left to arrive: admission
+        // sheds the two oldest down to the capacity of three, then admits
+        // the next one from the head.
+        let spec = FleetSpec {
+            sessions: 5,
+            ..FleetSpec::default()
+        };
+        let config = FleetConfig {
+            batch_size: 1,
+            queue_capacity: 3,
+            ..FleetConfig::default()
+        };
+        let mut intake = Intake {
+            queue: (0..5).collect(),
+            next_unit: 5,
+            step: 0,
+        };
+        let mut report = FleetRunReport::default();
+        let admitted: Vec<usize> = intake.admit(&spec, &config, &mut report).collect();
+        assert_eq!(admitted, vec![2]);
+        assert_eq!(intake.queue, VecDeque::from(vec![3, 4]));
+        assert_eq!((report.shed, report.peak_queue), (2, 3));
     }
 
     #[test]
@@ -1563,8 +1517,11 @@ mod tests {
         (tickets, batch)
     }
 
+    /// The fingerprint the unit tests' records carry.
+    const FP: u64 = 0x0123_4567_89ab_cdef;
+
     fn encode(index: usize, record: &JournaledBatch) -> String {
-        encode_record(index, &record.0, &record.1)
+        encode_record(FP, index, &record.0, &record.1)
     }
 
     #[test]
@@ -1576,12 +1533,12 @@ mod tests {
         );
         let line = encode(7, &record);
         assert!(
-            line.starts_with("PESFLEETJ5 batch=7 units=17:F:1:100,101,"),
+            line.starts_with("PESFLEETJ6 fp=0123456789abcdef batch=7 units=17:F:1:100,101,"),
             "{line}"
         );
         assert!(line.contains(";18:P:2:-;20:R:2:300,301,"), "{line}");
         let parsed = parse_record(&line).expect("round trip");
-        assert_eq!(parsed, (7, record));
+        assert_eq!(parsed, (FP, 7, record));
     }
 
     /// A one-unit batch: a clean full-tier unit.
@@ -1610,6 +1567,16 @@ mod tests {
         ));
         let torn = &line[..line.len() / 2];
         assert!(parse_record(torn).is_err());
+        // More attempts than the one retry allows is corrupt even under a
+        // valid checksum.
+        let (payload, _) = line.rsplit_once(" #").expect("checksummed");
+        let retried_twice = checksummed(&payload.replace(":F:1:", ":F:3:"));
+        assert!(matches!(
+            parse_record(&retried_twice),
+            Err(FleetError::Corrupt(_))
+        ));
+        let retried_once = checksummed(&payload.replace(":F:1:", ":F:2:"));
+        assert!(parse_record(&retried_once).is_ok());
     }
 
     #[test]
@@ -1626,7 +1593,6 @@ mod tests {
         let config = FleetConfig {
             batch_size: 8,
             queue_capacity: 24,
-            shed: ShedPolicy::LowestPriorityFirst,
             ..FleetConfig::default()
         };
         let report = fleet_admission_dry_run(&spec, &config);
@@ -1638,8 +1604,6 @@ mod tests {
         );
         assert!(report.shed > 0, "storms overflow the bounded queue");
         assert!(report.peak_queue <= config.queue_capacity);
-        // Low-priority shedding sacrifices priority-0 sessions first.
-        assert!(report.shed_by_priority[0] >= report.shed_by_priority[3]);
         let again = fleet_admission_dry_run(&spec, &config);
         assert_eq!(report, again, "dry run is deterministic");
     }
@@ -1661,7 +1625,6 @@ mod tests {
         let config = FleetConfig {
             batch_size: 4,
             queue_capacity: 10,
-            shards: 2,
             ..FleetConfig::default()
         };
         // Every third unit is quarantined, every unit sees a trip, so the
@@ -1741,8 +1704,7 @@ mod tests {
         let report = fleet_admission_dry_run(&spec, &config);
         assert_eq!(report.completed, 200);
         assert_eq!(report.shed, 0);
-        assert!(report.is_clean());
-        assert_eq!(report.quarantine_rate(), 0.0);
+        assert!(report.failures.is_empty());
         assert!(
             report.breaker_histories.iter().all(|h| h.is_empty()),
             "clean outcomes never trip a breaker"
@@ -1757,16 +1719,30 @@ mod tests {
         let l1 = encode(1, &plain_record(2));
         let torn = &l1[..l1.len() - 10];
         std::fs::write(&path, format!("{l0}\n{torn}\n")).expect("write journal");
-        let (records, kept_lines) = read_journal(&path).expect("torn tail tolerated");
+        let (records, kept_lines) = read_journal(&path, FP).expect("torn tail tolerated");
         assert_eq!((records, kept_lines), (vec![plain_record(1)], 1));
         // A corrupt line *followed by* an intact one is real corruption.
         std::fs::write(&path, format!("{torn}\n{l0}\n")).expect("write journal");
-        assert!(matches!(read_journal(&path), Err(FleetError::Corrupt(_))));
+        assert!(matches!(
+            read_journal(&path, FP),
+            Err(FleetError::Corrupt(_))
+        ));
         // So is an intact record out of batch order, even as the final line.
         for journal in [format!("{l1}\n{l0}\n"), format!("{l0}\n{l0}\n")] {
             std::fs::write(&path, journal).expect("write journal");
-            assert!(matches!(read_journal(&path), Err(FleetError::Corrupt(_))));
+            assert!(matches!(
+                read_journal(&path, FP),
+                Err(FleetError::Corrupt(_))
+            ));
         }
+        // An intact record of another run is a mismatch, never a torn tail,
+        // even as the final line.
+        let other = encode_record(FP ^ 1, 1, &plain_record(2).0, &plain_record(2).1);
+        std::fs::write(&path, format!("{l0}\n{other}\n")).expect("write journal");
+        assert!(matches!(
+            read_journal(&path, FP),
+            Err(FleetError::SpecMismatch(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1777,6 +1753,11 @@ mod tests {
     #[test]
     fn older_journal_versions_are_version_errors() {
         let energy = 7.5f64.to_bits();
+        let j5 = checksummed(
+            "PESFLEETJ5 batch=8 \
+             units=58:P:1:9,4,4706557449730656352,2,1,0,1,7,0,0,0,0,1,1,1,2,1,20,0,2;\
+             59:P:1:8,1,4706503254292600673,1,0,2,0,5,0,0,0,2,2,0,2,1,1,24,0,2",
+        );
         let j4 = checksummed(
             "PESFLEETJ4 batch=9 step=9 next_unit=60 shed=26 completed=34 retries=0 \
              violations=86 events=270 energy=41a637800551cd9f wd=48 deg=17,8,7,207,31 \
@@ -1800,6 +1781,7 @@ mod tests {
              inj=0,0,0,0,0,0,0,0 fail=- brk=C:0:0:0:0:-"
         ));
         for (line, magic) in [
+            (j5, "PESFLEETJ5"),
             (j4, "PESFLEETJ4"),
             (j3, "PESFLEETJ3"),
             (j2, "PESFLEETJ2"),
@@ -1834,7 +1816,7 @@ mod tests {
         let path = dir.join(format!("pes_fleet_future_{}.journal", std::process::id()));
         std::fs::write(&path, format!("{future}\n")).expect("write journal");
         assert!(matches!(
-            read_journal(&path),
+            read_journal(&path, FP),
             Err(FleetError::JournalVersion { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -1847,7 +1829,7 @@ mod tests {
         /// Bytes a substitution or insertion draws from half the time: the
         /// record grammar's separators and digits, so edits hit structure
         /// rather than only scrambling values.
-        const GRAMMAR: &[u8] = b" =,:;#-\n0123456789abcdefPESFLEETJFR";
+        const GRAMMAR: &[u8] = b" =,:;#-\n0123456789abcdefpPESFLEETJFR";
 
         /// Applies `(kind, position, byte)` edits: 0 truncates, 1
         /// substitutes, 2 inserts, 3 deletes. Positions wrap to the
@@ -1876,7 +1858,7 @@ mod tests {
 
         fn records_of(path: &Path, journal: &[u8]) -> Result<Vec<JournaledBatch>, FleetError> {
             std::fs::write(path, journal).expect("write journal");
-            Ok(read_journal(path)?.0)
+            Ok(read_journal(path, FP)?.0)
         }
 
         proptest! {
@@ -1902,7 +1884,7 @@ mod tests {
                 for applied in 1..=edits.len() {
                     let mutated = mutate(line.as_bytes(), &edits[..applied]);
                     if let Ok(parsed) = parse_record(&String::from_utf8_lossy(&mutated)) {
-                        prop_assert_eq!(parsed, (1, second.clone()));
+                        prop_assert_eq!(parsed, (FP, 1, second.clone()));
                     }
                     let restored = records_of(&path, &mutate(journal.as_bytes(), &edits[..applied]));
                     if let Ok(records) = restored {

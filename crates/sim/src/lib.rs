@@ -51,8 +51,7 @@ pub use experiments::{
 };
 pub use fleet::{
     fleet_admission_dry_run, resume_fleet, run_fleet, run_fleet_journaled, unit_scenario,
-    BreakerConfig, BreakerState, CircuitBreaker, FleetConfig, FleetError, FleetRunReport,
-    FleetSpec, ShedPolicy,
+    BreakerState, CircuitBreaker, FleetConfig, FleetError, FleetRunReport, FleetSpec,
 };
 pub use parallel::{
     par_map, par_map_supervised_with, par_map_with, parallelism, FleetReport, UnitFailure,

@@ -40,7 +40,9 @@ pub fn parallelism() -> usize {
 pub struct UnitFailure {
     /// Index of the failing unit in `0..n`.
     pub index: usize,
-    /// Attempts made (`1 + retries` unless the worker thread itself died).
+    /// Attempts made: `1 + retries` of the fan-out (2 for a fleet unit,
+    /// which gets one retry), or `0` when the worker thread died before
+    /// reporting the unit.
     pub attempts: usize,
     /// The unit's last known serving tier before it was quarantined, when
     /// the driver tracks one (the fleet driver records the tier each unit
@@ -67,34 +69,10 @@ pub struct FleetReport<T> {
 }
 
 impl<T> FleetReport<T> {
-    /// Number of units that produced a result.
-    pub fn completed(&self) -> usize {
-        self.results.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Number of quarantined (persistently failing) units.
-    pub fn quarantined(&self) -> usize {
-        self.failures.len()
-    }
-
-    /// Fraction of units that were quarantined (`0.0` for an empty fleet).
-    pub fn quarantine_rate(&self) -> f64 {
-        if self.results.is_empty() {
-            0.0
-        } else {
-            self.failures.len() as f64 / self.results.len() as f64
-        }
-    }
-
     /// Total retry attempts beyond each unit's first try (worker-death
     /// units, reported with zero attempts, contribute nothing).
     pub fn total_retries(&self) -> usize {
         self.attempts.iter().map(|&a| a.saturating_sub(1)).sum()
-    }
-
-    /// Whether every unit completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
     }
 
     /// The completed results in index order, dropping quarantined slots.
@@ -335,10 +313,8 @@ mod tests {
             }
             i * 2
         });
-        assert_eq!(report.quarantined(), 3); // units 3, 10, 17
-        assert_eq!(report.completed(), 17);
-        assert!(!report.is_clean());
-        assert!((report.quarantine_rate() - 3.0 / 20.0).abs() < 1e-12);
+        assert_eq!(report.failures.len(), 3); // units 3, 10, 17
+        assert_eq!(report.results.iter().flatten().count(), 17);
         assert_eq!(
             report.failures.iter().map(|f| f.index).collect::<Vec<_>>(),
             vec![3, 10, 17]
@@ -364,7 +340,10 @@ mod tests {
             }
             i + 1
         });
-        assert!(report.is_clean(), "two retries rescue a twice-flaky unit");
+        assert!(
+            report.failures.is_empty(),
+            "two retries rescue a twice-flaky unit"
+        );
         assert_eq!(report.results, vec![Some(1), Some(2), Some(3), Some(4)]);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
         // The rescued unit reports its three attempts; the rest one each.
@@ -380,7 +359,7 @@ mod tests {
             }
             i
         });
-        assert_eq!(report.quarantined(), 1);
+        assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].attempts, 3);
         assert_eq!(report.failures[0].message, "always fails");
         assert_eq!(report.attempts[1], 3);
@@ -423,14 +402,13 @@ mod tests {
             report.failures[1].message,
             "worker thread died before reporting"
         );
-        assert!((report.quarantine_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_fleet_has_zero_quarantine_rate() {
         let report = par_map_supervised_with(4, 0, 0, |i| i);
-        assert_eq!(report.quarantine_rate(), 0.0);
-        assert!(report.is_clean());
+        assert!(report.results.is_empty());
+        assert!(report.failures.is_empty());
         assert!(report.attempts.is_empty());
     }
 }

@@ -719,8 +719,8 @@ mod fleet_resilience {
 
     use pes::core::WatchdogConfig;
     use pes::sim::{
-        resume_fleet, run_fleet, run_fleet_journaled, BreakerConfig, FleetConfig, FleetError,
-        FleetRunReport, FleetSpec, ShedPolicy,
+        resume_fleet, run_fleet, run_fleet_journaled, FleetConfig, FleetError, FleetRunReport,
+        FleetSpec,
     };
 
     /// One shared context for the whole module: training dominates the
@@ -771,33 +771,19 @@ mod fleet_resilience {
         }
     }
 
-    /// Tight resilience thresholds so every mechanism engages on the small
-    /// spec: a four-event watchdog budget (every session trips at least
-    /// once), hair-trigger breakers and a queue small enough that storms
-    /// must shed.
+    /// Tight settings so every mechanism engages on the small spec: a
+    /// four-event watchdog budget (every session trips at least once, so
+    /// every full-tier outcome is bad and the breakers open) and a queue
+    /// small enough that storms must shed.
     fn resilient_config() -> FleetConfig {
         FleetConfig {
             batch_size: 4,
             queue_capacity: 12,
-            shed: ShedPolicy::LowestPriorityFirst,
-            retries: 1,
-            threads: 0,
-            shards: 3,
-            breaker: BreakerConfig {
-                window: 6,
-                trip_threshold: 3,
-                cooldown_batches: 1,
-                probes: 1,
-                close_after: 2,
-            },
             watchdog: WatchdogConfig {
                 node_budget: 0,
                 event_budget: 4,
             },
-            violation_spike: 3,
-            packed_prediction: false,
-            shared_memo: true,
-            generation_cap: 512,
+            ..FleetConfig::default()
         }
     }
 
@@ -815,7 +801,6 @@ mod fleet_resilience {
         assert_eq!(a.events, b.events);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.shed, b.shed);
-        assert_eq!(a.shed_by_priority, b.shed_by_priority);
         assert_eq!(a.retries, b.retries);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.batches, b.batches);
@@ -974,18 +959,16 @@ mod fleet_resilience {
     }
 
     /// The exact final journal record of the storm run: batch 8's two
-    /// half-open probe units, each with its route, attempts and the 20
-    /// outcome fields.
-    const GOLDEN_STORM_JOURNAL_TAIL: &str = "PESFLEETJ5 batch=8 \
-         units=58:P:1:9,4,4706557449730656352,2,1,0,1,7,0,0,0,0,1,1,1,2,1,20,0,2;\
-         59:P:1:8,1,4706503254292600673,1,0,2,0,5,0,0,0,2,2,0,2,1,1,24,0,2 \
-         #353ebf63e6dd92a9";
+    /// breaker-routed units, each with its route, attempts and the 20
+    /// outcome fields, under the run's fingerprint.
+    const GOLDEN_STORM_JOURNAL_TAIL: &str = "PESFLEETJ6 fp=bc69a200c6939e01 batch=8 \
+         units=58:R:1:9,3,4706556248804574518,2,0,0,0,5,4,0,0,0,0,1,1,2,1,0,0,0;\
+         59:R:1:8,1,4706663778440887989,1,0,0,0,5,3,0,0,0,0,0,3,1,1,0,0,0 \
+         #7903db0530855e73";
 
-    /// Pins the `PESFLEETJ5` line byte for byte: field order, encodings,
-    /// checksum and the final batch's unit outcomes. The run's report must
-    /// also equal every counter the cumulative `PESFLEETJ4` golden record
-    /// journaled before the format held unit outcomes, so the format change
-    /// moved no aggregate. Re-pin via `--nocapture` and the
+    /// Pins the `PESFLEETJ6` line byte for byte: field order, encodings,
+    /// fingerprint, checksum and the final batch's unit outcomes, and the
+    /// run's report counter by counter. Re-pin via `--nocapture` and the
     /// `STORM-JOURNAL-GOLDEN-CAPTURE` line only for an intentional change
     /// of behaviour or of the format.
     #[test]
@@ -1008,9 +991,9 @@ mod fleet_resilience {
         assert!(report.failures.is_empty());
         assert_eq!(
             (report.violations, report.events, report.watchdog_trips),
-            (86, 270, 48)
+            (83, 271, 48)
         );
-        assert_eq!(report.energy_bits(), 0x41a6_3780_0551_cd9f);
+        assert_eq!(report.energy_bits(), 0x41a5_ddca_a463_fe90);
         let deg = &report.degradation;
         assert_eq!(
             [
@@ -1020,7 +1003,7 @@ mod fleet_resilience {
                 deg.reactive,
                 deg.ondemand_floor
             ],
-            [17, 8, 7, 207, 31]
+            [31, 7, 13, 213, 7]
         );
         let inj = &report.injections;
         assert_eq!(
@@ -1034,55 +1017,100 @@ mod fleet_resilience {
                 inj.duplicated_events,
                 inj.dropped_events,
             ],
-            [7, 5, 18, 17, 3, 36, 29, 31]
+            [10, 6, 21, 20, 1, 42, 30, 31]
         );
         assert_eq!(
             (report.solver_nodes, report.memo_hits, report.memo_misses),
-            (519, 1, 31)
+            (793, 2, 49)
         );
-        assert_eq!(
-            report.breaker_histories.join("|"),
-            "OHOHOHOHOH|OHOHOHOHOHOHOHOH|OHOHOHOHOH"
-        );
+        assert_eq!(report.breaker_histories.join("|"), "OH|OH|OH|OH");
     }
 
     /// A journal resumed under a spec or config it was not written for is
     /// a typed `SpecMismatch`, never a silent merge of two runs: another
-    /// fleet seed (different priorities, so different shedding), another
-    /// shard count (different breaker routing) and a spec with fewer
-    /// sessions than the journal covers.
+    /// fleet seed, a spec with fewer sessions than the journal covers, and
+    /// two settings that change outcomes but not admission — shorter
+    /// sessions and a disabled watchdog — resumed from the first four
+    /// records, where only the record's run fingerprint tells the runs
+    /// apart.
     #[test]
     fn resume_under_another_spec_is_a_spec_mismatch() {
         let spec = storm_spec();
         let config = resilient_config();
         let full_path = tmp_journal("mismatch_full");
         run_fleet_journaled(ctx(), &spec, &config, &full_path).expect("journaled run succeeds");
-        let journal = std::fs::read(&full_path).expect("journal readable");
+        let journal = std::fs::read_to_string(&full_path).expect("journal readable");
         std::fs::remove_file(&full_path).ok();
+        let first_four: String = journal.lines().take(4).map(|l| format!("{l}\n")).collect();
 
         let other_seed = FleetSpec {
             seed: spec.seed ^ 1,
             ..spec.clone()
         };
-        let two_shards = FleetConfig {
-            shards: 2,
-            ..config.clone()
-        };
         let fewer_sessions = FleetSpec {
             sessions: 40,
             ..spec.clone()
         };
+        let six_events = FleetSpec {
+            max_events_per_session: 6,
+            ..spec.clone()
+        };
+        let no_watchdog = FleetConfig {
+            watchdog: WatchdogConfig::disabled(),
+            ..config.clone()
+        };
         let path = tmp_journal("mismatch");
-        for (case, spec, config) in [
-            ("another seed", &other_seed, &config),
-            ("two shards", &spec, &two_shards),
-            ("fewer sessions", &fewer_sessions, &config),
+        for (case, spec, config, journal) in [
+            ("another seed", &other_seed, &config, &journal),
+            ("fewer sessions", &fewer_sessions, &config, &journal),
+            ("six-event sessions", &six_events, &config, &first_four),
+            ("watchdog disabled", &spec, &no_watchdog, &first_four),
         ] {
-            std::fs::write(&path, &journal).expect("write journal");
+            std::fs::write(&path, journal).expect("write journal");
             match resume_fleet(ctx(), spec, config, &path) {
                 Err(FleetError::SpecMismatch(_)) => {}
                 other => panic!("{case}: expected a spec mismatch, got {other:?}"),
             }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A checksummed record can carry any counter. Record 0 of the storm
+    /// journal rewritten with `u64::MAX` violations for every unit and
+    /// re-checksummed resumes to a typed `Corrupt` error: the report fold
+    /// never overflows, in debug or release.
+    #[test]
+    fn resume_with_an_overflowing_record_is_corrupt() {
+        let spec = storm_spec();
+        let config = resilient_config();
+        let path = tmp_journal("overflow");
+        run_fleet_journaled(ctx(), &spec, &config, &path).expect("journaled run succeeds");
+        let journal = std::fs::read_to_string(&path).expect("journal readable");
+        let mut lines: Vec<String> = journal.lines().map(str::to_string).collect();
+
+        let (payload, _) = lines[0].rsplit_once(" #").expect("checksummed record");
+        let (head, units) = payload.split_once(" units=").expect("units token");
+        let units: Vec<String> = units
+            .split(';')
+            .map(|entry| {
+                let mut parts: Vec<&str> = entry.splitn(4, ':').collect();
+                let mut fields: Vec<&str> = parts[3].split(',').collect();
+                assert_eq!(fields.len(), 20, "record 0 holds no quarantined unit");
+                let max = u64::MAX.to_string();
+                fields[1] = &max;
+                let outcome = fields.join(",");
+                parts[3] = &outcome;
+                parts.join(":")
+            })
+            .collect();
+        assert!(units.len() > 1, "two units overflow the sum");
+        let rewritten = format!("{head} units={}", units.join(";"));
+        lines[0] = format!("{rewritten} #{:016x}", fnv1a(&rewritten));
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write journal");
+
+        match resume_fleet(ctx(), &spec, &config, &path) {
+            Err(FleetError::Corrupt(_)) => {}
+            other => panic!("expected a corrupt journal, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1177,16 +1205,11 @@ mod fleet_resilience {
         let config = FleetConfig {
             batch_size: 8,
             queue_capacity: 16,
-            shed: ShedPolicy::OldestFirst,
-            retries: 1,
             threads: 0,
-            shards: 2,
-            breaker: BreakerConfig::default(),
             watchdog: WatchdogConfig {
                 node_budget: 0,
                 event_budget: 0,
             },
-            violation_spike: usize::MAX,
             packed_prediction: true,
             shared_memo: true,
             generation_cap: 512,
@@ -1339,7 +1362,7 @@ mod fleet_resilience {
     }
 
     /// Journal-format compatibility: this build reads only the journal
-    /// format it writes. A journal from an older build (`J1`–`J4`) or an
+    /// format it writes. A journal from an older build (`J1`–`J5`) or an
     /// unknown future one is rejected with the typed version error instead
     /// of being mistaken for a torn tail and silently restarted — even
     /// when the unreadable record is the final line.
@@ -1360,6 +1383,7 @@ mod fleet_resilience {
             "PESFLEETJ2",
             "PESFLEETJ3",
             "PESFLEETJ4",
+            "PESFLEETJ5",
             "PESFLEETJ7",
         ] {
             let rewritten = format!("{magic} {fields}");
@@ -1398,22 +1422,11 @@ mod fleet_resilience {
         let config = FleetConfig {
             batch_size: 256,
             queue_capacity: 1_024,
-            shed: ShedPolicy::LowestPriorityFirst,
-            retries: 1,
             threads: 0,
-            shards: 8,
-            breaker: BreakerConfig {
-                window: 16,
-                trip_threshold: 6,
-                cooldown_batches: 2,
-                probes: 2,
-                close_after: 3,
-            },
             watchdog: WatchdogConfig {
                 node_budget: 0,
                 event_budget: 3,
             },
-            violation_spike: 2,
             packed_prediction: false,
             shared_memo: true,
             generation_cap: 1_024,
